@@ -10,7 +10,7 @@
 #   scripts/check.sh stress      scheduler concurrency stress (fixed seeds)
 #   scripts/check.sh backend     tier-1 + stress under REPRO_BACKEND=processes
 #   scripts/check.sh obs         observability smoke (metrics/trace exports)
-#   scripts/check.sh dataplane   store tests + store-mode stress + pipe-bytes bench
+#   scripts/check.sh dataplane   store tests + store-mode stress + pipe-bytes bench + bench smoke of blocks_procs
 #   scripts/check.sh service     queue-service chaos smoke + queue-op latency bench
 #   scripts/check.sh fuse        fusion-on stress + fusion on/off bit-identity differential
 #   scripts/check.sh stream      streaming tests + stream stress + serving differential + latency bench
@@ -108,6 +108,20 @@ run_dataplane() {
         --workers 2 --seed 0 --seed 3
     echo "== data-plane benchmark (pipe bytes, store on vs off) =="
     PYTHONPATH=src python -m pytest benchmarks/test_dataplane.py -x -q
+    # The benchmark's own smoke of the processes workload: its oracle
+    # and exit-hygiene checks (segments, temp files, stragglers), and a
+    # silent standard error, which is where the resource tracker used to
+    # complain about the store's segments.
+    echo "== bench smoke: blocks_procs (oracle + hygiene, silent stderr) =="
+    local err
+    err="$(mktemp)"
+    if ! python3 bench/run.py --smoke --workload blocks_procs 2>"$err" || grep -q Traceback "$err"; then
+        cat "$err" >&2
+        rm -f "$err"
+        echo "bench smoke failed or printed a traceback on stderr" >&2
+        return 1
+    fi
+    rm -f "$err"
 }
 
 run_stream() {

@@ -49,10 +49,12 @@ segments (put-once — repeated arguments are dedup hits) and sends tiny
 :class:`~repro.runtime.store.ObjectRef` handles instead.  The worker
 maps each segment once into a bounded cache and hands the task body a
 read-only zero-copy view; large results are frozen by the worker into
-fresh segments that the coordinator adopts into the store, so task
-chains move references, never buffers.  Dispatch is locality-aware: a
-residency map (which worker holds which segments) steers each call to
-the worker already caching the largest share of its input bytes.
+fresh segments that the coordinator adopts into the store by name, so
+task chains move references, never buffers.  Dispatch is
+locality-aware: a residency map (which worker holds which segments)
+steers each call to the worker already caching the largest share of its
+input bytes.  At shutdown the backend tells the idle pooled workers to
+forget its store's segments.
 ``stats()`` exposes the accounting — ``pipe_bytes_sent/recv``,
 ``store_bytes_moved`` (fresh segment attaches), ``store_bytes_saved``
 (pickle bytes avoided), locality hit/miss counters.
@@ -190,15 +192,26 @@ def _resolve_task_function(module_name: str, qualname: str):
     raise TypeError(f"{module_name}.{qualname} is not callable")
 
 
-def _safe_send(conn, reply: tuple, fallback: tuple) -> None:
-    """Send *reply*; if it does not serialize (unpicklable exception or
-    result), send the pre-built *fallback* instead.  The worker must
-    answer every request exactly once or the coordinator would read it
-    as a crash."""
+def _safe_send(conn, reply: tuple) -> None:
+    """Send ``(kind, value, pid, info)``; if *value* (a result or an
+    exception) does not serialize, send a stand-in carrying its
+    ``repr`` — built only here, on the failure path: the ``repr`` of an
+    array result costs more than its task.  The worker must answer
+    every request exactly once or the coordinator would read it as a
+    crash."""
     try:
         frames = _encode(reply)
     except Exception:
-        frames = _encode(fallback)
+        kind, value, pid, info = reply
+        try:
+            text = repr(value)[:200]
+        except Exception:  # noqa: BLE001 - a broken __repr__ must not kill the worker
+            text = f"<{type(value).__name__}>"
+        if kind == "raised":
+            value = RuntimeError(f"worker exception did not pickle: {text}")
+            frames = _encode(("raised", value, pid, info))
+        else:
+            frames = _encode(("badresult", text, pid, info))
     _send_frames(conn, frames)
 
 
@@ -222,7 +235,10 @@ def _worker_main(conn, search_path: list[str]) -> None:
         if kind == "exit":
             return
         if kind == "ping":
-            _send(conn, ("pong", pid))
+            _send(conn, ("pong", pid, worker_store.cached_segments()))
+            continue
+        if kind == "forget":  # a store shut down; no reply expected
+            worker_store.forget(request[1])
             continue
         # Older coordinators send 8-tuples (no trace header); stay
         # compatible — the pooled workers outlive individual runtimes.
@@ -262,13 +278,7 @@ def _worker_main(conn, search_path: list[str]) -> None:
             with _tracectx.use_context(trace_ctx):
                 value = _call_with_attempt(func, args, kwargs, attempt)
         except BaseException as exc:  # noqa: BLE001 - relayed to coordinator
-            fallback = (
-                "raised",
-                RuntimeError(f"worker exception did not pickle: {exc!r}"),
-                pid,
-                info,
-            )
-            _safe_send(conn, ("raised", exc, pid, info), fallback)
+            _safe_send(conn, ("raised", exc, pid, info))
             continue
         if store_cfg is not None:
             # Freeze large results into fresh segments (adopted by the
@@ -280,7 +290,7 @@ def _worker_main(conn, search_path: list[str]) -> None:
             except Exception:  # noqa: BLE001 - fall back to pickling the value
                 pass
             info["evicted"] = worker_store.prune(store_cfg["cache_bytes"])
-        _safe_send(conn, ("ok", value, pid, info), ("badresult", repr(value)[:200], pid, info))
+        _safe_send(conn, ("ok", value, pid, info))
 
 
 class _WorkerDied(Exception):
@@ -458,6 +468,18 @@ class WorkerPool:
     def n_workers(self) -> int:
         with self._lock:
             return len(self._all)
+
+    def tell_idle(self, message: tuple) -> None:
+        """Send a reply-less *message* to every idle worker.  The pool
+        lock keeps them idle meanwhile; an idle worker sits in ``recv``
+        on an empty pipe, so these few bytes cannot block."""
+        frames = _encode(message)
+        with self._lock:
+            for worker in self._idle:
+                try:
+                    _send_frames(worker.conn, frames)
+                except (OSError, ValueError):
+                    pass  # dead worker: acquire() weeds it out
 
     def shutdown(self) -> None:
         with self._lock:
@@ -866,11 +888,22 @@ class ProcessPoolBackend(ExecutorBackend):
         if kind == "badresult":
             # Result did not pickle; recompute locally (pure tasks only
             # are dispatched, so re-running is safe).
+            _logger.debug("result of %r did not pickle (%s); running inline", spec.name, reply[1])
             with self._lock:
                 self._inline_only.add(id(spec))
             self._count("result_fallbacks")
             return self._run_inline(spec, args, kwargs, attempt, False)
         raise RuntimeError(f"unknown worker reply {kind!r}")
+
+    def shutdown(self) -> None:
+        """Have the idle pooled workers drop what they cache of this
+        backend's store.  The runtime unlinks every segment next;
+        mappings left in the workers would pin those pages (up to the
+        cache budget per worker) and be freed inside some later
+        runtime's tasks."""
+        pool = _pool
+        if self._store is not None and pool is not None:
+            pool.tell_idle(("forget", self._store.prefix))
 
     def stats(self) -> dict:
         pool = _pool

@@ -3,12 +3,13 @@
 ``BENCH_backend.json`` showed the process backend losing to threads
 because every NumPy argument and result crossed a pickle pipe.  This
 module removes that copy: a plasma-style object store keeps immutable
-NumPy buffers in ``multiprocessing.shared_memory`` segments, keyed by
+NumPy buffers in POSIX shared-memory segments, keyed by
 small picklable :class:`ObjectRef` handles.  A ref crosses the pipe in
 ~100 bytes; the worker maps the segment once and reads the array
 zero-copy.  Results travel the same way in reverse — the worker writes
-them into fresh segments and the coordinator *adopts* them, so a chain
-of tasks moves refs, never buffers.
+them into fresh segments and the coordinator *adopts* them by name, so
+a chain of tasks moves refs, never buffers, and a block is mapped only
+by the processes that read it.
 
 Components
 ----------
@@ -39,12 +40,13 @@ inline path, outside the store.
 
 from __future__ import annotations
 
+import _posixshmem  # shm_open / shm_unlink, as multiprocessing.shared_memory calls them
 import dataclasses
+import mmap
 import os
 import threading
 import uuid
 import weakref
-from multiprocessing import shared_memory
 from pathlib import Path
 from typing import Any
 
@@ -132,39 +134,6 @@ def _map_tree(obj: Any, fn) -> Any:
     return obj
 
 
-def _untrack(shm: shared_memory.SharedMemory) -> None:
-    """Detach *shm* from the resource tracker.
-
-    The store owns segment lifetimes explicitly (unlink on release,
-    shutdown sweep); the tracker would otherwise unlink them a second
-    time at interpreter exit and print spurious leak warnings."""
-    try:
-        from multiprocessing import resource_tracker
-
-        resource_tracker.unregister(shm._name, "shared_memory")  # type: ignore[attr-defined]
-    except Exception:  # noqa: BLE001 - cleanup hygiene only, never fatal
-        pass
-
-
-def _unlink(shm: shared_memory.SharedMemory) -> None:
-    """Unlink *shm*'s segment without tracker noise.
-
-    On Python < 3.13 ``unlink()`` unconditionally sends an *unregister*
-    to the resource tracker — but the store already unregistered at
-    creation/attach (see :func:`_untrack`), so the tracker would log a
-    spurious ``KeyError``.  Re-register first to keep the ledger
-    balanced.  3.13+ instances know their own tracking state and
-    ``unlink()`` does the right thing either way."""
-    if getattr(shm, "_track", None) is None:
-        try:
-            from multiprocessing import resource_tracker
-
-            resource_tracker.register(shm._name, "shared_memory")  # type: ignore[attr-defined]
-        except Exception:  # noqa: BLE001 - cleanup hygiene only
-            pass
-    shm.unlink()
-
-
 def _sweep_shm(prefix: str) -> int:
     """Unlink every ``/dev/shm`` segment whose name starts with
     *prefix*; returns the number removed."""
@@ -215,51 +184,72 @@ def sweep_prefix(prefix: str, spill_dir: str | os.PathLike | None = None) -> int
     return removed
 
 
-def _attach(name: str) -> shared_memory.SharedMemory:
-    """Attach an existing segment without registering it anywhere."""
-    try:
-        shm = shared_memory.SharedMemory(name=name, track=False)  # type: ignore[call-arg]
-    except TypeError:  # Python < 3.13: no track parameter
-        shm = shared_memory.SharedMemory(name=name)
-        _untrack(shm)
-    return shm
+class _Segment:
+    """One POSIX shared-memory segment: the file ``/dev/shm/<name>``.
 
+    The store owns segment lifetimes itself (unlink on release, prefix
+    sweep at shutdown), so segments are opened with ``shm_open``
+    directly and the ``multiprocessing`` resource tracker — a register
+    and an unregister message per handle, and a second unlink at exit —
+    never hears of them.  A handle is a name and a size until something
+    reads it: :meth:`map` opens and maps on first use, read-only, so the
+    immutability contract is enforced by the MMU.
 
-def _view(shm: shared_memory.SharedMemory, shape: tuple, dtype: str) -> np.ndarray:
-    arr: np.ndarray = np.ndarray(shape, dtype=np.dtype(dtype), buffer=shm.buf)
-    arr.flags.writeable = False
-    return arr
+    There is no ``close``.  ``np.ndarray(buffer=...)`` keeps the mmap
+    alive through ``.base`` but holds no buffer export, so closing would
+    unmap under a live view and the next read would segfault.  Dropping
+    the handle drops one reference; the mapping goes when the last view
+    does."""
 
+    __slots__ = ("name", "size", "_map")
 
-def _detach_or_close(shm: shared_memory.SharedMemory, views: list) -> None:
-    """Drop our handle on *shm* without invalidating live views.
+    def __init__(self, name: str, nbytes: int):
+        self.name = name
+        self.size = max(1, nbytes)  # a zero-length file cannot be mapped
+        self._map: mmap.mmap | None = None
 
-    ``np.ndarray(buffer=...)`` keeps a reference to the underlying mmap
-    (``arr.base``) but *not* a PEP-3118 buffer export, so
-    ``SharedMemory.close()`` happily unmaps under a live view and the
-    next read segfaults.  *views* holds weakrefs to every view this
-    handle produced: if any is still alive we detach instead of
-    closing — release the memoryview, close the fd, and forget the mmap
-    without unmapping it.  The surviving views keep the mmap alive via
-    ``.base`` and the memory is reclaimed when the last one dies (the
-    caller already unlinked the *name*, so nothing persists)."""
-    if any(ref() is not None for ref in views):
+    @classmethod
+    def create(cls, name: str, data: Any) -> "_Segment":
+        """Create segment *name* filled with *data* (bytes or an
+        ndarray) by writing through the descriptor: the kernel
+        allocates the pages in one call instead of one fault per page,
+        and nothing is mapped until someone reads."""
+        if isinstance(data, np.ndarray):
+            data = np.ascontiguousarray(data).reshape(-1).view(np.uint8)
+        rest = memoryview(data)
+        seg = cls(name, rest.nbytes)
+        fd = _posixshmem.shm_open(f"/{name}", os.O_CREAT | os.O_EXCL | os.O_RDWR, mode=0o600)
         try:
-            if shm._buf is not None:  # type: ignore[attr-defined]
-                shm._buf.release()  # type: ignore[attr-defined]
-        except BufferError:  # a raw memoryview export also survives
-            pass
-        shm._buf = None  # type: ignore[attr-defined]
-        shm._mmap = None  # type: ignore[attr-defined]
-        fd = getattr(shm, "_fd", -1)
-        if fd >= 0:
+            if not rest.nbytes:
+                os.ftruncate(fd, seg.size)
+            while rest.nbytes:
+                rest = rest[os.write(fd, rest) :]
+        except BaseException:
+            _posixshmem.shm_unlink(f"/{name}")
+            raise
+        finally:
+            os.close(fd)
+        return seg
+
+    def map(self) -> mmap.mmap:
+        if self._map is None:
+            fd = _posixshmem.shm_open(f"/{self.name}", os.O_RDONLY, mode=0)
             try:
+                self._map = mmap.mmap(fd, self.size, access=mmap.ACCESS_READ)
+            finally:
                 os.close(fd)
-            except OSError:
-                pass
-            shm._fd = -1  # type: ignore[attr-defined]
-    else:
-        shm.close()
+        return self._map
+
+    def view(self, shape: tuple, dtype: str) -> np.ndarray:
+        """Read-only zero-copy array over the segment's bytes."""
+        return np.ndarray(shape, dtype=np.dtype(dtype), buffer=self.map())
+
+    def unlink(self) -> None:
+        """Remove the name; live mappings keep their pages."""
+        try:
+            _posixshmem.shm_unlink(f"/{self.name}")
+        except FileNotFoundError:
+            pass
 
 
 class _Entry:
@@ -270,13 +260,12 @@ class _Entry:
         "shape",
         "dtype",
         "nbytes",
-        "shm",
-        "segment",
+        "seg",
         "spill_path",
         "refcount",
         "pins",
         "clock",
-        "views",
+        "dedup_key",
     )
 
     def __init__(self, object_id: str, shape: tuple, dtype: str, nbytes: int):
@@ -284,12 +273,14 @@ class _Entry:
         self.shape = shape
         self.dtype = dtype
         self.nbytes = nbytes
-        self.shm: shared_memory.SharedMemory | None = None
-        self.segment: str | None = None
+        #: The segment holding the bytes (None while spilled).  An
+        #: adopted worker result stays an unmapped name until the
+        #: coordinator itself reads it.
+        self.seg: _Segment | None = None
         self.spill_path: Path | None = None
-        #: Weakrefs to zero-copy views handed out against the *current*
-        #: segment — consulted before unmapping (see _detach_or_close).
-        self.views: list = []
+        #: ``id()`` of the array this entry was put from: its key in the
+        #: store's dedup cache, purged with the entry.
+        self.dedup_key: int | None = None
         self.refcount = 1
         #: In-flight transfer pins: a pinned entry is neither spilled
         #: nor freed, even at refcount zero (freed on last unpin).
@@ -298,7 +289,11 @@ class _Entry:
 
     @property
     def resident(self) -> bool:
-        return self.shm is not None
+        return self.seg is not None
+
+    @property
+    def segment(self) -> str | None:
+        return self.seg.name if self.seg is not None else None
 
 
 class ObjectStore:
@@ -338,6 +333,9 @@ class ObjectStore:
         self._lock = threading.RLock()
         self._clock = 0
         self._next_oid = 0
+        #: Running sum of ``nbytes`` over resident entries (kept by
+        #: _set_segment_locked / _drop_segment_locked).
+        self._resident_bytes = 0
         self.closed = False
         self._stats = {
             "puts": 0,
@@ -359,15 +357,21 @@ class ObjectStore:
         self._clock += 1
         entry.clock = self._clock
 
-    def _new_segment(self, nbytes: int) -> shared_memory.SharedMemory:
+    def _new_segment(self, data: Any) -> _Segment:
         self._next_oid += 1
-        name = f"{self.prefix}c{self._next_oid:x}"
-        shm = shared_memory.SharedMemory(create=True, size=max(1, nbytes), name=name)
-        _untrack(shm)
-        return shm
+        return _Segment.create(f"{self.prefix}c{self._next_oid:x}", data)
 
-    def _resident_bytes_locked(self) -> int:
-        return sum(e.nbytes for e in self._entries.values() if e.resident)
+    def _set_segment_locked(self, entry: _Entry, seg: _Segment) -> None:
+        entry.seg = seg
+        self._resident_bytes += entry.nbytes
+
+    def _drop_segment_locked(self, entry: _Entry) -> None:
+        """Unlink *entry*'s segment and let go of our mapping (views
+        handed out earlier keep theirs)."""
+        assert entry.seg is not None
+        entry.seg.unlink()
+        entry.seg = None
+        self._resident_bytes -= entry.nbytes
 
     def _spill_root(self) -> Path:
         if self._spill_dir is None:
@@ -382,29 +386,21 @@ class ObjectStore:
         return self._spill_dir
 
     def _spill_locked(self, entry: _Entry) -> None:
-        assert entry.shm is not None and entry.segment is not None
+        assert entry.seg is not None
         path = self._spill_root() / f"{entry.object_id}.bin"
         with open(path, "wb") as fh:
-            fh.write(entry.shm.buf)
+            fh.write(entry.seg.map())
         entry.spill_path = path
-        _unlink(entry.shm)
-        _detach_or_close(entry.shm, entry.views)
-        entry.shm = None
-        entry.segment = None
-        entry.views = []  # old-segment views keep their own mapping alive
+        self._drop_segment_locked(entry)
         self._stats["spills"] += 1
         self._stats["spill_bytes"] += entry.nbytes
 
     def _reload_locked(self, entry: _Entry) -> None:
         assert entry.spill_path is not None
         self._ensure_capacity_locked(entry.nbytes)
-        shm = self._new_segment(entry.nbytes)
-        with open(entry.spill_path, "rb") as fh:
-            fh.readinto(shm.buf)
+        self._set_segment_locked(entry, self._new_segment(entry.spill_path.read_bytes()))
         entry.spill_path.unlink(missing_ok=True)
         entry.spill_path = None
-        entry.shm = shm
-        entry.segment = shm.name
         self._stats["reloads"] += 1
         self._stats["reload_bytes"] += entry.nbytes
 
@@ -412,7 +408,7 @@ class ObjectStore:
         """Spill LRU unpinned residents until *incoming* bytes fit.
         When nothing is evictable the store runs over budget rather
         than failing — capacity is a target, not a hard wall."""
-        while self._resident_bytes_locked() + incoming > self.capacity_bytes:
+        while self._resident_bytes + incoming > self.capacity_bytes:
             victims = [e for e in self._entries.values() if e.resident and e.pins == 0]
             if not victims:
                 return
@@ -429,15 +425,11 @@ class ObjectStore:
 
     def _free_locked(self, entry: _Entry) -> None:
         self._entries.pop(entry.object_id, None)
-        stale = [key for key, (_, oid) in self._dedup.items() if oid == entry.object_id]
-        for key in stale:
-            del self._dedup[key]
-        if entry.shm is not None:
-            _unlink(entry.shm)
-            _detach_or_close(entry.shm, entry.views)
-            entry.shm = None
-            entry.segment = None
-            entry.views = []
+        cached = self._dedup.get(entry.dedup_key)
+        if cached is not None and cached[1] == entry.object_id:
+            del self._dedup[entry.dedup_key]
+        if entry.seg is not None:
+            self._drop_segment_locked(entry)
         if entry.spill_path is not None:
             entry.spill_path.unlink(missing_ok=True)
             entry.spill_path = None
@@ -473,21 +465,16 @@ class ObjectStore:
             contiguous = np.ascontiguousarray(arr)
             nbytes = int(contiguous.nbytes)
             self._ensure_capacity_locked(nbytes)
-            shm = self._new_segment(nbytes)
-            if nbytes:
-                dst: np.ndarray = np.ndarray(
-                    contiguous.shape, dtype=contiguous.dtype, buffer=shm.buf
-                )
-                np.copyto(dst, contiguous)
+            seg = self._new_segment(contiguous)
             oid = f"{self.prefix}o{self._next_oid:x}"
             entry = _Entry(oid, tuple(contiguous.shape), contiguous.dtype.str, nbytes)
-            entry.shm = shm
-            entry.segment = shm.name
+            self._set_segment_locked(entry, seg)
             self._entries[oid] = entry
             self._tick(entry)
             if isinstance(value, np.ndarray):
                 try:
                     self._dedup[id(value)] = (weakref.ref(value), oid)
+                    entry.dedup_key = id(value)
                 except TypeError:
                     pass
             self._stats["puts"] += 1
@@ -527,18 +514,16 @@ class ObjectStore:
                 self._reload_locked(entry)
             self._tick(entry)
             self._stats["gets"] += 1
-            assert entry.shm is not None
-            view = _view(entry.shm, entry.shape, entry.dtype)
-            if copy:
-                return view.copy()
-            entry.views.append(weakref.ref(view))
-            if len(entry.views) > 32:  # shed dead weakrefs
-                entry.views = [r for r in entry.views if r() is not None]
-            return view
+            assert entry.seg is not None
+            view = entry.seg.view(entry.shape, entry.dtype)
+            return view.copy() if copy else view
 
     def adopt(self, object_id: str, segment: str, shape: tuple, dtype: str, nbytes: int) -> ObjectRef:
         """Take ownership of a segment created elsewhere (a worker's
-        frozen task result): attach it and track it like a local put."""
+        frozen task result) and track it like a local put.  Only the
+        name is recorded: most results are read by other workers alone,
+        so the coordinator maps the segment on its own first ``get`` (or
+        spill) and, if that never comes, unlinks it by name."""
         if self.closed:
             raise StoreError("object store is shut down")
         with self._lock:
@@ -546,8 +531,7 @@ class ObjectStore:
                 return self._ref_of(self._entries[object_id])
             self._ensure_capacity_locked(nbytes)
             entry = _Entry(object_id, tuple(shape), dtype, int(nbytes))
-            entry.shm = _attach(segment)
-            entry.segment = segment
+            self._set_segment_locked(entry, _Segment(segment, entry.nbytes))
             self._entries[object_id] = entry
             self._tick(entry)
             self._stats["adopted"] += 1
@@ -629,7 +613,7 @@ class ObjectStore:
                 n_spilled=len(spilled),
                 n_pinned=len(pinned),
                 pinned_bytes=sum(e.nbytes for e in pinned),
-                bytes_resident=sum(e.nbytes for e in resident),
+                bytes_resident=self._resident_bytes,
                 bytes_spilled=sum(e.nbytes for e in spilled),
                 capacity_bytes=self.capacity_bytes,
             )
@@ -683,11 +667,16 @@ class WorkerStore:
     """
 
     def __init__(self) -> None:
-        #: segment name -> (shm, nbytes, view weakrefs); insertion-ordered
-        #: for LRU.  The weakrefs guard prune() against unmapping under a
-        #: view a task body still holds (see _detach_or_close).
-        self._cache: dict[str, tuple[shared_memory.SharedMemory, int, list]] = {}
+        #: segment name -> handle, insertion-ordered for LRU.  Evicting
+        #: only drops the handle: a view a task body still holds keeps
+        #: its mapping alive (see _Segment).
+        self._cache: dict[str, _Segment] = {}
+        self._cached_bytes = 0  # running sum of the cached segments' sizes
         self._created = 0
+
+    def _remember(self, seg: _Segment) -> None:
+        self._cache[seg.name] = seg
+        self._cached_bytes += seg.size
 
     def thaw(self, obj: Any, info: dict) -> Any:
         """Replace refs in *obj* with read-only views of their
@@ -696,21 +685,19 @@ class WorkerStore:
         def deref(ref: ObjectRef) -> np.ndarray:
             if ref.segment is None:
                 raise StoreError(f"ref {ref.object_id} arrived without a segment name")
-            cached = self._cache.get(ref.segment)
-            if cached is not None:
-                shm, _, views = cached
-                # refresh LRU position
-                self._cache[ref.segment] = self._cache.pop(ref.segment)
+            seg = self._cache.get(ref.segment)
+            hit = seg is not None
+            if seg is None:
+                seg = _Segment(ref.segment, ref.nbytes)
+            view = seg.view(ref.shape, ref.dtype)  # raises if the segment is gone
+            if hit:
+                self._cache[ref.segment] = self._cache.pop(ref.segment)  # refresh LRU position
                 info["hit_bytes"] += ref.nbytes
                 info["hits"].append(ref.object_id)
             else:
-                shm = _attach(ref.segment)
-                views = []
-                self._cache[ref.segment] = (shm, ref.nbytes, views)
+                self._remember(seg)
                 info["moved_bytes"] += ref.nbytes
                 info["attached"].append((ref.object_id, ref.segment, ref.nbytes))
-            view = _view(shm, ref.shape, ref.dtype)
-            views.append(weakref.ref(view))
             return view
 
         return _map_tree(obj, deref)
@@ -725,10 +712,10 @@ class WorkerStore:
                 contiguous = np.ascontiguousarray(value)
                 self._created += 1
                 name = f"{prefix}w{os.getpid():x}n{self._created:x}"
-                shm = shared_memory.SharedMemory(create=True, size=max(1, contiguous.nbytes), name=name)
-                _untrack(shm)
-                dst: np.ndarray = np.ndarray(contiguous.shape, dtype=contiguous.dtype, buffer=shm.buf)
-                np.copyto(dst, contiguous)
+                # The result stays cached here too (as a name, mapped on
+                # first read): a downstream task dispatched to this
+                # worker finds it without going through the coordinator.
+                self._remember(_Segment.create(name, contiguous))
                 oid = f"{name}-r"
                 ref = ObjectRef(
                     object_id=oid,
@@ -737,9 +724,6 @@ class WorkerStore:
                     nbytes=int(contiguous.nbytes),
                     segment=name,
                 )
-                # The result stays cached here too: a downstream task
-                # dispatched to this worker reads it without a remap.
-                self._cache[name] = (shm, ref.nbytes, [])
                 info["created"].append(
                     (oid, name, ref.shape, ref.dtype, ref.nbytes)
                 )
@@ -761,15 +745,21 @@ class WorkerStore:
         fits *cap_bytes*; returns the evicted segment names (reported
         to the coordinator so its residency map stays honest)."""
         evicted: list[str] = []
-        total = sum(nbytes for _, nbytes, _ in self._cache.values())
-        for segment in list(self._cache):
-            if total <= cap_bytes:
-                break
-            shm, nbytes, views = self._cache.pop(segment)
-            _detach_or_close(shm, views)
-            total -= nbytes
+        while self._cached_bytes > cap_bytes and self._cache:
+            segment = next(iter(self._cache))
+            self._cached_bytes -= self._cache.pop(segment).size
             evicted.append(segment)
         return evicted
+
+    def cached_segments(self) -> list[str]:
+        """Names of the cached segments, least recently used first."""
+        return list(self._cache)
+
+    def forget(self, prefix: str) -> None:
+        """Drop every cached segment of the store named by *prefix* —
+        it shut down, nothing will ask for them again."""
+        for segment in [name for name in self._cache if name.startswith(prefix)]:
+            self._cached_bytes -= self._cache.pop(segment).size
 
     @staticmethod
     def new_info() -> dict:

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import os
 import pickle
+import threading
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from repro.runtime.backends import (
     _encode,
     create_backend,
     get_worker_pool,
+    shutdown_workers,
 )
 
 
@@ -56,6 +58,28 @@ def _raise_value_error(msg):
 def _two_sums(block):
     a = np.asarray(block)
     return float(a.sum()), float((a * 2).sum())
+
+
+class _ReprRaises:
+    """Pickles fine; must never be printed."""
+
+    def __repr__(self):
+        raise AssertionError("repr() called on a task result")
+
+
+class _Unpicklable(_ReprRaises):
+    def __reduce__(self):
+        raise TypeError("not picklable")
+
+
+@task(returns=1)
+def _make(kind):
+    return {"repr_raises": _ReprRaises, "lock": threading.Lock, "unpicklable": _Unpicklable}[kind]()
+
+
+@task(returns=1)
+def _block_sum(block):
+    return float(np.asarray(block).sum())
 
 
 def _processes_cfg(**kw):
@@ -174,6 +198,78 @@ def test_worker_pool_is_shared_across_runtimes():
     with Runtime(config=_processes_cfg()):
         wait_on(_probe(2))
     assert pool.spawned == spawned_after_first  # workers were reused
+
+
+def test_success_reply_never_reprs_the_result():
+    """The ``badresult`` fallback is built only when the reply fails to
+    encode: a result whose ``__repr__`` raises comes back like any
+    other (it used to kill the worker on every successful reply)."""
+    with Runtime(config=_processes_cfg()) as rt:
+        out = wait_on(_make("repr_raises"))
+        stats = rt.stats()["backend_stats"]
+    assert type(out) is _ReprRaises
+    assert stats["dispatched"] == 1 and stats["inline"] == 0
+    assert stats["result_fallbacks"] == stats["worker_crashes"] == 0
+
+
+@pytest.mark.parametrize("kind", ["lock", "unpicklable"])
+def test_unpicklable_result_recomputes_inline(kind):
+    """badresult -> inline recompute, also when the value cannot even
+    be printed for the fallback message."""
+    with Runtime(config=_processes_cfg()) as rt:
+        out = wait_on(_make(kind))
+        stats = rt.stats()["backend_stats"]
+    assert type(out) is (_Unpicklable if kind == "unpicklable" else type(threading.Lock()))
+    assert stats["result_fallbacks"] == 1 and stats["inline"] == 1
+    assert stats["worker_crashes"] == 0
+
+
+# ----------------------------------------------------------------------
+# worker cache hygiene across runtimes
+# ----------------------------------------------------------------------
+def _pool_cached_segments() -> list[str]:
+    """Every segment name some idle pooled worker caches (asked over
+    the pipe, behind whatever the worker was told before)."""
+    pool = get_worker_pool()
+    workers = [pool.acquire() for _ in range(pool.n_idle)]
+    try:
+        return [name for w in workers for name in _decode(w.call(_encode(("ping",))))[2]]
+    finally:
+        for w in workers:
+            pool.release(w)
+
+
+def _store_cfg():
+    return _processes_cfg(store_threshold_bytes=1024)
+
+
+def test_pooled_workers_forget_a_store_when_its_runtime_exits():
+    shutdown_workers()  # fresh workers: nothing cached from other tests
+    for round_ in range(3):
+        with Runtime(config=_store_cfg()) as rt:
+            prefix = rt.store.prefix
+            refs = [rt.put(np.full(512, float(i))) for i in range(4)]
+            assert wait_on([_block_sum(r) for r in refs]) == [512.0 * i for i in range(4)]
+            assert any(name.startswith(prefix) for name in _pool_cached_segments())
+        assert _pool_cached_segments() == [], f"round {round_}"
+
+
+def test_forget_is_scoped_to_the_store_that_shut_down():
+    shutdown_workers()
+    block = np.ones(512)
+    with Runtime(config=_store_cfg()) as rt_a:
+        ref_a = rt_a.put(block)
+        assert wait_on(rt_a.submit_many([_block_sum.defer(ref_a)] * 4)) == [512.0] * 4
+        with Runtime(config=_store_cfg()) as rt_b:
+            ref_b = rt_b.put(block)
+            assert wait_on(rt_b.submit_many([_block_sum.defer(ref_b)] * 4)) == [512.0] * 4
+            prefix_b = rt_b.store.prefix
+            assert any(name.startswith(prefix_b) for name in _pool_cached_segments())
+        # B is gone from every worker; A's segments were not evicted
+        cached = _pool_cached_segments()
+        assert cached and all(name.startswith(rt_a.store.prefix) for name in cached)
+        assert wait_on(rt_a.submit_many([_block_sum.defer(ref_a)] * 4)) == [512.0] * 4
+    assert _pool_cached_segments() == []
 
 
 # ----------------------------------------------------------------------

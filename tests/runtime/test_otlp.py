@@ -122,7 +122,8 @@ def _outer(x):
 
 
 def test_trace_to_otlp_exports_lineage_and_resource():
-    with Runtime(executor="threads") as rt:
+    # backend pinned: a nested child task exists only on the coordinator
+    with Runtime(executor="threads", backend="threads") as rt:
         assert wait_on(_outer(3)) == 6
         trace = rt.trace()
     doc = trace_to_otlp(trace, wall_t0=1000.0, resource={"repro.server_id": "s1"})

@@ -6,8 +6,10 @@ the ``put``/``get``/``submit_many`` runtime surface."""
 from __future__ import annotations
 
 import os
+import random
+import subprocess
+import sys
 import threading
-from multiprocessing import shared_memory
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +24,7 @@ from repro.runtime import (
     task,
     wait_on,
 )
-from repro.runtime.store import ObjectStore, WorkerStore, scan_refs
+from repro.runtime.store import ObjectStore, WorkerStore, _Segment, scan_refs
 
 
 @task(returns=1)
@@ -186,32 +188,78 @@ def test_spill_lru_order_prefers_cold_objects():
 # ----------------------------------------------------------------------
 # concurrency
 # ----------------------------------------------------------------------
+def _assert_bookkeeping_exact(store: ObjectStore) -> None:
+    """The O(1) bookkeeping equals what a scan of the table says."""
+    with store._lock:
+        entries = dict(store._entries)
+        resident = sum(e.nbytes for e in entries.values() if e.resident)
+        assert store._resident_bytes == resident
+        assert store.stats()["bytes_resident"] == resident
+        # no dedup key outlives its entry, and every entry knows its key
+        for key, (_, oid) in store._dedup.items():
+            assert oid in entries and entries[oid].dedup_key == key
+
+
 def test_concurrent_put_get_release_threads():
-    store = _store(capacity_bytes=256 * 1024)
+    """Four threads run a randomized put / get / lease / release /
+    adopt mix against a store small enough to spill: bytes never
+    diverge, and the running totals stay equal to a from-scratch sum."""
+    store = _store(capacity_bytes=16 * 1024)
     errors: list[BaseException] = []
 
     def churn(worker: int) -> None:
         try:
             rng = np.random.default_rng(worker)
-            for i in range(25):
-                src = rng.standard_normal(256)
-                ref = store.put(src)
-                got = store.get(ref, copy=True)
-                if not np.array_equal(got, src):
-                    raise AssertionError(f"worker {worker} round {i}: bytes diverged")
+            ops = random.Random(worker)
+            live: list[tuple[ObjectRef, np.ndarray]] = []
+            for i in range(60):
+                op = ops.choice(("put", "put", "adopt", "get", "lease", "release"))
+                if op == "put" or (op != "adopt" and not live):
+                    src = rng.standard_normal(256)
+                    live.append((store.put(src), src))
+                elif op == "adopt":  # a worker-frozen result, by name
+                    src = rng.standard_normal(256)
+                    name = f"{store.prefix}wt{worker}n{i}"
+                    _Segment.create(name, src)
+                    live.append((store.adopt(f"{name}-r", name, src.shape, src.dtype.str, src.nbytes), src))
+                else:
+                    ref, src = live[ops.randrange(len(live))]
+                    if op == "get":
+                        if not np.array_equal(store.get(ref, copy=True), src):
+                            raise AssertionError(f"worker {worker} round {i}: bytes diverged")
+                    elif op == "lease":
+                        segment = store.lease(ref)
+                        assert Path(f"/dev/shm/{segment}").exists()
+                        store.unlease(ref)
+                    else:
+                        live.remove((ref, src))
+                        store.release(ref)
+                if i % 10 == 0:
+                    _assert_bookkeeping_exact(store)
+            for ref, src in live:
+                if not np.array_equal(store.get(ref, copy=True), src):
+                    raise AssertionError(f"worker {worker}: bytes diverged at drain")
                 store.release(ref)
         except BaseException as exc:  # noqa: BLE001 - surfaced below
             errors.append(exc)
 
-    threads = [threading.Thread(target=churn, args=(w,)) for w in range(4)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
     try:
+        threads = [threading.Thread(target=churn, args=(w,)) for w in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
         assert not errors, errors
         assert store.n_objects == 0  # everything released
+        assert store.stats()["spills"] > 0 and store.stats()["reloads"] > 0
+        _assert_bookkeeping_exact(store)
+        assert store.stats()["bytes_resident"] == 0 and not store._dedup
+        assert not list(Path("/dev/shm").glob(f"{store.prefix}*"))
     finally:
+        sys.setswitchinterval(interval)
         store.shutdown()
 
 
@@ -241,17 +289,53 @@ def test_shutdown_sweeps_orphan_segments():
     (worker crashed mid-freeze) is removed by the shutdown sweep."""
     store = _store()
     orphan_name = f"{store.prefix}worphan"
-    shm = shared_memory.SharedMemory(create=True, size=64, name=orphan_name)
     try:
-        from repro.runtime.store import _untrack
-
-        _untrack(shm)
-        shm.close()
+        _Segment.create(orphan_name, bytes(64))
         assert Path(f"/dev/shm/{orphan_name}").exists()
     finally:
         store.shutdown()
     assert not Path(f"/dev/shm/{orphan_name}").exists()
     assert store.stats()["orphans_swept"] == 1
+
+
+@pytest.mark.parametrize("how", ["release", "shutdown"])
+def test_never_read_adopted_result_is_unlinked_unmapped(how):
+    """Most worker results are only ever read by other workers: the
+    coordinator adopts them as a name, and frees them by name."""
+    store = _store()
+    try:
+        info = WorkerStore.new_info()
+        WorkerStore().freeze(np.arange(1024.0), store.prefix, 1024, info)
+        ref = store.adopt(*info["created"][0])
+        seg = store._entries[ref.object_id].seg
+        assert store.lease(ref) == ref.segment == seg.name  # what dispatch does
+        store.unlease(ref)
+        assert Path(f"/dev/shm/{seg.name}").exists()
+        assert store.stats()["bytes_resident"] == ref.nbytes
+        store.release(ref) if how == "release" else store.shutdown()
+        assert seg._map is None  # never mapped on this side
+        assert not Path(f"/dev/shm/{seg.name}").exists()
+        assert store.stats()["bytes_resident"] == 0
+    finally:
+        store.shutdown()
+
+
+def test_adopted_result_spills_and_reloads(tmp_path):
+    """An adopted, never-read segment is a spill victim like any other:
+    it is mapped for the copy-out and reloads bit-exactly."""
+    block = np.arange(1024.0)
+    store = ObjectStore(capacity_bytes=block.nbytes, spill_dir=tmp_path, threshold_bytes=1024)
+    try:
+        info = WorkerStore.new_info()
+        WorkerStore().freeze(block, store.prefix, 1024, info)
+        ref = store.adopt(*info["created"][0])
+        store.put(np.zeros(1024))  # over budget: the adopted block spills
+        assert not store._entries[ref.object_id].resident
+        assert not Path(f"/dev/shm/{ref.segment}").exists()
+        assert np.array_equal(store.get(ref), block)
+        _assert_bookkeeping_exact(store)
+    finally:
+        store.shutdown()
 
 
 def test_live_view_survives_release_and_shutdown():
@@ -534,17 +618,83 @@ def test_worker_store_thaw_freeze_roundtrip():
 
 
 def test_worker_store_prune_bounds_cache():
-    store = _store()
+    store, other = _store(), _store()
     try:
         ws = WorkerStore()
+
+        def cached_bytes_exact() -> bool:
+            return ws._cached_bytes == sum(seg.size for seg in ws._cache.values())
+
         refs = [store.put(np.full(512, float(i))) for i in range(6)]
         info = WorkerStore.new_info()
         for ref in refs:
             ws.thaw(ref, info)
-        evicted = ws.prune(2 * 512 * 8)
-        assert evicted  # cache was trimmed to the byte budget
+        ws.thaw(refs[0], info)  # a hit must not count the segment twice
+        ws.freeze(np.ones(512), store.prefix, 1024, info)
+        kept = ws.freeze(np.ones(512), other.prefix, 1024, info)
+        assert cached_bytes_exact() and ws._cached_bytes == 8 * 512 * 8
+        evicted = ws.prune(4 * 512 * 8)
+        assert len(evicted) == 4  # cache was trimmed to the byte budget, LRU first
+        assert evicted == [r.segment for r in refs[1:5]]
+        assert cached_bytes_exact() and ws._cached_bytes == 4 * 512 * 8
         info2 = WorkerStore.new_info()
-        ws.thaw(refs[0], info2)  # evicted entry re-attaches
+        ws.thaw(refs[1], info2)  # evicted entry re-attaches
         assert info2["moved_bytes"] == 512 * 8
+        # a store shut down: its segments go, another store's stay
+        ws.forget(store.prefix)
+        assert ws.cached_segments() == [kept.segment]
+        assert cached_bytes_exact()
+        ws.forget(other.prefix)
+        assert ws._cached_bytes == 0 and not ws._cache
     finally:
         store.shutdown()
+        other.shutdown()
+
+
+def test_worker_store_thaw_of_vanished_segment_leaves_cache_clean():
+    store = _store()
+    try:
+        ws = WorkerStore()
+        ref = store.put(np.zeros(512))
+        store.release(ref)  # unlinked before the worker ever mapped it
+        with pytest.raises(FileNotFoundError):
+            ws.thaw(ref, WorkerStore.new_info())
+        assert not ws._cache and ws._cached_bytes == 0
+    finally:
+        store.shutdown()
+
+
+# ----------------------------------------------------------------------
+# no resource tracker, no leftovers
+# ----------------------------------------------------------------------
+_QUIET_RUN = """
+import os
+import numpy as np
+import repro.dsarray as ds
+from repro.runtime import Runtime, RuntimeConfig, shutdown_workers
+
+rng = np.random.default_rng(0)
+a, b = rng.standard_normal((192, 192)), rng.standard_normal((192, 192))
+cfg = RuntimeConfig(backend="processes", max_workers=2, store_threshold_bytes=1024)
+with Runtime(config=cfg) as rt:
+    c = (ds.array(a, (32, 32)) @ ds.array(b, (32, 32))).collect()
+    stats = rt.stats()["backend_stats"]
+    assert stats["store_adopted"] > 100 and stats["store_misses"] > 0, stats
+assert np.allclose(c, a @ b)
+shutdown_workers()
+print(os.getpid())
+"""
+
+
+def test_process_backend_run_is_silent_and_leaves_no_segments():
+    """A store-on run under ``backend="processes"`` prints nothing on
+    stderr — segments never reach the multiprocessing resource tracker,
+    which used to answer the create/attach pairs of two processes with
+    ``KeyError: '/rs...'`` tracebacks — and leaves ``/dev/shm`` clean."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _QUIET_RUN], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    pid = int(proc.stdout.split()[-1])
+    assert not list(Path("/dev/shm").glob(f"rs{pid:x}g*"))

@@ -156,7 +156,9 @@ def _parent_task(x):
 
 
 def test_records_stamp_trace_and_nested_parenting():
-    with Runtime(executor="threads") as rt:
+    # backend pinned: inside a worker process a nested call runs inline
+    # (no runtime there), so only the thread backend records the child
+    with Runtime(executor="threads", backend="threads") as rt:
         assert wait_on(_parent_task(1)) == 2
         trace = rt.trace()
     records = {r.name: r for r in trace}
