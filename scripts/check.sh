@@ -12,7 +12,7 @@
 #   scripts/check.sh obs         observability smoke (metrics/trace exports)
 #   scripts/check.sh dataplane   store tests + store-mode stress + pipe-bytes bench + bench smoke of blocks_procs
 #   scripts/check.sh service     queue-service chaos smoke + queue-op latency bench
-#   scripts/check.sh fuse        fusion-on stress + fusion on/off bit-identity differential
+#   scripts/check.sh fuse        fusion tests + fusion-on stress + fusion on/off differential + traced bench smoke of task_dag
 #   scripts/check.sh stream      streaming tests + stream stress + serving differential + latency bench
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -50,18 +50,39 @@ run_stress() {
     PYTHONPATH=src python -m repro stress --seed 0 --seed 1 --seed 2 --seed 3 --seed 4 --seed 7
 }
 
+bench_smoke() {
+    # The benchmark's own smoke of one workload ("$@" = bench/run.py
+    # arguments): its oracle and exit-hygiene checks must pass and
+    # standard error must carry no traceback.
+    local err
+    err="$(mktemp)"
+    if ! python3 bench/run.py --smoke "$@" 2>"$err" || grep -q Traceback "$err"; then
+        cat "$err" >&2
+        rm -f "$err"
+        echo "bench smoke ($*) failed or printed a traceback on stderr" >&2
+        return 1
+    fi
+    rm -f "$err"
+}
+
 run_fuse() {
-    # The task-fusion pass: the randomized stress scenarios with
-    # fusion enabled (same reference checks, so any fusion-induced
-    # divergence fails the seed), then the deterministic differential
-    # that runs each seed's DAG fusion-off and fusion-on and requires
-    # bit-identical values and matching task counts.
+    # The task-fusion pass: its unit tests, the randomized stress
+    # scenarios with fusion enabled (same reference checks, so any
+    # fusion-induced divergence fails the seed), the deterministic
+    # differential that runs each seed's DAG fusion-off and fusion-on
+    # and requires bit-identical values, matching task counts and equal
+    # per-task trace records, and the benchmark's traced smoke of
+    # task_dag, whose fusion=True ablation goes through the oracle.
+    echo "== fusion tests =="
+    PYTHONPATH=src python -m pytest tests/runtime/test_fusion.py -x -q
     echo "== stress with task fusion enabled (fixed seeds) =="
     PYTHONPATH=src python -m repro stress --fuse \
         --seed 0 --seed 1 --seed 2 --seed 3 --seed 4 --seed 7
     echo "== fusion on/off bit-identity differential =="
     PYTHONPATH=src python -m repro stress --differential \
         --seed 0 --seed 1 --seed 2 --seed 3
+    echo "== bench smoke: task_dag traced (fusion=True ablation through the oracle) =="
+    bench_smoke --trace 1 --workload task_dag
 }
 
 run_obs() {
@@ -113,15 +134,7 @@ run_dataplane() {
     # silent standard error, which is where the resource tracker used to
     # complain about the store's segments.
     echo "== bench smoke: blocks_procs (oracle + hygiene, silent stderr) =="
-    local err
-    err="$(mktemp)"
-    if ! python3 bench/run.py --smoke --workload blocks_procs 2>"$err" || grep -q Traceback "$err"; then
-        cat "$err" >&2
-        rm -f "$err"
-        echo "bench smoke failed or printed a traceback on stderr" >&2
-        return 1
-    fi
-    rm -f "$err"
+    bench_smoke --workload blocks_procs
 }
 
 run_stream() {

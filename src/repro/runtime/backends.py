@@ -583,13 +583,6 @@ class ThreadBackend(ExecutorBackend):
             self._n_tasks += 1
         return _call_with_attempt(spec.func, args, kwargs, attempt), os.getpid(), None
 
-    def count_inline(self, n: int) -> None:
-        """Account for *n* bodies the engine ran in-process without
-        going through :meth:`run` (fused-unit fast path), keeping
-        ``tasks_run`` exact."""
-        with self._lock:
-            self._n_tasks += n
-
     def stats(self) -> dict:
         with self._lock:
             return {"backend": self.name, "tasks_run": self._n_tasks}

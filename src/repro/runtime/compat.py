@@ -22,15 +22,12 @@ accepts the COMPSs-style ``returns=`` / direction keywords.
 data-plane funnels of the old implicit-value API: values living in the
 shared-memory object store (:mod:`repro.runtime.store`) come back as
 arrays from ``compss_wait_on``, and ``compss_delete_object`` releases
-their store references.  The transitional ``put_object``/``get_object``
-helpers from the first store prototype are kept as deprecated shims
-over ``Runtime.put``/``Runtime.get``.
+their store references.
 """
 
 from __future__ import annotations
 
 import os
-import warnings
 from typing import Any, IO
 
 from repro.runtime import engine
@@ -42,8 +39,6 @@ __all__ = [
     "compss_open",
     "compss_delete_object",
     "compss_delete_file",
-    "put_object",
-    "get_object",
 ]
 
 
@@ -108,37 +103,6 @@ def compss_delete_object(*objs: Any) -> bool:
         for obj in objs:
             rt.release(obj)
     return True
-
-
-def put_object(value: Any) -> Any:
-    """Deprecated shim of the first object-store prototype: use
-    ``Runtime.put`` (or keep passing arrays directly — the process
-    backend stores large ones automatically).  Outside a runtime the
-    value passes through unchanged."""
-    warnings.warn(
-        "put_object() is deprecated; use Runtime.put(value) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    rt = engine.active_runtime()
-    if rt is None:
-        return value
-    return rt.put(value)
-
-
-def get_object(obj: Any) -> Any:
-    """Deprecated shim of the first object-store prototype: use
-    ``Runtime.get`` / ``compss_wait_on``."""
-    warnings.warn(
-        "get_object() is deprecated; use Runtime.get(obj) or "
-        "compss_wait_on(obj) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    rt = engine.active_runtime()
-    if rt is None:
-        return resolve_futures(obj)
-    return rt.get(obj)
 
 
 def compss_delete_file(*paths: Any) -> bool:

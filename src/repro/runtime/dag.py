@@ -50,15 +50,6 @@ class TaskGraph:
         with self._lock:
             self._graph.nodes[task_id].update(attrs)
 
-    def set_attrs(self, updates: Iterable[tuple[int, dict]]) -> None:
-        """Apply many ``(task_id, attrs)`` updates under one lock
-        acquisition (the fused-unit completion path batches its
-        members' terminal-state stamps through here)."""
-        with self._lock:
-            nodes = self._graph.nodes
-            for task_id, attrs in updates:
-                nodes[task_id].update(attrs)
-
     # -- analyses ---------------------------------------------------------
     def snapshot(self) -> nx.DiGraph:
         """A copy safe to analyse while tasks keep being submitted."""

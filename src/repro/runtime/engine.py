@@ -57,17 +57,15 @@ import logging
 import os
 import threading
 import time
-import warnings
 import weakref
 from typing import Any, Callable, Iterable
 
 from repro.runtime import checkpoint as ckpt
-from repro.runtime.backends import ThreadBackend, create_backend, current_attempt
+from repro.runtime.backends import create_backend
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.dag import TaskGraph
 from repro.runtime.directions import Direction
 from repro.runtime.exceptions import (
-    NodeFailureError,
     RuntimeStateError,
     TaskExecutionError,
     TaskTimeoutError,
@@ -207,10 +205,9 @@ class Scope:
         self.runtime._help_until(lambda: self.pending == 0)
 
 
-#: Upper bound on members per fused unit.  Bounds both the latency of
-#: the deferred unit-end broadcast (waiters on an interior member's
-#: future wake at most one unit later) and the work lost when a member
-#: fails and the rest of the unit is demoted to individual scheduling.
+#: Upper bound on members per fused unit.  Bounds how long one thread
+#: is tied to a unit and the work lost when a member fails and the rest
+#: of the unit is demoted to individual scheduling.
 _FUSE_MAX = 64
 
 
@@ -220,7 +217,7 @@ class FusedTask:
     Members execute inline, in submission (== topological) order, on
     the thread that claims the unit from the ready queue; interior
     futures resolve locally, so no interior edge ever pays a heap
-    push/pop, wakeup or completion broadcast.  Members stay ``PENDING``
+    push/pop or worker wakeup.  Members stay ``PENDING``
     until individually claimed (``claim_run``), which keeps the
     run/cancel race arbitration identical to unfused tasks.
 
@@ -240,19 +237,6 @@ class FusedTask:
         self.broken = False
 
 
-class _FusedCompletion:
-    """Deferred completion side effects of one executing fused unit:
-    per-member DAG state stamps batch into one graph-lock acquisition
-    and the per-member completion broadcast collapses into a single
-    broadcast at unit end."""
-
-    __slots__ = ("attrs", "dirty")
-
-    def __init__(self) -> None:
-        self.attrs: list[tuple[int, dict]] = []
-        self.dirty = False
-
-
 class Runtime:
     """A task runtime instance.
 
@@ -270,8 +254,7 @@ class Runtime:
         submission time, which is deterministic and is what most unit
         tests use.  ``backend="processes"`` additionally dispatches
         task *bodies* to persistent worker processes
-        (:mod:`repro.runtime.backends`).  Passing these *positionally*
-        is deprecated.
+        (:mod:`repro.runtime.backends`).
     """
 
     _ids = 0
@@ -279,30 +262,13 @@ class Runtime:
 
     def __init__(
         self,
-        *deprecated_args: Any,
+        *,
         executor: str | None = None,
         max_workers: int | None = None,
         name: str | None = None,
         backend: str | None = None,
         config: RuntimeConfig | None = None,
     ):
-        if deprecated_args:
-            warnings.warn(
-                "positional Runtime(...) arguments are deprecated; use "
-                "keyword arguments or Runtime(config=RuntimeConfig(...))",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if len(deprecated_args) > 3:
-                raise TypeError("Runtime() takes at most 3 positional arguments")
-            slots = (executor, max_workers, name)
-            filled = list(slots[: len(deprecated_args)])
-            for i, value in enumerate(deprecated_args):
-                if filled[i] is not None:
-                    raise TypeError("Runtime() got the same argument positionally and by keyword")
-                filled[i] = value
-            executor, max_workers, name = (tuple(filled) + slots[len(deprecated_args):])[:3]
-
         cfg = config if config is not None else RuntimeConfig.from_env()
         overrides = {
             key: value
@@ -345,10 +311,6 @@ class Runtime:
             store=self.store if ref_transport else None,
             locality=cfg.locality,
         )
-        #: True when task bodies run on the calling thread with no
-        #: serialization boundary — the precondition for the fused
-        #: units' lean member loop (which calls bodies directly).
-        self._backend_inline = type(self._backend) is ThreadBackend
         self.graph = TaskGraph()
         self.registry = DataRegistry()
         self.collector = TraceCollector()
@@ -699,24 +661,20 @@ class Runtime:
         args: tuple[Any, ...],
         kwargs: dict[str, Any],
         options: TaskOptions | None = None,
-        label: str | None = None,
         initial_attempt: int = 0,
     ) -> Any:
         """Submit one task invocation; returns its future(s) (or None
         when the task declares no return values).
 
-        *options* carries call-site overrides (from ``my_task.opts(...)``);
-        *label* is a legacy shortcut kept for the deprecated
-        ``_task_label`` path.  *initial_attempt* seeds the attempt
-        counter — used by layers that own redelivery themselves (the
-        durable queue service re-submits a leased task with its
-        queue-level attempt number so ``current_attempt()`` inside the
-        body, retry backoff and the trace all see the true lineage
-        rather than restarting at zero).
+        *options* carries call-site overrides (from ``my_task.opts(...)``).
+        *initial_attempt* seeds the attempt counter — used by layers
+        that own redelivery themselves (the durable queue service
+        re-submits a leased task with its queue-level attempt number so
+        ``current_attempt()`` inside the body, retry backoff and the
+        trace all see the true lineage rather than restarting at zero).
         """
         self._check_accepting()
         resolved = self._resolve_options_cached(spec, options)
-        effective_label = label if label is not None else resolved.label
         scope = self._submission_scope()
 
         # -- phase 1 (no lock): argument scan ---------------------------
@@ -736,7 +694,7 @@ class Runtime:
             self._dep_lock.release()
 
         inst = self._build_instance(
-            spec, args, kwargs, deps, scope, effective_label, resolved, task_id
+            spec, args, kwargs, deps, scope, resolved.label, resolved, task_id
         )
         if initial_attempt:
             inst.attempt = initial_attempt
@@ -1752,207 +1710,20 @@ class Runtime:
         return outcome["value"]
 
     def _execute_fused(self, unit: FusedTask) -> None:
-        """Run a fused unit's members inline, in topological order.
-
-        Interior futures resolve on this thread without re-entering
-        the scheduler; each member still claims execution atomically
-        (``claim_run``), runs through the full ``_execute`` body and
-        emits its own events and trace record — fusion changes *where*
-        members run, never what is recorded about them.  Per-member
-        completion broadcasts and DAG stamps are deferred into one
-        flush at unit end (see :class:`_FusedCompletion`); external
-        children still enqueue immediately inside ``_complete``.  A
-        member failure breaks the unit: ``_fail`` demoted the
-        remaining members back to dependency-driven scheduling before
-        resubmitting, so the loop stops and nothing runs twice.
+        """Run a fused unit's members in topological order on this
+        thread, each through the same ``_execute`` as a plain task, so
+        fusion changes *where* members run and never what they do or
+        what is recorded about them.  A member failure breaks the unit:
+        ``_fail`` demoted the remaining members back to
+        dependency-driven scheduling before resubmitting, so the loop
+        stops and nothing runs twice.
         """
-        ctx = _FusedCompletion()
-        if not (self._backend_inline and current_attempt() == 0):
-            # Unusual environment (process backend misconfiguration,
-            # or a unit executed from inside another task's attempt
-            # context): run every member through the full path.
-            try:
-                for inst in unit.members:
-                    if unit.broken:
-                        break
-                    self._execute(inst, _defer=ctx)
-            finally:
-                if ctx.attrs:
-                    self.graph.set_attrs(ctx.attrs)
-                if ctx.dirty:
-                    self._broadcast()
-            return
+        for inst in unit.members:
+            if unit.broken:
+                break
+            self._execute(inst)
 
-        # Lean member loop: semantically the `_execute` success path
-        # with every per-member branch that cannot apply to a fusable
-        # member (timeout watchdog, INOUT bookkeeping) removed and
-        # every engine-level service gate (events, checkpoint store,
-        # object store, debug validation) re-checked per member so a
-        # mid-unit subscription or store creation falls back to the
-        # full path for the remaining members.  Failure handling is
-        # byte-for-byte the full path's: `_fail` breaks the unit and
-        # demotes not-yet-run members before any resubmission.
-        now = self._now
-        collect = self.config.collect_trace
-        record = self.collector.record
-        wname = threading.current_thread().name
-        pid = os.getpid()
-        tls = _tls
-        outer_scope = getattr(tls, "scope", None)
-        state_lock = self._state_lock
-        children_map = self._children
-        attrs_append = ctx.attrs.append
-        done_attr = {"state": DONE}
-        ran = 0
-        try:
-            for inst in unit.members:
-                if unit.broken:
-                    break
-                if (
-                    self._debug
-                    or self.checkpoint_store is not None
-                    or self._store is not None
-                    or self.events
-                ):
-                    self._execute(inst, _defer=ctx)
-                    continue
-                if inst.claim_run() is None:
-                    continue  # cancelled (or finalized) before it could start
-                spec = inst.spec
-                name = spec.name
-                t0 = now()
-                inst.t_dispatch = t0
-                inst.t_body_start = t0
-                inst.worker_name = wname
-                scope = Scope(self, parent_task_id=inst.task_id)
-                tls.scope = scope
-                # Lean-loop twin of `_run_body`'s ambient install: a
-                # fused member submitting nested tasks still parents
-                # them under its own span.
-                mctx = inst.trace_ctx
-                prev_ctx = _tracectx.set_context(mctx) if mctx is not None else None
-                try:
-                    _fault_hook(name)
-                    if _worker_kill_hook(name):
-                        raise NodeFailureError(pid, task_name=name, simulated=True)
-                    args = inst.args
-                    if len(args) == 1 and type(args[0]) is Future:
-                        args = (args[0].result(),)  # the chain-fusion shape
-                    else:
-                        args = resolve_futures(args)
-                    kwargs = resolve_futures(inst.kwargs) if inst.kwargs else {}
-                    result = spec.func(*args, **kwargs)
-                    ran += 1
-                    if scope._unfinished:
-                        scope.wait_all()
-                    results = _split_results(inst, resolve_futures(result))
-                except WorkflowKilledError as exc:
-                    tls.scope = outer_scope
-                    if mctx is not None:
-                        _tracectx.set_context(prev_ctx)
-                    self._kill(exc)
-                    raise
-                except Exception as exc:  # noqa: BLE001 - routed to failure policies
-                    t_end = now()
-                    tls.scope = outer_scope
-                    if mctx is not None:
-                        _tracectx.set_context(prev_ctx)
-                    self._fail(inst, exc, t0, t_end)
-                    continue
-                except BaseException as exc:  # noqa: BLE001
-                    t_end = now()
-                    tls.scope = outer_scope
-                    if mctx is not None:
-                        _tracectx.set_context(prev_ctx)
-                    self._kill(exc)
-                    error = TaskExecutionError(inst.name, inst.task_id, exc)
-                    inst.error = error
-                    inst.t_end = t_end
-                    self._record(inst, t0, t_end, status="failed", error=exc)
-                    for fut in inst.futures:
-                        fut._set_error(error)
-                    self._complete(inst, FAILED)
-                    raise
-                tls.scope = outer_scope
-                if mctx is not None:
-                    _tracectx.set_context(prev_ctx)
-                t_end = now()
-                inst.t_end = t_end
-                inst.worker_pid = pid
-                futures = inst.futures
-                if len(futures) == 1:
-                    futures[0]._set_result(results[0])
-                else:
-                    for fut, value in zip(futures, results):
-                        fut._set_result(value)
-                if collect:
-                    constraints = inst.spec.constraints
-                    record(
-                        TaskRecord(
-                            task_id=inst.task_id,
-                            name=inst.name,
-                            deps=tuple(sorted(inst.deps)),
-                            t_start=t0,
-                            t_end=t_end,
-                            t_submit=inst.t_submit,
-                            t_ready=inst.t_ready,
-                            t_dispatch=t0,
-                            worker=wname,
-                            computing_units=constraints.computing_units,
-                            gpus=constraints.gpus,
-                            in_bytes=estimate_nbytes(args)
-                            + (estimate_nbytes(kwargs) if kwargs else 0),
-                            out_bytes=estimate_nbytes(results),
-                            parent_id=inst.parent_id,
-                            label=inst.label,
-                            attempt=inst.attempt,
-                            retry_of=inst.retry_of,
-                            status="done",
-                            pid=pid,
-                            fused_id=unit.unit_id,
-                            trace_id=mctx.trace_id if mctx is not None else None,
-                            span_id=mctx.span_id if mctx is not None else None,
-                            parent_span_id=(
-                                mctx.parent_id if mctx is not None else None
-                            ),
-                        )
-                    )
-                # Inline `_complete` for the success path, with the
-                # branches that cannot apply constant-folded away
-                # (events off and debug off — both re-checked above —
-                # and state is DONE, so no failure propagation).  The
-                # next member of this unit gets its dependency count
-                # cleared without taking its lock: `_fused_unit is
-                # unit` means it joined via the single-unresolved-dep
-                # extension rule, so `_remaining` started at 1 and this
-                # thread holds the only pending decrement.
-                if not inst.try_finalize():
-                    continue
-                inst.state = DONE
-                with state_lock:
-                    children = children_map.pop(inst.root_id, ())
-                    self._unfinished_total -= 1
-                inst._owner_scope.task_finished()
-                attrs_append((inst.task_id, done_attr))
-                for child in children:
-                    if child._fused_unit is unit:
-                        child._remaining = 0
-                    elif (
-                        child.dep_completed()
-                        and child.state == PENDING
-                        and child._fused_unit is None
-                    ):
-                        self._enqueue(child)
-                ctx.dirty = True
-        finally:
-            if ran:
-                self._backend.count_inline(ran)
-            if ctx.attrs:
-                self.graph.set_attrs(ctx.attrs)
-            if ctx.dirty:
-                self._broadcast()
-
-    def _execute(self, inst: "TaskInstance | FusedTask", _defer=None) -> None:
+    def _execute(self, inst: "TaskInstance | FusedTask") -> None:
         if type(inst) is FusedTask:
             self._execute_fused(inst)
             return
@@ -2048,7 +1819,7 @@ class Runtime:
                 in_bytes=estimate_nbytes(args) + estimate_nbytes(kwargs),
                 out_bytes=estimate_nbytes(results),
             )
-        self._complete(inst, DONE, defer=_defer)
+        self._complete(inst, DONE)
 
     # ------------------------------------------------------------------
     # failure management
@@ -2296,7 +2067,6 @@ class Runtime:
         inst: TaskInstance,
         state: str,
         event_kind: str | None = None,
-        defer: "_FusedCompletion | None" = None,
     ) -> None:
         if not inst.try_finalize():
             return
@@ -2309,10 +2079,7 @@ class Runtime:
             children = self._children.pop(inst.root_id, [])
             self._unfinished_total -= 1
         getattr(inst, "_owner_scope").task_finished()
-        if defer is None:
-            self.graph.set_attr(inst.task_id, state=state)
-        else:
-            defer.attrs.append((inst.task_id, {"state": state}))
+        self.graph.set_attr(inst.task_id, state=state)
         failure = state in (FAILED, CANCELLED)
         to_enqueue: list[TaskInstance] = []
         for child in children:
@@ -2335,13 +2102,8 @@ class Runtime:
         # drained, unfinished == 0) may have just turned true.  The
         # state changes above happened before this broadcast, and
         # waiters re-check under the condition before parking, so the
-        # wakeup cannot be lost.  Inside a fused unit the broadcast is
-        # deferred to the unit's end: one wakeup covers all members,
-        # and the wait is bounded by the unit cap.
-        if defer is None:
-            self._broadcast()
-        else:
-            defer.dirty = True
+        # wakeup cannot be lost.
+        self._broadcast()
 
     def _cancel_pending(self, inst: TaskInstance) -> None:
         """Cancel *inst* and, transitively, every dependent waiting on

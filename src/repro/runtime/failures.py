@@ -65,8 +65,7 @@ class TaskOptions:
     Every field defaults to "unset"; unset fields fall back to the
     ``@task`` declaration and then to the runtime's
     :class:`~repro.runtime.config.RuntimeConfig` defaults.  Created
-    explicitly via ``my_task.opts(label=..., retries=...)(args)`` —
-    the supported replacement for the deprecated ``_task_label`` kwarg.
+    explicitly via ``my_task.opts(label=..., retries=...)(args)``.
     """
 
     label: str | None = None

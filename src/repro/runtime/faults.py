@@ -351,6 +351,8 @@ def worker_kill_requested(task: str) -> bool:
 def on_checkpoint_write(task: str, path: str) -> None:
     """Checkpoint-store hook: let active injectors corrupt the freshly
     written entry file (``corrupt_nth`` rules)."""
+    if not _active:
+        return
     with _active_lock:
         injectors = list(reversed(_active))
     for injector in injectors:

@@ -34,6 +34,7 @@ Run it via ``python -m repro stress`` or ``make stress``.
 from __future__ import annotations
 
 import argparse
+import collections
 import dataclasses
 import itertools
 import random
@@ -523,12 +524,15 @@ def _run_scenario(
 # ----------------------------------------------------------------------
 def _run_fusion_workload(
     seed: int, n_ops: int, workers: int, fusion: bool
-) -> tuple[list[Any], dict]:
+) -> tuple[list[Any], dict, collections.Counter]:
     """One deterministic pure-task DAG, built stage by stage from the
     seed.  Every stage goes through ``submit_many`` so the fusion pass
     sees whole map stages and chains; all tasks are pure and the RNG
     never observes execution results, so two runs of the same seed
-    must produce bit-identical values regardless of scheduling."""
+    must produce bit-identical values regardless of scheduling.
+    Returns the values, ``stats()`` and the multiset of per-task
+    ``(name, attempt, status, parent_id, label, len(deps))`` from the
+    trace — everything a record says that scheduling may not change."""
     from repro.runtime import wait_on
 
     rng = random.Random(seed)
@@ -539,6 +543,7 @@ def _run_fusion_workload(
         name=f"fusediff-{seed}-{'on' if fusion else 'off'}",
         debug_invariants=True,
         fusion=fusion,
+        collect_trace=True,
     )
     rt = Runtime(config=cfg)
     push_runtime(rt)
@@ -580,12 +585,16 @@ def _run_fusion_workload(
         values = wait_on(all_futs)
         rt.shutdown(wait=True)
         stats = rt.stats()
+        records = collections.Counter(
+            (r.name, r.attempt, r.status, r.parent_id, r.label, len(r.deps))
+            for r in rt.trace()
+        )
         problems = rt.check_invariants(quiesced=True)
         if problems:
             raise AssertionError(f"invariant violations: {problems}")
     finally:
         pop_runtime(rt)
-    return values, stats
+    return values, stats, records
 
 
 def run_differential(
@@ -593,14 +602,16 @@ def run_differential(
 ) -> StressReport:
     """Fusion bit-identity differential: run the same seeded DAG with
     fusion off and on and require every future's value to match
-    bit-for-bit, the same task count, and that the fused run actually
-    fused something (a silently-disabled optimizer would pass any
-    equivalence check)."""
+    bit-for-bit, the same task count, the same multiset of per-task
+    trace records (one execution path: a fused member is recorded
+    exactly as the plain task it would have been), and that the fused
+    run actually fused something (a silently-disabled optimizer would
+    pass any equivalence check)."""
     t0 = time.perf_counter()
 
     def body() -> list[str]:
-        base_vals, base_stats = _run_fusion_workload(seed, n_ops, workers, False)
-        fused_vals, fused_stats = _run_fusion_workload(seed, n_ops, workers, True)
+        base_vals, base_stats, base_recs = _run_fusion_workload(seed, n_ops, workers, False)
+        fused_vals, fused_stats, fused_recs = _run_fusion_workload(seed, n_ops, workers, True)
         problems: list[str] = []
         if base_vals != fused_vals:
             diffs = [
@@ -614,6 +625,12 @@ def run_differential(
             problems.append(
                 "task count diverged: "
                 f"{base_stats['n_tasks']} unfused vs {fused_stats['n_tasks']} fused"
+            )
+        if base_recs != fused_recs:
+            problems.append(
+                "trace records (name, attempt, status, parent_id, label, n_deps) "
+                f"diverged: only unfused {dict(base_recs - fused_recs)}, "
+                f"only fused {dict(fused_recs - base_recs)}"
             )
         if base_stats["scheduler"].get("fused_tasks", 0):
             problems.append(

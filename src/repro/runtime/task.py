@@ -10,9 +10,6 @@ Call-site overrides use the chained ``.opts(...)`` API::
 
     result = train.opts(label="fold-3", max_retries=2, time_out=30.0)(x, y)
 
-which replaces the deprecated ``_task_label`` keyword (still accepted
-for one release, with a :class:`DeprecationWarning`).
-
 Examples
 --------
 >>> from repro.runtime import task, wait_on, Runtime
@@ -28,10 +25,8 @@ Examples
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import inspect
-import warnings
 from typing import Any, Callable
 
 from repro.runtime import engine
@@ -211,18 +206,6 @@ def task(
         )
 
         def invoke(args: tuple, kwargs: dict, call_options: TaskOptions | None):
-            if "_task_label" in kwargs:
-                warnings.warn(
-                    "_task_label is deprecated; use "
-                    f"{spec.name}.opts(label=...)(...) instead",
-                    DeprecationWarning,
-                    stacklevel=3,
-                )
-                kwargs = dict(kwargs)
-                legacy_label = kwargs.pop("_task_label")
-                call_options = dataclasses.replace(
-                    call_options or TaskOptions(), label=legacy_label
-                )
             rt = engine.active_runtime()
             if rt is None:
                 # No runtime: run as a plain function (PyCOMPSs scripts

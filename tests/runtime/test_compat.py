@@ -112,22 +112,3 @@ def test_compss_delete_object_releases_store_refs():
         assert ref in rt.store
         assert compss_delete_object(ref) is True
         assert ref not in rt.store
-
-
-def test_put_get_object_shims_deprecated():
-    import numpy as np
-
-    from repro.runtime.compat import get_object, put_object
-
-    src = np.arange(8.0)
-    with Runtime(executor="threads") as rt:
-        with pytest.warns(DeprecationWarning, match="Runtime.put"):
-            ref = put_object(src)
-        assert ref in rt.store
-        with pytest.warns(DeprecationWarning, match="Runtime.get"):
-            assert np.array_equal(get_object(ref), src)
-    # outside a runtime both pass values through
-    with pytest.warns(DeprecationWarning):
-        assert put_object(5) == 5
-    with pytest.warns(DeprecationWarning):
-        assert get_object(5) == 5

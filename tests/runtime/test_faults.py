@@ -111,3 +111,21 @@ def test_nested_injectors_compose():
                 assert rt.stats()["retries"] == 2
     assert outer.log == [("t", 1, "fail")]
     assert inner.log == [("t", 2, "fail")]
+
+
+def test_hooks_skip_the_lock_when_no_injector_is_active(monkeypatch):
+    """The hooks run on every task execution and checkpoint write of
+    every runtime; with nothing injected they must return without
+    taking ``_active_lock``."""
+
+    class Untouchable:
+        def __enter__(self):
+            raise AssertionError("fault hook took _active_lock with no injector active")
+
+        def __exit__(self, *exc):
+            return False
+
+    monkeypatch.setattr(faults, "_active_lock", Untouchable())
+    faults.on_checkpoint_write("step", "/no/such/entry")
+    faults.on_task_execute("step")
+    assert faults.worker_kill_requested("step") is False

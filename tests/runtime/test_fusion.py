@@ -16,6 +16,7 @@ from repro.runtime import (
     CancelledTaskError,
     Runtime,
     TaskExecutionError,
+    current_attempt,
     task,
     wait_on,
 )
@@ -32,6 +33,16 @@ def inc(x):
 @task(returns=1)
 def double(x):
     return x * 2
+
+
+@task(returns=1)
+def attempt_of(_x):
+    return current_attempt()
+
+
+@task(returns=1)
+def attempts_after(seen):
+    return (seen, current_attempt())
 
 
 def fused_runtime(**kw):
@@ -95,6 +106,24 @@ def test_fusion_off_runs_identically():
         unfused = workload(rt)
         assert sched(rt)["fused_tasks"] == 0
     assert fused == unfused
+
+
+def test_fused_members_see_their_own_attempt():
+    """A fused member runs through the backend like any task, so
+    ``current_attempt()`` inside it is the instance's attempt — here a
+    head seeded with ``initial_attempt=3`` (as the queue service does on
+    redelivery) and a dependent at attempt 0."""
+
+    def workload(rt):
+        head = rt.submit(attempt_of.spec, (0,), {}, initial_attempt=3)
+        return wait_on(attempts_after(head))
+
+    with fused_runtime() as rt:
+        fused = workload(rt)
+        assert sched(rt)["fused_tasks"] == 2
+    with fused_runtime(fusion=False) as rt:
+        unfused = workload(rt)
+    assert fused == unfused == (3, 0)
 
 
 def test_singleton_unit_demotes_to_plain_task():

@@ -128,10 +128,3 @@ def test_trace_collection_can_be_disabled():
         wait_on(t(1))
         assert len(rt.trace()) == 0
         assert rt.stats()["trace_enabled"] is False
-
-
-def test_positional_runtime_args_deprecated():
-    with pytest.warns(DeprecationWarning, match="keyword"):
-        rt = Runtime("sequential")
-    with rt:
-        assert rt.executor == "sequential"

@@ -1,5 +1,4 @@
-"""Call-site option overrides via ``my_task.opts(...)`` and the
-deprecated ``_task_label`` keyword."""
+"""Call-site option overrides via ``my_task.opts(...)``."""
 
 from __future__ import annotations
 
@@ -81,15 +80,6 @@ def test_priority_orders_ready_tasks():
         wait_on([lo, hi])
         gate.set()
     assert order == ["hi", "lo"]
-
-
-def test_task_label_kwarg_deprecated_but_works():
-    with Runtime(executor="sequential") as rt:
-        with pytest.warns(DeprecationWarning, match="_task_label"):
-            f = plain(1, _task_label="legacy")
-        assert wait_on(f) == 2
-        (rec,) = rt.trace().records(name="plain")
-    assert rec.label == "legacy"
 
 
 def test_opts_rejects_conflicting_retry_spellings():
