@@ -1,4 +1,4 @@
-.PHONY: check lint test inventory resilience stress obs backend dataplane service fuse stream
+.PHONY: check lint test inventory resilience stress obs backend dataplane service fuse stream bench
 
 check:
 	bash scripts/check.sh
@@ -35,3 +35,6 @@ fuse:
 
 stream:
 	bash scripts/check.sh stream
+
+bench:
+	bash scripts/check.sh bench

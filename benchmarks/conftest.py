@@ -5,7 +5,9 @@ it runs the real workload locally (recording a task trace where the
 experiment is about scalability), replays it on the simulated testbed
 where needed, asserts the paper's qualitative *shape*, and writes the
 resulting table/series to ``benchmarks/results/`` so EXPERIMENTS.md
-can reference concrete artefacts.
+can reference concrete artefacts.  What the runtime's own layers cost
+is not measured here: ``bench/`` is the one benchmark writer
+(``bench/README.md``).
 """
 
 from __future__ import annotations

@@ -10,10 +10,11 @@
 #   scripts/check.sh stress      scheduler concurrency stress (fixed seeds)
 #   scripts/check.sh backend     tier-1 + stress under REPRO_BACKEND=processes
 #   scripts/check.sh obs         observability smoke (metrics/trace exports)
-#   scripts/check.sh dataplane   store tests + store-mode stress + pipe-bytes bench + bench smoke of blocks_procs
-#   scripts/check.sh service     queue-service chaos smoke + queue-op latency bench
+#   scripts/check.sh dataplane   store tests + store-mode stress + bench smoke of blocks_procs
+#   scripts/check.sh service     queue-service tests + chaos smoke
 #   scripts/check.sh fuse        fusion tests + fusion-on stress + fusion on/off differential + traced bench smoke of task_dag
-#   scripts/check.sh stream      streaming tests + stream stress + serving differential + latency bench
+#   scripts/check.sh stream      streaming tests + stream stress + serving differential
+#   scripts/check.sh bench       bench/run.py --smoke over all seven workloads (oracles + exit hygiene, < 30 s)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -51,9 +52,9 @@ run_stress() {
 }
 
 bench_smoke() {
-    # The benchmark's own smoke of one workload ("$@" = bench/run.py
-    # arguments): its oracle and exit-hygiene checks must pass and
-    # standard error must carry no traceback.
+    # The benchmark's own smoke ("$@" = bench/run.py arguments; none =
+    # all seven workloads): its oracle and exit-hygiene checks must pass
+    # and standard error must carry no traceback.
     local err
     err="$(mktemp)"
     if ! python3 bench/run.py --smoke "$@" 2>"$err" || grep -q Traceback "$err"; then
@@ -91,8 +92,7 @@ run_obs() {
     # the critical path is bounded and the trace CLI works.  Then the
     # PR-10 tracing stack: trace-context propagation, structured
     # logging, the flight recorder, OTLP export and the service span
-    # log, and the overhead benchmark (writes BENCH_observability.json,
-    # asserts the tracing-on submit path stays within 10% of baseline).
+    # log.  What telemetry costs is obs.* in bench/ (`check.sh bench`).
     echo "== observability smoke (metrics + trace exports) =="
     PYTHONPATH=src python scripts/obs_smoke.py
     echo "== tracing / logging / flight-recorder tests =="
@@ -100,8 +100,6 @@ run_obs() {
         tests/runtime/test_tracectx.py tests/runtime/test_structlog.py \
         tests/runtime/test_flightrec.py tests/runtime/test_otlp.py \
         tests/service/test_spanlog.py tests/runtime/test_observability.py
-    echo "== observability overhead benchmark (event emission + tracing bounds) =="
-    PYTHONPATH=src python -m pytest benchmarks/test_observability_overhead.py -x -q
 }
 
 run_backend() {
@@ -117,18 +115,15 @@ run_backend() {
 }
 
 run_dataplane() {
-    # The zero-copy data plane: store unit tests, store-mode stress
-    # seeds on both backends, and the pipe-bytes benchmark (asserts a
-    # >= 90% reduction in pickled bytes and bit-identical results,
-    # writing BENCH_dataplane.json).
+    # The zero-copy data plane: store unit tests (incl. the >= 90%
+    # reduction in pickled pipe bytes, bit-identically, on a blocked
+    # matmul) and store-mode stress seeds on both backends.
     echo "== object store tests =="
     PYTHONPATH=src python -m pytest tests/runtime/test_store.py -x -q
     echo "== store-mode stress (fixed seeds, both backends) =="
     PYTHONPATH=src python -m repro stress --store --seed 0 --seed 3 --seed 4
     PYTHONPATH=src python -m repro stress --store --backend processes \
         --workers 2 --seed 0 --seed 3
-    echo "== data-plane benchmark (pipe bytes, store on vs off) =="
-    PYTHONPATH=src python -m pytest benchmarks/test_dataplane.py -x -q
     # The benchmark's own smoke of the processes workload: its oracle
     # and exit-hygiene checks (segments, temp files, stragglers), and a
     # silent standard error, which is where the resource tracker used to
@@ -142,9 +137,9 @@ run_stream() {
     # the runtime lifecycle edges (shutdown-drain, abort interrupts,
     # fused pending-wait hook), the seeded streaming stress scenarios
     # (backpressure, RETRY mid-stream, abort, shutdown mid-flight; hang
-    # watchdog + zero-leak audits, fusion off and on), the streamed vs
-    # batch AF-serving bit-identity differential, and the throughput /
-    # e2e-latency benchmark (writes BENCH_streaming.json).
+    # watchdog + zero-leak audits, fusion off and on) and the streamed
+    # vs batch AF-serving bit-identity differential.  Throughput and
+    # latency are the stream_serve workload of bench/ (`check.sh bench`).
     echo "== streaming tests (incl. serving differential) =="
     PYTHONPATH=src python -m pytest tests/streaming \
         tests/runtime/test_stream_shutdown.py -x -q
@@ -153,21 +148,24 @@ run_stream() {
         --seed 0 --seed 1 --seed 2 --seed 3 --seed 14
     PYTHONPATH=src python -m repro stress --stream --fuse \
         --seed 0 --seed 1 --seed 2 --seed 3
-    echo "== streaming benchmark (throughput + e2e latency bounds) =="
-    PYTHONPATH=src python -m pytest benchmarks/test_streaming.py -x -q
 }
 
 run_service() {
-    # The durable queue service: unit/lifecycle tests, the kill-9
+    # The durable queue service: unit/lifecycle tests and the kill-9
     # crash-recovery + lease-expiry chaos smoke (zero lost tasks, zero
-    # duplicate side effects), and the queue-op latency benchmark
-    # (writes BENCH_queue.json, asserts submit/claim/complete medians).
+    # duplicate side effects).  Queue-op latency is service.* in the
+    # service_jobs workload of bench/ (`check.sh bench`).
     echo "== queue service tests =="
     PYTHONPATH=src python -m pytest tests/service -x -q
     echo "== service chaos smoke (kill -9 recovery + lease expiry) =="
     PYTHONPATH=src python scripts/service_smoke.py
-    echo "== queue-op latency benchmark =="
-    PYTHONPATH=src python -m pytest benchmarks/test_queue_ops.py -x -q
+}
+
+run_bench() {
+    # Every subsystem's benchmark workload at smoke size: oracles, exit
+    # hygiene and a silent standard error (bench/README.md).
+    echo "== bench smoke: all seven workloads =="
+    bench_smoke
 }
 
 case "$mode" in
@@ -182,6 +180,7 @@ case "$mode" in
     service)    run_service ;;
     fuse)       run_fuse ;;
     stream)     run_stream ;;
-    all)        run_lint; run_tests; run_inventory; run_resilience; run_stress; run_fuse; run_obs; run_backend; run_dataplane; run_service; run_stream ;;
-    *)          echo "usage: scripts/check.sh [lint|test|inventory|resilience|stress|obs|backend|dataplane|service|fuse|stream]" >&2; exit 2 ;;
+    bench)      run_bench ;;
+    all)        run_lint; run_tests; run_inventory; run_resilience; run_stress; run_fuse; run_obs; run_backend; run_dataplane; run_service; run_stream; run_bench ;;
+    *)          echo "usage: scripts/check.sh [lint|test|inventory|resilience|stress|obs|backend|dataplane|service|fuse|stream|bench]" >&2; exit 2 ;;
 esac

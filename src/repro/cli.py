@@ -133,11 +133,8 @@ def _cmd_scaling(args: argparse.Namespace) -> int:
 
 
 def _cmd_graphs(args: argparse.Namespace) -> int:
-    import pathlib
     import subprocess
 
-    out = pathlib.Path(args.output)
-    out.mkdir(parents=True, exist_ok=True)
     code = subprocess.call(
         [
             sys.executable,
@@ -755,7 +752,6 @@ def main(argv: list[str] | None = None) -> int:
     p2.set_defaults(func=_cmd_scaling)
 
     p3 = sub.add_parser("graphs", help="export the paper's execution graphs")
-    p3.add_argument("--output", default="benchmarks/results")
     p3.set_defaults(func=_cmd_graphs)
 
     def positive_int(value: str) -> int:

@@ -23,7 +23,7 @@ Public surface:
   ``wait_on`` turn refs back into arrays, ``Runtime.release`` frees
   them.  With ``backend="processes"`` large array arguments and
   results travel by reference automatically (``RuntimeConfig(store=,
-  store_capacity_mb=, locality=)`` / ``REPRO_STORE_*``).
+  store_capacity_mb=)`` / ``REPRO_STORE_*``).
 * :class:`TaskCall` / ``my_task.defer(...)`` — deferred call sites for
   ``Runtime.submit_many(calls)`` batch intake.
 * :mod:`repro.runtime.compat` — PyCOMPSs-named aliases

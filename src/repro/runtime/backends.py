@@ -597,19 +597,13 @@ class ProcessPoolBackend(ExecutorBackend):
     docstring for the rules).  With an :class:`ObjectStore` attached
     (``store=``), large array arguments and results travel by
     reference through shared memory, and dispatch prefers the worker
-    already holding a task's input segments (``locality=True``)."""
+    already holding a task's input segments."""
 
     name = "processes"
 
-    def __init__(
-        self,
-        max_workers: int,
-        store: ObjectStore | None = None,
-        locality: bool = True,
-    ):
+    def __init__(self, max_workers: int, store: ObjectStore | None = None):
         self.max_workers = max(1, int(max_workers))
         self._store = store
-        self._locality = bool(locality) and store is not None
         self.handles_refs = store is not None
         #: Per-worker cache budget: same order as the coordinator store
         #: (a worker never caches more than the store can hold).
@@ -716,7 +710,7 @@ class ProcessPoolBackend(ExecutorBackend):
 
     def _preferred_pid(self, segments: dict[str, int]) -> int | None:
         """The worker caching the largest share of *segments*' bytes."""
-        if not self._locality or not segments:
+        if not segments:
             return None
         best_pid, best_bytes = None, 0
         with self._lock:
@@ -920,10 +914,7 @@ class ProcessPoolBackend(ExecutorBackend):
 
 
 def create_backend(
-    name: str,
-    max_workers: int,
-    store: ObjectStore | None = None,
-    locality: bool = True,
+    name: str, max_workers: int, store: ObjectStore | None = None
 ) -> ExecutorBackend:
     """Instantiate the backend selected by ``RuntimeConfig.backend``.
 
@@ -933,5 +924,5 @@ def create_backend(
     if name == "threads":
         return ThreadBackend()
     if name == "processes":
-        return ProcessPoolBackend(max_workers, store=store, locality=locality)
+        return ProcessPoolBackend(max_workers, store=store)
     raise ValueError(f"unknown backend {name!r}; expected one of {BACKENDS}")

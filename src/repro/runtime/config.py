@@ -17,13 +17,8 @@ Environment variables (all optional):
 ``REPRO_BACKEND``         ``threads`` | ``processes`` (where task
                           bodies run; see :mod:`repro.runtime.backends`)
 ``REPRO_MAX_WORKERS``     int (worker-pool size)
-``REPRO_NAME``            runtime label
 ``REPRO_ON_FAILURE``      default failure policy
 ``REPRO_MAX_RETRIES``     default retry budget for ``RETRY`` tasks
-``REPRO_TIME_OUT``        default per-task timeout (seconds)
-``REPRO_RETRY_BACKOFF``   base backoff (seconds; 0 disables)
-``REPRO_RETRY_BACKOFF_CAP``  backoff ceiling (seconds)
-``REPRO_JITTER_SEED``     seed of the deterministic retry jitter
 ``REPRO_TRACE``           ``1``/``0`` — collect task records
 ``REPRO_CHECKPOINT_DIR``  checkpoint-store directory (enables resume)
 ``REPRO_DEBUG_INVARIANTS``  ``1``/``0`` — validate state transitions
@@ -37,7 +32,6 @@ Environment variables (all optional):
 ``REPRO_STORE_CAPACITY_MB``  shared-memory budget before LRU spill
 ``REPRO_STORE_SPILL_DIR``    directory of the spill tier
 ``REPRO_STORE_THRESHOLD_BYTES``  arrays below this size stay inline
-``REPRO_LOCALITY``        ``1``/``0`` — locality-aware dispatch
 ``REPRO_FUSION``          ``1``/``0`` — task-fusion optimizer pass
 ``REPRO_FLIGHTREC``       crash flight-recorder dump directory
                           (enables the recorder; see
@@ -127,9 +121,6 @@ class RuntimeConfig:
     #: Arrays smaller than this stay on the classic pickle path — a
     #: shared-memory round trip costs more than copying a tiny buffer.
     store_threshold_bytes: int = 65536
-    #: Prefer dispatching a task to the worker process already caching
-    #: the largest share of its input bytes (process backend + store).
-    locality: bool = True
     #: Task-fusion optimizer pass (threads executor only): schedule
     #: chains of small pure tasks — linear single-consumer chains and
     #: element-wise map-map stages — as one unit whose members run in
@@ -200,13 +191,8 @@ class RuntimeConfig:
         take("REPRO_EXECUTOR", "executor", str)
         take("REPRO_BACKEND", "backend", str)
         take("REPRO_MAX_WORKERS", "max_workers", int)
-        take("REPRO_NAME", "name", str)
         take("REPRO_ON_FAILURE", "default_on_failure", str)
         take("REPRO_MAX_RETRIES", "default_max_retries", int)
-        take("REPRO_TIME_OUT", "default_time_out", float)
-        take("REPRO_RETRY_BACKOFF", "retry_backoff", float)
-        take("REPRO_RETRY_BACKOFF_CAP", "retry_backoff_cap", float)
-        take("REPRO_JITTER_SEED", "jitter_seed", int)
         take("REPRO_TRACE", "collect_trace", _parse_bool)
         take("REPRO_CHECKPOINT_DIR", "checkpoint_dir", str)
         take("REPRO_DEBUG_INVARIANTS", "debug_invariants", _parse_bool)
@@ -215,7 +201,6 @@ class RuntimeConfig:
         take("REPRO_STORE_CAPACITY_MB", "store_capacity_mb", float)
         take("REPRO_STORE_SPILL_DIR", "store_spill_dir", str)
         take("REPRO_STORE_THRESHOLD_BYTES", "store_threshold_bytes", int)
-        take("REPRO_LOCALITY", "locality", _parse_bool)
         take("REPRO_FUSION", "fusion", _parse_bool)
         take("REPRO_FLIGHTREC", "flightrec_dir", str)
         metrics_raw = env.get("REPRO_METRICS")

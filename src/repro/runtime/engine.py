@@ -309,7 +309,6 @@ class Runtime:
             self.backend_name,
             self.max_workers,
             store=self.store if ref_transport else None,
-            locality=cfg.locality,
         )
         self.graph = TaskGraph()
         self.registry = DataRegistry()

@@ -6,7 +6,8 @@ running -> done/failed/restored`` (plus ``cancelled``, ``ignored`` and
 ``retry``) — through a lock-cheap :class:`EventBus`.  When nothing is
 subscribed the bus is falsy and the engine skips event construction
 entirely, so an un-observed runtime pays only a few monotonic-clock
-reads per task (see ``benchmarks/test_observability_overhead.py``).
+reads per task (``obs.metrics_overhead_frac`` in ``bench/`` measures
+the subscribed case end to end; see ``bench/README.md``).
 
 Built on the bus:
 

@@ -1,10 +1,11 @@
 """Shared-memory object store — the runtime's data plane.
 
-``BENCH_backend.json`` showed the process backend losing to threads
-because every NumPy argument and result crossed a pickle pipe.  This
-module removes that copy: a plasma-style object store keeps immutable
-NumPy buffers in POSIX shared-memory segments, keyed by
-small picklable :class:`ObjectRef` handles.  A ref crosses the pipe in
+Without it the process backend loses to threads because every NumPy
+argument and result crosses a pickle pipe (``backends.store_off_wall_s``
+on the ``blocks_procs`` workload of ``bench/``).  This module removes
+that copy: a plasma-style object store keeps immutable NumPy buffers in
+POSIX shared-memory segments, keyed by small picklable
+:class:`ObjectRef` handles.  A ref crosses the pipe in
 ~100 bytes; the worker maps the segment once and reads the array
 zero-copy.  Results travel the same way in reverse — the worker writes
 them into fresh segments and the coordinator *adopts* them by name, so

@@ -10,9 +10,9 @@ batched ``submit_many`` in :mod:`repro.streaming`.
 
 The design constraints, in order:
 
-1. **Minting must be almost free.**  ``Runtime.submit`` runs in ~40 µs;
-   the trace layer is held to a ≤ 10 % overhead bound by
-   ``benchmarks/test_observability_overhead.py``.  Span ids therefore
+1. **Minting must be almost free.**  It sits on the ``Runtime.submit``
+   path (``engine.submit_us``; the layer's whole cost is
+   ``obs.collect_trace_cost_frac`` in ``bench/``).  Span ids therefore
    come from one random 64-bit base plus a process-wide
    ``itertools.count()`` — ``next()`` on a count is a single GIL-atomic
    C call, orders of magnitude cheaper than ``os.urandom`` per span,

@@ -17,7 +17,14 @@ import pytest
 
 import repro.dsarray as ds
 from repro.ecg import ECGConfig
-from repro.ml import PCA, RandomForestClassifier, StandardScaler, cross_validate
+from repro.ml import (
+    PCA,
+    CascadeSVM,
+    KMeans,
+    RandomForestClassifier,
+    StandardScaler,
+    cross_validate,
+)
 from repro.runtime import Runtime, RuntimeConfig, task, wait_on
 from repro.runtime.stress import MODES, run_seed
 from repro.workflows import PipelineConfig, extract_features, prepare_dataset
@@ -135,6 +142,43 @@ def test_chain_values_identical():
         with Runtime(config=RuntimeConfig(backend=backend, max_workers=2)):
             results[backend] = _chain_workflow()
     assert results["threads"] == results["processes"]
+
+
+def _blocked_matmul():
+    a = np.random.default_rng(0).normal(size=(256, 256))
+    b = np.random.default_rng(1).normal(size=(256, 256))
+    return (ds.array(a, (128, 128)) @ ds.array(b, (128, 128))).collect()
+
+
+def _kmeans_centers():
+    x = np.random.default_rng(3).normal(size=(800, 16))
+    x[400:] += 2.0
+    model = KMeans(n_clusters=4, max_iter=3, random_state=0).fit(ds.array(x, (100, 16)))
+    return model.cluster_centers_
+
+
+def _csvm_decisions():
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(480, 12))
+    x[240:] += 2.0
+    y = np.repeat([0.0, 1.0], 240).reshape(-1, 1)
+    order = rng.permutation(480)
+    x, y = x[order], y[order]
+    model = CascadeSVM(max_iter=2, check_convergence=False)
+    model.fit(ds.array(x, (60, 12)), ds.array(y, (60, 1)))
+    return model.decision_function(x)
+
+
+@pytest.mark.parametrize("workload", [_blocked_matmul, _kmeans_centers, _csvm_decisions])
+def test_dsarray_workloads_bit_identical(workload):
+    """ds-array block arithmetic, an iterative estimator and a cascade
+    reduction: every block crosses the process boundary and comes back
+    unperturbed."""
+    results = {}
+    for backend in BACKENDS:
+        with Runtime(config=RuntimeConfig(backend=backend, max_workers=2)):
+            results[backend] = workload()
+    assert np.array_equal(results["threads"], results["processes"])
 
 
 # ----------------------------------------------------------------------

@@ -78,8 +78,14 @@ def test_help_until_parks_instead_of_spinning():
 
 
 def test_idle_wakeups_exposed_in_stats():
+    @task(returns=1)
+    def ident(x):
+        return x
+
     with Runtime(executor="sequential") as rt:
-        assert "idle_wakeups" in rt.stats()
+        assert wait_on([ident(i) for i in range(50)]) == list(range(50))
+        # nobody ever waits in a sequential run
+        assert rt.stats()["idle_wakeups"] == 0
 
 
 # ----------------------------------------------------------------------

@@ -37,7 +37,6 @@ def test_store_defaults_and_validation():
     assert cfg.store_capacity_mb == 256.0
     assert cfg.store_spill_dir is None
     assert cfg.store_threshold_bytes == 65536
-    assert cfg.locality is True
     with pytest.raises(ValueError):
         RuntimeConfig(store="maybe")
     with pytest.raises(ValueError):
@@ -52,14 +51,12 @@ def test_store_env_overrides():
         "REPRO_STORE_CAPACITY_MB": "64",
         "REPRO_STORE_SPILL_DIR": "/tmp/spill-here",
         "REPRO_STORE_THRESHOLD_BYTES": "4096",
-        "REPRO_LOCALITY": "0",
     }
     cfg = RuntimeConfig.from_env(environ=env)
     assert cfg.store == "on"
     assert cfg.store_capacity_mb == 64.0
     assert cfg.store_spill_dir == "/tmp/spill-here"
     assert cfg.store_threshold_bytes == 4096
-    assert cfg.locality is False
 
 
 def test_replace_returns_new_config():

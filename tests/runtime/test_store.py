@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import repro.dsarray as ds
 from repro.runtime import (
     ObjectRef,
     Runtime,
@@ -502,6 +503,21 @@ def test_large_args_and_results_travel_by_reference():
         assert stats["store_bytes_saved"] >= src.nbytes
         # the argument block itself never crossed the pickle pipe
         assert stats["pipe_bytes_sent"] < src.nbytes
+
+    # The paper's dominant communication pattern, a blocked matmul:
+    # by-reference transport removes >= 90% of the bytes pickled across
+    # the worker pipes and leaves the product bit-identical.
+    a = np.random.default_rng(0).normal(size=(256, 256))
+    b = np.random.default_rng(1).normal(size=(256, 256))
+    product, pipe_bytes = {}, {}
+    for mode in ("on", "off"):
+        cfg = RuntimeConfig(backend="processes", max_workers=2, store=mode)
+        with Runtime(config=cfg) as rt:
+            product[mode] = (ds.array(a, (128, 128)) @ ds.array(b, (128, 128))).collect()
+            stats = rt.stats()["backend_stats"]
+        pipe_bytes[mode] = stats["pipe_bytes_sent"] + stats["pipe_bytes_recv"]
+    assert 1 - pipe_bytes["on"] / pipe_bytes["off"] >= 0.90, pipe_bytes
+    assert np.array_equal(product["on"], product["off"])
 
 
 def test_small_values_stay_inline():

@@ -40,6 +40,13 @@ class TestCLI:
         assert "table1" in proc.stdout
         assert "scaling" in proc.stdout
 
+    def test_graphs_has_no_output_option(self):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as usage:
+            main(["graphs", "--output", "x"])
+        assert usage.value.code == 2
+
     def test_scaling_command_runs(self):
         proc = subprocess.run(
             [
