@@ -90,13 +90,15 @@ run_obs() {
     # Real run with telemetry on: metrics reconcile with stats, the
     # Prometheus exposition parses, the chrome-trace export validates,
     # the critical path is bounded and the trace CLI works.  Then the
-    # PR-10 tracing stack: trace-context propagation, structured
-    # logging, the flight recorder, OTLP export and the service span
-    # log.  What telemetry costs is obs.* in bench/ (`check.sh bench`).
+    # tracing stack: trace rows -> TaskRecord/Trace, trace-context
+    # propagation, structured logging, the flight recorder, OTLP export
+    # and the service span log.  What telemetry costs is obs.* in
+    # bench/ (`check.sh bench`).
     echo "== observability smoke (metrics + trace exports) =="
     PYTHONPATH=src python scripts/obs_smoke.py
     echo "== tracing / logging / flight-recorder tests =="
     PYTHONPATH=src python -m pytest -x -q \
+        tests/runtime/test_tracing.py \
         tests/runtime/test_tracectx.py tests/runtime/test_structlog.py \
         tests/runtime/test_flightrec.py tests/runtime/test_otlp.py \
         tests/service/test_spanlog.py tests/runtime/test_observability.py

@@ -240,10 +240,8 @@ def _worker_main(conn, search_path: list[str]) -> None:
         if kind == "forget":  # a store shut down; no reply expected
             worker_store.forget(request[1])
             continue
-        # Older coordinators send 8-tuples (no trace header); stay
-        # compatible — the pooled workers outlive individual runtimes.
-        _, module_name, qualname, args, kwargs, attempt, kill_self, store_cfg = request[:8]
-        trace_header = request[8] if len(request) > 8 else None
+        (_, module_name, qualname, args, kwargs, attempt, kill_self, store_cfg,
+         trace_header) = request
         if kill_self:
             # Fault injection: die like a crashed node, no reply, no
             # cleanup — the coordinator sees the broken pipe.

@@ -159,5 +159,5 @@ def graph_summary(graph: TaskGraph | nx.DiGraph) -> dict:
 
 def _wrap(g: nx.DiGraph) -> TaskGraph:
     tg = TaskGraph()
-    tg._graph = g.copy()
+    tg.add_tasks(g.nodes(data=True), g.edges(data=True))  # read-only view of g
     return tg

@@ -106,7 +106,6 @@ from repro.runtime.registry import DataRegistry
 from repro.runtime.store import ObjectRef, ObjectStore, scan_refs
 from repro.runtime.tracing import (
     SchedulerCounters,
-    TaskRecord,
     Trace,
     TraceCollector,
     estimate_nbytes,
@@ -1213,9 +1212,9 @@ class Runtime:
         """Complete *inst* from checkpointed values without running it."""
         t = self._now()
         inst.t_end = t
+        self._record(inst, t, t, status=RESTORED, out_bytes=estimate_nbytes(values))
         for fut, value in zip(inst.futures, values):
             fut._set_result(value)
-        self._record(inst, t, t, status=RESTORED, out_bytes=estimate_nbytes(values))
         with self._state_lock:
             self._n_restored += 1
         self._complete(inst, DONE, event_kind=obs.RESTORED)
@@ -1788,6 +1787,17 @@ class Runtime:
         inst.t_end = t_end
         _tls.scope = outer_scope
 
+        # Recorded before it is published, as on every failure path: a
+        # caller woken by these futures finds the attempt in ``trace()``.
+        if self.config.collect_trace:
+            self._record(
+                inst,
+                t_start,
+                t_end,
+                status="done",
+                in_bytes=estimate_nbytes((args, kwargs)),
+                out_bytes=estimate_nbytes(results),
+            )
         for fut, value in zip(inst.futures, results):
             fut._set_result(value)
 
@@ -1808,16 +1818,6 @@ class Runtime:
                     inst.task_id,
                     exc,
                 )
-
-        if self.config.collect_trace:
-            self._record(
-                inst,
-                t_start,
-                t_end,
-                status="done",
-                in_bytes=estimate_nbytes(args) + estimate_nbytes(kwargs),
-                out_bytes=estimate_nbytes(results),
-            )
         self._complete(inst, DONE)
 
     # ------------------------------------------------------------------
@@ -1840,35 +1840,34 @@ class Runtime:
         # caller's stamp (dispatch time) so duration stays well-formed.
         body_start = inst.t_body_start if inst.t_body_start is not None else t_start
         unit = inst._fused_unit
-        tctx = inst.trace_ctx
+        # One flat row (layout: ``TraceCollector``) of values — never the
+        # instance, its arguments or its results; shaped when read.
         self.collector.record(
-            TaskRecord(
-                task_id=inst.task_id,
-                name=inst.name,
-                deps=tuple(sorted(inst.deps)),
-                t_start=body_start,
-                t_end=t_end,
-                t_submit=inst.t_submit,
-                t_ready=inst.t_ready,
-                t_dispatch=inst.t_dispatch,
-                worker=inst.worker_name,
-                computing_units=inst.spec.constraints.computing_units,
-                gpus=inst.spec.constraints.gpus,
-                in_bytes=in_bytes,
-                out_bytes=out_bytes,
-                parent_id=inst.parent_id,
-                label=inst.label,
-                attempt=inst.attempt,
-                retry_of=inst.retry_of,
-                status=status,
-                error=repr(error) if error is not None else None,
-                pid=inst.worker_pid,
-                bytes_moved=inst.bytes_moved,
-                bytes_saved=inst.bytes_saved,
-                fused_id=unit.unit_id if unit is not None else None,
-                trace_id=tctx.trace_id if tctx is not None else None,
-                span_id=tctx.span_id if tctx is not None else None,
-                parent_span_id=tctx.parent_id if tctx is not None else None,
+            (
+                inst.task_id,
+                inst.name,
+                inst.deps,
+                body_start,
+                t_end,
+                inst.spec.constraints.computing_units,
+                inst.spec.constraints.gpus,
+                in_bytes,
+                out_bytes,
+                inst.parent_id,
+                inst.label,
+                inst.attempt,
+                inst.retry_of,
+                status,
+                repr(error) if error is not None else None,
+                inst.worker_pid,
+                inst.t_submit,
+                inst.t_ready,
+                inst.t_dispatch,
+                inst.worker_name,
+                inst.bytes_moved,
+                inst.bytes_saved,
+                unit.unit_id if unit is not None else None,
+                inst.trace_ctx,
             )
         )
 

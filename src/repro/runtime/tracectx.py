@@ -10,15 +10,15 @@ batched ``submit_many`` in :mod:`repro.streaming`.
 
 The design constraints, in order:
 
-1. **Minting must be almost free.**  It sits on the ``Runtime.submit``
-   path (``engine.submit_us``; the layer's whole cost is
-   ``obs.collect_trace_cost_frac`` in ``bench/``).  Span ids therefore
-   come from one random 64-bit base plus a process-wide
-   ``itertools.count()`` — ``next()`` on a count is a single GIL-atomic
-   C call, orders of magnitude cheaper than ``os.urandom`` per span,
-   while staying unique within a process and colliding across
-   processes only with ~2⁻⁶⁴ probability (the base is random per
-   process).
+1. **The submit path stores integers; readers format.**  A context is
+   minted on every traced ``Runtime.submit`` (its cost is read off
+   ``obs.collect_trace_cost_frac`` and ``ops_per_s`` on ``task_flood``
+   in ``bench/``) and its ids are read once, after the run, if at all.
+   Ids are one random base per process plus an ``itertools.count()`` —
+   ``next()`` is one GIL-atomic C call — kept as integers; the 32/16-hex
+   text is made by whoever reads ``trace_id`` / ``span_id`` /
+   ``parent_id`` / ``to_header()``: a record being shaped, the
+   process-backend pipe, the service row, a log line.
 2. **Propagation is ambient.**  Task bodies and service workers don't
    pass contexts by hand; the current context lives in a
    ``threading.local`` and everything that submits work reads it.
@@ -33,10 +33,9 @@ The design constraints, in order:
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import os
-import struct
+import re
 import threading
 from typing import Iterator, Optional
 
@@ -51,50 +50,74 @@ __all__ = [
 
 _HEADER_VERSION = "00"
 _FLAGS_SAMPLED = "01"
+# The ids exactly as W3C spells them, all-zero excluded: ``int(x, 16)`` also
+# takes "0x", "+", padding and upper case, which would come back as another header.
+_HEADER_RE = re.compile(r"[^-]*-(?!0{32})([0-9a-f]{32})-(?!0{16})([0-9a-f]{16})-[^-]*")
 
 # One random base per process; ids are base + counter.  ``next()`` on
 # itertools.count is GIL-atomic, so minting needs no lock, and neither
-# mint pays a syscall (``os.urandom`` runs once at import).
-_span_base = struct.unpack("<Q", os.urandom(8))[0]
+# mint pays a syscall (``os.urandom`` runs once at import).  The bases
+# leave the top bit clear, so base + counter stays inside 64 / 128 bits
+# without a mask.
+_span_base = int.from_bytes(os.urandom(8), "little") >> 1
 _span_counter = itertools.count(1)
-_trace_base = int.from_bytes(os.urandom(16), "little")
+_trace_base = int.from_bytes(os.urandom(16), "little") >> 1
 _trace_counter = itertools.count(1)
 
 
-def _mint_span_id() -> str:
-    return format((_span_base + next(_span_counter)) & 0xFFFFFFFFFFFFFFFF, "016x")
+def _hex(value: int, width: int) -> str:
+    """The one place an id becomes text: zero-padded lower-case hex."""
+    return f"{value:0{width}x}"
 
 
-def _mint_trace_id() -> str:
-    mask = (1 << 128) - 1
-    return format((_trace_base + next(_trace_counter)) & mask, "032x")
-
-
-@dataclasses.dataclass(slots=True)
 class TraceContext:
     """One node of a distributed trace: this span and its parentage.
 
     ``trace_id`` is 32 lowercase hex chars (128 bits), shared by every
     span of one logical request.  ``span_id`` is 16 hex chars (64
     bits), unique to this span.  ``parent_id`` is the span id of the
-    causal parent, or ``None`` for a root span.
+    causal parent, or ``None`` for a root span.  Stored as integers,
+    formatted when read; the constructor takes all three in either form.
 
     Treat instances as immutable — they are shared across threads and
-    stamped onto records.  (Not ``frozen=True``: frozen dataclasses
-    construct through ``object.__setattr__``, ~2x slower, and a context
-    is minted on every traced ``submit``, which is held to a ≤ 10 %
-    overhead bound.)
+    stamped onto records.
     """
 
-    trace_id: str
-    span_id: str
-    parent_id: Optional[str] = None
+    __slots__ = ("_trace", "_span", "_parent")
+
+    def __init__(self, trace_id, span_id, parent_id=None):
+        if type(trace_id) is not int:  # hex text; minting passes integers
+            trace_id, span_id = int(trace_id, 16), int(span_id, 16)
+            parent_id = None if parent_id is None else int(parent_id, 16)
+        self._trace, self._span, self._parent = trace_id, span_id, parent_id
+
+    @property
+    def trace_id(self) -> str:
+        return _hex(self._trace, 32)
+
+    @property
+    def span_id(self) -> str:
+        return _hex(self._span, 16)
+
+    @property
+    def parent_id(self) -> Optional[str]:
+        return None if self._parent is None else _hex(self._parent, 16)
+
+    def __reduce__(self):  # pickling — and the value ``==`` and ``hash`` go by
+        return (TraceContext, (self._trace, self._span, self._parent))
+
+    def __eq__(self, other):
+        return type(other) is TraceContext and self.__reduce__() == other.__reduce__()
+
+    def __hash__(self) -> int:
+        return hash(self.__reduce__())
+
+    def __repr__(self) -> str:
+        return f"TraceContext({self.trace_id!r}, {self.span_id!r}, {self.parent_id!r})"
 
     def child(self) -> "TraceContext":
         """A fresh child span in the same trace."""
-        return TraceContext(
-            trace_id=self.trace_id, span_id=_mint_span_id(), parent_id=self.span_id
-        )
+        return TraceContext(self._trace, _span_base + next(_span_counter), self._span)
 
     def to_header(self) -> str:
         """W3C-``traceparent``-shaped text form.
@@ -108,27 +131,18 @@ class TraceContext:
 
     @classmethod
     def from_header(cls, header: str) -> "TraceContext":
-        parts = header.strip().split("-")
-        if len(parts) != 4:
+        match = _HEADER_RE.fullmatch(header.strip())
+        if match is None:
             raise ValueError(f"malformed traceparent header: {header!r}")
-        _version, trace_id, span_id, _flags = parts
-        if len(trace_id) != 32 or len(span_id) != 16:
-            raise ValueError(f"malformed traceparent header: {header!r}")
-        int(trace_id, 16)  # raises ValueError on non-hex
-        int(span_id, 16)
-        return cls(trace_id=trace_id, span_id=span_id)
+        return cls(*match.groups())
 
     def to_dict(self) -> dict:
-        return {
-            "trace_id": self.trace_id,
-            "span_id": self.span_id,
-            "parent_id": self.parent_id,
-        }
+        return {"trace_id": self.trace_id, "span_id": self.span_id, "parent_id": self.parent_id}
 
 
 def new_trace() -> TraceContext:
     """Mint a root context: fresh trace id, fresh span, no parent."""
-    return TraceContext(trace_id=_mint_trace_id(), span_id=_mint_span_id())
+    return TraceContext(_trace_base + next(_trace_counter), _span_base + next(_span_counter))
 
 
 def child_of(parent: Optional[TraceContext]) -> TraceContext:

@@ -1,6 +1,6 @@
 """Execution tracing.
 
-Every task run is recorded as a :class:`TaskRecord` with wall-clock
+Every task run is read back as a :class:`TaskRecord` with wall-clock
 timestamps, dependency ids, resource constraints and (estimated) input/
 output data sizes.  A finished :class:`Trace` is the input of the
 cluster simulator (:mod:`repro.cluster.replay`), which re-schedules the
@@ -18,31 +18,43 @@ from typing import Any, Iterable, Iterator
 import numpy as np
 
 
+_FLAT_TYPES = frozenset((int, float, bool, str, type(None)))
+
+
 def estimate_nbytes(obj: Any) -> int:
     """Rough payload size of a task argument or result.
 
     NumPy arrays dominate all our workloads, so everything else gets a
     small constant.  Containers (lists/tuples/sets/dicts) are summed
-    recursively — ds-array blocks arrive as lists of lists of arrays,
-    so nesting depth must not matter.
+    through an explicit stack — ds-array blocks arrive as lists of
+    lists of arrays, so nesting depth must not matter — with the exact
+    types of most arguments tested before the ``isinstance`` chain.
     """
-    t = type(obj)
-    if t is int or t is float or t is bool or t is str:
-        return 64  # same answer as the fallthrough below, minus the walk
-    if isinstance(obj, np.ndarray):
-        return int(obj.nbytes)
-    if isinstance(obj, np.generic):
-        return int(obj.nbytes)
-    if isinstance(obj, (bytes, bytearray, memoryview)):
-        return obj.nbytes if isinstance(obj, memoryview) else len(obj)
-    if isinstance(obj, (list, tuple, set, frozenset)):
-        return sum(estimate_nbytes(v) for v in obj)
-    if isinstance(obj, dict):
-        return sum(estimate_nbytes(v) for v in obj.values())
-    nbytes = getattr(obj, "nbytes", None)  # ObjectRef carries its size
-    if isinstance(nbytes, int):
-        return nbytes
-    return 64
+    total = 0
+    stack = [obj]
+    while stack:
+        obj = stack.pop()
+        t = type(obj)
+        if t in _FLAT_TYPES:
+            total += 64  # same answer as the fallthrough below, minus the walk
+        elif t is tuple or t is list:
+            stack.extend(obj)
+        elif t is np.ndarray:
+            total += obj.nbytes
+        elif t is dict:
+            stack.extend(obj.values())
+        elif isinstance(obj, (np.ndarray, np.generic, memoryview)):
+            total += int(obj.nbytes)
+        elif isinstance(obj, (bytes, bytearray)):
+            total += len(obj)
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            stack.extend(obj)
+        elif isinstance(obj, dict):
+            stack.extend(obj.values())
+        else:
+            nbytes = getattr(obj, "nbytes", None)  # ObjectRef carries its size
+            total += nbytes if isinstance(nbytes, int) else 64
+    return total
 
 
 def queue_wait_of(t_ready: float | None, t_dispatch: float | None) -> float:
@@ -358,16 +370,31 @@ class Trace:
 
 
 class TraceCollector:
-    """Thread-safe sink the runtime writes records into."""
+    """Sink the runtime writes flat rows into; :meth:`trace` shapes them.
+
+    A row is the :class:`TaskRecord` fields in declaration order through
+    ``fused_id`` (``deps`` still a frozenset), then the attempt's
+    :class:`~repro.runtime.tracectx.TraceContext` or ``None``.  ``record``
+    is the row list's own ``append`` — GIL-atomic, so writers take no
+    lock; rows become records in place, once, however often they are read.
+    """
 
     def __init__(self) -> None:
-        self._trace = Trace()
-        self._lock = threading.Lock()
-
-    def record(self, record: TaskRecord) -> None:
-        with self._lock:
-            self._trace.add(record)
+        self._rows: list = []
+        self.record = self._rows.append
+        self._n_shaped = 0  # rows[:n] are TaskRecords already
+        self._lock = threading.Lock()  # readers only
 
     def trace(self) -> Trace:
+        rows = self._rows
         with self._lock:
-            return Trace(list(self._trace))
+            n = len(rows)  # appends past this point belong to the next read
+            for i in range(self._n_shaped, n):
+                *fields, ctx = rows[i]
+                rec = rows[i] = TaskRecord(*fields)
+                rec.deps = tuple(sorted(rec.deps))
+                if ctx is not None:
+                    rec.trace_id, rec.span_id = ctx.trace_id, ctx.span_id
+                    rec.parent_span_id = ctx.parent_id
+                self._n_shaped = i + 1
+            return Trace(rows[:n])

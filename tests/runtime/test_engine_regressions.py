@@ -3,6 +3,7 @@ condition-variable wait replacing the busy-loop."""
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -175,3 +176,26 @@ def test_submit_many_bad_item_names_type_and_index():
         with pytest.raises(TypeError) as err:
             rt.submit_many([(one, (), {}, None, None)])  # 5-tuple: too long
         assert "batch index 0" in str(err.value)
+
+
+def test_a_finished_future_is_already_in_the_trace():
+    """``wait_on`` returning means every waited attempt is recorded: the
+    success path records before it publishes the futures, as the
+    failure paths always did.  No ``barrier()`` here on purpose — the
+    last task's ``_complete`` may still be running when we read."""
+
+    @task(returns=1)
+    def noop(i):
+        return i
+
+    n, short = 100, 0
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # widen the publish -> record window
+    try:
+        for _ in range(200):
+            with Runtime(executor="threads", max_workers=2) as rt:
+                wait_on([noop(i) for i in range(n)])
+                short += len(rt.trace()) != n
+    finally:
+        sys.setswitchinterval(interval)
+    assert short == 0

@@ -5,9 +5,12 @@ integration that stamps trace lineage onto :class:`TaskRecord`s."""
 from __future__ import annotations
 
 import os
+import pickle
 import threading
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.runtime import Runtime, task, wait_on
 from repro.runtime.config import RuntimeConfig
@@ -92,11 +95,44 @@ def test_header_roundtrip_drops_parent():
         "00-" + "0" * 31 + "-" + "0" * 16 + "-01",  # short trace id
         "00-" + "0" * 32 + "-" + "0" * 15 + "-01",  # short span id
         "no dashes here",
+        # everything int(x, 16) swallows but W3C does not spell: integer
+        # storage would canonicalise each of these into another header
+        "00-0x" + "a" * 30 + "-" + "b" * 16 + "-01",  # 0x prefix
+        "00-+" + "a" * 31 + "-" + "b" * 16 + "-01",  # sign
+        "00- " + "a" * 30 + " -" + "b" * 16 + "-01",  # space-padded id
+        "00-" + "A" * 32 + "-" + "b" * 16 + "-01",  # upper case
+        "00-" + "0" * 32 + "-" + "b" * 16 + "-01",  # all-zero trace id
+        "00-" + "a" * 32 + "-" + "0" * 16 + "-01",  # all-zero span id
     ],
 )
 def test_from_header_rejects_malformed(header):
     with pytest.raises(ValueError):
         TraceContext.from_header(header)
+
+
+@given(
+    trace=st.integers(1, (1 << 128) - 1) | st.integers(1, 0xFFFF),
+    span=st.integers(1, (1 << 64) - 1) | st.integers(1, 0xFF),
+)
+def test_header_roundtrip_keeps_leading_zero_nibbles(trace, span):
+    # ids are integers inside; zero-padding is the classic int -> hex bug
+    ctx = TraceContext(trace_id=trace, span_id=span)
+    header = ctx.to_header()
+    assert header == "00-%032x-%016x-01" % (trace, span)
+    back = TraceContext.from_header(header)
+    assert back == ctx
+    assert back.to_header() == header
+
+
+def test_context_is_a_value_built_from_either_form():
+    ctx = new_trace().child()
+    same = TraceContext(
+        trace_id=ctx.trace_id, span_id=ctx.span_id, parent_id=ctx.parent_id
+    )
+    assert same == ctx and hash(same) == hash(ctx) and len({same, ctx}) == 1
+    assert same != ctx.child() and ctx != "not a context"
+    assert pickle.loads(pickle.dumps(ctx)) == ctx
+    assert ctx.trace_id in repr(ctx) and ctx.span_id in repr(ctx)
 
 
 # ----------------------------------------------------------------------

@@ -2,11 +2,22 @@
 
 from __future__ import annotations
 
+import collections
 import json
+import os
+import random
+import re
+import sys
+import threading
+import time
 
+import networkx as nx
 import numpy as np
 import pytest
 
+from repro.runtime import Runtime, task, tracectx, wait_on
+from repro.runtime.backends import current_attempt
+from repro.runtime.config import RuntimeConfig
 from repro.runtime.tracing import TaskRecord, Trace, estimate_nbytes
 
 
@@ -50,6 +61,15 @@ def test_estimate_nbytes_fallback_constant():
     assert estimate_nbytes(Opaque()) == 64
     assert estimate_nbytes("some string") == 64
     assert estimate_nbytes([1, 2]) == 128  # two opaque ints
+
+
+def test_estimate_nbytes_depth_is_not_bounded_by_the_recursion_limit():
+    block = np.zeros(4, dtype=np.float64)
+    nested = [block]
+    for _ in range(5000):
+        nested = [nested, 1]
+    assert sys.getrecursionlimit() < 5000
+    assert estimate_nbytes(nested) == 32 + 5000 * 64
 
 
 # ----------------------------------------------------------------------
@@ -206,3 +226,185 @@ def test_save_and_load(tmp_path):
     assert len(back) == len(tr)
     assert back.n_failed_attempts == tr.n_failed_attempts
     assert [r.task_id for r in back] == [r.task_id for r in tr]
+
+
+# ----------------------------------------------------------------------
+# rows on the task path, records on read
+# ----------------------------------------------------------------------
+@task(returns=1)
+def _add(a, b):
+    return a + b
+
+
+@task(returns=1)
+def _block(n):
+    return np.ones(n)
+
+
+@task(returns=1, max_retries=2)
+def _flaky(x):
+    if current_attempt() == 0:
+        raise ValueError("first attempt fails")
+    return x
+
+
+@task(returns=1, on_failure="IGNORE", failure_default=-1)
+def _doomed(x):
+    raise RuntimeError("swallowed by IGNORE")
+
+
+def _random_dag_trace(seed, ckpt_dir, **cfg):
+    """One seeded DAG with every kind of record in it: a restored task,
+    nested submissions, retries, an IGNOREd failure, array payloads and
+    a ``submit_many`` batch."""
+
+    # Defined in a local scope so the processes backend runs it on the
+    # coordinator, where its nested submissions are recorded.
+    @task(returns=1)
+    def _nest(x):
+        return _add(_add(x, 1), 2)
+
+    config = RuntimeConfig(max_workers=2, checkpoint_dir=str(ckpt_dir), **cfg)
+    with Runtime(config=config):
+        assert wait_on(_add(100, 1)) == 101  # fills the checkpoint store
+    rng = random.Random(seed)
+    with Runtime(config=config) as rt:
+        pool = [_add(100, 1)]  # task 0: restored, its body never runs
+        pool.append(_nest(pool[0]))  # task 1, children 2 and 3
+        assert wait_on(pool[1]) == 104
+        pool += [_doomed(pool[1]), _flaky(pool[0]), _block(16), _block(20_000)]
+        for _ in range(30):
+            kind = rng.choice((_add, _add, _add, _flaky, _doomed, _block))
+            if kind is _add:
+                pool.append(_add(rng.choice(pool), rng.choice(pool)))
+            elif kind is _block:
+                pool.append(_block(rng.randrange(1, 64)))
+            else:
+                pool.append(kind(rng.choice(pool)))
+        pool += rt.submit_many([_add.defer(f, 1) for f in rng.sample(pool, 8)])
+        rt.barrier()
+        return rt.trace()
+
+
+def _shape(rec):
+    return (rec.name, rec.attempt, rec.status, rec.parent_id, len(rec.deps),
+            rec.in_bytes, rec.out_bytes)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_records_equal_across_executors_and_backends(seed, tmp_path):
+    traces = {
+        "sequential": _random_dag_trace(seed, tmp_path / "s", executor="sequential"),
+        "threads": _random_dag_trace(
+            seed, tmp_path / "t", executor="threads", backend="threads"
+        ),
+        "processes": _random_dag_trace(
+            seed, tmp_path / "p", executor="threads", backend="processes"
+        ),
+    }
+    # the processes run really crossed the boundary (nbytes of ObjectRefs,
+    # pids and errors relayed from workers feed the same row)
+    assert {r.pid for r in traces["processes"]} - {None, os.getpid()}
+    reference = collections.Counter(_shape(r) for r in traces["sequential"])
+    statuses = {shape[2] for shape in reference}
+    assert statuses == {"done", "failed", "ignored", "restored"}
+    for name, trace in traces.items():
+        assert collections.Counter(_shape(r) for r in trace) == reference, name
+        by_id = {r.task_id: r for r in trace}
+        for rec in trace:
+            assert type(rec) is TaskRecord
+            assert type(rec.deps) is tuple and list(rec.deps) == sorted(rec.deps)
+            assert all(type(d) is int and d in by_id for d in rec.deps)
+            assert re.fullmatch("[0-9a-f]{32}", rec.trace_id)
+            assert re.fullmatch("[0-9a-f]{16}", rec.span_id)
+            assert rec.t_submit <= rec.t_start <= rec.t_end
+            assert rec.computing_units == 1 and rec.gpus == 0 and rec.fused_id is None
+            assert (rec.error is not None) == (rec.status in ("failed", "ignored"))
+            if rec.status == "restored":
+                assert rec.pid is None and rec.t_start == rec.t_end
+            else:
+                assert rec.worker and rec.t_dispatch is not None
+                assert rec.pid or rec.status != "done"
+            if rec.parent_id is not None:
+                parent = by_id[rec.parent_id]
+                assert parent.name == "_nest"
+                assert rec.parent_span_id == parent.span_id
+                assert rec.trace_id == parent.trace_id
+            if rec.retry_of is not None:
+                assert rec.parent_span_id == by_id[rec.retry_of].span_id
+        assert sum(r.parent_id is not None for r in trace) == 2
+        assert Trace.from_json(trace.to_json()).to_json() == trace.to_json()
+
+
+def test_trace_read_from_another_thread_during_a_flood():
+    sizes: list[int] = []
+    errors: list[BaseException] = []
+    done = threading.Event()
+    n = 2000
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with Runtime(executor="threads", max_workers=2) as rt:
+
+            def reader():
+                try:
+                    while not done.is_set():
+                        sizes.append(len(rt.trace()))
+                        time.sleep(0.0005)
+                except BaseException as exc:  # noqa: BLE001 - asserted below
+                    errors.append(exc)
+
+            thread = threading.Thread(target=reader)
+            thread.start()
+            try:
+                wait_on([_add(i, 0) for i in range(n)])
+            finally:
+                done.set()
+                thread.join(30)
+            assert not thread.is_alive()
+            final = rt.trace()
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors
+    assert len(sizes) > 1 and sizes == sorted(sizes) and sizes[-1] <= n
+    # rows shaped by the reader mid-run are neither lost nor shaped twice
+    assert [r.task_id for r in final] == list(range(n))
+    assert all(type(r) is TaskRecord and r.status == "done" for r in final)
+
+
+def test_default_config_flood_shapes_nothing_until_read(monkeypatch):
+    """A count, not a timing: between the first submit and ``barrier()``
+    returning, the default configuration builds no ``TaskRecord``, calls
+    nothing in networkx and formats no id."""
+    calls: collections.Counter = collections.Counter()
+
+    def count(owner, attr, key):
+        real = getattr(owner, attr)
+
+        def counted(*args, **kwargs):
+            calls[key] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, counted)
+
+    count(TaskRecord, "__init__", "record")
+    count(nx.DiGraph, "__init__", "networkx")
+    count(nx.DiGraph, "add_node", "networkx")
+    count(tracectx, "_hex", "hex")
+    n = 1000
+    # backend pinned: the processes backend formats one header per
+    # dispatched task, by design
+    with Runtime(config=RuntimeConfig(max_workers=2, backend="threads")) as rt:
+        assert rt.config.collect_trace and rt.executor == "threads"
+        futures = [_add(i, 0) for i in range(n)]
+        rt.barrier()
+        assert not calls
+        assert len(rt.trace()) == n
+        assert calls == {"record": n, "hex": 2 * n}  # roots: no parent id to format
+        assert len(rt.trace()) == n
+        assert calls["record"] == n  # the second read shapes nothing
+        assert rt.graph.n_tasks == n and rt.graph.n_edges == 0
+        assert calls["networkx"] == 0
+        assert rt.graph.snapshot().number_of_nodes() == n
+        assert calls["networkx"] > 0
+    assert wait_on(futures) == list(range(n))
