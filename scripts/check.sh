@@ -13,7 +13,7 @@
 #   scripts/check.sh dataplane   store tests + store-mode stress + bench smoke of blocks_procs
 #   scripts/check.sh service     queue-service tests + chaos smoke
 #   scripts/check.sh fuse        fusion tests + fusion-on stress + fusion on/off differential + traced bench smoke of task_dag
-#   scripts/check.sh stream      streaming tests + stream stress + serving differential
+#   scripts/check.sh stream      streaming + ECG signal-path tests + stream stress + serving differential + bench smoke of stream_serve
 #   scripts/check.sh bench       bench/run.py --smoke over all seven workloads (oracles + exit hygiene, < 30 s)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -140,16 +140,25 @@ run_stream() {
     # fused pending-wait hook), the seeded streaming stress scenarios
     # (backpressure, RETRY mid-stream, abort, shutdown mid-flight; hang
     # watchdog + zero-leak audits, fusion off and on) and the streamed
-    # vs batch AF-serving bit-identity differential.  Throughput and
-    # latency are the stream_serve workload of bench/ (`check.sh bench`).
-    echo "== streaming tests (incl. serving differential) =="
+    # vs batch AF-serving bit-identity differential.  The serving
+    # stages spend their time in the repro.ecg kernels, so the tests
+    # that pin those byte for byte (band-pass design, windowed beat
+    # synthesis) run here too, and the benchmark's own smoke of
+    # stream_serve repeats the streamed-vs-batch-twin bit-equality
+    # through its oracle.  Throughput and latency are that workload at
+    # full length (`python3 bench/run.py --workload stream_serve`).
+    echo "== streaming tests (incl. serving differential) + ECG signal path =="
     PYTHONPATH=src python -m pytest tests/streaming \
-        tests/runtime/test_stream_shutdown.py -x -q
+        tests/runtime/test_stream_shutdown.py \
+        tests/ecg/test_rpeaks_augment_features.py \
+        tests/ecg/test_generator_dataset.py -x -q
     echo "== streaming stress (fixed seeds: one per scenario family, then fused) =="
     PYTHONPATH=src python -m repro stress --stream \
         --seed 0 --seed 1 --seed 2 --seed 3 --seed 14
     PYTHONPATH=src python -m repro stress --stream --fuse \
         --seed 0 --seed 1 --seed 2 --seed 3
+    echo "== bench smoke: stream_serve (streamed vs batch twin through the oracle, silent stderr) =="
+    bench_smoke --workload stream_serve
 }
 
 run_service() {

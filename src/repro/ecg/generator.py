@@ -45,6 +45,13 @@ NSR_WAVES: dict[str, WaveSpec] = {
     "T": WaveSpec(amplitude=0.3, offset=0.30, width=0.055),
 }
 
+#: Ventricular-ectopic-like beat: wide, lower R, no P, deep S.
+ECTOPIC_WAVES: dict[str, WaveSpec] = {
+    "R": WaveSpec(amplitude=0.7, offset=0.0, width=0.033),
+    "S": WaveSpec(amplitude=-0.45, offset=0.055, width=0.03),
+    "T": WaveSpec(amplitude=-0.2, offset=0.30, width=0.06),
+}
+
 
 @dataclasses.dataclass(frozen=True)
 class ECGConfig:
@@ -77,12 +84,29 @@ class ECGConfig:
     motion_spike_amplitude: float = 1.5
 
 
+#: Half-width, in wave widths, of the index window a wave is evaluated
+#: on.  ``exp(-z**2 / 2)`` is exactly ``0.0`` in float64 once
+#: ``z**2 / 2 > 1075 * ln 2`` (|z| > 38.61), so beyond 39 widths a wave
+#: contributes ``amplitude * 0.0`` and adding it changes no bit.
+_WAVE_SUPPORT = 39.0
+
+
 def _beat(t: np.ndarray, r_time: float, rr: float, waves: dict[str, WaveSpec]) -> np.ndarray:
-    """Superpose one beat's Gaussian waves centred around *r_time*."""
+    """Superpose one beat's Gaussian waves centred around *r_time*.
+
+    *t* must be ascending.  Each wave is evaluated only where
+    ``|t - center| <= 39 * width`` (clipped to the array): outside that
+    window the Gaussian underflows to exactly zero, so the result is
+    bit-for-bit the full-length sum at a cost proportional to the
+    waves' support, not to ``len(t)``.
+    """
     out = np.zeros_like(t)
     for spec in waves.values():
         center = r_time + spec.offset * rr
-        out += spec.amplitude * np.exp(-0.5 * ((t - center) / spec.width) ** 2)
+        reach = _WAVE_SUPPORT * spec.width
+        lo = t.searchsorted(center - reach, side="left")
+        hi = t.searchsorted(center + reach, side="right")
+        out[lo:hi] += spec.amplitude * np.exp(-0.5 * ((t[lo:hi] - center) / spec.width) ** 2)
     return out
 
 
@@ -127,12 +151,6 @@ def generate_recording(
     waves = dict(NSR_WAVES)
     if af:
         waves.pop("P")  # absent P wave
-    ectopic_waves = {
-        # ventricular-ectopic-like beat: wide, lower R, no P, deep S
-        "R": WaveSpec(amplitude=0.7, offset=0.0, width=0.033),
-        "S": WaveSpec(amplitude=-0.45, offset=0.055, width=0.03),
-        "T": WaveSpec(amplitude=-0.2, offset=0.30, width=0.06),
-    }
     rr_prev = cfg.af_rr_mean if af else cfg.nsr_rr_mean
     for i, rt in enumerate(r_times):
         rr = (
@@ -142,7 +160,7 @@ def generate_recording(
         )
         beat_waves = waves
         if label == "O" and rng.uniform() < 0.25:
-            beat_waves = ectopic_waves
+            beat_waves = ECTOPIC_WAVES
         sig += _beat(t, rt, min(rr, 1.2), beat_waves)
         rr_prev = rr
 

@@ -12,8 +12,32 @@ Two detectors:
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 from scipy import signal as sp_signal
+
+
+@functools.lru_cache(maxsize=16)
+def _qrs_bandpass(fs: float, low: float, high: float) -> tuple[np.ndarray, np.ndarray]:
+    """Second-order Butterworth band-pass ``(b, a)`` for *low*–*high* Hz
+    at sampling rate *fs*, the upper edge capped just below Nyquist.
+
+    The coefficients depend only on the arguments, so they are designed
+    once per process and shared by every call of both detectors; the
+    arrays are read-only because every caller gets the same pair.
+    """
+    nyq = fs / 2.0
+    top = min(high, nyq * 0.99)
+    if not 0.0 < low < top:
+        raise ValueError(
+            f"fs={fs} Hz is too low for the {low}-{high} Hz QRS band-pass: "
+            f"the band must lie below the Nyquist frequency ({nyq} Hz)"
+        )
+    b, a = sp_signal.butter(2, [low / nyq, top / nyq], btype="band")
+    b.flags.writeable = False
+    a.flags.writeable = False
+    return b, a
 
 
 def gamboa_segmenter(signal: np.ndarray, fs: float, tol: float = 0.002) -> np.ndarray:
@@ -22,6 +46,10 @@ def gamboa_segmenter(signal: np.ndarray, fs: float, tol: float = 0.002) -> np.nd
     The signal is normalised by its (tol, 1-tol) quantile range, the
     squared second difference is thresholded, and peaks are refined to
     the local maximum of the raw signal within a 100 ms window.
+
+    The 5–25 Hz pre-filter comes from :func:`_qrs_bandpass` (designed
+    once per *fs*); ``ValueError`` if *fs* puts the band at or above
+    Nyquist.
     """
     signal = np.asarray(signal, dtype=float)
     if signal.ndim != 1:
@@ -32,8 +60,7 @@ def gamboa_segmenter(signal: np.ndarray, fs: float, tol: float = 0.002) -> np.nd
     # band-limit to the QRS band first (BioSPPy's segmenters run on
     # filtered input); this is what keeps the detector usable on noisy
     # wearable-grade signals
-    nyq = fs / 2.0
-    b, a = sp_signal.butter(2, [5.0 / nyq, min(25.0, nyq * 0.99) / nyq], btype="band")
+    b, a = _qrs_bandpass(fs, 5.0, 25.0)
     filtered = sp_signal.filtfilt(b, a, signal)
 
     lo, hi = np.quantile(filtered, [tol, 1 - tol])
@@ -72,15 +99,20 @@ def gamboa_segmenter(signal: np.ndarray, fs: float, tol: float = 0.002) -> np.nd
 
 
 def pan_tompkins(signal: np.ndarray, fs: float) -> np.ndarray:
-    """Pan–Tompkins (1985) R-peak detection."""
+    """Pan–Tompkins (1985) R-peak detection.
+
+    Band-pass (5–15 Hz, from :func:`_qrs_bandpass`, designed once per
+    *fs*) → derivative → square → 150 ms moving-window integration →
+    threshold at 35 % of the maximum, with a 200 ms refractory period;
+    ``ValueError`` if *fs* puts the band at or above Nyquist.
+    """
     signal = np.asarray(signal, dtype=float)
     if signal.ndim != 1:
         raise ValueError("signal must be 1-D")
     if len(signal) < int(fs):
         return np.array([], dtype=int)
 
-    nyq = fs / 2.0
-    b, a = sp_signal.butter(2, [5.0 / nyq, min(15.0, nyq * 0.99) / nyq], btype="band")
+    b, a = _qrs_bandpass(fs, 5.0, 15.0)
     filtered = sp_signal.filtfilt(b, a, signal)
     deriv = np.gradient(filtered)
     squared = deriv**2

@@ -23,6 +23,18 @@ from repro.ml.base import BaseEstimator
 from repro.runtime import task, wait_on
 
 
+def _sum_partials(partials: list) -> np.ndarray:
+    """Element-wise sum in list order — every bit of
+    ``np.sum(partials, axis=0)`` without first copying the partials into
+    one stacked array."""
+    # np.sum starts from the identity: adding 0 keeps every value and
+    # turns a -0.0 into the +0.0 np.sum returns (dtype unchanged)
+    acc = np.asarray(partials[0]) + 0
+    for p in partials[1:]:
+        acc += p
+    return acc
+
+
 @task(returns=1)
 def _partial_sum(stripe_blocks: list):
     x = np.hstack([np.asarray(b) for b in stripe_blocks]) if len(stripe_blocks) > 1 else np.asarray(stripe_blocks[0])
@@ -31,7 +43,7 @@ def _partial_sum(stripe_blocks: list):
 
 @task(returns=1)
 def _reduce_mean(partials: list):
-    acc = np.sum(partials, axis=0)
+    acc = _sum_partials(partials)
     return acc[1:] / acc[0]
 
 
@@ -45,7 +57,7 @@ def _partial_cov(stripe_blocks: list, mean):
 
 @task(returns=1)
 def _reduce_cov(partials: list, n_samples: int):
-    scatter = np.sum(partials, axis=0)
+    scatter = _sum_partials(partials)
     return scatter / (n_samples - 1)
 
 

@@ -28,10 +28,13 @@ task.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import itertools
 import time
 from typing import Any, Iterator
 
 import numpy as np
+from scipy import signal as sp_signal
 
 from repro.ecg import ECGConfig, generate_recording, pan_tompkins, rr_intervals
 from repro.runtime import task, wait_on
@@ -120,17 +123,35 @@ def assemble_segment(values: list) -> dict:
     }
 
 
+@functools.lru_cache(maxsize=16)
+def _stft_window(nperseg: int) -> np.ndarray:
+    """The window :func:`scipy.signal.spectrogram` builds from its
+    default ``('tukey', 0.25)`` for *nperseg* samples — it depends on
+    nothing else, so it is built once per process (read-only: every
+    segment gets the same array)."""
+    window = sp_signal.get_window(("tukey", 0.25), nperseg)
+    window.flags.writeable = False
+    return window
+
+
 def segment_features(seg: dict, cfg: ServeConfig) -> dict:
     """R-peak + STFT feature extraction for one segment — the same
     representation :func:`repro.workflows.af_pipeline.run_cnn` trains
     on (decimate → spectrogram → log1p → per-record z-norm), plus the
-    heart-rate statistics a live dashboard wants."""
-    from scipy import signal as sp_signal
+    heart-rate statistics a live dashboard wants.
 
+    Nothing that is constant across segments is rebuilt here: the
+    spectrogram takes the memoised :func:`_stft_window` (scipy treats
+    ``window=<array>`` exactly as ``nperseg=len(array)`` with its
+    default window) and :func:`~repro.ecg.pan_tompkins` its memoised
+    band-pass, so ``x`` is bit-for-bit what the per-call design gave.
+    """
     sig = seg["signal"]
     dec = sig[:: cfg.decimate] if cfg.decimate > 1 else sig
     fs_eff = cfg.fs / max(cfg.decimate, 1)
-    _, _, spec = sp_signal.spectrogram(dec, fs=fs_eff, nperseg=cfg.nperseg)
+    # like scipy, shrink the window to a segment shorter than nperseg
+    window = _stft_window(min(cfg.nperseg, len(dec)))
+    _, _, spec = sp_signal.spectrogram(dec, fs=fs_eff, window=window)
     x = np.log1p(spec)  # (freq_channels, time_frames)
     mu = x.mean()
     sd = x.std()
@@ -163,12 +184,12 @@ def make_model(cfg: ServeConfig):
     with :mod:`repro.nn` and ``set_weights`` for a real deployment)."""
     from repro.nn import af_cnn
 
-    probe = segment_features(
-        assemble_segment(
-            [v for v in iter_feed(cfg) if v[1] == 0][: cfg.chunks_per_segment]
-        ),
-        cfg,
+    # segment 0 is complete within the feed's first round, and islice
+    # stops pulling there: at most cfg.patients recordings are generated
+    first = itertools.islice(
+        (v for v in iter_feed(cfg) if v[1] == 0), cfg.chunks_per_segment
     )
+    probe = segment_features(assemble_segment(list(first)), cfg)
     channels, length = probe["x"].shape
     return af_cnn(input_length=length, in_channels=channels, seed=cfg.seed)
 

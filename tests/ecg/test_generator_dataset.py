@@ -21,6 +21,7 @@ from repro.ecg import (
     load_cinc2017_like,
     rr_intervals,
 )
+from repro.ecg import generator
 
 
 class TestGenerator:
@@ -135,3 +136,72 @@ class TestDataset:
     def test_record_properties(self, rng):
         r = Record(signal=np.zeros(600), label="N", fs=300.0)
         assert r.duration == 2.0
+
+
+def _beat_full_length(t, r_time, rr, waves):
+    """The full-length beat synthesis the windowed ``_beat`` replaced:
+    every wave evaluated over the whole of *t*.  Kept here as the
+    reference the shipped one must equal bit for bit."""
+    out = np.zeros_like(t)
+    for spec in waves.values():
+        center = r_time + spec.offset * rr
+        out += spec.amplitude * np.exp(-0.5 * ((t - center) / spec.width) ** 2)
+    return out
+
+
+class TestWindowedBeat:
+    """Waves are synthesised only where they are non-zero; the bytes do
+    not change."""
+
+    WAVE_SETS = {
+        "nsr": generator.NSR_WAVES,
+        "af": {k: v for k, v in generator.NSR_WAVES.items() if k != "P"},
+        "ectopic": generator.ECTOPIC_WAVES,
+        "negated": {
+            k: generator.WaveSpec(-v.amplitude, v.offset, v.width)
+            for k, v in generator.NSR_WAVES.items()
+        },
+    }
+
+    def test_support_bound_is_the_exact_underflow(self):
+        """Beyond ``_WAVE_SUPPORT`` widths the Gaussian is exactly 0.0
+        in float64, with margin for the rounding of ``(t - c) / w``."""
+        z = generator._WAVE_SUPPORT
+        assert np.exp(-0.5 * (z * (1 - 1e-3)) ** 2) == 0.0
+        assert np.exp(-0.5 * 38.0**2) > 0.0  # the bound is not slack by much
+
+    @pytest.mark.parametrize("n", [1, 2, 900, 18300])
+    @pytest.mark.parametrize("waves", sorted(WAVE_SETS))
+    def test_beat_bytes_equal_full_length_reference(self, n, waves):
+        t = np.arange(n) / 300.0
+        end = t[-1]
+        centres = [
+            -5.0, -0.5, -1e-9, 0.0, 1 / 300.0, 0.4 * end, 0.5 * end + 1e-4,
+            end - 1 / 300.0, end, end + 1e-9, end + 0.5, end + 5.0,
+        ]
+        for r_time in centres:
+            for rr in (0.35, 0.83, 1.2):
+                got = generator._beat(t, r_time, rr, self.WAVE_SETS[waves])
+                ref = _beat_full_length(t, r_time, rr, self.WAVE_SETS[waves])
+                assert got.tobytes() == ref.tobytes(), (r_time, rr)
+
+    @pytest.mark.parametrize("label", ["N", "AF", "O"])
+    @pytest.mark.parametrize("duration", [3.0, 9.0, 61.0])
+    def test_recording_bytes_equal_with_reference_beat(self, label, duration, monkeypatch):
+        shipped = [
+            generate_recording(label, duration, np.random.default_rng(seed))
+            for seed in range(4)
+        ]
+        monkeypatch.setattr(generator, "_beat", _beat_full_length)
+        for seed, sig in enumerate(shipped):
+            ref = generate_recording(label, duration, np.random.default_rng(seed))
+            assert sig.tobytes() == ref.tobytes(), seed
+
+    def test_artifact_config_bytes_equal_with_reference_beat(self, monkeypatch):
+        cfg = ECGConfig(
+            gain_std=0.3, muscle_artifact_prob=1.0, motion_spike_prob=1.0, fs=250.0
+        )
+        shipped = generate_recording("O", 20.0, np.random.default_rng(5), cfg)
+        monkeypatch.setattr(generator, "_beat", _beat_full_length)
+        ref = generate_recording("O", 20.0, np.random.default_rng(5), cfg)
+        assert shipped.tobytes() == ref.tobytes()

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
+from scipy import signal as sp_signal
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,6 +27,7 @@ from repro.ecg import (
     stft_features,
     zero_pad,
 )
+from repro.ecg import rpeaks
 
 
 class TestRPeaks:
@@ -66,6 +70,56 @@ class TestRPeaks:
     def test_rr_intervals(self):
         rr = rr_intervals(np.array([0, 300, 600]), 300.0)
         np.testing.assert_allclose(rr, [1.0, 1.0])
+
+
+class TestQrsBandpass:
+    """One band-pass design per (fs, band) per process, same bytes as
+    the per-call design it replaced."""
+
+    @pytest.mark.parametrize("fs", [300.0, 250.0, 150.0, 40.0, 28.0])
+    @pytest.mark.parametrize("high", [15.0, 25.0])
+    def test_bytes_equal_fresh_butter(self, fs, high):
+        nyq = fs / 2.0
+        ref_b, ref_a = sp_signal.butter(
+            2, [5.0 / nyq, min(high, nyq * 0.99) / nyq], btype="band"
+        )
+        b, a = rpeaks._qrs_bandpass(fs, 5.0, high)
+        assert b.tobytes() == ref_b.tobytes() and a.tobytes() == ref_a.tobytes()
+
+    def test_designed_once_and_read_only(self):
+        b, a = rpeaks._qrs_bandpass(300.0, 5.0, 15.0)
+        again = rpeaks._qrs_bandpass(300.0, 5.0, 15.0)
+        assert again[0] is b and again[1] is a
+        for arr in (b, a):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    def test_threads_racing_the_first_call_get_equal_arrays(self):
+        fs = 311.0  # a rate no other test designs for: the first call is here
+        gate = threading.Barrier(8)
+        got: list = [None] * 8
+
+        def design(i):
+            gate.wait(timeout=10)
+            got[i] = rpeaks._qrs_bandpass(fs, 5.0, 15.0)
+
+        threads = [threading.Thread(target=design, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+        assert not any(t.is_alive() for t in threads)
+        nyq = fs / 2.0
+        ref_b, ref_a = sp_signal.butter(2, [5.0 / nyq, 15.0 / nyq], btype="band")
+        for b, a in got:
+            assert b.tobytes() == ref_b.tobytes() and a.tobytes() == ref_a.tobytes()
+            assert not b.flags.writeable and not a.flags.writeable
+
+    @pytest.mark.parametrize("detector", [pan_tompkins, gamboa_segmenter])
+    @pytest.mark.parametrize("fs", [10.0, 8.0, 10.1])
+    def test_band_at_or_above_nyquist_names_fs_and_band(self, detector, fs):
+        with pytest.raises(ValueError, match=rf"fs={fs} Hz.*5\.0-.* Hz.*Nyquist"):
+            detector(np.sin(np.arange(200) / 3.0), fs)
 
 
 class TestAugmentation:

@@ -72,6 +72,30 @@ class TestStandardScaler:
 
 
 class TestPCA:
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_reducers_bytes_equal_np_sum(self, k, rng, seq_runtime):
+        """The map-reduce reducers sum their partials in place, in
+        order; the bytes are those of ``np.sum(partials, axis=0)`` —
+        signed zeros and mixed magnitudes included."""
+        from repro.ml.decomposition.pca import _reduce_cov, _reduce_mean
+        from repro.runtime import wait_on
+
+        scatters = [
+            rng.standard_normal((7, 7)) * 10.0 ** rng.integers(-8, 8) for _ in range(k)
+        ]
+        sums = [
+            np.concatenate([[20.0], rng.standard_normal(7) * 10.0 ** rng.integers(-8, 8)])
+            for _ in range(k)
+        ]
+        for parts in (scatters, sums):
+            for p in parts:
+                p.flat[-1] = -0.0
+        cov = wait_on(_reduce_cov(scatters, 20 * k))
+        mean = wait_on(_reduce_mean(sums))
+        assert cov.tobytes() == (np.sum(scatters, axis=0) / (20 * k - 1)).tobytes()
+        acc = np.sum(sums, axis=0)
+        assert mean.tobytes() == (acc[1:] / acc[0]).tobytes()
+
     def test_matches_eigh_reference(self, rng):
         x = rng.standard_normal((60, 6)) @ rng.standard_normal((6, 6))
         dx = ds.array(x, (20, 3))

@@ -3,8 +3,12 @@ bit-identity differential (fusion on/off × threads/sequential)."""
 
 from __future__ import annotations
 
+import sys
+import warnings
+
 import numpy as np
 import pytest
+from scipy import signal as sp_signal
 
 from repro.runtime import Runtime
 from repro.runtime.config import RuntimeConfig
@@ -15,6 +19,7 @@ from repro.streaming import (
     serve_batch,
     serve_stream,
 )
+from repro.streaming import serving
 
 CFG = ServeConfig(
     n_segments=6, patients=2, chunks_per_segment=4, chunk_seconds=0.5, batch_size=2
@@ -130,3 +135,91 @@ def test_serving_metrics_flow_into_registry(model):
     text = to_prometheus(snap)
     assert "repro_stream_queue_depth" in text
     assert res.metrics is not None and "stages" in res.metrics
+
+
+def _first_segment(cfg):
+    chunks = [v for v in iter_feed(cfg) if v[1] == 0]
+    return serving.assemble_segment(chunks)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        CFG,
+        ServeConfig(seed=3, n_segments=1, patients=1),
+        ServeConfig(seed=4, n_segments=1, patients=1, nperseg=32, decimate=1),
+        # a segment shorter than nperseg: scipy shrinks the window to it
+        ServeConfig(seed=5, n_segments=1, patients=1, chunks_per_segment=2,
+                    chunk_seconds=0.5, nperseg=256, decimate=2),
+    ],
+    ids=["module-cfg", "defaults", "nperseg32-no-decimate", "short-segment"],
+)
+def test_segment_features_bytes_equal_per_call_window(cfg):
+    """The memoised window changes no bit of the feature tensor: the
+    reference lets scipy build its default window from ``nperseg``."""
+    seg = _first_segment(cfg)
+    dec = seg["signal"][:: cfg.decimate] if cfg.decimate > 1 else seg["signal"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # nperseg > input length
+        _, _, spec = sp_signal.spectrogram(
+            dec, fs=cfg.fs / cfg.decimate, nperseg=cfg.nperseg
+        )
+    ref = np.log1p(spec)
+    ref = (ref - ref.mean()) / ref.std()
+    got = serving.segment_features(seg, cfg)["x"]
+    assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+    with pytest.raises(ValueError):
+        serving._stft_window(cfg.nperseg)[0] = 1.0  # shared, so read-only
+
+
+def test_make_model_probe_stops_at_the_first_segment(monkeypatch):
+    """Shaping the model needs segment 0 only: the probe must not
+    synthesise the rest of the feed."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return generate(*args, **kwargs)
+
+    generate = serving.generate_recording
+    monkeypatch.setattr(serving, "generate_recording", counting)
+    cfg = ServeConfig(n_segments=40, patients=4)
+    probed = make_model(cfg)
+    assert 1 <= len(calls) <= cfg.patients
+    monkeypatch.undo()
+    # same shape as probing the whole feed: same architecture and weights
+    from repro.nn import af_cnn
+
+    channels, length = serving.segment_features(_first_segment(cfg), cfg)["x"].shape
+    full = af_cnn(input_length=length, in_channels=channels, seed=cfg.seed)
+    assert probed.config() == full.config()
+    for w, ref in zip(probed.get_weights(), full.get_weights()):
+        assert w.tobytes() == ref.tobytes()
+
+
+def test_steady_state_serving_designs_no_filter_or_window(monkeypatch):
+    """After one warm-up segment a serving run designs nothing: no
+    Butterworth, no window — neither ours nor scipy's own."""
+    cfg = ServeConfig(seed=2, n_segments=16, patients=2, batch_size=4)
+    model = make_model(cfg)  # the warm-up: one segment through the features
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    spectral = sys.modules[sp_signal.spectrogram.__module__]
+    monkeypatch.setattr(sp_signal, "butter", counted("butter", sp_signal.butter))
+    monkeypatch.setattr(
+        sp_signal, "get_window", counted("get_window", sp_signal.get_window)
+    )
+    monkeypatch.setattr(
+        spectral, "get_window", counted("scipy's get_window", spectral.get_window)
+    )
+    with runtime() as rt:
+        res = serve_stream(cfg, rt, model)
+    assert len(res.predictions) == cfg.n_segments
+    assert calls == []
