@@ -7,7 +7,7 @@
 #   scripts/check.sh test        tests only
 #   scripts/check.sh inventory   every src/repro module must have a test file
 #   scripts/check.sh resilience  crash-resume smoke test only
-#   scripts/check.sh stress      scheduler concurrency stress (fixed seeds)
+#   scripts/check.sh stress      scheduler concurrency stress (fixed seeds) + engine regression tests
 #   scripts/check.sh backend     tier-1 + stress under REPRO_BACKEND=processes
 #   scripts/check.sh obs         observability smoke (metrics/trace exports)
 #   scripts/check.sh dataplane   store tests + store-mode stress + bench smoke of blocks_procs
@@ -49,6 +49,10 @@ run_stress() {
     # family + a second mixed round); `make stress` runs 20 seeds.
     echo "== scheduler concurrency stress (fixed seeds) =="
     PYTHONPATH=src python -m repro stress --seed 0 --seed 1 --seed 2 --seed 3 --seed 4 --seed 7
+    # Races the stress seeds only hit now and then, pinned: barrier()
+    # on a killed runtime, record-before-publish, payload release.
+    echo "== engine regression tests =="
+    PYTHONPATH=src python -m pytest tests/runtime/test_engine_regressions.py -x -q
 }
 
 bench_smoke() {
@@ -90,7 +94,7 @@ run_obs() {
     # Real run with telemetry on: metrics reconcile with stats, the
     # Prometheus exposition parses, the chrome-trace export validates,
     # the critical path is bounded and the trace CLI works.  Then the
-    # tracing stack: trace rows -> TaskRecord/Trace, trace-context
+    # tracing stack: task table -> TaskRecord/Trace and TaskGraph, trace-context
     # propagation, structured logging, the flight recorder, OTLP export
     # and the service span log.  What telemetry costs is obs.* in
     # bench/ (`check.sh bench`).

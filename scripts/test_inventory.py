@@ -4,9 +4,9 @@ test file.
 
 A module ``src/repro/a/b/foo.py`` counts as covered when either
 
-* some ``test_*.py`` under ``tests/`` or ``benchmarks/`` contains the
-  module's stem in its filename (``foo`` -> ``test_foo.py``,
-  ``test_foo_bar.py``, ...), or
+* some ``test_*.py`` under ``tests/`` or ``benchmarks/`` carries the
+  module's stem as whole ``_``-delimited tokens of its filename (``foo``
+  -> ``test_foo.py``, ``test_foo_bar.py``; not ``test_foobar.py``), or
 * ``EXTRA_COVERAGE`` maps it to the test file that exercises it under a
   different name (the mapping is validated: the file must exist, and a
   mapping for a module that a filename already matches is flagged as
@@ -50,10 +50,12 @@ EXTRA_COVERAGE = {
     "edge/export.py": "tests/edge/test_edge.py",
     "federated/aggregation.py": "tests/federated/test_federated.py",
     "federated/partition.py": "tests/federated/test_federated.py",
+    "ml/base.py": "tests/ml/test_smo_svc.py",
     "ml/model_selection/cross_val.py": "tests/ml/test_model_selection.py",
     "ml/model_selection/kfold.py": "tests/ml/test_model_selection.py",
     "ml/neighbors/nearest.py": "tests/ml/test_neighbors.py",
     "ml/svm/kernels.py": "tests/ml/test_smo_svc.py",
+    "ml/trees/tree.py": "tests/ml/test_trees.py",
     "nn/initializers.py": "tests/nn/test_layers.py",
     "nn/losses.py": "tests/nn/test_model_optim.py",
     "runtime/dag.py": "tests/runtime/test_graph_trace_dot.py",
@@ -86,6 +88,12 @@ def strict_test_names(test_dir: str) -> set[str]:
     }
 
 
+def names_module(test_name: str, stem: str) -> bool:
+    """Whether *stem* is a run of whole ``_``-delimited tokens of the
+    test file name: ``base`` is not named by ``test_rr_baseline.py``."""
+    return f"_{stem}_" in f"_{test_name.removesuffix('.py')}_"
+
+
 def main() -> int:
     test_names = test_file_names()
     uncovered: list[str] = []
@@ -100,7 +108,7 @@ def main() -> int:
             candidates = strict_test_names(strict_dir)
         else:
             candidates = test_names
-        name_match = any(module.stem.lower() in t for t in candidates)
+        name_match = any(names_module(t, module.stem.lower()) for t in candidates)
         if strict_dir is not None:
             if not name_match:
                 uncovered.append(f"{rel} (needs a test under {strict_dir}/)")

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cluster.simulator import SimResult
+from repro.runtime import observability as obs
 from repro.runtime.tracing import Trace
 
 
@@ -20,40 +21,8 @@ def critical_path(trace: Trace) -> tuple[list[int], float]:
     the makespan on any machine — if a sweep's makespan approaches it,
     adding cores cannot help (the paper's CSVM reduction-phase ceiling).
     """
-    records = {r.task_id: r for r in trace}
-    best: dict[int, float] = {}
-    choice: dict[int, int | None] = {}
-
-    def longest_to(tid: int) -> float:
-        stack = [(tid, False)]
-        while stack:
-            node, ready = stack.pop()
-            if node in best:
-                continue
-            rec = records[node]
-            deps = [d for d in rec.deps if d in records]
-            if not ready:
-                stack.append((node, True))
-                stack.extend((d, False) for d in deps if d not in best)
-            else:
-                if deps:
-                    prev = max(deps, key=lambda d: best[d])
-                    best[node] = best[prev] + rec.duration
-                    choice[node] = prev
-                else:
-                    best[node] = rec.duration
-                    choice[node] = None
-        return best[tid]
-
-    if len(trace) == 0:
-        return [], 0.0
-    end = max((r.task_id for r in trace), key=lambda t: longest_to(t))
-    path = []
-    cur: int | None = end
-    while cur is not None:
-        path.append(cur)
-        cur = choice[cur]
-    return list(reversed(path)), best[end]
+    cp = obs.critical_path(trace)
+    return cp.task_ids, cp.length
 
 
 def time_breakdown(trace: Trace) -> dict[str, dict[str, float]]:

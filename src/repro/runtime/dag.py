@@ -1,63 +1,43 @@
-"""Dependency graph built at submission time.
+"""The task dependency graph, as a value.
 
 Mirrors the PyCOMPSs execution graph (paper Figs. 4, 6, 8, 9, 10):
-nodes are task instances, edges are data dependencies.  The task path
-writes a plain ``{task_id: attrs}`` dict and an edge list; the reader's
+nodes are task instances, edges are data dependencies.  The engine
+keeps no graph of its own — ``Runtime.graph`` builds a
+:class:`TaskGraph` from a snapshot of its task table on every access —
+so a ``TaskGraph`` is a plain ``{task_id: attrs}`` dict plus an edge
+list that nothing writes after construction, and
 :meth:`TaskGraph.snapshot` builds the :class:`networkx.DiGraph` that
 makes the analyses (critical path, width, levels) one-liners.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Iterable
 
 import networkx as nx
 
 
 class TaskGraph:
-    """Thread-safe append-only task dependency graph."""
+    """An immutable task dependency graph: *nodes* as ``(task_id,
+    attrs)`` pairs (attrs include ``name``), *edges* as ``(dep,
+    task_id)`` pairs or ``(prev, retry, {"kind": "retry"})`` triples
+    (rendered dashed in DOT)."""
 
-    def __init__(self) -> None:
-        self._nodes: dict[int, dict] = {}
-        self._edges: list[tuple] = []  # (dep, task_id) or (prev, retry, attrs)
-        self._lock = threading.Lock()
-
-    def add_task(self, task_id: int, name: str, deps: Iterable[int], **attrs) -> None:
-        with self._lock:
-            self._nodes[task_id] = {"name": name, **attrs}
-            self._edges.extend([(dep, task_id) for dep in deps])
-
-    def add_tasks(
+    def __init__(
         self,
-        nodes: Iterable[tuple[int, dict]],
-        edges: Iterable[tuple],
+        nodes: Iterable[tuple[int, dict]] = (),
+        edges: Iterable[tuple] = (),
     ) -> None:
-        """Insert a whole submission batch under one lock acquisition:
-        *nodes* as ``(task_id, attrs)`` pairs (attrs must include
-        ``name``), *edges* as ``(dep, task_id)`` pairs."""
-        with self._lock:
-            self._nodes.update(nodes)
-            self._edges.extend(edges)
-
-    def add_retry(self, prev_id: int, new_id: int, name: str, attempt: int, **attrs) -> None:
-        """Add a resubmission attempt node, chained to the failed
-        attempt by a ``kind="retry"`` edge (rendered dashed in DOT)."""
-        with self._lock:
-            self._nodes[new_id] = dict(name=name, attempt=attempt, retry_of=prev_id, **attrs)
-            self._edges.append((prev_id, new_id, {"kind": "retry"}))
-
-    def set_attr(self, task_id: int, **attrs) -> None:
-        with self._lock:
-            self._nodes[task_id].update(attrs)
+        self._nodes: dict[int, dict] = dict(nodes)
+        self._edges: list[tuple] = list(edges)
 
     # -- analyses ---------------------------------------------------------
     def snapshot(self) -> nx.DiGraph:
-        """A copy safe to analyse while tasks keep being submitted."""
+        """The graph as a fresh :class:`networkx.DiGraph` (networkx
+        copies the attribute dicts, so the caller may edit it)."""
         g = nx.DiGraph()
-        with self._lock:  # networkx copies the attribute dicts
-            g.add_nodes_from(self._nodes.items())
-            g.add_edges_from(self._edges)
+        g.add_nodes_from(self._nodes.items())
+        g.add_edges_from(self._edges)
         return g
 
     @property

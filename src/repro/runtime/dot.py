@@ -158,6 +158,4 @@ def graph_summary(graph: TaskGraph | nx.DiGraph) -> dict:
 
 
 def _wrap(g: nx.DiGraph) -> TaskGraph:
-    tg = TaskGraph()
-    tg.add_tasks(g.nodes(data=True), g.edges(data=True))  # read-only view of g
-    return tg
+    return TaskGraph(g.nodes(data=True), g.edges(data=True))

@@ -3,7 +3,7 @@
 This is the COMPSs-runtime analog.  A :class:`Runtime` accepts task
 submissions (made implicitly by calling ``@task``-decorated functions),
 derives data dependencies from the arguments (futures and versioned
-INOUT objects), builds the task graph, and executes tasks either
+INOUT objects), registers the task, and executes tasks either
 inline (``sequential`` executor) or on a pool of worker threads
 (``threads`` executor).  *Where the task body runs* is a separate
 axis: the scheduling thread hands the resolved call to an
@@ -40,6 +40,15 @@ allocated its id but not yet finished registering; it is counted as
 unresolved and its completion — which necessarily happens after its
 registration — releases the child like any other.
 
+A task is written down once: its :class:`TaskInstance` in the task
+table ``_tasks``, the only per-task structure the task path writes.
+``Runtime.graph``, ``Runtime.trace()``, ``Runtime.stats()`` and the
+checkpoint lineage key of a future are views shaped from that table
+when read; as an attempt retires, ``_record`` stamps on the instance
+what only its trace record knows, and finalization drops the
+instance's arguments — a retired task keeps its scalars, not its
+payload.
+
 Failure management (COMPSs ``on_failure``) lives here too: when a task
 attempt raises — organically, via an injected fault, or through the
 ``time_out`` watchdog — the engine either resubmits it (a *new* DAG
@@ -57,6 +66,7 @@ import logging
 import os
 import threading
 import time
+import traceback
 import weakref
 from typing import Any, Callable, Iterable
 
@@ -106,8 +116,8 @@ from repro.runtime.registry import DataRegistry
 from repro.runtime.store import ObjectRef, ObjectStore, scan_refs
 from repro.runtime.tracing import (
     SchedulerCounters,
+    TaskRecord,
     Trace,
-    TraceCollector,
     estimate_nbytes,
     overhead_of,
     queue_wait_of,
@@ -166,14 +176,12 @@ class Scope:
     def __init__(self, runtime: "Runtime", parent_task_id: int | None = None):
         self.runtime = runtime
         self.parent_task_id = parent_task_id
-        self.task_ids: list[int] = []
         self._unfinished = 0
         self._lock = threading.Lock()
 
-    def task_submitted(self, task_id: int) -> None:
+    def task_submitted(self, n: int = 1) -> None:
         with self._lock:
-            self.task_ids.append(task_id)
-            self._unfinished += 1
+            self._unfinished += n
 
     def task_finished(self) -> None:
         with self._lock:
@@ -191,12 +199,6 @@ class Scope:
     def pending(self) -> int:
         with self._lock:
             return self._unfinished
-
-    def tasks_submitted(self, task_ids: list[int]) -> None:
-        """Record a whole submission batch under one lock acquisition."""
-        with self._lock:
-            self.task_ids.extend(task_ids)
-            self._unfinished += len(task_ids)
 
     def wait_all(self) -> None:
         """Block until every task submitted in this scope finished,
@@ -309,9 +311,7 @@ class Runtime:
             self.max_workers,
             store=self.store if ref_transport else None,
         )
-        self.graph = TaskGraph()
         self.registry = DataRegistry()
-        self.collector = TraceCollector()
         #: Lifecycle event bus (see :mod:`repro.runtime.observability`).
         #: Falsy while nothing is subscribed, so un-observed runtimes
         #: skip event construction entirely.
@@ -339,7 +339,9 @@ class Runtime:
                 metrics_snapshot=self.metrics,
             )
             self.events.subscribe(self.flight_recorder.record)
-        #: every attempt, keyed by its own task id (retries included).
+        #: every attempt, keyed by its own task id (retries included)
+        #: — the one per-task record: ``graph``, ``trace()`` and
+        #: ``stats()`` are views shaped from it when read.
         self._tasks: dict[int, TaskInstance] = {}
         #: root task id -> *latest* attempt.  Futures and dependency
         #: edges reference root ids, so dependents submitted mid-retry
@@ -357,8 +359,7 @@ class Runtime:
         #: by task id even under concurrent submission.
         self._dep_lock = threading.Lock()
         #: Guards checkpoint-signature state (occurrence counters,
-        #: identity cache, signature table) — hashing itself runs
-        #: outside every lock.
+        #: identity cache) — hashing itself runs outside every lock.
         self._sig_lock = threading.Lock()
         #: ready heap: (-priority, seq, TaskInstance | FusedTask) —
         #: higher priority first, FIFO within a priority level (seq is
@@ -422,8 +423,6 @@ class Runtime:
         self.checkpoint_store: ckpt.CheckpointStore | None = (
             ckpt.CheckpointStore(cfg.checkpoint_dir) if cfg.checkpoint_dir else None
         )
-        #: root task id -> signature, for lineage-based future keys.
-        self._signatures: dict[int, str] = {}
         #: function-identity cache (source hashing is not free).
         self._identities: dict[int, str] = {}
         #: call-lineage counters: base signature -> occurrences so far.
@@ -697,7 +696,7 @@ class Runtime:
         if initial_attempt:
             inst.attempt = initial_attempt
 
-        # -- phases 3-5: signature, DAG node, registration --------------
+        # -- phases 3-4: signature, registration ------------------------
         restored_values, unresolved, upstream_failed, sole_dep = self._register(inst, scope)
 
         if restored_values is not None:
@@ -805,7 +804,7 @@ class Runtime:
                     self._execute(inst)
             return [self._returns_of(inst) for inst in insts]
 
-        # -- phases 3-5: one batched registration pass ------------------
+        # -- phases 3-4: one batched registration pass ------------------
         registered = self._register_batch(insts, scope)
 
         # -- dispatch, in call order ------------------------------------
@@ -1004,13 +1003,13 @@ class Runtime:
         return inst
 
     def _register(self, inst: TaskInstance, scope: "Scope") -> tuple:
-        """Phases 3-5 of submission: checkpoint-signature lookup, DAG
-        node, state registration.  Returns ``(restored_values,
+        """Phases 3-4 of submission: checkpoint-signature lookup and
+        registration in the task table.  Returns ``(restored_values,
         unresolved, upstream_failed, sole_dep)`` for the caller's
         dispatch decision — *sole_dep* is the instance of the single
         unresolved dependency when the new task is its first consumer
         (the fusion chain-extension candidate), else ``None``."""
-        spec, task_id, deps = inst.spec, inst.task_id, inst.deps
+        spec, task_id = inst.spec, inst.task_id
 
         # -- phase 3 (sig lock inside): checkpoint signature ------------
         restored_values: tuple | None = None
@@ -1018,29 +1017,15 @@ class Runtime:
             signature = self._task_signature(spec, inst.args, inst.kwargs, inst.options)
             if signature is not None:
                 inst.signature = signature
-                with self._sig_lock:
-                    self._signatures[task_id] = signature
                 restored_values = self.checkpoint_store.get(
                     signature, expect=spec.returns
                 )
 
-        # -- phase 4 (graph lock inside): DAG node ----------------------
-        # Added before registration so cancellation/completion paths
-        # reached through ``_children`` always find the node.
-        self.graph.add_task(
-            task_id,
-            spec.name,
-            deps,
-            parent=inst.parent_id,
-            computing_units=spec.constraints.computing_units,
-            gpus=spec.constraints.gpus,
-        )
-
-        # -- phase 5 (state lock): registration -------------------------
+        # -- phase 4 (state lock): registration -------------------------
         with self._state_lock:
             self._tasks[task_id] = inst
             self._by_root[task_id] = inst
-            scope.task_submitted(task_id)
+            scope.task_submitted()
             inst._owner_scope = scope  # type: ignore[attr-defined]
             self._unfinished_total += 1
             unresolved, upstream_failed, sole_dep = self._walk_deps_locked(
@@ -1054,7 +1039,7 @@ class Runtime:
     def _walk_deps_locked(
         self, inst: TaskInstance, restored_values: tuple | None
     ) -> tuple[int, bool, TaskInstance | None]:
-        """Dependency walk of phase 5 (callers hold ``_state_lock``):
+        """Dependency walk of phase 4 (callers hold ``_state_lock``):
         registers *inst* as a child of every unresolved dependency and
         reports ``(unresolved, upstream_failed, sole_dep)``."""
         unresolved = 0
@@ -1088,9 +1073,9 @@ class Runtime:
         return unresolved, upstream_failed, sole_dep
 
     def _register_batch(self, insts: list[TaskInstance], scope: "Scope") -> list[tuple]:
-        """Phases 3-5 for a whole ``submit_many`` batch (pooled
-        executor only): per-instance checkpoint signatures, one graph
-        insertion, one state-lock pass.  Returns the per-instance
+        """Phases 3-4 for a whole ``submit_many`` batch (pooled
+        executor only): per-instance checkpoint signatures, one
+        state-lock pass.  Returns the per-instance
         ``(restored_values, unresolved, upstream_failed, sole_dep)``
         tuples in batch order."""
         store = self.checkpoint_store
@@ -1103,35 +1088,13 @@ class Runtime:
                 )
                 if signature is not None:
                     inst.signature = signature
-                    with self._sig_lock:
-                        self._signatures[inst.task_id] = signature
                     restored_values = store.get(signature, expect=inst.spec.returns)
                 restored_list.append(restored_values)
         else:
             restored_list = [None] * len(insts)
 
-        nodes: list[tuple[int, dict]] = []
-        edges: list[tuple[int, int]] = []
-        for inst in insts:
-            constraints = inst.spec.constraints
-            nodes.append(
-                (
-                    inst.task_id,
-                    {
-                        "name": inst.spec.name,
-                        "parent": inst.parent_id,
-                        "computing_units": constraints.computing_units,
-                        "gpus": constraints.gpus,
-                    },
-                )
-            )
-            task_id = inst.task_id
-            for dep in inst.deps:
-                edges.append((dep, task_id))
-        self.graph.add_tasks(nodes, edges)
-
         out: list[tuple] = []
-        scope.tasks_submitted([inst.task_id for inst in insts])
+        scope.task_submitted(len(insts))
         with self._state_lock:
             tasks = self._tasks
             by_root = self._by_root
@@ -1200,8 +1163,7 @@ class Runtime:
         """
         if fut._runtime_id != self.runtime_id:
             raise ckpt.UnfingerprintableError("future from another runtime")
-        with self._sig_lock:
-            sig = self._signatures.get(fut.task_id)
+        sig = self._by_root[fut.task_id].signature
         if sig is None:
             raise ckpt.UnfingerprintableError(
                 "future produced by a non-checkpointable task"
@@ -1212,15 +1174,12 @@ class Runtime:
         """Complete *inst* from checkpointed values without running it."""
         t = self._now()
         inst.t_end = t
-        self._record(inst, t, t, status=RESTORED, out_bytes=estimate_nbytes(values))
+        self._record(inst, t, RESTORED, out_bytes=estimate_nbytes(values))
         for fut, value in zip(inst.futures, values):
             fut._set_result(value)
         with self._state_lock:
             self._n_restored += 1
         self._complete(inst, DONE, event_kind=obs.RESTORED)
-        # _complete stamped state="done"; the graph remembers that this
-        # node was replayed, for the DOT export and provenance.
-        self.graph.set_attr(inst.task_id, state=RESTORED, restored=True)
         _ckpt_logger.debug("restored %s#%d from checkpoint", inst.name, inst.task_id)
 
     # ------------------------------------------------------------------
@@ -1659,12 +1618,13 @@ class Runtime:
             result, pid, dinfo = self._backend.run(
                 inst.spec, args, kwargs, attempt=inst.attempt, kill_worker=kill_worker
             )
-            inst.worker_pid = pid
-            if dinfo:
-                # Per-call data-plane accounting (bytes freshly mapped into
-                # the worker / pickle bytes avoided), for the trace record.
-                inst.bytes_moved = dinfo.get("bytes_moved", 0)
-                inst.bytes_saved = dinfo.get("bytes_saved", 0)
+            if not inst._abandoned:  # else already retired: its record is read-only
+                inst.worker_pid = pid
+                if dinfo:
+                    # Per-call data-plane accounting (bytes freshly mapped into
+                    # the worker / pickle bytes avoided), for the trace record.
+                    inst.bytes_moved = dinfo.get("bytes_moved", 0)
+                    inst.bytes_saved = dinfo.get("bytes_saved", 0)
             # Nested tasks must complete before the parent is done.  The
             # unlocked count read is exact for the no-children case: only
             # this thread (running the body) can have submitted into the
@@ -1778,7 +1738,7 @@ class Runtime:
             error = TaskExecutionError(inst.name, inst.task_id, exc)
             inst.error = error
             inst.t_end = t_end
-            self._record(inst, t_start, t_end, status="failed", error=exc)
+            self._record(inst, t_start, "failed", error=exc)
             for fut in inst.futures:
                 fut._set_error(error)
             self._complete(inst, FAILED)
@@ -1789,15 +1749,14 @@ class Runtime:
 
         # Recorded before it is published, as on every failure path: a
         # caller woken by these futures finds the attempt in ``trace()``.
-        if self.config.collect_trace:
-            self._record(
-                inst,
-                t_start,
-                t_end,
-                status="done",
-                in_bytes=estimate_nbytes((args, kwargs)),
-                out_bytes=estimate_nbytes(results),
-            )
+        collect = self.config.collect_trace
+        self._record(
+            inst,
+            t_start,
+            "done",
+            in_bytes=estimate_nbytes((args, kwargs)) if collect else 0,
+            out_bytes=estimate_nbytes(results) if collect else 0,
+        )
         for fut, value in zip(inst.futures, results):
             fut._set_result(value)
 
@@ -1827,49 +1786,28 @@ class Runtime:
         self,
         inst: TaskInstance,
         t_start: float,
-        t_end: float,
         status: str,
         error: BaseException | None = None,
         in_bytes: int = 0,
         out_bytes: int = 0,
     ) -> None:
-        if not self.config.collect_trace:
-            return
+        """Retire *inst* (whose ``t_end`` the caller has set) into the
+        trace: stamp on the instance what only the record knows.  Values
+        only — never the arguments or results."""
         # The record's span is the body run; when the body never
         # started (resolution/fault failure, restore) fall back to the
         # caller's stamp (dispatch time) so duration stays well-formed.
-        body_start = inst.t_body_start if inst.t_body_start is not None else t_start
+        inst.t_start = inst.t_body_start if inst.t_body_start is not None else t_start
+        inst.in_bytes = in_bytes
+        inst.out_bytes = out_bytes
+        if error is not None:
+            inst.error_repr = repr(error)
         unit = inst._fused_unit
-        # One flat row (layout: ``TraceCollector``) of values — never the
-        # instance, its arguments or its results; shaped when read.
-        self.collector.record(
-            (
-                inst.task_id,
-                inst.name,
-                inst.deps,
-                body_start,
-                t_end,
-                inst.spec.constraints.computing_units,
-                inst.spec.constraints.gpus,
-                in_bytes,
-                out_bytes,
-                inst.parent_id,
-                inst.label,
-                inst.attempt,
-                inst.retry_of,
-                status,
-                repr(error) if error is not None else None,
-                inst.worker_pid,
-                inst.t_submit,
-                inst.t_ready,
-                inst.t_dispatch,
-                inst.worker_name,
-                inst.bytes_moved,
-                inst.bytes_saved,
-                unit.unit_id if unit is not None else None,
-                inst.trace_ctx,
-            )
-        )
+        if unit is not None:
+            inst.fused_id = unit.unit_id
+        # Last: ``trace()`` reads an attempt once it carries a status, and
+        # every caller publishes the futures only after this returns.
+        inst.status = status
 
     def _fail(
         self, inst: TaskInstance, exc: BaseException, t_start: float, t_end: float
@@ -1895,6 +1833,10 @@ class Runtime:
             error = TaskExecutionError(inst.name, inst.task_id, exc)
         inst.error = error
         inst.t_end = t_end
+        # The frames under the exception (``_run_body``, the backend
+        # call, the body) hold the resolved arguments: the error keeps
+        # its traceback lines, not their locals.
+        traceback.clear_frames(exc.__traceback__)
         # Exceptions transported back from (or raised about) a worker
         # process carry the executing pid; attribute the attempt to it.
         remote_pid = getattr(exc, "_repro_worker_pid", None)
@@ -1920,13 +1862,13 @@ class Runtime:
             and self._killed is None
         )
         if can_retry:
-            self._record(inst, t_start, t_end, status="failed", error=exc)
+            self._record(inst, t_start, "failed", error=exc)
             self._resubmit(inst)
             return
 
         policy = options.on_failure if options is not None else None
         if policy == IGNORE:
-            self._record(inst, t_start, t_end, status="ignored", error=exc)
+            self._record(inst, t_start, "ignored", error=exc)
             with self._state_lock:
                 self._n_ignored += 1
             for fut, value in zip(inst.futures, _split_default(inst)):
@@ -1934,7 +1876,7 @@ class Runtime:
             self._complete(inst, IGNORED)
             return
 
-        self._record(inst, t_start, t_end, status="failed", error=exc)
+        self._record(inst, t_start, "failed", error=exc)
         for fut in inst.futures:
             fut._set_error(error)
         self._complete(inst, FAILED)
@@ -1987,16 +1929,7 @@ class Runtime:
             # instance, so ``stats()`` counts it exactly once.  Child
             # bookkeeping is keyed by root id, so no hand-over needed.
             self._by_root[new.root_id] = new
-            self.graph.add_retry(
-                inst.task_id,
-                new_id,
-                inst.name,
-                attempt=new.attempt,
-                parent=inst.parent_id,
-                computing_units=inst.spec.constraints.computing_units,
-                gpus=inst.spec.constraints.gpus,
-            )
-            scope.task_submitted(new_id)
+            scope.task_submitted()
             self._unfinished_total += 1
             self._n_retries += 1
             # Close out the failed attempt (dependents follow the root
@@ -2005,8 +1938,10 @@ class Runtime:
             inst.try_finalize()
             self._set_state(inst, FAILED)
             self._unfinished_total -= 1
+            # The new attempt holds the same payload; a retired attempt
+            # keeps its scalars only.
+            inst.args = inst.kwargs = None
         scope.task_finished()
-        self.graph.set_attr(inst.task_id, state=FAILED, retried=True)
         # The old attempt bypasses _complete (dependents follow the
         # root id), so its terminal event is emitted here; the new
         # attempt is a fresh submission from the bus's point of view.
@@ -2077,7 +2012,10 @@ class Runtime:
             children = self._children.pop(inst.root_id, [])
             self._unfinished_total -= 1
         getattr(inst, "_owner_scope").task_finished()
-        self.graph.set_attr(inst.task_id, state=state)
+        # Retired: the body resolved its arguments when it started and
+        # no view reads them, so the payload is released here, not at
+        # shutdown.
+        inst.args = inst.kwargs = None
         failure = state in (FAILED, CANCELLED)
         to_enqueue: list[TaskInstance] = []
         for child in children:
@@ -2131,7 +2069,7 @@ class Runtime:
                 children = self._children.pop(cur.root_id, [])
                 self._unfinished_total -= 1
             getattr(cur, "_owner_scope").task_finished()
-            self.graph.set_attr(cur.task_id, state=CANCELLED)
+            cur.args = cur.kwargs = None
             if self.events:
                 cur.t_end = self._now()
                 self._emit(obs.CANCELLED, cur, cur.t_end)
@@ -2158,19 +2096,76 @@ class Runtime:
     def barrier(self) -> None:
         """Wait until every task submitted from the current scope is
         done.  Raises :class:`WorkflowAbortedError` if an
-        ``on_failure="FAIL"`` task aborted the workflow meanwhile."""
+        ``on_failure="FAIL"`` task aborted the workflow meanwhile, and
+        the killing exception if the runtime was killed."""
         scope = _current_scope()
         if scope is None or scope.runtime is not self:
             scope = self.root_scope
         scope.wait_all()
+        if self._killed is not None:
+            # ``_help_until`` tests its predicate first, so a scope that
+            # had already drained when the kill landed returns normally.
+            raise self._killed
         if self._aborted is not None:
             raise WorkflowAbortedError(
                 "workflow aborted by an on_failure='FAIL' task"
             ) from self._aborted
 
+    def _attempts(self) -> list[TaskInstance]:
+        """Every attempt registered so far, in registration order — the
+        snapshot each read-side view is shaped from."""
+        with self._state_lock:
+            return list(self._tasks.values())
+
     def trace(self) -> Trace:
-        """Trace of every task attempt executed so far."""
-        return self.collector.trace()
+        """Trace of every task attempt retired so far (cancelled
+        attempts never ran and have no record).  Each attempt is shaped
+        into its :class:`TaskRecord` by the first read that finds it
+        retired and reused by later reads; a read during a run sees the
+        attempts retired before it."""
+        records = []
+        if self.config.collect_trace:
+            for inst in self._attempts():
+                if inst.status is None:
+                    continue
+                rec = inst._trace_record
+                if rec is None:
+                    rec = inst._trace_record = _shape_record(inst)
+                records.append(rec)
+        return Trace(records)
+
+    @property
+    def graph(self) -> TaskGraph:
+        """The dependency graph of every attempt submitted so far, built
+        from the task table on each access — hold it in a variable when
+        asking it more than one question.  A node carries ``state`` once
+        its attempt is terminal (``"restored"`` for a replayed one)."""
+        nodes: dict[int, dict] = {}
+        edges: list[tuple] = []
+        for inst in self._attempts():
+            task_id = inst.task_id
+            constraints = inst.spec.constraints
+            attrs = nodes[task_id] = {
+                "name": inst.name,
+                "parent": inst.parent_id,
+                "computing_units": constraints.computing_units,
+                "gpus": constraints.gpus,
+            }
+            state = inst.state
+            if state in TERMINAL_STATES:
+                if inst.status == RESTORED:
+                    attrs.update(state=RESTORED, restored=True)
+                else:
+                    attrs["state"] = state
+            prev = inst.retry_of
+            if prev is None:
+                edges.extend([(dep, task_id) for dep in inst.deps])
+            else:
+                # A resubmission hangs off the failed attempt alone.
+                attrs.update(attempt=inst.attempt, retry_of=prev)
+                nodes[prev]["retried"] = True
+                edges.append((prev, task_id, {"kind": "retry"}))
+        return TaskGraph(nodes, edges)
 
     @property
     def aborted(self) -> BaseException | None:
@@ -2190,8 +2185,14 @@ class Runtime:
         """
         with self._state_lock:
             by_state: dict[str, int] = {}
+            by_name: dict[str, int] = {}
+            n_edges = 0
             for inst in self._tasks.values():
                 by_state[inst.state] = by_state.get(inst.state, 0) + 1
+                by_name[inst.name] = by_name.get(inst.name, 0) + 1
+                # as ``graph`` draws them: a retry hangs off one edge
+                n_edges += len(inst.deps) if inst.retry_of is None else 1
+            n_tasks = len(self._tasks)
             unfinished = self._unfinished_total
             retries = self._n_retries
             ignored = self._n_ignored
@@ -2208,10 +2209,10 @@ class Runtime:
             "backend": self.backend_name,
             "backend_stats": self._backend.stats(),
             "max_workers": self.max_workers,
-            "n_tasks": self.graph.n_tasks,
-            "n_edges": self.graph.n_edges,
+            "n_tasks": n_tasks,
+            "n_edges": n_edges,
             "by_state": by_state,
-            "by_name": self.graph.count_by_name(),
+            "by_name": by_name,
             "ready_queue": ready_depth,
             "unfinished": unfinished,
             "retries": retries,
@@ -2257,7 +2258,8 @@ class Runtime:
 
     @property
     def n_tasks(self) -> int:
-        return self.graph.n_tasks
+        """Attempts submitted so far (retries included)."""
+        return len(self._tasks)
 
     def task_state(self, task_id: int) -> str:
         """State of a task id.  For a retried task's root id this is the
@@ -2343,6 +2345,40 @@ def _identity_candidates(value: Any) -> Iterable[Any]:
         out.extend(v for v in value.values() if not isinstance(v, _SCALARS))
         return out
     return (value,)
+
+
+def _shape_record(inst: TaskInstance) -> TaskRecord:
+    """The trace record of a retired attempt."""
+    constraints = inst.spec.constraints
+    ctx = inst.trace_ctx
+    return TaskRecord(
+        task_id=inst.task_id,
+        name=inst.name,
+        deps=tuple(sorted(inst.deps)),
+        t_start=inst.t_start,
+        t_end=inst.t_end,
+        computing_units=constraints.computing_units,
+        gpus=constraints.gpus,
+        in_bytes=inst.in_bytes,
+        out_bytes=inst.out_bytes,
+        parent_id=inst.parent_id,
+        label=inst.label,
+        attempt=inst.attempt,
+        retry_of=inst.retry_of,
+        status=inst.status,
+        error=inst.error_repr,
+        pid=inst.worker_pid,
+        t_submit=inst.t_submit,
+        t_ready=inst.t_ready,
+        t_dispatch=inst.t_dispatch,
+        worker=inst.worker_name,
+        bytes_moved=inst.bytes_moved,
+        bytes_saved=inst.bytes_saved,
+        fused_id=inst.fused_id,
+        trace_id=ctx.trace_id if ctx is not None else None,
+        span_id=ctx.span_id if ctx is not None else None,
+        parent_span_id=ctx.parent_id if ctx is not None else None,
+    )
 
 
 def _split_results(inst: TaskInstance, result: Any) -> tuple[Any, ...]:

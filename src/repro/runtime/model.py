@@ -141,6 +141,13 @@ class TaskInstance:
         "bytes_moved",
         "bytes_saved",
         "trace_ctx",
+        "status",
+        "t_start",
+        "in_bytes",
+        "out_bytes",
+        "error_repr",
+        "fused_id",
+        "_trace_record",
         "_remaining",
         "_lock",
         "_owner_scope",
@@ -205,6 +212,25 @@ class TaskInstance:
         #: (:class:`~repro.runtime.tracectx.TraceContext`), minted at
         #: submission when trace collection is on; None otherwise.
         self.trace_ctx = None
+        #: What the trace says about this attempt and nothing else on
+        #: the instance does, stamped by ``Runtime._record`` as the
+        #: attempt retires: the span start (body start, or the dispatch
+        #: stamp when the body never began), argument/result byte
+        #: estimates, ``repr`` of the causing exception, the fused
+        #: unit's id — and, last, the record status ("done" | "failed"
+        #: | "ignored" | "restored").  ``status`` stays None while the
+        #: attempt is live and for cancelled attempts, which never ran
+        #: and have no record.
+        self.status: str | None = None
+        self.t_start: float | None = None
+        self.in_bytes = 0
+        self.out_bytes = 0
+        self.error_repr: str | None = None
+        self.fused_id: int | None = None
+        #: The :class:`~repro.runtime.tracing.TaskRecord` shaped from
+        #: the fields above by the first ``Runtime.trace()`` that reads
+        #: this attempt; later reads reuse it.
+        self._trace_record = None
         self._remaining = len(deps)
         self._lock = threading.Lock()
         #: True once a timed-out body thread was abandoned.

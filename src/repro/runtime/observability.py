@@ -996,7 +996,9 @@ def critical_path(trace: Trace) -> CriticalPath:
         best, best_dep = 0.0, None
         for dep in rec.deps:
             via = longest.get(dep)
-            if via is not None and via > best:
+            # the first of the longest; a zero-length chain (a restored
+            # dependency) is still a predecessor
+            if via is not None and (best_dep is None or via > best):
                 best, best_dep = via, dep
         longest[tid] = best + rec.duration
         predecessor[tid] = best_dep

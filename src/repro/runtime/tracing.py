@@ -2,7 +2,9 @@
 
 Every task run is read back as a :class:`TaskRecord` with wall-clock
 timestamps, dependency ids, resource constraints and (estimated) input/
-output data sizes.  A finished :class:`Trace` is the input of the
+output data sizes.  The engine keeps no records of its own:
+``Runtime.trace()`` shapes them from the retired instances of its task
+table.  A finished :class:`Trace` is the input of the
 cluster simulator (:mod:`repro.cluster.replay`), which re-schedules the
 same DAG on an arbitrary simulated machine — this is how the paper's
 MareNostrum-scale figures are regenerated without the testbed.
@@ -12,7 +14,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import threading
 from typing import Any, Iterable, Iterator
 
 import numpy as np
@@ -368,33 +369,3 @@ class Trace:
         with open(path, encoding="utf-8") as fh:
             return cls.from_json(fh.read())
 
-
-class TraceCollector:
-    """Sink the runtime writes flat rows into; :meth:`trace` shapes them.
-
-    A row is the :class:`TaskRecord` fields in declaration order through
-    ``fused_id`` (``deps`` still a frozenset), then the attempt's
-    :class:`~repro.runtime.tracectx.TraceContext` or ``None``.  ``record``
-    is the row list's own ``append`` — GIL-atomic, so writers take no
-    lock; rows become records in place, once, however often they are read.
-    """
-
-    def __init__(self) -> None:
-        self._rows: list = []
-        self.record = self._rows.append
-        self._n_shaped = 0  # rows[:n] are TaskRecords already
-        self._lock = threading.Lock()  # readers only
-
-    def trace(self) -> Trace:
-        rows = self._rows
-        with self._lock:
-            n = len(rows)  # appends past this point belong to the next read
-            for i in range(self._n_shaped, n):
-                *fields, ctx = rows[i]
-                rec = rows[i] = TaskRecord(*fields)
-                rec.deps = tuple(sorted(rec.deps))
-                if ctx is not None:
-                    rec.trace_id, rec.span_id = ctx.trace_id, ctx.span_id
-                    rec.parent_span_id = ctx.parent_id
-                self._n_shaped = i + 1
-            return Trace(rows[:n])

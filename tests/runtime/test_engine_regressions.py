@@ -1,14 +1,20 @@
-"""Regression tests for engine fixes: all-scope shutdown drain and the
-condition-variable wait replacing the busy-loop."""
+"""Regression tests for engine fixes: all-scope shutdown drain, the
+condition-variable wait replacing the busy-loop, record-before-publish,
+barrier on a killed runtime and payload release at retirement."""
 
 from __future__ import annotations
 
+import gc
 import sys
 import threading
 import time
+import weakref
+
+import pytest
 
 from repro.runtime import Runtime, task, wait_on
 from repro.runtime import engine
+from repro.runtime.backends import current_attempt
 
 
 def test_shutdown_waits_for_all_live_scopes():
@@ -96,8 +102,6 @@ def test_submit_many_empty_batch_after_shutdown_raises():
     """The empty batch must hit the same state check as submit(): a
     shut-down runtime rejects submit_many([]) instead of silently
     returning []."""
-    import pytest
-
     from repro.runtime import RuntimeStateError
 
     @task(returns=1)
@@ -118,8 +122,6 @@ def test_submit_many_empty_batch_after_shutdown_raises():
 def test_submit_many_empty_batch_after_abort_raises():
     """Same parity for the aborted state: an on_failure='FAIL' abort
     rejects later submit_many([]) exactly like submit()."""
-    import pytest
-
     from repro.runtime import TaskExecutionError, WorkflowAbortedError
     from repro.runtime.failures import FAIL
 
@@ -161,8 +163,6 @@ def test_submit_many_accepts_tuple_and_list_forms():
 
 
 def test_submit_many_bad_item_names_type_and_index():
-    import pytest
-
     @task(returns=1)
     def one():
         return 1
@@ -199,3 +199,82 @@ def test_a_finished_future_is_already_in_the_trace():
     finally:
         sys.setswitchinterval(interval)
     assert short == 0
+
+
+def test_barrier_raises_on_a_runtime_killed_after_its_scope_drained():
+    """``_help_until`` tests its predicate before the kill flag, and a
+    body that raises ``KeyboardInterrupt`` still retires its task — so a
+    ``barrier()`` entered after the scope drained used to return
+    normally from a killed runtime."""
+
+    @task(returns=1)
+    def boom():
+        raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        with Runtime(executor="threads", max_workers=2) as rt:
+            boom()
+            deadline = time.monotonic() + 10
+            while rt.unfinished and time.monotonic() < deadline:
+                time.sleep(0.001)
+            assert rt.unfinished == 0 and rt.interruption() is not None
+            rt.barrier()
+            pytest.fail("barrier() returned normally on a killed runtime")
+
+
+class _Payload:
+    """A weakly referenceable task argument."""
+
+
+def test_a_retired_task_keeps_its_scalars_not_its_payload():
+    """An argument is collectable once its task is done, failed for
+    good, ignored, cancelled or superseded by a finished retry — with
+    the runtime still open and every view still answering."""
+
+    @task(returns=1)
+    def ok(p):
+        return 1
+
+    @task(returns=1)
+    def boom(p):
+        raise ValueError("final")
+
+    @task(returns=1, on_failure="IGNORE", failure_default=-1)
+    def shrugged(p):
+        raise ValueError("ignored")
+
+    @task(returns=1, max_retries=1)
+    def flaky(p):
+        if current_attempt() == 0:
+            raise ValueError("first attempt")
+        return 2
+
+    @task(returns=1)
+    def after(upstream, p):
+        return 3
+
+    refs: dict[str, weakref.ref] = {}
+
+    def submit(kind, fn, *deps):
+        payload = _Payload()
+        refs[kind] = weakref.ref(payload)
+        return fn(*deps, payload)
+
+    with Runtime(executor="threads", max_workers=2) as rt:
+        failed = submit("failed", boom)
+        submit("cancelled", after, failed)
+        submit("done", ok)
+        submit("ignored", shrugged)
+        submit("retried", flaky)
+        rt.barrier()
+        gc.collect()  # a stored error and its (cleared) traceback frames are a cycle
+        assert [kind for kind, ref in refs.items() if ref() is not None] == []
+        assert sorted(r.status for r in rt.trace()) == [
+            "done", "done", "failed", "failed", "ignored",
+        ]
+        graph = rt.graph
+        assert graph.n_tasks == rt.stats()["n_tasks"] == 6
+        assert graph.count_by_name() == rt.stats()["by_name"]
+        assert rt.stats()["by_state"] == {
+            "failed": 2, "cancelled": 1, "done": 2, "ignored": 1,
+        }

@@ -10,14 +10,19 @@ import re
 import sys
 import threading
 import time
+import types
 
 import networkx as nx
 import numpy as np
 import pytest
 
-from repro.runtime import Runtime, task, tracectx, wait_on
+from repro.runtime import Runtime, active_runtime, task, tracectx, wait_on
+from repro.runtime import observability as obs
 from repro.runtime.backends import current_attempt
 from repro.runtime.config import RuntimeConfig
+from repro.runtime.dag import TaskGraph
+from repro.runtime.dot import graph_summary
+from repro.runtime.future import Future
 from repro.runtime.tracing import TaskRecord, Trace, estimate_nbytes
 
 
@@ -229,7 +234,7 @@ def test_save_and_load(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# rows on the task path, records on read
+# one task table on the task path; trace, graph and stats shaped on read
 # ----------------------------------------------------------------------
 @task(returns=1)
 def _add(a, b):
@@ -253,37 +258,69 @@ def _doomed(x):
     raise RuntimeError("swallowed by IGNORE")
 
 
-def _random_dag_trace(seed, ckpt_dir, **cfg):
-    """One seeded DAG with every kind of record in it: a restored task,
-    nested submissions, retries, an IGNOREd failure, array payloads and
-    a ``submit_many`` batch."""
+def _random_dag_run(seed, ckpt_dir, **cfg):
+    """One seeded DAG with every kind of attempt in it: a restored task,
+    nested submissions, retries, IGNOREd failures, array payloads, a
+    ``submit_many`` batch and cancelled subtrees (an ``_add`` of two
+    blocks of different lengths fails and takes its successors with
+    it).  Returns the views read after ``barrier()``, the lifecycle
+    events, the graph nodes as a running task saw them and the
+    dependency edges as the futures passed to each call imply them."""
+    mid_run: dict = {}
+    edges: collections.Counter = collections.Counter()
+
+    def call(fn, *args):
+        out = fn(*args)
+        edges.update({(a.task_id, out.task_id) for a in args if isinstance(a, Future)})
+        return out
 
     # Defined in a local scope so the processes backend runs it on the
     # coordinator, where its nested submissions are recorded.
     @task(returns=1)
     def _nest(x):
-        return _add(_add(x, 1), 2)
+        mid_run.update(active_runtime().graph.snapshot().nodes(data=True))
+        return call(_add, call(_add, x, 1), 2)
 
     config = RuntimeConfig(max_workers=2, checkpoint_dir=str(ckpt_dir), **cfg)
     with Runtime(config=config):
         assert wait_on(_add(100, 1)) == 101  # fills the checkpoint store
     rng = random.Random(seed)
+    events: list = []
     with Runtime(config=config) as rt:
-        pool = [_add(100, 1)]  # task 0: restored, its body never runs
-        pool.append(_nest(pool[0]))  # task 1, children 2 and 3
+        rt.subscribe(events.append)
+        pool = [call(_add, 100, 1)]  # task 0: restored, its body never runs
+        pool.append(call(_nest, pool[0]))  # task 1, children 2 and 3
         assert wait_on(pool[1]) == 104
-        pool += [_doomed(pool[1]), _flaky(pool[0]), _block(16), _block(20_000)]
+        pool += [call(_doomed, pool[1]), call(_flaky, pool[0])]
+        pool += [call(_block, 16), call(_block, 20_000)]
         for _ in range(30):
             kind = rng.choice((_add, _add, _add, _flaky, _doomed, _block))
             if kind is _add:
-                pool.append(_add(rng.choice(pool), rng.choice(pool)))
+                pool.append(call(_add, rng.choice(pool), rng.choice(pool)))
             elif kind is _block:
-                pool.append(_block(rng.randrange(1, 64)))
+                pool.append(call(_block, rng.randrange(1, 64)))
             else:
-                pool.append(kind(rng.choice(pool)))
-        pool += rt.submit_many([_add.defer(f, 1) for f in rng.sample(pool, 8)])
+                pool.append(call(kind, rng.choice(pool)))
+        picked = rng.sample(pool, 8)
+        batch = rt.submit_many([_add.defer(f, 1) for f in picked])
+        edges.update((f.task_id, out.task_id) for f, out in zip(picked, batch))
         rt.barrier()
-        return rt.trace()
+        return types.SimpleNamespace(
+            trace=rt.trace(),
+            graph=rt.graph,
+            stats=rt.stats(),
+            n_tasks=rt.n_tasks,
+            events=events,
+            mid_run=mid_run,
+            edges=edges,
+        )
+
+
+_EXECUTORS = {
+    "sequential": {"executor": "sequential"},
+    "threads": {"executor": "threads", "backend": "threads"},
+    "processes": {"executor": "threads", "backend": "processes"},
+}
 
 
 def _shape(rec):
@@ -294,13 +331,8 @@ def _shape(rec):
 @pytest.mark.parametrize("seed", [0, 1])
 def test_records_equal_across_executors_and_backends(seed, tmp_path):
     traces = {
-        "sequential": _random_dag_trace(seed, tmp_path / "s", executor="sequential"),
-        "threads": _random_dag_trace(
-            seed, tmp_path / "t", executor="threads", backend="threads"
-        ),
-        "processes": _random_dag_trace(
-            seed, tmp_path / "p", executor="threads", backend="processes"
-        ),
+        name: _random_dag_run(seed, tmp_path / name, **cfg).trace
+        for name, cfg in _EXECUTORS.items()
     }
     # the processes run really crossed the boundary (nbytes of ObjectRefs,
     # pids and errors relayed from workers feed the same row)
@@ -336,8 +368,64 @@ def test_records_equal_across_executors_and_backends(seed, tmp_path):
         assert Trace.from_json(trace.to_json()).to_json() == trace.to_json()
 
 
+@pytest.mark.parametrize("name", list(_EXECUTORS))
+def test_graph_and_stats_are_views_of_the_task_table(name, tmp_path):
+    run = _random_dag_run(0, tmp_path, **_EXECUTORS[name])
+    snap = run.graph.snapshot()
+    submitted = [e for e in run.events if e.kind == obs.SUBMITTED]
+    terminal = {e.task_id: e.kind for e in run.events if e.kind in obs.TERMINAL_KINDS}
+
+    # one node per attempt, retries included
+    assert sorted(snap.nodes) == sorted(e.task_id for e in submitted)
+    assert sorted(snap.nodes) == list(range(run.n_tasks))
+    # one edge per dependency of a first attempt, one retry edge per resubmission
+    expected = run.edges + collections.Counter(
+        (e.retry_of, e.task_id, "retry") for e in submitted if e.retry_of is not None
+    )
+    got = collections.Counter(
+        (u, v, "retry") if data.get("kind") == "retry" else (u, v)
+        for u, v, data in snap.edges(data=True)
+    )
+    assert got == expected and run.graph.n_edges == sum(expected.values())
+    assert any(len(edge) == 3 for edge in expected)
+
+    for event in submitted:
+        node = snap.nodes[event.task_id]
+        assert node["name"] == event.name
+        assert node["computing_units"] == 1 and node["gpus"] == 0
+        # after barrier() every attempt is terminal
+        assert node["state"] == terminal[event.task_id]
+        assert node.get("restored", False) == (node["state"] == "restored")
+        assert ("attempt" in node) == ("retry_of" in node) == (event.retry_of is not None)
+        assert node.get("attempt", 0) == event.attempt
+        assert node.get("retry_of") == event.retry_of
+        if event.task_id in run.trace:
+            assert node["parent"] == run.trace[event.task_id].parent_id
+    retried = {e.retry_of for e in submitted if e.retry_of is not None}
+    assert retried == {n for n, data in snap.nodes(data=True) if data.get("retried")}
+    assert {snap.nodes[n]["state"] for n in retried} == {"failed"}
+    # cancelled attempts are nodes without a record
+    assert sorted(set(snap.nodes) - {r.task_id for r in run.trace}) == sorted(
+        n for n, data in snap.nodes(data=True) if data["state"] == "cancelled"
+    )
+    assert {"restored", "done", "failed", "ignored", "cancelled"} == set(terminal.values())
+
+    # read by task 1 while it ran: a live attempt carries no state
+    assert set(run.mid_run) == {0, 1}
+    assert run.mid_run[0]["state"] == "restored" and "state" not in run.mid_run[1]
+
+    summary = graph_summary(run.graph)
+    assert graph_summary(snap) == summary  # the DiGraph goes back through the constructor
+    assert {k: run.stats[k] for k in ("n_tasks", "n_edges", "by_name")} == {
+        k: summary[k] for k in ("n_tasks", "n_edges", "by_name")
+    }
+    assert sum(run.stats["by_state"].values()) == run.n_tasks == len(submitted)
+
+
 def test_trace_read_from_another_thread_during_a_flood():
-    sizes: list[int] = []
+    """``trace()`` — and the two other views, ``graph`` and ``stats()`` —
+    read while a half-chained flood runs never raise and never shrink."""
+    sizes: list[tuple] = []
     errors: list[BaseException] = []
     done = threading.Event()
     n = 2000
@@ -349,7 +437,11 @@ def test_trace_read_from_another_thread_during_a_flood():
             def reader():
                 try:
                     while not done.is_set():
-                        sizes.append(len(rt.trace()))
+                        graph, stats = rt.graph, rt.stats()
+                        sizes.append(
+                            (len(rt.trace()), graph.n_tasks, graph.n_edges,
+                             stats["n_tasks"], stats["n_edges"])
+                        )
                         time.sleep(0.0005)
                 except BaseException as exc:  # noqa: BLE001 - asserted below
                     errors.append(exc)
@@ -357,7 +449,10 @@ def test_trace_read_from_another_thread_during_a_flood():
             thread = threading.Thread(target=reader)
             thread.start()
             try:
-                wait_on([_add(i, 0) for i in range(n)])
+                futures = []
+                for i in range(n):  # every second task hangs off the one before
+                    futures.append(_add(futures[-1] if i % 2 else i, 0))
+                wait_on(futures)
             finally:
                 done.set()
                 thread.join(30)
@@ -366,16 +461,18 @@ def test_trace_read_from_another_thread_during_a_flood():
     finally:
         sys.setswitchinterval(interval)
     assert not errors
-    assert len(sizes) > 1 and sizes == sorted(sizes) and sizes[-1] <= n
-    # rows shaped by the reader mid-run are neither lost nor shaped twice
+    assert len(sizes) > 1
+    for column, limit in zip(zip(*sizes), (n, n, n // 2, n, n // 2)):
+        assert list(column) == sorted(column) and column[-1] <= limit  # never shrinks
+    # attempts shaped by the reader mid-run are neither lost nor shaped twice
     assert [r.task_id for r in final] == list(range(n))
     assert all(type(r) is TaskRecord and r.status == "done" for r in final)
 
 
 def test_default_config_flood_shapes_nothing_until_read(monkeypatch):
     """A count, not a timing: between the first submit and ``barrier()``
-    returning, the default configuration builds no ``TaskRecord``, calls
-    nothing in networkx and formats no id."""
+    returning, the default configuration builds no ``TaskRecord`` and no
+    ``TaskGraph``, calls nothing in networkx and formats no id."""
     calls: collections.Counter = collections.Counter()
 
     def count(owner, attr, key):
@@ -388,6 +485,7 @@ def test_default_config_flood_shapes_nothing_until_read(monkeypatch):
         monkeypatch.setattr(owner, attr, counted)
 
     count(TaskRecord, "__init__", "record")
+    count(TaskGraph, "__init__", "graph")
     count(nx.DiGraph, "__init__", "networkx")
     count(nx.DiGraph, "add_node", "networkx")
     count(tracectx, "_hex", "hex")
@@ -404,7 +502,7 @@ def test_default_config_flood_shapes_nothing_until_read(monkeypatch):
         assert len(rt.trace()) == n
         assert calls["record"] == n  # the second read shapes nothing
         assert rt.graph.n_tasks == n and rt.graph.n_edges == 0
-        assert calls["networkx"] == 0
+        assert calls["graph"] == 2 and calls["networkx"] == 0
         assert rt.graph.snapshot().number_of_nodes() == n
         assert calls["networkx"] > 0
     assert wait_on(futures) == list(range(n))
