@@ -1,4 +1,4 @@
-.PHONY: check lint test inventory resilience stress obs backend dataplane service fuse stream bench
+.PHONY: check lint test inventory resilience stress obs backend dataplane service fuse stream ml bench
 
 check:
 	bash scripts/check.sh
@@ -35,6 +35,9 @@ fuse:
 
 stream:
 	bash scripts/check.sh stream
+
+ml:
+	bash scripts/check.sh ml
 
 bench:
 	bash scripts/check.sh bench

@@ -14,6 +14,7 @@
 #   scripts/check.sh service     queue-service tests + chaos smoke
 #   scripts/check.sh fuse        fusion tests + fusion-on stress + fusion on/off differential + traced bench smoke of task_dag
 #   scripts/check.sh stream      streaming + ECG signal-path tests + stream stress + serving differential + bench smoke of stream_serve
+#   scripts/check.sh ml          estimator + ds-array + AF-workflow tests (kernel oracles, frozen benchmark reference) + bench smoke of af_classical
 #   scripts/check.sh bench       bench/run.py --smoke over all seven workloads (oracles + exit hygiene, < 30 s)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -165,6 +166,20 @@ run_stream() {
     bench_smoke --workload stream_serve
 }
 
+run_ml() {
+    # The classical folds' task bodies: the estimator, ds-array and
+    # AF-workflow tests -- among them the byte-equality oracles that pin
+    # the tree split search, the SMO pair selection and the stripe
+    # gather to the loops they replaced, and the benchmark's frozen
+    # af_classical outputs -- then the benchmark's own smoke of
+    # af_classical through its oracle.  Their speed is that workload at
+    # full length (`python3 bench/run.py --workload af_classical`).
+    echo "== ml + dsarray + workflow tests (kernel oracles, frozen AF reference) =="
+    PYTHONPATH=src python -m pytest tests/ml tests/dsarray tests/workflows -x -q
+    echo "== bench smoke: af_classical (oracle, silent stderr) =="
+    bench_smoke --workload af_classical
+}
+
 run_service() {
     # The durable queue service: unit/lifecycle tests and the kill-9
     # crash-recovery + lease-expiry chaos smoke (zero lost tasks, zero
@@ -195,7 +210,8 @@ case "$mode" in
     service)    run_service ;;
     fuse)       run_fuse ;;
     stream)     run_stream ;;
+    ml)         run_ml ;;
     bench)      run_bench ;;
-    all)        run_lint; run_tests; run_inventory; run_resilience; run_stress; run_fuse; run_obs; run_backend; run_dataplane; run_service; run_stream; run_bench ;;
-    *)          echo "usage: scripts/check.sh [lint|test|inventory|resilience|stress|obs|backend|dataplane|service|fuse|stream|bench]" >&2; exit 2 ;;
+    all)        run_lint; run_tests; run_inventory; run_resilience; run_stress; run_fuse; run_obs; run_backend; run_dataplane; run_service; run_stream; run_ml; run_bench ;;
+    *)          echo "usage: scripts/check.sh [lint|test|inventory|resilience|stress|obs|backend|dataplane|service|fuse|stream|ml|bench]" >&2; exit 2 ;;
 esac

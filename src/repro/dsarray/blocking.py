@@ -1,4 +1,8 @@
-"""Block-partitioning helpers: grid geometry and block tasks."""
+"""Block-partitioning helpers: grid geometry and block tasks.
+
+Every task body here is a whole-array numpy operation on its blocks;
+none loops over rows or elements in Python.
+"""
 
 from __future__ import annotations
 
@@ -92,10 +96,14 @@ def take_rows_from_stripes(stripes: list, offsets: list, indices: np.ndarray) ->
 
     ``stripes`` are the per-stripe merged arrays, ``offsets`` their
     starting global row.  Used by row fancy-indexing and K-fold splits.
+    One gather: the indices are located in all stripes at once and each
+    stripe they touch is copied from with a single fancy index.
     """
-    bounds = list(offsets) + [offsets[-1] + stripes[-1].shape[0]]
-    parts = []
-    for idx in np.asarray(indices):
-        s = int(np.searchsorted(bounds, idx, side="right")) - 1
-        parts.append(stripes[s][idx - offsets[s]])
-    return np.array(parts)
+    idx = np.asarray(indices, dtype=np.intp)
+    which = np.searchsorted(offsets, idx, side="right") - 1
+    dtype = np.result_type(*{s.dtype for s in stripes})
+    out = np.empty((len(idx), *stripes[0].shape[1:]), dtype=dtype)
+    for s in np.unique(which):
+        hit = which == s
+        out[hit] = stripes[s][idx[hit] - offsets[s]]
+    return out

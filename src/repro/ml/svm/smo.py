@@ -8,6 +8,10 @@ pair working-set selection (WSS1, as in LIBSVM): solve
 
 with Q_ij = y_i y_j K(x_i, x_j), updating two multipliers per
 iteration analytically and maintaining the gradient incrementally.
+The pair is selected on whole arrays: the violations outside I_up
+(I_low) are masked to -inf (+inf) and one ``argmax`` (``argmin``) picks
+the first extreme of what is left, with no index lists or copies of the
+working set per iteration.
 """
 
 from __future__ import annotations
@@ -65,17 +69,23 @@ def smo_solve(
     grad = -np.ones(n)  # G = Qa - e at a = 0
     Q = K * np.outer(y, y)
 
+    pos = y == 1
+    neg = ~pos
+
     n_iter = 0
     converged = False
     while n_iter < max_iter:
-        up = ((y == 1) & (alpha < C - _TAU)) | ((y == -1) & (alpha > _TAU))
-        low = ((y == -1) & (alpha < C - _TAU)) | ((y == 1) & (alpha > _TAU))
+        below = alpha < C - _TAU
+        above = alpha > _TAU
+        up = (pos & below) | (neg & above)
+        low = (neg & below) | (pos & above)
         if not up.any() or not low.any():
             converged = True
             break
         viol = -y * grad
-        i = int(np.flatnonzero(up)[np.argmax(viol[up])])
-        j = int(np.flatnonzero(low)[np.argmin(viol[low])])
+        # first maximal violator in I_up, first minimal one in I_low
+        i = int(np.argmax(np.where(up, viol, -np.inf)))
+        j = int(np.argmin(np.where(low, viol, np.inf)))
         if viol[i] - viol[j] < tol:
             converged = True
             break
@@ -137,8 +147,8 @@ def smo_solve(
         b = float(np.mean(y[free] - K[free] @ coef))
     else:
         viol = -y * grad
-        up = ((y == 1) & (alpha < C - _TAU)) | ((y == -1) & (alpha > _TAU))
-        low = ((y == -1) & (alpha < C - _TAU)) | ((y == 1) & (alpha > _TAU))
+        up = (pos & (alpha < C - _TAU)) | (neg & (alpha > _TAU))
+        low = (neg & (alpha < C - _TAU)) | (pos & (alpha > _TAU))
         hi = viol[up].max() if up.any() else 0.0
         lo = viol[low].min() if low.any() else 0.0
         b = float((hi + lo) / 2.0)

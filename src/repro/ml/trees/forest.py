@@ -19,7 +19,14 @@ import numpy as np
 
 import repro.dsarray as ds
 from repro.ml.base import BaseEstimator, as_labels, validate_xy
-from repro.ml.trees.tree import Leaf, Split, best_split, build_tree, tree_predict_proba
+from repro.ml.trees.tree import (
+    Leaf,
+    Split,
+    _choose_features,
+    best_split,
+    build_tree,
+    tree_predict_proba,
+)
 from repro.runtime import task, wait_on
 
 
@@ -55,10 +62,8 @@ def _node_split(data, indices, params: dict, seed: int):
     if len(idx) < params["min_samples_split"] or counts.max() == counts.sum():
         probs = counts / max(len(idx), 1)
         return ("leaf", probs), np.empty(0, dtype=int), np.empty(0, dtype=int)
-    from repro.ml.trees.tree import _choose_features
-
     features = _choose_features(x.shape[1], params["max_features"], rng)
-    found = best_split(sub_x, sub_c, n_classes, features, params["min_samples_leaf"])
+    found = best_split(sub_x, sub_c, n_classes, features, params["min_samples_leaf"], counts)
     if found is None:
         probs = counts / max(len(idx), 1)
         return ("leaf", probs), np.empty(0, dtype=int), np.empty(0, dtype=int)

@@ -1,9 +1,10 @@
 """CART decision trees (gini), built from scratch.
 
 Used standalone as an in-memory estimator and as the building block of
-the distributed random forest.  Split search is vectorised: per
-candidate feature, one sort plus cumulative class counts give every
-threshold's gini in O(n log n).
+the distributed random forest.  Split search is one whole-array pass
+per node: every candidate feature is sorted at once and one cumulative
+class-count array gives the gini of every threshold of every candidate,
+O(F n log n) in a handful of numpy calls.
 """
 
 from __future__ import annotations
@@ -48,49 +49,76 @@ def _gini(counts: np.ndarray) -> float:
     return float(1.0 - np.sum(p * p))
 
 
+#: Candidate features searched per pass of :func:`best_split`, as a cap
+#: on the elements of one ``(features, rows, classes)`` temporary: a
+#: node of few rows takes all its candidates at once, a node of many
+#: rows (``max_features=None`` on thousands of PCA components) goes a
+#: few features at a time instead of allocating gigabytes.
+_CHUNK_ELEMS = 1 << 16
+
+
 def best_split(
     x: np.ndarray,
     codes: np.ndarray,
     n_classes: int,
     features: np.ndarray,
     min_samples_leaf: int = 1,
+    counts: np.ndarray | None = None,
 ) -> tuple[int, float, float] | None:
     """Best (feature, threshold, gain) over the candidate *features*.
 
-    Returns None if no split improves the gini impurity.
+    *counts* are the node's per-class sample counts when the caller
+    already has them.  Returns None if no split improves the gini
+    impurity.
     """
     n = len(codes)
-    parent_counts = np.bincount(codes, minlength=n_classes).astype(float)
-    parent_gini = _gini(parent_counts)
+    features = np.asarray(features, dtype=np.intp)
+    # a cut after sorted position i leaves i+1 samples on the left:
+    # cuts lo..hi-1 leave min_samples_leaf (and at least one) per side
+    side = max(min_samples_leaf, 1)
+    lo, hi = side - 1, n - side
+    if lo >= hi or len(features) == 0:
+        return None
+    if counts is None:
+        counts = np.bincount(codes, minlength=n_classes).astype(float)
+    parent_gini = _gini(counts)
+    left_n = np.arange(1.0, n)
+    right_n = n - left_n
+    class_ids = np.arange(n_classes)
+    chunk = max(1, _CHUNK_ELEMS // (n * n_classes))
     best: tuple[int, float, float] | None = None
-    for f in features:
-        col = x[:, f]
-        order = np.argsort(col, kind="stable")
-        sorted_col = col[order]
-        sorted_codes = codes[order]
-        onehot = np.zeros((n, n_classes))
-        onehot[np.arange(n), sorted_codes] = 1.0
-        cum = np.cumsum(onehot, axis=0)  # counts of first i+1 samples
-        # candidate cut after position i (left has i+1 samples)
-        left_n = np.arange(1, n)
-        valid = sorted_col[1:] > sorted_col[:-1]
-        valid &= (left_n >= min_samples_leaf) & ((n - left_n) >= min_samples_leaf)
-        if not valid.any():
-            continue
-        left_counts = cum[:-1]
-        right_counts = parent_counts[None, :] - left_counts
-        with np.errstate(invalid="ignore", divide="ignore"):
-            pl = left_counts / left_n[:, None]
-            pr = right_counts / (n - left_n)[:, None]
-        gini_l = 1.0 - np.sum(pl * pl, axis=1)
-        gini_r = 1.0 - np.sum(pr * pr, axis=1)
-        weighted = (left_n * gini_l + (n - left_n) * gini_r) / n
-        weighted[~valid] = np.inf
-        idx = int(np.argmin(weighted))
-        gain = parent_gini - weighted[idx]
+    for c0 in range(0, len(features), chunk):
+        fs = features[c0 : c0 + chunk]
+        rows = np.arange(len(fs))
+        cols = x.T[fs]  # (F, n), one candidate per row
+        order = np.argsort(cols, axis=1, kind="stable")
+        sorted_cols = cols[rows[:, None], order]
+        onehot = codes[order[:, :-1]][..., None] == class_ids
+        # class counts of the first i+1 samples, class axis last
+        left_counts = np.cumsum(onehot, axis=1, dtype=float)
+        right_counts = counts - left_counts
+        pl = left_counts / left_n[:, None]
+        pr = right_counts / right_n[:, None]
+        gini_l = 1.0 - (pl * pl).sum(axis=-1)
+        gini_r = 1.0 - (pr * pr).sum(axis=-1)
+        weighted = (left_n * gini_l + right_n * gini_r) / n
+        # a threshold needs two distinct neighbours to sit between
+        weighted[~(sorted_cols[:, 1:] > sorted_cols[:, :-1])] = np.inf
+        weighted[:, :lo] = np.inf
+        weighted[:, hi:] = np.inf
+        cut = np.argmin(weighted, axis=1)
+        gains = parent_gini - weighted[rows, cut]
+        k = int(np.argmax(gains))  # first maximum, in candidate order
+        gain = float(gains[k])
         if gain > 1e-12 and (best is None or gain > best[2]):
-            thr = float((sorted_col[idx] + sorted_col[idx + 1]) / 2.0)
-            best = (int(f), thr, float(gain))
+            a = float(sorted_cols[k, cut[k]])
+            b = float(sorted_cols[k, cut[k] + 1])
+            thr = (a + b) / 2.0
+            if not a <= thr < b:
+                # the midpoint overflowed (or a, b = -inf, +inf): it
+                # would leave every row on one side
+                thr = a
+            best = (int(fs[k]), thr, gain)
     return best
 
 
@@ -127,11 +155,11 @@ def build_tree(
     if (
         n < min_samples_split
         or (max_depth is not None and depth >= max_depth)
-        or _gini(counts) == 0.0
+        or counts.max() == n  # pure
     ):
         return Leaf(probs=counts / max(n, 1))
     features = _choose_features(x.shape[1], max_features, rng)
-    found = best_split(x, codes, n_classes, features, min_samples_leaf)
+    found = best_split(x, codes, n_classes, features, min_samples_leaf, counts)
     if found is None:
         return Leaf(probs=counts / max(n, 1))
     f, thr, _ = found

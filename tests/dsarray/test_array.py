@@ -172,6 +172,59 @@ def test_take_rows_out_of_range():
         a.take_rows([7])
 
 
+def reference_take_rows_from_stripes(stripes, offsets, indices):
+    """The gather as it was before it became whole-array: one
+    ``searchsorted`` and one row view per index.  Kept as the oracle."""
+    bounds = list(offsets) + [offsets[-1] + stripes[-1].shape[0]]
+    parts = []
+    for idx in np.asarray(indices):
+        s = int(np.searchsorted(bounds, idx, side="right")) - 1
+        parts.append(stripes[s][idx - offsets[s]])
+    return np.array(parts)
+
+
+@pytest.mark.parametrize("rows_per_stripe", [[5, 5, 5, 2], [4, 9, 1], [17]])
+def test_take_rows_from_stripes_matches_reference(rows_per_stripe, rng):
+    from repro.dsarray.blocking import take_rows_from_stripes
+
+    n = sum(rows_per_stripe)
+    x = rng.standard_normal((n, 3))
+    offsets = [0, *np.cumsum(rows_per_stripe)[:-1].tolist()]
+    stripes = [x[o : o + k] for o, k in zip(offsets, rows_per_stripe)]
+    for indices in (
+        np.arange(n),
+        rng.permutation(n),
+        rng.integers(0, n, 40),  # unsorted, repeated
+        np.array([n - 1, 0, 0, n - 1]),
+        np.array(offsets),  # every stripe's first row
+    ):
+        got = take_rows_from_stripes(stripes, offsets, indices)
+        want = reference_take_rows_from_stripes(stripes, offsets, indices)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert got.tobytes() == x[indices].tobytes()
+
+
+def test_take_rows_from_stripes_keeps_integer_dtype():
+    from repro.dsarray.blocking import take_rows_from_stripes
+
+    stripes = [np.arange(6).reshape(3, 2), np.arange(6, 10).reshape(2, 2)]
+    got = take_rows_from_stripes(stripes, [0, 3], [4, 1])
+    want = reference_take_rows_from_stripes(stripes, [0, 3], [4, 1])
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
+
+
+def test_take_rows_from_stripes_empty_index_keeps_columns(rng):
+    from repro.dsarray.blocking import take_rows_from_stripes
+
+    x = rng.standard_normal((6, 4))
+    got = take_rows_from_stripes([x[:3], x[3:]], [0, 3], np.array([], dtype=int))
+    assert got.shape == (0, 4) and got.dtype == x.dtype
+    # the per-row loop collapsed it to shape (0,)
+    assert reference_take_rows_from_stripes([x[:3], x[3:]], [0, 3], []).shape == (0,)
+
+
 def test_getitem_row_slice(runtime_mode, rng):
     x = rng.standard_normal((20, 6))
     a = ds.array(x, (7, 3))

@@ -15,6 +15,7 @@ from repro.ml.svm.kernels import (
     rbf_kernel,
     resolve_gamma,
 )
+from repro.ml.svm.smo import SMOResult
 from tests.ml.conftest import make_blobs
 
 
@@ -116,6 +117,145 @@ class TestSMO:
         free = (res.alpha > 1e-6) & (res.alpha < C - 1e-6)
         if free.any():
             assert np.abs(y[free] * f[free] - 1.0).max() < 5e-2
+
+
+def reference_smo_solve(K, y, C, tol=1e-3, max_iter=20_000):
+    """``smo_solve`` as it was before the mask-based selection: the
+    working set picked through ``flatnonzero`` index lists and boolean
+    copies of the violations.  Kept whole as the oracle (the selection
+    decides every later iterate, so only full solves compare)."""
+    y = np.asarray(y, dtype=float)
+    n = len(y)
+    _TAU = 1e-12
+    alpha = np.zeros(n)
+    grad = -np.ones(n)  # G = Qa - e at a = 0
+    Q = K * np.outer(y, y)
+
+    n_iter = 0
+    converged = False
+    while n_iter < max_iter:
+        up = ((y == 1) & (alpha < C - _TAU)) | ((y == -1) & (alpha > _TAU))
+        low = ((y == -1) & (alpha < C - _TAU)) | ((y == 1) & (alpha > _TAU))
+        if not up.any() or not low.any():
+            converged = True
+            break
+        viol = -y * grad
+        i = int(np.flatnonzero(up)[np.argmax(viol[up])])
+        j = int(np.flatnonzero(low)[np.argmin(viol[low])])
+        if viol[i] - viol[j] < tol:
+            converged = True
+            break
+
+        old_i, old_j = alpha[i], alpha[j]
+        if y[i] != y[j]:
+            quad = max(Q[i, i] + Q[j, j] + 2.0 * Q[i, j], _TAU)
+            delta = (-grad[i] - grad[j]) / quad
+            diff = alpha[i] - alpha[j]
+            alpha[i] += delta
+            alpha[j] += delta
+            if diff > 0:
+                if alpha[j] < 0:
+                    alpha[j] = 0.0
+                    alpha[i] = diff
+            else:
+                if alpha[i] < 0:
+                    alpha[i] = 0.0
+                    alpha[j] = -diff
+            if diff > 0:
+                if alpha[i] > C:
+                    alpha[i] = C
+                    alpha[j] = C - diff
+            else:
+                if alpha[j] > C:
+                    alpha[j] = C
+                    alpha[i] = C + diff
+        else:
+            quad = max(Q[i, i] + Q[j, j] - 2.0 * Q[i, j], _TAU)
+            delta = (grad[i] - grad[j]) / quad
+            total = alpha[i] + alpha[j]
+            alpha[i] -= delta
+            alpha[j] += delta
+            if total > C:
+                if alpha[i] > C:
+                    alpha[i] = C
+                    alpha[j] = total - C
+                elif alpha[j] > C:
+                    alpha[j] = C
+                    alpha[i] = total - C
+            else:
+                if alpha[j] < 0:
+                    alpha[j] = 0.0
+                    alpha[i] = total
+                elif alpha[i] < 0:
+                    alpha[i] = 0.0
+                    alpha[j] = total
+        d_i, d_j = alpha[i] - old_i, alpha[j] - old_j
+        if d_i == 0.0 and d_j == 0.0:
+            converged = True
+            break
+        grad += Q[:, i] * d_i + Q[:, j] * d_j
+        n_iter += 1
+
+    # Bias from free support vectors: y_i = sum_j a_j y_j K_ij + b.
+    coef = alpha * y
+    free = (alpha > 1e-8) & (alpha < C - 1e-8)
+    if free.any():
+        b = float(np.mean(y[free] - K[free] @ coef))
+    else:
+        viol = -y * grad
+        up = ((y == 1) & (alpha < C - _TAU)) | ((y == -1) & (alpha > _TAU))
+        low = ((y == -1) & (alpha < C - _TAU)) | ((y == 1) & (alpha > _TAU))
+        hi = viol[up].max() if up.any() else 0.0
+        lo = viol[low].min() if low.any() else 0.0
+        b = float((hi + lo) / 2.0)
+
+    objective = float(0.5 * alpha @ (Q @ alpha) - alpha.sum())
+    return SMOResult(alpha=alpha, b=b, objective=objective, n_iter=n_iter, converged=converged)
+
+
+def smo_bytes(res):
+    return (
+        res.alpha.tobytes(),
+        np.float64(res.b).tobytes(),
+        np.float64(res.objective).tobytes(),
+        res.n_iter,
+        res.converged,
+    )
+
+
+class TestSMOMatchesReference:
+    """Mask-selected pairs against the index-list selection they
+    replaced: every field of the result equal, floats by their bytes."""
+
+    @pytest.mark.parametrize("C", [0.1, 1.0, 10.0])
+    def test_random_problems(self, C):
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            n, d = int(rng.integers(2, 60)), int(rng.integers(1, 6))
+            x = rng.standard_normal((n, d))
+            if seed % 4 == 0:  # duplicated rows: equal violations, ties
+                x[n // 2 :] = x[: n - n // 2]
+            y = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+            K = rbf_kernel(x, x, 0.5) if seed % 2 else x @ x.T
+            assert smo_bytes(smo_solve(K, y, C)) == smo_bytes(reference_smo_solve(K, y, C)), seed
+
+    @pytest.mark.parametrize("label", [1.0, -1.0])
+    def test_one_sided_exit(self, label):
+        """One class only: I_low (I_up) is empty at alpha = 0 and the
+        solver leaves before selecting a pair."""
+        x = np.random.default_rng(0).standard_normal((6, 2))
+        y = np.full(6, label)
+        got, want = smo_solve(x @ x.T, y, 1.0), reference_smo_solve(x @ x.T, y, 1.0)
+        assert (got.n_iter, got.converged) == (0, True)
+        assert smo_bytes(got) == smo_bytes(want)
+
+    def test_max_iter_cap(self):
+        x, y01 = make_blobs(n=100, d=4, sep=0.1, seed=2)
+        y = np.where(y01 > 0, 1.0, -1.0)
+        K = rbf_kernel(x, x, 0.25)
+        assert smo_bytes(smo_solve(K, y, 1.0, max_iter=7)) == smo_bytes(
+            reference_smo_solve(K, y, 1.0, max_iter=7)
+        )
 
 
 class TestSVC:
