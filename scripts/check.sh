@@ -92,13 +92,13 @@ run_fuse() {
 }
 
 run_obs() {
-    # Real run with telemetry on: metrics reconcile with stats, the
-    # Prometheus exposition parses, the chrome-trace export validates,
-    # the critical path is bounded and the trace CLI works.  Then the
-    # tracing stack: task table -> TaskRecord/Trace and TaskGraph, trace-context
-    # propagation, structured logging, the flight recorder, OTLP export
-    # and the service span log.  What telemetry costs is obs.* in
-    # bench/ (`check.sh bench`).
+    # Real run with telemetry on: the metrics view sums to stats and
+    # the trace, its Prometheus exposition parses, the chrome-trace
+    # export validates, the critical path is bounded and the trace CLI
+    # works.  Then the tracing stack: task table -> TaskRecord/Trace and
+    # TaskGraph, trace-context propagation, structured logging, the
+    # flight recorder, OTLP export and the service span log.  What
+    # telemetry costs is obs.* in bench/ (`check.sh bench`).
     echo "== observability smoke (metrics + trace exports) =="
     PYTHONPATH=src python scripts/obs_smoke.py
     echo "== tracing / logging / flight-recorder tests =="

@@ -16,10 +16,9 @@ Commands:
   ``Runtime(config=RuntimeConfig(checkpoint_dir=...))`` run (or by the
   epoch/round/grid checkpoints of the higher layers).
 * ``stress [--seeds N]`` — the scheduler concurrency stress harness
-  (seeded random schedules; fails on hangs, lost wakeups, wrong values
-  or state-machine violations).  ``make stress`` is the same thing.
-  ``--metrics`` additionally reconciles the metrics registry against
-  ``stats()`` after every cleanly-drained seed.  ``--stream`` switches
+  (seeded random schedules; fails on hangs, lost wakeups, wrong values,
+  state-machine violations or lifecycle events that do not add up to
+  ``stats()``).  ``make stress`` is the same thing.  ``--stream`` switches
   to the streaming scenarios (backpressure stall/release, mid-stream
   operator failure under RETRY, abort and ``shutdown(wait=True)``
   mid-flight) with the same watchdog and leak audits.
@@ -287,7 +286,6 @@ def _cmd_stress(args: argparse.Namespace) -> int:
             workers=args.workers,
             timeout=args.timeout,
             fusion=args.fuse,
-            metrics=args.metrics,
         )
         failed = [r for r in reports if not r.ok]
         print(
@@ -295,11 +293,6 @@ def _cmd_stress(args: argparse.Namespace) -> int:
         )
         return 1 if failed else 0
 
-    observability = ",".join(
-        flag
-        for flag, enabled in (("metrics", args.metrics), ("progress", args.progress))
-        if enabled
-    )
     seeds = args.seed if args.seed else range(args.seeds)
     if args.differential:
         reports = []
@@ -318,7 +311,7 @@ def _cmd_stress(args: argparse.Namespace) -> int:
         workers=args.workers,
         timeout=args.timeout,
         backend=args.backend,
-        observability=observability,
+        observability="progress" if args.progress else "",
         store=args.store,
         fusion=args.fuse,
     )
@@ -347,12 +340,7 @@ def _cmd_serve_stream(args: argparse.Namespace) -> int:
     )
     with Runtime(config=rt_cfg) as rt:
         result = serve_stream(cfg, rt, gauge_interval=args.gauge_interval)
-        registry = rt.metrics_registry
-        prom = None
-        if args.prometheus and registry is not None:
-            from repro.runtime.observability import to_prometheus
-
-            prom = to_prometheus(registry.snapshot())
+        prom = rt.metrics_text() if args.prometheus else None
 
     print(
         f"served {len(result.predictions)} segment prediction(s) in "
@@ -797,12 +785,6 @@ def main(argv: list[str] | None = None) -> int:
         choices=("threads", "processes"),
         default="threads",
         help="execution backend to stress",
-    )
-    p6.add_argument(
-        "--metrics",
-        action="store_true",
-        help="enable the metrics registry and reconcile it against "
-        "stats() after every cleanly-drained seed",
     )
     p6.add_argument(
         "--store",

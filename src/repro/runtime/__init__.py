@@ -41,11 +41,11 @@ Public surface:
 * :func:`atomic_write` — temp file + fsync + rename file writes, used
   by every exporter here and available to applications.
 * :mod:`repro.runtime.observability` — lifecycle event bus, metrics
-  registry (``Runtime.metrics()`` / Prometheus exposition), live
-  progress reporting and trace analysis (:func:`critical_path`,
-  :func:`summarize_trace`); enabled with
+  (``Runtime.metrics()`` / Prometheus exposition, shaped from the task
+  table when read), live progress reporting and trace analysis
+  (:func:`critical_path`, :func:`summarize_trace`); enabled with
   ``RuntimeConfig(observability="metrics,progress")`` or
-  ``REPRO_METRICS=1`` / ``REPRO_OBSERVABILITY``.
+  ``REPRO_OBSERVABILITY``.
 """
 
 from __future__ import annotations

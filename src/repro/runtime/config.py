@@ -24,8 +24,6 @@ Environment variables (all optional):
 ``REPRO_DEBUG_INVARIANTS``  ``1``/``0`` — validate state transitions
 ``REPRO_OBSERVABILITY``   observability flags (``metrics``,
                           ``progress``, ``all``; comma-separated)
-``REPRO_METRICS``         ``1``/``0`` — shorthand adding/removing the
-                          ``metrics`` flag
 ``REPRO_STORE``           ``auto`` | ``on`` | ``off`` — shared-memory
                           object store (data plane; see
                           :mod:`repro.runtime.store`)
@@ -98,12 +96,12 @@ class RuntimeConfig:
     #: off by default in production.
     debug_invariants: bool = False
     #: Observability flags: ``""`` (default, off), or a comma/space
-    #: separated subset of ``metrics`` (attach a
-    #: :class:`~repro.runtime.observability.MetricsRegistry` to the
-    #: event bus; ``Runtime.metrics()`` returns live series) and
-    #: ``progress`` (render a live progress line to stderr).  ``all``
-    #: enables everything.  Lifecycle timestamps are always stamped;
-    #: these flags only control bus subscribers.
+    #: separated subset of ``metrics`` (``Runtime.metrics()`` shapes the
+    #: task-lifecycle series from the task table when read, next to a
+    #: :class:`~repro.runtime.observability.MetricsRegistry` for
+    #: manually written series) and ``progress`` (subscribe a throttled
+    #: live progress line on stderr to the event bus).  ``all`` enables
+    #: everything.  Lifecycle timestamps are always stamped.
     observability: str = ""
     #: Shared-memory object store (:mod:`repro.runtime.store`):
     #: ``"auto"`` (default) activates by-reference data passing when —
@@ -203,20 +201,6 @@ class RuntimeConfig:
         take("REPRO_STORE_THRESHOLD_BYTES", "store_threshold_bytes", int)
         take("REPRO_FUSION", "fusion", _parse_bool)
         take("REPRO_FLIGHTREC", "flightrec_dir", str)
-        metrics_raw = env.get("REPRO_METRICS")
-        if metrics_raw is not None and metrics_raw != "":
-            try:
-                metrics_on = _parse_bool(metrics_raw)
-            except ValueError as exc:
-                raise ValueError(f"invalid REPRO_METRICS={metrics_raw!r}: {exc}") from exc
-            from repro.runtime.observability import parse_flags
-
-            flags = set(parse_flags(values.get("observability", "")))
-            if metrics_on:
-                flags.add("metrics")
-            else:
-                flags.discard("metrics")
-            values["observability"] = ",".join(sorted(flags))
         values.update(overrides)
         return cls(**values)
 

@@ -320,10 +320,9 @@ class Runtime:
         self._progress: obs.ProgressReporter | None = None
         obs_flags = obs.parse_flags(cfg.observability)
         if "metrics" in obs_flags:
-            self._metrics = obs.MetricsRegistry(max_workers=self.max_workers)
-            self.events.subscribe(self._metrics.handle)
+            self._metrics = obs.MetricsRegistry()
         if "progress" in obs_flags:
-            self._progress = obs.ProgressReporter(label=cfg.name)
+            self._progress = obs.ProgressReporter(self._attempts, label=cfg.name)
             self.events.subscribe(self._progress.handle)
         #: Crash flight recorder: a bounded ring of recent TaskEvents,
         #: dumped to ``cfg.flightrec_dir`` on kill/abort (and by the
@@ -340,8 +339,8 @@ class Runtime:
             )
             self.events.subscribe(self.flight_recorder.record)
         #: every attempt, keyed by its own task id (retries included)
-        #: — the one per-task record: ``graph``, ``trace()`` and
-        #: ``stats()`` are views shaped from it when read.
+        #: — the one per-task record: ``graph``, ``trace()``,
+        #: ``stats()`` and ``metrics()`` are views shaped from it when read.
         self._tasks: dict[int, TaskInstance] = {}
         #: root task id -> *latest* attempt.  Futures and dependency
         #: edges reference root ids, so dependents submitted mid-retry
@@ -411,8 +410,6 @@ class Runtime:
         self._drain_hooks: list[Callable[[], None]] = []
         # -- monitoring counters ---------------------------------------
         self._counters = SchedulerCounters()
-        self._n_retries = 0
-        self._n_ignored = 0
         self._n_timeouts = 0
         # -- invariant tracking ----------------------------------------
         self._violations: list[str] = []
@@ -427,7 +424,6 @@ class Runtime:
         self._identities: dict[int, str] = {}
         #: call-lineage counters: base signature -> occurrences so far.
         self._sig_counts: collections.Counter[str] = collections.Counter()
-        self._n_restored = 0
         self._n_checkpoint_writes = 0
         self.root_scope = Scope(self)
         if self.executor == "threads":
@@ -558,14 +554,17 @@ class Runtime:
 
     def metrics(self) -> dict:
         """Point-in-time metrics snapshot (counters, gauges,
-        histograms) including backend counters; ``{"enabled": False}``
-        shape when the runtime was built without the ``metrics``
-        observability flag."""
-        snap = (
-            self._metrics.snapshot()
-            if self._metrics is not None
-            else obs.empty_snapshot()
-        )
+        histograms): the task-lifecycle series shaped from the task
+        table as it stands, the registry's manually written series and
+        the backend counters; ``{"enabled": False}`` shape (backend
+        series only) when the runtime was built without the
+        ``metrics`` observability flag."""
+        if self._metrics is not None:
+            snap = obs.merge_task_metrics(
+                self._metrics.snapshot(), self._attempts(), self.max_workers
+            )
+        else:
+            snap = obs.empty_snapshot()
         backend_stats = self._backend.stats()
         snap = obs.merge_backend_stats(snap, backend_stats)
         if self._store is not None and not backend_stats.get("store_enabled"):
@@ -1177,8 +1176,6 @@ class Runtime:
         self._record(inst, t, RESTORED, out_bytes=estimate_nbytes(values))
         for fut, value in zip(inst.futures, values):
             fut._set_result(value)
-        with self._state_lock:
-            self._n_restored += 1
         self._complete(inst, DONE, event_kind=obs.RESTORED)
         _ckpt_logger.debug("restored %s#%d from checkpoint", inst.name, inst.task_id)
 
@@ -1315,9 +1312,8 @@ class Runtime:
         heap as *one* entry at its head's priority; members stay
         ``PENDING`` — each is claimed right before it runs — and are
         stamped ready here without ``READY`` events, since they never
-        individually enter the queue (metrics reconciliation counts
-        submissions and terminal events, both of which every member
-        still emits exactly once).
+        individually enter the queue (every member still emits its
+        submission and terminal events exactly once).
         """
         singles: list[TaskInstance] = []
         fused: list[FusedTask] = []
@@ -1869,8 +1865,6 @@ class Runtime:
         policy = options.on_failure if options is not None else None
         if policy == IGNORE:
             self._record(inst, t_start, "ignored", error=exc)
-            with self._state_lock:
-                self._n_ignored += 1
             for fut, value in zip(inst.futures, _split_default(inst)):
                 fut._set_result(value)
             self._complete(inst, IGNORED)
@@ -1931,7 +1925,6 @@ class Runtime:
             self._by_root[new.root_id] = new
             scope.task_submitted()
             self._unfinished_total += 1
-            self._n_retries += 1
             # Close out the failed attempt (dependents follow the root
             # id, so they transparently wait for the new attempt).
             new.t_submit = t_retry
@@ -2186,18 +2179,21 @@ class Runtime:
         with self._state_lock:
             by_state: dict[str, int] = {}
             by_name: dict[str, int] = {}
-            n_edges = 0
+            n_edges = retries = restored = 0
             for inst in self._tasks.values():
                 by_state[inst.state] = by_state.get(inst.state, 0) + 1
                 by_name[inst.name] = by_name.get(inst.name, 0) + 1
-                # as ``graph`` draws them: a retry hangs off one edge
-                n_edges += len(inst.deps) if inst.retry_of is None else 1
+                if inst.retry_of is None:
+                    n_edges += len(inst.deps)
+                else:
+                    # as ``graph`` draws them: a retry hangs off one edge
+                    n_edges += 1
+                    retries += 1
+                if inst.status == RESTORED:
+                    restored += 1
             n_tasks = len(self._tasks)
             unfinished = self._unfinished_total
-            retries = self._n_retries
-            ignored = self._n_ignored
             timeouts = self._n_timeouts
-            restored = self._n_restored
             checkpoint_writes = self._n_checkpoint_writes
         with self._cond:
             scheduler = self._counters.snapshot()
@@ -2216,7 +2212,7 @@ class Runtime:
             "ready_queue": ready_depth,
             "unfinished": unfinished,
             "retries": retries,
-            "ignored_failures": ignored,
+            "ignored_failures": by_state.get(IGNORED, 0),
             "timeouts": timeouts,
             "restored": restored,
             "checkpoint_writes": checkpoint_writes,

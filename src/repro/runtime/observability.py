@@ -6,22 +6,26 @@ running -> done/failed/restored`` (plus ``cancelled``, ``ignored`` and
 ``retry``) — through a lock-cheap :class:`EventBus`.  When nothing is
 subscribed the bus is falsy and the engine skips event construction
 entirely, so an un-observed runtime pays only a few monotonic-clock
-reads per task (``obs.metrics_overhead_frac`` in ``bench/`` measures
-the subscribed case end to end; see ``bench/README.md``).
+reads per task.
 
-Built on the bus:
+Built on the bus: :class:`ProgressReporter` — a live
+running/done/failed + ETA line on stderr (or a callback), enabled with
+``observability="progress"`` — and the crash flight recorder
+(:mod:`repro.runtime.flightrec`).
 
-* :class:`MetricsRegistry` — counters, gauges and fixed log-bucket time
-  histograms (tasks by state, per-task-name latency, queue wait,
-  scheduler overhead, worker busy time).  Enabled with
-  ``RuntimeConfig(observability="metrics")`` or ``REPRO_METRICS=1`` and
-  exposed as ``Runtime.metrics()`` (snapshot dict),
-  ``Runtime.metrics_text()`` (Prometheus exposition) and
-  ``Runtime.save_metrics(path)`` (atomic JSON dump).
-* :class:`ProgressReporter` — a live running/done/failed + ETA line on
-  stderr (or a callback), enabled with ``observability="progress"``.
+Metrics do not ride the bus: what the task-lifecycle series say is
+already on the engine's one per-task record, so
+:func:`merge_task_metrics` shapes them from a snapshot of the task
+table when ``Runtime.metrics()`` (snapshot dict),
+``Runtime.metrics_text()`` (Prometheus exposition) or
+``Runtime.save_metrics(path)`` (atomic JSON dump) is read.
+``RuntimeConfig(observability="metrics")`` (``REPRO_OBSERVABILITY``)
+turns that view on and attaches a :class:`MetricsRegistry` for the
+series nothing else can know — the stream stages' manual writes, and
+uptime.  ``obs.metrics_overhead_frac`` in ``bench/`` measures a run
+with the flag on, end to end (see ``bench/README.md``).
 
-Independent of the bus, this module analyses finished
+Independent of both, this module analyses finished
 :class:`~repro.runtime.tracing.Trace` objects: :func:`critical_path`
 finds the longest duration-weighted dependency chain (what bounds the
 makespan no matter how many workers are added) and
@@ -32,6 +36,7 @@ front-end for both.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import json
 from bisect import bisect_left
@@ -40,7 +45,8 @@ import threading
 import time
 from typing import Any, Callable, Iterable
 
-from repro.runtime.tracing import Trace, TaskRecord
+from repro.runtime.model import TERMINAL_STATES
+from repro.runtime.tracing import Trace, TaskRecord, overhead_of, queue_wait_of
 
 # ----------------------------------------------------------------------
 # event kinds
@@ -221,43 +227,26 @@ def _labels_key(labels: dict[str, str]) -> _LabelKey:
 
 
 class MetricsRegistry:
-    """Counters, gauges and histograms populated from the event bus.
+    """Manually written counters, gauges and histograms, plus uptime.
 
     One instance is attached per Runtime when
-    ``RuntimeConfig(observability="metrics")`` is set; its ``handle``
-    method is the bus subscriber.  All series use the ``repro_``
+    ``RuntimeConfig(observability="metrics")`` is set; subsystems that
+    instrument themselves (the stream stages) write through
+    ``Runtime.metrics_registry``.  It holds only what no other record
+    can answer: the task-lifecycle series are not kept here but shaped
+    from the task table by :func:`merge_task_metrics` when
+    ``Runtime.metrics()`` is read.  All series use the ``repro_``
     namespace and Prometheus naming conventions so
     :func:`to_prometheus` output scrapes cleanly.
-
-    Reconciliation invariants (checked by :func:`reconcile` and the
-    stress harness): after a drained run,
-    ``repro_tasks_total{state=S}`` equals ``Runtime.stats()``'s
-    ``by_state[S]`` for every terminal state,
-    ``repro_tasks_submitted_total`` equals the DAG node count,
-    ``repro_retries_total`` equals ``stats()["retries"]`` and
-    ``repro_tasks_restored_total`` equals ``stats()["restored"]``.
     """
 
-    def __init__(self, max_workers: int | None = None, clock=time.monotonic):
+    def __init__(self, clock=time.monotonic):
         self._lock = threading.Lock()
         self._clock = clock
         self.started_at = clock()
-        self.max_workers = max_workers
         self._counters: dict[tuple[str, _LabelKey], float] = {}
         self._gauges: dict[tuple[str, _LabelKey], float] = {}
         self._hists: dict[tuple[str, _LabelKey], Histogram] = {}
-        # Hot-path caches: series keys and histogram references are
-        # interned once so `handle` does plain dict increments instead
-        # of rebuilding key tuples for every event.
-        self._k_submitted = ("repro_tasks_submitted_total", ())
-        self._k_enqueued = ("repro_tasks_enqueued_total", ())
-        self._k_retries = ("repro_retries_total", ())
-        self._k_running = ("repro_tasks_running", ())
-        self._state_keys: dict[str, tuple[str, _LabelKey]] = {}
-        self._busy_keys: dict[str, tuple[str, _LabelKey]] = {}
-        self._dur_hists: dict[str, Histogram] = {}
-        self._qw_hist: Histogram | None = None
-        self._oh_hist: Histogram | None = None
 
     # -- manual instrumentation ----------------------------------------
     def inc(self, name: str, value: float = 1.0, **labels: str) -> None:
@@ -282,80 +271,6 @@ class MetricsRegistry:
                 hist = self._hists[key] = Histogram()
             hist.observe(value)
 
-    # -- the bus subscriber --------------------------------------------
-    def handle(self, event: TaskEvent) -> None:
-        # Scheduler hot path: every branch does plain dict increments
-        # on interned keys — no tuple construction, no method calls for
-        # the common kinds.
-        kind = event.kind
-        counters = self._counters
-        with self._lock:
-            if kind == SUBMITTED:
-                key = self._k_submitted
-                counters[key] = counters.get(key, 0.0) + 1
-            elif kind == READY:
-                key = self._k_enqueued
-                counters[key] = counters.get(key, 0.0) + 1
-            elif kind == RUNNING:
-                key = self._k_running
-                self._gauges[key] = self._gauges.get(key, 0.0) + 1
-            elif kind == RETRY:
-                key = self._k_retries
-                counters[key] = counters.get(key, 0.0) + 1
-            elif kind in TERMINAL_KINDS:
-                state = event.state or kind
-                key = self._state_keys.get(state)
-                if key is None:
-                    key = self._state_keys[state] = (
-                        "repro_tasks_total", (("state", state),)
-                    )
-                counters[key] = counters.get(key, 0.0) + 1
-                if kind == RESTORED:
-                    self._bump_counter("repro_tasks_restored_total", ())
-                if state == "failed":
-                    self._bump_counter(
-                        "repro_task_failures_total", (("task", event.name),)
-                    )
-                if event.ran:
-                    key = self._k_running
-                    self._gauges[key] = self._gauges.get(key, 0.0) - 1
-                    duration = event.duration
-                    if duration is not None:
-                        name = event.name
-                        hist = self._dur_hists.get(name)
-                        if hist is None:
-                            hist = self._dur_hists[name] = self._hists.setdefault(
-                                ("repro_task_duration_seconds", (("task", name),)),
-                                Histogram(),
-                            )
-                        hist.observe(duration)
-                        worker = event.worker or "main"
-                        key = self._busy_keys.get(worker)
-                        if key is None:
-                            key = self._busy_keys[worker] = (
-                                "repro_worker_busy_seconds_total",
-                                (("worker", worker),),
-                            )
-                        counters[key] = counters.get(key, 0.0) + duration
-                    if event.queue_wait is not None:
-                        hist = self._qw_hist
-                        if hist is None:
-                            hist = self._qw_hist = self._hists.setdefault(
-                                ("repro_task_queue_wait_seconds", ()), Histogram()
-                            )
-                        hist.observe(event.queue_wait)
-                    if event.overhead is not None:
-                        hist = self._oh_hist
-                        if hist is None:
-                            hist = self._oh_hist = self._hists.setdefault(
-                                ("repro_task_overhead_seconds", ()), Histogram()
-                            )
-                        hist.observe(event.overhead)
-
-    def _bump_counter(self, name: str, labels: _LabelKey, value: float = 1.0) -> None:
-        key = (name, labels)
-        self._counters[key] = self._counters.get(key, 0.0) + value
-
     # -- snapshot -------------------------------------------------------
     def snapshot(self) -> dict[str, Any]:
         """A JSON-serialisable point-in-time view of every series."""
@@ -369,23 +284,10 @@ class MetricsRegistry:
                 {"name": name, "labels": dict(labels), "value": value}
                 for (name, labels), value in sorted(self._gauges.items())
             ]
-            busy = sum(
-                value
-                for (name, _), value in self._counters.items()
-                if name == "repro_worker_busy_seconds_total"
-            )
             hists = [
                 {"name": name, "labels": dict(labels), **hist.snapshot()}
                 for (name, labels), hist in sorted(self._hists.items())
             ]
-        if self.max_workers:
-            gauges.append(
-                {
-                    "name": "repro_worker_utilization",
-                    "labels": {},
-                    "value": busy / (uptime * self.max_workers),
-                }
-            )
         return {
             "enabled": True,
             "uptime_seconds": uptime,
@@ -419,6 +321,79 @@ def _upsert_series(
             series["value"] = value
             return
     snapshot[section].append({"name": name, "labels": labels, "value": value})
+
+
+def _series_key(series: dict[str, Any]) -> tuple[str, _LabelKey]:
+    return series["name"], _labels_key(series["labels"])
+
+
+def merge_task_metrics(
+    snapshot: dict[str, Any], attempts: Iterable, max_workers: int
+) -> dict[str, Any]:
+    """Shape the task-lifecycle series from *attempts* — a snapshot of
+    the runtime's task table, one ``TaskInstance`` per attempt — and
+    fold them into *snapshot*: tasks by terminal state, submissions,
+    enqueues, retries, restores, failures by task name, the running
+    gauge, busy seconds per worker (and the utilization they imply over
+    the snapshot's uptime and *max_workers*), and the duration /
+    queue-wait / overhead histograms of the attempts whose body ran.
+    A counter or histogram exists once something was counted into it.
+
+    ``Runtime.stats()`` reads the same table, so after a drained run
+    ``repro_tasks_total{state=S}`` is its ``by_state[S]``,
+    ``repro_tasks_submitted_total`` its ``n_tasks``, and the retry and
+    restore counters its ``retries`` and ``restored``."""
+    counters: collections.Counter = collections.Counter()
+    hists: dict[tuple[str, _LabelKey], Histogram] = collections.defaultdict(Histogram)
+    running = 0
+    busy = 0.0
+    for inst in attempts:
+        counters["repro_tasks_submitted_total", ()] += 1
+        # A fused member is stamped ready when its unit is armed but
+        # never takes a queue slot of its own.
+        if inst.t_ready is not None and inst._fused_unit is None:
+            counters["repro_tasks_enqueued_total", ()] += 1
+        if inst.retry_of is not None:
+            counters["repro_retries_total", ()] += 1
+        state, t_body, t_end = inst.state, inst.t_body_start, inst.t_end
+        if state not in TERMINAL_STATES:
+            if t_body is not None:
+                running += 1
+            continue
+        counters["repro_tasks_total", (("state", state),)] += 1
+        if inst.status == RESTORED:
+            counters["repro_tasks_restored_total", ()] += 1
+        if state == FAILED:
+            counters["repro_task_failures_total", (("task", inst.name),)] += 1
+        if t_body is None or t_end is None:
+            continue  # the body never ran: restored, cancelled, failed before it
+        duration = t_end - t_body
+        busy += duration
+        worker = inst.worker_name or "main"
+        counters["repro_worker_busy_seconds_total", (("worker", worker),)] += duration
+        hists["repro_task_duration_seconds", (("task", inst.name),)].observe(duration)
+        hists["repro_task_queue_wait_seconds", ()].observe(
+            queue_wait_of(inst.t_ready, inst.t_dispatch)
+        )
+        hists["repro_task_overhead_seconds", ()].observe(
+            overhead_of(inst.t_submit, inst.t_ready, inst.t_dispatch, t_body)
+        )
+
+    snapshot["counters"] += [
+        {"name": name, "labels": dict(labels), "value": float(value)}
+        for (name, labels), value in counters.items()
+    ]
+    snapshot["histograms"] += [
+        {"name": name, "labels": dict(labels), **hist.snapshot()}
+        for (name, labels), hist in hists.items()
+    ]
+    gauges = snapshot["gauges"]
+    gauges.append({"name": "repro_tasks_running", "labels": {}, "value": float(running)})
+    for section in ("counters", "gauges", "histograms"):
+        snapshot[section].sort(key=_series_key)
+    utilization = busy / (snapshot["uptime_seconds"] * max_workers)
+    gauges.append({"name": "repro_worker_utilization", "labels": {}, "value": utilization})
+    return snapshot
 
 
 def merge_backend_stats(snapshot: dict[str, Any], backend_stats: dict) -> dict[str, Any]:
@@ -732,94 +707,6 @@ def parse_prometheus(text: str) -> dict[tuple[str, _LabelKey], float]:
 
 
 # ----------------------------------------------------------------------
-# reconciliation
-# ----------------------------------------------------------------------
-def reconcile(runtime) -> list[str]:
-    """Cross-check a drained runtime's metrics against ``stats()``.
-
-    Returns a list of discrepancy descriptions (empty = consistent).
-    Only meaningful once the runtime is quiesced — mid-flight, events
-    and stats are sampled at different instants.  The stress harness
-    runs this after every clean drain when metrics are enabled."""
-    snapshot = runtime.metrics()
-    if not snapshot.get("enabled"):
-        return ["metrics are not enabled on this runtime"]
-    stats = runtime.stats()
-    problems: list[str] = []
-
-    by_state: dict[str, int] = stats["by_state"]
-    for state, expected in sorted(by_state.items()):
-        got = metric_value(snapshot, "repro_tasks_total", default=0.0, state=state)
-        if got != expected:
-            problems.append(
-                f"repro_tasks_total{{state={state}}} is {got:g}, "
-                f"stats()['by_state'] says {expected}"
-            )
-    metric_states = {
-        series["labels"].get("state")
-        for series in snapshot["counters"]
-        if series["name"] == "repro_tasks_total"
-    }
-    for state in sorted(metric_states - set(by_state)):
-        problems.append(f"metrics count state {state!r} absent from stats()")
-
-    checks = (
-        ("repro_tasks_submitted_total", stats["n_tasks"], "n_tasks"),
-        ("repro_retries_total", stats["retries"], "retries"),
-        ("repro_tasks_restored_total", stats["restored"], "restored"),
-    )
-    for name, expected, label in checks:
-        got = metric_value(snapshot, name, default=0.0)
-        if got != expected:
-            problems.append(f"{name} is {got:g}, stats()[{label!r}] says {expected}")
-
-    running = metric_value(snapshot, "repro_tasks_running", default=0.0)
-    if running:
-        problems.append(f"repro_tasks_running gauge is {running:g} after drain")
-    return problems
-
-
-def reconcile_trace(runtime, trace: Trace | None = None) -> list[str]:
-    """Cross-check metrics attempt counts against the recorded trace
-    (requires ``collect_trace=True``)."""
-    snapshot = runtime.metrics()
-    if not snapshot.get("enabled"):
-        return ["metrics are not enabled on this runtime"]
-    trace = trace if trace is not None else runtime.trace()
-    problems: list[str] = []
-    restored = metric_value(snapshot, "repro_tasks_restored_total", default=0.0)
-    if restored != trace.n_restored:
-        problems.append(
-            f"repro_tasks_restored_total is {restored:g}, trace says {trace.n_restored}"
-        )
-    failed = sum(
-        series["value"]
-        for series in snapshot["counters"]
-        if series["name"] == "repro_task_failures_total"
-    )
-    trace_failed = sum(1 for r in trace if r.status == "failed")
-    if failed != trace_failed:
-        problems.append(
-            f"repro_task_failures_total sums to {failed:g}, "
-            f"trace has {trace_failed} failed attempts"
-        )
-    durations = sum(
-        series["count"]
-        for series in snapshot["histograms"]
-        if series["name"] == "repro_task_duration_seconds"
-    )
-    # every recorded attempt that ran contributes one duration sample;
-    # cancelled attempts never run and are not recorded.
-    ran = sum(1 for r in trace if r.status != "restored")
-    if durations != ran:
-        problems.append(
-            f"duration histogram holds {durations} samples, "
-            f"trace has {ran} executed attempts"
-        )
-    return problems
-
-
-# ----------------------------------------------------------------------
 # live progress
 # ----------------------------------------------------------------------
 class ProgressReporter:
@@ -828,79 +715,60 @@ class ProgressReporter:
     Renders ``done/submitted`` counts, running/failed tallies, task
     rate and an ETA — to *stream* (default ``sys.stderr``) as a
     ``\\r``-rewritten line, or to *callback* as snapshot dicts (no
-    terminal output when a callback is given).  Rendering is throttled
-    to one line per *min_interval* seconds; :meth:`close` emits the
-    final state unconditionally."""
+    terminal output when a callback is given).  Events only pace the
+    rendering, throttled to one line per *min_interval* seconds; the
+    numbers are counted at render time from *attempts*, a callable
+    returning the runtime's task table (one ``TaskInstance`` per
+    attempt).  :meth:`close` emits the final state unconditionally."""
 
     def __init__(
         self,
+        attempts: Callable[[], Iterable],
         stream=None,
         callback: Callable[[dict], None] | None = None,
         min_interval: float = 0.1,
         clock=time.monotonic,
         label: str = "repro",
     ):
+        self._attempts = attempts
         self._stream = stream
         self._callback = callback
         self._min_interval = min_interval
         self._clock = clock
         self._label = label
-        self._lock = threading.Lock()
         self._t0 = clock()
         self._last_render = 0.0
-        self._wrote_line = False
-        self.counts = {
-            "submitted": 0,
-            "running": 0,
-            "done": 0,
-            "failed": 0,
-            "ignored": 0,
-            "cancelled": 0,
-            "restored": 0,
-            "retries": 0,
-        }
 
     # -- subscriber -----------------------------------------------------
     def handle(self, event: TaskEvent) -> None:
-        kind = event.kind
-        with self._lock:
-            c = self.counts
-            if kind == SUBMITTED:
-                c["submitted"] += 1
-            elif kind == RUNNING:
-                c["running"] += 1
-            elif kind == RETRY:
-                c["retries"] += 1
-            elif kind in TERMINAL_KINDS:
-                if event.ran:
-                    c["running"] -= 1
-                if kind == RESTORED:
-                    c["restored"] += 1
-                    c["done"] += 1
-                elif kind == DONE:
-                    c["done"] += 1
-                elif kind == FAILED:
-                    c["failed"] += 1
-                elif kind == IGNORED:
-                    c["ignored"] += 1
-                elif kind == CANCELLED:
-                    c["cancelled"] += 1
-            else:
-                return
-            now = self._clock()
-            if now - self._last_render < self._min_interval:
-                return
-            self._last_render = now
-            snap = self._snapshot_locked(now)
-        self._render(snap)
+        # Unlocked: two threads passing the throttle together render
+        # twice, which a progress line can afford.
+        now = self._clock()
+        if now - self._last_render < self._min_interval:
+            return
+        self._last_render = now
+        self._render(self.snapshot())
 
     # -- snapshots ------------------------------------------------------
-    def _snapshot_locked(self, now: float) -> dict:
-        c = dict(self.counts)
+    def snapshot(self) -> dict:
+        c = dict.fromkeys(
+            "submitted running done failed ignored cancelled restored retries".split(), 0
+        )
+        for inst in self._attempts():
+            c["submitted"] += 1
+            if inst.retry_of is not None:
+                c["retries"] += 1
+            state = inst.state
+            if state in TERMINAL_STATES:
+                c[state] += 1  # a restored attempt ends "done"
+                if inst.status == RESTORED:
+                    c["restored"] += 1
+            elif inst.t_body_start is not None:
+                c["running"] += 1
         finished = c["done"] + c["failed"] + c["ignored"] + c["cancelled"]
-        elapsed = max(now - self._t0, 1e-9)
+        elapsed = max(self._clock() - self._t0, 1e-9)
         rate = finished / elapsed
-        remaining = max(c["submitted"] - finished, 0)
+        remaining = c["submitted"] - finished
         eta = remaining / rate if rate > 0 and remaining else 0.0
         return {
             **c,
@@ -909,10 +777,6 @@ class ProgressReporter:
             "rate": rate,
             "eta": eta,
         }
-
-    def snapshot(self) -> dict:
-        with self._lock:
-            return self._snapshot_locked(self._clock())
 
     # -- rendering ------------------------------------------------------
     def _render(self, snap: dict, final: bool = False) -> None:
@@ -941,13 +805,10 @@ class ProgressReporter:
             stream.flush()
         except (OSError, ValueError):
             pass  # closed stream: progress is best-effort
-        self._wrote_line = not final
 
     def close(self) -> None:
         """Render the final state (with a newline on terminal streams)."""
-        with self._lock:
-            snap = self._snapshot_locked(self._clock())
-        self._render(snap, final=True)
+        self._render(self.snapshot(), final=True)
 
 
 # ----------------------------------------------------------------------

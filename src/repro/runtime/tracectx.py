@@ -37,7 +37,7 @@ import itertools
 import os
 import re
 import threading
-from typing import Iterator, Optional
+from typing import Optional
 
 __all__ = [
     "TraceContext",
@@ -136,9 +136,6 @@ class TraceContext:
             raise ValueError(f"malformed traceparent header: {header!r}")
         return cls(*match.groups())
 
-    def to_dict(self) -> dict:
-        return {"trace_id": self.trace_id, "span_id": self.span_id, "parent_id": self.parent_id}
-
 
 def new_trace() -> TraceContext:
     """Mint a root context: fresh trace id, fresh span, no parent."""
@@ -187,10 +184,3 @@ class use_context:
     def __exit__(self, exc_type, exc, tb) -> None:
         set_context(self._prev)
 
-
-def iter_lineage(ctx: TraceContext) -> Iterator[str]:
-    """The span ids from *ctx* upward that are knowable locally (this
-    span, then its parent id if recorded)."""
-    yield ctx.span_id
-    if ctx.parent_id is not None:
-        yield ctx.parent_id

@@ -182,7 +182,6 @@ class _Stage:
         self.output.put_item(item)
         if isinstance(item, Record):
             self.stats.n_out += 1
-            self.graph._count(self.name, "out")
 
     def _observe(self, dt: float) -> None:
         self.stats.latencies.append(dt)
@@ -247,7 +246,6 @@ class _Stage:
         for item in self.source:
             if isinstance(item, Record):
                 self.stats.n_in += 1
-                self.graph._count(self.name, "in")
             yield item
 
     # map / filter / flat_map / key_by share one loop shape but differ
@@ -435,6 +433,9 @@ class StreamGraph:
         self._metrics = (
             self.runtime.metrics_registry if self.runtime is not None else None
         )
+        #: ``(stage, port)`` -> record count already folded into
+        #: ``repro_stream_records_total`` by :meth:`publish_gauges`.
+        self._published: dict[tuple[str, str], int] = {}
         #: Root trace context of this graph run (minted at ``start``).
         #: Each stage thread gets a child installed ambiently, so every
         #: ``submit_many`` micro-batch a stage issues joins one trace.
@@ -814,11 +815,6 @@ class StreamGraph:
             sink = matches[0]
         return sink.collected
 
-    def _count(self, stage: str, port: str) -> None:
-        m = self._metrics
-        if m is not None:
-            m.inc("repro_stream_records_total", 1.0, stage=stage, port=port)
-
     def slots_leaked(self) -> int:
         """Total queue-slot imbalance across the graph's streams
         (zero in a healthy or fully-unwound graph)."""
@@ -836,6 +832,7 @@ class StreamGraph:
 
     def publish_gauges(self) -> None:
         """Fold live queue-depth / latency-quantile / throughput gauges
+        and the per-stage record counts (``StageStats.n_in`` / ``n_out``)
         into the runtime metrics registry (Prometheus exposition and
         ``repro trace`` read from there).  Safe no-op without the
         ``metrics`` observability flag."""
@@ -864,6 +861,14 @@ class StreamGraph:
                 quantile="0.99",
             )
             m.set_gauge("repro_stream_stage_rps", snap["rps"], stage=stage.name)
+            for port in ("in", "out"):
+                n = snap[f"n_{port}"]
+                delta = n - self._published.get((stage.name, port), 0)
+                if delta:
+                    m.inc(
+                        "repro_stream_records_total", delta, stage=stage.name, port=port
+                    )
+                    self._published[stage.name, port] = n
 
 
 __all__ = [

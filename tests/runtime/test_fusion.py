@@ -245,10 +245,28 @@ def _chain_and_map_workload(rt):
 
 def test_stats_and_metrics_reconcile_exactly():
     with fused_runtime(observability="metrics") as rt:
+        kinds: list[str] = []
+        rt.subscribe(lambda event: kinds.append(event.kind))
         _chain_and_map_workload(rt)
         rt.barrier()
-        assert obs.reconcile(rt) == []
-        assert obs.reconcile_trace(rt) == []
+        snap, stats, trace = rt.metrics(), rt.stats(), rt.trace()
+    # every member is submitted, run and finished once, fused or not...
+    assert obs.metric_value(snap, "repro_tasks_submitted_total") == stats["n_tasks"] == 9
+    assert obs.metric_value(snap, "repro_tasks_total", state="done") == 9
+    assert obs.metric_value(snap, "repro_tasks_running") == 0
+    assert kinds.count("submitted") == kinds.count("running") == kinds.count("done") == 9
+    durations = [
+        h for h in snap["histograms"] if h["name"] == "repro_task_duration_seconds"
+    ]
+    assert sum(h["count"] for h in durations) == trace.n_executed == 9
+    # ...but only an unfused one takes a ready-queue slot of its own
+    fused = stats["scheduler"]["fused_tasks"]
+    assert fused > 0
+    assert (
+        obs.metric_value(snap, "repro_tasks_enqueued_total", default=0)
+        == kinds.count("ready")
+        == 9 - fused
+    )
 
 
 def test_every_member_has_its_own_trace_record():

@@ -49,14 +49,11 @@ def test_config_validates_observability():
 def test_config_env_observability_and_metrics_shorthand():
     cfg = RuntimeConfig.from_env({"REPRO_OBSERVABILITY": "progress"})
     assert cfg.observability == "progress"
-    cfg = RuntimeConfig.from_env({"REPRO_METRICS": "1"})
-    assert obs.parse_flags(cfg.observability) == {"metrics"}
-    cfg = RuntimeConfig.from_env(
-        {"REPRO_OBSERVABILITY": "metrics,progress", "REPRO_METRICS": "0"}
-    )
-    assert obs.parse_flags(cfg.observability) == {"progress"}
-    with pytest.raises(ValueError, match="REPRO_METRICS"):
-        RuntimeConfig.from_env({"REPRO_METRICS": "maybe"})
+    cfg = RuntimeConfig.from_env({"REPRO_OBSERVABILITY": "metrics,progress"})
+    assert obs.parse_flags(cfg.observability) == {"metrics", "progress"}
+    # the REPRO_METRICS shorthand is gone: one spelling, REPRO_OBSERVABILITY
+    cfg = RuntimeConfig.from_env({"REPRO_METRICS": "maybe"})
+    assert cfg.observability == ""
 
 
 # ----------------------------------------------------------------------
@@ -159,7 +156,7 @@ def test_histogram_boundary_value_falls_in_lower_bucket():
 
 
 def test_registry_manual_series_and_snapshot():
-    reg = obs.MetricsRegistry(max_workers=2)
+    reg = obs.MetricsRegistry()
     reg.inc("repro_things_total", 3, kind="a")
     reg.set_gauge("repro_depth", 7)
     reg.observe("repro_latency_seconds", 0.5)
@@ -176,19 +173,17 @@ def test_registry_manual_series_and_snapshot():
 # Prometheus exposition
 # ----------------------------------------------------------------------
 def test_prometheus_roundtrip():
-    reg = obs.MetricsRegistry(max_workers=4)
-    reg.handle(_ev(obs.SUBMITTED))
-    reg.handle(_ev(obs.RUNNING))
-    reg.handle(_ev(obs.DONE, state="done", ran=True, duration=0.01,
-                   queue_wait=0.001, overhead=0.0005, worker="w-0"))
-    text = obs.to_prometheus(reg.snapshot())
+    cfg = RuntimeConfig(executor="sequential", observability="metrics")
+    with Runtime(config=cfg) as rt:
+        wait_on(_add(1, 2))
+        text = rt.metrics_text()
     parsed = obs.parse_prometheus(text)
     assert parsed[("repro_tasks_submitted_total", ())] == 1
     assert parsed[("repro_tasks_total", (("state", "done"),))] == 1
     assert parsed[("repro_tasks_running", ())] == 0
-    assert parsed[("repro_task_duration_seconds_count", (("task", "t"),))] == 1
+    assert parsed[("repro_task_duration_seconds_count", (("task", "_add"),))] == 1
     # histogram exposition carries cumulative le buckets and a sum
-    assert ("repro_task_duration_seconds_sum", (("task", "t"),)) in parsed
+    assert ("repro_task_duration_seconds_sum", (("task", "_add"),)) in parsed
     assert any(name == "repro_task_duration_seconds_bucket" for name, _ in parsed)
     assert "# TYPE repro_task_duration_seconds histogram" in text
 
@@ -204,7 +199,7 @@ def test_parse_prometheus_rejects_malformed():
 
 def test_prometheus_escapes_hostile_label_values():
     hostile = 'evil\\path"quoted"\nnewline,comma={brace}'
-    reg = obs.MetricsRegistry(max_workers=2)
+    reg = obs.MetricsRegistry()
     reg.inc("repro_things_total", 5, task=hostile, plain="x")
     text = obs.to_prometheus(reg.snapshot())
     # the exposition stays one sample per line: the raw newline must
@@ -271,8 +266,27 @@ def test_merge_backend_stats_prefixes_series():
 
 
 # ----------------------------------------------------------------------
-# runtime integration: events, metrics(), reconcile
+# runtime integration: events, metrics()
 # ----------------------------------------------------------------------
+def _assert_metrics_agree_with_stats(rt):
+    """On a drained runtime the metrics view and ``stats()`` are two
+    readings of one task table."""
+    snap, stats = rt.metrics(), rt.stats()
+    by_state = {
+        c["labels"]["state"]: c["value"]
+        for c in snap["counters"]
+        if c["name"] == "repro_tasks_total"
+    }
+    assert by_state == stats["by_state"]
+    for name, key in (
+        ("repro_tasks_submitted_total", "n_tasks"),
+        ("repro_retries_total", "retries"),
+        ("repro_tasks_restored_total", "restored"),
+    ):
+        assert obs.metric_value(snap, name, default=0) == stats[key], name
+    assert obs.metric_value(snap, "repro_tasks_running", default=0) == 0
+
+
 def test_event_sequence_for_one_task():
     events = []
     with Runtime(executor="sequential") as rt:
@@ -322,9 +336,13 @@ def test_metrics_reconcile_with_stats_and_trace():
         futs += [_inc(futs[i]) for i in range(5)]
         wait_on(futs)
         rt.shutdown()
-        assert obs.reconcile(rt) == []
-        assert obs.reconcile_trace(rt) == []
+        _assert_metrics_agree_with_stats(rt)
         snap = rt.metrics()
+        trace = rt.trace()
+    durations = [
+        h for h in snap["histograms"] if h["name"] == "repro_task_duration_seconds"
+    ]
+    assert sum(h["count"] for h in durations) == trace.n_executed == 30
     assert obs.metric_value(snap, "repro_tasks_submitted_total") == 30
     assert obs.metric_value(snap, "repro_tasks_total", state="done") == 30
     assert obs.metric_value(snap, "repro_tasks_running") == 0
@@ -347,7 +365,7 @@ def test_metrics_count_retries_and_failures():
     with Runtime(config=cfg) as rt:
         assert wait_on(flaky(5)) == 5
         rt.shutdown()
-        assert obs.reconcile(rt) == []
+        _assert_metrics_agree_with_stats(rt)
         snap = rt.metrics()
     assert obs.metric_value(snap, "repro_retries_total") == 1
     assert obs.metric_value(snap, "repro_tasks_total", state="failed") == 1
@@ -367,7 +385,7 @@ def test_metrics_count_cancellations():
         with pytest.raises(Exception):
             wait_on(g)
         rt.shutdown()
-        assert obs.reconcile(rt) == []
+        _assert_metrics_agree_with_stats(rt)
         snap = rt.metrics()
     assert obs.metric_value(snap, "repro_tasks_total", state="failed") == 1
     assert obs.metric_value(snap, "repro_tasks_total", state="cancelled") == 1
@@ -383,7 +401,7 @@ def test_metrics_count_restored(tmp_path):
         assert wait_on(_add(3, 4)) == 7
     with Runtime(config=cfg) as rt:
         assert wait_on(_add(3, 4)) == 7
-        assert obs.reconcile(rt) == []
+        _assert_metrics_agree_with_stats(rt)
         snap = rt.metrics()
         assert rt.trace().n_restored == 1
     assert obs.metric_value(snap, "repro_tasks_restored_total") == 1
@@ -418,27 +436,42 @@ def test_trace_records_carry_span_timestamps():
 # ----------------------------------------------------------------------
 # ProgressReporter
 # ----------------------------------------------------------------------
+def _attempt(state, t_body_start=None, status=None, retry_of=None):
+    """What the reporter reads of a ``TaskInstance``."""
+    import types
+
+    return types.SimpleNamespace(
+        state=state, t_body_start=t_body_start, status=status, retry_of=retry_of
+    )
+
+
 def test_progress_reporter_counts_and_stream():
     stream = io.StringIO()
-    rep = obs.ProgressReporter(stream=stream, min_interval=0.0)
-    rep.handle(_ev(obs.SUBMITTED))
-    rep.handle(_ev(obs.SUBMITTED))
+    table = [_attempt("pending"), _attempt("running", t_body_start=0.1)]
+    rep = obs.ProgressReporter(lambda: table, stream=stream, min_interval=0.0)
     rep.handle(_ev(obs.RUNNING))
-    rep.handle(_ev(obs.DONE, ran=True))
-    rep.handle(_ev(obs.FAILED, state="failed"))
     snap = rep.snapshot()
-    assert snap["submitted"] == 2 and snap["done"] == 1 and snap["failed"] == 1
-    assert snap["finished"] == 2 and snap["running"] == 0
+    assert snap["submitted"] == 2 and snap["running"] == 1 and snap["finished"] == 0
+    assert "0/2 tasks" in stream.getvalue() and "1 running" in stream.getvalue()
+    # the table moves on; the reporter keeps no tally of its own
+    table[:] = [
+        _attempt("done", t_body_start=0.1, status="done"),
+        _attempt("failed", t_body_start=0.2, status="failed"),
+        _attempt("done", t_body_start=0.3, status="done", retry_of=1),
+    ]
+    snap = rep.snapshot()
+    assert snap["submitted"] == 3 and snap["done"] == 2 and snap["failed"] == 1
+    assert snap["finished"] == 3 and snap["running"] == 0 and snap["retries"] == 1
     rep.close()
     out = stream.getvalue()
-    assert "2/2 tasks" in out
+    assert "3/3 tasks" in out
     assert out.endswith("\n")
 
 
 def test_progress_reporter_callback_mode():
     snaps = []
-    rep = obs.ProgressReporter(callback=snaps.append, min_interval=0.0)
-    rep.handle(_ev(obs.SUBMITTED))
+    table = [_attempt("done", status="restored")]
+    rep = obs.ProgressReporter(lambda: table, callback=snaps.append, min_interval=0.0)
     rep.handle(_ev(obs.RESTORED, state="done"))
     rep.close()
     assert snaps[-1]["restored"] == 1
@@ -448,12 +481,17 @@ def test_progress_reporter_callback_mode():
 def test_progress_throttles_renders():
     ticks = iter([0.0] + [0.01 * i for i in range(1, 200)])
     snaps = []
+    reads = []
     rep = obs.ProgressReporter(
-        callback=snaps.append, min_interval=10.0, clock=lambda: next(ticks)
+        lambda: reads.append(1) or [],
+        callback=snaps.append,
+        min_interval=10.0,
+        clock=lambda: next(ticks),
     )
     for _ in range(50):
         rep.handle(_ev(obs.SUBMITTED))
     assert len(snaps) <= 1  # throttled: interval never elapsed
+    assert len(reads) == len(snaps)  # the table is read only to render
 
 
 def test_runtime_progress_flag_renders_line(capsys):
@@ -601,9 +639,3 @@ def test_summarize_and_format():
     cp_text = obs.format_critical_path(obs.critical_path(_diamond_trace()))
     assert "100% of makespan" in cp_text
     assert "#1" in cp_text
-
-
-def test_reconcile_on_disabled_runtime_reports():
-    with Runtime(executor="sequential") as rt:
-        wait_on(_add(1, 1))
-        assert obs.reconcile(rt) == ["metrics are not enabled on this runtime"]

@@ -18,7 +18,6 @@ from repro.runtime.tracectx import (
     TraceContext,
     child_of,
     current_context,
-    iter_lineage,
     new_trace,
     set_context,
     use_context,
@@ -57,19 +56,6 @@ def test_child_of_none_is_a_new_root():
     assert ctx.parent_id is None
     parent = new_trace()
     assert child_of(parent).parent_id == parent.span_id
-
-
-def test_to_dict_and_lineage():
-    child = new_trace().child()
-    d = child.to_dict()
-    assert d == {
-        "trace_id": child.trace_id,
-        "span_id": child.span_id,
-        "parent_id": child.parent_id,
-    }
-    assert list(iter_lineage(child)) == [child.span_id, child.parent_id]
-    root = new_trace()
-    assert list(iter_lineage(root)) == [root.span_id]
 
 
 # ----------------------------------------------------------------------

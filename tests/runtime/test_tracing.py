@@ -263,8 +263,9 @@ def _random_dag_run(seed, ckpt_dir, **cfg):
     nested submissions, retries, IGNOREd failures, array payloads, a
     ``submit_many`` batch and cancelled subtrees (an ``_add`` of two
     blocks of different lengths fails and takes its successors with
-    it).  Returns the views read after ``barrier()``, the lifecycle
-    events, the graph nodes as a running task saw them and the
+    it).  Returns the views read after ``barrier()`` (``metrics()``
+    among them: the disabled shape unless *cfg* turns the flag on), the
+    lifecycle events, the graph nodes as a running task saw them and the
     dependency edges as the futures passed to each call imply them."""
     mid_run: dict = {}
     edges: collections.Counter = collections.Counter()
@@ -309,6 +310,8 @@ def _random_dag_run(seed, ckpt_dir, **cfg):
             trace=rt.trace(),
             graph=rt.graph,
             stats=rt.stats(),
+            metrics=rt.metrics(),
+            metrics_text=rt.metrics_text(),
             n_tasks=rt.n_tasks,
             events=events,
             mid_run=mid_run,
@@ -420,6 +423,128 @@ def test_graph_and_stats_are_views_of_the_task_table(name, tmp_path):
         k: summary[k] for k in ("n_tasks", "n_edges", "by_name")
     }
     assert sum(run.stats["by_state"].values()) == run.n_tasks == len(submitted)
+
+
+def _event_fed_metrics(events):
+    """What a bus subscriber tallying every lifecycle event would hold
+    after *events* (the metrics registry used to be that subscriber):
+    the counters, the running gauge, busy seconds per worker and the
+    number of duration samples per task name."""
+    counters: collections.Counter = collections.Counter()
+    busy: collections.Counter = collections.Counter()
+    samples: collections.Counter = collections.Counter()
+    running = 0
+    for e in events:
+        if e.kind == obs.SUBMITTED:
+            counters["repro_tasks_submitted_total", ()] += 1
+        elif e.kind == obs.READY:
+            counters["repro_tasks_enqueued_total", ()] += 1
+        elif e.kind == obs.RETRY:
+            counters["repro_retries_total", ()] += 1
+        elif e.kind == obs.RUNNING:
+            running += 1
+        elif e.kind in obs.TERMINAL_KINDS:
+            counters["repro_tasks_total", (("state", e.state),)] += 1
+            if e.kind == obs.RESTORED:
+                counters["repro_tasks_restored_total", ()] += 1
+            if e.state == "failed":
+                counters["repro_task_failures_total", (("task", e.name),)] += 1
+            if e.ran:
+                running -= 1
+                samples[e.name] += 1
+                busy[e.worker or "main"] += e.duration
+    return counters, running, busy, samples
+
+
+@pytest.mark.parametrize("name", list(_EXECUTORS))
+def test_metrics_are_a_view_of_the_task_table(name, tmp_path):
+    run = _random_dag_run(0, tmp_path, observability="metrics", **_EXECUTORS[name])
+    counters, running, busy, samples = _event_fed_metrics(run.events)
+    snap = run.metrics
+    assert snap["enabled"] is True and running == 0
+
+    def series(section):
+        """The task-lifecycle series (worker seconds are compared below)."""
+        other = ("repro_backend_", "repro_store_", "repro_worker_")
+        return {
+            (s["name"], tuple(sorted(s["labels"].items()))): s
+            for s in snap[section]
+            if not s["name"].startswith(other)
+        }
+
+    # counters: tasks by state, submitted, enqueued, retries, restored,
+    # failures by task — same series, same labels, same values
+    assert {k: s["value"] for k, s in series("counters").items()} == dict(counters)
+    assert {dict(labels)["state"] for n, labels in counters if n == "repro_tasks_total"} == {
+        "done", "failed", "ignored", "cancelled"
+    }
+    assert counters["repro_retries_total", ()] and counters["repro_tasks_restored_total", ()]
+    assert ("repro_tasks_enqueued_total", ()) in counters or name == "sequential"
+    assert obs.metric_value(snap, "repro_tasks_running") == 0
+
+    # one duration sample per attempt that ran, under its task's name;
+    # one queue-wait and one overhead sample per attempt that ran
+    hists = series("histograms")
+    assert {
+        dict(labels)["task"]: h["count"]
+        for (n, labels), h in hists.items()
+        if n == "repro_task_duration_seconds"
+    } == dict(samples)
+    ran = sum(samples.values())
+    assert ran == run.trace.n_executed
+    assert hists["repro_task_queue_wait_seconds", ()]["count"] == ran
+    assert hists["repro_task_overhead_seconds", ()]["count"] == ran
+    assert len(hists) == len(samples) + 2
+    for h in hists.values():
+        assert [b for b, _ in h["buckets"]] == [*obs.DURATION_BUCKETS, "+Inf"]
+        assert h["buckets"][-1][1] == h["count"]
+
+    # busy seconds per worker are the body spans, t_end - t_body_start
+    got_busy = {
+        s["labels"]["worker"]: s["value"]
+        for s in snap["counters"]
+        if s["name"] == "repro_worker_busy_seconds_total"
+    }
+    assert got_busy == pytest.approx(dict(busy))
+    spans = sum(r.t_end - r.t_start for r in run.trace if r.status != "restored")
+    assert sum(got_busy.values()) == pytest.approx(spans)
+    util = obs.metric_value(snap, "repro_worker_utilization")
+    assert util == pytest.approx(spans / (snap["uptime_seconds"] * 2))
+
+    # the exposition of the same read round-trips
+    parsed = obs.parse_prometheus(run.metrics_text)
+    for key, value in counters.items():
+        assert parsed[key] == value
+    assert parsed["repro_task_queue_wait_seconds_count", ()] == ran
+
+
+def test_metrics_read_mid_run_count_the_running_attempt():
+    started, release = threading.Event(), threading.Event()
+
+    @task(returns=1)
+    def _parked():
+        started.set()
+        release.wait(30)
+        return 1
+
+    cfg = RuntimeConfig(executor="threads", max_workers=2, observability="metrics")
+    with Runtime(config=cfg) as rt:
+        try:
+            fut = _parked()
+            assert started.wait(30)
+            mid = rt.metrics()
+        finally:
+            release.set()
+        assert wait_on(fut) == 1
+        rt.barrier()
+        after = rt.metrics()
+    assert obs.metric_value(mid, "repro_tasks_running") == 1
+    assert obs.metric_value(mid, "repro_tasks_submitted_total") == 1
+    assert obs.metric_value(mid, "repro_tasks_total", state="done") is None
+    assert not mid["histograms"]
+    assert obs.metric_value(after, "repro_tasks_running") == 0
+    assert obs.metric_value(after, "repro_tasks_total", state="done") == 1
+    assert [h["count"] for h in after["histograms"]] == [1, 1, 1]
 
 
 def test_trace_read_from_another_thread_during_a_flood():

@@ -264,3 +264,32 @@ def test_stage_stats_snapshot_shape(rt):
     meta = g.metrics_snapshot()
     assert set(meta["stages"]) == {"src", "m", "out"}
     assert all(v["closed"] for v in meta["streams"].values())
+
+
+def test_published_record_counts_are_the_stage_stats():
+    """``repro_stream_records_total`` is ``StageStats.n_in / n_out``,
+    folded in by ``publish_gauges`` — nothing counts a record twice."""
+    with runtime(observability="metrics") as rt:
+        g = StreamGraph(rt, name="g")
+        src = g.source(range(30), name="src")
+        kept = g.filter(src, lambda v: v % 3 != 0, name="kept")
+        g.sink(kept, name="out")
+        g.start()
+        stats = g.join()
+        assert rt.metrics_registry.snapshot()["counters"] == []
+        g.publish_gauges()
+        g.publish_gauges()  # a second fold adds nothing
+        snap = rt.metrics()
+    got = {
+        (c["labels"]["stage"], c["labels"]["port"]): c["value"]
+        for c in snap["counters"]
+        if c["name"] == "repro_stream_records_total"
+    }
+    assert got == {
+        ("src", "out"): stats["src"].n_out,
+        ("kept", "in"): stats["kept"].n_in,
+        ("kept", "out"): stats["kept"].n_out,
+        ("out", "in"): stats["out"].n_in,
+        ("out", "out"): stats["out"].n_out,  # what the sink delivered
+    }
+    assert got["src", "out"] == got["kept", "in"] == 30 and got["kept", "out"] == 20
