@@ -24,8 +24,8 @@ from repro.runtime import Runtime
 from repro.workflows import (
     PipelineConfig,
     prepare_dataset,
-    run_classical,
     run_cnn,
+    run_study,
     side_by_side,
     table1_block,
 )
@@ -58,8 +58,7 @@ def dataset():
 def _compute_results(dataset):
     out = {}
     with Runtime(executor="threads", max_workers=8):
-        for algo in ("csvm", "knn", "rf"):
-            res = run_classical(algo, CFG, dataset)
+        for algo, res in run_study(("csvm", "knn", "rf"), CFG, dataset).items():
             out[algo] = {
                 "accuracy": res.accuracy,
                 "confusion": res.confusion,

@@ -176,6 +176,10 @@ run_ml() {
     # full length (`python3 bench/run.py --workload af_classical`).
     echo "== ml + dsarray + workflow tests (kernel oracles, frozen AF reference) =="
     PYTHONPATH=src python -m pytest tests/ml tests/dsarray tests/workflows -x -q
+    # the study is one graph: three cross-validations hanging off the
+    # same PCA futures is what the state-transition checks are for
+    echo "== workflow tests again under REPRO_DEBUG_INVARIANTS=1 (shared-prefix study graph) =="
+    REPRO_DEBUG_INVARIANTS=1 PYTHONPATH=src python -m pytest tests/workflows -x -q
     echo "== bench smoke: af_classical (oracle, silent stderr) =="
     bench_smoke --workload af_classical
 }

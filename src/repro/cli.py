@@ -60,7 +60,7 @@ import sys
 
 def _cmd_table1(args: argparse.Namespace) -> int:
     from repro.runtime import Runtime, RuntimeConfig
-    from repro.workflows import run_classical, run_cnn, side_by_side, table1_block
+    from repro.workflows import run_cnn, run_study, side_by_side, table1_block
     from repro.workflows.af_pipeline import prepare_dataset
     from repro.workflows.experiments import get_preset
 
@@ -74,8 +74,8 @@ def _cmd_table1(args: argparse.Namespace) -> int:
         overrides["observability"] = "progress"
     config = RuntimeConfig.from_env(**overrides)
     with Runtime(config=config):
-        for algo in ("csvm", "knn", "rf"):
-            res = run_classical(algo, preset.pipeline, dataset)
+        study = run_study(("csvm", "knn", "rf"), preset.pipeline, dataset)
+        for algo, res in study.items():
             print(f"{algo}: {res.accuracy * 100:.1f}%")
             blocks.append(table1_block(algo.upper(), res.accuracy, res.confusion, ["N", "AF"]))
         if not args.skip_cnn:

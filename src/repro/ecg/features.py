@@ -17,12 +17,16 @@ from scipy import signal as sp_signal
 PAPER_MAX_LENGTH = 18300
 
 
-def zero_pad(signals: list[np.ndarray], target_length: int | None = None) -> np.ndarray:
+def zero_pad(
+    signals: list[np.ndarray], target_length: int | None = None, step: int = 1
+) -> np.ndarray:
     """Right-pad every signal with zeros to a common length.
 
     Without *target_length*, the longest signal's length is used, as in
     the paper.  Signals longer than the target are rejected (padding
-    never truncates data silently).
+    never truncates data silently).  *step* > 1 keeps every *step*-th
+    sample of the padded signals — ``zero_pad(s, n)[:, ::step]`` without
+    building the full-rate matrix first.
     """
     if not signals:
         raise ValueError("no signals to pad")
@@ -30,9 +34,10 @@ def zero_pad(signals: list[np.ndarray], target_length: int | None = None) -> np.
     target = target_length if target_length is not None else max_len
     if max_len > target:
         raise ValueError(f"signal of length {max_len} exceeds target {target}")
-    out = np.zeros((len(signals), target))
+    out = np.zeros((len(signals), -(-target // step)))
     for i, s in enumerate(signals):
-        out[i, : len(s)] = s
+        kept = s[::step]
+        out[i, : len(kept)] = kept
     return out
 
 

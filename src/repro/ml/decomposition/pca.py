@@ -130,7 +130,8 @@ class PCA(BaseEstimator):
             return len(ratio)
         if isinstance(self.n_components, float):
             cum = np.cumsum(ratio)
-            return int(np.searchsorted(cum, self.n_components - 1e-12) + 1)
+            # zero-variance data never reaches the target: keep them all
+            return int(min(np.searchsorted(cum, self.n_components - 1e-12) + 1, len(ratio)))
         return int(min(self.n_components, len(ratio)))
 
     @property

@@ -214,6 +214,17 @@ class TestFeatures:
         with pytest.raises(ValueError):
             zero_pad([])
 
+    @pytest.mark.parametrize("step", [1, 2, 7, 16])
+    @pytest.mark.parametrize("target", [None, 100, 113])
+    def test_zero_pad_step_is_the_strided_full_matrix(self, rng, step, target):
+        signals = [rng.standard_normal(n) for n in (100, 1, 16, 33, 97)]
+        out = zero_pad(signals, target, step)
+        want = zero_pad(signals, target)[:, ::step]
+        assert out.shape == want.shape and out.flags.c_contiguous
+        assert out.tobytes() == np.ascontiguousarray(want).tobytes()
+        with pytest.raises(ValueError):
+            zero_pad(signals, 99, step)
+
     def test_stft_shape_deterministic(self, rng):
         x = rng.standard_normal((3, 3000))
         feats = stft_features(x, fs=300.0, nperseg=128)

@@ -127,6 +127,17 @@ class TestPCA:
         assert pca.n_components_ < 10
         assert pca.explained_variance_ratio_.sum() >= 0.95
 
+    def test_fraction_on_zero_variance_keeps_at_most_all_features(self):
+        """No cumulative ratio ever reaches the target on constant data:
+        the component count stops at the feature count and the estimator
+        agrees with its own transform."""
+        dx = ds.array(np.ones((10, 4)), (5, 2))
+        pca = PCA(n_components=0.95).fit(dx)
+        assert pca.n_components_ == 4
+        assert pca.components_.shape == (4, 4)
+        z = pca.transform(dx)
+        assert z.shape == z.collect().shape == (10, 4)
+
     def test_full_reconstruction(self, rng):
         x = rng.standard_normal((30, 4))
         dx = ds.array(x, (10, 2))

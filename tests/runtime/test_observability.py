@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import io
 import json
+import time
 
 import pytest
 
@@ -550,25 +551,28 @@ def test_critical_path_includes_retry_lost_time():
     assert cp.length == pytest.approx(2.0)
 
 
-def test_critical_path_bounds_on_real_run():
-    # The chain tasks are microsecond-scale: a garbage-collection
-    # pause landing inside any single independent task can outweigh
-    # the whole 5-task chain and steal the critical path, so the
-    # timed window runs with the collector off.
-    import gc
+@task(returns=1)
+def _inc_in_a_millisecond(x):
+    end = time.perf_counter() + 1e-3
+    while time.perf_counter() < end:
+        pass
+    return x + 1
 
-    gc.collect()
-    gc.disable()
+
+def test_critical_path_bounds_on_real_run():
+    # Each chain task works for a millisecond and the independent ones
+    # are no-ops, so the chain is the critical path by construction: a
+    # preempted or collected-in no-op would have to stall for the whole
+    # 5 ms to take it.
     cfg = RuntimeConfig(executor="threads", max_workers=2)
     with Runtime(config=cfg) as rt:
-        f = _add(1, 2)
-        for _ in range(4):
-            f = _inc(f)
+        f = 0
+        for _ in range(5):
+            f = _inc_in_a_millisecond(f)
         extra = [_add(i, i) for i in range(6)]
         wait_on([f] + extra)
         rt.shutdown()
         trace = rt.trace()
-    gc.enable()
     cp = obs.critical_path(trace)
     max_single = max(r.duration for r in trace)
     assert cp.length <= trace.makespan * (1 + 1e-6)
