@@ -13,7 +13,7 @@
 #   scripts/check.sh dataplane   store tests + store-mode stress + bench smoke of blocks_procs
 #   scripts/check.sh service     queue-service tests + chaos smoke
 #   scripts/check.sh fuse        fusion tests + fusion-on stress + fusion on/off differential + traced bench smoke of task_dag
-#   scripts/check.sh stream      streaming + ECG signal-path tests + stream stress + serving differential + bench smoke of stream_serve
+#   scripts/check.sh stream      streaming + all ECG tests (detector and filter oracles) + stream stress + serving differential + bench smoke of stream_serve
 #   scripts/check.sh ml          estimator + ds-array + AF-workflow tests (kernel oracles, frozen benchmark reference) + bench smoke of af_classical
 #   scripts/check.sh bench       bench/run.py --smoke over all seven workloads (oracles + exit hygiene, < 30 s)
 set -euo pipefail
@@ -146,17 +146,19 @@ run_stream() {
     # (backpressure, RETRY mid-stream, abort, shutdown mid-flight; hang
     # watchdog + zero-leak audits, fusion off and on) and the streamed
     # vs batch AF-serving bit-identity differential.  The serving
-    # stages spend their time in the repro.ecg kernels, so the tests
-    # that pin those byte for byte (band-pass design, windowed beat
-    # synthesis) run here too, and the benchmark's own smoke of
-    # stream_serve repeats the streamed-vs-batch-twin bit-equality
-    # through its oracle.  Throughput and latency are that workload at
-    # full length (`python3 bench/run.py --workload stream_serve`).
-    echo "== streaming tests (incl. serving differential) + ECG signal path =="
+    # stages spend their time in the repro.ecg kernels, so all of
+    # tests/ecg runs here too: the tests that pin those kernels byte for
+    # byte (band-pass design, the zero-phase filter against scipy's
+    # filtfilt, both R-peak detectors against the loops they replaced,
+    # windowed beat synthesis) and every other caller of the detectors
+    # (HRV, signal quality, the extension workflows).  The benchmark's
+    # own smoke of stream_serve repeats the streamed-vs-batch-twin
+    # bit-equality through its oracle.  Throughput and latency are that
+    # workload at full length
+    # (`python3 bench/run.py --workload stream_serve`).
+    echo "== streaming tests (incl. serving differential) + ECG tests (kernel oracles) =="
     PYTHONPATH=src python -m pytest tests/streaming \
-        tests/runtime/test_stream_shutdown.py \
-        tests/ecg/test_rpeaks_augment_features.py \
-        tests/ecg/test_generator_dataset.py -x -q
+        tests/runtime/test_stream_shutdown.py tests/ecg -x -q
     echo "== streaming stress (fixed seeds: one per scenario family, then fused) =="
     PYTHONPATH=src python -m repro stress --stream \
         --seed 0 --seed 1 --seed 2 --seed 3 --seed 14

@@ -62,10 +62,10 @@ class StreamFailure(Exception):
         self.stage = stage
 
 
-def _percentile(samples: list[float], q: float) -> float:
-    if not samples:
+def _percentile(ordered: list[float], q: float) -> float:
+    """Quantile *q* of an already sorted sample list (0.0 when empty)."""
+    if not ordered:
         return 0.0
-    ordered = sorted(samples)
     idx = min(len(ordered) - 1, max(0, int(round(q * (len(ordered) - 1)))))
     return ordered[idx]
 
@@ -90,7 +90,7 @@ class StageStats:
     )
 
     def snapshot(self) -> dict:
-        samples = list(self.latencies)
+        ordered = sorted(self.latencies)  # one sort serves both quantiles
         elapsed = (
             (self.finished_at or time.monotonic()) - self.started_at
             if self.started_at is not None
@@ -105,8 +105,8 @@ class StageStats:
             "retries": self.retries,
             "dropped": self.dropped,
             "error": self.error,
-            "p50_ms": _percentile(samples, 0.50) * 1000.0,
-            "p99_ms": _percentile(samples, 0.99) * 1000.0,
+            "p50_ms": _percentile(ordered, 0.50) * 1000.0,
+            "p99_ms": _percentile(ordered, 0.99) * 1000.0,
             "rps": self.n_out / elapsed if elapsed > 0 else 0.0,
         }
 

@@ -68,6 +68,8 @@ class ServeConfig:
     #: stream capacity (credits) between stages.
     capacity: int = 32
     label_cycle: tuple = ("N", "AF", "O")
+    #: generator settings; None = ``ECGConfig(fs=fs)``.  Its ``fs`` must
+    #: equal ``fs`` above: chunking and the features stage run at that rate.
     ecg: ECGConfig | None = None
 
     @property
@@ -82,7 +84,17 @@ def iter_feed(cfg: ServeConfig) -> Iterator[tuple]:
     tuples: segments are generated whole (seeded per segment, so the
     feed is replayable bit-for-bit), split into chunks, and emitted
     round-robin across the patients of each round — the interleaving a
-    real multi-patient ingest would show."""
+    real multi-patient ingest would show.
+
+    Recordings are synthesised at ``cfg.fs`` (``ValueError`` if
+    ``cfg.ecg`` names another rate), so a segment is exactly
+    ``chunks_per_segment * chunk_len`` samples."""
+    ecg = cfg.ecg or ECGConfig(fs=cfg.fs)
+    if ecg.fs != cfg.fs:
+        raise ValueError(
+            f"ServeConfig.fs={cfg.fs} Hz but ServeConfig.ecg.fs={ecg.fs} Hz: the "
+            "feed is chunked and analysed at the rate it is synthesised at"
+        )
     rounds = (cfg.n_segments + cfg.patients - 1) // cfg.patients
     for r in range(rounds):
         seg_ids = [
@@ -95,7 +107,7 @@ def iter_feed(cfg: ServeConfig) -> Iterator[tuple]:
             label = cfg.label_cycle[(seg // cfg.patients) % len(cfg.label_cycle)]
             rng = np.random.default_rng(cfg.seed * 100_003 + seg * 7_919 + 1)
             signal = generate_recording(
-                label, cfg.chunks_per_segment * cfg.chunk_seconds, rng, cfg.ecg
+                label, cfg.chunks_per_segment * cfg.chunk_seconds, rng, ecg
             )
             n = cfg.chunk_len
             chunks[seg] = (
@@ -276,7 +288,7 @@ def serve_stream(
         while any(s.thread is not None and s.thread.is_alive() for s in g.stages):
             g.publish_gauges()
             time.sleep(gauge_interval)
-    stats = g.join()
+    g.join()
     elapsed = time.monotonic() - t0
     g.publish_gauges()
 
@@ -286,12 +298,13 @@ def serve_stream(
         if predictions
         else np.empty((0, 2))
     )
+    metrics = g.metrics_snapshot()
     return ServingResult(
         predictions=predictions,
         probs=probs,
         elapsed_s=elapsed,
-        stage_stats={name: s.snapshot() for name, s in stats.items()},
-        metrics=g.metrics_snapshot(),
+        stage_stats=metrics["stages"],
+        metrics=metrics,
     )
 
 

@@ -261,6 +261,11 @@ def test_stage_stats_snapshot_shape(rt):
     snap = stats["m"].snapshot()
     assert snap["n_in"] == snap["n_out"] == 20
     assert snap["p50_ms"] >= 0.0 and snap["p99_ms"] >= snap["p50_ms"] * 0.0
+    # nearest-rank quantiles of the reservoir, whatever order it filled in
+    stats["m"].latencies.clear()
+    stats["m"].latencies.extend([0.005, 0.001, 0.003, 0.002, 0.004])
+    snap = stats["m"].snapshot()
+    assert (snap["p50_ms"], snap["p99_ms"]) == (3.0, 5.0)
     meta = g.metrics_snapshot()
     assert set(meta["stages"]) == {"src", "m", "out"}
     assert all(v["closed"] for v in meta["streams"].values())

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy import signal as sp_signal
 
+from repro.ecg import ECGConfig, generate_recording
 from repro.runtime import Runtime
 from repro.runtime.config import RuntimeConfig
 from repro.streaming import (
@@ -52,6 +53,45 @@ def test_feed_is_deterministic_and_interleaved():
     assert all(len(v[3]) == CFG.chunk_len for v in feed1)
 
 
+def _segments_vs_whole_recordings(cfg, ecg):
+    """Each segment of the feed, reassembled, next to the recording the
+    generator draws for it at *ecg* (the feed's per-segment seeding)."""
+    feed = list(iter_feed(cfg))
+    for seg_id in range(cfg.n_segments):
+        seg = serving.assemble_segment([v for v in feed if v[1] == seg_id])
+        rng = np.random.default_rng(cfg.seed * 100_003 + seg_id * 7_919 + 1)
+        seconds = cfg.chunks_per_segment * cfg.chunk_seconds
+        yield seg["signal"], generate_recording(seg["label"], seconds, rng, ecg)
+
+
+def test_feed_is_synthesised_at_the_configured_rate():
+    """``ServeConfig.fs`` reaches the generator: at 250 Hz a segment is
+    six whole 125-sample chunks, not 900 samples cut to 750."""
+    cfg = ServeConfig(fs=250.0, n_segments=2, patients=2)
+    assert all(len(v[3]) == cfg.chunk_len == 125 for v in iter_feed(cfg))
+    for signal, whole in _segments_vs_whole_recordings(cfg, ECGConfig(fs=250.0)):
+        assert len(signal) == cfg.chunks_per_segment * cfg.chunk_len
+        assert signal.tobytes() == whole.tobytes()  # nothing dropped
+    # an explicit generator config at the same rate is the same feed
+    explicit = ServeConfig(fs=250.0, n_segments=2, patients=2, ecg=ECGConfig(fs=250.0))
+    assert [v[3].tobytes() for v in iter_feed(explicit)] == [
+        v[3].tobytes() for v in iter_feed(cfg)
+    ]
+
+
+def test_feed_rejects_a_generator_at_another_rate():
+    cfg = ServeConfig(fs=250.0, ecg=ECGConfig(noise_std=0.1))  # ecg.fs is 300
+    with pytest.raises(ValueError, match=r"fs=250\.0 Hz.*ecg\.fs=300\.0 Hz"):
+        next(iter_feed(cfg))
+
+
+def test_default_feed_bytes_unchanged():
+    """The default config (300 Hz both sides) is still the generator's
+    defaults: recordings drawn with no ``ECGConfig`` at all."""
+    for signal, whole in _segments_vs_whole_recordings(CFG, None):
+        assert signal.tobytes() == whole.tobytes()
+
+
 def test_serve_stream_produces_one_prediction_per_segment(model):
     with runtime() as rt:
         res = serve_stream(CFG, rt, model)
@@ -75,6 +115,7 @@ def test_serve_stream_produces_one_prediction_per_segment(model):
         "predictions",
     }
     assert res.stage_stats["ecg"]["n_out"] == len(list(iter_feed(CFG)))
+    assert res.stage_stats == res.metrics["stages"]  # one snapshot, two views
 
 
 @pytest.mark.parametrize("backend", ["threads", "sequential"])
