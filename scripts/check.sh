@@ -9,7 +9,7 @@
 #   scripts/check.sh resilience  crash-resume smoke test only
 #   scripts/check.sh stress      scheduler concurrency stress (fixed seeds) + engine regression tests
 #   scripts/check.sh backend     tier-1 + stress under REPRO_BACKEND=processes
-#   scripts/check.sh obs         observability smoke (metrics/trace exports)
+#   scripts/check.sh obs         observability smoke (metrics/trace exports, flight-recorder dump) + tracing/lifecycle-view tests
 #   scripts/check.sh dataplane   store tests + store-mode stress + bench smoke of blocks_procs
 #   scripts/check.sh service     queue-service tests + chaos smoke
 #   scripts/check.sh fuse        fusion tests + fusion-on stress + fusion on/off differential + traced bench smoke of task_dag
@@ -48,6 +48,10 @@ run_resilience() {
 run_stress() {
     # Small fixed seed set for the CI gate (one seed per scenario
     # family + a second mixed round); `make stress` runs 20 seeds.
+    # Fails on hangs, wrong values, state-machine violations and
+    # structural leaks.  Lifecycle accounting is not its job: there is
+    # one record per task, and the lifecycle view of it is checked
+    # against stats() by `check.sh obs`.
     echo "== scheduler concurrency stress (fixed seeds) =="
     PYTHONPATH=src python -m repro stress --seed 0 --seed 1 --seed 2 --seed 3 --seed 4 --seed 7
     # Races the stress seeds only hit now and then, pinned: barrier()
@@ -94,12 +98,14 @@ run_fuse() {
 run_obs() {
     # Real run with telemetry on: the metrics view sums to stats and
     # the trace, its Prometheus exposition parses, the chrome-trace
-    # export validates, the critical path is bounded and the trace CLI
-    # works.  Then the tracing stack: task table -> TaskRecord/Trace and
-    # TaskGraph, trace-context propagation, structured logging, the
-    # flight recorder, OTLP export and the service span log.  What
-    # telemetry costs is obs.* in bench/ (`check.sh bench`).
-    echo "== observability smoke (metrics + trace exports) =="
+    # export validates, the critical path is bounded, the trace CLI
+    # works, and a killed run's flight-recorder dump agrees with stats()
+    # and renders via `repro logs`.  Then the tracing stack: task table
+    # -> TaskRecord/Trace, TaskGraph and the lifecycle view,
+    # trace-context propagation, structured logging, the flight
+    # recorder, OTLP export and the service span log.  What telemetry
+    # costs is obs.* in bench/ (`check.sh bench`).
+    echo "== observability smoke (metrics + trace exports + flight recorder) =="
     PYTHONPATH=src python scripts/obs_smoke.py
     echo "== tracing / logging / flight-recorder tests =="
     PYTHONPATH=src python -m pytest -x -q \

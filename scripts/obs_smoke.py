@@ -19,21 +19,29 @@ executor with metrics enabled, and asserts:
 4. the critical path is bounded: at least the longest single task,
    at most the makespan,
 5. the ``repro trace`` CLI (summarize / critical-path / chrome) works
-   end to end on the saved trace file.
+   end to end on the saved trace file,
+6. a run with ``flightrec_dir`` whose task kills the workflow leaves a
+   dump whose terminal rows agree with ``stats()`` and which
+   ``repro logs`` renders under its usual columns.
 
-Exit code 0 means all five hold.
+Exit code 0 means all six hold.
 """
 
 from __future__ import annotations
 
-import json
+import collections
+import contextlib
+import io
 import sys
 import tempfile
 from pathlib import Path
 
 from repro.cli import main as cli_main
 from repro.cluster.chrometrace import trace_to_chrome, validate_chrome_json
-from repro.runtime import Runtime, RuntimeConfig, observability as obs
+from repro.runtime import Runtime, RuntimeConfig, faults, task, wait_on
+from repro.runtime import observability as obs
+from repro.runtime.exceptions import WorkflowKilledError
+from repro.runtime.flightrec import load_dump
 from repro.runtime.tracing import Trace
 from repro.workflows.af_pipeline import (
     PipelineConfig,
@@ -52,9 +60,65 @@ TINY = PipelineConfig(
 )
 
 
+#: The header ``repro logs <dump>`` prints above the lifecycle rows.
+LOGS_COLUMNS = ["t", "kind", "task", "attempt", "state", "name"]
+
+
+@task(returns=1)
+def _step(x):
+    return x + 1
+
+
 def fail(msg: str) -> None:
     print(f"FAIL: {msg}")
     sys.exit(1)
+
+
+def flight_recorder_step(tmp: Path) -> None:
+    cfg = RuntimeConfig(executor="sequential", flightrec_dir=str(tmp / "dumps"))
+    rt = Runtime(config=cfg)
+    try:
+        with rt, faults.inject(faults.kill_after_n_tasks(3)):
+            x = 0
+            for _ in range(6):
+                x = _step(x)
+            wait_on(x)
+    except WorkflowKilledError:
+        pass
+    else:
+        fail("the injected kill did not fire")
+    stats = rt.stats()
+    dumps = sorted((tmp / "dumps").glob("flightrec-*.json"))
+    if len(dumps) != 1:
+        fail(f"expected one flight-recorder dump, found {len(dumps)}")
+    payload = load_dump(dumps[0])
+    if not payload["reason"].startswith("kill:") or payload["n_dropped"]:
+        fail(f"unexpected dump header: {payload['reason']!r}, {payload['n_dropped']} dropped")
+    terminal = collections.Counter(
+        e["state"] for e in payload["events"] if e["kind"] in obs.TERMINAL_KINDS
+    )
+    # the killed attempt never retired: it is still "running" in stats()
+    by_state = {k: v for k, v in stats["by_state"].items() if k in obs.TERMINAL_KINDS}
+    if dict(terminal) != by_state:
+        fail(f"dump has terminal rows {dict(terminal)}, stats() says {stats['by_state']}")
+    submitted = sum(e["kind"] == obs.SUBMITTED for e in payload["events"])
+    if submitted != stats["n_tasks"]:
+        fail(f"dump has {submitted} submitted rows for {stats['n_tasks']} tasks")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = cli_main(["logs", str(dumps[0])])
+    lines = out.getvalue().splitlines()
+    columns = [line.split() for line in lines]
+    if rc != 0 or LOGS_COLUMNS not in columns:
+        fail(f"repro logs exited {rc} without the header {LOGS_COLUMNS}:\n{out.getvalue()}")
+    # header, rule, one line per row, then the metrics line
+    rendered = lines[columns.index(LOGS_COLUMNS) + 2 : -1]
+    if len(rendered) != payload["n_events"]:
+        fail(f"repro logs rendered {len(rendered)} rows of {payload['n_events']}")
+    print(
+        f"ok: flight-recorder dump ({payload['n_events']} rows, terminal {dict(terminal)})"
+        " agrees with stats() and renders via repro logs"
+    )
 
 
 def main() -> None:
@@ -138,6 +202,10 @@ def main() -> None:
         if any(r.t_submit is None for r in back):
             fail("saved trace lost span timestamps")
     print("ok: repro trace CLI (summarize, critical-path, chrome)")
+
+    # -- 6. the flight recorder: a view of the table, dumped on a kill --
+    with tempfile.TemporaryDirectory() as tmp:
+        flight_recorder_step(Path(tmp))
 
     print("observability smoke: ALL OK")
 

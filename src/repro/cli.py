@@ -17,8 +17,8 @@ Commands:
   epoch/round/grid checkpoints of the higher layers).
 * ``stress [--seeds N]`` — the scheduler concurrency stress harness
   (seeded random schedules; fails on hangs, lost wakeups, wrong values,
-  state-machine violations or lifecycle events that do not add up to
-  ``stats()``).  ``make stress`` is the same thing.  ``--stream`` switches
+  state-machine violations or structural leaks).  ``make stress`` is
+  the same thing.  ``--stream`` switches
   to the streaming scenarios (backpressure stall/release, mid-stream
   operator failure under RETRY, abort and ``shutdown(wait=True)``
   mid-flight) with the same watchdog and leak audits.

@@ -40,9 +40,10 @@ Public surface:
   only the tasks whose results are not already in the store.
 * :func:`atomic_write` — temp file + fsync + rename file writes, used
   by every exporter here and available to applications.
-* :mod:`repro.runtime.observability` — lifecycle event bus, metrics
-  (``Runtime.metrics()`` / Prometheus exposition, shaped from the task
-  table when read), live progress reporting and trace analysis
+* :mod:`repro.runtime.observability` — read-side views of the task
+  table (the lifecycle history the flight recorder dumps,
+  ``Runtime.metrics()`` / Prometheus exposition, the live progress
+  line) and trace analysis
   (:func:`critical_path`, :func:`summarize_trace`); enabled with
   ``RuntimeConfig(observability="metrics,progress")`` or
   ``REPRO_OBSERVABILITY``.
@@ -83,10 +84,8 @@ from repro.runtime.model import Constraints, TaskCall
 from repro.runtime.store import ObjectRef, ObjectStore, StoreError, is_ref
 from repro.runtime.observability import (
     CriticalPath,
-    EventBus,
     MetricsRegistry,
     ProgressReporter,
-    TaskEvent,
     critical_path,
     summarize_trace,
     to_prometheus,
@@ -126,8 +125,6 @@ __all__ = [
     "is_ref",
     "Trace",
     "TaskRecord",
-    "TaskEvent",
-    "EventBus",
     "MetricsRegistry",
     "ProgressReporter",
     "CriticalPath",

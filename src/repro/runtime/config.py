@@ -24,9 +24,9 @@ Environment variables (all optional):
 ``REPRO_DEBUG_INVARIANTS``  ``1``/``0`` — validate state transitions
 ``REPRO_OBSERVABILITY``   observability flags (``metrics``,
                           ``progress``, ``all``; comma-separated)
-``REPRO_STORE``           ``auto`` | ``on`` | ``off`` — shared-memory
-                          object store (data plane; see
-                          :mod:`repro.runtime.store`)
+``REPRO_STORE``           ``auto`` | ``off`` — by-reference transport
+                          through the shared-memory object store
+                          (data plane; see :mod:`repro.runtime.store`)
 ``REPRO_STORE_CAPACITY_MB``  shared-memory budget before LRU spill
 ``REPRO_STORE_SPILL_DIR``    directory of the spill tier
 ``REPRO_STORE_THRESHOLD_BYTES``  arrays below this size stay inline
@@ -50,7 +50,7 @@ from repro.runtime.failures import CANCEL_SUCCESSORS, validate_policy
 
 _EXECUTORS = ("threads", "sequential")
 _BACKENDS = ("threads", "processes")
-_STORE_MODES = ("auto", "on", "off")
+_STORE_MODES = ("auto", "off")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -72,8 +72,6 @@ class RuntimeConfig:
     #: Retry budget for ``on_failure="RETRY"`` tasks that declared no
     #: explicit ``max_retries`` (COMPSs resubmits twice by default).
     default_max_retries: int = 2
-    #: Default per-task ``time_out`` in seconds (None = no timeout).
-    default_time_out: float | None = None
     #: Base of the exponential retry backoff in seconds (0 = retry
     #: immediately).
     retry_backoff: float = 0.001
@@ -99,16 +97,16 @@ class RuntimeConfig:
     #: separated subset of ``metrics`` (``Runtime.metrics()`` shapes the
     #: task-lifecycle series from the task table when read, next to a
     #: :class:`~repro.runtime.observability.MetricsRegistry` for
-    #: manually written series) and ``progress`` (subscribe a throttled
-    #: live progress line on stderr to the event bus).  ``all`` enables
-    #: everything.  Lifecycle timestamps are always stamped.
+    #: manually written series) and ``progress`` (a throttled live
+    #: progress line on stderr, counted from the same table).  ``all``
+    #: enables everything.  Lifecycle timestamps are always stamped.
     observability: str = ""
     #: Shared-memory object store (:mod:`repro.runtime.store`):
     #: ``"auto"`` (default) activates by-reference data passing when —
-    #: and only when — the process backend is selected, ``"on"``
-    #: forces it, ``"off"`` disables it.  ``Runtime.put``/``get`` work
-    #: in every mode (the store itself is created on first use); this
-    #: knob controls automatic by-ref transport in the backend.
+    #: and only when — the process backend is selected, ``"off"``
+    #: disables it.  ``Runtime.put``/``get`` work in both modes (the
+    #: store itself is created on first use); this knob controls
+    #: automatic by-ref transport in the backend.
     store: str = "auto"
     #: Shared-memory budget in MiB; the LRU tier spills the coldest
     #: unpinned objects to ``store_spill_dir`` beyond it.
@@ -132,10 +130,11 @@ class RuntimeConfig:
     #: on the applications (docs/architecture.md, "Task fusion").
     fusion: bool = False
     #: Directory for crash flight-recorder dumps.  When set, the
-    #: runtime keeps a bounded in-memory ring of recent task events
-    #: (:class:`~repro.runtime.flightrec.FlightRecorder`) and writes a
-    #: JSON dump there on workflow kill/abort — and on watchdog trips
-    #: and service SIGTERM via :func:`repro.runtime.flightrec.dump_all`.
+    #: runtime writes the tail of its lifecycle history — a view of
+    #: the task table, nothing is kept while it runs
+    #: (:class:`~repro.runtime.flightrec.FlightRecorder`) — there as
+    #: JSON on workflow kill/abort, and on watchdog trips and service
+    #: SIGTERM via :func:`repro.runtime.flightrec.dump_all`.
     #: ``None`` (default) disables the recorder.
     flightrec_dir: str | None = None
 
@@ -153,8 +152,6 @@ class RuntimeConfig:
             raise ValueError(str(exc)) from None
         if self.default_max_retries < 0:
             raise ValueError("default_max_retries must be >= 0")
-        if self.default_time_out is not None and self.default_time_out <= 0:
-            raise ValueError("default_time_out must be > 0 seconds")
         if self.retry_backoff < 0 or self.retry_backoff_cap < 0:
             raise ValueError("retry backoff values must be >= 0")
         if self.store not in _STORE_MODES:

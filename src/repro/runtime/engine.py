@@ -42,12 +42,13 @@ registration — releases the child like any other.
 
 A task is written down once: its :class:`TaskInstance` in the task
 table ``_tasks``, the only per-task structure the task path writes.
-``Runtime.graph``, ``Runtime.trace()``, ``Runtime.stats()`` and the
+``Runtime.graph``, ``Runtime.trace()``, ``Runtime.stats()``, the
+metrics, the lifecycle history a flight-recorder dump holds and the
 checkpoint lineage key of a future are views shaped from that table
-when read; as an attempt retires, ``_record`` stamps on the instance
-what only its trace record knows, and finalization drops the
-instance's arguments — a retired task keeps its scalars, not its
-payload.
+when read — nothing is pushed to observers; as an attempt retires,
+``_record`` stamps on the instance what only its trace record knows,
+and finalization drops the instance's arguments — a retired task keeps
+its scalars, not its payload.
 
 Failure management (COMPSs ``on_failure``) lives here too: when a task
 attempt raises — organically, via an injected fault, or through the
@@ -119,8 +120,6 @@ from repro.runtime.tracing import (
     TaskRecord,
     Trace,
     estimate_nbytes,
-    overhead_of,
-    queue_wait_of,
 )
 
 _logger = logging.getLogger("repro.runtime")
@@ -312,10 +311,6 @@ class Runtime:
             store=self.store if ref_transport else None,
         )
         self.registry = DataRegistry()
-        #: Lifecycle event bus (see :mod:`repro.runtime.observability`).
-        #: Falsy while nothing is subscribed, so un-observed runtimes
-        #: skip event construction entirely.
-        self.events = obs.EventBus()
         self._metrics: obs.MetricsRegistry | None = None
         self._progress: obs.ProgressReporter | None = None
         obs_flags = obs.parse_flags(cfg.observability)
@@ -323,21 +318,20 @@ class Runtime:
             self._metrics = obs.MetricsRegistry()
         if "progress" in obs_flags:
             self._progress = obs.ProgressReporter(self._attempts, label=cfg.name)
-            self.events.subscribe(self._progress.handle)
-        #: Crash flight recorder: a bounded ring of recent TaskEvents,
-        #: dumped to ``cfg.flightrec_dir`` on kill/abort (and by the
-        #: stress watchdog / service SIGTERM handler via
+        #: Crash flight recorder: the tail of the lifecycle view of the
+        #: task table, dumped to ``cfg.flightrec_dir`` on kill/abort
+        #: (and by the stress watchdog / service SIGTERM handler via
         #: :func:`repro.runtime.flightrec.dump_all`).
         self.flight_recorder = None
         if cfg.flightrec_dir:
             from repro.runtime.flightrec import FlightRecorder
 
             self.flight_recorder = FlightRecorder(
+                lambda: obs.lifecycle_events(self._attempts()),
                 name=cfg.name,
                 dump_dir=cfg.flightrec_dir,
                 metrics_snapshot=self.metrics,
             )
-            self.events.subscribe(self.flight_recorder.record)
         #: every attempt, keyed by its own task id (retries included)
         #: — the one per-task record: ``graph``, ``trace()``,
         #: ``stats()`` and ``metrics()`` are views shaped from it when read.
@@ -509,48 +503,8 @@ class Runtime:
     # ------------------------------------------------------------------
     def _now(self) -> float:
         """Monotonic seconds since this runtime's epoch (the clock of
-        every trace timestamp and lifecycle event)."""
+        every trace timestamp and lifecycle row)."""
         return time.perf_counter() - self._epoch
-
-    def _emit(self, kind: str, inst: TaskInstance, t: float, state: str | None = None) -> None:
-        """Publish one lifecycle event (no-op while nothing listens)."""
-        events = self.events
-        if not events:
-            return
-        ran = inst.t_body_start is not None
-        duration = queue_wait = overhead = None
-        # `ran` first: it short-circuits the set lookup for the
-        # submit/ready/dispatch events that dominate emission volume
-        if ran and inst.t_end is not None and kind in obs.TERMINAL_KINDS:
-            duration = inst.t_end - inst.t_body_start
-            queue_wait = queue_wait_of(inst.t_ready, inst.t_dispatch)
-            overhead = overhead_of(
-                inst.t_submit, inst.t_ready, inst.t_dispatch, inst.t_body_start
-            )
-        # positional TaskEvent construction: this is the hot path
-        events.emit(
-            obs.TaskEvent(
-                kind,
-                t,
-                inst.task_id,
-                inst.root_id,
-                inst.name,
-                inst.attempt,
-                state if state is not None else inst.state,
-                inst.worker_pid,
-                inst.worker_name,
-                inst.retry_of,
-                ran,
-                duration,
-                queue_wait,
-                overhead,
-            )
-        )
-
-    def subscribe(self, fn) -> None:
-        """Attach *fn* to the lifecycle event bus (``fn(event)`` is
-        called inline on the emitting thread — keep it cheap)."""
-        self.events.subscribe(fn)
 
     def metrics(self) -> dict:
         """Point-in-time metrics snapshot (counters, gauges,
@@ -1032,7 +986,6 @@ class Runtime:
             )
             inst._remaining = unresolved
 
-        self._emit(obs.SUBMITTED, inst, inst.t_submit)
         return restored_values, unresolved, upstream_failed, sole_dep
 
     def _walk_deps_locked(
@@ -1108,9 +1061,6 @@ class Runtime:
                 )
                 inst._remaining = unresolved
                 out.append((restored_values, unresolved, upstream_failed, sole_dep))
-        if self.events:
-            for inst in insts:
-                self._emit(obs.SUBMITTED, inst, inst.t_submit)
         return out
 
     def _returns_of(self, inst: TaskInstance) -> Any:
@@ -1176,7 +1126,7 @@ class Runtime:
         self._record(inst, t, RESTORED, out_bytes=estimate_nbytes(values))
         for fut, value in zip(inst.futures, values):
             fut._set_result(value)
-        self._complete(inst, DONE, event_kind=obs.RESTORED)
+        self._complete(inst, DONE)
         _ckpt_logger.debug("restored %s#%d from checkpoint", inst.name, inst.task_id)
 
     # ------------------------------------------------------------------
@@ -1185,7 +1135,6 @@ class Runtime:
     def _enqueue(self, inst: TaskInstance) -> None:
         inst.t_ready = self._now()
         self._set_state(inst, READY)
-        self._emit(obs.READY, inst, inst.t_ready)
         priority = inst.options.priority if inst.options is not None else 0
         with self._cond:
             heapq.heappush(self._ready, (-priority, self._ready_seq, inst))
@@ -1206,7 +1155,6 @@ class Runtime:
         for inst in insts:
             inst.t_ready = self._now()
             self._set_state(inst, READY)
-            self._emit(obs.READY, inst, inst.t_ready)
         with self._cond:
             for inst in insts:
                 priority = inst.options.priority if inst.options is not None else 0
@@ -1311,9 +1259,8 @@ class Runtime:
         fuse) and enqueued as a batch.  A multi-member unit enters the
         heap as *one* entry at its head's priority; members stay
         ``PENDING`` — each is claimed right before it runs — and are
-        stamped ready here without ``READY`` events, since they never
-        individually enter the queue (every member still emits its
-        submission and terminal events exactly once).
+        stamped ready here, though they never individually enter the
+        queue.
         """
         singles: list[TaskInstance] = []
         fused: list[FusedTask] = []
@@ -1593,7 +1540,6 @@ class Runtime:
             # fault injection (simulated body behaviour), argument
             # resolution, the backend call and nested children.
             inst.t_body_start = self._now()
-            self._emit(obs.RUNNING, inst, inst.t_body_start)
         _fault_hook(inst.name)
         kill_worker = _worker_kill_hook(inst.name)
         args = resolve_futures(inst.args)
@@ -1695,7 +1641,6 @@ class Runtime:
         t_start = self._now()
         inst.t_dispatch = t_start
         inst.worker_name = threading.current_thread().name
-        self._emit(obs.DISPATCHED, inst, t_start)
         try:
             if time_out is not None and self.executor == "threads":
                 args, kwargs, results = self._run_with_watchdog(inst, scope, time_out)
@@ -1902,6 +1847,7 @@ class Runtime:
                 label=inst.label,
             )
             new.options = options
+            new.t_submit = t_retry
             new.attempt = inst.attempt + 1
             new.retry_of = inst.task_id
             new.root_id = inst.root_id
@@ -1927,7 +1873,6 @@ class Runtime:
             self._unfinished_total += 1
             # Close out the failed attempt (dependents follow the root
             # id, so they transparently wait for the new attempt).
-            new.t_submit = t_retry
             inst.try_finalize()
             self._set_state(inst, FAILED)
             self._unfinished_total -= 1
@@ -1935,12 +1880,6 @@ class Runtime:
             # keeps its scalars only.
             inst.args = inst.kwargs = None
         scope.task_finished()
-        # The old attempt bypasses _complete (dependents follow the
-        # root id), so its terminal event is emitted here; the new
-        # attempt is a fresh submission from the bus's point of view.
-        self._emit(obs.FAILED, inst, inst.t_end if inst.t_end is not None else t_retry)
-        self._emit(obs.RETRY, new, t_retry)
-        self._emit(obs.SUBMITTED, new, t_retry)
 
         delay = retry_delay(
             options.retry_backoff,
@@ -1988,19 +1927,14 @@ class Runtime:
         self._notify_interrupts()
         self._dump_flight_recorder(f"abort: {error!r}")
 
-    def _complete(
-        self,
-        inst: TaskInstance,
-        state: str,
-        event_kind: str | None = None,
-    ) -> None:
+    def _complete(self, inst: TaskInstance, state: str) -> None:
+        """Retire *inst* (whose ``t_end`` the caller has set) into
+        *state* and release its dependents."""
         if not inst.try_finalize():
             return
         self._set_state(inst, state)
-        if self.events:
-            if inst.t_end is None:
-                inst.t_end = self._now()
-            self._emit(event_kind if event_kind is not None else state, inst, inst.t_end)
+        if self._progress is not None:
+            self._progress.tick()
         with self._state_lock:
             children = self._children.pop(inst.root_id, [])
             self._unfinished_total -= 1
@@ -2056,6 +1990,7 @@ class Runtime:
                     f"for {cur.name}#{cur.task_id}"
                 )
             cancelled_any = True
+            cur.t_end = self._now()
             for fut in cur.futures:
                 fut._cancel()
             with self._state_lock:
@@ -2063,9 +1998,6 @@ class Runtime:
                 self._unfinished_total -= 1
             getattr(cur, "_owner_scope").task_finished()
             cur.args = cur.kwargs = None
-            if self.events:
-                cur.t_end = self._now()
-                self._emit(obs.CANCELLED, cur, cur.t_end)
             worklist.extend(children)
         if cancelled_any:
             self._broadcast()
@@ -2107,8 +2039,12 @@ class Runtime:
     def _attempts(self) -> list[TaskInstance]:
         """Every attempt registered so far, in registration order — the
         snapshot each read-side view is shaped from."""
-        with self._state_lock:
-            return list(self._tasks.values())
+        # No runtime lock: the flight recorder dumps through here from a
+        # signal handler or a watchdog, and the black box must not wait
+        # on a runtime wedged with ``_state_lock`` held.  Copying a
+        # dict's values is one C call, atomic under the interpreter
+        # lock, and attempts are complete before they enter the table.
+        return list(self._tasks.values())
 
     def trace(self) -> Trace:
         """Trace of every task attempt retired so far (cancelled

@@ -145,7 +145,7 @@ def resolve_options(config, spec_options: TaskOptions, call_options: TaskOptions
         label=opts.label,
         on_failure=on_failure,
         max_retries=max_retries,
-        time_out=opts.time_out if opts.time_out is not None else config.default_time_out,
+        time_out=opts.time_out,
         failure_default=None if opts.failure_default is _UNSET else opts.failure_default,
         priority=opts.priority if opts.priority is not None else 0,
         retry_backoff=(

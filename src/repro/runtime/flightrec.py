@@ -1,23 +1,19 @@
-"""Crash flight recorder: the last N lifecycle events, always on hand.
+"""Crash flight recorder: the last N lifecycle rows, dumped on the way down.
 
-A :class:`FlightRecorder` is a bounded ring buffer
-(``collections.deque(maxlen=...)``) of recent
-:class:`~repro.runtime.observability.TaskEvent` objects plus an
-optional metrics-snapshot callback.  It subscribes to a runtime's
-event bus and costs one ``deque.append`` per event (appends on a
-bounded deque are GIL-atomic, so the subscriber needs no lock); memory
-is bounded by ``capacity`` regardless of workflow size.
-
-When something goes wrong — workflow kill/abort, a stress-harness
-watchdog trip, or ``SIGTERM`` on a service — the recorder **dumps**
-everything it holds to a JSON file: the recent event window, a final
-metrics snapshot, the reason, and identifying fields (pid, runtime
-name, wall-clock time).  The dump is the black box a crashed run
-leaves behind; ``repro logs <dump.json>`` renders it.
+A :class:`FlightRecorder` holds no events of its own.  It is given a
+callable returning the time-ordered lifecycle rows of a runtime
+(:func:`~repro.runtime.observability.lifecycle_events` over the task
+table) plus an optional metrics-snapshot callback, and costs nothing
+until something goes wrong — workflow kill/abort, a stress-harness
+watchdog trip, or ``SIGTERM`` on a service.  Then it **dumps** a JSON
+file: the last ``capacity`` rows (``n_dropped`` counts the older ones
+left out), a final metrics snapshot, the reason, and identifying fields
+(pid, runtime name, wall-clock time).  The dump is the black box a
+crashed run leaves behind; ``repro logs <dump.json>`` renders it.
 
 Enable per-runtime with ``RuntimeConfig(flightrec_dir=...)`` /
 ``REPRO_FLIGHTREC=<dir>`` (the engine then dumps automatically on
-kill/abort), or construct one explicitly and attach it to any bus.
+kill/abort), or construct one explicitly over any source of rows.
 Module-level :func:`dump_all` walks every live recorder — the hook the
 stress watchdog and the service SIGTERM handler call, where no
 runtime reference is in scope.
@@ -25,8 +21,7 @@ runtime reference is in scope.
 
 from __future__ import annotations
 
-import collections
-import dataclasses
+import itertools
 import json
 import os
 import threading
@@ -35,23 +30,33 @@ import weakref
 from pathlib import Path
 from typing import Any, Callable, Optional
 
-from repro.runtime.observability import TaskEvent
+from repro.runtime.atomic_write import atomic_write
 
 __all__ = ["FlightRecorder", "dump_all", "load_dump"]
 
-#: Default ring capacity: enough to hold the full lifecycle of ~400
-#: tasks (5 events each) while staying a few MB at worst.
+#: Default dump window: enough to hold the full lifecycle of ~400
+#: tasks (5 rows each) while staying a few MB at worst.
 DEFAULT_CAPACITY = 2048
 
 _registry: "weakref.WeakSet[FlightRecorder]" = weakref.WeakSet()
 _registry_lock = threading.Lock()
+#: Numbers every dump of this process: two dumps in one second (abort
+#: then kill, engine dump then watchdog ``dump_all``) or of two
+#: runtimes sharing a name must not land on one path.
+_dump_seq = itertools.count()
 
 
 class FlightRecorder:
-    """Bounded event ring + dump-to-JSON, attachable to an EventBus."""
+    """Dump-to-JSON of the tail of a lifecycle view.
+
+    *events* returns the time-ordered lifecycle rows as dicts; it is
+    called at dump time only, possibly from a signal handler or a
+    watchdog thread while the observed runtime is wedged, so it must
+    not wait on that runtime's locks."""
 
     def __init__(
         self,
+        events: Callable[[], list[dict[str, Any]]],
         capacity: int = DEFAULT_CAPACITY,
         *,
         name: str = "repro",
@@ -63,38 +68,15 @@ class FlightRecorder:
         self.capacity = int(capacity)
         self.name = name
         self.dump_dir = Path(dump_dir) if dump_dir is not None else None
+        self._events = events
         self._metrics_snapshot = metrics_snapshot
-        self._ring: collections.deque[TaskEvent] = collections.deque(maxlen=capacity)
-        self._dropped = 0
-        self._dump_lock = threading.Lock()
-        self._dumped: list[str] = []
         with _registry_lock:
             _registry.add(self)
 
-    # -- the bus subscriber --------------------------------------------
-    def record(self, event: TaskEvent) -> None:
-        ring = self._ring
-        if len(ring) == self.capacity:
-            # deque drops the oldest silently; keep an honest tally so
-            # a dump says how much history fell off the ring.
-            self._dropped += 1
-        ring.append(event)
-
-    def __len__(self) -> int:
-        return len(self._ring)
-
-    @property
-    def dropped(self) -> int:
-        return self._dropped
-
-    @property
-    def dumps_written(self) -> list[str]:
-        return list(self._dumped)
-
-    # -- dumping --------------------------------------------------------
     def snapshot(self, reason: str = "manual") -> dict[str, Any]:
         """The dump payload as a dict (no file written)."""
-        events = [dataclasses.asdict(e) for e in list(self._ring)]
+        rows = self._events()
+        events = rows[-self.capacity:]
         payload: dict[str, Any] = {
             "format": "repro-flightrec-v1",
             "reason": reason,
@@ -103,7 +85,7 @@ class FlightRecorder:
             "wall_time": time.time(),
             "capacity": self.capacity,
             "n_events": len(events),
-            "n_dropped": self._dropped,
+            "n_dropped": len(rows) - len(events),
             "events": events,
         }
         if self._metrics_snapshot is not None:
@@ -114,22 +96,19 @@ class FlightRecorder:
         return payload
 
     def dump(
-        self, path: str | os.PathLike | None = None, *, reason: str = "manual"
+        self, *, reason: str = "manual", directory: str | os.PathLike | None = None
     ) -> str:
-        """Write the ring + metrics to *path* (default: a timestamped
-        file under ``dump_dir``, or the cwd) and return the path."""
-        with self._dump_lock:
-            if path is None:
-                directory = self.dump_dir if self.dump_dir is not None else Path(".")
-                directory.mkdir(parents=True, exist_ok=True)
-                stamp = time.strftime("%Y%m%d-%H%M%S")
-                path = directory / f"flightrec-{self.name}-{os.getpid()}-{stamp}.json"
-            payload = self.snapshot(reason=reason)
-            from repro.runtime.atomic_write import atomic_write
-
-            atomic_write(path, json.dumps(payload, default=repr) + "\n")
-            self._dumped.append(str(path))
-            return str(path)
+        """Write the payload to a fresh
+        ``flightrec-<name>-<pid>-<time>-<n>.json`` under *directory*
+        (default: ``dump_dir``, or the cwd) and return its path."""
+        target = Path(directory if directory is not None else self.dump_dir or ".")
+        target.mkdir(parents=True, exist_ok=True)
+        stamp = time.strftime("%Y%m%d-%H%M%S")
+        path = target / (
+            f"flightrec-{self.name}-{os.getpid()}-{stamp}-{next(_dump_seq)}.json"
+        )
+        atomic_write(path, json.dumps(self.snapshot(reason), default=repr) + "\n")
+        return str(path)
 
     def close(self) -> None:
         with _registry_lock:
@@ -137,24 +116,16 @@ class FlightRecorder:
 
 
 def dump_all(reason: str, directory: str | os.PathLike | None = None) -> list[str]:
-    """Dump every live recorder (watchdog trips and signal handlers
-    call this — they have no runtime reference in scope).  Returns the
+    """Dump every live recorder, into *directory* when given, else each
+    into its own ``dump_dir`` (watchdog trips and signal handlers call
+    this — they have no runtime reference in scope).  Returns the
     written paths; a recorder whose dump fails is skipped."""
     with _registry_lock:
         recorders = list(_registry)
     written: list[str] = []
     for recorder in recorders:
         try:
-            if directory is not None:
-                stamp = time.strftime("%Y%m%d-%H%M%S")
-                target = Path(directory)
-                target.mkdir(parents=True, exist_ok=True)
-                path = target / (
-                    f"flightrec-{recorder.name}-{os.getpid()}-{stamp}.json"
-                )
-                written.append(recorder.dump(path, reason=reason))
-            else:
-                written.append(recorder.dump(reason=reason))
+            written.append(recorder.dump(reason=reason, directory=directory))
         except Exception:  # noqa: BLE001 - best effort on the way down
             continue
     return written

@@ -1,31 +1,31 @@
-"""Runtime observability: lifecycle events, metrics, progress, analysis.
+"""Runtime observability: lifecycle view, metrics, progress, analysis.
 
-The engine (:mod:`repro.runtime.engine`) emits a :class:`TaskEvent` on
-every task lifecycle transition — ``submitted -> ready -> dispatched ->
-running -> done/failed/restored`` (plus ``cancelled``, ``ignored`` and
-``retry``) — through a lock-cheap :class:`EventBus`.  When nothing is
-subscribed the bus is falsy and the engine skips event construction
-entirely, so an un-observed runtime pays only a few monotonic-clock
-reads per task.
+The engine (:mod:`repro.runtime.engine`) keeps one record per task
+attempt — its ``TaskInstance`` in the task table — and stamps the
+attempt's transitions on it (``t_submit``, ``t_ready``, ``t_dispatch``,
+``t_body_start``, ``t_end``).  Nothing is pushed to observers;
+everything here is shaped from a snapshot of that table when somebody
+reads:
 
-Built on the bus: :class:`ProgressReporter` — a live
-running/done/failed + ETA line on stderr (or a callback), enabled with
-``observability="progress"`` — and the crash flight recorder
-(:mod:`repro.runtime.flightrec`).
+* :func:`lifecycle_events` — the ``submitted -> ready -> dispatched ->
+  running -> done/failed/ignored/cancelled/restored`` history (plus
+  ``retry``), as time-ordered rows.  The crash flight recorder
+  (:mod:`repro.runtime.flightrec`) dumps the tail of it.
+* :func:`merge_task_metrics` — the task-lifecycle series behind
+  ``Runtime.metrics()`` (snapshot dict), ``Runtime.metrics_text()``
+  (Prometheus exposition) and ``Runtime.save_metrics(path)`` (atomic
+  JSON dump).  ``RuntimeConfig(observability="metrics")``
+  (``REPRO_OBSERVABILITY``) turns that view on and attaches a
+  :class:`MetricsRegistry` for the series nothing else can know — the
+  stream stages' manual writes, and uptime.
+  ``obs.metrics_overhead_frac`` in ``bench/`` measures a run with the
+  flag on, end to end (see ``bench/README.md``).
+* :class:`ProgressReporter` — a live running/done/failed + ETA line on
+  stderr (or a callback), enabled with ``observability="progress"``;
+  the engine ticks it as attempts finish and it counts the table at
+  render time.
 
-Metrics do not ride the bus: what the task-lifecycle series say is
-already on the engine's one per-task record, so
-:func:`merge_task_metrics` shapes them from a snapshot of the task
-table when ``Runtime.metrics()`` (snapshot dict),
-``Runtime.metrics_text()`` (Prometheus exposition) or
-``Runtime.save_metrics(path)`` (atomic JSON dump) is read.
-``RuntimeConfig(observability="metrics")`` (``REPRO_OBSERVABILITY``)
-turns that view on and attaches a :class:`MetricsRegistry` for the
-series nothing else can know — the stream stages' manual writes, and
-uptime.  ``obs.metrics_overhead_frac`` in ``bench/`` measures a run
-with the flag on, end to end (see ``bench/README.md``).
-
-Independent of both, this module analyses finished
+Independent of the table, this module analyses finished
 :class:`~repro.runtime.tracing.Trace` objects: :func:`critical_path`
 finds the longest duration-weighted dependency chain (what bounds the
 makespan no matter how many workers are added) and
@@ -45,11 +45,11 @@ import threading
 import time
 from typing import Any, Callable, Iterable
 
-from repro.runtime.model import TERMINAL_STATES
+from repro.runtime.model import PENDING, TERMINAL_STATES
 from repro.runtime.tracing import Trace, TaskRecord, overhead_of, queue_wait_of
 
 # ----------------------------------------------------------------------
-# event kinds
+# lifecycle row kinds
 # ----------------------------------------------------------------------
 SUBMITTED = "submitted"
 READY = "ready"
@@ -65,10 +65,6 @@ RETRY = "retry"
 
 #: Kinds after which the attempt never changes state again.
 TERMINAL_KINDS = frozenset({DONE, FAILED, IGNORED, CANCELLED, RESTORED})
-
-EVENT_KINDS = frozenset(
-    {SUBMITTED, READY, DISPATCHED, RUNNING, RETRY} | TERMINAL_KINDS
-)
 
 #: Valid ``RuntimeConfig(observability=...)`` flags.
 OBSERVABILITY_FLAGS = ("metrics", "progress")
@@ -102,81 +98,64 @@ def parse_flags(raw: str | None) -> frozenset[str]:
     return frozenset(flags)
 
 
-@dataclasses.dataclass(slots=True)
-class TaskEvent:
-    """One task-lifecycle transition, stamped with a monotonic
-    timestamp relative to the runtime's epoch (same clock as
-    :class:`~repro.runtime.tracing.TaskRecord` timestamps).
-
-    Treat instances as immutable — they are shared by every subscriber
-    on the bus.  (Not ``frozen=True``: frozen dataclasses construct
-    through ``object.__setattr__``, ~3x slower, and construction sits
-    on the scheduler hot path.)
-
-    ``duration``/``queue_wait``/``overhead`` are only populated on
-    terminal events of attempts whose body actually ran
-    (``ran=True``); ``state`` is the attempt's lifecycle state (note a
-    restored attempt's state is ``"done"`` while its kind is
-    ``"restored"``)."""
-
-    kind: str
-    t: float
-    task_id: int
-    root_id: int
-    name: str
-    attempt: int = 0
-    state: str | None = None
-    pid: int | None = None
-    worker: str | None = None
-    retry_of: int | None = None
-    #: True when the task body was actually invoked for this attempt.
-    ran: bool = False
-    duration: float | None = None
-    queue_wait: float | None = None
-    overhead: float | None = None
+#: Keys of one lifecycle row, in the ``repro-flightrec-v1`` dump's order.
+_ROW_KEYS = (
+    "kind", "t", "task_id", "root_id", "name", "attempt", "state", "pid",
+    "worker", "retry_of", "ran", "duration", "queue_wait", "overhead",
+)
 
 
-class EventBus:
-    """Synchronous publish/subscribe fan-out, cheap when unused.
+def lifecycle_events(attempts: Iterable) -> list[dict[str, Any]]:
+    """The lifecycle history of *attempts* — a snapshot of the runtime's
+    task table, one ``TaskInstance`` per attempt — as time-ordered rows
+    in the flight recorder's dump schema.
 
-    ``bool(bus)`` is False while nothing is subscribed, so emitters can
-    skip event construction with one attribute read.  The subscriber
-    tuple is copy-on-write: :meth:`emit` reads it without a lock (a
-    tuple reference is atomic under the GIL) and calls each subscriber
-    inline on the emitting thread.  A subscriber that raises is
-    dropped after logging — observability must never take down the
-    scheduler."""
+    Nothing is recorded per transition: each attempt's ``submitted``
+    (after ``retry`` on a resubmission), ``ready``, ``dispatched``,
+    ``running`` and terminal row (its terminal state, or ``restored``
+    for a replayed attempt, whose state is ``"done"``) is rebuilt from
+    the stamps the engine leaves on the instance, so a live attempt
+    contributes the rows it has reached.  ``t`` is on the clock of
+    :class:`~repro.runtime.tracing.TaskRecord`; ``state`` is the
+    attempt's state at that transition; ``worker`` is known from
+    dispatch on; ``pid`` and — when the body ran (``ran``) —
+    ``duration`` / ``queue_wait`` / ``overhead`` sit on the terminal
+    row.  A sequential run has no ``ready`` rows; a fused member is
+    stamped ready when its unit is armed."""
+    rows: list[tuple] = []
 
-    def __init__(self) -> None:
-        self._subs: tuple[Callable[[TaskEvent], None], ...] = ()
-        self._lock = threading.Lock()
+    def add(inst, kind, t, state_then, pid=None, worker=None, ran=False, spans=(None,) * 3):
+        rows.append(
+            (kind, t, inst.task_id, inst.root_id, inst.name, inst.attempt, state_then,
+             pid, worker, inst.retry_of, ran, *spans)
+        )
 
-    def __bool__(self) -> bool:
-        return bool(self._subs)
-
-    def subscribe(self, fn: Callable[[TaskEvent], None]) -> Callable[[TaskEvent], None]:
-        with self._lock:
-            self._subs = self._subs + (fn,)
-        return fn
-
-    def unsubscribe(self, fn: Callable[[TaskEvent], None]) -> None:
-        with self._lock:
-            self._subs = tuple(s for s in self._subs if s is not fn)
-
-    def emit(self, event: TaskEvent) -> None:
-        for fn in self._subs:
-            try:
-                fn(event)
-            except Exception:  # noqa: BLE001 - observers must not kill the runtime
-                from repro.runtime.structlog import get_logger
-
-                get_logger("repro.runtime.observability").exception(
-                    "event subscriber failed; unsubscribing",
-                    subscriber=repr(fn),
-                    event_kind=event.kind,
-                    task_id=event.task_id,
+    for inst in attempts:
+        state, t_body, t_end = inst.state, inst.t_body_start, inst.t_end
+        worker, ran = inst.worker_name, t_body is not None
+        if inst.retry_of is not None:
+            add(inst, RETRY, inst.t_submit, PENDING)
+        add(inst, SUBMITTED, inst.t_submit, PENDING)
+        if inst.t_ready is not None:
+            add(inst, READY, inst.t_ready, READY)
+        if inst.t_dispatch is not None:
+            add(inst, DISPATCHED, inst.t_dispatch, RUNNING, None, worker)
+        if ran:
+            add(inst, RUNNING, t_body, RUNNING, None, worker, True)
+        # ``try_cancel`` flips the state before the engine stamps t_end
+        if state in TERMINAL_STATES and t_end is not None:
+            kind = RESTORED if inst.status == RESTORED else state
+            spans = (None,) * 3
+            if ran:
+                spans = (
+                    t_end - t_body,
+                    queue_wait_of(inst.t_ready, inst.t_dispatch),
+                    overhead_of(inst.t_submit, inst.t_ready, inst.t_dispatch, t_body),
                 )
-                self.unsubscribe(fn)
+            add(inst, kind, t_end, state, inst.worker_pid, worker, ran, spans)
+    # Stable: rows of one attempt that share a stamp keep lifecycle order.
+    rows.sort(key=lambda row: row[1])
+    return [dict(zip(_ROW_KEYS, row)) for row in rows]
 
 
 # ----------------------------------------------------------------------
@@ -710,13 +689,13 @@ def parse_prometheus(text: str) -> dict[tuple[str, _LabelKey], float]:
 # live progress
 # ----------------------------------------------------------------------
 class ProgressReporter:
-    """Bus subscriber rendering live workflow progress.
+    """Live workflow progress.
 
     Renders ``done/submitted`` counts, running/failed tallies, task
     rate and an ETA — to *stream* (default ``sys.stderr``) as a
     ``\\r``-rewritten line, or to *callback* as snapshot dicts (no
-    terminal output when a callback is given).  Events only pace the
-    rendering, throttled to one line per *min_interval* seconds; the
+    terminal output when a callback is given).  :meth:`tick` only paces
+    the rendering, throttled to one line per *min_interval* seconds; the
     numbers are counted at render time from *attempts*, a callable
     returning the runtime's task table (one ``TaskInstance`` per
     attempt).  :meth:`close` emits the final state unconditionally."""
@@ -739,8 +718,9 @@ class ProgressReporter:
         self._t0 = clock()
         self._last_render = 0.0
 
-    # -- subscriber -----------------------------------------------------
-    def handle(self, event: TaskEvent) -> None:
+    def tick(self) -> None:
+        """Render if *min_interval* has passed (the engine calls this
+        as an attempt becomes terminal)."""
         # Unlocked: two threads passing the throttle together render
         # twice, which a progress line can afford.
         now = self._clock()

@@ -19,10 +19,7 @@ a task body), or a shutdown race.  A run fails on any of:
   the seed;
 * **structural leaks** — after a clean drain the runtime must be
   quiesced: empty ready queue, zero unfinished, every task terminal
-  (``Runtime.check_invariants(quiesced=True)``);
-* **lost or repeated lifecycle events** — every seed counts the bus's
-  events by kind, and after a clean drain the counts must equal what
-  ``Runtime.stats()`` reads off the task table.
+  (``Runtime.check_invariants(quiesced=True)``).
 
 ``--store`` mixes shared-memory data-plane traffic into every seed:
 ndarray tasks whose blocks travel through the object store (some via
@@ -49,7 +46,6 @@ from typing import Any
 
 import numpy as np
 
-from repro.runtime import observability as obs
 from repro.runtime.backends import current_attempt
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.directions import INOUT
@@ -206,9 +202,9 @@ def run_under_watchdog(fn, timeout: float, label: str) -> dict[str, Any]:
     thread.join(timeout)
     duration = time.perf_counter() - t0
     if thread.is_alive():
-        # Watchdog trip: dump every live flight recorder — the event
-        # window leading into the hang is exactly what the black box
-        # exists for.  Best effort; the stack dump is the primary
+        # Watchdog trip: dump every live flight recorder — the
+        # lifecycle rows leading into the hang are exactly what the
+        # black box exists for.  Best effort; the stack dump is the primary
         # artifact when no recorder is attached.
         from repro.runtime import flightrec
 
@@ -269,14 +265,9 @@ def _run_scenario(
         # The store reconciliation needs the trace's byte totals.
         collect_trace=store,
         observability=observability,
-        store="on" if store else "auto",
         store_threshold_bytes=4096 if store else 65536,
     )
     rt = Runtime(config=cfg)
-    #: ``(kind, ran)`` of every lifecycle event (``list.append`` is
-    #: atomic; a ``Counter`` bumped from worker threads is not).
-    seen_events: list[tuple[str, bool]] = []
-    rt.subscribe(lambda event: seen_events.append((event.kind, event.ran)))
     push_runtime(rt)
 
     #: (future, expected value) for every verifiable submission.
@@ -502,8 +493,6 @@ def _run_scenario(
     stats = rt.stats()
     if clean_drain and stats["ready_queue"]:
         problems.append(f"ready queue not drained: {stats['ready_queue']}")
-    if clean_drain:
-        problems.extend(_event_count_problems(seen_events, stats))
     if clean_drain and store and backend == "processes":
         # Data-plane byte accounting must agree between the backend
         # counters and the per-task trace records on a clean drain.
@@ -521,29 +510,6 @@ def _run_scenario(
         duration=time.perf_counter() - t0,
         problems=problems,
     )
-
-
-def _event_count_problems(seen_events: list[tuple[str, bool]], stats: dict) -> list[str]:
-    """Every lifecycle event emitted exactly once: on a drained run the
-    bus's events, counted by kind, equal ``stats()``'s reading of the
-    task table."""
-    kinds = collections.Counter(kind for kind, _ in seen_events)
-    terminal = collections.Counter({kind: kinds[kind] for kind in obs.TERMINAL_KINDS})
-    # a restored attempt ends in state "done"
-    terminal[obs.DONE] += terminal.pop(obs.RESTORED)
-    ran = sum(1 for kind, ran in seen_events if ran and kind in obs.TERMINAL_KINDS)
-    checks = (
-        ("terminal events by state", dict(+terminal), stats["by_state"]),
-        ("submitted events", kinds[obs.SUBMITTED], stats["n_tasks"]),
-        ("retry events", kinds[obs.RETRY], stats["retries"]),
-        ("restored events", kinds[obs.RESTORED], stats["restored"]),
-        ("running events", kinds[obs.RUNNING], ran),
-    )
-    return [
-        f"{what}: the bus saw {got}, expected {expected}"
-        for what, got, expected in checks
-        if got != expected
-    ]
 
 
 # ----------------------------------------------------------------------

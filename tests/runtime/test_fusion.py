@@ -245,11 +245,10 @@ def _chain_and_map_workload(rt):
 
 def test_stats_and_metrics_reconcile_exactly():
     with fused_runtime(observability="metrics") as rt:
-        kinds: list[str] = []
-        rt.subscribe(lambda event: kinds.append(event.kind))
         _chain_and_map_workload(rt)
         rt.barrier()
         snap, stats, trace = rt.metrics(), rt.stats(), rt.trace()
+        kinds = [row["kind"] for row in obs.lifecycle_events(rt._attempts())]
     # every member is submitted, run and finished once, fused or not...
     assert obs.metric_value(snap, "repro_tasks_submitted_total") == stats["n_tasks"] == 9
     assert obs.metric_value(snap, "repro_tasks_total", state="done") == 9
@@ -262,11 +261,9 @@ def test_stats_and_metrics_reconcile_exactly():
     # ...but only an unfused one takes a ready-queue slot of its own
     fused = stats["scheduler"]["fused_tasks"]
     assert fused > 0
-    assert (
-        obs.metric_value(snap, "repro_tasks_enqueued_total", default=0)
-        == kinds.count("ready")
-        == 9 - fused
-    )
+    assert obs.metric_value(snap, "repro_tasks_enqueued_total", default=0) == 9 - fused
+    # (a fused member is stamped ready when its unit is armed)
+    assert kinds.count("ready") == 9
 
 
 def test_every_member_has_its_own_trace_record():

@@ -1,6 +1,6 @@
-"""Tests for :mod:`repro.runtime.observability`: event bus, metrics
-registry, Prometheus exposition, progress reporting, critical-path
-analysis, and the engine's lifecycle-event emission."""
+"""Tests for :mod:`repro.runtime.observability`: the lifecycle view,
+metrics registry, Prometheus exposition, progress reporting and
+critical-path analysis."""
 
 from __future__ import annotations
 
@@ -55,85 +55,6 @@ def test_config_env_observability_and_metrics_shorthand():
     # the REPRO_METRICS shorthand is gone: one spelling, REPRO_OBSERVABILITY
     cfg = RuntimeConfig.from_env({"REPRO_METRICS": "maybe"})
     assert cfg.observability == ""
-
-
-# ----------------------------------------------------------------------
-# EventBus
-# ----------------------------------------------------------------------
-def _ev(kind="done", **kw):
-    defaults = dict(kind=kind, t=0.0, task_id=0, root_id=0, name="t")
-    defaults.update(kw)
-    return obs.TaskEvent(**defaults)
-
-
-def test_event_bus_truthiness_and_fanout():
-    bus = obs.EventBus()
-    assert not bus
-    seen = []
-    fn = bus.subscribe(seen.append)
-    assert bus
-    bus.emit(_ev())
-    assert len(seen) == 1
-    bus.unsubscribe(fn)
-    assert not bus
-    bus.emit(_ev())
-    assert len(seen) == 1
-
-
-def test_event_bus_logs_subscriber_error_once(caplog):
-    import logging
-
-    bus = obs.EventBus()
-
-    def bad(event):
-        raise RuntimeError("observer bug")
-
-    bus.subscribe(bad)
-    with caplog.at_level(logging.ERROR, logger="repro.runtime.observability"):
-        bus.emit(_ev())
-        bus.emit(_ev())
-    records = [r for r in caplog.records if "subscriber failed" in r.getMessage()]
-    # surfaced exactly once (the subscriber is dropped, not re-raised),
-    # with structured correlation fields and the captured traceback
-    assert len(records) == 1
-    assert records[0].repro_fields["event_kind"] == "done"
-    assert records[0].exc_info is not None
-
-
-def test_raising_subscriber_does_not_kill_runtime_workers():
-    from repro.runtime import Runtime, task, wait_on
-
-    @task(returns=1)
-    def double(x):
-        return 2 * x
-
-    with Runtime(executor="threads") as rt:
-        rt.events.subscribe(lambda e: (_ for _ in ()).throw(RuntimeError("bug")))
-        seen = []
-        rt.events.subscribe(lambda e: seen.append(e.kind))
-        # the raising subscriber (registered first, so it fires first)
-        # must neither take down the emitting worker thread nor starve
-        # the healthy subscriber behind it
-        assert [wait_on(double(i)) for i in range(4)] == [0, 2, 4, 6]
-    assert "done" in seen
-
-
-def test_event_bus_drops_raising_subscriber():
-    bus = obs.EventBus()
-    calls = []
-
-    def bad(event):
-        calls.append("bad")
-        raise RuntimeError("observer bug")
-
-    bus.subscribe(bad)
-    bus.subscribe(lambda e: calls.append("good"))
-    bus.emit(_ev())
-    bus.emit(_ev())
-    # the raising subscriber ran once, was dropped, and never blocked
-    # the healthy one
-    assert calls == ["bad", "good", "good"]
-    assert bus  # good subscriber still attached
 
 
 # ----------------------------------------------------------------------
@@ -289,33 +210,60 @@ def _assert_metrics_agree_with_stats(rt):
 
 
 def test_event_sequence_for_one_task():
-    events = []
     with Runtime(executor="sequential") as rt:
-        rt.subscribe(events.append)
         wait_on(_add(1, 2))
-    kinds = [e.kind for e in events]
+        events = obs.lifecycle_events(rt._attempts())
+    kinds = [e["kind"] for e in events]
     # sequential executor runs at submission: no READY hop
     assert kinds == ["submitted", "dispatched", "running", "done"]
-    by_kind = {e.kind: e for e in events}
-    ts = [e.t for e in events]
+    by_kind = {e["kind"]: e for e in events}
+    ts = [e["t"] for e in events]
     assert ts == sorted(ts)
     done = by_kind["done"]
-    assert done.ran and done.duration is not None and done.duration >= 0
-    assert done.state == "done"
-    assert done.queue_wait == 0.0  # never queued
-    assert by_kind["dispatched"].worker is not None
+    assert done["ran"] and done["duration"] is not None and done["duration"] >= 0
+    assert done["state"] == "done"
+    assert done["queue_wait"] == 0.0  # never queued
+    assert by_kind["dispatched"]["worker"] is not None
+    assert [e["state"] for e in events] == ["pending", "running", "running", "done"]
+    # the rows of the dump's schema, in its key order
+    assert list(done) == [
+        "kind", "t", "task_id", "root_id", "name", "attempt", "state", "pid",
+        "worker", "retry_of", "ran", "duration", "queue_wait", "overhead",
+    ]
 
 
 def test_event_sequence_threads_includes_ready():
-    events = []
     cfg = RuntimeConfig(executor="threads", max_workers=2)
     with Runtime(config=cfg) as rt:
-        rt.subscribe(events.append)
         wait_on(_add(1, 2))
         rt.shutdown()
-    kinds = [e.kind for e in events]
-    assert kinds[:2] == ["submitted", "ready"]
-    assert set(kinds) == {"submitted", "ready", "dispatched", "running", "done"}
+        events = obs.lifecycle_events(rt._attempts())
+    kinds = [e["kind"] for e in events]
+    assert kinds == ["submitted", "ready", "dispatched", "running", "done"]
+
+
+def test_lifecycle_view_of_a_live_attempt_stops_where_it_stands():
+    import threading
+
+    started, release = threading.Event(), threading.Event()
+
+    @task(returns=1)
+    def parked():
+        started.set()
+        release.wait(10)
+        return 1
+
+    with Runtime(executor="threads", max_workers=1) as rt:
+        first, queued = parked(), _inc(1)
+        assert started.wait(5)
+        rows = obs.lifecycle_events(rt._attempts())
+        release.set()
+        assert wait_on([first, queued]) == [1, 2]
+    by_task = {name: [r["kind"] for r in rows if r["name"] == name] for name in ("parked", "_inc")}
+    assert by_task == {
+        "parked": ["submitted", "ready", "dispatched", "running"],
+        "_inc": ["submitted", "ready"],
+    }
 
 
 def test_metrics_disabled_snapshot_shape():
@@ -450,7 +398,7 @@ def test_progress_reporter_counts_and_stream():
     stream = io.StringIO()
     table = [_attempt("pending"), _attempt("running", t_body_start=0.1)]
     rep = obs.ProgressReporter(lambda: table, stream=stream, min_interval=0.0)
-    rep.handle(_ev(obs.RUNNING))
+    rep.tick()
     snap = rep.snapshot()
     assert snap["submitted"] == 2 and snap["running"] == 1 and snap["finished"] == 0
     assert "0/2 tasks" in stream.getvalue() and "1 running" in stream.getvalue()
@@ -473,7 +421,7 @@ def test_progress_reporter_callback_mode():
     snaps = []
     table = [_attempt("done", status="restored")]
     rep = obs.ProgressReporter(lambda: table, callback=snaps.append, min_interval=0.0)
-    rep.handle(_ev(obs.RESTORED, state="done"))
+    rep.tick()
     rep.close()
     assert snaps[-1]["restored"] == 1
     assert snaps[-1]["done"] == 1  # restored counts as finished work
@@ -490,7 +438,7 @@ def test_progress_throttles_renders():
         clock=lambda: next(ticks),
     )
     for _ in range(50):
-        rep.handle(_ev(obs.SUBMITTED))
+        rep.tick()
     assert len(snaps) <= 1  # throttled: interval never elapsed
     assert len(reads) == len(snaps)  # the table is read only to render
 

@@ -37,8 +37,13 @@ def test_store_defaults_and_validation():
     assert cfg.store_capacity_mb == 256.0
     assert cfg.store_spill_dir is None
     assert cfg.store_threshold_bytes == 65536
-    with pytest.raises(ValueError):
-        RuntimeConfig(store="maybe")
+    assert RuntimeConfig(store="off").store == "off"
+    # "on" used to be accepted and behaved as "auto": two values, not three
+    for mode in ("maybe", "on"):
+        with pytest.raises(ValueError, match="unknown store mode"):
+            RuntimeConfig(store=mode)
+    with pytest.raises(ValueError, match="unknown store mode"):
+        RuntimeConfig.from_env(environ={"REPRO_STORE": "on"})
     with pytest.raises(ValueError):
         RuntimeConfig(store_capacity_mb=0)
     with pytest.raises(ValueError):
@@ -47,13 +52,13 @@ def test_store_defaults_and_validation():
 
 def test_store_env_overrides():
     env = {
-        "REPRO_STORE": "on",
+        "REPRO_STORE": "off",
         "REPRO_STORE_CAPACITY_MB": "64",
         "REPRO_STORE_SPILL_DIR": "/tmp/spill-here",
         "REPRO_STORE_THRESHOLD_BYTES": "4096",
     }
     cfg = RuntimeConfig.from_env(environ=env)
-    assert cfg.store == "on"
+    assert cfg.store == "off"
     assert cfg.store_capacity_mb == 64.0
     assert cfg.store_spill_dir == "/tmp/spill-here"
     assert cfg.store_threshold_bytes == 4096

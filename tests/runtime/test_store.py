@@ -479,12 +479,12 @@ def test_ref_passed_results_bit_identical_to_inline(backend):
             store_threshold_bytes=1024,
         )
         with Runtime(config=cfg) as rt:
-            a = rt.put(src) if store_mode == "on" else src
+            a = rt.put(src) if store_mode == "auto" else src
             doubled = _double(a)
             summed = _add_blocks(doubled, src)
             return np.asarray(rt.get(summed, copy=True))
 
-    with_store = run("on")
+    with_store = run("auto")
     without = run("off")
     assert with_store.tobytes() == without.tobytes()
     assert with_store.tobytes() == (src * 3.0).tobytes()
@@ -510,14 +510,14 @@ def test_large_args_and_results_travel_by_reference():
     a = np.random.default_rng(0).normal(size=(256, 256))
     b = np.random.default_rng(1).normal(size=(256, 256))
     product, pipe_bytes = {}, {}
-    for mode in ("on", "off"):
+    for mode in ("auto", "off"):
         cfg = RuntimeConfig(backend="processes", max_workers=2, store=mode)
         with Runtime(config=cfg) as rt:
             product[mode] = (ds.array(a, (128, 128)) @ ds.array(b, (128, 128))).collect()
             stats = rt.stats()["backend_stats"]
         pipe_bytes[mode] = stats["pipe_bytes_sent"] + stats["pipe_bytes_recv"]
-    assert 1 - pipe_bytes["on"] / pipe_bytes["off"] >= 0.90, pipe_bytes
-    assert np.array_equal(product["on"], product["off"])
+    assert 1 - pipe_bytes["auto"] / pipe_bytes["off"] >= 0.90, pipe_bytes
+    assert np.array_equal(product["auto"], product["off"])
 
 
 def test_small_values_stay_inline():

@@ -286,9 +286,7 @@ def _random_dag_run(seed, ckpt_dir, **cfg):
     with Runtime(config=config):
         assert wait_on(_add(100, 1)) == 101  # fills the checkpoint store
     rng = random.Random(seed)
-    events: list = []
     with Runtime(config=config) as rt:
-        rt.subscribe(events.append)
         pool = [call(_add, 100, 1)]  # task 0: restored, its body never runs
         pool.append(call(_nest, pool[0]))  # task 1, children 2 and 3
         assert wait_on(pool[1]) == 104
@@ -313,7 +311,9 @@ def _random_dag_run(seed, ckpt_dir, **cfg):
             metrics=rt.metrics(),
             metrics_text=rt.metrics_text(),
             n_tasks=rt.n_tasks,
-            events=events,
+            events=[
+                types.SimpleNamespace(**row) for row in obs.lifecycle_events(rt._attempts())
+            ],
             mid_run=mid_run,
             edges=edges,
         )
@@ -425,10 +425,43 @@ def test_graph_and_stats_are_views_of_the_task_table(name, tmp_path):
     assert sum(run.stats["by_state"].values()) == run.n_tasks == len(submitted)
 
 
+_LIFECYCLE_ORDER = ("retry", "submitted", "ready", "dispatched", "running")
+
+
+@pytest.mark.parametrize("name", list(_EXECUTORS))
+def test_lifecycle_events_are_a_view_of_the_task_table(name, tmp_path):
+    run = _random_dag_run(0, tmp_path, **_EXECUTORS[name])
+    assert [e.t for e in run.events] == sorted(e.t for e in run.events)
+    by_attempt = collections.defaultdict(list)
+    for e in run.events:
+        by_attempt[e.task_id].append(e)
+    assert sorted(by_attempt) == list(range(run.n_tasks))
+    for rows in by_attempt.values():
+        # a prefix of the lifecycle (no READY hop when sequential, a
+        # RETRY row on resubmissions only), closed by one terminal row
+        *live, terminal = [e.kind for e in rows]
+        assert terminal in obs.TERMINAL_KINDS
+        assert live == [k for k in _LIFECYCLE_ORDER if k in live]
+        assert ("retry" in live) == (rows[0].retry_of is not None)
+        assert "submitted" in live and ("running" in live) == rows[-1].ran
+        assert ("ready" in live) == (name != "sequential" and "dispatched" in live)
+        assert rows[-1].ran == (rows[-1].duration is not None)
+
+    kinds = collections.Counter(e.kind for e in run.events)
+    terminal = collections.Counter(
+        e.state for e in run.events if e.kind in obs.TERMINAL_KINDS
+    )  # a restored attempt ends in state "done"
+    assert dict(terminal) == run.stats["by_state"]
+    assert kinds["submitted"] == run.n_tasks == run.stats["n_tasks"]
+    assert kinds["retry"] == run.stats["retries"] > 0
+    assert kinds["restored"] == run.stats["restored"] == 1
+
+
 def _event_fed_metrics(events):
-    """What a bus subscriber tallying every lifecycle event would hold
-    after *events* (the metrics registry used to be that subscriber):
-    the counters, the running gauge, busy seconds per worker and the
+    """What a subscriber tallying every lifecycle event would hold after
+    *events* (the metrics registry used to be that subscriber; the rows
+    now come from ``lifecycle_events``, an independent reading of the
+    table ``merge_task_metrics`` shapes the series from): the counters, the running gauge, busy seconds per worker and the
     number of duration samples per task name."""
     counters: collections.Counter = collections.Counter()
     busy: collections.Counter = collections.Counter()

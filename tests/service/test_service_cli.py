@@ -190,10 +190,9 @@ def test_logs_renders_service_dir_and_span_file(tmp_path, capsys):
 
 def test_logs_renders_flightrec_dump(tmp_path, capsys):
     from repro.runtime.flightrec import FlightRecorder
-    from repro.runtime.observability import TaskEvent
 
-    rec = FlightRecorder(name="cli", dump_dir=tmp_path)
-    rec.record(TaskEvent(kind="submitted", t=0.5, task_id=1, root_id=1, name="add"))
+    row = {"kind": "submitted", "t": 0.5, "task_id": 1, "root_id": 1, "name": "add"}
+    rec = FlightRecorder(lambda: [row], name="cli", dump_dir=tmp_path)
     path = rec.dump(reason="cli test")
     rec.close()
     assert main(["logs", path]) == 0
