@@ -97,14 +97,16 @@ run_fuse() {
 
 run_obs() {
     # Real run with telemetry on: the metrics view sums to stats and
-    # the trace, its Prometheus exposition parses, the chrome-trace
-    # export validates, the critical path is bounded, the trace CLI
-    # works, and a killed run's flight-recorder dump agrees with stats()
-    # and renders via `repro logs`.  Then the tracing stack: task table
-    # -> TaskRecord/Trace, TaskGraph and the lifecycle view,
-    # trace-context propagation, structured logging, the flight
-    # recorder, OTLP export and the service span log.  What telemetry
-    # costs is obs.* in bench/ (`check.sh bench`).
+    # the trace, its Prometheus exposition parses, the chrome timeline
+    # rendered from the trace's OTLP document validates with one flow
+    # arrow per recorded dependency edge, the critical path is bounded,
+    # the trace CLI works, and a killed run's flight-recorder dump
+    # agrees with stats() and renders via `repro logs`.  Then the
+    # tracing stack: task table -> TaskRecord/Trace, TaskGraph, the
+    # lifecycle and timeline views, trace-context propagation,
+    # structured logging, the flight recorder, OTLP export and the one
+    # chrome renderer, and the service span log.  What telemetry costs
+    # is obs.* in bench/ (`check.sh bench`).
     echo "== observability smoke (metrics + trace exports + flight recorder) =="
     PYTHONPATH=src python scripts/obs_smoke.py
     echo "== tracing / logging / flight-recorder tests =="
@@ -112,7 +114,8 @@ run_obs() {
         tests/runtime/test_tracing.py \
         tests/runtime/test_tracectx.py tests/runtime/test_structlog.py \
         tests/runtime/test_flightrec.py tests/runtime/test_otlp.py \
-        tests/service/test_spanlog.py tests/runtime/test_observability.py
+        tests/service/test_spanlog.py tests/runtime/test_observability.py \
+        tests/cluster/test_chrometrace.py
 }
 
 run_backend() {

@@ -14,8 +14,10 @@ executor with metrics enabled, and asserts:
    ``repro_tasks_total`` series sum to ``stats()["n_tasks"]`` and the
    duration histograms hold one sample per executed attempt,
 2. the Prometheus exposition parses and its totals match the trace,
-3. the chrome-trace export validates (lanes, flow events, phases) and
-   carries one lane per worker that actually ran a task,
+3. the chrome timeline rendered from the trace's OTLP document
+   validates (lanes, flow events, phases), carries one lane per worker
+   that actually ran a task and one flow arrow per recorded dependency
+   edge,
 4. the critical path is bounded: at least the longest single task,
    at most the makespan,
 5. the ``repro trace`` CLI (summarize / critical-path / chrome) works
@@ -32,14 +34,16 @@ from __future__ import annotations
 import collections
 import contextlib
 import io
+import json
 import sys
 import tempfile
 from pathlib import Path
 
 from repro.cli import main as cli_main
-from repro.cluster.chrometrace import trace_to_chrome, validate_chrome_json
+from repro.cluster.chrometrace import validate_chrome_json
 from repro.runtime import Runtime, RuntimeConfig, faults, task, wait_on
 from repro.runtime import observability as obs
+from repro.runtime.otlp import otlp_to_chrome, trace_to_otlp
 from repro.runtime.exceptions import WorkflowKilledError
 from repro.runtime.flightrec import load_dump
 from repro.runtime.tracing import Trace
@@ -157,9 +161,8 @@ def main() -> None:
         fail(f"prometheus done={n_done} != trace {trace.n_executed}")
     print(f"ok: prometheus exposition parses ({len(parsed)} series)")
 
-    # -- 3. chrome trace validates with one lane per active worker ------
-    text = trace_to_chrome(trace)
-    events = validate_chrome_json(text)
+    # -- 3. the chrome timeline is a view of the trace ------------------
+    events = validate_chrome_json(json.dumps(otlp_to_chrome(trace_to_otlp(trace))))
     xs = [e for e in events if e["ph"] == "X"]
     lanes = {(e["pid"], e["tid"]) for e in xs}
     workers = {r.worker for r in trace if r.worker is not None}
@@ -168,6 +171,9 @@ def main() -> None:
     if len(lanes) != len(workers):
         fail(f"{len(lanes)} lanes for {len(workers)} workers")
     flows = sum(1 for e in events if e["ph"] == "s")
+    edges = sum(dep in trace for r in trace for dep in r.deps)
+    if flows != edges or flows != sum(1 for e in events if e["ph"] == "f"):
+        fail(f"{flows} flow arrows for {edges} recorded dependency edges")
     if flows == 0:
         fail("no flow events despite DAG dependencies")
     print(f"ok: chrome trace valid ({len(xs)} slices, {len(lanes)} lanes, {flows} flows)")

@@ -29,14 +29,15 @@ Commands:
   dumps the metric exposition).
 * ``trace summarize|chrome|critical-path FILE`` — analyse a trace JSON
   written by ``Trace.save``: makespan/work/overhead breakdown, a
-  chrome://tracing export (per-worker lanes, dependency flow arrows,
-  retry/restore markers), or the longest duration-weighted dependency
-  chain.  ``trace --service DATA_DIR`` instead exports the merged
-  distributed trace of a queue service (client submit spans, worker
-  deliveries across every server incarnation — including crashed ones —
-  and the embedded runtimes' task spans) as one OTLP/JSON document;
-  ``trace chrome --service DATA_DIR`` renders the same merge as a
-  chrome://tracing timeline with one process row per incarnation.
+  chrome://tracing timeline, or the longest duration-weighted
+  dependency chain.  ``trace --service DATA_DIR`` instead exports the
+  merged distributed trace of a queue service (client submit spans,
+  worker deliveries across every server incarnation — including
+  crashed ones — and the embedded runtimes' task spans) as one
+  OTLP/JSON document.  ``trace chrome`` renders either through that
+  one span document (``otlp_to_chrome``): a process row per resource
+  and pid, per-worker lanes, dependency flow arrows, retry/restore/
+  failure markers and the data-plane counter lane.
 * ``logs PATH`` — render observability artifacts a run leaves behind:
   a flight-recorder dump JSON (``flightrec-*.json``), a durable span
   log (``spans.jsonl``), or a service data directory (renders its span
@@ -251,8 +252,6 @@ def _cmd_checkpoint(args: argparse.Namespace) -> int:
         report = store.verify()
         print(f"ok       : {len(report.ok)}")
         print(f"corrupt  : {len(report.corrupt)}")
-        print(f"orphaned : {len(report.orphaned)} (re-indexed)")
-        print(f"missing  : {len(report.missing)} (dropped from manifest)")
         for name in report.corrupt:
             print(f"  corrupt: {name}")
         return 0 if report.clean else 1
@@ -368,66 +367,57 @@ def _cmd_serve_stream(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
+    import json
+
+    from repro.runtime import atomic_write
     from repro.runtime import observability as obs
+    from repro.runtime import otlp
     from repro.runtime.tracing import Trace
 
     if args.service is not None:
-        import json
-
-        from repro.runtime.otlp import iter_spans, otlp_to_chrome, save_otlp
         from repro.service.spanlog import export_service_otlp
 
         document = export_service_otlp(args.service)
-        n_spans = sum(1 for _ in iter_spans(document))
+        n_spans = sum(1 for _ in otlp.iter_spans(document))
         if not n_spans:
             print(f"no spans recorded under {args.service}", file=sys.stderr)
             return 1
-        if args.action == "chrome":
-            # merged multi-process timeline: client, every server
-            # incarnation and worker runtime as process rows on one clock
-            from repro.runtime import atomic_write
+        if args.action != "chrome":
+            if args.output:
+                otlp.save_otlp(document, args.output)
+                print(f"wrote {args.output} ({n_spans} spans, OTLP/JSON)")
+            else:
+                print(json.dumps(document, indent=2))
+            return 0
+        # merged multi-process timeline: client, every server
+        # incarnation and worker runtime as process rows on one clock
+        out = args.output or "service.chrome.json"
+        what = f"{n_spans} spans, merged chrome trace"
+    else:
+        if args.file is None:
+            print("trace wants a FILE (or --service DATA_DIR)", file=sys.stderr)
+            return 2
+        try:
+            trace = Trace.load(args.file)
+        except (OSError, ValueError, KeyError) as exc:
+            print(f"cannot load trace {args.file}: {exc}", file=sys.stderr)
+            return 1
+        if not len(trace):
+            print(f"trace {args.file} holds no records", file=sys.stderr)
+            return 1
+        if args.action == "summarize":
+            print(obs.format_summary(obs.summarize_trace(trace)))
+            return 0
+        if args.action == "critical-path":
+            cp = obs.critical_path(trace)
+            print(obs.format_critical_path(cp, top=args.top))
+            return 0
+        document = otlp.trace_to_otlp(trace)
+        out = args.output or f"{args.file}.chrome.json"
+        what = f"{len(trace)} task events"
 
-            chrome = otlp_to_chrome(document)
-            out = args.output or "service.chrome.json"
-            atomic_write(out, json.dumps(chrome) + "\n")
-            print(
-                f"wrote {out} ({n_spans} spans, merged chrome trace; "
-                "open in about:tracing)"
-            )
-        elif args.output:
-            save_otlp(document, args.output)
-            print(f"wrote {args.output} ({n_spans} spans, OTLP/JSON)")
-        else:
-            print(json.dumps(document, indent=2))
-        return 0
-    if args.file is None:
-        print("trace wants a FILE (or --service DATA_DIR)", file=sys.stderr)
-        return 2
-
-    try:
-        trace = Trace.load(args.file)
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"cannot load trace {args.file}: {exc}", file=sys.stderr)
-        return 1
-    if not len(trace):
-        print(f"trace {args.file} holds no records", file=sys.stderr)
-        return 1
-
-    if args.action == "summarize":
-        print(obs.format_summary(obs.summarize_trace(trace)))
-        return 0
-
-    if args.action == "critical-path":
-        cp = obs.critical_path(trace)
-        print(obs.format_critical_path(cp, top=args.top))
-        return 0
-
-    # chrome
-    from repro.cluster.chrometrace import save_chrome_trace
-
-    out = args.output or f"{args.file}.chrome.json"
-    save_chrome_trace(trace, out)
-    print(f"wrote {out} ({len(trace)} task events; open in about:tracing)")
+    atomic_write(out, json.dumps(otlp.otlp_to_chrome(document)) + "\n")
+    print(f"wrote {out} ({what}; open in about:tracing)")
     return 0
 
 

@@ -2,7 +2,10 @@
 
 Replays recorded task traces on parameterised clusters (MareNostrum IV
 48-core nodes, CTE-Power 4-GPU nodes) to regenerate the paper's
-scalability results without the hardware.
+scalability results without the hardware.  A simulated schedule renders
+as a chrome://tracing timeline (:func:`schedule_to_chrome`); a recorded
+runtime trace renders through its OTLP document,
+``repro.runtime.otlp.otlp_to_chrome(trace_to_otlp(trace))``.
 """
 
 from repro.cluster.analysis import (
@@ -13,12 +16,7 @@ from repro.cluster.analysis import (
     idle_fraction,
     time_breakdown,
 )
-from repro.cluster.chrometrace import (
-    save_chrome_schedule,
-    save_chrome_trace,
-    schedule_to_chrome,
-    trace_to_chrome,
-)
+from repro.cluster.chrometrace import save_chrome_schedule, schedule_to_chrome
 from repro.cluster.costmodel import CostModel, IDENTITY, name_mean_smoother
 from repro.cluster.replay import (
     SweepPoint,
@@ -77,8 +75,6 @@ __all__ = [
     "gantt_text",
     "idle_fraction",
     "bottleneck_report",
-    "trace_to_chrome",
     "schedule_to_chrome",
-    "save_chrome_trace",
     "save_chrome_schedule",
 ]

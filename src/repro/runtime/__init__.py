@@ -47,6 +47,9 @@ Public surface:
   (:func:`critical_path`, :func:`summarize_trace`); enabled with
   ``RuntimeConfig(observability="metrics,progress")`` or
   ``REPRO_OBSERVABILITY``.
+* :mod:`repro.runtime.otlp` — the one span document: a trace as OTLP
+  (``trace_to_otlp``, dependencies as span links) and the one
+  chrome://tracing renderer, ``otlp_to_chrome(trace_to_otlp(trace))``.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Crash-consistent file writes.
 
-Every artefact the runtime persists — checkpoint entries, manifests,
-traces, provenance records, DOT graphs, Chrome traces — goes through
+Every artefact the runtime persists — checkpoint entries, traces,
+provenance records, DOT graphs, Chrome traces — goes through
 :func:`atomic_write`: the data is written to a temporary file in the
 *same directory*, flushed and fsynced, then atomically renamed over the
 destination (and the directory entry fsynced).  A reader therefore

@@ -12,7 +12,7 @@ retrying an in-flight attempt.  This module provides that layer:
   invalidates its old checkpoints.
 * :class:`CheckpointStore` — a directory of self-describing entry
   files, each written atomically (temp file + fsync + rename) with a
-  SHA-256 payload checksum, plus an atomically maintained manifest.
+  SHA-256 payload checksum; the directory is its own index.
 
 The runtime keys entries by a *task signature*: function identity +
 argument fingerprint + call lineage (the occurrence index among calls
@@ -36,7 +36,6 @@ import json
 import logging
 import os
 import pickle
-import threading
 import time
 from pathlib import Path
 from typing import Any, Callable, Iterator
@@ -49,9 +48,6 @@ logger = logging.getLogger("repro.runtime.checkpoint")
 
 #: Entry-file magic: format name + version, newline-terminated.
 MAGIC = b"REPROCKPT1\n"
-
-#: Manifest format version.
-MANIFEST_VERSION = 1
 
 
 class UnfingerprintableError(TypeError):
@@ -195,15 +191,10 @@ class VerifyReport:
 
     ok: list[str] = dataclasses.field(default_factory=list)
     corrupt: list[str] = dataclasses.field(default_factory=list)
-    #: entry files missing from the manifest (e.g. a crash between the
-    #: entry rename and the manifest update) — valid and re-indexed.
-    orphaned: list[str] = dataclasses.field(default_factory=list)
-    #: manifest rows whose entry file is gone.
-    missing: list[str] = dataclasses.field(default_factory=list)
 
     @property
     def clean(self) -> bool:
-        return not self.corrupt and not self.missing
+        return not self.corrupt
 
 
 class CheckpointStore:
@@ -211,15 +202,17 @@ class CheckpointStore:
 
     Layout::
 
-        <root>/manifest.json          rebuildable index of the entries
         <root>/entries/<id>.ckpt      MAGIC + JSON header line + payload
 
-    Every entry file and every manifest revision is written with
-    :func:`~repro.runtime.atomic_write.atomic_write`, so a reader never
-    observes a torn file; the payload checksum in the header catches
-    everything else (bit rot, injected corruption).  ``get`` verifies
-    the checksum on every read and returns ``None`` for corrupt or
-    missing entries — the caller recomputes, it never crashes.
+    The directory is its own index: each entry's header carries its key,
+    task, checksum, size and creation time, so listing, stats, verify and
+    prune read the headers and there is no second file to keep in step
+    (a ``manifest.json`` left by an older store is ignored).  Every entry
+    file is written with :func:`~repro.runtime.atomic_write.atomic_write`,
+    so a reader never observes a torn file; the payload checksum in the
+    header catches everything else (bit rot, injected corruption).
+    ``get`` verifies the checksum on every read and returns ``None`` for
+    corrupt or missing entries — the caller recomputes, it never crashes.
 
     Keys are arbitrary strings: the engine uses task signatures, the
     higher layers (epoch/round/grid checkpoints) use human-readable
@@ -232,50 +225,13 @@ class CheckpointStore:
         if self.root.exists() and not self.root.is_dir():
             raise CheckpointError(f"checkpoint path {self.root} is not a directory")
         self.entries_dir.mkdir(parents=True, exist_ok=True)
-        self._lock = threading.Lock()
-        self._manifest = self._load_manifest()
 
     # -- paths ----------------------------------------------------------
-    @property
-    def manifest_path(self) -> Path:
-        return self.root / "manifest.json"
-
     def _entry_id(self, key: str) -> str:
         return hashlib.sha256(key.encode()).hexdigest()[:40]
 
     def _entry_path(self, key: str) -> Path:
         return self.entries_dir / f"{self._entry_id(key)}.ckpt"
-
-    # -- manifest -------------------------------------------------------
-    def _load_manifest(self) -> dict[str, dict]:
-        try:
-            raw = json.loads(self.manifest_path.read_text())
-        except FileNotFoundError:
-            # No manifest (fresh store, or lost between entry writes):
-            # the entry files are the source of truth, re-index them.
-            return self._rebuild_manifest()
-        except (OSError, ValueError):
-            logger.warning("unreadable checkpoint manifest %s; rebuilding", self.manifest_path)
-            return self._rebuild_manifest()
-        if raw.get("version") != MANIFEST_VERSION:
-            logger.warning("unknown manifest version in %s; rebuilding", self.manifest_path)
-            return self._rebuild_manifest()
-        return dict(raw.get("entries", {}))
-
-    def _rebuild_manifest(self) -> dict[str, dict]:
-        """Re-index every readable entry file on disk."""
-        entries: dict[str, dict] = {}
-        for path in sorted(self.entries_dir.glob("*.ckpt")):
-            header = self._read_header(path)
-            if header is not None:
-                entries[path.stem] = header
-        return entries
-
-    def _flush_manifest(self) -> None:
-        atomic_write(
-            self.manifest_path,
-            json.dumps({"version": MANIFEST_VERSION, "entries": self._manifest}, indent=1),
-        )
 
     # -- entry file format ---------------------------------------------
     @staticmethod
@@ -300,6 +256,23 @@ class CheckpointStore:
         except (OSError, ValueError):
             return None
 
+    def _intact(self, path: Path) -> tuple[dict | None, bool]:
+        """(header or None, whether the payload matches its checksum)."""
+        parsed = self._read_entry(path)
+        if parsed is None:
+            return None, False
+        header, payload = parsed
+        return header, hashlib.sha256(payload).hexdigest() == header.get("sha256")
+
+    def _headers(self) -> list[tuple[Path, dict]]:
+        """Every entry file whose header reads, with that header."""
+        rows = []
+        for path in sorted(self.entries_dir.glob("*.ckpt")):
+            header = self._read_header(path)
+            if header is not None:
+                rows.append((path, header))
+        return rows
+
     # -- public API -----------------------------------------------------
     def put(self, key: str, task: str, values: tuple) -> CheckpointEntry:
         """Persist *values* under *key*, atomically; returns the entry.
@@ -319,9 +292,6 @@ class CheckpointStore:
         path = self._entry_path(key)
         blob = MAGIC + json.dumps(header).encode() + b"\n" + payload
         atomic_write(path, blob)
-        with self._lock:
-            self._manifest[path.stem] = header
-            self._flush_manifest()
         # fault-injection hook: lets tests corrupt this write in place
         _faults.on_checkpoint_write(task, str(path))
         return CheckpointEntry(
@@ -339,8 +309,8 @@ class CheckpointStore:
         ``None`` means "recompute": the entry is absent, its checksum
         does not match its payload, its stored key differs (hash-prefix
         collision), or — with *expect* — its arity is wrong.  Corrupt
-        entries are logged and deleted so they cannot shadow a fresh
-        write that dies before the manifest update.
+        entries are logged and deleted, so no later listing or read
+        sees them.
         """
         path = self._entry_path(key)
         parsed = self._read_entry(path)
@@ -374,29 +344,23 @@ class CheckpointStore:
             path.unlink()
         except OSError:
             pass
-        with self._lock:
-            if path.stem in self._manifest:
-                del self._manifest[path.stem]
-                self._flush_manifest()
 
     # -- inspection / maintenance --------------------------------------
     def entries(self) -> Iterator[CheckpointEntry]:
-        """Manifest view of the store, oldest first."""
-        with self._lock:
-            rows = sorted(self._manifest.items(), key=lambda kv: kv[1].get("created_at", 0.0))
-        for stem, header in rows:
+        """The entry headers on disk, oldest first."""
+        rows = sorted(self._headers(), key=lambda row: row[1].get("created_at", 0.0))
+        for path, header in rows:
             yield CheckpointEntry(
                 key=header.get("key", ""),
                 task=header.get("task", "?"),
-                path=str(self.entries_dir / f"{stem}.ckpt"),
+                path=str(path),
                 nbytes=int(header.get("nbytes", 0)),
                 sha256=header.get("sha256", ""),
                 created_at=float(header.get("created_at", 0.0)),
             )
 
     def stats(self) -> dict:
-        with self._lock:
-            headers = list(self._manifest.values())
+        headers = [header for _, header in self._headers()]
         by_task: dict[str, int] = {}
         for h in headers:
             by_task[h.get("task", "?")] = by_task.get(h.get("task", "?"), 0) + 1
@@ -408,31 +372,11 @@ class CheckpointStore:
         }
 
     def verify(self) -> VerifyReport:
-        """Check every entry file against its checksum and the manifest."""
+        """Check every entry file against its checksum."""
         report = VerifyReport()
-        on_disk: set[str] = set()
         for path in sorted(self.entries_dir.glob("*.ckpt")):
-            on_disk.add(path.stem)
-            parsed = self._read_entry(path)
-            if parsed is None:
-                report.corrupt.append(path.name)
-                continue
-            header, payload = parsed
-            if hashlib.sha256(payload).hexdigest() != header.get("sha256"):
-                report.corrupt.append(path.name)
-                continue
-            report.ok.append(path.name)
-            with self._lock:
-                if path.stem not in self._manifest:
-                    report.orphaned.append(path.name)
-                    self._manifest[path.stem] = header
-        with self._lock:
-            for stem in list(self._manifest):
-                if stem not in on_disk:
-                    report.missing.append(f"{stem}.ckpt")
-                    del self._manifest[stem]
-            if report.orphaned or report.missing:
-                self._flush_manifest()
+            _, ok = self._intact(path)
+            (report.ok if ok else report.corrupt).append(path.name)
         return report
 
     def prune(
@@ -444,7 +388,7 @@ class CheckpointStore:
     ) -> list[str]:
         """Delete matching entries; returns the removed file names.
 
-        ``corrupt=True`` removes checksum-failing and unindexed files;
+        ``corrupt=True`` removes checksum-failing and unreadable files;
         ``task`` removes entries of one task/tag; ``older_than`` removes
         entries created more than that many seconds ago; ``everything``
         empties the store.
@@ -452,40 +396,19 @@ class CheckpointStore:
         removed: list[str] = []
         cutoff = None if older_than is None else time.time() - older_than
         for path in sorted(self.entries_dir.glob("*.ckpt")):
-            header = self._read_header(path)
-            payload_ok = False
+            header, ok = self._intact(path)
+            drop = everything or (corrupt and not ok)
             if header is not None:
-                parsed = self._read_entry(path)
-                payload_ok = (
-                    parsed is not None
-                    and hashlib.sha256(parsed[1]).hexdigest() == header.get("sha256")
-                )
-            drop = everything
-            if corrupt and not payload_ok:
-                drop = True
-            if task is not None and header is not None and header.get("task") == task:
-                drop = True
-            if (
-                cutoff is not None
-                and header is not None
-                and float(header.get("created_at", 0.0)) < cutoff
-            ):
-                drop = True
+                if task is not None and header.get("task") == task:
+                    drop = True
+                if cutoff is not None and float(header.get("created_at", 0.0)) < cutoff:
+                    drop = True
             if drop:
                 try:
                     path.unlink()
                     removed.append(path.name)
                 except OSError:
                     pass
-        with self._lock:
-            changed = False
-            for name in removed:
-                stem = name.rsplit(".", 1)[0]
-                if stem in self._manifest:
-                    del self._manifest[stem]
-                    changed = True
-            if changed or removed:
-                self._flush_manifest()
         return removed
 
     def clear(self) -> None:

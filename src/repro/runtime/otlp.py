@@ -11,9 +11,10 @@ Two producers feed it:
 
 * :func:`trace_to_otlp` — a runtime
   :class:`~repro.runtime.tracing.Trace` whose records carry the
-  ``trace_id``/``span_id``/``parent_span_id`` stamped by the engine
-  (PR 10); records from traces predating distributed tracing get a
-  synthesized per-export trace id so old artifacts still render.
+  ``trace_id``/``span_id``/``parent_span_id`` stamped by the engine;
+  records from traces predating distributed tracing get a synthesized
+  per-export trace id so old artifacts still render.  Each recorded
+  dependency becomes a span *link* to its producer's span.
 * :func:`spans_to_otlp` — durable **service spans** (the
   ``spans.jsonl`` rows written by :mod:`repro.service.spanlog`):
   client submissions and worker deliveries, including deliveries
@@ -24,7 +25,9 @@ Two producers feed it:
 :func:`merge_otlp` concatenates resource groups from several
 producers into one document — the ``repro trace --service`` view of
 one request across client, two server incarnations and worker
-processes.
+processes.  :func:`otlp_to_chrome` is the one chrome://tracing
+renderer: every timeline, of a single runtime trace or of a merged
+service document, is drawn from an OTLP document.
 """
 
 from __future__ import annotations
@@ -86,14 +89,20 @@ def trace_to_otlp(
     Record timestamps are monotonic seconds relative to the runtime's
     epoch; *wall_t0* (Unix seconds of that epoch) anchors them to wall
     clock so traces from different processes land on one timeline.
+    Each dependency on a recorded producer is a link to that producer's
+    span.
     """
     fallback_trace_id = os.urandom(16).hex()
+    ids = {
+        rec.task_id: (
+            rec.trace_id or fallback_trace_id,
+            rec.span_id or format(rec.task_id & 0xFFFFFFFFFFFFFFFF, "016x"),
+        )
+        for rec in trace
+    }
     spans: list[dict[str, Any]] = []
     for rec in trace:
-        trace_id = getattr(rec, "trace_id", None) or fallback_trace_id
-        span_id = getattr(rec, "span_id", None) or format(
-            rec.task_id & 0xFFFFFFFFFFFFFFFF, "016x"
-        )
+        trace_id, span_id = ids[rec.task_id]
         span: dict[str, Any] = {
             "traceId": trace_id,
             "spanId": span_id,
@@ -111,13 +120,23 @@ def trace_to_otlp(
                     "repro.retry_of": rec.retry_of,
                     "repro.fused_id": rec.fused_id,
                     "repro.error": rec.error,
+                    "repro.cores": rec.computing_units,
+                    "repro.gpus": rec.gpus,
+                    "repro.queue_wait_us": rec.queue_wait * 1e6,
+                    "repro.overhead_us": rec.overhead * 1e6,
+                    "repro.bytes_moved": rec.bytes_moved,
+                    "repro.bytes_saved": rec.bytes_saved,
                 }
             ),
             "status": {"code": 1 if rec.ok else 2},
         }
-        parent = getattr(rec, "parent_span_id", None)
-        if parent:
-            span["parentSpanId"] = parent
+        if rec.parent_span_id:
+            span["parentSpanId"] = rec.parent_span_id
+        links = [
+            {"traceId": ids[dep][0], "spanId": ids[dep][1]} for dep in rec.deps if dep in ids
+        ]
+        if links:
+            span["links"] = links
         spans.append(span)
     res = {"service.name": "repro-runtime"}
     if resource:
@@ -190,12 +209,16 @@ def merge_otlp(*documents: Mapping[str, Any]) -> dict[str, Any]:
     return {"resourceSpans": groups}
 
 
+def _group_spans(group: Mapping[str, Any]) -> Iterable[dict[str, Any]]:
+    for scope in group.get("scopeSpans", ()):
+        yield from scope.get("spans", ())
+
+
 def iter_spans(document: Mapping[str, Any]) -> Iterable[dict[str, Any]]:
     """Flat iterator over every span in an OTLP document (tests and
     CLI summaries walk this instead of the nesting)."""
     for group in document.get("resourceSpans", ()):
-        for scope in group.get("scopeSpans", ()):
-            yield from scope.get("spans", ())
+        yield from _group_spans(group)
 
 
 def span_attributes(span: Mapping[str, Any]) -> dict[str, Any]:
@@ -214,78 +237,149 @@ def span_attributes(span: Mapping[str, Any]) -> dict[str, Any]:
     return out
 
 
-def otlp_to_chrome(document: Mapping[str, Any]) -> dict[str, Any]:
-    """A merged OTLP document as a chrome://tracing timeline.
+def _metadata(kind: str, pid: int, tid: int, name: str) -> dict[str, Any]:
+    return {"ph": "M", "pid": pid, "tid": tid, "name": kind, "args": {"name": name}}
 
-    One process row per OTLP *resource* (the client span log, each
-    server incarnation, each embedded worker runtime), one thread lane
-    per worker within it — the ``repro trace chrome --service`` view
-    of the whole request on one clock.  Timestamps are rebased so the
-    earliest span starts at 0; zero-duration spans (client ``submit``
-    points, crash-interrupted deliveries) render as instant events.
+
+def _marker(
+    name: str, cat: str, pid: int, tid: int, ts: float, args: dict[str, Any]
+) -> dict[str, Any]:
+    return {
+        "name": name, "cat": cat, "ph": "i", "s": "t", "pid": pid, "tid": tid, "ts": ts,
+        "args": args,
+    }
+
+
+def otlp_to_chrome(document: Mapping[str, Any]) -> dict[str, Any]:
+    """An OTLP document as a chrome://tracing timeline.
+
+    * One process row per (resource, ``repro.pid``) — the client span
+      log, each server incarnation, each worker process of a runtime —
+      and one thread lane per worker within it; attempts without a
+      worker share one ``main`` lane.
+    * Spans are complete ("X") events; zero-duration spans (client
+      ``submit`` points, crash-interrupted deliveries, restored
+      attempts) are instant events.
+    * A link whose target span is in the document is a flow arrow: "s"
+      at the producer's end, "f" (``bp: "e"``) at the later of the
+      consumer's start and the producer's end.
+    * Retries, checkpoint restores and failures get instant markers.
+    * A resource in which some span moved data-plane bytes gets a
+      cumulative ``moved``/``saved`` counter ("C") lane, sampled at each
+      of its spans' ends.
+
+    Timestamps are microseconds, rebased so the earliest span starts
+    at 0.
     """
+    groups = list(document.get("resourceSpans", ()))
+    t0 = min(
+        (int(s.get("startTimeUnixNano", 0)) for g in groups for s in _group_spans(g)),
+        default=0,
+    )
     events: list[dict[str, Any]] = []
-    t0: int | None = None
-    for group in document.get("resourceSpans", ()):
-        for scope in group.get("scopeSpans", ()):
-            for span in scope.get("spans", ()):
-                start = int(span.get("startTimeUnixNano", 0))
-                if start and (t0 is None or start < t0):
-                    t0 = start
-    t0 = t0 or 0
-    for pid, group in enumerate(document.get("resourceSpans", ()), start=1):
-        res = {
-            attr["key"]: attr.get("value", {}).get("stringValue")
-            for attr in group.get("resource", {}).get("attributes", ())
-        }
-        label = res.get("service.name", "repro")
-        for extra in ("repro.server_id", "repro.pid"):
-            if res.get(extra):
-                label = f"{label} [{res[extra]}]"
-        events.append(
-            {"ph": "M", "pid": pid, "tid": 0, "name": "process_name",
-             "args": {"name": label}}
-        )
-        lanes: dict[str, int] = {}
-        for scope in group.get("scopeSpans", ()):
-            for span in scope.get("spans", ()):
-                attrs = span_attributes(span)
-                lane_key = str(
-                    attrs.get("repro.worker")  # runtime task records
-                    or attrs.get("worker")  # service delivery spans
-                    or span.get("name", "span")
+    rows: dict[tuple[int, Any], int] = {}
+    lanes: dict[tuple[int, str], int] = {}
+    ends: dict[tuple[Any, Any], tuple[int, int, float]] = {}
+    placed: list[tuple[dict[str, Any], int, int, float]] = []
+    for index, group in enumerate(groups):
+        res = span_attributes(group.get("resource", {}))
+        service = res.get("service.name", "repro")
+        if res.get("repro.server_id"):
+            service = f"{service} [{res['repro.server_id']}]"
+        samples: list[tuple[float, int, int]] = []
+        for span in _group_spans(group):
+            attrs = span_attributes(span)
+            os_pid = attrs.get("repro.pid", res.get("repro.pid"))
+            pid = rows.get((index, os_pid))
+            if pid is None:
+                pid = rows[index, os_pid] = len(rows) + 1
+                label = service if os_pid is None else f"{service} pid {os_pid}"
+                events.append(_metadata("process_name", pid, 0, label))
+            lane = str(attrs.get("repro.worker") or attrs.get("worker") or "main")
+            tid = lanes.get((pid, lane))
+            if tid is None:
+                tid = lanes[pid, lane] = len(lanes) + 1
+                events.append(_metadata("thread_name", pid, tid, lane))
+
+            ts = (int(span.get("startTimeUnixNano", 0)) - t0) / 1000.0
+            end = (int(span.get("endTimeUnixNano", 0)) - t0) / 1000.0
+            args = dict(attrs, traceId=span.get("traceId"), spanId=span.get("spanId"))
+            if span.get("parentSpanId"):
+                args["parentSpanId"] = span["parentSpanId"]
+            name = span.get("name", "span")
+            error = span.get("status", {}).get("code") == 2
+            event: dict[str, Any] = {
+                "name": name,
+                "cat": "error" if error else "span",
+                "pid": pid,
+                "tid": tid,
+                "ts": ts,
+                "args": args,
+            }
+            if end > ts:
+                event.update(ph="X", dur=end - ts)
+            else:
+                event.update(ph="i", s="t")  # instant, thread-scoped
+            events.append(event)
+
+            task = f"{name}#{attrs.get('repro.task_id')}"
+            retry_of, attempt = attrs.get("repro.retry_of"), attrs.get("repro.attempt")
+            if retry_of is not None:
+                events.append(_marker(
+                    f"retry of #{retry_of} (attempt {attempt})", "retry", pid, tid, ts,
+                    {"retry_of": retry_of, "attempt": attempt},
+                ))
+            if attrs.get("repro.status") == "restored":
+                events.append(_marker(
+                    f"restored {task}", "checkpoint", pid, tid, ts,
+                    {"task_id": attrs.get("repro.task_id")},
+                ))
+            elif attrs.get("repro.status") == "failed":
+                events.append(_marker(
+                    f"failed {task}", "failure", pid, tid, end,
+                    {"error": attrs.get("repro.error")},
+                ))
+
+            ends[span.get("traceId"), span.get("spanId")] = (pid, tid, end)
+            placed.append((span, pid, tid, ts))
+            samples.append(
+                (end, attrs.get("repro.bytes_moved", 0), attrs.get("repro.bytes_saved", 0))
+            )
+
+        if any(moved or saved for _, moved, saved in samples):
+            lane_pid = min(p for (i, _), p in rows.items() if i == index)
+            moved_total = saved_total = 0
+            for end, moved, saved in sorted(samples, key=lambda sample: sample[0]):
+                moved_total += moved
+                saved_total += saved
+                events.append(
+                    {
+                        "name": "data plane (bytes)",
+                        "cat": "dataplane",
+                        "ph": "C",
+                        "pid": lane_pid,
+                        "tid": 0,
+                        "ts": end,
+                        "args": {"moved": moved_total, "saved": saved_total},
+                    }
                 )
-                tid = lanes.get(lane_key)
-                if tid is None:
-                    tid = lanes[lane_key] = len(lanes) + 1
-                    events.append(
-                        {"ph": "M", "pid": pid, "tid": tid,
-                         "name": "thread_name", "args": {"name": lane_key}}
-                    )
-                ts = (int(span.get("startTimeUnixNano", 0)) - t0) / 1000.0
-                dur = (
-                    int(span.get("endTimeUnixNano", 0))
-                    - int(span.get("startTimeUnixNano", 0))
-                ) / 1000.0
-                args = dict(attrs)
-                args["traceId"] = span.get("traceId")
-                args["spanId"] = span.get("spanId")
-                if span.get("parentSpanId"):
-                    args["parentSpanId"] = span["parentSpanId"]
-                error = span.get("status", {}).get("code") == 2
-                event: dict[str, Any] = {
-                    "name": span.get("name", "span"),
-                    "cat": "error" if error else "span",
-                    "pid": pid,
-                    "tid": tid,
-                    "ts": ts,
-                    "args": args,
-                }
-                if dur <= 0:
-                    event.update(ph="i", s="t")  # instant, thread-scoped
-                else:
-                    event.update(ph="X", dur=dur)
-                events.append(event)
+
+    flow_id = 0
+    for span, pid, tid, ts in placed:
+        for link in span.get("links", ()):
+            producer = ends.get((link.get("traceId"), link.get("spanId")))
+            if producer is None:
+                continue  # linked span not in this document
+            ppid, ptid, producer_end = producer
+            flow_id += 1
+            events.append(
+                {"name": "dep", "cat": "dataflow", "ph": "s", "id": flow_id,
+                 "pid": ppid, "tid": ptid, "ts": producer_end}
+            )
+            events.append(
+                {"name": "dep", "cat": "dataflow", "ph": "f", "bp": "e", "id": flow_id,
+                 "pid": pid, "tid": tid, "ts": max(ts, producer_end)}
+            )
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 

@@ -173,8 +173,8 @@ class TaskRecord:
     bytes_saved: int = 0
     #: Id of the fused unit this attempt ran inside (the unit head's
     #: task id), or None when the attempt was scheduled individually.
-    #: Members of one unit share the value; the chrome-trace export
-    #: nests their spans under one fused envelope span.
+    #: Members of one unit share the value (exported as the span
+    #: attribute ``repro.fused_id``).
     fused_id: int | None = None
     #: Distributed-trace identity (W3C-traceparent style, stamped from
     #: the attempt's :class:`~repro.runtime.tracectx.TraceContext`):

@@ -6,6 +6,8 @@ directory::
     data_dir/
       queue.db      the WAL-mode queue (repro.service.db)
       spill/        the object store's disk tier, one subdir per prefix
+      spans.jsonl   the durable span log (repro.service.spanlog)
+      traces/       one OTLP document per drained incarnation's runtime
 
 Lifecycle — both exits are first-class, chaos-tested paths:
 
@@ -25,7 +27,6 @@ Lifecycle — both exits are first-class, chaos-tested paths:
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
 import signal
 import threading
@@ -36,6 +37,7 @@ from typing import Any
 
 from repro.runtime import flightrec
 from repro.runtime import observability as obs
+from repro.runtime import otlp
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.engine import Runtime
 from repro.runtime.store import sweep_prefix
@@ -246,30 +248,26 @@ class QueueService:
     stop = drain
 
     def _save_runtime_trace(self) -> None:
-        """Persist this incarnation's runtime trace under
-        ``traces/trace-<server_id>.json`` so
-        :func:`repro.service.spanlog.export_service_otlp` can merge the
-        embedded runtime's spans (with worker pids) into the durable
-        service trace.  ``wall_t0`` anchors the trace's monotonic
-        timestamps to the wall clock."""
+        """Persist this incarnation's runtime trace as an OTLP document
+        under ``traces/trace-<server_id>.json``, which
+        :func:`repro.service.spanlog.export_service_otlp` merges with
+        the durable service spans.  ``wall_t0`` anchors the trace's
+        monotonic timestamps to the wall clock; the resource names the
+        server and its pid."""
         assert self.runtime is not None
         try:
-            trace = self.runtime.trace()
-            records = json.loads(trace.to_json())
-            wrapper = {
-                "server_id": self.server_id,
-                "pid": os.getpid(),
-                "wall_t0": time.time() - self.runtime._now(),
-                "records": records,
-            }
+            document = otlp.trace_to_otlp(
+                self.runtime.trace(),
+                wall_t0=time.time() - self.runtime._now(),
+                resource={
+                    "service.name": "repro-service-runtime",
+                    "repro.server_id": self.server_id,
+                    "repro.pid": os.getpid(),
+                },
+            )
             traces_dir = self.data_dir / TRACES_DIR
             traces_dir.mkdir(parents=True, exist_ok=True)
-            from repro.runtime.atomic_write import atomic_write
-
-            atomic_write(
-                traces_dir / f"trace-{self.server_id}.json",
-                json.dumps(wrapper) + "\n",
-            )
+            otlp.save_otlp(document, traces_dir / f"trace-{self.server_id}.json")
         except Exception as exc:  # noqa: BLE001 - drain must proceed
             _log.warning(
                 "failed to save runtime trace", server_id=self.server_id, error=repr(exc)

@@ -24,8 +24,9 @@ needs.
 
 :func:`export_service_otlp` is the one-call export: service spans +
 every drained server incarnation's runtime trace (saved under
-``traces/`` by :meth:`QueueService.drain`) merged into a single OTLP
-document spanning client, servers and worker processes.
+``traces/`` as an OTLP document by :meth:`QueueService.drain`) merged
+into a single OTLP document spanning client, servers and worker
+processes.
 """
 
 from __future__ import annotations
@@ -129,38 +130,16 @@ def export_service_otlp(
     resource: Optional[Mapping[str, Any]] = None,
 ) -> dict[str, Any]:
     """The full OTLP document of one service data directory: durable
-    client/worker spans merged with every drained server incarnation's
-    runtime trace (each anchored to wall clock by the ``wall_t0`` its
-    server recorded at save time)."""
-    from repro.runtime.tracing import Trace
-
-    documents = [
-        otlp.spans_to_otlp(read_span_rows(data_dir), resource=resource)
-    ]
-    traces_dir = Path(data_dir) / TRACES_DIR
-    if traces_dir.is_dir():
-        for path in sorted(traces_dir.glob("trace-*.json")):
-            try:
-                with open(path, encoding="utf-8") as fh:
-                    payload = json.load(fh)
-            except (OSError, json.JSONDecodeError):
-                continue
-            if isinstance(payload, dict) and "records" in payload:
-                trace = Trace.from_json(json.dumps(payload["records"]))
-                wall_t0 = float(payload.get("wall_t0", 0.0))
-                server_id = payload.get("server_id")
-            else:  # bare trace JSON (a plain record list)
-                trace = Trace.from_json(json.dumps(payload))
-                wall_t0 = 0.0
-                server_id = None
-            documents.append(
-                otlp.trace_to_otlp(
-                    trace,
-                    wall_t0=wall_t0,
-                    resource={
-                        "service.name": "repro-service-runtime",
-                        "repro.server_id": server_id,
-                    },
-                )
-            )
+    client/worker spans merged with the OTLP document each drained
+    server incarnation saved of its runtime trace.  A ``trace-*.json``
+    that is unreadable or not an OTLP document is skipped."""
+    documents = [otlp.spans_to_otlp(read_span_rows(data_dir), resource=resource)]
+    for path in sorted((Path(data_dir) / TRACES_DIR).glob("trace-*.json")):
+        try:
+            with open(path, encoding="utf-8") as fh:
+                document = json.load(fh)
+        except (OSError, json.JSONDecodeError):
+            continue
+        if isinstance(document, dict) and isinstance(document.get("resourceSpans"), list):
+            documents.append(document)
     return otlp.merge_otlp(*documents)

@@ -1,19 +1,21 @@
-"""Chrome Trace Event Format exports."""
+"""Chrome Trace Event Format exports: a simulated schedule, and a
+recorded runtime trace through its OTLP document."""
 
 from __future__ import annotations
 
 import json
 
-from repro.cluster import (
-    ClusterSpec,
-    NodeSpec,
-    schedule_to_chrome,
-    simulate,
-    trace_to_chrome,
-)
+import pytest
+
+from repro.cluster import ClusterSpec, NodeSpec, schedule_to_chrome, simulate
 from repro.cluster.chrometrace import validate_chrome_json
 from repro.runtime import Runtime, task, wait_on
+from repro.runtime.otlp import otlp_to_chrome, trace_to_otlp
 from repro.runtime.tracing import TaskRecord, Trace
+
+
+def _timeline(trace: Trace) -> list[dict]:
+    return validate_chrome_json(json.dumps(otlp_to_chrome(trace_to_otlp(trace))))
 
 
 @task(returns=1)
@@ -30,14 +32,13 @@ def test_runtime_trace_export():
     with Runtime(executor="sequential") as rt:
         wait_on(_leaf(5))      # task 0: ensures the parent id is non-zero
         wait_on(_parent(1))
-        text = trace_to_chrome(rt.trace())
-    events = validate_chrome_json(text)
+        events = _timeline(rt.trace())
     xs = [e for e in events if e["ph"] == "X"]
     assert len(xs) == 3
     for e in xs:
         assert e["dur"] >= 0
-        assert "deps" in e["args"]
-        assert e["args"]["status"] == "done"
+        assert e["args"]["repro.cores"] == 1
+        assert e["args"]["repro.status"] == "done"
     # the sequential executor runs everything on one thread: every
     # attempt lands on the same worker lane of the same process row
     assert len({(e["pid"], e["tid"]) for e in xs}) == 1
@@ -56,18 +57,19 @@ def test_trace_export_flow_events_follow_deps():
         f = chain(f)
         wait_on(f)
         trace = rt.trace()
-        text = trace_to_chrome(trace)
-    events = validate_chrome_json(text)
+    events = _timeline(trace)
     starts = [e for e in events if e["ph"] == "s"]
     finishes = [e for e in events if e["ph"] == "f"]
     assert len(starts) == 1 and len(finishes) == 1
     assert starts[0]["id"] == finishes[0]["id"]
     assert finishes[0]["bp"] == "e"
     # the arrow leaves the producer at its end and lands at (or after)
-    # the consumer's start
-    producer = trace[0]
-    assert starts[0]["ts"] == producer.t_end * 1e6
-    assert finishes[0]["ts"] >= starts[0]["ts"]
+    # the consumer's start; timestamps are rebased to the first span
+    producer, consumer = trace
+    assert starts[0]["ts"] == pytest.approx((producer.t_end - producer.t_start) * 1e6, abs=0.01)
+    assert finishes[0]["ts"] == pytest.approx(
+        (max(consumer.t_start, producer.t_end) - producer.t_start) * 1e6, abs=0.01
+    )
 
 
 def test_trace_export_retry_and_failure_instants():
@@ -81,8 +83,8 @@ def test_trace_export_retry_and_failure_instants():
                        status="restored"),
         ]
     )
-    events = validate_chrome_json(trace_to_chrome(tr))
-    instants = [e for e in events if e["ph"] == "i"]
+    # markers, not the zero-duration restored span itself (cat "span")
+    instants = [e for e in _timeline(tr) if e["ph"] == "i" and e["cat"] != "span"]
     cats = sorted(e["cat"] for e in instants)
     assert cats == ["checkpoint", "failure", "retry"]
     retry_ev = next(e for e in instants if e["cat"] == "retry")
@@ -100,14 +102,14 @@ def test_trace_export_per_worker_and_per_pid_lanes():
                        pid=200, worker="w-0"),
         ]
     )
-    events = validate_chrome_json(trace_to_chrome(tr))
-    xs = {e["name"].split("#")[0]: (e["pid"], e["tid"]) for e in events if e["ph"] == "X"}
+    events = _timeline(tr)
+    xs = {e["name"]: (e["pid"], e["tid"]) for e in events if e["ph"] == "X"}
     # distinct workers get distinct lanes; distinct pids distinct rows
-    assert xs["a"][0] == xs["b"][0] == 100
+    assert xs["a"][0] == xs["b"][0] != xs["c"][0]
     assert xs["a"][1] != xs["b"][1]
-    assert xs["c"][0] == 200
-    process_names = [e for e in events if e.get("name") == "process_name"]
-    assert len(process_names) == 2
+    rows = {e["pid"]: e["args"]["name"] for e in events if e.get("name") == "process_name"}
+    assert len(rows) == 2
+    assert rows[xs["a"][0]].endswith("pid 100") and rows[xs["c"][0]].endswith("pid 200")
 
 
 def test_trace_export_data_plane_counter_lane():
@@ -119,7 +121,7 @@ def test_trace_export_data_plane_counter_lane():
                        bytes_moved=50, bytes_saved=200),
         ]
     )
-    events = validate_chrome_json(trace_to_chrome(tr))
+    events = _timeline(tr)
     counters = [e for e in events if e["ph"] == "C"]
     assert len(counters) == 2
     # the series is cumulative and ordered by task end time
@@ -127,14 +129,14 @@ def test_trace_export_data_plane_counter_lane():
     assert counters[1]["args"] == {"moved": 150, "saved": 600}
     assert counters[0]["ts"] <= counters[1]["ts"]
     # per-task byte accounting also lands on the span args
-    xs = {e["name"].split("#")[0]: e for e in events if e["ph"] == "X"}
-    assert xs["a"]["args"]["bytes_moved"] == 100
-    assert xs["b"]["args"]["bytes_saved"] == 200
+    xs = {e["name"]: e for e in events if e["ph"] == "X"}
+    assert xs["a"]["args"]["repro.bytes_moved"] == 100
+    assert xs["b"]["args"]["repro.bytes_saved"] == 200
 
 
 def test_trace_export_without_data_plane_has_no_counter_lane():
     tr = Trace([TaskRecord(task_id=0, name="a", deps=(), t_start=0.0, t_end=1.0)])
-    events = validate_chrome_json(trace_to_chrome(tr))
+    events = _timeline(tr)
     assert not [e for e in events if e["ph"] == "C"]
 
 
@@ -169,5 +171,4 @@ def test_schedule_export():
 
 
 def test_empty_trace_valid_json():
-    blob = json.loads(trace_to_chrome(Trace()))
-    assert blob["traceEvents"][0]["ph"] == "M"
+    assert _timeline(Trace()) == []

@@ -1,4 +1,4 @@
-"""CheckpointStore unit tests: atomic writes, checksums, manifest."""
+"""CheckpointStore unit tests: atomic writes, checksums, header index."""
 
 from __future__ import annotations
 
@@ -164,21 +164,29 @@ class TestCheckpointStore:
         report = store.verify()
         assert bad.name in report.corrupt
 
-    def test_manifest_rebuilt_after_loss(self, tmp_path):
-        store = CheckpointStore(tmp_path)
-        store.put("k1", "t", (1,))
-        store.put("k2", "t", (2,))
-        store.manifest_path.unlink()
-        reopened = CheckpointStore(tmp_path)
-        assert reopened.stats()["n_entries"] == 2
-        assert reopened.get("k1") == (1,)
+    def test_put_is_one_atomic_write(self, tmp_path, monkeypatch):
+        import repro.runtime.checkpoint as checkpoint
 
-    def test_manifest_corruption_rebuilds(self, tmp_path):
+        writes = []
+
+        def counting(path, data):
+            writes.append(os.path.basename(path))
+            atomic_write(path, data)
+
+        monkeypatch.setattr(checkpoint, "atomic_write", counting)
+        store = CheckpointStore(tmp_path)
+        entry = store.put("k1", "t", (1,))
+        assert writes == [os.path.basename(entry.path)]
+        assert not (tmp_path / "manifest.json").exists()
+
+    def test_legacy_manifest_is_ignored(self, tmp_path):
         store = CheckpointStore(tmp_path)
         store.put("k1", "t", (1,))
-        store.manifest_path.write_text("{broken json")
+        (tmp_path / "manifest.json").write_text("{broken json")
         reopened = CheckpointStore(tmp_path)
         assert reopened.get("k1") == (1,)
+        assert reopened.stats()["n_entries"] == 1
+        assert reopened.verify().clean
 
     def test_entry_file_is_self_describing(self, tmp_path):
         store = CheckpointStore(tmp_path)
@@ -190,24 +198,19 @@ class TestCheckpointStore:
         assert header["task"] == "mytask"
         assert header["sha256"] == entry.sha256
 
-    def test_verify_reindexes_orphans_and_drops_missing(self, tmp_path):
+    def test_verify_reports_ok_and_corrupt(self, tmp_path):
         store = CheckpointStore(tmp_path)
         e1 = store.put("k1", "t", (1,))
-        store.put("k2", "t", (2,))
-        # orphan: entry exists on disk but manifest forgot it
-        manifest = json.loads(store.manifest_path.read_text())
-        stem1 = os.path.basename(e1.path).rsplit(".", 1)[0]
-        del manifest["entries"][stem1]
-        store.manifest_path.write_text(json.dumps(manifest))
-        store2 = CheckpointStore(tmp_path)
-        # missing: manifest row whose file is gone
-        e2_path = store2._entry_path("k2")
-        e2_path.unlink()
-        report = store2.verify()
-        assert [os.path.basename(e1.path)] == report.orphaned
-        assert report.missing == [e2_path.name]
+        e2 = store.put("k2", "t", (2,))
+        assert store.verify().clean
+        with open(e2.path, "r+b") as fh:
+            fh.seek(-1, 2)
+            fh.write(b"\x00")
+        report = store.verify()
+        assert report.ok == [os.path.basename(e1.path)]
+        assert report.corrupt == [os.path.basename(e2.path)]
         assert not report.clean
-        assert store2.get("k1") == (1,)
+        assert store.get("k1") == (1,)
 
     def test_prune_by_task(self, tmp_path):
         store = CheckpointStore(tmp_path)

@@ -209,6 +209,57 @@ def test_otlp_to_chrome_merged_timeline():
     assert lanes[(done["pid"], done["tid"])] == "w-1"
 
 
+def test_otlp_to_chrome_rebases_on_a_span_at_time_zero():
+    """A span starting at Unix-nano 0 is the earliest span: nothing
+    renders before zero."""
+    from repro.cluster.chrometrace import validate_chrome_json
+    from repro.runtime.tracing import TaskRecord, Trace
+
+    trace = Trace(
+        [
+            TaskRecord(task_id=0, name="a", deps=(), t_start=0.0, t_end=1.0),
+            TaskRecord(task_id=1, name="b", deps=(0,), t_start=1.0, t_end=2.0),
+        ]
+    )
+    events = validate_chrome_json(json.dumps(otlp_to_chrome(trace_to_otlp(trace))))
+    xs = {e["name"]: e["ts"] for e in events if e["ph"] == "X"}
+    assert xs == {"a": 0.0, "b": 1_000_000.0}
+
+
+def test_otlp_to_chrome_labels_rows_with_resource_pid():
+    """Resource attributes are typed: an int ``repro.pid`` on the
+    resource labels the process row of spans that carry no pid."""
+    doc = spans_to_otlp(
+        [_start(SPAN_A), _end(SPAN_A)],
+        resource={"repro.server_id": "srv", "repro.pid": 4321},
+    )
+    events = otlp_to_chrome(doc)["traceEvents"]
+    (row,) = [e["args"]["name"] for e in events if e.get("name") == "process_name"]
+    assert row == "repro-service [srv] pid 4321"
+
+
+def test_trace_to_otlp_links_recorded_dependencies():
+    from repro.runtime.tracing import TaskRecord, Trace
+
+    trace = Trace(
+        [
+            TaskRecord(task_id=0, name="a", deps=(), t_start=0.0, t_end=1.0,
+                       trace_id=TRACE, span_id=SPAN_A, bytes_moved=8),
+            # task 7 was never recorded: no link, nothing dangling
+            TaskRecord(task_id=1, name="b", deps=(0, 7), t_start=1.0, t_end=3.0,
+                       trace_id=TRACE, span_id=SPAN_B, t_ready=1.0, t_dispatch=1.5),
+        ]
+    )
+    spans = {s["name"]: s for s in iter_spans(trace_to_otlp(trace))}
+    assert "links" not in spans["a"]
+    assert spans["b"]["links"] == [{"traceId": TRACE, "spanId": SPAN_A}]
+    attrs = span_attributes(spans["b"])
+    assert attrs["repro.cores"] == 1 and attrs["repro.gpus"] == 0
+    assert attrs["repro.queue_wait_us"] == 500_000.0
+    assert attrs["repro.bytes_moved"] == 0
+    assert span_attributes(spans["a"])["repro.bytes_moved"] == 8
+
+
 def test_save_otlp_writes_parseable_json(tmp_path):
     doc = spans_to_otlp([_start(SPAN_A), _end(SPAN_A)])
     path = tmp_path / "out.json"

@@ -16,6 +16,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from repro.cluster.chrometrace import validate_chrome_json
 from repro.runtime import Runtime, active_runtime, task, tracectx, wait_on
 from repro.runtime import observability as obs
 from repro.runtime.backends import current_attempt
@@ -23,6 +24,7 @@ from repro.runtime.config import RuntimeConfig
 from repro.runtime.dag import TaskGraph
 from repro.runtime.dot import graph_summary
 from repro.runtime.future import Future
+from repro.runtime.otlp import otlp_to_chrome, trace_to_otlp
 from repro.runtime.tracing import TaskRecord, Trace, estimate_nbytes
 
 
@@ -423,6 +425,52 @@ def test_graph_and_stats_are_views_of_the_task_table(name, tmp_path):
         k: summary[k] for k in ("n_tasks", "n_edges", "by_name")
     }
     assert sum(run.stats["by_state"].values()) == run.n_tasks == len(submitted)
+
+
+@pytest.mark.parametrize("name", list(_EXECUTORS))
+def test_timeline_is_a_view_of_the_trace(name, tmp_path):
+    for seed in (0, 1):
+        trace = _random_dag_run(seed, tmp_path / str(seed), **_EXECUTORS[name]).trace
+        events = validate_chrome_json(json.dumps(otlp_to_chrome(trace_to_otlp(trace))))
+        rows = {e["pid"]: e["args"]["name"] for e in events if e["name"] == "process_name"}
+        spans = [e for e in events if e["ph"] in ("X", "i") and e["cat"] in ("span", "error")]
+
+        # one slice or instant per record, on its pid's row and its worker's lane
+        assert sorted(e["args"]["repro.task_id"] for e in spans) == [r.task_id for r in trace]
+        for e in spans:
+            pid = trace[e["args"]["repro.task_id"]].pid
+            assert rows[e["pid"]] == ("repro-runtime" if pid is None else f"repro-runtime pid {pid}")
+        assert len(rows) == len({r.pid for r in trace})
+        assert len({(e["pid"], e["tid"]) for e in spans}) == len(
+            {(r.pid, r.worker or "main") for r in trace}
+        )
+
+        # one arrow per dependency on a recorded producer, never backwards
+        flows = collections.defaultdict(dict)
+        for e in events:
+            if e["ph"] in ("s", "f"):
+                flows[e["id"]][e["ph"]] = e
+        assert len(flows) == sum(dep in trace for r in trace for dep in r.deps) > 0
+        assert all(pair["f"]["ts"] >= pair["s"]["ts"] for pair in flows.values())
+
+        markers = collections.Counter(
+            e["cat"] for e in events if e["ph"] == "i" and e["cat"] not in ("span", "error")
+        )
+        assert markers == collections.Counter(
+            retry=sum(r.retry_of is not None for r in trace),
+            checkpoint=trace.n_restored,
+            failure=len(trace.records(status="failed")),
+        )
+        assert markers["retry"] and markers["checkpoint"] and markers["failure"]
+
+        counters = [e for e in events if e["ph"] == "C"]
+        if trace.total_bytes_moved or trace.total_bytes_saved:
+            assert counters[-1]["args"] == {
+                "moved": trace.total_bytes_moved,
+                "saved": trace.total_bytes_saved,
+            }
+        else:
+            assert not counters
 
 
 _LIFECYCLE_ORDER = ("retry", "submitted", "ready", "dispatched", "running")

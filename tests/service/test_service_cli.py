@@ -4,6 +4,7 @@ by the chaos suite)."""
 
 from __future__ import annotations
 
+import os
 import threading
 
 import pytest
@@ -164,6 +165,12 @@ def test_trace_service_chrome_merges_incarnations(tmp_path, capsys):
     rows = [e for e in events if e["ph"] == "M" and e["name"] == "process_name"]
     assert len(rows) >= 2
     assert all(e["ts"] >= 0 for e in events if e["ph"] in ("X", "i"))
+    # the embedded runtime's row names its server and the server's pid
+    (add,) = [e for e in events if e["ph"] in ("X", "i") and e["name"] == "add"]
+    (label,) = [e["args"]["name"] for e in rows if e["pid"] == add["pid"]]
+    assert label.startswith(f"repro-service-runtime [{os.getpid():x}-")
+    assert label.endswith(f"] pid {os.getpid()}")
+
 
 
 def test_trace_service_empty_dir_fails(tmp_path, capsys):

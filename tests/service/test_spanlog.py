@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 
-from repro.runtime.otlp import iter_spans, span_attributes
+from repro.runtime.otlp import iter_spans, save_otlp, span_attributes, trace_to_otlp
 from repro.runtime.tracectx import new_trace
 from repro.service.spanlog import (
     SPANS_FILE,
@@ -72,21 +72,23 @@ def test_export_merges_span_log_and_saved_runtime_traces(tmp_path):
     log.end(done, status="ok")
     log.start(dead, "deliver", server="b")  # crash: no end row
 
-    # one saved incarnation trace (the wrapper drain() writes)
+    # one saved incarnation trace (the OTLP document drain() writes)
     with Runtime(executor="threads") as rt:
         wait_on(_x(1))
         trace = rt.trace()
     traces_dir = tmp_path / TRACES_DIR
     traces_dir.mkdir()
-    (traces_dir / "trace-a.json").write_text(
-        json.dumps(
-            {
-                "server_id": "a",
-                "pid": 1234,
-                "wall_t0": 5000.0,
-                "records": json.loads(trace.to_json()),
-            }
-        )
+    save_otlp(
+        trace_to_otlp(
+            trace,
+            wall_t0=5000.0,
+            resource={
+                "service.name": "repro-service-runtime",
+                "repro.server_id": "a",
+                "repro.pid": 1234,
+            },
+        ),
+        traces_dir / "trace-a.json",
     )
 
     doc = export_service_otlp(tmp_path)
@@ -100,19 +102,13 @@ def test_export_merges_span_log_and_saved_runtime_traces(tmp_path):
     assert interrupted[0]["traceId"] == dead.trace_id
     runtime_span = next(s for s in spans if s["name"] == "_x")
     assert int(runtime_span["startTimeUnixNano"]) >= int(5000.0 * 1e9)
-    resources = [
-        {
-            a["key"]: a["value"]["stringValue"]
-            for a in group["resource"]["attributes"]
-        }
-        for group in doc["resourceSpans"]
-    ]
+    resources = [span_attributes(group["resource"]) for group in doc["resourceSpans"]]
     assert any(r.get("service.name") == "repro-service" for r in resources)
-    assert any(
-        r.get("service.name") == "repro-service-runtime"
-        and r.get("repro.server_id") == "a"
-        for r in resources
-    )
+    assert {
+        "service.name": "repro-service-runtime",
+        "repro.server_id": "a",
+        "repro.pid": 1234,
+    } in resources
 
 
 def test_export_tolerates_corrupt_trace_file(tmp_path):
@@ -123,5 +119,9 @@ def test_export_tolerates_corrupt_trace_file(tmp_path):
     traces_dir = tmp_path / TRACES_DIR
     traces_dir.mkdir()
     (traces_dir / "trace-bad.json").write_text("{not json")
+    # a record-list wrapper is not an OTLP document: skipped the same way
+    (traces_dir / "trace-old.json").write_text(
+        json.dumps({"server_id": "old", "wall_t0": 0.0, "records": []})
+    )
     doc = export_service_otlp(tmp_path)
     assert len(list(iter_spans(doc))) == 1
