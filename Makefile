@@ -16,7 +16,7 @@ resilience:
 	bash scripts/check.sh resilience
 
 stress:
-	PYTHONPATH=src python -m repro stress --seeds 20
+	PYTHONPATH=src python -m pytest --hypothesis-profile=stress -q tests/runtime/test_stress.py tests/streaming/test_stress_stream.py
 
 obs:
 	bash scripts/check.sh obs

@@ -7,13 +7,13 @@
 #   scripts/check.sh test        tests only
 #   scripts/check.sh inventory   every src/repro module must have a test file
 #   scripts/check.sh resilience  crash-resume smoke test only
-#   scripts/check.sh stress      scheduler concurrency stress (fixed seeds) + engine regression tests
-#   scripts/check.sh backend     tier-1 + stress under REPRO_BACKEND=processes
+#   scripts/check.sh stress      randomized runtime matrix (stress profile) + engine regression tests
+#   scripts/check.sh backend     tier-1 under REPRO_BACKEND=processes + the matrix's processes replays
 #   scripts/check.sh obs         observability smoke (metrics/trace exports, flight-recorder dump) + tracing/lifecycle-view tests
-#   scripts/check.sh dataplane   store tests + store-mode stress + bench smoke of blocks_procs
+#   scripts/check.sh dataplane   store tests + the matrix's store replays + bench smoke of blocks_procs
 #   scripts/check.sh service     queue-service tests + chaos smoke
-#   scripts/check.sh fuse        fusion tests + fusion-on stress + fusion on/off differential + traced bench smoke of task_dag
-#   scripts/check.sh stream      streaming + all ECG tests (detector and filter oracles) + stream stress + serving differential + bench smoke of stream_serve
+#   scripts/check.sh fuse        fusion tests + the matrix's fusion replays and on/off differential + traced bench smoke of task_dag
+#   scripts/check.sh stream      streaming + all ECG tests (detector and filter oracles) + stream scenarios (stress profile) + serving differential + bench smoke of stream_serve
 #   scripts/check.sh ml          estimator + ds-array + AF-workflow tests (kernel oracles, frozen benchmark reference) + bench smoke of af_classical
 #   scripts/check.sh bench       bench/run.py --smoke over all seven workloads (oracles + exit hygiene, < 30 s)
 set -euo pipefail
@@ -45,17 +45,27 @@ run_resilience() {
     PYTHONPATH=src python scripts/resilience_smoke.py
 }
 
+# The randomized runtime matrix (tests/runtime/test_stress.py): a
+# hypothesis state machine over executors x store x fusion x
+# observability x trace collection, every step under the hang watchdog,
+# every resolved future against a reference, and a leak audit (threads,
+# /dev/shm segments, store pins) after every clean drain.  The stress
+# profile draws fresh examples, many more than tier-1's derandomized
+# matrix profile.  Extra pytest arguments select tests (-k ...): only
+# `stress` runs the whole file, the other modes run their named replays.
+run_matrix() {
+    PYTHONPATH=src python -m pytest --hypothesis-profile=stress -x -q \
+        tests/runtime/test_stress.py "$@"
+}
+
 run_stress() {
-    # Small fixed seed set for the CI gate (one seed per scenario
-    # family + a second mixed round); `make stress` runs 20 seeds.
-    # Fails on hangs, wrong values, state-machine violations and
-    # structural leaks.  Lifecycle accounting is not its job: there is
-    # one record per task, and the lifecycle view of it is checked
-    # against stats() by `check.sh obs`.
-    echo "== scheduler concurrency stress (fixed seeds) =="
-    PYTHONPATH=src python -m repro stress --seed 0 --seed 1 --seed 2 --seed 3 --seed 4 --seed 7
-    # Races the stress seeds only hit now and then, pinned: barrier()
-    # on a killed runtime, record-before-publish, payload release.
+    # Fails on hangs, wrong values, state-machine violations, lifecycle
+    # rows disagreeing with stats() and structural leaks.
+    echo "== randomized runtime matrix (stress profile) =="
+    run_matrix
+    # Races the matrix only hits now and then, pinned: barrier() on a
+    # killed or aborted runtime, no READY after an abort's cancel,
+    # record-before-publish, payload release.
     echo "== engine regression tests =="
     PYTHONPATH=src python -m pytest tests/runtime/test_engine_regressions.py -x -q
 }
@@ -76,21 +86,17 @@ bench_smoke() {
 }
 
 run_fuse() {
-    # The task-fusion pass: its unit tests, the randomized stress
-    # scenarios with fusion enabled (same reference checks, so any
-    # fusion-induced divergence fails the seed), the deterministic
-    # differential that runs each seed's DAG fusion-off and fusion-on
-    # and requires bit-identical values, matching task counts and equal
-    # per-task trace records, and the benchmark's traced smoke of
-    # task_dag, whose fusion=True ablation goes through the oracle.
+    # The task-fusion pass: its unit tests, the matrix's pinned
+    # fusion-on replays (same reference checks as fusion off), the
+    # on/off differential over a stage-built submit_many DAG (equal
+    # values, task counts and trace records; at least 8 fused units),
+    # and the benchmark's traced smoke of task_dag, whose fusion=True
+    # ablation goes through the oracle.  `check.sh stress` draws fusion
+    # as one axis of the randomized matrix.
     echo "== fusion tests =="
     PYTHONPATH=src python -m pytest tests/runtime/test_fusion.py -x -q
-    echo "== stress with task fusion enabled (fixed seeds) =="
-    PYTHONPATH=src python -m repro stress --fuse \
-        --seed 0 --seed 1 --seed 2 --seed 3 --seed 4 --seed 7
-    echo "== fusion on/off bit-identity differential =="
-    PYTHONPATH=src python -m repro stress --differential \
-        --seed 0 --seed 1 --seed 2 --seed 3
+    echo "== fusion replays + on/off differential =="
+    run_matrix -k "fuse or records_match"
     echo "== bench smoke: task_dag traced (fusion=True ablation through the oracle) =="
     bench_smoke --trace 1 --workload task_dag
 }
@@ -125,21 +131,20 @@ run_backend() {
     # whole suite switches backend without touching a line of test code.
     echo "== pytest under REPRO_BACKEND=processes =="
     REPRO_BACKEND=processes PYTHONPATH=src python -m pytest -x -q
-    echo "== stress under the processes backend (fixed seeds) =="
-    PYTHONPATH=src python -m repro stress --backend processes \
-        --seed 0 --seed 1 --seed 2 --seed 3
+    echo "== pinned replays under the processes backend =="
+    run_matrix -k "processes or backends"
 }
 
 run_dataplane() {
     # The zero-copy data plane: store unit tests (incl. the >= 90%
     # reduction in pickled pipe bytes, bit-identically, on a blocked
-    # matmul) and store-mode stress seeds on both backends.
+    # matmul) and the matrix's store replays: bit-exact blocks through
+    # the store on both backends, byte accounting reconciled on a clean
+    # processes drain, no pins or /dev/shm segments left.
     echo "== object store tests =="
     PYTHONPATH=src python -m pytest tests/runtime/test_store.py -x -q
-    echo "== store-mode stress (fixed seeds, both backends) =="
-    PYTHONPATH=src python -m repro stress --store --seed 0 --seed 3 --seed 4
-    PYTHONPATH=src python -m repro stress --store --backend processes \
-        --workers 2 --seed 0 --seed 3
+    echo "== pinned store replays (both backends) =="
+    run_matrix -k store
     # The benchmark's own smoke of the processes workload: its oracle
     # and exit-hygiene checks (segments, temp files, stragglers), and a
     # silent standard error, which is where the resource tracker used to
@@ -151,8 +156,9 @@ run_dataplane() {
 run_stream() {
     # The hybrid streaming layer: channel/operator/graph semantics and
     # the runtime lifecycle edges (shutdown-drain, abort interrupts,
-    # fused pending-wait hook), the seeded streaming stress scenarios
-    # (backpressure, RETRY mid-stream, abort, shutdown mid-flight; hang
+    # fused pending-wait hook), the streaming scenarios of
+    # tests/streaming/test_stress_stream.py (backpressure, RETRY
+    # mid-stream, abort, shutdown mid-flight, windowing edge cases; hang
     # watchdog + zero-leak audits, fusion off and on) and the streamed
     # vs batch AF-serving bit-identity differential.  The serving
     # stages spend their time in the repro.ecg kernels, so all of
@@ -168,11 +174,9 @@ run_stream() {
     echo "== streaming tests (incl. serving differential) + ECG tests (kernel oracles) =="
     PYTHONPATH=src python -m pytest tests/streaming \
         tests/runtime/test_stream_shutdown.py tests/ecg -x -q
-    echo "== streaming stress (fixed seeds: one per scenario family, then fused) =="
-    PYTHONPATH=src python -m repro stress --stream \
-        --seed 0 --seed 1 --seed 2 --seed 3 --seed 14
-    PYTHONPATH=src python -m repro stress --stream --fuse \
-        --seed 0 --seed 1 --seed 2 --seed 3
+    echo "== streaming scenarios (stress profile) =="
+    PYTHONPATH=src python -m pytest --hypothesis-profile=stress -x -q \
+        tests/streaming/test_stress_stream.py
     echo "== bench smoke: stream_serve (streamed vs batch twin through the oracle, silent stderr) =="
     bench_smoke --workload stream_serve
 }

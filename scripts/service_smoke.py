@@ -26,7 +26,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from repro.runtime.stress import run_under_watchdog
+from repro.runtime.flightrec import run_under_watchdog
 from repro.service.chaos import run_crash_recovery_scenario, run_lease_expiry_scenario
 
 SCENARIOS = [

@@ -15,13 +15,6 @@ Commands:
   check, or garbage-collect a checkpoint store written by a
   ``Runtime(config=RuntimeConfig(checkpoint_dir=...))`` run (or by the
   epoch/round/grid checkpoints of the higher layers).
-* ``stress [--seeds N]`` — the scheduler concurrency stress harness
-  (seeded random schedules; fails on hangs, lost wakeups, wrong values,
-  state-machine violations or structural leaks).  ``make stress`` is
-  the same thing.  ``--stream`` switches
-  to the streaming scenarios (backpressure stall/release, mid-stream
-  operator failure under RETRY, abort and ``shutdown(wait=True)``
-  mid-flight) with the same watchdog and leak audits.
 * ``serve-stream`` — run the online AF inference serving demo: a
   rate-controlled synthetic-ECG source through the windowed streaming
   pipeline (:mod:`repro.streaming`) with micro-batched CNN inference,
@@ -51,6 +44,11 @@ Commands:
   ``--wait`` for its result.
 * ``queue status|list|cancel|reprioritize|tenant|provenance --data-dir
   DIR`` — inspect and steer a service's queue.
+
+The randomized runtime matrix (executors × store × fusion ×
+observability, under a hang watchdog) is a test, not a command:
+``pytest --hypothesis-profile=stress tests/runtime/test_stress.py
+tests/streaming/test_stress_stream.py`` (``make stress``).
 """
 
 from __future__ import annotations
@@ -271,52 +269,6 @@ def _cmd_checkpoint(args: argparse.Namespace) -> int:
     )
     print(f"removed {len(removed)} entries")
     return 0
-
-
-def _cmd_stress(args: argparse.Namespace) -> int:
-    from repro.runtime import stress
-
-    if args.stream:
-        from repro.streaming import stress as stream_stress
-
-        seeds = args.seed if args.seed else range(args.seeds)
-        reports = stream_stress.run_suite(
-            seeds,
-            workers=args.workers,
-            timeout=args.timeout,
-            fusion=args.fuse,
-        )
-        failed = [r for r in reports if not r.ok]
-        print(
-            f"stream stress: {len(reports) - len(failed)}/{len(reports)} seeds passed"
-        )
-        return 1 if failed else 0
-
-    seeds = args.seed if args.seed else range(args.seeds)
-    if args.differential:
-        reports = []
-        for seed in seeds:
-            report = stress.run_differential(
-                seed, n_ops=args.ops, workers=args.workers, timeout=args.timeout
-            )
-            reports.append(report)
-            print(report.line(), flush=True)
-        failed = [r for r in reports if not r.ok]
-        print(f"fusediff: {len(reports) - len(failed)}/{len(reports)} seeds passed")
-        return 1 if failed else 0
-    reports = stress.run_suite(
-        seeds,
-        n_ops=args.ops,
-        workers=args.workers,
-        timeout=args.timeout,
-        backend=args.backend,
-        observability="progress" if args.progress else "",
-        store=args.store,
-        fusion=args.fuse,
-    )
-    failed = [r for r in reports if not r.ok]
-    print(f"stress: {len(reports) - len(failed)}/{len(reports)} seeds passed")
-    return 1 if failed else 0
 
 
 def _cmd_serve_stream(args: argparse.Namespace) -> int:
@@ -759,50 +711,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     p5.add_argument("--all", action="store_true", help="prune: empty the store")
     p5.set_defaults(func=_cmd_checkpoint)
-
-    p6 = sub.add_parser("stress", help="scheduler concurrency stress harness")
-    p6.add_argument("--seeds", type=int, default=20, help="run seeds 0..N-1")
-    p6.add_argument(
-        "--seed", type=int, action="append", default=None, help="specific seed(s)"
-    )
-    p6.add_argument("--ops", type=int, default=120, help="operations per seed")
-    p6.add_argument("--workers", type=int, default=4, help="pool size")
-    p6.add_argument(
-        "--timeout", type=float, default=60.0, help="per-seed hang watchdog (s)"
-    )
-    p6.add_argument(
-        "--backend",
-        choices=("threads", "processes"),
-        default="threads",
-        help="execution backend to stress",
-    )
-    p6.add_argument(
-        "--store",
-        action="store_true",
-        help="mix shared-memory data-plane traffic into every seed and "
-        "reconcile the store byte accounting on clean drains",
-    )
-    p6.add_argument(
-        "--progress", action="store_true", help="live task progress on stderr"
-    )
-    p6.add_argument(
-        "--fuse",
-        action="store_true",
-        help="run every seed with the task-fusion pass enabled",
-    )
-    p6.add_argument(
-        "--differential",
-        action="store_true",
-        help="fusion bit-identity differential: each seed's deterministic "
-        "DAG runs twice (fusion off/on) and must match bit-for-bit",
-    )
-    p6.add_argument(
-        "--stream",
-        action="store_true",
-        help="run the streaming scenarios instead (backpressure, RETRY "
-        "mid-stream, abort and shutdown mid-flight; zero-leak audits)",
-    )
-    p6.set_defaults(func=_cmd_stress)
 
     p6b = sub.add_parser(
         "serve-stream", help="online AF inference over the streaming pipeline"

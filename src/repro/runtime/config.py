@@ -90,7 +90,7 @@ class RuntimeConfig:
     #: Validate every task state transition against the lifecycle
     #: state machine and record violations (see
     #: ``Runtime.check_invariants``).  Cheap but not free; enabled by
-    #: the concurrency stress harness (:mod:`repro.runtime.stress`),
+    #: the randomized runtime tests (``tests/runtime/test_stress.py``),
     #: off by default in production.
     debug_invariants: bool = False
     #: Observability flags: ``""`` (default, off), or a comma/space

@@ -189,7 +189,7 @@ class Scope:
         if negative:
             # A task was "finished" more often than submitted: double
             # completion bookkeeping.  Record instead of raising — the
-            # stress harness turns this into a hard failure.
+            # randomized runtime tests turn this into a hard failure.
             self.runtime._record_violation(
                 f"scope(parent={self.parent_task_id}) pending count went negative"
             )
@@ -320,7 +320,7 @@ class Runtime:
             self._progress = obs.ProgressReporter(self._attempts, label=cfg.name)
         #: Crash flight recorder: the tail of the lifecycle view of the
         #: task table, dumped to ``cfg.flightrec_dir`` on kill/abort
-        #: (and by the stress watchdog / service SIGTERM handler via
+        #: (and by the hang watchdog / service SIGTERM handler via
         #: :func:`repro.runtime.flightrec.dump_all`).
         self.flight_recorder = None
         if cfg.flightrec_dir:
@@ -1132,9 +1132,20 @@ class Runtime:
     # ------------------------------------------------------------------
     # scheduling
     # ------------------------------------------------------------------
-    def _enqueue(self, inst: TaskInstance) -> None:
+    def _mark_ready(self, inst: TaskInstance) -> bool:
+        """Move *inst* to READY unless an abort cancelled it since its
+        last dependency completed (then it must not be queued)."""
+        prev = inst.try_ready()
+        if prev is None:
+            return False
         inst.t_ready = self._now()
-        self._set_state(inst, READY)
+        if self._debug:
+            self._check_transition(inst, prev, READY)
+        return True
+
+    def _enqueue(self, inst: TaskInstance) -> None:
+        if not self._mark_ready(inst):
+            return
         priority = inst.options.priority if inst.options is not None else 0
         with self._cond:
             heapq.heappush(self._ready, (-priority, self._ready_seq, inst))
@@ -1150,11 +1161,9 @@ class Runtime:
         acquisition, waking up to ``len(insts)`` parked threads with a
         single grouped notify — the scheduler half of the
         ``submit_many`` fast path."""
+        insts = [inst for inst in insts if self._mark_ready(inst)]
         if not insts:
             return
-        for inst in insts:
-            inst.t_ready = self._now()
-            self._set_state(inst, READY)
         with self._cond:
             for inst in insts:
                 priority = inst.options.priority if inst.options is not None else 0
@@ -1455,7 +1464,7 @@ class Runtime:
         """Log and remember a broken runtime invariant (negative scope
         count, illegal state transition).  Violations never raise on
         the hot path; ``check_invariants()`` surfaces them and the
-        stress harness fails on any."""
+        randomized runtime tests fail on any."""
         with self._violations_lock:
             self._violations.append(message)
         from repro.runtime.structlog import get_logger
@@ -1468,13 +1477,15 @@ class Runtime:
         """Transition *inst*, validating against the lifecycle state
         machine when ``debug_invariants`` is on."""
         if self._debug:
-            old = inst.state
-            if old != new_state and new_state not in VALID_TRANSITIONS.get(old, frozenset()):
-                self._record_violation(
-                    f"illegal transition {old} -> {new_state} "
-                    f"for {inst.name}#{inst.task_id}"
-                )
+            self._check_transition(inst, inst.state, new_state)
         inst.state = new_state
+
+    def _check_transition(self, inst: TaskInstance, old: str, new_state: str) -> None:
+        if old != new_state and new_state not in VALID_TRANSITIONS.get(old, frozenset()):
+            self._record_violation(
+                f"illegal transition {old} -> {new_state} "
+                f"for {inst.name}#{inst.task_id}"
+            )
 
     def _help_until(self, predicate: Callable[[], bool]) -> None:
         """Run ready tasks (if any) until *predicate* holds.
@@ -1818,9 +1829,12 @@ class Runtime:
         self._record(inst, t_start, "failed", error=exc)
         for fut in inst.futures:
             fut._set_error(error)
+        # Abort before retiring: a barrier woken by this completion must
+        # already see the abort, as it sees a kill.
+        aborted = policy == FAIL and self._abort(error)
         self._complete(inst, FAILED)
-        if policy == FAIL:
-            self._abort(error)
+        if aborted:
+            self._dump_flight_recorder(f"abort: {error!r}")
 
     def _resubmit(self, inst: TaskInstance) -> None:
         """Re-enqueue a failed attempt as a fresh DAG node.
@@ -1910,22 +1924,23 @@ class Runtime:
                 self._timers.add(timer)
             timer.start()
 
-    def _abort(self, error: BaseException) -> None:
+    def _abort(self, error: BaseException) -> bool:
         """``on_failure="FAIL"``: stop the workflow — cancel every task
         that has not started yet; running tasks finish undisturbed.
         ``try_cancel`` (inside ``_cancel_pending``) arbitrates the race
         against workers picking victims up concurrently: exactly one
-        side wins per task."""
+        side wins per task.  False when the workflow was already
+        aborted."""
         with self._state_lock:
             if self._aborted is not None:
-                return
+                return False
             self._aborted = error
             victims = [i for i in self._tasks.values() if i.state in (PENDING, READY)]
         for inst in victims:
             self._cancel_pending(inst)
         self._broadcast()
         self._notify_interrupts()
-        self._dump_flight_recorder(f"abort: {error!r}")
+        return True
 
     def _complete(self, inst: TaskInstance, state: str) -> None:
         """Retire *inst* (whose ``t_end`` the caller has set) into
@@ -1982,13 +1997,8 @@ class Runtime:
             prev = cur.try_cancel()
             if prev is None:
                 continue  # already running or finalized: not ours
-            if self._debug and prev != CANCELLED and CANCELLED not in VALID_TRANSITIONS.get(
-                prev, frozenset()
-            ):
-                self._record_violation(
-                    f"illegal transition {prev} -> {CANCELLED} "
-                    f"for {cur.name}#{cur.task_id}"
-                )
+            if self._debug:
+                self._check_transition(cur, prev, CANCELLED)
             cancelled_any = True
             cur.t_end = self._now()
             for fut in cur.futures:
@@ -2167,7 +2177,7 @@ class Runtime:
         for a runtime known to be idle — structural checks: the ready
         queue must be empty, no task may be mid-flight, and the
         unfinished count must be zero.  Returns problem descriptions
-        (empty list = healthy); the stress harness fails on any."""
+        (empty list = healthy); the randomized runtime tests fail on any."""
         with self._violations_lock:
             problems = list(self._violations)
         if quiesced:

@@ -32,7 +32,7 @@ TERMINAL_STATES = frozenset({DONE, FAILED, IGNORED, CANCELLED})
 #: The task lifecycle state machine.  ``PENDING -> RUNNING`` is the
 #: sequential executor (submission executes inline, skipping READY);
 #: ``PENDING -> DONE`` is a checkpoint restore (the body never runs).
-#: The stress harness validates transitions against this table when
+#: The runtime validates transitions against this table when
 #: ``RuntimeConfig(debug_invariants=True)``.
 VALID_TRANSITIONS: dict[str, frozenset[str]] = {
     PENDING: frozenset({READY, RUNNING, DONE, CANCELLED}),
@@ -277,6 +277,19 @@ class TaskInstance:
             prev = self.state
             self.state = CANCELLED
             self._finalized = True
+            return prev
+
+    def try_ready(self) -> str | None:
+        """Atomically mark a not-yet-running instance READY.  Returns
+        the previous state, or ``None`` when a cancellation finalized
+        it first.  Mutually exclusive with :meth:`try_cancel` under
+        ``_lock``, closing the race between releasing a dependent and
+        an abort cancelling it."""
+        with self._lock:
+            if self._finalized:
+                return None
+            prev = self.state
+            self.state = READY
             return prev
 
     def try_finalize(self) -> bool:

@@ -20,9 +20,7 @@ Layering:
   per-stage latency/throughput telemetry;
 * :mod:`repro.streaming.serving` — the online AF inference pipeline
   (:func:`serve_stream`) and its batch-DAG twin (:func:`serve_batch`)
-  that the differential suite holds bit-identical;
-* :mod:`repro.streaming.stress` — seeded backpressure/retry/abort/
-  shutdown scenarios behind ``repro stress --stream``.
+  that the differential suite holds bit-identical.
 """
 
 from repro.streaming.channel import (

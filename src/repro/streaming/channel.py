@@ -4,7 +4,7 @@ A :class:`Stream` is a bounded multi-producer/multi-consumer channel
 with credit-based backpressure: the stream starts with ``capacity``
 credits, every :meth:`put` consumes one (blocking while none are left)
 and every :meth:`get` returns one.  ``credits + depth == capacity`` is
-a hard invariant — :meth:`slots_leaked` is the stress harness's leak
+a hard invariant — :meth:`slots_leaked` is the streaming tests' leak
 detector.
 
 Streams transport three element kinds:
@@ -263,8 +263,8 @@ class Stream:
     def slots_leaked(self) -> int:
         """``(capacity - credits) - depth`` — nonzero means a credit
         was consumed without a matching queued element (or vice
-        versa).  Always zero in a healthy stream; the stress harness
-        fails any run where it is not."""
+        versa).  Always zero in a healthy stream; the streaming tests
+        fail any run where it is not."""
         with self._lock:
             return (self.capacity - self._credits) - len(self._queue)
 

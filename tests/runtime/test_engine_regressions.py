@@ -1,6 +1,7 @@
 """Regression tests for engine fixes: all-scope shutdown drain, the
 condition-variable wait replacing the busy-loop, record-before-publish,
-barrier on a killed runtime and payload release at retirement."""
+barrier on a killed or aborted runtime, no READY after an abort's
+cancel and payload release at retirement."""
 
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ import pytest
 from repro.runtime import Runtime, task, wait_on
 from repro.runtime import engine
 from repro.runtime.backends import current_attempt
+from repro.runtime.config import RuntimeConfig
 
 
 def test_shutdown_waits_for_all_live_scopes():
@@ -220,6 +222,59 @@ def test_barrier_raises_on_a_runtime_killed_after_its_scope_drained():
             assert rt.unfinished == 0 and rt.interruption() is not None
             rt.barrier()
             pytest.fail("barrier() returned normally on a killed runtime")
+
+
+def test_an_abort_is_published_before_its_task_retires(monkeypatch):
+    """A ``barrier()`` woken by the FAIL task retiring used to find the
+    scope drained and ``_aborted`` not yet set, and return normally."""
+
+    @task(returns=1, on_failure="FAIL")
+    def boom():
+        raise ValueError("abort")
+
+    aborted_at_retire = []
+    complete = Runtime._complete
+
+    def spy(self, inst, state):
+        if state == "failed":
+            aborted_at_retire.append(self.aborted is not None)
+        complete(self, inst, state)
+
+    monkeypatch.setattr(Runtime, "_complete", spy)
+    with Runtime(executor="threads", max_workers=2) as rt:
+        boom()
+        with pytest.raises(engine.WorkflowAbortedError):
+            rt.barrier()
+        rt.shutdown(wait=True)
+    assert aborted_at_retire == [True]
+
+
+def test_a_dependent_cancelled_by_an_abort_is_never_marked_ready():
+    """An abort can cancel a dependent between a completion deciding to
+    release it and the enqueue: the enqueue must leave it cancelled and
+    off the queue (it used to become READY forever)."""
+    gate = threading.Event()
+
+    @task(returns=1)
+    def parked():
+        gate.wait(10)
+        return 1
+
+    @task(returns=1)
+    def child(x):
+        return x
+
+    cfg = RuntimeConfig(executor="threads", max_workers=1, debug_invariants=True)
+    with Runtime(config=cfg) as rt:
+        fut = child(parked())
+        inst = rt._by_root[fut.task_id]
+        rt._cancel_pending(inst)  # the abort
+        rt._enqueue(inst)  # the completion's release, racing it
+        assert inst.state == "cancelled"
+        assert all(entry[-1] is not inst for entry in rt._ready)
+        gate.set()
+        rt.barrier()
+    assert rt.check_invariants(quiesced=True) == []
 
 
 class _Payload:

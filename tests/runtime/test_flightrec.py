@@ -14,7 +14,7 @@ import pytest
 from repro.runtime import Runtime, task, wait_on
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.exceptions import WorkflowKilledError
-from repro.runtime.flightrec import FlightRecorder, dump_all, load_dump
+from repro.runtime.flightrec import FlightRecorder, dump_all, load_dump, run_under_watchdog
 from repro.runtime.observability import lifecycle_events
 
 
@@ -246,8 +246,6 @@ def test_dump_does_not_wait_on_a_wedged_runtime(tmp_path):
 # watchdog integration
 # ----------------------------------------------------------------------
 def test_watchdog_trip_dumps_live_recorders(tmp_path):
-    from repro.runtime.stress import run_under_watchdog
-
     rec = FlightRecorder(lambda: [_ev("running")], name="hangwatch", dump_dir=tmp_path)
     release = threading.Event()
     try:
