@@ -14,7 +14,7 @@
 #   scripts/check.sh service     queue-service tests + chaos smoke
 #   scripts/check.sh fuse        fusion tests + the matrix's fusion replays and on/off differential + traced bench smoke of task_dag
 #   scripts/check.sh stream      streaming + all ECG tests (detector and filter oracles) + stream scenarios (stress profile) + serving differential + bench smoke of stream_serve
-#   scripts/check.sh ml          estimator + ds-array + AF-workflow tests (kernel oracles, frozen benchmark reference) + bench smoke of af_classical
+#   scripts/check.sh ml          estimator + ds-array + AF-workflow tests (kernel oracles, frozen benchmark reference) + SMO oracle (stress profile) + bench smoke of af_classical
 #   scripts/check.sh bench       bench/run.py --smoke over all seven workloads (oracles + exit hygiene, < 30 s)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -184,13 +184,17 @@ run_stream() {
 run_ml() {
     # The classical folds' task bodies: the estimator, ds-array and
     # AF-workflow tests -- among them the byte-equality oracles that pin
-    # the tree split search, the SMO pair selection and the stripe
+    # the tree split search, the incremental SMO solver and the stripe
     # gather to the loops they replaced, and the benchmark's frozen
-    # af_classical outputs -- then the benchmark's own smoke of
-    # af_classical through its oracle.  Their speed is that workload at
-    # full length (`python3 bench/run.py --workload af_classical`).
+    # af_classical outputs -- then the SMO oracle again under the stress
+    # profile (its property over random problems draws 300 fresh
+    # examples instead of tier-1's 100), then the benchmark's own smoke
+    # of af_classical through its oracle.  Their speed is that workload
+    # at full length (`python3 bench/run.py --workload af_classical`).
     echo "== ml + dsarray + workflow tests (kernel oracles, frozen AF reference) =="
     PYTHONPATH=src python -m pytest tests/ml tests/dsarray tests/workflows -x -q
+    echo "== SMO oracle (stress profile) =="
+    PYTHONPATH=src python -m pytest --hypothesis-profile=stress -x -q tests/ml/test_smo_svc.py
     # the study is one graph: three cross-validations hanging off the
     # same PCA futures is what the state-transition checks are for
     echo "== workflow tests again under REPRO_DEBUG_INVARIANTS=1 (shared-prefix study graph) =="

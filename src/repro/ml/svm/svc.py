@@ -57,12 +57,17 @@ class SVC(BaseEstimator):
             raise ValueError("x must be 2-D")
         if len(x) != len(y):
             raise ValueError("x and y length mismatch")
+        if len(x) == 0:
+            raise ValueError("empty training set")
+        if not np.isfinite(x).all():
+            raise ValueError("x has non-finite values")
         classes = np.unique(y)
         if len(classes) == 1:
             # Degenerate partition (can happen inside a cascade with an
             # unlucky split): predict the single class everywhere.
             self.classes_ = classes
             self._single_class = classes[0]
+            self.support_ = np.array([0])
             self.support_vectors_ = x[:1]
             self.support_labels_ = y[:1]
             self.dual_coef_ = np.zeros(1)
@@ -119,6 +124,11 @@ class SVC(BaseEstimator):
         Enables the threshold tuning the paper's §V discusses (recall
         focus vs precision focus in stroke care).
         """
+        self._check_fitted("support_vectors_")
+        if self._single_class is not None:
+            raise ValueError(
+                f"calibrate needs two classes; this model was fit on one ({self._single_class!r})"
+            )
         scores = self.decision_function(x)
         t = (np.asarray(y).ravel() == self.classes_[1]).astype(float)
         a, b = 1.0, 0.0

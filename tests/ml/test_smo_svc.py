@@ -96,6 +96,23 @@ class TestSMO:
         with pytest.raises(ValueError):
             smo_solve(np.eye(2), np.array([1.0, -1.0]), C=0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_kernel_rejected(self, bad):
+        """A NaN used to "converge" in 3 iterations with every
+        multiplier NaN; a non-finite kernel is now refused up front."""
+        x, y01 = make_blobs(n=20, d=3, seed=0)
+        K = rbf_kernel(x, x, 0.5)
+        K[3, 7] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            smo_solve(K, np.where(y01 > 0, 1.0, -1.0), C=1.0)
+
+    def test_overflowing_gradient_rejected(self):
+        """Finite entries whose sums overflow float64: the solve cannot
+        mean anything, and is refused instead of returning NaNs."""
+        y = np.array([1.0, -1.0, 1.0, -1.0])
+        with pytest.raises(ValueError, match="overflowed"):
+            smo_solve(np.full((4, 4), 1e308), y, C=10.0)
+
     def test_max_iter_cap(self):
         x, y01 = make_blobs(n=100, d=4, sep=0.1, seed=2)
         y = np.where(y01 > 0, 1.0, -1.0)
@@ -120,10 +137,12 @@ class TestSMO:
 
 
 def reference_smo_solve(K, y, C, tol=1e-3, max_iter=20_000):
-    """``smo_solve`` as it was before the mask-based selection: the
-    working set picked through ``flatnonzero`` index lists and boolean
-    copies of the violations.  Kept whole as the oracle (the selection
-    decides every later iterate, so only full solves compare)."""
+    """``smo_solve`` as it was before the incremental working set: the
+    masks and the violations rebuilt from ``alpha`` and ``grad`` every
+    iteration, the pair picked through ``flatnonzero`` index lists and
+    boolean copies of the violations, the update on numpy scalars.
+    Kept whole as the oracle (the selection decides every later
+    iterate, so only full solves compare)."""
     y = np.asarray(y, dtype=float)
     n = len(y)
     _TAU = 1e-12
@@ -223,9 +242,38 @@ def smo_bytes(res):
     )
 
 
+#: box constants from "everything at a bound" (no free support vector:
+#: the bias comes from the violations) to "nothing clipped"
+C_GRID = (1e-3, 0.1, 1.0, 10.0, 1e3)
+
+
+def af_problem(seed, n):
+    """A cascade task's SMO problem at the benchmark's shape: 34 PCA
+    columns, RBF with gamma = 1/34 and, like a first-layer partition
+    with the previous round's support vectors fed back, some rows
+    repeated (equal kernel columns, tied violations)."""
+    rng = np.random.default_rng(seed)
+    n_fed = int(rng.integers(0, n // 3 + 1))
+    y01 = rng.random(n - n_fed) < 0.5
+    x = rng.standard_normal((n - n_fed, 34)) + np.where(y01, 0.6, -0.6)[:, None]
+    fed = rng.choice(n - n_fed, size=n_fed, replace=False)
+    x, y01 = np.vstack([x, x[fed]]), np.concatenate([y01, y01[fed]])
+    return rbf_kernel(x, x, 1.0 / 34), np.where(y01, 1.0, -1.0)
+
+
+def has_free_sv(res, C):
+    return bool(((res.alpha > 1e-8) & (res.alpha < C - 1e-8)).any())
+
+
+def assert_same_solve(K, y, C, **kw):
+    got, want = smo_solve(K, y, C, **kw), reference_smo_solve(K, y, C, **kw)
+    assert smo_bytes(got) == smo_bytes(want)
+    return got
+
+
 class TestSMOMatchesReference:
-    """Mask-selected pairs against the index-list selection they
-    replaced: every field of the result equal, floats by their bytes."""
+    """The incremental solver against the rebuild-every-iteration one:
+    every field of the result equal, floats by their bytes."""
 
     @pytest.mark.parametrize("C", [0.1, 1.0, 10.0])
     def test_random_problems(self, C):
@@ -250,12 +298,77 @@ class TestSMOMatchesReference:
         assert smo_bytes(got) == smo_bytes(want)
 
     def test_max_iter_cap(self):
+        """Caps that stop the solve mid-run, before it converges."""
         x, y01 = make_blobs(n=100, d=4, sep=0.1, seed=2)
         y = np.where(y01 > 0, 1.0, -1.0)
-        K = rbf_kernel(x, x, 0.25)
-        assert smo_bytes(smo_solve(K, y, 1.0, max_iter=7)) == smo_bytes(
-            reference_smo_solve(K, y, 1.0, max_iter=7)
-        )
+        problems = [(rbf_kernel(x, x, 0.25), y, 1.0), (*af_problem(7, 90), 10.0)]
+        for K, y, C in problems:
+            for cap in (1, 2, 5, 7, 17):
+                res = assert_same_solve(K, y, C, tol=1e-6, max_iter=cap)
+                assert (res.n_iter, res.converged) == (cap, False)
+
+    @pytest.mark.parametrize("tol", [1e-1, 1e-6])
+    @pytest.mark.parametrize("C", C_GRID)
+    def test_af_shaped_problems(self, C, tol):
+        results = [assert_same_solve(*af_problem(n, n), C, tol=tol) for n in range(33, 103, 7)]
+        free = {has_free_sv(r, C) for r in results}
+        if (C, tol) == (C_GRID[0], 1e-1):
+            assert free == {False}  # bias from the violation extremes
+        if C >= 1.0:
+            assert free == {True}  # bias from the free SVs
+
+    @pytest.mark.parametrize("C", [0.1, 10.0])
+    @pytest.mark.parametrize("label", [1.0, -1.0])
+    def test_one_against_many(self, label, C):
+        """One sample of the other class: after the first step nearly
+        every pair shares a label (the same-label update branch)."""
+        K, _ = af_problem(3, 40)
+        y = np.full(40, label)
+        y[17] = -label
+        assert_same_solve(K, y, C, tol=1e-6)
+
+    def test_exact_zero_violation_keeps_its_sign(self):
+        """Integer data: the gradient reaches exact zeros, and with no
+        free SV the bias is their mean.  ``-y * grad`` makes it -0.0;
+        summing ``-y * Q`` columns into the violations instead would
+        make it +0.0 (``g + -g`` rounds to +0.0)."""
+        x = np.array([[2.0], [2.0], [1.0]])
+        res = assert_same_solve(x @ x.T, np.array([1.0, 1.0, -1.0]), 0.5)
+        assert res.b == 0.0 and np.signbit(res.b)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_non_symmetric_kernel(self, seed):
+        """Q[:, i] and Q[i] differ: the gradient must add columns."""
+        K, y = af_problem(seed, 50)
+        K = K + 0.05 * np.random.default_rng(seed).standard_normal(K.shape)
+        assert_same_solve(K, y, 1.0, max_iter=500)
+
+    @settings(deadline=None)
+    @given(
+        n=st.integers(2, 102),
+        d=st.integers(1, 34),
+        C=st.sampled_from(C_GRID),
+        kernel=st.sampled_from(["linear", "rbf", "poly", "non-symmetric"]),
+        n_dup=st.integers(0, 51),
+        p_pos=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_property_bytes_equal(self, n, d, C, kernel, n_dup, p_pos, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, d))
+        n_dup = min(n_dup, n // 2)
+        if n_dup:
+            x[n - n_dup :] = x[rng.integers(0, n - n_dup, size=n_dup)]
+        y = np.where(rng.random(n) < p_pos, 1.0, -1.0)
+        if kernel == "linear":
+            K = linear_kernel(x, x)
+        elif kernel == "poly":
+            K = poly_kernel(x, x, gamma=1.0 / d, degree=3, coef0=1.0)
+        else:
+            K = rbf_kernel(x, x, 1.0 / d)
+            if kernel == "non-symmetric":
+                K = K + 0.05 * rng.standard_normal((n, n))
+        assert_same_solve(K, y, C, max_iter=2000)
 
 
 class TestSVC:
@@ -291,6 +404,29 @@ class TestSVC:
         clf = SVC().fit(x, y)
         assert (clf.predict(x) == 1).all()
         assert clf.score(x, y) == 1.0
+
+    def test_single_class_support_index(self):
+        x = np.random.default_rng(0).standard_normal((10, 3))
+        clf = SVC().fit(x, np.full(10, "AF"))
+        np.testing.assert_array_equal(clf.support_, [0])
+        np.testing.assert_array_equal(clf.support_vectors_, x[clf.support_])
+
+    def test_single_class_calibrate_names_the_class(self):
+        x = np.random.default_rng(0).standard_normal((10, 3))
+        clf = SVC().fit(x, np.full(10, "AF"))
+        with pytest.raises(ValueError, match="one.*'AF'"):
+            clf.calibrate(x, np.full(10, "AF"))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_features_rejected(self, bad):
+        x, y = make_blobs(n=20, d=3)
+        x[4, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            SVC().fit(x, y)
+
+    def test_empty_training_set(self):
+        with pytest.raises(ValueError, match="empty training set"):
+            SVC().fit(np.zeros((0, 3)), np.zeros(0))
 
     def test_three_classes_rejected(self):
         x = np.zeros((6, 2))

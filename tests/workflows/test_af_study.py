@@ -204,6 +204,9 @@ def test_fields_after_the_prefix_reuse_it(tiny_dataset):
 
 # -- (e) nothing remembered without a runtime or after a failure --------
 def test_nothing_is_remembered_without_a_runtime(tiny_dataset):
+    # earlier tests' runtimes still in reference cycles would otherwise
+    # drop out of the weak mapping mid-test, whenever the collector runs
+    gc.collect()
     before = len(af_pipeline._remembered)
     first = study_features(tiny_dataset, TINY)
     second = study_features(tiny_dataset, TINY)
