@@ -1,4 +1,4 @@
-.PHONY: check lint test inventory resilience stress obs backend dataplane service fuse stream ml bench
+.PHONY: check lint test inventory resilience stress obs backend dataplane service stream ml bench
 
 check:
 	bash scripts/check.sh
@@ -29,9 +29,6 @@ dataplane:
 
 service:
 	bash scripts/check.sh service
-
-fuse:
-	bash scripts/check.sh fuse
 
 stream:
 	bash scripts/check.sh stream

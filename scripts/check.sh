@@ -12,7 +12,6 @@
 #   scripts/check.sh obs         observability smoke (metrics/trace exports, flight-recorder dump) + tracing/lifecycle-view tests
 #   scripts/check.sh dataplane   store tests + the matrix's store replays + bench smoke of blocks_procs
 #   scripts/check.sh service     queue-service tests + chaos smoke
-#   scripts/check.sh fuse        fusion tests + the matrix's fusion replays and on/off differential + traced bench smoke of task_dag
 #   scripts/check.sh stream      streaming + all ECG tests (detector and filter oracles) + stream scenarios (stress profile) + serving differential + bench smoke of stream_serve
 #   scripts/check.sh ml          estimator + ds-array + AF-workflow tests (kernel oracles, frozen benchmark reference) + SMO oracle (stress profile) + bench smoke of af_classical
 #   scripts/check.sh bench       bench/run.py --smoke over all seven workloads (oracles + exit hygiene, < 30 s)
@@ -46,10 +45,11 @@ run_resilience() {
 }
 
 # The randomized runtime matrix (tests/runtime/test_stress.py): a
-# hypothesis state machine over executors x store x fusion x
-# observability x trace collection, every step under the hang watchdog,
-# every resolved future against a reference, and a leak audit (threads,
-# /dev/shm segments, store pins) after every clean drain.  The stress
+# hypothesis state machine over executors x store x observability x
+# trace collection, every step under the hang watchdog, every resolved
+# future against a reference, lifecycle rows against stats() and the
+# metrics, and a leak audit (threads, /dev/shm segments, store pins)
+# after every clean drain.  The stress
 # profile draws fresh examples, many more than tier-1's derandomized
 # matrix profile.  Extra pytest arguments select tests (-k ...): only
 # `stress` runs the whole file, the other modes run their named replays.
@@ -65,7 +65,8 @@ run_stress() {
     run_matrix
     # Races the matrix only hits now and then, pinned: barrier() on a
     # killed or aborted runtime, no READY after an abort's cancel,
-    # record-before-publish, payload release.
+    # record-before-publish, payload release, futures only polled or
+    # result()-waited on a pool.
     echo "== engine regression tests =="
     PYTHONPATH=src python -m pytest tests/runtime/test_engine_regressions.py -x -q
 }
@@ -83,22 +84,6 @@ bench_smoke() {
         return 1
     fi
     rm -f "$err"
-}
-
-run_fuse() {
-    # The task-fusion pass: its unit tests, the matrix's pinned
-    # fusion-on replays (same reference checks as fusion off), the
-    # on/off differential over a stage-built submit_many DAG (equal
-    # values, task counts and trace records; at least 8 fused units),
-    # and the benchmark's traced smoke of task_dag, whose fusion=True
-    # ablation goes through the oracle.  `check.sh stress` draws fusion
-    # as one axis of the randomized matrix.
-    echo "== fusion tests =="
-    PYTHONPATH=src python -m pytest tests/runtime/test_fusion.py -x -q
-    echo "== fusion replays + on/off differential =="
-    run_matrix -k "fuse or records_match"
-    echo "== bench smoke: task_dag traced (fusion=True ablation through the oracle) =="
-    bench_smoke --trace 1 --workload task_dag
 }
 
 run_obs() {
@@ -155,11 +140,11 @@ run_dataplane() {
 
 run_stream() {
     # The hybrid streaming layer: channel/operator/graph semantics and
-    # the runtime lifecycle edges (shutdown-drain, abort interrupts,
-    # fused pending-wait hook), the streaming scenarios of
-    # tests/streaming/test_stress_stream.py (backpressure, RETRY
+    # the runtime lifecycle edges (shutdown-drain, abort interrupts, a
+    # stage that only polls its task's future), the streaming scenarios
+    # of tests/streaming/test_stress_stream.py (backpressure, RETRY
     # mid-stream, abort, shutdown mid-flight, windowing edge cases; hang
-    # watchdog + zero-leak audits, fusion off and on) and the streamed
+    # watchdog + zero-leak audits) and the streamed
     # vs batch AF-serving bit-identity differential.  The serving
     # stages spend their time in the repro.ecg kernels, so all of
     # tests/ecg runs here too: the tests that pin those kernels byte for
@@ -231,10 +216,9 @@ case "$mode" in
     obs)        run_obs ;;
     dataplane)  run_dataplane ;;
     service)    run_service ;;
-    fuse)       run_fuse ;;
     stream)     run_stream ;;
     ml)         run_ml ;;
     bench)      run_bench ;;
-    all)        run_lint; run_tests; run_inventory; run_resilience; run_stress; run_fuse; run_obs; run_backend; run_dataplane; run_service; run_stream; run_ml; run_bench ;;
-    *)          echo "usage: scripts/check.sh [lint|test|inventory|resilience|stress|obs|backend|dataplane|service|fuse|stream|ml|bench]" >&2; exit 2 ;;
+    all)        run_lint; run_tests; run_inventory; run_resilience; run_stress; run_obs; run_backend; run_dataplane; run_service; run_stream; run_ml; run_bench ;;
+    *)          echo "usage: scripts/check.sh [lint|test|inventory|resilience|stress|obs|backend|dataplane|service|stream|ml|bench]" >&2; exit 2 ;;
 esac

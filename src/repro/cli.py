@@ -45,8 +45,8 @@ Commands:
 * ``queue status|list|cancel|reprioritize|tenant|provenance --data-dir
   DIR`` — inspect and steer a service's queue.
 
-The randomized runtime matrix (executors × store × fusion ×
-observability, under a hang watchdog) is a test, not a command:
+The randomized runtime matrix (executors × store × observability ×
+trace collection, under a hang watchdog) is a test, not a command:
 ``pytest --hypothesis-profile=stress tests/runtime/test_stress.py
 tests/streaming/test_stress_stream.py`` (``make stress``).
 """

@@ -23,10 +23,10 @@ def _submit_rows(call_rows: list[list[tuple]]) -> list[list[Any]]:
 
     Inside a runtime the whole grid is deferred and submitted as one
     ``submit_many`` batch: the submit-path locking is paid once per
-    array operation instead of once per block, and the task-fusion
-    pass sees whole map stages it can collapse (chained block maps
-    fuse into one unit per block).  Without a runtime each call runs
-    eagerly on plain arrays, exactly like calling the task directly.
+    array operation instead of once per block, and the ready blocks
+    enter the scheduler with one grouped wakeup.  Without a runtime
+    each call runs eagerly on plain arrays, exactly like calling the
+    task directly.
     """
     from repro.runtime import engine
 

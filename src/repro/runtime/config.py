@@ -30,7 +30,6 @@ Environment variables (all optional):
 ``REPRO_STORE_CAPACITY_MB``  shared-memory budget before LRU spill
 ``REPRO_STORE_SPILL_DIR``    directory of the spill tier
 ``REPRO_STORE_THRESHOLD_BYTES``  arrays below this size stay inline
-``REPRO_FUSION``          ``1``/``0`` — task-fusion optimizer pass
 ``REPRO_FLIGHTREC``       crash flight-recorder dump directory
                           (enables the recorder; see
                           :mod:`repro.runtime.flightrec`)
@@ -117,17 +116,7 @@ class RuntimeConfig:
     #: Arrays smaller than this stay on the classic pickle path — a
     #: shared-memory round trip costs more than copying a tiny buffer.
     store_threshold_bytes: int = 65536
-    #: Task-fusion optimizer pass (threads executor only): schedule
-    #: chains of small pure tasks — linear single-consumer chains and
-    #: element-wise map-map stages — as one unit whose members run in
-    #: topological order on one thread, each through the ordinary
-    #: execution path, so an interior edge skips only the ready queue
-    #: and the worker wake-up.  Fusion is semantics-preserving (only
-    #: pure tasks with no INOUT writes, timeouts or FAIL/IGNORE failure
-    #: policies are eligible) and fully observable: each member keeps
-    #: its own trace record, events and metrics.  Off by default: it
-    #: measures 1.05-1.6x on a no-op map-map and within a few percent
-    #: on the applications (docs/architecture.md, "Task fusion").
+    #: Read by nothing (no fusion pass); bench/workloads pass it until ROADMAP item 1.
     fusion: bool = False
     #: Directory for crash flight-recorder dumps.  When set, the
     #: runtime writes the tail of its lifecycle history — a view of
@@ -196,7 +185,6 @@ class RuntimeConfig:
         take("REPRO_STORE_CAPACITY_MB", "store_capacity_mb", float)
         take("REPRO_STORE_SPILL_DIR", "store_spill_dir", str)
         take("REPRO_STORE_THRESHOLD_BYTES", "store_threshold_bytes", int)
-        take("REPRO_FUSION", "fusion", _parse_bool)
         take("REPRO_FLIGHTREC", "flightrec_dir", str)
         values.update(overrides)
         return cls(**values)

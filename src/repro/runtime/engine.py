@@ -68,7 +68,6 @@ import os
 import threading
 import time
 import traceback
-import weakref
 from typing import Any, Callable, Iterable
 
 from repro.runtime import checkpoint as ckpt
@@ -86,15 +85,12 @@ from repro.runtime.exceptions import (
 from repro.runtime.faults import on_task_execute as _fault_hook
 from repro.runtime.faults import worker_kill_requested as _worker_kill_hook
 from repro.runtime.failures import (
-    CANCEL_SUCCESSORS,
     FAIL,
     IGNORE,
-    RETRY,
     TaskOptions,
     resolve_options,
     retry_delay,
 )
-from repro.runtime import future as _future_module
 from repro.runtime.future import Future, resolve_futures, scan_futures
 from repro.runtime.model import (
     CANCELLED,
@@ -125,36 +121,6 @@ from repro.runtime.tracing import (
 _logger = logging.getLogger("repro.runtime")
 
 _tls = threading.local()
-
-#: Live runtimes by id.  Futures carry only their runtime's integer id
-#: (keeping them lightweight and pickle-friendly); this registry lets a
-#: blocking ``Future.result()``/``done`` read reach back to the owning
-#: engine.  Weak values: the registry must never keep a dropped or
-#: shut-down runtime alive.
-_live_runtimes: "weakref.WeakValueDictionary[int, Runtime]" = weakref.WeakValueDictionary()
-
-
-def _flush_fused_for_wait(runtime_id: int) -> None:
-    """Arm the buffered fused units of the runtime owning a future that
-    is being waited on (installed as ``future._pending_wait_hook``).
-
-    ``Future.result()`` and ``Future.done`` are otherwise pure
-    event/state reads that never enter the runtime, so
-    ``f = rt.submit(small_pure_task); f.result()`` — or a ``done``
-    polling loop — would strand the last-touched fused unit in
-    ``_fuse_pending`` forever: workers stay parked because the unit
-    never reaches the ready heap.  Waiting on *any* future of the
-    runtime is the signal that its submitter stopped extending chains
-    and needs results, exactly like the ``_help_until`` flush point.
-    Cheap when fusion is off or nothing is buffered: one weak-dict
-    lookup and an attribute truthiness check.
-    """
-    rt = _live_runtimes.get(runtime_id)
-    if rt is not None and rt._fuse_pending:
-        rt._flush_fused()
-
-
-_future_module._pending_wait_hook = _flush_fused_for_wait
 
 _ckpt_logger = logging.getLogger("repro.runtime.checkpoint")
 
@@ -203,38 +169,6 @@ class Scope:
         """Block until every task submitted in this scope finished,
         helping to execute ready tasks meanwhile."""
         self.runtime._help_until(lambda: self.pending == 0)
-
-
-#: Upper bound on members per fused unit.  Bounds how long one thread
-#: is tied to a unit and the work lost when a member fails and the rest
-#: of the unit is demoted to individual scheduling.
-_FUSE_MAX = 64
-
-
-class FusedTask:
-    """A chain of fusable task instances scheduled as one unit.
-
-    Members execute inline, in submission (== topological) order, on
-    the thread that claims the unit from the ready queue; interior
-    futures resolve locally, so no interior edge ever pays a heap
-    push/pop or worker wakeup.  Members stay ``PENDING``
-    until individually claimed (``claim_run``), which keeps the
-    run/cancel race arbitration identical to unfused tasks.
-
-    ``broken`` flips when a member fails mid-unit: ``_fail`` demotes
-    the not-yet-run members back to normal dependency-driven
-    scheduling *before* resubmitting the failed member, so the
-    executing loop stops and nothing runs twice.
-    """
-
-    __slots__ = ("unit_id", "members", "broken")
-
-    def __init__(self, head: TaskInstance) -> None:
-        #: The head member's task id names the unit (``fused_id`` in
-        #: trace records, ``fused`` node attribute in the DAG).
-        self.unit_id = head.task_id
-        self.members: list[TaskInstance] = [head]
-        self.broken = False
 
 
 class Runtime:
@@ -287,7 +221,6 @@ class Runtime:
         with Runtime._ids_lock:
             Runtime._ids += 1
             self.runtime_id = Runtime._ids
-        _live_runtimes[self.runtime_id] = self
         self.name = cfg.name
         self.executor = cfg.executor
         self.max_workers = cfg.max_workers or (os.cpu_count() or 4)
@@ -354,11 +287,10 @@ class Runtime:
         #: Guards checkpoint-signature state (occurrence counters,
         #: identity cache) — hashing itself runs outside every lock.
         self._sig_lock = threading.Lock()
-        #: ready heap: (-priority, seq, TaskInstance | FusedTask) —
-        #: higher priority first, FIFO within a priority level (seq is
-        #: unique, so the third slot never compares).  Guarded by
-        #: ``_cond``.
-        self._ready: list[tuple[int, int, Any]] = []
+        #: ready heap: (-priority, seq, TaskInstance) — higher priority
+        #: first, FIFO within a priority level (seq is unique, so the
+        #: third slot never compares).  Guarded by ``_cond``.
+        self._ready: list[tuple[int, int, TaskInstance]] = []
         self._ready_seq = 0
         #: The scheduler condition: workers and waiters park here with
         #: no timeout; every producer of work or progress notifies it.
@@ -366,17 +298,6 @@ class Runtime:
         self._shutdown = False
         self._threads: list[threading.Thread] = []
         self._timers: set[threading.Timer] = set()
-        # -- task fusion -----------------------------------------------
-        #: Fusion only applies to the pooled executor — the sequential
-        #: executor already runs every task inline at submission, so
-        #: there is no queue round trip to save.
-        self._fusion = cfg.fusion and cfg.executor == "threads"
-        #: Open (accumulating, not yet scheduled) fused units, keyed by
-        #: their *tail* member's root id so a submission depending on a
-        #: unit's tail finds and extends it in O(1).  Guarded by
-        #: ``_fuse_lock``; never held while acquiring ``_cond``.
-        self._fuse_pending: dict[int, FusedTask] = {}
-        self._fuse_lock = threading.Lock()
         #: Resolved-options cache keyed by the identity of the
         #: (spec options, call options) pair — floods of calls to the
         #: same task re-merge identical options thousands of times on
@@ -455,13 +376,6 @@ class Runtime:
                     hook()
                 except Exception:  # noqa: BLE001 - shutdown must proceed
                     _logger.exception("shutdown drain hook failed")
-        if self._fusion and not was_shutdown:
-            # Arm any still-buffered fused units so their members
-            # drain through the queue like ready tasks do — with
-            # ``wait=False`` the workers still empty the queue before
-            # exiting, so nothing is stranded PENDING.
-            self._flush_fused()
-        if wait and not was_shutdown:
             self._help_until(lambda: self.unfinished == 0)
         with self._cond:
             self._shutdown = True
@@ -650,7 +564,7 @@ class Runtime:
             inst.attempt = initial_attempt
 
         # -- phases 3-4: signature, registration ------------------------
-        restored_values, unresolved, upstream_failed, sole_dep = self._register(inst, scope)
+        restored_values, unresolved, upstream_failed = self._register(inst, scope)
 
         if restored_values is not None:
             # Replay from the checkpoint store: the task never runs (its
@@ -662,14 +576,6 @@ class Runtime:
         elif self.executor == "sequential":
             # Submission order is a topological order, so deps are done.
             self._execute(inst)
-        elif self._fusion:
-            unit = self._try_fuse(inst, unresolved, sole_dep)
-            if unit is None and unresolved == 0:
-                self._enqueue(inst)
-            # Any open unit this submission did *not* touch stops
-            # accumulating: arm it now, so a submitter that moves on
-            # to other work cannot strand a buffered chain.
-            self._flush_fused(keep=(unit,) if unit is not None else ())
         elif unresolved == 0:
             self._enqueue(inst)
 
@@ -746,9 +652,7 @@ class Runtime:
             # leave intra-batch children parked on a queue that the
             # sequential executor never drains).
             for inst in insts:
-                restored_values, _unresolved, upstream_failed, _sd = self._register(
-                    inst, scope
-                )
+                restored_values, _unresolved, upstream_failed = self._register(inst, scope)
                 if restored_values is not None:
                     self._restore(inst, restored_values)
                 elif upstream_failed:
@@ -762,26 +666,14 @@ class Runtime:
 
         # -- dispatch, in call order ------------------------------------
         ready_batch: list[TaskInstance] = []
-        touched: set[FusedTask] = set()
-        fusion = self._fusion
-        for inst, (restored_values, unresolved, upstream_failed, sole_dep) in zip(
-            insts, registered
-        ):
+        for inst, (restored_values, unresolved, upstream_failed) in zip(insts, registered):
             if restored_values is not None:
                 self._restore(inst, restored_values)
             elif upstream_failed:
                 self._cancel_pending(inst)
-            elif fusion:
-                unit = self._try_fuse(inst, unresolved, sole_dep)
-                if unit is not None:
-                    touched.add(unit)
-                elif unresolved == 0:
-                    ready_batch.append(inst)
             elif unresolved == 0:
                 ready_batch.append(inst)
         self._enqueue_batch(ready_batch)
-        if fusion:
-            self._flush_fused(keep=touched)
 
         return [self._returns_of(inst) for inst in insts]
 
@@ -810,16 +702,17 @@ class Runtime:
         item's type and its batch *index*, so one malformed entry in a
         10k-call batch is findable.
 
-        A ``TaskCall``'s args tuple is adopted as-is (immutable), but
-        kwargs are defensively copied: ``TaskCall`` is a public
-        dataclass, so a caller that builds calls directly may reuse or
-        later mutate the kwargs dict — which must not leak into an
-        already-submitted (possibly still-buffered) task.  The common
-        kwargs-free flood path stays copy-free.
+        ``TaskCall`` is a public dataclass, so a caller that builds
+        calls directly may pass a list as ``args`` or reuse and later
+        mutate its containers — which must not leak into an
+        already-submitted, still-pending task.  Its args are taken as a
+        tuple (``tuple()`` of a tuple is the same object, so the
+        ``defer`` path pays nothing) and its kwargs dict is copied
+        unless empty.
         """
         if isinstance(call, TaskCall):
             kwargs = dict(call.kwargs) if call.kwargs else {}
-            return call.spec, call.args, kwargs, call.options, call.label
+            return call.spec, tuple(call.args), kwargs, call.options, call.label
         if isinstance(call, (tuple, list)) and 2 <= len(call) <= 3:
             task, args = call[0], tuple(call[1])
             kwargs = dict(call[2]) if len(call) == 3 else {}
@@ -958,10 +851,8 @@ class Runtime:
     def _register(self, inst: TaskInstance, scope: "Scope") -> tuple:
         """Phases 3-4 of submission: checkpoint-signature lookup and
         registration in the task table.  Returns ``(restored_values,
-        unresolved, upstream_failed, sole_dep)`` for the caller's
-        dispatch decision — *sole_dep* is the instance of the single
-        unresolved dependency when the new task is its first consumer
-        (the fusion chain-extension candidate), else ``None``."""
+        unresolved, upstream_failed)`` for the caller's dispatch
+        decision."""
         spec, task_id = inst.spec, inst.task_id
 
         # -- phase 3 (sig lock inside): checkpoint signature ------------
@@ -981,55 +872,42 @@ class Runtime:
             scope.task_submitted()
             inst._owner_scope = scope  # type: ignore[attr-defined]
             self._unfinished_total += 1
-            unresolved, upstream_failed, sole_dep = self._walk_deps_locked(
-                inst, restored_values
-            )
+            unresolved, upstream_failed = self._walk_deps_locked(inst, restored_values)
             inst._remaining = unresolved
 
-        return restored_values, unresolved, upstream_failed, sole_dep
+        return restored_values, unresolved, upstream_failed
 
     def _walk_deps_locked(
         self, inst: TaskInstance, restored_values: tuple | None
-    ) -> tuple[int, bool, TaskInstance | None]:
+    ) -> tuple[int, bool]:
         """Dependency walk of phase 4 (callers hold ``_state_lock``):
         registers *inst* as a child of every unresolved dependency and
-        reports ``(unresolved, upstream_failed, sole_dep)``."""
+        reports ``(unresolved, upstream_failed)``."""
         unresolved = 0
         upstream_failed = False
-        sole_dep: TaskInstance | None = None
         if restored_values is None:
             by_root = self._by_root
             children = self._children
             for dep in inst.deps:
                 dep_inst = by_root.get(dep)
-                if dep_inst is None:
-                    # The dep allocated its id (phase 2 of its own
-                    # submission) but has not registered yet; it
-                    # cannot have completed, so it is unresolved and
-                    # its completion will find us in ``_children``.
+                # A dep missing from ``_by_root`` allocated its id
+                # (phase 2 of its own submission) but has not registered
+                # yet; it cannot have completed, so it is unresolved and
+                # its completion will find us in ``_children``.
+                if dep_inst is None or dep_inst.state not in TERMINAL_STATES:
                     children[dep].append(inst)
                     unresolved += 1
-                    sole_dep = None
-                elif dep_inst.state not in TERMINAL_STATES:
-                    bucket = children[dep]
-                    bucket.append(inst)
-                    unresolved += 1
-                    # First (and so far only) consumer of its single
-                    # pending dep: the fusion chain-extension shape.
-                    sole_dep = (
-                        dep_inst if unresolved == 1 and len(bucket) == 1 else None
-                    )
                 elif dep_inst.state in (FAILED, CANCELLED):
                     # upstream already failed: the caller cancels.
                     upstream_failed = True
-        return unresolved, upstream_failed, sole_dep
+        return unresolved, upstream_failed
 
     def _register_batch(self, insts: list[TaskInstance], scope: "Scope") -> list[tuple]:
         """Phases 3-4 for a whole ``submit_many`` batch (pooled
         executor only): per-instance checkpoint signatures, one
         state-lock pass.  Returns the per-instance
-        ``(restored_values, unresolved, upstream_failed, sole_dep)``
-        tuples in batch order."""
+        ``(restored_values, unresolved, upstream_failed)`` tuples in
+        batch order."""
         store = self.checkpoint_store
         if store is not None:
             restored_list: list[tuple | None] = []
@@ -1056,11 +934,9 @@ class Runtime:
                 by_root[task_id] = inst
                 inst._owner_scope = scope  # type: ignore[attr-defined]
                 self._unfinished_total += 1
-                unresolved, upstream_failed, sole_dep = self._walk_deps_locked(
-                    inst, restored_values
-                )
+                unresolved, upstream_failed = self._walk_deps_locked(inst, restored_values)
                 inst._remaining = unresolved
-                out.append((restored_values, unresolved, upstream_failed, sole_dep))
+                out.append((restored_values, unresolved, upstream_failed))
         return out
 
     def _returns_of(self, inst: TaskInstance) -> Any:
@@ -1172,142 +1048,11 @@ class Runtime:
             self._counters.notifies += len(insts)
             self._cond.notify(len(insts))
 
-    def _pop_ready(self) -> "TaskInstance | FusedTask | None":
+    def _pop_ready(self) -> TaskInstance | None:
         with self._cond:
             if self._ready:
                 return heapq.heappop(self._ready)[2]
             return None
-
-    # -- task fusion -----------------------------------------------------
-    @staticmethod
-    def _fusable(spec: TaskSpec, resolved) -> bool:
-        """Whether a task with these spec/options may join a fused
-        unit: pure (no INOUT/OUT writes — the checkpointable-signature
-        shape), at least one return value (consumption flows through
-        futures the unit resolves locally), no timeout watchdog, and a
-        failure policy without side constraints (``RETRY`` re-runs
-        through the normal resubmission machinery after the unit
-        demotes its remainder; ``CANCEL_SUCCESSORS`` propagates as
-        usual; ``FAIL``/``IGNORE`` interact with unit execution order
-        in ways fusion does not model, so they opt out)."""
-        return (
-            spec.returns >= 1
-            and not spec.has_writes
-            and resolved.time_out is None
-            and resolved.on_failure in (CANCEL_SUCCESSORS, RETRY)
-        )
-
-    def _try_fuse(
-        self, inst: TaskInstance, unresolved: int, sole_dep: TaskInstance | None
-    ) -> "FusedTask | None":
-        """Buffer *inst* into an open fused unit when it fits.
-
-        Returns the touched unit (the caller keeps it open through its
-        flush), or ``None`` when the instance must be dispatched
-        normally.  Two shapes fuse: a dependency-free eligible task
-        opens a new unit (the head), and an eligible task whose single
-        unresolved dependency is an open unit's tail — with no other
-        consumer so far and the same priority — extends that unit.
-        Map-map stages fuse as N parallel chains through exactly this
-        rule, one chain per element.  A buffered instance stays
-        ``PENDING`` and never enters the ready queue by itself.
-        """
-        options = inst.options
-        if not self._fusable(inst.spec, options):
-            return None
-        if unresolved == 0:
-            unit = FusedTask(inst)
-            inst._fused_unit = unit
-            with self._fuse_lock:
-                self._fuse_pending[inst.root_id] = unit
-            return unit
-        if unresolved == 1 and sole_dep is not None:
-            with self._fuse_lock:
-                unit = self._fuse_pending.get(sole_dep.root_id)
-                if (
-                    unit is not None
-                    and not unit.broken
-                    and unit.members[-1] is sole_dep
-                    and len(unit.members) < _FUSE_MAX
-                    and sole_dep.options.priority == options.priority
-                ):
-                    unit.members.append(inst)
-                    inst._fused_unit = unit
-                    # Re-key the unit under its new tail so the next
-                    # link of the chain finds it.
-                    del self._fuse_pending[sole_dep.root_id]
-                    self._fuse_pending[inst.root_id] = unit
-                    return unit
-        return None
-
-    def _flush_fused(self, keep=()) -> None:
-        """Arm every open fused unit not in *keep* (the units the
-        current submission touched, still accumulating).  Called at
-        the end of every submission, by waiters entering the help
-        loop, and by shutdown — so a buffered chain is armed as soon
-        as its submitter moves on, waits, or stops."""
-        if not self._fuse_pending:
-            return
-        with self._fuse_lock:
-            if keep:
-                units = [u for u in self._fuse_pending.values() if u not in keep]
-                if units:
-                    self._fuse_pending = {
-                        tail: u for tail, u in self._fuse_pending.items() if u in keep
-                    }
-            else:
-                units = list(self._fuse_pending.values())
-                self._fuse_pending.clear()
-        if units:
-            self._arm_units(units)
-
-    def _arm_units(self, units: list["FusedTask"]) -> None:
-        """Move flushed units into the ready queue.
-
-        Single-member units are demoted to plain tasks (nothing to
-        fuse) and enqueued as a batch.  A multi-member unit enters the
-        heap as *one* entry at its head's priority; members stay
-        ``PENDING`` — each is claimed right before it runs — and are
-        stamped ready here, though they never individually enter the
-        queue.
-        """
-        singles: list[TaskInstance] = []
-        fused: list[FusedTask] = []
-        for unit in units:
-            if len(unit.members) == 1:
-                inst = unit.members[0]
-                inst._fused_unit = None
-                # An abort may have cancelled the instance while it
-                # was buffered; cancellation already ran its
-                # bookkeeping, so only still-pending ones enqueue.
-                if inst.state == PENDING:
-                    singles.append(inst)
-            else:
-                fused.append(unit)
-        self._enqueue_batch(singles)
-        if not fused:
-            return
-        now = self._now()
-        armed: list[tuple[int, FusedTask, int]] = []
-        for unit in fused:
-            live = 0
-            for inst in unit.members:
-                if inst.state == PENDING:
-                    inst.t_ready = now
-                    live += 1
-            if live == 0:
-                continue  # the whole unit was cancelled while buffered
-            armed.append((unit.members[0].options.priority, unit, live))
-        if not armed:
-            return
-        with self._cond:
-            for priority, unit, live in armed:
-                heapq.heappush(self._ready, (-priority, self._ready_seq, unit))
-                self._ready_seq += 1
-                self._counters.fused_units += 1
-                self._counters.fused_tasks += live
-            self._counters.notifies += len(armed)
-            self._cond.notify(len(armed))
 
     def _broadcast(self) -> None:
         """Wake every parked thread.  Issued after any state change a
@@ -1508,11 +1253,6 @@ class Runtime:
             while not predicate():
                 if self._killed is not None:
                     raise self._killed
-                if self._fuse_pending:
-                    # A waiter is the natural flush point for buffered
-                    # fused chains: the submitter stopped extending
-                    # them and now needs their results.
-                    self._flush_fused()
                 inst = self._pop_ready()
                 if inst is not None:
                     self._execute(inst)
@@ -1620,24 +1360,7 @@ class Runtime:
             raise outcome["error"]
         return outcome["value"]
 
-    def _execute_fused(self, unit: FusedTask) -> None:
-        """Run a fused unit's members in topological order on this
-        thread, each through the same ``_execute`` as a plain task, so
-        fusion changes *where* members run and never what they do or
-        what is recorded about them.  A member failure breaks the unit:
-        ``_fail`` demoted the remaining members back to
-        dependency-driven scheduling before resubmitting, so the loop
-        stops and nothing runs twice.
-        """
-        for inst in unit.members:
-            if unit.broken:
-                break
-            self._execute(inst)
-
-    def _execute(self, inst: "TaskInstance | FusedTask") -> None:
-        if type(inst) is FusedTask:
-            self._execute_fused(inst)
-            return
+    def _execute(self, inst: TaskInstance) -> None:
         prev_state = inst.claim_run()
         if prev_state is None:
             return  # cancelled (or finalized) before it could start
@@ -1754,9 +1477,6 @@ class Runtime:
         inst.out_bytes = out_bytes
         if error is not None:
             inst.error_repr = repr(error)
-        unit = inst._fused_unit
-        if unit is not None:
-            inst.fused_id = unit.unit_id
         # Last: ``trace()`` reads an attempt once it carries a status, and
         # every caller publishes the futures only after this returns.
         inst.status = status
@@ -1764,21 +1484,6 @@ class Runtime:
     def _fail(
         self, inst: TaskInstance, exc: BaseException, t_start: float, t_end: float
     ) -> None:
-        unit = inst._fused_unit
-        if unit is not None and not unit.broken:
-            # A member failed mid-unit: break the unit and demote the
-            # not-yet-run members back to dependency-driven scheduling
-            # *before* any resubmission.  This runs on the unit's
-            # executing thread — the only thread that touches these
-            # still-PENDING members — so the retry attempt completing
-            # later enqueues each demoted member through the normal
-            # ``_complete`` child path exactly once.  The failed
-            # member keeps its unit slot so its trace record carries
-            # the ``fused_id``.
-            unit.broken = True
-            idx = unit.members.index(inst)
-            for member in unit.members[idx + 1:]:
-                member._fused_unit = None
         if isinstance(exc, TaskExecutionError):
             error = exc
         else:
@@ -1964,15 +1669,7 @@ class Runtime:
             if failure:
                 # Propagate: the child can never run.
                 self._cancel_pending(child)
-            elif (
-                child.dep_completed()
-                and child.state == PENDING
-                and child._fused_unit is None
-            ):
-                # Fused members run inline inside their unit, never
-                # through the queue — but their dependency count was
-                # still decremented above, so a later demotion resumes
-                # normal scheduling seamlessly.
+            elif child.dep_completed() and child.state == PENDING:
                 to_enqueue.append(child)
         for child in to_enqueue:
             self._enqueue(child)
@@ -2316,7 +2013,6 @@ def _shape_record(inst: TaskInstance) -> TaskRecord:
         worker=inst.worker_name,
         bytes_moved=inst.bytes_moved,
         bytes_saved=inst.bytes_saved,
-        fused_id=inst.fused_id,
         trace_id=ctx.trace_id if ctx is not None else None,
         span_id=ctx.span_id if ctx is not None else None,
         parent_span_id=ctx.parent_id if ctx is not None else None,

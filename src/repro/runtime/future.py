@@ -23,16 +23,6 @@ _CANCELLED = "cancelled"
 #: found its future still pending — the slow path by definition.
 _materialize_lock = threading.Lock()
 
-#: Installed by :mod:`repro.runtime.engine` at import time (futures
-#: only exist once an engine does).  Called with a runtime id when a
-#: still-pending future is waited on or polled, it arms that runtime's
-#: buffered fused-task units: a pending future may belong to a fused
-#: unit its submitter left open (accumulating), and a waiter that only
-#: reads future state would otherwise never trigger the flush that
-#: schedules it — deadlocking ``submit(); result()`` chains that never
-#: go through ``wait_on``/``barrier``.
-_pending_wait_hook = None
-
 
 class Future:
     """A single value produced by a task.
@@ -100,12 +90,6 @@ class Future:
     @property
     def done(self) -> bool:
         """True once the producing task finished (successfully or not)."""
-        if self._state == _PENDING:
-            # A polling loop must be able to make progress even if this
-            # future sits in a buffered fused unit — see the hook doc.
-            hook = _pending_wait_hook
-            if hook is not None:
-                hook(self._runtime_id)
         return self._state != _PENDING
 
     @property
@@ -120,12 +104,6 @@ class Future:
         :class:`CancelledTaskError` if it was cancelled.
         """
         if self._state == _PENDING:
-            # Flush any fused unit still buffering this (or an
-            # upstream) task before blocking on a pure event wait:
-            # nothing else would ever arm it.
-            hook = _pending_wait_hook
-            if hook is not None:
-                hook(self._runtime_id)
             event = self._event
             if event is None:
                 with _materialize_lock:

@@ -88,9 +88,9 @@ class TaskSpec:
 
     @functools.cached_property
     def has_writes(self) -> bool:
-        # Per-spec constant, but on the submit hot path (dependency
-        # scan + fusion eligibility check it twice per call) — cache
-        # the dict walk.  ``cached_property`` writes straight into the
+        # Per-spec constant, but on the submit hot path (the argument
+        # scan and the checkpoint signature both check it) — cache the
+        # dict walk.  ``cached_property`` writes straight into the
         # instance ``__dict__``, which a frozen dataclass still has.
         return any(d is not Direction.IN for d in self.directions.values())
 
@@ -146,14 +146,12 @@ class TaskInstance:
         "in_bytes",
         "out_bytes",
         "error_repr",
-        "fused_id",
         "_trace_record",
         "_remaining",
         "_lock",
         "_owner_scope",
         "_abandoned",
         "_finalized",
-        "_fused_unit",
     )
 
     def __init__(
@@ -216,9 +214,9 @@ class TaskInstance:
         #: the instance does, stamped by ``Runtime._record`` as the
         #: attempt retires: the span start (body start, or the dispatch
         #: stamp when the body never began), argument/result byte
-        #: estimates, ``repr`` of the causing exception, the fused
-        #: unit's id — and, last, the record status ("done" | "failed"
-        #: | "ignored" | "restored").  ``status`` stays None while the
+        #: estimates, ``repr`` of the causing exception — and, last,
+        #: the record status ("done" | "failed" | "ignored" |
+        #: "restored").  ``status`` stays None while the
         #: attempt is live and for cancelled attempts, which never ran
         #: and have no record.
         self.status: str | None = None
@@ -226,7 +224,6 @@ class TaskInstance:
         self.in_bytes = 0
         self.out_bytes = 0
         self.error_repr: str | None = None
-        self.fused_id: int | None = None
         #: The :class:`~repro.runtime.tracing.TaskRecord` shaped from
         #: the fields above by the first ``Runtime.trace()`` that reads
         #: this attempt; later reads reuse it.
@@ -237,12 +234,6 @@ class TaskInstance:
         self._abandoned = False
         #: Guards completion bookkeeping against the run/cancel race.
         self._finalized = False
-        #: The :class:`~repro.runtime.engine.FusedTask` this instance
-        #: is a member of (None = not fused).  Set while the instance
-        #: is buffered/scheduled inside a fused unit; cleared when the
-        #: unit is demoted (retry, singleton arm) so the normal
-        #: enqueue-on-dep-completion path resumes.
-        self._fused_unit = None
 
     def dep_completed(self) -> bool:
         """Mark one dependency as satisfied; True if the task became ready."""

@@ -120,8 +120,9 @@ def lifecycle_events(attempts: Iterable) -> list[dict[str, Any]]:
     attempt's state at that transition; ``worker`` is known from
     dispatch on; ``pid`` and — when the body ran (``ran``) —
     ``duration`` / ``queue_wait`` / ``overhead`` sit on the terminal
-    row.  A sequential run has no ``ready`` rows; a fused member is
-    stamped ready when its unit is armed."""
+    row.  A sequential run has no ``ready`` rows; under threads every
+    attempt that ran has exactly one, no later than its
+    ``dispatched`` row."""
     rows: list[tuple] = []
 
     def add(inst, kind, t, state_then, pid=None, worker=None, ran=False, spans=(None,) * 3):
@@ -328,9 +329,7 @@ def merge_task_metrics(
     busy = 0.0
     for inst in attempts:
         counters["repro_tasks_submitted_total", ()] += 1
-        # A fused member is stamped ready when its unit is armed but
-        # never takes a queue slot of its own.
-        if inst.t_ready is not None and inst._fused_unit is None:
+        if inst.t_ready is not None:
             counters["repro_tasks_enqueued_total", ()] += 1
         if inst.retry_of is not None:
             counters["repro_retries_total", ()] += 1

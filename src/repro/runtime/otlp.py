@@ -118,7 +118,6 @@ def trace_to_otlp(
                     "repro.pid": rec.pid,
                     "repro.worker": rec.worker,
                     "repro.retry_of": rec.retry_of,
-                    "repro.fused_id": rec.fused_id,
                     "repro.error": rec.error,
                     "repro.cores": rec.computing_units,
                     "repro.gpus": rec.gpus,

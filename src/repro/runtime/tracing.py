@@ -113,11 +113,9 @@ class SchedulerCounters:
     #: Submissions that found the dependency-detection lock held by a
     #: concurrent submission (lock contention on the submit path).
     submit_contentions: int = 0
-    #: Member tasks executed inline inside fused units — each skipped
-    #: one ready-queue round trip (heap push + pop + wakeup).
+    #: Always 0 (no fusion pass); bench/harness.py reads it until ROADMAP item 1.
     fused_tasks: int = 0
-    #: Fused units scheduled (each entered the ready queue once on
-    #: behalf of all its members).
+    #: Always 0 (no fusion pass); bench/harness.py reads it until ROADMAP item 1.
     fused_units: int = 0
 
     def snapshot(self) -> dict[str, int]:
@@ -171,11 +169,6 @@ class TaskRecord:
     #: references instead of buffers.
     bytes_moved: int = 0
     bytes_saved: int = 0
-    #: Id of the fused unit this attempt ran inside (the unit head's
-    #: task id), or None when the attempt was scheduled individually.
-    #: Members of one unit share the value (exported as the span
-    #: attribute ``repro.fused_id``).
-    fused_id: int | None = None
     #: Distributed-trace identity (W3C-traceparent style, stamped from
     #: the attempt's :class:`~repro.runtime.tracectx.TraceContext`):
     #: the 32-hex trace id shared by every span of one logical request,
@@ -349,8 +342,8 @@ class Trace:
     @classmethod
     def from_json(cls, text: str) -> "Trace":
         """Parse a trace, ignoring record keys this version doesn't
-        know (forward compatibility with traces written by newer
-        versions)."""
+        know: those of traces written by newer versions, and those
+        older versions wrote for fields since removed."""
         known = TaskRecord.__dataclass_fields__.keys()
         records = [
             TaskRecord(**{k: v for k, v in {**d, "deps": tuple(d["deps"])}.items() if k in known})

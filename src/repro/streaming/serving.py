@@ -15,8 +15,7 @@ Because every transformation is a shared pure function and windowing
 runs through the same :class:`~repro.streaming.operators` windower,
 :func:`serve_batch` can replay the identical bounded feed as an
 ordinary task DAG — the differential suite requires the two paths to
-be **bit-identical**, with fusion on or off and on both the threaded
-and sequential executors.
+be **bit-identical**, on both the threaded and sequential executors.
 
 Per-stage p50/p99 latency, throughput and queue-depth gauges flow
 through the runtime's :class:`~repro.runtime.observability.MetricsRegistry`

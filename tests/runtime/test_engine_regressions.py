@@ -1,7 +1,9 @@
 """Regression tests for engine fixes: all-scope shutdown drain, the
 condition-variable wait replacing the busy-loop, record-before-publish,
 barrier on a killed or aborted runtime, no READY after an abort's
-cancel and payload release at retirement."""
+cancel, payload release at retirement, ``submit_many`` intake copying
+the caller's containers, and futures that are only polled or
+``result()``-waited on a pool."""
 
 from __future__ import annotations
 
@@ -333,3 +335,198 @@ def test_a_retired_task_keeps_its_scalars_not_its_payload():
         assert rt.stats()["by_state"] == {
             "failed": 2, "cancelled": 1, "done": 2, "ignored": 1,
         }
+
+
+# ----------------------------------------------------------------------
+# batch intake and waiters that never enter the runtime
+# ----------------------------------------------------------------------
+@task(returns=1)
+def _inc(x):
+    return x + 1
+
+
+@task(returns=1)
+def _double(x):
+    return x * 2
+
+
+@task(returns=1)
+def _attempt_of(_x):
+    return current_attempt()
+
+
+@task(returns=1)
+def _attempts_after(seen):
+    return (seen, current_attempt())
+
+
+def _pool(**kw):
+    kw.setdefault("executor", "threads")
+    kw.setdefault("max_workers", 4)
+    return Runtime(config=RuntimeConfig(**kw))
+
+
+def _parked_future(gate: threading.Event):
+    """A future that stays pending until *gate* is set, so a call
+    depending on it is still pending when the test mutates its inputs."""
+
+    @task(returns=1)
+    def parked():
+        gate.wait(10)
+        return 1
+
+    return parked()
+
+
+def test_taskcall_kwargs_mutation_does_not_leak():
+    """TaskCall is public: a caller may mutate its kwargs dict after
+    submit_many() returns, while the task is still pending — the
+    submitted arguments must be unaffected."""
+    from repro.runtime.model import TaskCall
+
+    @task(returns=1)
+    def add_kw(*, x=0):
+        return x + 1
+
+    gate = threading.Event()
+    with _pool() as rt:
+        kw = {"x": _parked_future(gate)}
+        f = rt.submit_many([TaskCall(add_kw.spec, (), kw)])[0]
+        kw["x"] = 999
+        gate.set()
+        assert f.result(timeout=10) == 2
+
+
+def test_taskcall_args_list_is_copied_at_submission():
+    """A TaskCall built directly with a list ``args`` used to keep that
+    very list in the pending task, so mutating it after submission
+    changed what the task ran with."""
+    from repro.runtime.model import TaskCall
+
+    gate = threading.Event()
+    with _pool() as rt:
+        args = [_parked_future(gate)]
+        f = rt.submit_many([TaskCall(_inc.spec, args)])[0]
+        args[0] = 1000
+        gate.set()
+        assert f.result(timeout=10) == 2
+
+
+def test_future_result_without_wait_on_resolves():
+    """``submit(); result()`` with no wait_on/barrier anywhere: the
+    pool alone must run the task."""
+    with _pool():
+        assert _inc(41).result(timeout=10) == 42
+
+
+def test_future_result_resolves_a_chain():
+    with _pool():
+        f = _inc(0)
+        for _ in range(5):
+            f = _inc(f)
+        assert f.result(timeout=10) == 6
+
+
+def test_future_result_resolves_a_submit_many_chain():
+    with _pool() as rt:
+        f = rt.submit_many([_inc.defer(0)])[0]
+        f = rt.submit_many([_inc.defer(f)])[0]
+        assert f.result(timeout=10) == 2
+
+
+def test_done_polling_makes_progress():
+    """A ``while not f.done`` loop is the other event-only
+    synchronisation shape: polling must see the chain finish."""
+    with _pool():
+        f = _inc(_inc(0))
+        deadline = time.monotonic() + 10
+        while not f.done:
+            assert time.monotonic() < deadline, "done polling deadlocked"
+            time.sleep(0.001)
+        assert f.result() == 2
+
+
+def test_chain_members_see_their_own_attempt():
+    """``current_attempt()`` inside a chain member is that instance's
+    attempt — here a head seeded with ``initial_attempt=3`` (as the
+    queue service does on redelivery) and a dependent at attempt 0."""
+    with _pool() as rt:
+        head = rt.submit(_attempt_of.spec, (0,), {}, initial_attempt=3)
+        assert wait_on(_attempts_after(head)) == (3, 0)
+
+
+def test_retried_chain_member_sees_its_attempt():
+    """A member retried mid-chain runs again at attempt 1 and releases
+    the rest of the chain exactly once."""
+
+    @task(returns=1, retries=2)
+    def flaky(x):
+        attempt = current_attempt()
+        if attempt == 0:
+            raise OSError("transient")
+        return x + 10 * attempt
+
+    with _pool() as rt:
+        f = rt.submit_many([_inc.defer(0)])[0]
+        f = rt.submit_many([flaky.defer(f)])[0]
+        f = rt.submit_many([_inc.defer(f)])[0]
+        assert wait_on(f) == 12  # 1 -> (+10 at attempt 1) -> +1
+        rt.barrier()
+        assert rt.stats()["retries"] == 1
+        assert [r.attempt for r in rt.trace().records(name="flaky")] == [0, 1]
+
+
+def test_failure_mid_chain_cancels_successors():
+    """A chain member that fails for good cancels what follows it and
+    leaves what ran before it done."""
+    from repro.runtime import CancelledTaskError, TaskExecutionError
+
+    @task(returns=1, retries=0)
+    def bad(x):
+        raise ValueError("boom")
+
+    with _pool() as rt:
+        f = rt.submit_many([_inc.defer(0)])[0]
+        g = rt.submit_many([bad.defer(f)])[0]
+        h = rt.submit_many([_inc.defer(g)])[0]
+        with pytest.raises(CancelledTaskError):
+            wait_on(h)
+        with pytest.raises(TaskExecutionError):
+            wait_on(g)
+        assert wait_on(f) == 1
+
+
+def test_submit_many_stats_and_metrics_reconcile():
+    """Every batch task is submitted, queued, run and finished once:
+    one ``ready`` row and one enqueue per attempt."""
+    from repro.runtime import observability as obs
+
+    with _pool(observability="metrics") as rt:
+        futs = rt.submit_many([_inc.defer(i) for i in range(4)])
+        futs = rt.submit_many([_double.defer(f) for f in futs])
+        head = rt.submit_many([_inc.defer(futs[0])])[0]
+        assert wait_on([head, *futs[1:]]) == [3, 4, 6, 8]
+        rt.barrier()
+        snap, stats, trace = rt.metrics(), rt.stats(), rt.trace()
+        kinds = [row["kind"] for row in obs.lifecycle_events(rt._attempts())]
+    assert obs.metric_value(snap, "repro_tasks_submitted_total") == stats["n_tasks"] == 9
+    assert obs.metric_value(snap, "repro_tasks_total", state="done") == 9
+    assert obs.metric_value(snap, "repro_tasks_enqueued_total") == 9
+    assert obs.metric_value(snap, "repro_tasks_running") == 0
+    for kind in ("submitted", "ready", "dispatched", "running", "done"):
+        assert kinds.count(kind) == 9, kind
+    durations = [
+        h for h in snap["histograms"] if h["name"] == "repro_task_duration_seconds"
+    ]
+    assert sum(h["count"] for h in durations) == trace.n_executed == 9
+
+
+def test_submit_many_chain_resumes_from_checkpoint(tmp_path):
+    """Batch registration signs and checkpoints like submit(): a second
+    run of the same chain restores every task."""
+    for run in range(2):
+        with _pool(checkpoint_dir=str(tmp_path)) as rt:
+            f = rt.submit_many([_inc.defer(0)])[0]
+            f = rt.submit_many([_inc.defer(f)])[0]
+            assert wait_on(f) == 2
+            assert rt.trace().n_restored == 2 * run

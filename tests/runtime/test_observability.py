@@ -551,34 +551,6 @@ def test_critical_path_zero_duration_restored_spans():
     assert all(r.overhead >= 0.0 for r in tr)
 
 
-def test_critical_path_fused_spans_no_double_count():
-    """Fused members share one unit envelope but each keeps its own
-    record: the critical path must count each member's span exactly
-    once (length bounded by makespan), and members stamped at the
-    same instant (t_dispatch == t_ready) must not produce negative
-    queue waits."""
-    cfg = RuntimeConfig(executor="threads", max_workers=2, fusion=True)
-    with Runtime(config=cfg) as rt:
-        futs = rt.submit_many([_add.defer(i, i) for i in range(3)])
-        for _ in range(4):
-            futs = rt.submit_many([_inc.defer(f) for f in futs])
-        wait_on(futs)
-        rt.shutdown()
-        trace = rt.trace()
-        assert rt.stats()["scheduler"]["fused_tasks"] == 15
-    fused = [r for r in trace if r.fused_id is not None]
-    assert len(fused) == 15
-    assert all(r.queue_wait >= 0.0 for r in trace)
-    cp = obs.critical_path(trace)
-    assert cp.length <= trace.makespan * (1 + 1e-6)
-    assert len(cp.records) >= 5  # the 5-deep chain survives fusion
-    # one terminal record per member — nothing double-recorded
-    assert len(trace) == 15
-    summary = obs.summarize_trace(trace)
-    assert summary["queue_wait"] >= 0.0
-    assert summary["work"] <= trace.makespan * cfg.max_workers + 1e-6
-
-
 def test_summarize_and_format():
     summary = obs.summarize_trace(_diamond_trace())
     assert summary["n_records"] == 4

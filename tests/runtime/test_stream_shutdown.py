@@ -1,6 +1,6 @@
 """Runtime/streaming lifecycle edges: shutdown-drain of stream scopes,
-EOS with in-flight windows, and the pending-wait fused-flush hook
-firing from stream-stage threads."""
+EOS with in-flight windows, and stream-stage threads that only poll
+task futures."""
 
 from __future__ import annotations
 
@@ -77,25 +77,24 @@ def test_shutdown_mid_flight_drains_consistently():
     assert rt.check_invariants(quiesced=True) == []
 
 
-def test_pending_wait_hook_fires_with_stage_parked_on_full_queue():
-    """Fusion buffers small pure tasks until a wait flushes them.  A
-    stream stage polling ``Future.done`` (never entering the runtime)
-    must still make progress via ``_pending_wait_hook`` — even while
-    the downstream stage sits parked on a full queue.  Without the
-    hook this pipeline deadlocks."""
-    rt = runtime(fusion=True, max_workers=2)
+def test_done_polling_stage_progresses_with_downstream_parked_on_full_queue():
+    """A stream stage that polls ``Future.done`` (never entering the
+    runtime) must still see its task run — even while the downstream
+    stage sits parked on a full queue and the pool's workers are the
+    only threads left to execute it."""
+    rt = runtime(max_workers=2)
     try:
         g = StreamGraph(rt, name="g", capacity=1)
         src = g.source(range(30), name="src")
 
-        def via_fused_task(v):
+        def via_task(v):
             fut = inc(v)
-            # poll, don't wait_on: exercises the done-path hook
+            # poll, don't wait_on: only the pool can run the task
             while not fut.done:
                 time.sleep(0.0005)
             return fut.result()
 
-        m = g.map(src, via_fused_task, name="m")
+        m = g.map(src, via_task, name="m")
         slow = g.map(m, lambda v: (time.sleep(0.002), v)[1], name="slow")
         sink = g.sink(slow)
         g.start()

@@ -5,7 +5,7 @@ sequentially, on threads or in worker processes, with nesting, INOUT
 chains, retries, IGNOREd failures, priorities, batches, shared-memory
 store traffic, barging waiters, aborts and kills.  :class:`RuntimeMachine`
 checks that promise by drawing one configuration per example (executor
-and backend, store mode, fusion, observability, trace collection) and
+and backend, store mode, observability, trace collection) and
 then applying random operations both to the runtime and to a plain-Python
 reference: the expected value of every future, the expected value of the
 INOUT box and the expected bits of every array.  Every step runs under
@@ -13,8 +13,8 @@ the hang watchdog (:func:`repro.runtime.flightrec.run_under_watchdog`),
 so a lost wakeup fails the example with the stacks of every thread
 instead of wedging the suite.  Teardown compares every resolved future
 with the reference and audits the drained runtime: invariants, store
-byte accounting, lifecycle rows against ``stats()``, and leaked worker
-threads, ``/dev/shm`` segments and store pins.
+byte accounting, lifecycle rows against ``stats()`` and the metrics,
+and leaked worker threads, ``/dev/shm`` segments and store pins.
 
 The ``matrix`` hypothesis profile (``tests/conftest.py``) is
 derandomized and small; ``pytest --hypothesis-profile=stress tests/runtime/test_stress.py``
@@ -216,20 +216,17 @@ class RuntimeMachine(RuleBasedStateMachine):
     @initialize(
         executor=st.sampled_from(sorted(EXECUTORS)),
         store=st.sampled_from(["auto", "off"]),
-        fusion=st.booleans(),
         observability=st.sampled_from(["", "metrics", "progress"]),
         collect_trace=st.booleans(),
     )
     def start(
-        self, executor, store, fusion, observability, collect_trace,
+        self, executor, store, observability, collect_trace,
         max_workers=3, store_threshold_bytes=4096,
     ):
-        fusion = fusion and executor == "threads"  # a threads-executor pass
         self.executor = executor
         DRAWN.update([
             ("executor", executor),
             ("store", store),
-            ("fusion", fusion),
             ("observability", observability),
             ("collect_trace", collect_trace),
         ])
@@ -238,7 +235,6 @@ class RuntimeMachine(RuleBasedStateMachine):
             max_workers=max_workers,
             name=f"machine-{next(_NAMES)}",
             debug_invariants=True,
-            fusion=fusion,
             retry_backoff=0.0005,
             retry_backoff_cap=0.002,
             collect_trace=collect_trace,
@@ -489,6 +485,23 @@ class RuntimeMachine(RuleBasedStateMachine):
         self._check_arrays()
         rt.shutdown(wait=True)
 
+    def _check_ready_rows(self, rt) -> None:
+        """Under a pool every attempt that was dispatched went through
+        the ready queue: exactly one ``ready`` row, no later than its
+        ``dispatched`` row."""
+        ready: dict[int, list[float]] = collections.defaultdict(list)
+        dispatched: dict[int, float] = {}
+        for row in obs.lifecycle_events(rt._attempts()):
+            if row["kind"] == "ready":
+                ready[row["task_id"]].append(row["t"])
+            elif row["kind"] == "dispatched":
+                dispatched[row["task_id"]] = row["t"]
+        for task_id, t_dispatch in dispatched.items():
+            rows = ready.get(task_id, [])
+            assert len(rows) == 1, f"task {task_id}: {len(rows)} ready rows"
+            assert rows[0] <= t_dispatch, f"task {task_id}: ready after dispatch"
+        self.audits.append("ready_rows")
+
     def _audit(self) -> None:
         rt, clean = self.rt, self.ended != "kill"
         if self.ended is not None:
@@ -504,9 +517,16 @@ class RuntimeMachine(RuleBasedStateMachine):
         )
         by_state = {s: n for s, n in stats["by_state"].items() if s in obs.TERMINAL_KINDS}
         assert dict(terminal) == by_state, (dict(terminal), stats["by_state"])
+        if self.executor != "sequential":
+            self._check_ready_rows(rt)
         if not clean:
             return
         assert stats["ready_queue"] == 0
+        if rt.config.observability == "metrics":
+            enqueued = obs.metric_value(rt.metrics(), "repro_tasks_enqueued_total", default=0)
+            stamped = sum(1 for inst in rt._attempts() if inst.t_ready is not None)
+            assert enqueued == stamped, (enqueued, stamped)
+            self.audits.append("enqueued")
         if (
             self.executor == "processes"
             and rt.config.store == "auto"
@@ -548,7 +568,6 @@ def test_every_scenario_family_is_reachable():
     expected = {
         *(("executor", e) for e in EXECUTORS),
         ("store", "auto"), ("store", "off"),
-        ("fusion", True), ("fusion", False),
         *(("observability", o) for o in ("", "metrics", "progress")),
         ("collect_trace", True), ("collect_trace", False),
         *(("end", e) for e in (None, "abort", "kill", "shutdown")),
@@ -563,7 +582,7 @@ def test_every_scenario_family_is_reachable():
 MODES = ("mixed", "abort", "kill", "shutdown")
 
 
-def _replay(seed, n_ops=120, workers=4, backend="threads", store=False, fusion=False):
+def _replay(seed, n_ops=120, workers=4, backend="threads", store=False):
     """Replay the earlier harness's schedule for *seed*: the same draws
     from ``random.Random(seed)`` in the same order, the same operation
     mix, barging waiters and ending (``MODES[seed % 4]``), each step
@@ -572,7 +591,7 @@ def _replay(seed, n_ops=120, workers=4, backend="threads", store=False, fusion=F
     mode = MODES[seed % len(MODES)]
     m = RuntimeMachine()
     m.start(
-        executor=backend, store="auto", fusion=fusion, observability="",
+        executor=backend, store="auto", observability="",
         collect_trace=store, max_workers=workers,
         store_threshold_bytes=4096 if store else 65536,
     )
@@ -649,12 +668,6 @@ def test_stress_seed_passes(seed):
     assert "values" in m.audits and m.rt.n_tasks > 0
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 7])
-def test_stress_fuse_seed_passes(seed):
-    m = _replay(seed, fusion=True)
-    assert m.rt.config.fusion and "values" in m.audits
-
-
 @pytest.mark.parametrize("seed", [0, 3, 4])
 def test_stress_store_mode_passes(seed):
     m = _replay(seed, store=True)
@@ -685,74 +698,3 @@ def test_same_seed_same_schedule():
     """A replay is a pure function of its seed: two runs submit the
     same task graph while the thread interleaving varies."""
     assert _replay(4, n_ops=50).rt.n_tasks == _replay(4, n_ops=50).rt.n_tasks
-
-
-# ----------------------------------------------------------------------
-# fusion on/off differential
-# ----------------------------------------------------------------------
-def _fusion_workload(seed, fusion, n_ops=240, workers=4):
-    """One pure-task DAG built stage by stage from *seed*, every stage
-    through ``submit_many``.  Three full map stages come first, so a
-    fusion-on run always has at least 8 units of 4 members; then map
-    stages, fan-outs off one element, and mirror-pair stages whose
-    two-parent tasks break chains and demote buffered units.  Returns
-    the values, ``stats()`` and the multiset of what each trace record
-    says that scheduling may not change."""
-    rng = random.Random(seed)
-    width = 8
-    rt = Runtime(config=RuntimeConfig(
-        executor="threads", max_workers=workers, debug_invariants=True,
-        fusion=fusion, collect_trace=True,
-        name=f"fusediff-{seed}-{'on' if fusion else 'off'}",
-    ))
-    push_runtime(rt)
-    try:
-        stage = rt.submit_many([_add.defer(rng.randint(-50, 50), i) for i in range(width)])
-        futs = list(stage)
-        for _ in range(3):
-            stage = rt.submit_many([_add.defer(f, rng.randint(-5, 5)) for f in stage])
-            futs.extend(stage)
-        for _ in range(max(1, n_ops // width)):
-            op = rng.random()
-            if op < 0.5:
-                stage = rt.submit_many([_add.defer(f, rng.randint(-5, 5)) for f in stage])
-            elif op < 0.8:
-                root = stage[rng.randrange(len(stage))]
-                stage = rt.submit_many([_add.defer(root, k) for k in range(width)])
-            else:
-                stage = rt.submit_many(
-                    [_add.defer(stage[i], stage[-1 - i]) for i in range(len(stage))]
-                )
-            futs.extend(stage)
-        values = rt.wait_on(futs)
-        rt.shutdown(wait=True)
-        assert rt.check_invariants(quiesced=True) == []
-        records = collections.Counter(
-            (r.name, r.attempt, r.status, r.parent_id, r.label, len(r.deps))
-            for r in rt.trace()
-        )
-        return values, rt.stats(), records
-    finally:
-        pop_runtime(rt)
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2, 3])
-def test_fusion_on_and_off_records_match(seed):
-    """Fusion off and on give bit-identical values, the same task count
-    and the same per-task trace records, and the fused run really fused
-    (a silently disabled pass would pass any equivalence check)."""
-
-    def body():
-        return _fusion_workload(seed, False), _fusion_workload(seed, True)
-
-    outcome = run_under_watchdog(body, TIMEOUT, f"fusediff-seed-{seed}")
-    if "error" in outcome:
-        raise outcome["error"]
-    assert outcome["ok"], "\n".join(outcome["problems"])
-    (plain, plain_stats, plain_recs), (fused, fused_stats, fused_recs) = outcome["value"]
-    assert fused == plain
-    assert fused_stats["n_tasks"] == plain_stats["n_tasks"]
-    assert fused_recs == plain_recs
-    assert plain_stats["scheduler"]["fused_tasks"] == 0
-    assert fused_stats["scheduler"]["fused_units"] >= 8
-    assert fused_stats["scheduler"]["fused_tasks"] >= 32

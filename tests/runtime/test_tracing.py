@@ -235,6 +235,25 @@ def test_save_and_load(tmp_path):
     assert [r.task_id for r in back] == [r.task_id for r in tr]
 
 
+def test_a_trace_from_the_fusion_era_still_loads(tmp_path, capsys):
+    """Records written while the runtime had a fusion pass carry the
+    unit id under a key this version dropped; ``Trace.load`` and
+    ``repro trace summarize`` still read such a file."""
+    from repro.cli import main
+
+    records = []
+    for rec in _retry_trace():
+        old = rec.to_dict()
+        old["fused_id"] = 0 if rec.name == "flaky" else None  # the dropped key
+        records.append(old)
+    path = tmp_path / "old-trace.json"
+    path.write_text(json.dumps(records))
+    back = Trace.load(path)
+    assert [r.to_dict() for r in back] == [r.to_dict() for r in _retry_trace()]
+    assert main(["trace", "summarize", str(path)]) == 0
+    assert "flaky" in capsys.readouterr().out
+
+
 # ----------------------------------------------------------------------
 # one task table on the task path; trace, graph and stats shaped on read
 # ----------------------------------------------------------------------
@@ -355,7 +374,7 @@ def test_records_equal_across_executors_and_backends(seed, tmp_path):
             assert re.fullmatch("[0-9a-f]{32}", rec.trace_id)
             assert re.fullmatch("[0-9a-f]{16}", rec.span_id)
             assert rec.t_submit <= rec.t_start <= rec.t_end
-            assert rec.computing_units == 1 and rec.gpus == 0 and rec.fused_id is None
+            assert rec.computing_units == 1 and rec.gpus == 0
             assert (rec.error is not None) == (rec.status in ("failed", "ignored"))
             if rec.status == "restored":
                 assert rec.pid is None and rec.t_start == rec.t_end

@@ -1,5 +1,5 @@
 """Online AF serving: shapes, determinism, and the streamed-vs-batch
-bit-identity differential (fusion on/off × threads/sequential)."""
+bit-identity differential (threads/sequential)."""
 
 from __future__ import annotations
 
@@ -119,14 +119,13 @@ def test_serve_stream_produces_one_prediction_per_segment(model):
 
 
 @pytest.mark.parametrize("backend", ["threads", "sequential"])
-@pytest.mark.parametrize("fusion", [False, True])
-def test_differential_stream_vs_batch_bit_identical(model, backend, fusion):
+def test_differential_stream_vs_batch_bit_identical(model, backend):
     """The differential gate: the same bounded feed through the
     streaming pipeline and through the equivalent batch DAG must give
     byte-for-byte identical predictions."""
-    with runtime(executor=backend, fusion=fusion) as rt:
+    with runtime(executor=backend) as rt:
         streamed = serve_stream(CFG, rt, model)
-    with runtime(executor=backend, fusion=fusion) as rt:
+    with runtime(executor=backend) as rt:
         batch = serve_batch(CFG, rt, model)
     assert streamed.predictions == batch.predictions
     assert np.array_equal(streamed.probs, batch.probs)

@@ -65,7 +65,7 @@ def _pipeline(g: StreamGraph, n: int, w: int, map_fn, sink_fn, **map_opts):
     return g.sink(windows, fn=sink_fn, name="sink", collect=True)
 
 
-def _run(scenario, fusion: bool = False, **params) -> int:
+def _run(scenario, **params) -> int:
     """Run *scenario(rt, **params)* on a fresh runtime under the hang
     watchdog; returns the number of tasks the runtime saw."""
 
@@ -74,7 +74,6 @@ def _run(scenario, fusion: bool = False, **params) -> int:
             executor="threads",
             max_workers=2,
             debug_invariants=True,
-            fusion=fusion,
             name=f"stream-{scenario.__name__}",
         )
         rt = Runtime(config=cfg)
@@ -218,12 +217,6 @@ PINNED = {
 def test_each_scenario_family_passes(seed):
     scenario, params = PINNED[seed]
     _run(scenario, **params)
-
-
-def test_fusion_mode_passes():
-    for seed in (0, 1, 2, 3):
-        scenario, params = PINNED[seed]
-        _run(scenario, fusion=True, **params)
 
 
 def test_runtime_abort_variant_is_exercised():
