@@ -8,7 +8,7 @@
 #   scripts/check.sh inventory   every src/repro module must have a test file
 #   scripts/check.sh resilience  crash-resume smoke test only
 #   scripts/check.sh stress      randomized runtime matrix (stress profile) + engine regression tests
-#   scripts/check.sh backend     tier-1 under REPRO_BACKEND=processes + the matrix's processes replays
+#   scripts/check.sh backend     import guards (no networkx in the runtime or its workers), then tier-1 under REPRO_BACKEND=processes + the matrix's processes replays
 #   scripts/check.sh obs         observability smoke (metrics/trace exports, flight-recorder dump) + tracing/lifecycle-view tests
 #   scripts/check.sh dataplane   store tests + the matrix's store replays + bench smoke of blocks_procs
 #   scripts/check.sh service     queue-service tests + chaos smoke
@@ -114,6 +114,10 @@ run_backend() {
     # processes: the differential guarantee is that nothing observable
     # changes.  REPRO_BACKEND is read by RuntimeConfig.from_env, so the
     # whole suite switches backend without touching a line of test code.
+    # First, in seconds, what a worker costs to start: a heavy module
+    # newly imported at the top of the runtime fails the import guards.
+    echo "== import guards (runtime, subpackages, pool worker) =="
+    PYTHONPATH=src python -m pytest -x -q tests/test_imports.py
     echo "== pytest under REPRO_BACKEND=processes =="
     REPRO_BACKEND=processes PYTHONPATH=src python -m pytest -x -q
     echo "== pinned replays under the processes backend =="

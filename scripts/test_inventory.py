@@ -58,7 +58,6 @@ EXTRA_COVERAGE = {
     "ml/trees/tree.py": "tests/ml/test_trees.py",
     "nn/initializers.py": "tests/nn/test_layers.py",
     "nn/losses.py": "tests/nn/test_model_optim.py",
-    "runtime/dag.py": "tests/runtime/test_graph_trace_dot.py",
     "runtime/exceptions.py": "tests/runtime/test_failure_policies.py",
     "runtime/future.py": "tests/runtime/test_task_basic.py",
     "runtime/provenance.py": "tests/runtime/test_checkpoint_resume.py",

@@ -22,7 +22,8 @@ NumPy blocks travel as raw buffer frames after the payload instead of
 being copied into the pickle stream (:func:`_encode` / :func:`_decode`).
 Functions are never pickled — a task is transported as its
 ``(module, qualname)`` and re-imported inside the worker, unwrapping
-the ``@task`` decorator to the raw body.
+the ``@task`` decorator to the raw body (once per function: the worker
+keeps the bodies it resolved).
 
 Not every task can cross a process boundary.  The backend falls back to
 an **inline** call (thread-backend semantics, same results) when:
@@ -192,6 +193,22 @@ def _resolve_task_function(module_name: str, qualname: str):
     raise TypeError(f"{module_name}.{qualname} is not callable")
 
 
+#: Raw task bodies this worker process has resolved, by ``(module,
+#: qualname)``: import and attribute walk run once per function.
+_worker_bodies: dict[tuple[str, str], Any] = {}
+
+
+def _worker_task_function(module_name: str, qualname: str):
+    """:func:`_resolve_task_function`, cached for the life of the
+    worker.  A failure is not cached: the next request for the function
+    tries again and is reported unresolvable again."""
+    key = (module_name, qualname)
+    func = _worker_bodies.get(key)
+    if func is None:
+        func = _worker_bodies[key] = _resolve_task_function(module_name, qualname)
+    return func
+
+
 def _safe_send(conn, reply: tuple) -> None:
     """Send ``(kind, value, pid, info)``; if *value* (a result or an
     exception) does not serialize, send a stand-in carrying its
@@ -258,7 +275,7 @@ def _worker_main(conn, search_path: list[str]) -> None:
                 _send(conn, ("unresolvable", f"{type(exc).__name__}: {exc}", pid))
                 continue
         try:
-            func = _resolve_task_function(module_name, qualname)
+            func = _worker_task_function(module_name, qualname)
         except Exception as exc:  # noqa: BLE001 - reported, not fatal
             _send(conn, ("unresolvable", f"{type(exc).__name__}: {exc}", pid))
             continue

@@ -3,16 +3,20 @@
 The paper shows execution graphs (Figs. 4, 6, 8, 9, 10) where each task
 type is a coloured circle and edges are data dependencies.  This module
 renders a :class:`~repro.runtime.dag.TaskGraph` to Graphviz DOT text
-with the same convention (deterministic colour per task name).
+with the same convention (deterministic colour per task name).  A
+caller's :class:`networkx.DiGraph` is accepted too, read only through
+``nodes(data=True)`` and ``edges(data=True)``.
 """
 
 from __future__ import annotations
 
 import hashlib
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.runtime.dag import TaskGraph
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 #: Palette loosely matching the paper figures' task colours.
 _PALETTE = (
@@ -60,8 +64,8 @@ def to_dot(
     presentation of the paper's Fig. 10, where each fold's training
     tasks are grouped.
     """
-    g = graph.snapshot() if isinstance(graph, TaskGraph) else graph
-    names = sorted({d.get("name", "?") for _, d in g.nodes(data=True)})
+    nodes, edges = _as_task_graph(graph)._resolved()
+    names = sorted({d.get("name", "?") for d in nodes.values()})
     lines = [f"// execution graph: {title}"]
     for name in names:
         lines.append(f"// legend: {name} = {color_for(name)}")
@@ -96,9 +100,9 @@ def to_dot(
     if group_nested:
         children: dict[int, list[tuple[int, dict]]] = {}
         top: list[tuple[int, dict]] = []
-        for node, data in sorted(g.nodes(data=True)):
+        for node, data in sorted(nodes.items()):
             parent = data.get("parent")
-            if parent is not None and parent in g.nodes:
+            if parent is not None and parent in nodes:
                 children.setdefault(parent, []).append((node, data))
             else:
                 top.append((node, data))
@@ -116,10 +120,10 @@ def to_dot(
         for node, data in top:
             emit(node, data, "  ")
     else:
-        for node, data in sorted(g.nodes(data=True)):
+        for node, data in sorted(nodes.items()):
             lines.append(node_line(node, data))
 
-    for u, v, edata in sorted(g.edges(data=True), key=lambda e: (e[0], e[1])):
+    for (u, v), edata in sorted(edges.items()):
         if edata.get("kind") == "retry":
             lines.append(
                 f'  t{u} -> t{v} [style=dashed, color="#a00000", '
@@ -147,7 +151,7 @@ def graph_summary(graph: TaskGraph | nx.DiGraph) -> dict:
     """Structural summary used by the graph-reproduction benchmarks:
     task counts per type, dependency count, depth (critical path in
     tasks) and maximum width (peak parallelism)."""
-    tg = graph if isinstance(graph, TaskGraph) else _wrap(graph)
+    tg = _as_task_graph(graph)
     return {
         "n_tasks": tg.n_tasks,
         "n_edges": tg.n_edges,
@@ -157,5 +161,7 @@ def graph_summary(graph: TaskGraph | nx.DiGraph) -> dict:
     }
 
 
-def _wrap(g: nx.DiGraph) -> TaskGraph:
-    return TaskGraph(g.nodes(data=True), g.edges(data=True))
+def _as_task_graph(graph: TaskGraph | nx.DiGraph) -> TaskGraph:
+    if isinstance(graph, TaskGraph):
+        return graph
+    return TaskGraph(graph.nodes(data=True), graph.edges(data=True))

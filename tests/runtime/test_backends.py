@@ -21,6 +21,7 @@ from repro.runtime import (
     task,
     wait_on,
 )
+from repro.runtime import backends
 from repro.runtime.backends import (
     ProcessPoolBackend,
     ThreadBackend,
@@ -198,6 +199,28 @@ def test_worker_pool_is_shared_across_runtimes():
     with Runtime(config=_processes_cfg()):
         wait_on(_probe(2))
     assert pool.spawned == spawned_after_first  # workers were reused
+
+
+def test_a_worker_resolves_each_function_once(monkeypatch):
+    imported = []
+    real_import = backends.importlib.import_module
+
+    def counted(name):
+        imported.append(name)
+        return real_import(name)
+
+    monkeypatch.setattr(backends, "_worker_bodies", {})
+    monkeypatch.setattr(backends.importlib, "import_module", counted)
+    first = backends._worker_task_function(__name__, "_probe")
+    assert first is _probe.spec.func
+    assert backends._worker_task_function(__name__, "_probe") is first
+    assert imported == [__name__]
+    # a failure is not remembered: asked again, it is looked up again
+    for _ in range(2):
+        with pytest.raises(AttributeError):
+            backends._worker_task_function(__name__, "_no_such_task")
+    assert imported == [__name__] * 3
+    assert list(backends._worker_bodies) == [(__name__, "_probe")]
 
 
 def test_success_reply_never_reprs_the_result():

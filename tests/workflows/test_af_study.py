@@ -124,6 +124,27 @@ def test_remembered_prefix_is_byte_identical(tiny_dataset):
         assert computed[2:] == first[2:]
 
 
+def test_the_signals_are_padded_once_per_call(tiny_dataset, monkeypatch):
+    calls = []
+    pad = af_pipeline._pad_decimate
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return pad(*args, **kwargs)
+
+    monkeypatch.setattr(af_pipeline, "_pad_decimate", counted)
+    with runtime():
+        first = study_features(tiny_dataset, TINY)  # miss
+        assert len(calls) == 1
+        assert study_features(tiny_dataset, TINY) is first  # hit
+        assert len(calls) == 2
+    assert study_features(tiny_dataset, TINY)[2:] == first[2:]  # no runtime
+    assert len(calls) == 3
+    # a direct caller of stage 4 still gets stage 3
+    feats, _ = af_pipeline.extract_features(tiny_dataset, TINY)
+    assert len(calls) == 4 and feats.shape[1] == first.n_features_in
+
+
 # -- (c) what makes the prefix different ----------------------------------
 @pytest.mark.parametrize(
     "field, value",
