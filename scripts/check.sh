@@ -11,7 +11,7 @@
 #   scripts/check.sh backend     import guards (no networkx in the runtime or its workers), then tier-1 under REPRO_BACKEND=processes + the matrix's processes replays
 #   scripts/check.sh obs         observability smoke (metrics/trace exports, flight-recorder dump) + tracing/lifecycle-view tests
 #   scripts/check.sh dataplane   store tests + the matrix's store replays + bench smoke of blocks_procs
-#   scripts/check.sh service     queue-service tests + chaos smoke
+#   scripts/check.sh service     queue-service tests (kill -9, lease-expiry and traced-recovery chaos included)
 #   scripts/check.sh stream      streaming + all ECG tests (detector and filter oracles) + stream scenarios (stress profile) + serving differential + bench smoke of stream_serve
 #   scripts/check.sh ml          estimator + ds-array + AF-workflow tests (kernel oracles, frozen benchmark reference) + SMO oracle (stress profile) + bench smoke of af_classical
 #   scripts/check.sh bench       bench/run.py --smoke over all seven workloads (oracles + exit hygiene, < 30 s)
@@ -193,14 +193,13 @@ run_ml() {
 }
 
 run_service() {
-    # The durable queue service: unit/lifecycle tests and the kill-9
-    # crash-recovery + lease-expiry chaos smoke (zero lost tasks, zero
+    # The durable queue service: unit/lifecycle tests and the chaos
+    # scenarios of tests/service/test_chaos.py -- kill -9 crash recovery,
+    # lease expiry and a trace kept across a kill (zero lost tasks, zero
     # duplicate side effects).  Queue-op latency is service.* in the
     # service_jobs workload of bench/ (`check.sh bench`).
-    echo "== queue service tests =="
+    echo "== queue service tests (chaos scenarios included) =="
     PYTHONPATH=src python -m pytest tests/service -x -q
-    echo "== service chaos smoke (kill -9 recovery + lease expiry) =="
-    PYTHONPATH=src python scripts/service_smoke.py
 }
 
 run_bench() {

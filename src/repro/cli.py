@@ -32,9 +32,9 @@ Commands:
   and pid, per-worker lanes, dependency flow arrows, retry/restore/
   failure markers and the data-plane counter lane.
 * ``logs PATH`` — render observability artifacts a run leaves behind:
-  a flight-recorder dump JSON (``flightrec-*.json``), a durable span
-  log (``spans.jsonl``), or a service data directory (renders its span
-  log and lists its flight-recorder dumps).
+  a flight-recorder dump JSON (``flightrec-*.json``) or a service data
+  directory (renders the spans rebuilt from its provenance log and
+  lists its flight-recorder dumps).
 * ``serve --data-dir DIR`` — run the durable task-queue service
   (:mod:`repro.service`): cold-start recovery, worker leases with
   heartbeats, SIGTERM drain.  ``--until-idle`` exits once the queue is
@@ -327,7 +327,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.runtime.tracing import Trace
 
     if args.service is not None:
-        from repro.service.spanlog import export_service_otlp
+        from repro.service.server import export_service_otlp
 
         document = export_service_otlp(args.service)
         n_spans = sum(1 for _ in otlp.iter_spans(document))
@@ -440,41 +440,31 @@ def _cmd_logs(args: argparse.Namespace) -> int:
     import pathlib
 
     from repro.runtime.flightrec import load_dump
-    from repro.service.spanlog import SPANS_FILE, read_span_rows
+    from repro.service import Database, DurableQueue
+    from repro.service.server import QUEUE_DB
 
     path = pathlib.Path(args.path)
     if path.is_dir():
-        spans = path / SPANS_FILE
-        if spans.exists():
-            print(f"== span log {spans} ==")
-            _render_span_rows(read_span_rows(path), args.limit)
+        queue_db = path / QUEUE_DB
+        if queue_db.exists():
+            print(f"== span log of {queue_db} ==")
+            db = Database(queue_db)
+            try:
+                _render_span_rows(DurableQueue(db).span_rows(), args.limit)
+            finally:
+                db.close()
         dumps = sorted(path.glob("**/flightrec-*.json"))
         if dumps:
             print(f"== {len(dumps)} flight-recorder dump(s) ==")
             for dump in dumps:
                 print(f"  {dump}")
-        if not spans.exists() and not dumps:
-            print(f"no span log or flight-recorder dumps under {path}", file=sys.stderr)
+        if not queue_db.exists() and not dumps:
+            print(f"no queue or flight-recorder dumps under {path}", file=sys.stderr)
             return 1
         return 0
     if not path.exists():
         print(f"no such file: {path}", file=sys.stderr)
         return 1
-    if path.name.endswith(".jsonl"):
-        import json
-
-        def rows():
-            with open(path, encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if line:
-                        try:
-                            yield json.loads(line)
-                        except json.JSONDecodeError:
-                            continue
-
-        _render_span_rows(rows(), args.limit)
-        return 0
     try:
         payload = load_dump(path)
     except (OSError, ValueError, KeyError) as exc:
@@ -531,9 +521,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         workers=args.workers,
         backend=args.backend,
         lease_timeout=args.lease_timeout,
-        heartbeat_interval=args.heartbeat_interval,
         poll_interval=args.poll_interval,
-        sweep_interval=args.sweep_interval,
         default_max_retries=args.max_retries,
         jitter_seed=args.seed,
     )
@@ -768,12 +756,10 @@ def main(argv: list[str] | None = None) -> int:
     p7.set_defaults(func=_cmd_trace)
 
     p7b = sub.add_parser(
-        "logs", help="render flight-recorder dumps and durable span logs"
+        "logs", help="render flight-recorder dumps and a service's spans"
     )
     p7b.add_argument(
-        "path",
-        help="a flight-recorder dump JSON, a spans.jsonl file, or a "
-        "service data directory",
+        "path", help="a flight-recorder dump JSON or a service data directory"
     )
     p7b.add_argument(
         "--limit", type=int, default=None, help="show only the last N entries"
@@ -786,16 +772,11 @@ def main(argv: list[str] | None = None) -> int:
     p8.add_argument(
         "--backend", choices=("threads", "processes"), default="threads"
     )
-    p8.add_argument("--lease-timeout", type=float, default=5.0)
     p8.add_argument(
-        "--heartbeat-interval", type=float, default=None,
-        help="default: lease-timeout / 3",
+        "--lease-timeout", type=float, default=5.0,
+        help="heartbeats every lease-timeout / 3, expiry sweeps every / 2",
     )
     p8.add_argument("--poll-interval", type=float, default=0.05)
-    p8.add_argument(
-        "--sweep-interval", type=float, default=None,
-        help="lease-expiry sweep period (default: lease-timeout / 2)",
-    )
     p8.add_argument("--max-retries", type=int, default=2)
     p8.add_argument("--seed", type=int, default=0, help="jitter/fault seed")
     p8.add_argument(

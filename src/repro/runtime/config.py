@@ -2,13 +2,17 @@
 
 A :class:`RuntimeConfig` gathers every knob the
 :class:`~repro.runtime.engine.Runtime` accepts — executor, pool size,
-default failure policy, retry backoff, trace collection — into one
+trace collection, checkpointing, the object store — into one
 validated, immutable object, replacing the loose keyword arguments of
 earlier releases.  ``RuntimeConfig.from_env()`` applies ``REPRO_*``
 environment overrides so deployments can reconfigure the runtime
 without touching code::
 
-    REPRO_EXECUTOR=sequential REPRO_MAX_RETRIES=5 python workflow.py
+    REPRO_EXECUTOR=sequential REPRO_TRACE=0 python workflow.py
+
+The failure-policy defaults (policy, retry budget, backoff) are
+constants of :mod:`repro.runtime.failures`; a task overrides them
+through its own ``on_failure``/``max_retries``/``retry_backoff``.
 
 Environment variables (all optional):
 
@@ -17,8 +21,6 @@ Environment variables (all optional):
 ``REPRO_BACKEND``         ``threads`` | ``processes`` (where task
                           bodies run; see :mod:`repro.runtime.backends`)
 ``REPRO_MAX_WORKERS``     int (worker-pool size)
-``REPRO_ON_FAILURE``      default failure policy
-``REPRO_MAX_RETRIES``     default retry budget for ``RETRY`` tasks
 ``REPRO_TRACE``           ``1``/``0`` — collect task records
 ``REPRO_CHECKPOINT_DIR``  checkpoint-store directory (enables resume)
 ``REPRO_DEBUG_INVARIANTS``  ``1``/``0`` — validate state transitions
@@ -45,8 +47,6 @@ import dataclasses
 import os
 from typing import Any
 
-from repro.runtime.failures import CANCEL_SUCCESSORS, validate_policy
-
 _EXECUTORS = ("threads", "sequential")
 _BACKENDS = ("threads", "processes")
 _STORE_MODES = ("auto", "off")
@@ -65,19 +65,6 @@ class RuntimeConfig:
     backend: str = "threads"
     max_workers: int | None = None
     name: str = "repro-runtime"
-    #: Policy applied when a task exhausts its attempts and declared
-    #: no ``on_failure`` of its own.
-    default_on_failure: str = CANCEL_SUCCESSORS
-    #: Retry budget for ``on_failure="RETRY"`` tasks that declared no
-    #: explicit ``max_retries`` (COMPSs resubmits twice by default).
-    default_max_retries: int = 2
-    #: Base of the exponential retry backoff in seconds (0 = retry
-    #: immediately).
-    retry_backoff: float = 0.001
-    #: Ceiling of the backoff in seconds.
-    retry_backoff_cap: float = 0.25
-    #: Seed of the deterministic retry jitter.
-    jitter_seed: int = 0
     #: Record a :class:`~repro.runtime.tracing.TaskRecord` per attempt.
     collect_trace: bool = True
     #: Directory of the :class:`~repro.runtime.checkpoint.CheckpointStore`
@@ -134,15 +121,6 @@ class RuntimeConfig:
             raise ValueError(f"unknown backend {self.backend!r}; expected one of {_BACKENDS}")
         if self.max_workers is not None and self.max_workers < 1:
             raise ValueError("max_workers must be >= 1")
-        try:
-            validate_policy(self.default_on_failure)
-        except Exception as exc:
-            # config validation speaks ValueError, like every other field
-            raise ValueError(str(exc)) from None
-        if self.default_max_retries < 0:
-            raise ValueError("default_max_retries must be >= 0")
-        if self.retry_backoff < 0 or self.retry_backoff_cap < 0:
-            raise ValueError("retry backoff values must be >= 0")
         if self.store not in _STORE_MODES:
             raise ValueError(f"unknown store mode {self.store!r}; expected one of {_STORE_MODES}")
         if self.store_capacity_mb <= 0:
@@ -175,8 +153,6 @@ class RuntimeConfig:
         take("REPRO_EXECUTOR", "executor", str)
         take("REPRO_BACKEND", "backend", str)
         take("REPRO_MAX_WORKERS", "max_workers", int)
-        take("REPRO_ON_FAILURE", "default_on_failure", str)
-        take("REPRO_MAX_RETRIES", "default_max_retries", int)
         take("REPRO_TRACE", "collect_trace", _parse_bool)
         take("REPRO_CHECKPOINT_DIR", "checkpoint_dir", str)
         take("REPRO_DEBUG_INVARIANTS", "debug_invariants", _parse_bool)

@@ -87,6 +87,8 @@ from repro.runtime.faults import worker_kill_requested as _worker_kill_hook
 from repro.runtime.failures import (
     FAIL,
     IGNORE,
+    JITTER_SEED,
+    RETRY_BACKOFF_CAP,
     TaskOptions,
     resolve_options,
     retry_delay,
@@ -735,7 +737,7 @@ class Runtime:
         hit = self._opts_cache.get(key)
         if hit is not None and hit[0] is spec.options and hit[1] is options:
             return hit[2]
-        resolved = resolve_options(self.config, spec.options, options)
+        resolved = resolve_options(spec.options, options)
         if len(self._opts_cache) > 4096:
             # Churning call-site options (a fresh ``.opts(...)`` per
             # call) would otherwise grow the cache without bound.
@@ -1605,8 +1607,8 @@ class Runtime:
             new.attempt,
             task_name=inst.name,
             root_id=new.root_id,
-            seed=options.jitter_seed,
-            cap=options.retry_backoff_cap,
+            seed=JITTER_SEED,
+            cap=RETRY_BACKOFF_CAP,
         )
         if self.executor == "sequential":
             if delay > 0:

@@ -14,9 +14,9 @@ Policies
     (COMPSs: "failure of the whole workflow").
 ``RETRY``
     Resubmit the task up to ``max_retries`` extra attempts (default
-    from :class:`~repro.runtime.config.RuntimeConfig`), with
-    exponential backoff and deterministic jitter; if every attempt
-    fails, fall back to ``CANCEL_SUCCESSORS`` semantics.
+    :data:`DEFAULT_MAX_RETRIES`), with exponential backoff and
+    deterministic jitter; if every attempt fails, fall back to
+    ``CANCEL_SUCCESSORS`` semantics.
 ``CANCEL_SUCCESSORS`` (default)
     Cancel the transitive successors of the failed task; independent
     branches keep running and the error surfaces on ``wait_on``.
@@ -46,6 +46,19 @@ CANCEL_SUCCESSORS = "CANCEL_SUCCESSORS"
 
 POLICIES = (FAIL, RETRY, IGNORE, CANCEL_SUCCESSORS)
 
+#: Policy of a task that declared no ``on_failure`` of its own.
+DEFAULT_ON_FAILURE = CANCEL_SUCCESSORS
+#: Retry budget of a ``RETRY`` task that declared no ``max_retries``
+#: (COMPSs resubmits twice by default).
+DEFAULT_MAX_RETRIES = 2
+#: Base of the exponential retry backoff in seconds, unless a task
+#: declares its own ``retry_backoff``.
+RETRY_BACKOFF = 0.001
+#: Ceiling of the retry backoff in seconds.
+RETRY_BACKOFF_CAP = 0.25
+#: Seed of the deterministic retry jitter.
+JITTER_SEED = 0
+
 #: Sentinel distinguishing "no failure_default declared" from ``None``.
 _UNSET = object()
 
@@ -63,8 +76,7 @@ class TaskOptions:
     """Call-site (or decorator-level) task options.
 
     Every field defaults to "unset"; unset fields fall back to the
-    ``@task`` declaration and then to the runtime's
-    :class:`~repro.runtime.config.RuntimeConfig` defaults.  Created
+    ``@task`` declaration and then to this module's defaults.  Created
     explicitly via ``my_task.opts(label=..., retries=...)(args)``.
     """
 
@@ -125,22 +137,20 @@ class ResolvedOptions:
     failure_default: Any
     priority: int
     retry_backoff: float
-    retry_backoff_cap: float
-    jitter_seed: int
     #: Whether this instance may be checkpointed/restored (still gated
     #: on the task being pure and the runtime having a store).
     checkpoint: bool = True
 
 
-def resolve_options(config, spec_options: TaskOptions, call_options: TaskOptions | None) -> ResolvedOptions:
-    """Merge call-site > decorator > runtime-config defaults."""
+def resolve_options(spec_options: TaskOptions, call_options: TaskOptions | None) -> ResolvedOptions:
+    """Merge call-site > decorator > this module's defaults."""
     opts = (call_options or NO_OPTIONS).merged_over(spec_options)
-    on_failure = opts.on_failure or config.default_on_failure
+    on_failure = opts.on_failure or DEFAULT_ON_FAILURE
     max_retries = opts.max_retries
     if max_retries is None:
-        # RETRY without an explicit budget uses the configured default;
-        # every other policy defaults to no resubmission.
-        max_retries = config.default_max_retries if on_failure == RETRY else 0
+        # RETRY without an explicit budget uses the default; every
+        # other policy defaults to no resubmission.
+        max_retries = DEFAULT_MAX_RETRIES if on_failure == RETRY else 0
     return ResolvedOptions(
         label=opts.label,
         on_failure=on_failure,
@@ -148,11 +158,7 @@ def resolve_options(config, spec_options: TaskOptions, call_options: TaskOptions
         time_out=opts.time_out,
         failure_default=None if opts.failure_default is _UNSET else opts.failure_default,
         priority=opts.priority if opts.priority is not None else 0,
-        retry_backoff=(
-            opts.retry_backoff if opts.retry_backoff is not None else config.retry_backoff
-        ),
-        retry_backoff_cap=config.retry_backoff_cap,
-        jitter_seed=config.jitter_seed,
+        retry_backoff=opts.retry_backoff if opts.retry_backoff is not None else RETRY_BACKOFF,
         checkpoint=opts.checkpoint if opts.checkpoint is not None else True,
     )
 

@@ -162,8 +162,8 @@ def run_under_watchdog(fn, timeout: float, label: str) -> dict[str, Any]:
     leading into it) and the thread is abandoned, not killed — the
     caller keeps moving and reports the hang instead of wedging.  The
     classic signature of a lost wakeup is every thread parked in
-    ``Condition.wait``.  The randomized runtime tests and the service
-    chaos smoke run their scenarios through this.
+    ``Condition.wait``.  The randomized runtime tests and the stream
+    scenarios run their steps through this.
     """
     outcome: dict[str, Any] = {}
 

@@ -15,12 +15,13 @@ Two producers feed it:
   records from traces predating distributed tracing get a synthesized
   per-export trace id so old artifacts still render.  Each recorded
   dependency becomes a span *link* to its producer's span.
-* :func:`spans_to_otlp` — durable **service spans** (the
-  ``spans.jsonl`` rows written by :mod:`repro.service.spanlog`):
-  client submissions and worker deliveries, including deliveries
-  interrupted by a crash (no end row → the span is exported with an
-  ``repro.interrupted`` attribute and zero duration, so the trace
-  tree still shows the dead incarnation's attempt).
+* :func:`spans_to_otlp` — durable **service spans** (the start/end
+  rows :meth:`repro.service.queue.DurableQueue.span_rows` rebuilds
+  from the queue's provenance log): client submissions and worker
+  deliveries, including deliveries interrupted by a crash (no end row
+  → the span is exported with an ``repro.interrupted`` attribute and
+  zero duration, so the trace tree still shows the dead incarnation's
+  attempt).
 
 :func:`merge_otlp` concatenates resource groups from several
 producers into one document — the ``repro trace --service`` view of
@@ -148,8 +149,9 @@ def spans_to_otlp(
     *,
     resource: Optional[Mapping[str, Any]] = None,
 ) -> dict[str, Any]:
-    """Durable service span rows (see :mod:`repro.service.spanlog`)
-    as an OTLP/JSON document.  Rows are start/end pairs keyed by span
+    """Durable service span rows (see
+    :meth:`repro.service.queue.DurableQueue.span_rows`) as an OTLP/JSON
+    document.  Rows are start/end pairs keyed by span
     id; a start without an end is an **interrupted** span (the writing
     process died mid-delivery) and is exported with zero duration and
     ``repro.interrupted = true``."""

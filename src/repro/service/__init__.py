@@ -11,7 +11,9 @@ Layout
 ------
 :mod:`repro.service.db`
     The durability substrate: WAL-mode sqlite, per-thread connections,
-    single-transaction state transitions.
+    single-transaction state transitions.  Each fact is written once:
+    leases are columns of the task row, and the provenance log is the
+    one event log the counters and spans are views of.
 :mod:`repro.service.queue`
     :class:`DurableQueue` — submit / claim-under-lease / heartbeat /
     complete / fail / cancel / reprioritize, multi-tenant fair-share
@@ -21,14 +23,16 @@ Layout
     Worker pool pulling leased tasks into an embedded ``Runtime``.
 :mod:`repro.service.server`
     :class:`QueueService` — owns db + runtime + workers + sweeper,
-    graceful drain on ``SIGTERM``, cold-start crash recovery.
+    graceful drain on ``SIGTERM``, cold-start crash recovery;
+    ``export_service_otlp`` exports a data directory's spans.
 :mod:`repro.service.client`
     :class:`ServiceClient` — the submit/query/cancel/reprioritize API
     (works from any process; the sqlite file is the wire).
 :mod:`repro.service.chaos`
-    Seeded crash/chaos harness shared by the tests and the CI smoke.
+    Seeded crash/chaos scenarios run by ``tests/service/test_chaos.py``.
 :mod:`repro.service.demo`
-    Importable demo tasks driven by ``repro submit`` and the smoke.
+    Importable demo tasks driven by ``repro submit`` and the chaos
+    scenarios.
 """
 
 from repro.service.client import ServiceClient, ServiceTaskError

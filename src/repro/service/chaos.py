@@ -1,7 +1,7 @@
 """Seeded chaos harness for the queue service.
 
-Two scenarios, shared verbatim by the pytest chaos suite and the
-``check.sh service`` CI smoke (:mod:`scripts.service_smoke`):
+Three scenarios, run by the pytest chaos suite
+(``tests/service/test_chaos.py``, which ``check.sh service`` runs):
 
 ``run_crash_recovery_scenario``
     The full kill-9 path, cross-process: a real server subprocess
@@ -22,8 +22,8 @@ Two scenarios, shared verbatim by the pytest chaos suite and the
     interrupted delivery, the recovered incarnation's completed
     delivery, and the embedded runtime's task span with its pid.
 
-Both verify the two invariants the service exists for, via the results
-table and the provenance log: **zero lost tasks** (every submission
+The first two verify the invariants the service exists for, via the
+results table and the provenance log: **zero lost tasks** (every submission
 reaches ``done``) and **zero duplicate side-effecting executions**
 (each task's effect line appears exactly once).
 """
@@ -290,7 +290,7 @@ def run_traced_recovery_scenario(
     survive a ``kill -9``.
 
     A client submits a task that stalls on a marker file; server A
-    claims it (writing the delivery's durable start span) and is
+    claims it (its ``leased`` row starts the delivery span) and is
     ``SIGKILL``-ed mid-delivery; server B recovers the lease from the
     WAL, redelivers, and drains.  The exported OTLP document must show
     **one trace** containing the client's submit span, server A's
@@ -364,7 +364,7 @@ def run_traced_recovery_scenario(
 
     # Walk the exported OTLP document: one trace, four span roles.
     from repro.runtime.otlp import iter_spans, span_attributes
-    from repro.service.spanlog import export_service_otlp
+    from repro.service.server import export_service_otlp
 
     document = export_service_otlp(data_dir)
     details["otlp"] = document
@@ -452,7 +452,6 @@ def run_lease_expiry_scenario(
             workers=2,
             lease_timeout=lease_timeout,
             poll_interval=0.02,
-            sweep_interval=lease_timeout / 4,
             jitter_seed=seed,
         )
     )

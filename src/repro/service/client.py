@@ -31,7 +31,6 @@ from repro.runtime import checkpoint as ckpt
 from repro.runtime.tracectx import new_trace
 from repro.service.db import Database
 from repro.service.queue import DEFAULT_TENANT, TERMINAL_STATES, DurableQueue
-from repro.service.spanlog import SpanLog
 
 __all__ = ["ServiceClient", "ServiceTaskError", "task_reference", "submission_signature"]
 
@@ -110,7 +109,6 @@ class ServiceClient:
         self.data_dir = Path(data_dir)
         self.db = Database(self.data_dir / "queue.db")
         self.queue = DurableQueue(self.db)
-        self._spans = SpanLog(self.data_dir)
 
     def close(self) -> None:
         self.db.close()
@@ -153,9 +151,8 @@ class ServiceClient:
         payload = pickle.dumps((tuple(args), dict(kwargs)))
         # Every submission roots a distributed trace.  The header rides
         # the durable task row (surviving leases, redeliveries and
-        # server crashes); the instantaneous "submit" span lands in the
-        # durable span log so the exported trace starts at the client.
-        ctx = new_trace()
+        # server crashes); its "submitted" provenance row is the
+        # trace's instantaneous "submit" span.
         task_id = self.queue.submit(
             tenant=tenant,
             name=name,
@@ -166,10 +163,7 @@ class ServiceClient:
             priority=priority,
             max_retries=max_retries,
             delay=delay,
-            trace_ctx=ctx.to_header(),
-        )
-        self._spans.point(
-            ctx, "submit", task_id=task_id, tenant=tenant, task=name
+            trace_ctx=new_trace().to_header(),
         )
         return task_id
 

@@ -1,8 +1,11 @@
 """Durability substrate of the task-queue service.
 
-One sqlite3 file in WAL mode is the whole persistent state: tasks,
-leases, results, tenants, provenance and durable counters.  WAL gives
-the two properties the service is built on:
+One sqlite3 file in WAL mode is the whole persistent state: tasks
+(each with its lease, if any), results, tenants and provenance.  Every
+fact is written once: a lease is columns of its task row, and the
+provenance log is the service's one event log — the operation counters
+and the service's spans are views of it.  WAL gives the two properties
+the service is built on:
 
 * **crash atomicity** — every queue state transition executes inside a
   single ``BEGIN IMMEDIATE`` transaction, so a ``kill -9`` at any
@@ -27,7 +30,7 @@ from pathlib import Path
 
 __all__ = ["Database", "SCHEMA_VERSION"]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _SCHEMA = f"""
 CREATE TABLE IF NOT EXISTS meta (
@@ -60,19 +63,16 @@ CREATE TABLE IF NOT EXISTS tasks (
     cancel_requested INTEGER NOT NULL DEFAULT 0,
     submitted_at     REAL NOT NULL,
     updated_at       REAL NOT NULL,
-    trace_ctx        TEXT                     -- traceparent header of the submission
+    trace_ctx        TEXT,                    -- traceparent header of the submission
+    -- the lease: set by claim, cleared by the UPDATE that leaves 'leased'
+    worker           TEXT,
+    server           TEXT,                    -- server incarnation id
+    holder_pid       INTEGER,                 -- pid of the claiming process
+    expires_at       REAL,
+    heartbeats       INTEGER NOT NULL DEFAULT 0
 );
 CREATE INDEX IF NOT EXISTS idx_tasks_claim
     ON tasks (state, tenant, priority DESC, id);
-
-CREATE TABLE IF NOT EXISTS leases (
-    task_id      INTEGER PRIMARY KEY REFERENCES tasks(id),
-    worker       TEXT NOT NULL,
-    server       TEXT NOT NULL,              -- server incarnation id
-    acquired_at  REAL NOT NULL,
-    expires_at   REAL NOT NULL,
-    heartbeat_at REAL NOT NULL
-);
 
 CREATE TABLE IF NOT EXISTS results (
     signature   TEXT PRIMARY KEY,            -- idempotency: one result per signature
@@ -89,12 +89,8 @@ CREATE TABLE IF NOT EXISTS provenance (
     task_id INTEGER,
     event   TEXT NOT NULL,
     detail  TEXT NOT NULL DEFAULT '',
-    at      REAL NOT NULL
-);
-
-CREATE TABLE IF NOT EXISTS counters (
-    name  TEXT PRIMARY KEY,
-    value INTEGER NOT NULL DEFAULT 0
+    at      REAL NOT NULL,
+    span_ctx TEXT                    -- traceparent of the delivery span it starts or ends
 );
 
 -- Store-segment prefixes of live server incarnations, so a cold start
@@ -107,6 +103,19 @@ CREATE TABLE IF NOT EXISTS store_prefixes (
     registered_at REAL NOT NULL
 );
 """
+
+#: Columns later schemas added to existing tables, for :meth:`Database._migrate`.
+_ADDED_COLUMNS = {
+    "tasks": (
+        "trace_ctx TEXT",
+        "worker TEXT",
+        "server TEXT",
+        "holder_pid INTEGER",
+        "expires_at REAL",
+        "heartbeats INTEGER NOT NULL DEFAULT 0",
+    ),
+    "provenance": ("span_ctx TEXT",),
+}
 
 
 class Database:
@@ -140,10 +149,22 @@ class Database:
     def _migrate(conn: sqlite3.Connection) -> None:
         """In-place column additions for databases created by older
         code (``CREATE TABLE IF NOT EXISTS`` never alters an existing
-        table).  Additive and idempotent, like the schema itself."""
-        cols = {row[1] for row in conn.execute("PRAGMA table_info(tasks)")}
-        if "trace_ctx" not in cols:
-            conn.execute("ALTER TABLE tasks ADD COLUMN trace_ctx TEXT")
+        table).  Additive and idempotent, like the schema itself.  The
+        ``counters`` and ``leases`` tables of schema 1 are left alone
+        and never read; a task such a database shows ``leased`` has no
+        recorded holder, so recovery treats it as dead."""
+        added = False
+        for table, columns in _ADDED_COLUMNS.items():
+            have = {row[1] for row in conn.execute(f"PRAGMA table_info({table})")}
+            for column in columns:
+                if column.split()[0] not in have:
+                    conn.execute(f"ALTER TABLE {table} ADD COLUMN {column}")
+                    added = True
+        if added:
+            conn.execute(
+                "UPDATE meta SET value = ? WHERE key = 'schema_version'",
+                (str(SCHEMA_VERSION),),
+            )
 
     # -- connections ----------------------------------------------------
     def connect(self) -> sqlite3.Connection:

@@ -18,6 +18,14 @@ up and reports after its redelivery already completed, the duplicate
 is discarded — never double-recorded — and a redelivered task whose
 result already exists is resolved without re-running the body.
 
+A lease is four columns of its task row (worker, server, holder pid,
+``expires_at``), written by :meth:`~DurableQueue.claim` and cleared by
+the same ``UPDATE`` that moves the task out of ``leased``.  The
+``provenance`` table is the one event log: every transition appends
+one row, :meth:`~DurableQueue.stats` counts them (each counter is one
+event), and :meth:`~DurableQueue.span_rows` rebuilds the service's
+``submit`` and ``deliver`` spans from them.
+
 Claiming is multi-tenant fair-share: among tenants with deliverable
 work and lease headroom under their quota, the one with the lowest
 ``active_leases / weight`` share is served first; within a tenant,
@@ -29,10 +37,12 @@ it runs.
 from __future__ import annotations
 
 import dataclasses
+import os
 import time
 from typing import Any, Callable
 
 from repro.runtime.failures import retry_delay
+from repro.runtime.tracectx import TraceContext
 from repro.service.db import Database
 
 __all__ = ["ClaimedTask", "DurableQueue", "TERMINAL_STATES"]
@@ -41,6 +51,75 @@ __all__ = ["ClaimedTask", "DurableQueue", "TERMINAL_STATES"]
 TERMINAL_STATES = frozenset({"done", "failed", "cancelled"})
 
 DEFAULT_TENANT = "default"
+
+#: ``stats()["counters"]``: each counter counts the provenance rows of
+#: one event (``heartbeats`` alone is a column, summed over tasks).
+_COUNTER_EVENTS = {
+    "submitted": "submissions",
+    "duplicate_submission": "duplicate_submissions",
+    "leased": "claims",
+    "completed": "completions",
+    "failed": "failures",
+    "duplicate_discarded": "duplicates_discarded",
+    "deduplicated": "dedup_skips",
+    "stale_failure_ignored": "stale_reports",
+    "requeued": "redeliveries",
+    "lease_expired": "lease_expirations",
+    "recovered": "recoveries",
+    "cancelled": "cancellations",
+    "reprioritized": "reprioritizations",
+}
+
+#: Status a worker's report gives the delivery span it ends; any other
+#: reporting event (a failure, requeued or not) ends it as failed.
+_SPAN_STATUS = {"completed": "ok", "duplicate_discarded": "ok", "deduplicated": "dedup"}
+
+#: Clears the lease columns; part of every UPDATE that leaves 'leased'.
+_RELEASE = "worker = NULL, server = NULL, holder_pid = NULL, expires_at = NULL"
+
+
+def _pid_alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:  # pragma: no cover - exists, owned elsewhere
+        return True
+    except OSError:
+        return False
+    return True
+
+
+def _delivery_context(trace_ctx: str | None) -> str | None:
+    """Traceparent of a new delivery span: a child of the submission's
+    context (None for untraced or malformed submissions)."""
+    if not trace_ctx:
+        return None
+    try:
+        return TraceContext.from_header(trace_ctx).child().to_header()
+    except ValueError:
+        return None
+
+
+def _start_row(ctx: TraceContext, name: str, parent: str | None, at: float, attributes) -> dict:
+    return {
+        "event": "start", "trace_id": ctx.trace_id, "span_id": ctx.span_id,
+        "parent_id": parent, "name": name, "t_start": at, "attributes": attributes,
+    }
+
+
+def _end_row(ctx: TraceContext, at: float, status: str) -> dict:
+    return {"event": "end", "span_id": ctx.span_id, "t_end": at, "status": status}
+
+
+def _detail_fields(detail: str) -> dict[str, Any]:
+    """``key=value`` words of a provenance detail (digits as ints)."""
+    fields: dict[str, Any] = {}
+    for word in detail.split():
+        key, sep, value = word.partition("=")
+        if sep:
+            fields[key] = int(value) if value.isdigit() else value
+    return fields
 
 
 @dataclasses.dataclass(frozen=True)
@@ -64,6 +143,10 @@ class ClaimedTask:
     #: server incarnations because it lives in the ``tasks`` row, not
     #: in any process's memory.
     trace_ctx: str | None = None
+    #: Traceparent of this delivery's span, a child of ``trace_ctx``
+    #: recorded on the ``leased`` provenance row.  The worker hands it
+    #: back with its report, whose row ends the span.
+    span_ctx: str | None = None
 
 
 class DurableQueue:
@@ -96,18 +179,18 @@ class DurableQueue:
         return self._clock()
 
     @staticmethod
-    def _bump(conn, counter: str, by: int = 1) -> None:
+    def _log(
+        conn,
+        task_id: int | None,
+        event: str,
+        detail: str,
+        at: float,
+        span_ctx: str | None = None,
+    ) -> None:
         conn.execute(
-            "INSERT INTO counters (name, value) VALUES (?, ?) "
-            "ON CONFLICT(name) DO UPDATE SET value = value + excluded.value",
-            (counter, by),
-        )
-
-    @staticmethod
-    def _log(conn, task_id: int | None, event: str, detail: str, at: float) -> None:
-        conn.execute(
-            "INSERT INTO provenance (task_id, event, detail, at) VALUES (?, ?, ?, ?)",
-            (task_id, event, detail, at),
+            "INSERT INTO provenance (task_id, event, detail, at, span_ctx) "
+            "VALUES (?, ?, ?, ?, ?)",
+            (task_id, event, detail, at, span_ctx),
         )
 
     def _redelivery_delay(self, name: str, task_id: int, attempt: int) -> float:
@@ -128,30 +211,31 @@ class DurableQueue:
         conn,
         row,
         *,
-        event: str,
         detail: str,
         now: float,
         charge_attempt: bool,
         error_on_bury: str,
+        span_ctx: str | None = None,
     ) -> str:
         """Shared tail of the three redelivery paths (worker failure,
         lease expiry, crash recovery): drop the lease and either requeue
         with backoff, bury as failed when attempts are exhausted, or
-        finalize a pending cancellation.  Callers hold the transaction."""
+        finalize a pending cancellation — one outcome row each.  Callers
+        hold the transaction."""
         task_id = row["id"]
-        conn.execute("DELETE FROM leases WHERE task_id = ?", (task_id,))
         if row["cancel_requested"]:
             conn.execute(
-                "UPDATE tasks SET state = 'cancelled', updated_at = ? WHERE id = ?",
+                f"UPDATE tasks SET state = 'cancelled', {_RELEASE}, updated_at = ? "
+                "WHERE id = ?",
                 (now, task_id),
             )
-            self._bump(conn, "cancellations")
-            self._log(conn, task_id, "cancelled", detail, now)
+            self._log(conn, task_id, "cancelled", detail, now, span_ctx)
             return "cancelled"
         attempt = row["attempt"] + 1 if charge_attempt else row["attempt"]
         if charge_attempt and attempt > row["max_retries"]:
             conn.execute(
-                "UPDATE tasks SET state = 'failed', updated_at = ? WHERE id = ?",
+                f"UPDATE tasks SET state = 'failed', {_RELEASE}, updated_at = ? "
+                "WHERE id = ?",
                 (now, task_id),
             )
             conn.execute(
@@ -160,17 +244,18 @@ class DurableQueue:
                 "VALUES (?, ?, 'error', ?, NULL, ?, ?)",
                 (row["signature"], task_id, error_on_bury.encode(), row["attempt"], now),
             )
-            self._bump(conn, "failures")
-            self._log(conn, task_id, "failed", error_on_bury, now)
+            self._log(conn, task_id, "failed", error_on_bury, now, span_ctx)
             return "failed"
         delay = self._redelivery_delay(row["name"], task_id, attempt) if charge_attempt else 0.0
         conn.execute(
-            "UPDATE tasks SET state = 'queued', attempt = ?, not_before = ?, "
+            f"UPDATE tasks SET state = 'queued', attempt = ?, not_before = ?, {_RELEASE}, "
             "updated_at = ? WHERE id = ?",
             (attempt, now + delay, now, task_id),
         )
-        self._bump(conn, "redeliveries")
-        self._log(conn, task_id, event, detail + f" redelivery_delay={delay:.4f}s", now)
+        self._log(
+            conn, task_id, "requeued", detail + f" redelivery_delay={delay:.4f}s", now,
+            span_ctx,
+        )
         return "requeued"
 
     # -- tenants --------------------------------------------------------
@@ -230,7 +315,6 @@ class DurableQueue:
                 "SELECT id FROM tasks WHERE signature = ?", (signature,)
             ).fetchone()
             if existing is not None:
-                self._bump(conn, "duplicate_submissions")
                 self._log(conn, existing["id"], "duplicate_submission", name, now)
                 return int(existing["id"])
             conn.execute(
@@ -259,7 +343,6 @@ class DurableQueue:
                 ),
             )
             task_id = int(cur.lastrowid)
-            self._bump(conn, "submissions")
             self._log(conn, task_id, "submitted", f"tenant={tenant} name={name}", now)
             return task_id
 
@@ -273,9 +356,10 @@ class DurableQueue:
         (``not_before`` elapsed) and active leases under their quota,
         pick the lowest ``active / weight`` share (ties: fewest active,
         then name).  Task selection within the tenant: highest
-        priority, then FIFO.  The state flip and lease insert commit in
-        the same transaction as the selection — two workers can never
-        claim one task.
+        priority, then FIFO.  The lease (held by this process's pid)
+        commits in the same transaction as the selection — two workers
+        can never claim one task.  The ``leased`` row carries the new
+        delivery span's context.
         """
         now = self._now()
         with self.db.transaction() as conn:
@@ -316,22 +400,20 @@ class DurableQueue:
             if task is None:  # pragma: no cover - backlog counted above
                 return None
             expires = now + lease_timeout
+            pid = os.getpid()
+            span_ctx = _delivery_context(task["trace_ctx"])
             conn.execute(
-                "UPDATE tasks SET state = 'leased', updated_at = ? WHERE id = ?",
-                (now, task["id"]),
+                "UPDATE tasks SET state = 'leased', worker = ?, server = ?, "
+                "holder_pid = ?, expires_at = ?, updated_at = ? WHERE id = ?",
+                (worker, server, pid, expires, now, task["id"]),
             )
-            conn.execute(
-                "INSERT INTO leases (task_id, worker, server, acquired_at, expires_at, "
-                "heartbeat_at) VALUES (?, ?, ?, ?, ?, ?)",
-                (task["id"], worker, server, now, expires, now),
-            )
-            self._bump(conn, "claims")
             self._log(
                 conn,
                 task["id"],
                 "leased",
-                f"worker={worker} attempt={task['attempt']}",
+                f"worker={worker} server={server} attempt={task['attempt']} pid={pid}",
                 now,
+                span_ctx,
             )
             return ClaimedTask(
                 id=task["id"],
@@ -346,6 +428,7 @@ class DurableQueue:
                 max_retries=task["max_retries"],
                 lease_expires_at=expires,
                 trace_ctx=task["trace_ctx"],
+                span_ctx=span_ctx,
             )
 
     def heartbeat(self, task_id: int, worker: str, lease_timeout: float) -> bool:
@@ -356,14 +439,11 @@ class DurableQueue:
         now = self._now()
         with self.db.transaction() as conn:
             cur = conn.execute(
-                "UPDATE leases SET heartbeat_at = ?, expires_at = ? "
-                "WHERE task_id = ? AND worker = ?",
-                (now, now + lease_timeout, task_id, worker),
+                "UPDATE tasks SET expires_at = ?, heartbeats = heartbeats + 1 "
+                "WHERE id = ? AND state = 'leased' AND worker = ?",
+                (now + lease_timeout, task_id, worker),
             )
-            ok = cur.rowcount == 1
-            if ok:
-                self._bump(conn, "heartbeats")
-            return ok
+            return cur.rowcount == 1
 
     # -- completion (idempotent) ----------------------------------------
     def lookup_result(self, signature: str) -> dict[str, Any] | None:
@@ -381,6 +461,7 @@ class DurableQueue:
         worker: str,
         attempt: int,
         status: str = "ok",
+        span_ctx: str | None = None,
     ) -> str:
         """Record an execution's outcome idempotently.
 
@@ -389,6 +470,8 @@ class DurableQueue:
         signature already existed (a redelivered twin finished first) —
         the late report is discarded, never double-recorded.  Either
         way the task reaches a terminal state and the lease is freed.
+        *span_ctx* is the delivery's :attr:`ClaimedTask.span_ctx`: the
+        row written here ends that span.
         """
         if status not in ("ok", "error"):
             raise ValueError(f"invalid result status {status!r}")
@@ -397,16 +480,15 @@ class DurableQueue:
             existing = conn.execute(
                 "SELECT signature FROM results WHERE signature = ?", (signature,)
             ).fetchone()
-            conn.execute("DELETE FROM leases WHERE task_id = ?", (task_id,))
             if existing is not None:
                 conn.execute(
-                    "UPDATE tasks SET state = 'done', updated_at = ? "
+                    f"UPDATE tasks SET state = 'done', {_RELEASE}, updated_at = ? "
                     "WHERE id = ? AND state IN ('queued', 'leased')",
                     (now, task_id),
                 )
-                self._bump(conn, "duplicates_discarded")
                 self._log(
-                    conn, task_id, "duplicate_discarded", f"worker={worker}", now
+                    conn, task_id, "duplicate_discarded", f"worker={worker}", now,
+                    span_ctx,
                 )
                 return "duplicate"
             conn.execute(
@@ -416,32 +498,33 @@ class DurableQueue:
             )
             state = "done" if status == "ok" else "failed"
             conn.execute(
-                "UPDATE tasks SET state = ?, updated_at = ? WHERE id = ?",
+                f"UPDATE tasks SET state = ?, {_RELEASE}, updated_at = ? WHERE id = ?",
                 (state, now, task_id),
             )
-            self._bump(conn, "completions" if status == "ok" else "failures")
             self._log(
                 conn, task_id, "completed" if status == "ok" else "failed",
-                f"worker={worker} attempt={attempt}", now,
+                f"worker={worker} attempt={attempt}", now, span_ctx,
             )
             return "recorded"
 
-    def resolve_deduplicated(self, task_id: int, worker: str) -> None:
+    def resolve_deduplicated(
+        self, task_id: int, worker: str, *, span_ctx: str | None = None
+    ) -> None:
         """Finish a redelivered task whose result already exists
         without running it: the dedup fast path."""
         now = self._now()
         with self.db.transaction() as conn:
-            conn.execute("DELETE FROM leases WHERE task_id = ?", (task_id,))
             conn.execute(
-                "UPDATE tasks SET state = 'done', updated_at = ? "
+                f"UPDATE tasks SET state = 'done', {_RELEASE}, updated_at = ? "
                 "WHERE id = ? AND state IN ('queued', 'leased')",
                 (now, task_id),
             )
-            self._bump(conn, "dedup_skips")
-            self._log(conn, task_id, "deduplicated", f"worker={worker}", now)
+            self._log(conn, task_id, "deduplicated", f"worker={worker}", now, span_ctx)
 
     # -- failure & redelivery -------------------------------------------
-    def fail_attempt(self, task_id: int, worker: str, error: str) -> str:
+    def fail_attempt(
+        self, task_id: int, worker: str, error: str, *, span_ctx: str | None = None
+    ) -> str:
         """Report a failed execution.  Requeues with backoff while
         retries remain, buries as ``failed`` (recording an error
         result) when exhausted.  A report from a worker whose lease was
@@ -449,24 +532,21 @@ class DurableQueue:
         the task now."""
         now = self._now()
         with self.db.transaction() as conn:
-            lease = conn.execute(
-                "SELECT worker FROM leases WHERE task_id = ?", (task_id,)
-            ).fetchone()
-            if lease is None or lease["worker"] != worker:
-                self._bump(conn, "stale_reports")
-                self._log(conn, task_id, "stale_failure_ignored", f"worker={worker}", now)
-                return "stale"
             row = conn.execute("SELECT * FROM tasks WHERE id = ?", (task_id,)).fetchone()
-            if row is None or row["state"] != "leased":
+            if row is None or row["state"] != "leased" or row["worker"] != worker:
+                self._log(
+                    conn, task_id, "stale_failure_ignored", f"worker={worker}", now,
+                    span_ctx,
+                )
                 return "stale"
             return self._requeue_or_bury_locked(
                 conn,
                 row,
-                event="requeued",
                 detail=f"failure worker={worker}: {error}",
                 now=now,
                 charge_attempt=True,
                 error_on_bury=error,
+                span_ctx=span_ctx,
             )
 
     def expire_leases(self) -> list[int]:
@@ -478,17 +558,17 @@ class DurableQueue:
         expired: list[int] = []
         with self.db.transaction() as conn:
             rows = conn.execute(
-                "SELECT t.*, l.worker AS lease_worker FROM leases l "
-                "JOIN tasks t ON t.id = l.task_id WHERE l.expires_at < ?",
+                "SELECT * FROM tasks WHERE state = 'leased' AND expires_at < ?",
                 (now,),
             ).fetchall()
             for row in rows:
-                self._bump(conn, "lease_expirations")
+                self._log(
+                    conn, row["id"], "lease_expired", f"worker={row['worker']} went dark", now
+                )
                 self._requeue_or_bury_locked(
                     conn,
                     row,
-                    event="lease_expired",
-                    detail=f"worker={row['lease_worker']} went dark;",
+                    detail="lease expired;",
                     now=now,
                     charge_attempt=True,
                     error_on_bury=f"lease expired on attempt {row['attempt']}",
@@ -497,30 +577,34 @@ class DurableQueue:
         return expired
 
     def recover(self, server: str) -> list[int]:
-        """Cold-start recovery: requeue every task still marked leased
-        in the WAL — their server incarnation is dead, so no execution
-        can report back.  The crash is not the task's fault: no attempt
-        is charged.  Returns the recovered task ids."""
+        """Cold-start recovery: requeue every task leased by a process
+        that is gone — no execution of it can report back.  Leases of
+        live processes (a sibling service on the same data directory)
+        are left alone; a lease with no recorded holder counts as dead.
+        The crash is not the task's fault: no attempt is charged.
+        Returns the recovered task ids."""
         now = self._now()
         recovered: list[int] = []
         with self.db.transaction() as conn:
-            rows = conn.execute(
-                "SELECT t.*, l.server AS lease_server FROM tasks t "
-                "LEFT JOIN leases l ON l.task_id = t.id WHERE t.state = 'leased'"
-            ).fetchall()
+            rows = conn.execute("SELECT * FROM tasks WHERE state = 'leased'").fetchall()
             for row in rows:
-                self._bump(conn, "recoveries")
+                pid = row["holder_pid"]
+                if pid is not None and _pid_alive(pid):
+                    continue
+                self._log(
+                    conn, row["id"], "recovered",
+                    f"dead server={row['server']} pid={pid} new={server}", now,
+                )
                 self._requeue_or_bury_locked(
                     conn,
                     row,
-                    event="recovered",
-                    detail=f"dead server={row['lease_server']} new={server};",
+                    detail="recovered;",
                     now=now,
                     charge_attempt=False,
                     error_on_bury="",
                 )
                 recovered.append(row["id"])
-            self._log(conn, None, "recovery", f"server={server} n={len(rows)}", now)
+            self._log(conn, None, "recovery", f"server={server} n={len(recovered)}", now)
         return recovered
 
     # -- control plane --------------------------------------------------
@@ -542,7 +626,6 @@ class DurableQueue:
                     "updated_at = ? WHERE id = ?",
                     (now, task_id),
                 )
-                self._bump(conn, "cancellations")
                 self._log(conn, task_id, "cancelled", "while queued", now)
                 return "cancelled"
             if row["state"] == "leased":
@@ -566,7 +649,6 @@ class DurableQueue:
             )
             if cur.rowcount != 1:
                 return False
-            self._bump(conn, "reprioritizations")
             self._log(conn, task_id, "reprioritized", f"priority={priority}", now)
             return True
 
@@ -620,10 +702,43 @@ class DurableQueue:
         )
         return int(rows[0]["n"])
 
+    def span_rows(self) -> list[dict[str, Any]]:
+        """The service's spans as start/end rows for
+        :func:`repro.runtime.otlp.spans_to_otlp`, rebuilt from
+        provenance.  A traced task's ``submitted`` row is an
+        instantaneous ``submit`` span (the submission context on the
+        task row); a ``leased`` row starts a ``deliver`` span under it
+        and the worker's report carrying the same context ends it.  A
+        delivery nobody reported on (its process died) has no end row
+        and exports as interrupted."""
+        rows: list[dict[str, Any]] = []
+        for row in self.db.query(
+            "SELECT p.task_id, p.event, p.detail, p.at, p.span_ctx, t.name, t.tenant, "
+            "t.trace_ctx FROM provenance p JOIN tasks t ON t.id = p.task_id "
+            "WHERE t.trace_ctx IS NOT NULL "
+            "AND (p.event = 'submitted' OR p.span_ctx IS NOT NULL) ORDER BY p.seq"
+        ):
+            try:
+                submit = TraceContext.from_header(row["trace_ctx"])
+                delivery = row["span_ctx"] and TraceContext.from_header(row["span_ctx"])
+            except ValueError:
+                continue
+            event, at = row["event"], row["at"]
+            attributes = {"task_id": row["task_id"], "task": row["name"], "tenant": row["tenant"]}
+            if event == "submitted":
+                rows.append(_start_row(submit, "submit", None, at, attributes))
+                rows.append(_end_row(submit, at, "ok"))
+            elif event == "leased":
+                attributes.update(_detail_fields(row["detail"]))
+                rows.append(_start_row(delivery, "deliver", submit.span_id, at, attributes))
+            else:
+                rows.append(_end_row(delivery, at, _SPAN_STATUS.get(event, "failed")))
+        return rows
+
     def stats(self) -> dict[str, Any]:
         """Snapshot for the metrics surface: per-tenant state counts
-        plus the durable operation counters (shaped for
-        :func:`repro.runtime.observability.merge_service_stats`)."""
+        plus the operation counters, a view of the provenance log
+        (shaped for :func:`repro.runtime.observability.merge_service_stats`)."""
         tenants: dict[str, dict[str, int]] = {
             name: {} for name in self.tenants()
         }
@@ -632,7 +747,13 @@ class DurableQueue:
         ):
             tenants.setdefault(row["tenant"], {})[row["state"]] = row["n"]
         counters = {
-            row["name"]: row["value"]
-            for row in self.db.query("SELECT name, value FROM counters")
+            _COUNTER_EVENTS[row["event"]]: row["n"]
+            for row in self.db.query(
+                "SELECT event, COUNT(*) AS n FROM provenance GROUP BY event"
+            )
+            if row["event"] in _COUNTER_EVENTS
         }
+        heartbeats = self.db.query("SELECT SUM(heartbeats) AS n FROM tasks")[0]["n"]
+        if heartbeats:
+            counters["heartbeats"] = heartbeats
         return {"tenants": tenants, "counters": counters}

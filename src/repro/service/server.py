@@ -4,10 +4,11 @@
 directory::
 
     data_dir/
-      queue.db      the WAL-mode queue (repro.service.db)
+      queue.db      the WAL-mode queue (repro.service.db); its provenance
+                    log is also the service's span log
       spill/        the object store's disk tier, one subdir per prefix
-      spans.jsonl   the durable span log (repro.service.spanlog)
       traces/       one OTLP document per drained incarnation's runtime
+      flightrec/    flight-recorder dumps (SIGTERM, kill, abort)
 
 Lifecycle — both exits are first-class, chaos-tested paths:
 
@@ -16,24 +17,26 @@ Lifecycle — both exits are first-class, chaos-tested paths:
   into the main file.
 * **Crash** (``kill -9``): nothing runs; the next :meth:`start` is the
   recovery path.  Cold-start recovery happens *before* any new work is
-  leased: every task the WAL still shows leased is requeued (the dead
-  incarnation can never report back), and shared-memory/spill segments
-  of dead incarnations are swept via the store's prefix-scoped orphan
-  logic — each incarnation registers its store prefix durably, and
-  only prefixes whose recorded pid is gone are swept, so two live
-  services sharing spill directories never collect each other.
+  leased: every task the WAL shows leased by a process that is gone is
+  requeued (the dead incarnation can never report back), and
+  shared-memory/spill segments of dead incarnations are swept via the
+  store's prefix-scoped orphan logic — each incarnation registers its
+  store prefix durably.  Both go by the recorded pid, so two live
+  services on one data directory never take each other's leases or
+  collect each other's segments.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
 import os
 import signal
 import threading
 import time
 import uuid
 from pathlib import Path
-from typing import Any
+from typing import Any, Mapping, Optional
 
 from repro.runtime import flightrec
 from repro.runtime import observability as obs
@@ -43,13 +46,15 @@ from repro.runtime.engine import Runtime
 from repro.runtime.store import sweep_prefix
 from repro.runtime.structlog import get_logger
 from repro.service.db import Database
-from repro.service.queue import DurableQueue
-from repro.service.spanlog import TRACES_DIR, SpanLog
+from repro.service.queue import DurableQueue, _pid_alive
 from repro.service.worker import ServiceWorkerPool
 
 _log = get_logger("repro.service.server")
 
-__all__ = ["QueueService", "ServiceConfig"]
+__all__ = ["QueueService", "ServiceConfig", "export_service_otlp"]
+
+QUEUE_DB = "queue.db"
+TRACES_DIR = "traces"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -63,14 +68,11 @@ class ServiceConfig:
     #: data plane).
     backend: str = "threads"
     #: Lease duration; a delivery that misses heartbeats for this long
-    #: is presumed dead and redelivered.
+    #: is presumed dead and redelivered.  Leases are extended every
+    #: ``lease_timeout / 3`` and swept every ``lease_timeout / 2``.
     lease_timeout: float = 5.0
-    #: Lease-extension period (default: lease_timeout / 3).
-    heartbeat_interval: float | None = None
     #: Worker idle poll (the sqlite file is the signalling channel).
     poll_interval: float = 0.05
-    #: Lease-expiry sweep period (default: lease_timeout / 2).
-    sweep_interval: float | None = None
     default_max_retries: int = 2
     retry_backoff: float = 0.05
     retry_backoff_cap: float = 2.0
@@ -85,16 +87,35 @@ class ServiceConfig:
             raise ValueError("poll_interval must be > 0")
 
 
-def _pid_alive(pid: int) -> bool:
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:  # pragma: no cover - exists, owned elsewhere
-        return True
-    except OSError:
-        return False
-    return True
+def export_service_otlp(
+    data_dir: str | os.PathLike,
+    *,
+    resource: Optional[Mapping[str, Any]] = None,
+) -> dict[str, Any]:
+    """The full OTLP document of one service data directory: the
+    ``submit``/``deliver`` spans rebuilt from the queue's provenance
+    log, merged with the OTLP document each drained server incarnation
+    saved of its runtime trace.  A ``trace-*.json`` that is unreadable
+    or not an OTLP document is skipped; a directory without a queue
+    yields no service spans and is left untouched."""
+    data_dir = Path(data_dir)
+    documents = []
+    if (data_dir / QUEUE_DB).exists():
+        db = Database(data_dir / QUEUE_DB)
+        try:
+            rows = DurableQueue(db).span_rows()
+        finally:
+            db.close()
+        documents.append(otlp.spans_to_otlp(rows, resource=resource))
+    for path in sorted((data_dir / TRACES_DIR).glob("trace-*.json")):
+        try:
+            with open(path, encoding="utf-8") as fh:
+                document = json.load(fh)
+        except (OSError, json.JSONDecodeError):
+            continue
+        if isinstance(document, dict) and isinstance(document.get("resourceSpans"), list):
+            documents.append(document)
+    return otlp.merge_otlp(*documents)
 
 
 class QueueService:
@@ -105,7 +126,7 @@ class QueueService:
         self.data_dir = Path(config.data_dir)
         self.data_dir.mkdir(parents=True, exist_ok=True)
         self.server_id = f"{os.getpid():x}-{uuid.uuid4().hex[:8]}"
-        self.db = Database(self.data_dir / "queue.db")
+        self.db = Database(self.data_dir / QUEUE_DB)
         self.queue = DurableQueue(
             self.db,
             default_max_retries=config.default_max_retries,
@@ -149,9 +170,7 @@ class QueueService:
             server_id=self.server_id,
             n_workers=cfg.workers,
             lease_timeout=cfg.lease_timeout,
-            heartbeat_interval=cfg.heartbeat_interval,
             poll_interval=cfg.poll_interval,
-            spanlog=SpanLog(self.data_dir),
         )
         self.pool.start()
         self._sweeper = threading.Thread(
@@ -202,12 +221,7 @@ class QueueService:
             )
 
     def _sweep_loop(self) -> None:
-        interval = (
-            self.config.sweep_interval
-            if self.config.sweep_interval is not None
-            else self.config.lease_timeout / 2.0
-        )
-        while not self._stop.wait(interval):
+        while not self._stop.wait(self.config.lease_timeout / 2.0):
             try:
                 self.queue.expire_leases()
             except Exception:  # noqa: BLE001 - next sweep retries
@@ -250,10 +264,9 @@ class QueueService:
     def _save_runtime_trace(self) -> None:
         """Persist this incarnation's runtime trace as an OTLP document
         under ``traces/trace-<server_id>.json``, which
-        :func:`repro.service.spanlog.export_service_otlp` merges with
-        the durable service spans.  ``wall_t0`` anchors the trace's
-        monotonic timestamps to the wall clock; the resource names the
-        server and its pid."""
+        :func:`export_service_otlp` merges with the service's spans.
+        ``wall_t0`` anchors the trace's monotonic timestamps to the wall
+        clock; the resource names the server and its pid."""
         assert self.runtime is not None
         try:
             document = otlp.trace_to_otlp(

@@ -23,7 +23,6 @@ meanwhile is resolved without running the body again.
 from __future__ import annotations
 
 import inspect
-import os
 import pickle
 import threading
 import traceback
@@ -34,7 +33,6 @@ from repro.runtime.failures import TaskOptions
 from repro.runtime.model import Constraints, TaskSpec
 from repro.runtime.tracectx import TraceContext, use_context
 from repro.service.queue import ClaimedTask, DurableQueue
-from repro.service.spanlog import SpanLog
 
 __all__ = ["ServiceWorkerPool"]
 
@@ -53,9 +51,7 @@ class ServiceWorkerPool:
         server_id: str,
         n_workers: int = 2,
         lease_timeout: float = 5.0,
-        heartbeat_interval: float | None = None,
         poll_interval: float = 0.05,
-        spanlog: SpanLog | None = None,
     ):
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
@@ -66,9 +62,7 @@ class ServiceWorkerPool:
         self.server_id = server_id
         self.n_workers = int(n_workers)
         self.lease_timeout = float(lease_timeout)
-        self.heartbeat_interval = (
-            lease_timeout / 3.0 if heartbeat_interval is None else float(heartbeat_interval)
-        )
+        self.heartbeat_interval = self.lease_timeout / 3.0
         self.poll_interval = float(poll_interval)
         self._threads: list[threading.Thread] = []
         self._heartbeater: threading.Thread | None = None
@@ -76,9 +70,6 @@ class ServiceWorkerPool:
         self._draining = threading.Event()
         self._active: dict[int, str] = {}  # task_id -> worker name
         self._active_lock = threading.Lock()
-        #: Durable span log (the server passes one over its data dir);
-        #: None disables delivery spans.
-        self._spans = spanlog
         self._spec_cache: dict[tuple[str, str], TaskSpec] = {}
         #: Chaos/test hook: called with the :class:`ClaimedTask` after
         #: the claim but *before* the dedup check — stalling here
@@ -191,79 +182,50 @@ class ServiceWorkerPool:
             self._spec_cache[key] = spec
         return spec
 
-    def _delivery_context(self, claim: ClaimedTask) -> TraceContext | None:
-        """The delivery span's context: a child of the submission
-        context that rode the durable task row.  The start row is
-        written *before* the body runs, so a delivery interrupted by a
-        crash exports as an interrupted span of this incarnation."""
-        if self._spans is None or not claim.trace_ctx:
-            return None
-        try:
-            parent = TraceContext.from_header(claim.trace_ctx)
-        except ValueError:
-            return None
-        return parent.child()
-
     def _process(self, claim: ClaimedTask, worker: str) -> None:
-        ctx = self._delivery_context(claim)
-        if ctx is not None:
-            self._spans.start(
-                ctx,
-                "deliver",
-                task_id=claim.id,
-                task=claim.name,
-                tenant=claim.tenant,
-                server=self.server_id,
-                worker=worker,
-                attempt=claim.attempt,
-                pid=os.getpid(),
-            )
-        status = "ok"
+        # Every report hands back the delivery's span context: the
+        # queue's row for it ends the span claim() started.
+        span_ctx = claim.span_ctx
+        hook = self.before_execute
+        if hook is not None:
+            hook(claim)
+        # Idempotency fast path: a redelivered task whose first
+        # delivery already recorded a result is *deduplicated, not
+        # re-run* — no side effect happens twice.
+        if self.queue.lookup_result(claim.signature) is not None:
+            self.queue.resolve_deduplicated(claim.id, worker, span_ctx=span_ctx)
+            return
         try:
-            hook = self.before_execute
-            if hook is not None:
-                hook(claim)
-            # Idempotency fast path: a redelivered task whose first
-            # delivery already recorded a result is *deduplicated, not
-            # re-run* — no side effect happens twice.
-            if self.queue.lookup_result(claim.signature) is not None:
-                self.queue.resolve_deduplicated(claim.id, worker)
-                status = "dedup"
-                return
-            try:
-                args, kwargs = pickle.loads(claim.payload)
-                spec = self._spec_for(claim)
-                # Ambient context around the embedded runtime: the
-                # task's TaskRecord span becomes a child of this
-                # delivery, joining the client's trace.
-                with use_context(ctx):
-                    future = self.runtime.submit(
-                        spec,
-                        tuple(args),
-                        dict(kwargs),
-                        options=TaskOptions(max_retries=0),
-                        initial_attempt=claim.attempt,
-                    )
-                    value = self.runtime.wait_on(future)
-            except BaseException as exc:  # noqa: BLE001 - reported to the queue
-                cause = exc.__cause__ if exc.__cause__ is not None else exc
-                error = f"{type(cause).__name__}: {cause}"
-                if not str(cause):
-                    error = f"{type(cause).__name__}: {traceback.format_exc(limit=3)}"
-                self.queue.fail_attempt(claim.id, worker, error)
-                status = "failed"
-                return
-            self.queue.complete(
-                claim.id,
-                claim.signature,
-                payload=_encode_result(value),
-                worker=worker,
-                attempt=claim.attempt,
-                status="ok",
-            )
-        finally:
-            if ctx is not None:
-                self._spans.end(ctx, status=status)
+            args, kwargs = pickle.loads(claim.payload)
+            spec = self._spec_for(claim)
+            # Ambient context around the embedded runtime: the task's
+            # TaskRecord span becomes a child of this delivery, joining
+            # the client's trace.
+            with use_context(span_ctx and TraceContext.from_header(span_ctx)):
+                future = self.runtime.submit(
+                    spec,
+                    tuple(args),
+                    dict(kwargs),
+                    options=TaskOptions(max_retries=0),
+                    initial_attempt=claim.attempt,
+                )
+                value = self.runtime.wait_on(future)
+        except BaseException as exc:  # noqa: BLE001 - reported to the queue
+            cause = exc.__cause__ if exc.__cause__ is not None else exc
+            error = f"{type(cause).__name__}: {cause}"
+            if not str(cause):
+                error = f"{type(cause).__name__}: {traceback.format_exc(limit=3)}"
+            self.queue.fail_attempt(claim.id, worker, error, span_ctx=span_ctx)
+            return
+        self.queue.complete(
+            claim.id,
+            claim.signature,
+            payload=_encode_result(value),
+            worker=worker,
+            attempt=claim.attempt,
+            status="ok",
+            span_ctx=span_ctx,
+        )
 
 
 def _encode_result(value: Any) -> bytes:

@@ -1,11 +1,10 @@
 """Bounded streams: the data plane of :mod:`repro.streaming`.
 
 A :class:`Stream` is a bounded multi-producer/multi-consumer channel
-with credit-based backpressure: the stream starts with ``capacity``
-credits, every :meth:`put` consumes one (blocking while none are left)
-and every :meth:`get` returns one.  ``credits + depth == capacity`` is
-a hard invariant — :meth:`slots_leaked` is the streaming tests' leak
-detector.
+with credit-based backpressure: a producer holds a credit for every
+free slot, ``capacity - depth``, and :meth:`put` blocks while there is
+none.  Credits are derived from the queue, never counted on their own,
+so no path can leak one.
 
 Streams transport three element kinds:
 
@@ -21,7 +20,7 @@ Streams transport three element kinds:
   is ever cut off by a graceful close.
 
 Error propagation runs the other way: :meth:`poison` drops everything
-queued, restores the credits, and makes every current and future
+queued (which frees every credit), and makes every current and future
 put/get raise the poisoning error — the mechanism stage failures and
 aborts use to unwind a whole pipeline without a leaked slot.
 
@@ -119,7 +118,6 @@ class Stream:
         self._lock = threading.Lock()
         self._not_full = threading.Condition(self._lock)
         self._not_empty = threading.Condition(self._lock)
-        self._credits = capacity
         self._closed = False
         self._error: BaseException | None = None
         self._runtime = runtime
@@ -168,11 +166,10 @@ class Stream:
                 exc = self._interruption()
                 if exc is not None:
                     raise exc
-                if self._credits > 0:
+                if len(self._queue) < self.capacity:
                     break
                 self._put_waits += 1
                 self._not_full.wait()
-            self._credits -= 1
             self._queue.append(item)
             self._puts += 1
             depth = len(self._queue)
@@ -192,7 +189,6 @@ class Stream:
                     raise self._error
                 if self._queue:
                     item = self._queue.popleft()
-                    self._credits += 1
                     self._gets += 1
                     self._not_full.notify()
                     return item
@@ -224,14 +220,13 @@ class Stream:
         self._unregister()
 
     def poison(self, error: BaseException) -> int:
-        """Abortive close: drop everything queued (restoring the
-        credits), record *error*, and wake every waiter — current and
+        """Abortive close: drop everything queued (freeing every
+        credit), record *error*, and wake every waiter — current and
         future puts/gets raise it.  Returns the number of elements
         dropped.  The first poisoning error wins."""
         with self._lock:
             dropped = len(self._queue)
             self._queue.clear()
-            self._credits = self.capacity
             self._dropped += dropped
             self._closed = True
             if self._error is None:
@@ -256,17 +251,10 @@ class Stream:
             return len(self._queue)
 
     def credits(self) -> int:
-        """Backpressure credits currently available to producers."""
+        """Backpressure credits currently available to producers: the
+        free slots, ``capacity - depth``."""
         with self._lock:
-            return self._credits
-
-    def slots_leaked(self) -> int:
-        """``(capacity - credits) - depth`` — nonzero means a credit
-        was consumed without a matching queued element (or vice
-        versa).  Always zero in a healthy stream; the streaming tests
-        fail any run where it is not."""
-        with self._lock:
-            return (self.capacity - self._credits) - len(self._queue)
+            return self.capacity - len(self._queue)
 
     def stats(self) -> dict:
         with self._lock:
@@ -274,7 +262,7 @@ class Stream:
                 "name": self.name,
                 "capacity": self.capacity,
                 "depth": len(self._queue),
-                "credits": self._credits,
+                "credits": self.capacity - len(self._queue),
                 "puts": self._puts,
                 "gets": self._gets,
                 "dropped": self._dropped,

@@ -815,11 +815,6 @@ class StreamGraph:
             sink = matches[0]
         return sink.collected
 
-    def slots_leaked(self) -> int:
-        """Total queue-slot imbalance across the graph's streams
-        (zero in a healthy or fully-unwound graph)."""
-        return sum(s.slots_leaked() for s in self.streams)
-
     def metrics_snapshot(self) -> dict:
         """Graph-local telemetry: per-stage p50/p99/throughput and
         per-stream depth/credit accounting — available with or without

@@ -308,11 +308,9 @@ def test_metrics_count_retries_and_failures():
             raise RuntimeError("first attempt fails")
         return x
 
-    cfg = RuntimeConfig(
-        executor="threads", max_workers=2, observability="metrics", retry_backoff=0.0
-    )
+    cfg = RuntimeConfig(executor="threads", max_workers=2, observability="metrics")
     with Runtime(config=cfg) as rt:
-        assert wait_on(flaky(5)) == 5
+        assert wait_on(flaky.opts(retry_backoff=0.0)(5)) == 5
         rt.shutdown()
         _assert_metrics_agree_with_stats(rt)
         snap = rt.metrics()

@@ -2,33 +2,40 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.runtime import (
     CANCEL_SUCCESSORS,
-    IGNORE,
+    CancelledTaskError,
     Runtime,
     RuntimeConfig,
     task,
     wait_on,
 )
+from repro.runtime import failures
 
 
 def test_defaults():
     cfg = RuntimeConfig()
     assert cfg.executor == "threads"
-    assert cfg.default_on_failure == CANCEL_SUCCESSORS
-    assert cfg.default_max_retries == 2
     assert cfg.collect_trace is True
+    assert len(dataclasses.fields(cfg)) == 14
+    # the failure-policy defaults are constants, not settings
+    assert failures.DEFAULT_ON_FAILURE == CANCEL_SUCCESSORS
+    assert failures.DEFAULT_MAX_RETRIES == 2
+    assert (failures.RETRY_BACKOFF, failures.RETRY_BACKOFF_CAP) == (0.001, 0.25)
+    assert failures.JITTER_SEED == 0
 
 
 def test_validation():
     with pytest.raises(ValueError):
         RuntimeConfig(executor="fibers")
     with pytest.raises(ValueError):
-        RuntimeConfig(default_on_failure="EXPLODE")
-    with pytest.raises(ValueError):
-        RuntimeConfig(default_max_retries=-1)
+        RuntimeConfig(max_workers=0)
+    with pytest.raises(TypeError):
+        RuntimeConfig(default_on_failure="IGNORE")  # no longer a setting
 
 
 def test_store_defaults_and_validation():
@@ -66,9 +73,9 @@ def test_store_env_overrides():
 
 def test_replace_returns_new_config():
     cfg = RuntimeConfig()
-    cfg2 = cfg.replace(executor="sequential", default_max_retries=5)
+    cfg2 = cfg.replace(executor="sequential", max_workers=5)
     assert cfg2.executor == "sequential"
-    assert cfg2.default_max_retries == 5
+    assert cfg2.max_workers == 5
     assert cfg.executor == "threads"  # original untouched
 
 
@@ -76,16 +83,13 @@ def test_from_env_overrides():
     env = {
         "REPRO_EXECUTOR": "sequential",
         "REPRO_MAX_WORKERS": "3",
+        "REPRO_TRACE": "0",
+        # read by nothing: the failure defaults are not settings
         "REPRO_ON_FAILURE": "IGNORE",
         "REPRO_MAX_RETRIES": "7",
-        "REPRO_TRACE": "0",
     }
     cfg = RuntimeConfig.from_env(environ=env)
-    assert cfg.executor == "sequential"
-    assert cfg.max_workers == 3
-    assert cfg.default_on_failure == IGNORE
-    assert cfg.default_max_retries == 7
-    assert cfg.collect_trace is False
+    assert cfg == RuntimeConfig(executor="sequential", max_workers=3, collect_trace=False)
 
 
 def test_from_env_explicit_overrides_beat_env():
@@ -108,15 +112,22 @@ def test_runtime_keywords_override_config():
 
 
 def test_config_default_failure_policy_applies():
-    cfg = RuntimeConfig(executor="sequential", default_on_failure=IGNORE)
+    """A task declaring no policy fails with the default,
+    CANCEL_SUCCESSORS: its successor is cancelled, not run."""
+    cfg = RuntimeConfig(executor="sequential")
 
-    @task(returns=1, failure_default=-5)
+    @task(returns=1)
     def bad():
-        raise ValueError("swallowed by config default")
+        raise ValueError("no policy declared")
+
+    @task(returns=1)
+    def after(x):
+        return x
 
     with Runtime(config=cfg) as rt:
-        assert wait_on(bad()) == -5
-        assert rt.stats()["ignored_failures"] == 1
+        with pytest.raises(CancelledTaskError):
+            wait_on(after(bad()))
+        assert rt.stats()["ignored_failures"] == 0
 
 
 def test_trace_collection_can_be_disabled():

@@ -49,7 +49,7 @@ def test_eos_flushes_in_flight_windows_through_shutdown():
     rt.shutdown(wait=True)
     g.join(timeout=30.0)
     assert sink.collected == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]
-    assert g.slots_leaked() == 0
+    assert all(s.depth() == 0 for s in g.streams)
     assert rt.check_invariants(quiesced=True) == []
 
 
@@ -73,7 +73,7 @@ def test_shutdown_mid_flight_drains_consistently():
     vals = [v * 2 for v in range(emitted)]
     expected = [vals[i : i + 5] for i in range(0, len(vals), 5)]
     assert sink.collected == expected
-    assert g.slots_leaked() == 0
+    assert all(s.depth() == 0 for s in g.streams)
     assert rt.check_invariants(quiesced=True) == []
 
 
@@ -100,7 +100,7 @@ def test_done_polling_stage_progresses_with_downstream_parked_on_full_queue():
         g.start()
         g.join(timeout=60.0)
         assert sink.collected == [v + 1 for v in range(30)]
-        assert g.slots_leaked() == 0
+        assert all(s.depth() == 0 for s in g.streams)
     finally:
         rt.shutdown()
     assert rt.check_invariants(quiesced=True) == []
@@ -164,7 +164,7 @@ def test_abort_interrupts_stage_blocked_on_stream():
         err = g.error
         cause = err.__cause__ if isinstance(err, StreamFailure) else err
         assert isinstance(cause, WorkflowAbortedError)
-        assert g.slots_leaked() == 0
+        assert all(s.depth() == 0 for s in g.streams)
     finally:
         pop_runtime(rt)
         rt.shutdown()

@@ -235,8 +235,6 @@ class RuntimeMachine(RuleBasedStateMachine):
             max_workers=max_workers,
             name=f"machine-{next(_NAMES)}",
             debug_invariants=True,
-            retry_backoff=0.0005,
-            retry_backoff_cap=0.002,
             collect_trace=collect_trace,
             observability=observability,
             store=store,
@@ -263,7 +261,10 @@ class RuntimeMachine(RuleBasedStateMachine):
     @precondition(live)
     @rule(target=values, a=_ints | values, b=_ints | values, failures=st.integers(1, 2))
     def flaky(self, a, b, failures):
-        fut = self._guard(lambda: _flaky_add(a[0], b[0], failures=failures), "flaky")
+        fut = self._guard(
+            lambda: _flaky_add.opts(retry_backoff=0.0005)(a[0], b[0], failures=failures),
+            "flaky",
+        )
         return self._track(fut, a[1] + b[1])
 
     @precondition(live)

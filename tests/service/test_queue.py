@@ -50,6 +50,17 @@ def claim(queue, worker="s/w0", lease=10.0):
     return queue.claim(worker=worker, server="s", lease_timeout=lease)
 
 
+#: Above linux's default pid_max: no live process has it.
+DEAD_PID = 2**22 + 5
+
+
+def mark_holder_dead(queue, task_id):
+    """Make a lease taken by this (live) test process look like one
+    left behind by a dead incarnation."""
+    with queue.db.transaction() as conn:
+        conn.execute("UPDATE tasks SET holder_pid = ? WHERE id = ?", (DEAD_PID, task_id))
+
+
 # ----------------------------------------------------------------------
 # submission
 # ----------------------------------------------------------------------
@@ -316,6 +327,7 @@ def test_redelivery_backoff_grows_with_attempts(queue, clock):
 def test_recover_requeues_leased_without_charging(queue):
     task_id = submit(queue)
     claim(queue)
+    mark_holder_dead(queue, task_id)
     recovered = queue.recover("server-2")
     assert recovered == [task_id]
     row = queue.task(task_id)
@@ -326,14 +338,52 @@ def test_recover_requeues_leased_without_charging(queue):
 
 
 def test_recover_handles_leased_state_without_lease_row(queue):
-    """A crash between the state flip and the lease insert cannot
-    happen (one transaction) — but recovery tolerates the shape."""
+    """A ``leased`` task with no recorded holder — what a database from
+    before the lease columns shows after migration — is recovered as
+    dead."""
     task_id = submit(queue)
     claim(queue)
     with queue.db.transaction() as conn:
-        conn.execute("DELETE FROM leases WHERE task_id = ?", (task_id,))
+        conn.execute(
+            "UPDATE tasks SET worker = NULL, server = NULL, holder_pid = NULL, "
+            "expires_at = NULL WHERE id = ?",
+            (task_id,),
+        )
     assert queue.recover("server-2") == [task_id]
     assert queue.task(task_id)["state"] == "queued"
+
+
+def test_recover_leaves_leases_of_live_holders(queue):
+    """A lease held by a live process (a sibling service on the same
+    data directory) is not recovery's to take."""
+    task_id = submit(queue)
+    claim(queue)
+    assert queue.recover("server-2") == []
+    assert queue.task(task_id)["state"] == "leased"
+    assert "recoveries" not in queue.stats()["counters"]
+
+
+def test_leaving_leased_clears_the_lease_columns(queue, clock):
+    """Every transition out of ``leased`` clears the lease in the same
+    UPDATE, so no row is left leased-looking in another state."""
+    submit(queue, 0)
+    failed = submit(queue, 1, max_retries=0)
+    submit(queue, 2)
+    c = claim(queue)
+    queue.complete(c.id, c.signature, payload=b"", worker="s/w0", attempt=0)
+    claim(queue)
+    queue.fail_attempt(failed, "s/w0", "boom")
+    claim(queue, lease=1.0)
+    clock.advance(1.1)
+    queue.expire_leases()
+    rows = queue.db.query(
+        "SELECT state, worker, server, holder_pid, expires_at FROM tasks ORDER BY id"
+    )
+    assert [r["state"] for r in rows] == ["done", "failed", "queued"]
+    assert all(
+        (r["worker"], r["server"], r["holder_pid"], r["expires_at"]) == (None,) * 4
+        for r in rows
+    )
 
 
 # ----------------------------------------------------------------------
@@ -422,6 +472,56 @@ def test_stats_shape(queue):
     assert stats["tenants"]["idle"] == {}  # seeded even with no tasks
     assert stats["counters"]["submissions"] == 1
     assert stats["counters"]["claims"] == 1
+
+
+#: ``stats()["counters"]`` of ``run_counter_script`` as recorded when the
+#: counters were a table of their own, bumped next to each provenance row.
+COUNTERS_OF_SCRIPT = {
+    "cancellations": 2, "claims": 8, "completions": 1, "dedup_skips": 1,
+    "duplicate_submissions": 1, "duplicates_discarded": 1, "failures": 2,
+    "heartbeats": 1, "lease_expirations": 3, "recoveries": 1, "redeliveries": 3,
+    "reprioritizations": 1, "stale_reports": 1, "submissions": 8,
+}
+
+
+def test_counters_are_a_view_of_provenance(queue, clock):
+    """A scripted sequence reaching every counter: the provenance view
+    counts exactly what the counters table used to."""
+    a = submit(queue, signature="a")
+    assert submit(queue, signature="a") == a  # duplicate submission
+    assert claim(queue).id == a
+    assert queue.heartbeat(a, "s/w0", 10.0)
+    assert queue.complete(a, "a", payload=b"1", worker="s/w0", attempt=0) == "recorded"
+    assert queue.complete(a, "a", payload=b"2", worker="s/w9", attempt=0) == "duplicate"
+    b = submit(queue, signature="b")
+    assert claim(queue).id == b
+    queue.resolve_deduplicated(b, "s/w0")  # dedup skip
+    c = submit(queue, signature="c", max_retries=1)
+    assert claim(queue).id == c
+    assert queue.fail_attempt(c, "s/w0", "boom") == "requeued"
+    clock.advance(10.0)
+    assert claim(queue).id == c
+    assert queue.fail_attempt(c, "s/w0", "boom") == "failed"
+    d = submit(queue, signature="d")
+    assert claim(queue, lease=1.0).id == d
+    assert queue.fail_attempt(d, "s/w9", "late") == "stale"
+    e = submit(queue, signature="e", max_retries=0)
+    assert claim(queue, lease=1.0).id == e
+    f = submit(queue, signature="f")
+    assert claim(queue, lease=1.0).id == f
+    assert queue.cancel(f) == "cancel_requested"
+    clock.advance(1.1)
+    # expiry: d requeued, e buried, f's pending cancellation finalized
+    assert sorted(queue.expire_leases()) == [d, e, f]
+    assert [queue.task(t)["state"] for t in (d, e, f)] == ["queued", "failed", "cancelled"]
+    g = submit(queue, signature="g")
+    assert claim(queue, lease=3600.0).id == g
+    mark_holder_dead(queue, g)
+    assert queue.recover("server-2") == [g]
+    h = submit(queue, signature="h")
+    assert queue.cancel(h) == "cancelled"
+    assert queue.reprioritize(g, 5)
+    assert queue.stats()["counters"] == COUNTERS_OF_SCRIPT
 
 
 def test_provenance_trail_covers_lifecycle(queue):

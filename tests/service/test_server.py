@@ -69,6 +69,10 @@ def test_cold_start_recovery_requeues_leased(tmp_path):
         payload=pickle.dumps(((1, 2), {})), signature="sig-dead",
     )
     queue.claim(worker="dead/w0", server="dead", lease_timeout=3600.0)
+    with db.transaction() as conn:
+        # the claim was this (live) process's: make its holder a dead
+        # pid, 2**22+5 being above linux's default pid_max
+        conn.execute("UPDATE tasks SET holder_pid = ? WHERE id = ?", (2**22 + 5, task_id))
     db.close()
 
     service = make_service(data).start()
@@ -167,13 +171,46 @@ def test_concurrent_services_do_not_sweep_each_other(tmp_path):
         a.drain(timeout=10)
 
 
+def test_second_service_does_not_steal_live_leases(tmp_path):
+    """A second live service on the data directory leaves the first
+    one's in-flight lease alone: the body runs once, nothing is
+    recovered or redelivered."""
+    data = tmp_path / "data"
+    marker = tmp_path / "marker"
+    a = make_service(data, workers=1).start()
+    try:
+        with ServiceClient(data) as client:
+            task_id = client.submit(
+                f"{DEMO}:wait_for_marker_then_append",
+                str(tmp_path / "effects.txt"), "once", str(marker),
+            )
+            deadline = time.monotonic() + 20
+            while client.status(task_id)["state"] != "leased":
+                assert time.monotonic() < deadline, "A never leased the task"
+                time.sleep(0.01)
+            b = make_service(data).start()
+            try:
+                requeued = b.recovery["requeued_tasks"]
+                state = client.status(task_id)["state"]
+                marker.touch()
+                value = client.result(task_id, timeout=20)
+            finally:
+                marker.touch()
+                b.drain(timeout=10)
+            counters = client.counts()["counters"]
+    finally:
+        a.drain(timeout=10)
+    assert (requeued, state, value) == ([], "leased", "once")
+    assert (tmp_path / "effects.txt").read_text() == "once\n"
+    assert counters["claims"] == 1
+    assert not {"recoveries", "redeliveries", "duplicates_discarded"} & set(counters)
+
+
 def test_sweeper_expires_dark_leases(tmp_path):
     """The background sweeper redelivers a lease whose worker went
     dark (heartbeats suppressed)."""
     data = tmp_path / "data"
-    service = make_service(
-        data, lease_timeout=0.3, sweep_interval=0.05, workers=1
-    ).start()
+    service = make_service(data, lease_timeout=0.3, workers=1).start()
     try:
         service.pool.suspend_heartbeats = True
         release_path = tmp_path / "marker"

@@ -183,16 +183,19 @@ def test_trace_without_file_or_service_is_an_error(capsys):
     assert "wants a FILE" in capsys.readouterr().err
 
 
-def test_logs_renders_service_dir_and_span_file(tmp_path, capsys):
+def test_logs_renders_service_dir(tmp_path, capsys):
     data = str(tmp_path / "data")
     assert main(["submit", "--data-dir", data, f"{DEMO}:add", "1", "2"]) == 0
     capsys.readouterr()
     assert main(["logs", data]) == 0
     out = capsys.readouterr().out
-    assert "span log" in out and "submit" in out
+    assert "span log" in out and "submit" in out and "trace=" in out
 
-    assert main(["logs", str(tmp_path / "data" / "spans.jsonl"), "--limit", "1"]) == 0
-    assert "trace=" in capsys.readouterr().out
+    assert main(["logs", data, "--limit", "1"]) == 0
+    assert "status=ok" in capsys.readouterr().out  # the submit span's end row
+    assert main(["logs", str(tmp_path)]) == 1
+    assert "no queue" in capsys.readouterr().err
+    assert not (tmp_path / "queue.db").exists()
 
 
 def test_logs_renders_flightrec_dump(tmp_path, capsys):

@@ -23,7 +23,7 @@ def test_put_get_fifo_and_accounting():
     assert [r.value for r in got] == [0, 1, 2, 3, 4]
     assert [r.ts for r in got] == [0.0, 1.0, 2.0, 3.0, 4.0]
     assert s.credits() == 8
-    assert s.slots_leaked() == 0
+    assert s.depth() == 0
     st = s.stats()
     assert st["puts"] == 5 and st["gets"] == 5 and st["high_water"] == 5
 
@@ -80,7 +80,7 @@ def test_poison_drops_restores_credits_and_raises_everywhere():
     dropped = s.poison(err)
     assert dropped == 2
     assert s.credits() == 4
-    assert s.slots_leaked() == 0
+    assert s.depth() == 0
     with pytest.raises(RuntimeError, match="boom"):
         s.get()
     with pytest.raises(RuntimeError, match="boom"):

@@ -56,7 +56,7 @@ def test_multi_stage_pipeline_matches_reference(rt):
     g.start()
     stats = g.join()
     assert sink.collected == reference(40, 4)
-    assert g.slots_leaked() == 0
+    assert all(s.depth() == 0 for s in g.streams)
     assert stats["src"].n_out == 40
     assert g.error is None
 
@@ -170,7 +170,7 @@ def test_fail_policy_unwinds_graph_with_zero_leaks(rt):
         g.join(timeout=30.0)
     assert ei.value.stage == "m"
     assert isinstance(ei.value.__cause__, RuntimeError)
-    assert g.slots_leaked() == 0
+    assert all(s.depth() == 0 for s in g.streams)
     assert len(sink.collected) < 100
     # the runtime itself is unharmed — graph failures are graph-local
     assert wait_on(_triple(2)) == 6
@@ -186,7 +186,7 @@ def test_abort_unwinds_promptly(rt):
     g.abort()
     g.join(timeout=30.0, raise_on_error=False)
     assert g.error is not None
-    assert g.slots_leaked() == 0
+    assert all(s.depth() == 0 for s in g.streams)
     assert len(sink.collected) < 10_000
 
 
