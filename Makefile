@@ -1,4 +1,4 @@
-.PHONY: check lint test inventory resilience stress obs backend dataplane service stream ml bench
+.PHONY: check lint test inventory stress obs backend dataplane service stream ml bench
 
 check:
 	bash scripts/check.sh
@@ -11,9 +11,6 @@ test:
 
 inventory:
 	bash scripts/check.sh inventory
-
-resilience:
-	bash scripts/check.sh resilience
 
 stress:
 	PYTHONPATH=src python -m pytest --hypothesis-profile=stress -q tests/runtime/test_stress.py tests/streaming/test_stress_stream.py

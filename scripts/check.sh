@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
 # Single local CI gate: lint (if ruff is available) + the test suite +
-# the crash-resume smoke test.
+# the subsystem gates below.  Crash/resume (kill -> resume bit-identical,
+# a corrupt entry recomputed) is tier-1: tests/runtime/test_checkpoint_resume.py
+# and tests/workflows/test_checkpoint_resume_af.py.
 #
 #   scripts/check.sh             run every gate below
 #   scripts/check.sh lint        lint only
 #   scripts/check.sh test        tests only
 #   scripts/check.sh inventory   every src/repro module must have a test file
-#   scripts/check.sh resilience  crash-resume smoke test only
 #   scripts/check.sh stress      randomized runtime matrix (stress profile) + engine regression tests
 #   scripts/check.sh backend     import guards (no networkx in the runtime or its workers), then tier-1 under REPRO_BACKEND=processes + the matrix's processes replays
 #   scripts/check.sh obs         observability smoke (metrics/trace exports, flight-recorder dump) + tracing/lifecycle-view tests
@@ -37,11 +38,6 @@ run_tests() {
 run_inventory() {
     echo "== test inventory (every module needs a test file) =="
     python scripts/test_inventory.py
-}
-
-run_resilience() {
-    echo "== resilience smoke (kill -> resume -> bit-identical) =="
-    PYTHONPATH=src python scripts/resilience_smoke.py
 }
 
 # The randomized runtime matrix (tests/runtime/test_stress.py): a
@@ -213,7 +209,6 @@ case "$mode" in
     lint)       run_lint ;;
     test)       run_tests ;;
     inventory)  run_inventory ;;
-    resilience) run_resilience ;;
     stress)     run_stress ;;
     backend)    run_backend ;;
     obs)        run_obs ;;
@@ -222,6 +217,6 @@ case "$mode" in
     stream)     run_stream ;;
     ml)         run_ml ;;
     bench)      run_bench ;;
-    all)        run_lint; run_tests; run_inventory; run_resilience; run_stress; run_obs; run_backend; run_dataplane; run_service; run_stream; run_ml; run_bench ;;
-    *)          echo "usage: scripts/check.sh [lint|test|inventory|resilience|stress|obs|backend|dataplane|service|stream|ml|bench]" >&2; exit 2 ;;
+    all)        run_lint; run_tests; run_inventory; run_stress; run_obs; run_backend; run_dataplane; run_service; run_stream; run_ml; run_bench ;;
+    *)          echo "usage: scripts/check.sh [lint|test|inventory|stress|obs|backend|dataplane|service|stream|ml|bench]" >&2; exit 2 ;;
 esac

@@ -41,7 +41,7 @@ from pathlib import Path
 
 from repro.cli import main as cli_main
 from repro.cluster.chrometrace import validate_chrome_json
-from repro.runtime import Runtime, RuntimeConfig, faults, task, wait_on
+from repro.runtime import Runtime, RuntimeConfig, task, wait_on
 from repro.runtime import observability as obs
 from repro.runtime.otlp import otlp_to_chrome, trace_to_otlp
 from repro.runtime.exceptions import WorkflowKilledError
@@ -70,6 +70,8 @@ LOGS_COLUMNS = ["t", "kind", "task", "attempt", "state", "name"]
 
 @task(returns=1)
 def _step(x):
+    if x == 3:  # the fourth step: the process "dies" three tasks in
+        raise WorkflowKilledError("workflow killed in the fourth step")
     return x + 1
 
 
@@ -82,7 +84,7 @@ def flight_recorder_step(tmp: Path) -> None:
     cfg = RuntimeConfig(executor="sequential", flightrec_dir=str(tmp / "dumps"))
     rt = Runtime(config=cfg)
     try:
-        with rt, faults.inject(faults.kill_after_n_tasks(3)):
+        with rt:
             x = 0
             for _ in range(6):
                 x = _step(x)
@@ -90,7 +92,7 @@ def flight_recorder_step(tmp: Path) -> None:
     except WorkflowKilledError:
         pass
     else:
-        fail("the injected kill did not fire")
+        fail("the body's kill did not fire")
     stats = rt.stats()
     dumps = sorted((tmp / "dumps").glob("flightrec-*.json"))
     if len(dumps) != 1:

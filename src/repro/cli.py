@@ -8,7 +8,7 @@ Commands:
   training trace locally and replay it on simulated MareNostrum IV
   nodes (the Fig. 11 mechanism).
 * ``graphs`` — export the DOT execution graphs of the paper's figures.
-* ``faults`` — demonstrate the failure-management subsystem: injected
+* ``faults`` — demonstrate the failure-management subsystem: transient
   task failures recovered by runtime retries, then a simulated node
   failure with its lost-work accounting.
 * ``checkpoint inspect|verify|prune --dir DIR`` — inspect, integrity-
@@ -159,9 +159,9 @@ def _cmd_faults(args: argparse.Namespace) -> int:
         gantt_text,
         simulate,
     )
-    from repro.runtime import Runtime, faults, task, wait_on
+    from repro.runtime import Runtime, current_attempt, task, wait_on
 
-    print("== runtime retries under injected faults ==")
+    print("== runtime retries after task failures ==")
 
     @task(returns=1, max_retries=3)
     def prepare(i):
@@ -169,22 +169,23 @@ def _cmd_faults(args: argparse.Namespace) -> int:
 
     @task(returns=1, max_retries=3)
     def train(block):
+        # a transient fault: the first two attempts of every call fail
+        if current_attempt() < 2:
+            raise RuntimeError(f"transient failure on attempt {current_attempt()}")
         return float(np.asarray(block).sum())
 
     @task(returns=1)
     def merge(a, b):
         return a + b
 
-    with faults.inject(faults.fail_nth("train", 1, 2), seed=args.seed) as injector:
-        with Runtime(executor="threads") as rt:
-            parts = [train(prepare(i)) for i in range(4)]
-            while len(parts) > 1:
-                parts = [merge(parts[i], parts[i + 1]) for i in range(0, len(parts), 2)]
-            total = wait_on(parts[0])
-            trace = rt.trace()
-            stats = rt.stats()
+    with Runtime(executor="threads") as rt:
+        parts = [train(prepare(i)) for i in range(4)]
+        while len(parts) > 1:
+            parts = [merge(parts[i], parts[i + 1]) for i in range(0, len(parts), 2)]
+        total = wait_on(parts[0])
+        trace = rt.trace()
+        stats = rt.stats()
     print(f"result: {total}")
-    print(f"injected faults: {injector.log}")
     attempts = [
         (r.task_id, r.attempt, r.status) for r in trace.records(name="train")
     ]
@@ -474,41 +475,7 @@ def _cmd_logs(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_fault_spec(spec: str):
-    """``kind:task:n[:extra]`` → a :mod:`repro.runtime.faults` rule.
-
-    Kinds: ``kill_worker`` (NodeFailureError before the body runs),
-    ``fail`` (body raises), ``delay`` (extra stalls the body that many
-    seconds).  *n* is the 1-based execution ordinal to hit.
-    """
-    from repro.runtime import faults
-
-    parts = spec.split(":")
-    if len(parts) < 3:
-        raise argparse.ArgumentTypeError(
-            f"fault spec must look like kind:task:n, got {spec!r}"
-        )
-    kind, task, nth = parts[0], parts[1], parts[2]
-    try:
-        executions = [int(nth)]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad execution ordinal in {spec!r}") from exc
-    if kind == "kill_worker":
-        return faults.kill_worker(task, *executions)
-    if kind == "fail":
-        return faults.fail_nth(task, *executions)
-    if kind == "delay":
-        seconds = float(parts[3]) if len(parts) > 3 else 0.2
-        return faults.delay_nth(task, *executions, seconds=seconds)
-    raise argparse.ArgumentTypeError(
-        f"unknown fault kind {kind!r} (want kill_worker|fail|delay)"
-    )
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
-    import contextlib
-
-    from repro.runtime import faults
     from repro.runtime.structlog import configure as configure_logging
     from repro.service import QueueService, ServiceConfig
 
@@ -526,23 +493,27 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         jitter_seed=args.seed,
     )
     service = QueueService(config)
-    with contextlib.ExitStack() as stack:
-        if args.inject:
-            rules = [_parse_fault_spec(spec) for spec in args.inject]
-            stack.enter_context(faults.inject(*rules, seed=args.seed))
-        service.start()
-        recovery = service.recovery
-        service.install_signal_handlers()
+    service.start()
+    recovery = service.recovery
+    service.install_signal_handlers()
+    print(
+        f"serving {args.data_dir} as {service.server_id} "
+        f"(workers={args.workers}, backend={args.backend}, "
+        f"lease={args.lease_timeout:g}s); recovered "
+        f"{len(recovery['requeued_tasks'])} leased tasks, swept "
+        f"{recovery['swept_segment_files']} orphan segment files "
+        f"from {len(recovery['swept_prefixes'])} dead prefixes",
+        flush=True,
+    )
+    killed = service.serve_forever(until_idle=args.until_idle)
+    if killed is not None:
         print(
-            f"serving {args.data_dir} as {service.server_id} "
-            f"(workers={args.workers}, backend={args.backend}, "
-            f"lease={args.lease_timeout:g}s); recovered "
-            f"{len(recovery['requeued_tasks'])} leased tasks, swept "
-            f"{recovery['swept_segment_files']} orphan segment files "
-            f"from {len(recovery['swept_prefixes'])} dead prefixes",
+            f"stopped: a task body killed the runtime ({killed!r}); "
+            "queued tasks wait for the next server",
+            file=sys.stderr,
             flush=True,
         )
-        service.serve_forever(until_idle=args.until_idle)
+        return 1
     print("drained cleanly", flush=True)
     return 0
 
@@ -680,7 +651,6 @@ def main(argv: list[str] | None = None) -> int:
 
     p4 = sub.add_parser("faults", help="failure-management demonstration")
     p4.add_argument("--nodes", type=positive_int, default=2)
-    p4.add_argument("--seed", type=int, default=0)
     p4.set_defaults(func=_cmd_faults)
 
     p5 = sub.add_parser("checkpoint", help="inspect/verify/prune a checkpoint store")
@@ -778,14 +748,10 @@ def main(argv: list[str] | None = None) -> int:
     )
     p8.add_argument("--poll-interval", type=float, default=0.05)
     p8.add_argument("--max-retries", type=int, default=2)
-    p8.add_argument("--seed", type=int, default=0, help="jitter/fault seed")
+    p8.add_argument("--seed", type=int, default=0, help="jitter seed")
     p8.add_argument(
         "--until-idle", action="store_true",
         help="exit once the queue is empty and no task is in flight",
-    )
-    p8.add_argument(
-        "--inject", action="append", default=None, metavar="KIND:TASK:N",
-        help="chaos fault rule (kill_worker|fail|delay), repeatable",
     )
     p8.set_defaults(func=_cmd_serve)
 

@@ -29,8 +29,6 @@ Public surface:
 * :mod:`repro.runtime.compat` — PyCOMPSs-named aliases
   (:func:`compss_wait_on`, :func:`compss_barrier`, :func:`compss_open`)
   so paper snippets run verbatim.
-* :mod:`repro.runtime.faults` — deterministic fault injection for
-  resilience testing.
 * :class:`Constraints` — per-task resource requirements.
 * :func:`to_dot` / :func:`graph_summary` — execution-graph export.
 * :func:`build_provenance` — provenance record of a finished run.
@@ -65,7 +63,6 @@ from repro.runtime.engine import Runtime, active_runtime
 from repro.runtime.exceptions import (
     CancelledTaskError,
     CheckpointError,
-    FaultInjectedError,
     NodeFailureError,
     RuntimeStateError,
     TaskDefinitionError,
@@ -97,7 +94,6 @@ from repro.runtime.dot import graph_summary, save_dot, to_dot
 from repro.runtime.provenance import ProvenanceRecord, build_provenance
 from repro.runtime.task import task
 from repro.runtime.tracing import TaskRecord, Trace
-from repro.runtime import faults
 from repro.runtime.compat import (
     compss_barrier,
     compss_delete_file,
@@ -139,7 +135,6 @@ __all__ = [
     "graph_summary",
     "ProvenanceRecord",
     "build_provenance",
-    "faults",
     "CheckpointStore",
     "fingerprint",
     "task_signature",
@@ -161,7 +156,6 @@ __all__ = [
     "WorkflowAbortedError",
     "WorkflowKilledError",
     "CheckpointError",
-    "FaultInjectedError",
     "compss_wait_on",
     "compss_barrier",
     "compss_open",

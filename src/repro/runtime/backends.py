@@ -66,8 +66,8 @@ Workers are spawned lazily (``spawn`` context: safe with the
 multithreaded coordinator), warmed up with a ping, and kept in one
 module-level pool shared by every Runtime so short-lived runtimes (the
 test suite creates hundreds) do not pay respawn costs.  A worker that
-dies mid-call — crash, OOM kill, or the ``kill_worker`` fault injector
-— is detected by the broken pipe and surfaces as
+dies mid-call — crash, OOM kill, or a body that SIGKILLs its own
+process — is detected by the broken pipe and surfaces as
 :class:`~repro.runtime.exceptions.NodeFailureError` in the dispatching
 thread, which feeds the ordinary ``on_failure``/retry machinery.
 ``shutdown_workers()`` (also registered ``atexit``) terminates the pool.
@@ -257,12 +257,7 @@ def _worker_main(conn, search_path: list[str]) -> None:
         if kind == "forget":  # a store shut down; no reply expected
             worker_store.forget(request[1])
             continue
-        (_, module_name, qualname, args, kwargs, attempt, kill_self, store_cfg,
-         trace_header) = request
-        if kill_self:
-            # Fault injection: die like a crashed node, no reply, no
-            # cleanup — the coordinator sees the broken pipe.
-            os.kill(pid, signal.SIGKILL)
+        _, module_name, qualname, args, kwargs, attempt, store_cfg, trace_header = request
         info = None
         if store_cfg is not None:
             # Data plane active: map incoming refs to read-only views
@@ -541,9 +536,8 @@ class ExecutorBackend:
     ``(result, pid, info)`` — the pid of the OS process that executed
     the body (recorded in the trace) and a per-call data-plane
     accounting dict (``bytes_moved``/``bytes_saved``/hit counters, or
-    ``None`` when no object store is attached).  ``kill_worker=True``
-    asks the backend to simulate a worker crash for this call (the
-    ``kill_worker`` fault injector); every backend must surface it as
+    ``None`` when no object store is attached).  A worker process that
+    dies during the call surfaces as
     :class:`~repro.runtime.exceptions.NodeFailureError`.
 
     ``handles_refs`` tells the engine whether arguments may contain
@@ -564,7 +558,6 @@ class ExecutorBackend:
         kwargs: dict,
         *,
         attempt: int = 0,
-        kill_worker: bool = False,
     ) -> tuple[Any, int, dict | None]:
         raise NotImplementedError
 
@@ -588,12 +581,7 @@ class ThreadBackend(ExecutorBackend):
         self._lock = threading.Lock()
         self._n_tasks = 0
 
-    def run(self, spec, args, kwargs, *, attempt=0, kill_worker=False):
-        if kill_worker:
-            # No real worker process to kill: simulate the observable
-            # outcome (the dispatching side sees a dead node) so fault
-            # schedules behave identically across backends.
-            raise NodeFailureError(os.getpid(), task_name=spec.name, simulated=True)
+    def run(self, spec, args, kwargs, *, attempt=0):
         with self._lock:
             self._n_tasks += 1
         return _call_with_attempt(spec.func, args, kwargs, attempt), os.getpid(), None
@@ -677,9 +665,7 @@ class ProcessPoolBackend(ExecutorBackend):
         with self._lock:
             self._counts[key] += n
 
-    def _run_inline(self, spec, args, kwargs, attempt, kill_worker):
-        if kill_worker:
-            raise NodeFailureError(os.getpid(), task_name=spec.name, simulated=True)
+    def _run_inline(self, spec, args, kwargs, attempt):
         if self._store is not None:
             # Fallback args may carry refs (future results live in the
             # store); the inline body needs the concrete arrays.
@@ -777,9 +763,9 @@ class ProcessPoolBackend(ExecutorBackend):
         }
 
     # -- execution ------------------------------------------------------
-    def run(self, spec, args, kwargs, *, attempt=0, kill_worker=False):
+    def run(self, spec, args, kwargs, *, attempt=0):
         if not self._dispatchable(spec):
-            return self._run_inline(spec, args, kwargs, attempt, kill_worker)
+            return self._run_inline(spec, args, kwargs, attempt)
         store = self._store
         leases: list[ObjectRef] = []
         segments: dict[str, int] = {}
@@ -809,7 +795,6 @@ class ProcessPoolBackend(ExecutorBackend):
                 args,
                 kwargs,
                 attempt,
-                kill_worker,
                 store_cfg,
                 ambient.to_header() if ambient is not None else None,
             )
@@ -818,7 +803,7 @@ class ProcessPoolBackend(ExecutorBackend):
                 frames = _encode(request)
             except Exception:  # unpicklable argument: run where the data is
                 self._count("serialization_fallbacks")
-                return self._run_inline(spec, args, kwargs, attempt, kill_worker)
+                return self._run_inline(spec, args, kwargs, attempt)
             finally:
                 with self._lock:
                     self._serialization_seconds += time.perf_counter() - t0
@@ -838,9 +823,7 @@ class ProcessPoolBackend(ExecutorBackend):
                     self._count("worker_crashes")
                     with self._lock:
                         self._residency.pop(pid, None)
-                    raise NodeFailureError(
-                        pid, task_name=spec.name, simulated=kill_worker
-                    ) from exc
+                    raise NodeFailureError(pid, task_name=spec.name) from exc
                 pool.release(worker)
                 self._count("pipe_bytes_recv", sum(len(f) for f in reply_frames))
         finally:
@@ -886,7 +869,7 @@ class ProcessPoolBackend(ExecutorBackend):
             with self._lock:
                 self._inline_only.add(id(spec))
             self._count("unresolvable")
-            return self._run_inline(spec, args, kwargs, attempt, False)
+            return self._run_inline(spec, args, kwargs, attempt)
         if kind == "badresult":
             # Result did not pickle; recompute locally (pure tasks only
             # are dispatched, so re-running is safe).
@@ -894,7 +877,7 @@ class ProcessPoolBackend(ExecutorBackend):
             with self._lock:
                 self._inline_only.add(id(spec))
             self._count("result_fallbacks")
-            return self._run_inline(spec, args, kwargs, attempt, False)
+            return self._run_inline(spec, args, kwargs, attempt)
         raise RuntimeError(f"unknown worker reply {kind!r}")
 
     def shutdown(self) -> None:

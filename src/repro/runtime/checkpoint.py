@@ -40,7 +40,6 @@ import time
 from pathlib import Path
 from typing import Any, Callable, Iterator
 
-from repro.runtime import faults as _faults
 from repro.runtime.atomic_write import atomic_write
 from repro.runtime.exceptions import CheckpointError
 
@@ -292,8 +291,6 @@ class CheckpointStore:
         path = self._entry_path(key)
         blob = MAGIC + json.dumps(header).encode() + b"\n" + payload
         atomic_write(path, blob)
-        # fault-injection hook: lets tests corrupt this write in place
-        _faults.on_checkpoint_write(task, str(path))
         return CheckpointEntry(
             key=key,
             task=task,

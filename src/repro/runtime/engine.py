@@ -82,8 +82,6 @@ from repro.runtime.exceptions import (
     WorkflowAbortedError,
     WorkflowKilledError,
 )
-from repro.runtime.faults import on_task_execute as _fault_hook
-from repro.runtime.faults import worker_kill_requested as _worker_kill_hook
 from repro.runtime.failures import (
     FAIL,
     IGNORE,
@@ -1284,17 +1282,13 @@ class Runtime:
     # execution
     # ------------------------------------------------------------------
     def _run_body(self, inst: TaskInstance, scope: Scope):
-        """Resolve inputs, apply fault injection, run the task body via
-        the execution backend and wait for nested children.  Runs in
-        the scheduling thread (or the watchdog-supervised body thread
-        for timed tasks)."""
+        """Resolve inputs, run the task body via the execution backend
+        and wait for nested children.  Runs in the scheduling thread (or
+        the watchdog-supervised body thread for timed tasks)."""
         if not inst._abandoned:
             # The span from here to t_end is attributed to the body:
-            # fault injection (simulated body behaviour), argument
-            # resolution, the backend call and nested children.
+            # argument resolution, the backend call and nested children.
             inst.t_body_start = self._now()
-        _fault_hook(inst.name)
-        kill_worker = _worker_kill_hook(inst.name)
         args = resolve_futures(inst.args)
         kwargs = resolve_futures(inst.kwargs)
         store = self._store
@@ -1311,7 +1305,7 @@ class Runtime:
         prev_ctx = _tracectx.set_context(ctx) if ctx is not None else None
         try:
             result, pid, dinfo = self._backend.run(
-                inst.spec, args, kwargs, attempt=inst.attempt, kill_worker=kill_worker
+                inst.spec, args, kwargs, attempt=inst.attempt
             )
             if not inst._abandoned:  # else already retired: its record is read-only
                 inst.worker_pid = pid
@@ -1393,7 +1387,7 @@ class Runtime:
                     if elapsed > time_out:
                         raise TaskTimeoutError(inst.name, inst.task_id, time_out)
         except WorkflowKilledError as exc:
-            # Simulated process death: tears through the failure
+            # A body-declared process death: tears through the failure
             # policies, but every parked thread must still learn about
             # it — no silently-dead worker, no hung waiter.
             _tls.scope = outer_scope
@@ -1408,16 +1402,18 @@ class Runtime:
             # KeyboardInterrupt & friends escaping a task body: fail
             # the task terminally (retrying an interrupt would be
             # wrong) and kill the workflow so every waiter re-raises
-            # instead of hanging on a dead worker thread.
+            # instead of hanging on a dead worker thread.  The task's
+            # own futures fail first, so a waiter woken by the kill can
+            # tell the body that raised from the tasks it stranded.
             t_end = time.perf_counter() - self._epoch
             _tls.scope = outer_scope
-            self._kill(exc)
             error = TaskExecutionError(inst.name, inst.task_id, exc)
             inst.error = error
             inst.t_end = t_end
             self._record(inst, t_start, "failed", error=exc)
             for fut in inst.futures:
                 fut._set_error(error)
+            self._kill(exc)
             self._complete(inst, FAILED)
             raise
         t_end = self._now()

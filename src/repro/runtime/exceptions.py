@@ -61,28 +61,22 @@ class WorkflowAbortedError(RuntimeError):
     """
 
 
-class FaultInjectedError(RuntimeError):
-    """An artificial failure raised by :mod:`repro.runtime.faults`.
-
-    Distinguishable from organic task errors so tests and chaos
-    experiments can assert that *only* injected faults occurred.
-    """
-
-
 class CancelledTaskError(RuntimeError):
     """The task was cancelled before it could run (e.g. runtime shutdown
     or an upstream dependency failed)."""
 
 
 class WorkflowKilledError(BaseException):
-    """A simulated process kill raised by
-    :func:`repro.runtime.faults.kill_after_n_tasks`.
+    """A process kill declared by a task body.
 
-    Deliberately a :class:`BaseException`: the engine's failure policies
-    catch :class:`Exception`, so a kill tears straight through retries
-    and ``on_failure`` handling — exactly like SIGKILL would — leaving
-    only the persisted checkpoint entries behind.  Tests catch it at the
-    workflow boundary and then resume from a fresh runtime.
+    A body raises it to stop the workflow as if its process had died
+    at that point — how crash/resume paths are made provable without a
+    real ``kill -9``.  Deliberately a :class:`BaseException`: the
+    engine's failure policies catch :class:`Exception`, so a kill tears
+    straight through retries and ``on_failure`` handling — exactly like
+    SIGKILL would — leaving only the persisted checkpoint entries
+    behind.  Callers catch it at the workflow boundary and then resume
+    from a fresh runtime.
     """
 
 
@@ -90,22 +84,20 @@ class NodeFailureError(RuntimeError):
     """A worker process died while executing a task.
 
     Raised on the dispatching thread by the ``processes`` backend when
-    the pipe to a worker breaks mid-call (crash, OOM kill, or the
-    ``kill_worker`` fault injector), and by the ``threads`` backend as a
-    *simulated* node failure so fault schedules behave identically
-    across backends.  It is an ordinary :class:`Exception`: the task
-    attempt fails and flows through the ``on_failure``/retry machinery
-    — a retried attempt simply lands on a fresh worker, which is the
-    COMPSs resubmit-on-node-failure behaviour.
+    the pipe to a worker breaks mid-call (crash, OOM kill, or a body
+    that SIGKILLs its own process).  A body running in-process may
+    raise it itself to stand for the same outcome.  It is an ordinary
+    :class:`Exception`: the task attempt fails and flows through the
+    ``on_failure``/retry machinery — a retried attempt simply lands on
+    a fresh worker, which is the COMPSs resubmit-on-node-failure
+    behaviour.
     """
 
-    def __init__(self, pid: int, task_name: str | None = None, simulated: bool = False):
-        flavour = "simulated worker" if simulated else "worker"
+    def __init__(self, pid: int, task_name: str | None = None):
         suffix = f" while running {task_name!r}" if task_name else ""
-        super().__init__(f"{flavour} process {pid} died{suffix}")
+        super().__init__(f"worker process {pid} died{suffix}")
         self.pid = pid
         self.task_name = task_name
-        self.simulated = simulated
         #: Uniform pid hand-back channel read by the engine's trace
         #: recording (worker exceptions carry the same attribute).
         self._repro_worker_pid = pid
@@ -113,7 +105,7 @@ class NodeFailureError(RuntimeError):
     def __reduce__(self):
         # args holds the formatted message, not the ctor signature — a
         # plain exception reduce would rebuild with pid=<message>.
-        return (NodeFailureError, (self.pid, self.task_name, self.simulated))
+        return (NodeFailureError, (self.pid, self.task_name))
 
 
 class CheckpointError(RuntimeError):

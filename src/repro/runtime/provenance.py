@@ -39,8 +39,8 @@ class ProvenanceRecord:
     #: Failure-management summary (failed / ignored / retried attempt
     #: counts, per task name) — empty dict for a clean run.
     failures: dict[str, Any] = dataclasses.field(default_factory=dict)
-    #: Free-form run events (e.g. dropped federated clients, injected
-    #: faults, simulated node failures), in occurrence order.
+    #: Free-form run events (e.g. dropped federated clients, node
+    #: failures), in occurrence order.
     events: list[dict[str, Any]] = dataclasses.field(default_factory=list)
     #: Checkpoint-resume summary (counts of tasks replayed from the
     #: checkpoint store, per task name) — empty dict for a cold run.
@@ -75,7 +75,7 @@ def build_provenance(
     """Assemble a provenance record from a finished run.
 
     ``events`` carries out-of-band occurrences the trace alone cannot
-    express (dropped federated clients, injected faults, node failures);
+    express (dropped federated clients, node failures);
     failure statistics are derived from the trace's attempt records.
     """
     stats: dict[str, dict[str, float]] = {}

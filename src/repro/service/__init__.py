@@ -20,7 +20,8 @@ Layout
     with quotas, lease-expiry redelivery with the runtime's backoff
     machinery, idempotent result recording keyed by task signatures.
 :mod:`repro.service.worker`
-    Worker pool pulling leased tasks into an embedded ``Runtime``.
+    Worker pool pulling leased tasks into an embedded ``Runtime``;
+    fail-stop when a task body kills that runtime.
 :mod:`repro.service.server`
     :class:`QueueService` — owns db + runtime + workers + sweeper,
     graceful drain on ``SIGTERM``, cold-start crash recovery;
@@ -28,11 +29,9 @@ Layout
 :mod:`repro.service.client`
     :class:`ServiceClient` — the submit/query/cancel/reprioritize API
     (works from any process; the sqlite file is the wire).
-:mod:`repro.service.chaos`
-    Seeded crash/chaos scenarios run by ``tests/service/test_chaos.py``.
 :mod:`repro.service.demo`
-    Importable demo tasks driven by ``repro submit`` and the chaos
-    scenarios.
+    Importable demo tasks driven by ``repro submit``, the benchmark's
+    service workload and the chaos scenarios (``tests/service/chaos.py``).
 """
 
 from repro.service.client import ServiceClient, ServiceTaskError

@@ -5,7 +5,7 @@ in :class:`~repro.service.db.Database`)::
 
     submit ─▶ queued ─claim─▶ leased ─complete─▶ done
                 ▲               │
-                │          fail_attempt / expire_leases / recover
+                │   fail_attempt / release / expire_leases / recover
                 └───(backoff)───┘            │
                                              └─▶ failed | cancelled
 
@@ -217,7 +217,7 @@ class DurableQueue:
         error_on_bury: str,
         span_ctx: str | None = None,
     ) -> str:
-        """Shared tail of the three redelivery paths (worker failure,
+        """Shared tail of the redelivery paths (worker failure, release,
         lease expiry, crash recovery): drop the lease and either requeue
         with backoff, bury as failed when attempts are exhausted, or
         finalize a pending cancellation — one outcome row each.  Callers
@@ -546,6 +546,26 @@ class DurableQueue:
                 now=now,
                 charge_attempt=True,
                 error_on_bury=error,
+                span_ctx=span_ctx,
+            )
+
+    def release(self, task_id: int, worker: str, *, span_ctx: str | None = None) -> str:
+        """Hand back a delivery whose body never ran to completion
+        through no fault of its own (the server is stopping): requeued
+        at once, no attempt charged.  A report from a worker whose lease
+        was already lost is ignored (``"stale"``)."""
+        now = self._now()
+        with self.db.transaction() as conn:
+            row = conn.execute("SELECT * FROM tasks WHERE id = ?", (task_id,)).fetchone()
+            if row is None or row["state"] != "leased" or row["worker"] != worker:
+                return "stale"
+            return self._requeue_or_bury_locked(
+                conn,
+                row,
+                detail=f"released worker={worker};",
+                now=now,
+                charge_attempt=False,
+                error_on_bury="",
                 span_ctx=span_ctx,
             )
 

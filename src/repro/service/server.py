@@ -24,6 +24,10 @@ Lifecycle — both exits are first-class, chaos-tested paths:
   store prefix durably.  Both go by the recorded pid, so two live
   services on one data directory never take each other's leases or
   collect each other's segments.
+* **Fail-stop** (a task body raises ``SystemExit`` or another
+  ``BaseException``, killing the embedded runtime): the pool stops
+  claiming, :meth:`serve_forever` drains and returns the exception,
+  and the tasks still queued wait for the next incarnation.
 """
 
 from __future__ import annotations
@@ -243,7 +247,9 @@ class QueueService:
         if self.runtime is not None:
             self._save_runtime_trace()
             prefix = self.runtime._store.prefix if self.runtime._store else None
-            self.runtime.shutdown(wait=True)
+            # A killed runtime has nothing left to drain: waiting on it
+            # would re-raise the kill.
+            self.runtime.shutdown(wait=self.runtime.interruption() is None)
             if prefix is not None:
                 # Clean exit: this incarnation's segments are gone, so
                 # drop its prefix registration.
@@ -308,14 +314,27 @@ class QueueService:
         except ValueError:  # not the main thread
             pass
 
-    def serve_forever(self, *, until_idle: bool = False, tick: float = 0.1) -> None:
+    def serve_forever(
+        self, *, until_idle: bool = False, tick: float = 0.1
+    ) -> BaseException | None:
         """Block until terminated (or, with *until_idle*, until the
-        queue is empty and nothing is in flight), then drain."""
-        assert self.pool is not None, "call start() first"
+        queue is empty and nothing is in flight), then drain.
+
+        Fail-stop: when a task body kills the embedded runtime (a
+        ``SystemExit`` or other ``BaseException``), the pool stops
+        claiming and this returns that exception after draining; the
+        queued tasks wait for the next incarnation.  Returns None after
+        a normal exit."""
+        assert self.pool is not None and self.runtime is not None, "call start() first"
+        killed = None
         while not self._terminate.wait(tick):
+            killed = self.runtime.interruption()
+            if killed is not None:
+                break
             if until_idle and self.queue.outstanding() == 0 and self.pool.in_flight == 0:
                 break
         self.drain()
+        return killed
 
     # -- introspection --------------------------------------------------
     def metrics(self) -> dict[str, Any]:

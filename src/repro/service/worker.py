@@ -6,18 +6,25 @@ Execution goes through the server's embedded
 ``initial_attempt`` set to the queue-level attempt), so service tasks
 get the whole single-process machinery for free: the configured
 execution backend (threads or real worker processes), the shared-memory
-data plane, fault injection (:mod:`repro.runtime.faults` rules match
-the queue task's name), ``current_attempt()`` inside bodies, and
-tracing.  The queue owns redelivery, so runtime-level retries are
-disabled (``max_retries=0``) — a body failure surfaces here and is
-reported via :meth:`DurableQueue.fail_attempt`.
+data plane, ``current_attempt()`` inside bodies, and tracing.  The
+queue owns redelivery, so runtime-level retries are disabled
+(``max_retries=0``) — a body failure surfaces here and is reported via
+:meth:`DurableQueue.fail_attempt`.
 
 A single heartbeater thread extends the leases of every in-flight task;
-if the pool goes dark (crash, stall, ``suspend_heartbeats`` in chaos
-tests) the server-side sweeper expires the leases and the queue
-redelivers.  The dedup check between claim and execution closes the
-common duplicate window: a redelivered task whose result landed
-meanwhile is resolved without running the body again.
+if the pool goes dark (crash, stall) the server-side sweeper expires
+the leases and the queue redelivers.  The dedup check between claim and
+execution closes the common duplicate window: a redelivered task whose
+result landed meanwhile is resolved without running the body again.
+
+The pool is fail-stop: a body that raises a ``BaseException`` kills
+the embedded runtime, and from then on the pool claims nothing.  A
+``SystemExit`` or ``KeyboardInterrupt`` fails its own task, so that
+delivery is charged like any failed attempt.  Every other delivery
+still out — one that only waited on the dead runtime, or one whose
+body raised ``WorkflowKilledError``, which stands for the process
+dying — is handed back to the queue uncharged, as a crash would leave
+it for the next server incarnation.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ import inspect
 import pickle
 import threading
 import traceback
-from typing import Any, Callable
+from typing import Any
 
 from repro.runtime.backends import _resolve_task_function
 from repro.runtime.failures import TaskOptions
@@ -71,17 +78,6 @@ class ServiceWorkerPool:
         self._active: dict[int, str] = {}  # task_id -> worker name
         self._active_lock = threading.Lock()
         self._spec_cache: dict[tuple[str, str], TaskSpec] = {}
-        #: Chaos/test hook: called with the :class:`ClaimedTask` after
-        #: the claim but *before* the dedup check — stalling here
-        #: simulates a worker going dark mid-delivery.
-        self.before_execute: Callable[[ClaimedTask], None] | None = None
-        #: Chaos/test hook: freeze lease heartbeats so the sweeper sees
-        #: a missed-heartbeat expiry.
-        self.suspend_heartbeats = False
-        #: Chaos/test hook: task ids whose leases must *not* be
-        #: heartbeated (simulates one delivery going dark while the
-        #: rest of the pool stays healthy).
-        self.heartbeat_skip: set[int] = set()
         self.started = False
 
     # -- lifecycle ------------------------------------------------------
@@ -128,9 +124,15 @@ class ServiceWorkerPool:
     def _worker_loop(self, worker: str) -> None:
         idle_wait = self.poll_interval
         while not (self._stop.is_set() or self._draining.is_set()):
+            if self.runtime.interruption() is not None:
+                return  # fail-stop: the embedded runtime is dead
             claim = self.queue.claim(
                 worker=worker, server=self.server_id, lease_timeout=self.lease_timeout
             )
+            if claim is not None and self.runtime.interruption() is not None:
+                # The runtime died between the check and the claim.
+                self.queue.release(claim.id, worker, span_ctx=claim.span_ctx)
+                return
             if claim is None:
                 # Nothing deliverable: poll with a mild backoff (the
                 # sqlite file is the only signalling channel between
@@ -149,13 +151,9 @@ class ServiceWorkerPool:
 
     def _heartbeat_loop(self) -> None:
         while not self._stop.wait(self.heartbeat_interval):
-            if self.suspend_heartbeats:
-                continue
             with self._active_lock:
                 active = list(self._active.items())
             for task_id, worker in active:
-                if task_id in self.heartbeat_skip:
-                    continue
                 try:
                     self.queue.heartbeat(task_id, worker, self.lease_timeout)
                 except Exception:  # noqa: BLE001 - lease expiry handles it
@@ -186,15 +184,13 @@ class ServiceWorkerPool:
         # Every report hands back the delivery's span context: the
         # queue's row for it ends the span claim() started.
         span_ctx = claim.span_ctx
-        hook = self.before_execute
-        if hook is not None:
-            hook(claim)
         # Idempotency fast path: a redelivered task whose first
         # delivery already recorded a result is *deduplicated, not
         # re-run* — no side effect happens twice.
         if self.queue.lookup_result(claim.signature) is not None:
             self.queue.resolve_deduplicated(claim.id, worker, span_ctx=span_ctx)
             return
+        future = None
         try:
             args, kwargs = pickle.loads(claim.payload)
             spec = self._spec_for(claim)
@@ -211,6 +207,11 @@ class ServiceWorkerPool:
                 )
                 value = self.runtime.wait_on(future)
         except BaseException as exc:  # noqa: BLE001 - reported to the queue
+            if self.runtime.interruption() is not None and (future is None or not future.done):
+                # Not this body's failure: it only waited on a runtime
+                # another body killed.
+                self.queue.release(claim.id, worker, span_ctx=span_ctx)
+                return
             cause = exc.__cause__ if exc.__cause__ is not None else exc
             error = f"{type(cause).__name__}: {cause}"
             if not str(cause):

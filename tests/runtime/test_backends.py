@@ -1,6 +1,6 @@
 """Unit tests of :mod:`repro.runtime.backends`: serialization framing,
-worker pool lifecycle, dispatch/fallback rules, crash detection and the
-``kill_worker`` fault injector."""
+worker pool lifecycle, dispatch/fallback rules and crash detection
+(a body that kills its own worker process)."""
 
 from __future__ import annotations
 
@@ -17,7 +17,6 @@ from repro.runtime import (
     RuntimeConfig,
     TaskExecutionError,
     current_attempt,
-    faults,
     task,
     wait_on,
 )
@@ -31,6 +30,7 @@ from repro.runtime.backends import (
     get_worker_pool,
     shutdown_workers,
 )
+from tests.support.faults import kill_worker
 
 
 # ----------------------------------------------------------------------
@@ -39,6 +39,14 @@ from repro.runtime.backends import (
 @task(returns=1)
 def _probe(x):
     """Which process ran me, on which attempt?"""
+    return (os.getpid(), current_attempt(), x)
+
+
+@task(returns=1)
+def _crashing_probe(x, crashes):
+    """``_probe`` whose first *crashes* attempts crash their process."""
+    if current_attempt() < crashes:
+        kill_worker("_crashing_probe")
     return (os.getpid(), current_attempt(), x)
 
 
@@ -144,11 +152,13 @@ def test_thread_backend_runs_in_coordinator():
 
 
 def test_thread_backend_simulates_worker_kill():
+    """In-process, a body's worker kill is a NodeFailureError for the
+    coordinator's pid (a real SIGKILL would take the caller down)."""
     backend = ThreadBackend()
     with pytest.raises(NodeFailureError) as err:
-        backend.run(_probe.spec, (1,), {}, kill_worker=True)
-    assert err.value.simulated
+        backend.run(_crashing_probe.spec, (1, 1), {})
     assert err.value.pid == os.getpid()
+    assert err.value.task_name == "_crashing_probe"
 
 
 # ----------------------------------------------------------------------
@@ -296,20 +306,18 @@ def test_forget_is_scoped_to_the_store_that_shut_down():
 
 
 # ----------------------------------------------------------------------
-# kill_worker fault injection
+# worker crashes (a body that kills its own process)
 # ----------------------------------------------------------------------
 def test_kill_worker_crash_recovers_by_retry_under_processes():
-    """The worker process is SIGKILLed mid-task; the coordinator sees
+    """The worker process SIGKILLs itself mid-body; the coordinator sees
     the broken pipe, fails the attempt with NodeFailureError, and the
     failure-policy retry lands on a fresh worker and succeeds."""
-    with faults.inject(faults.kill_worker("_probe", 1)) as injector:
-        with Runtime(config=_processes_cfg()) as rt:
-            pid, attempt, _ = wait_on(_probe.opts(max_retries=2)(5))
-            trace = rt.trace()
-            stats = rt.stats()
-    assert injector.log == [("_probe", 1, "kill_worker")]
+    with Runtime(config=_processes_cfg()) as rt:
+        pid, attempt, _ = wait_on(_crashing_probe.opts(max_retries=2)(5, 1))
+        trace = rt.trace()
+        stats = rt.stats()
     assert attempt == 1  # first attempt died, retry succeeded
-    records = sorted(trace.records(name="_probe"), key=lambda r: r.attempt)
+    records = sorted(trace.records(name="_crashing_probe"), key=lambda r: r.attempt)
     assert [r.status for r in records] == ["failed", "done"]
     # the dead worker's pid is attributed to the failed attempt and
     # differs from the pid that completed the retry
@@ -320,39 +328,29 @@ def test_kill_worker_crash_recovers_by_retry_under_processes():
 
 
 def test_kill_worker_parity_under_threads():
-    """The same fault schedule under the thread backend produces the
-    same observable outcome via a simulated NodeFailureError."""
-    with faults.inject(faults.kill_worker("_probe", 1)) as injector:
-        with Runtime(config=RuntimeConfig(backend="threads")) as rt:
-            pid, attempt, _ = wait_on(_probe.opts(max_retries=2)(5))
-            trace = rt.trace()
-    assert injector.log == [("_probe", 1, "kill_worker")]
+    """The same body under the thread backend produces the same
+    observable outcome via the NodeFailureError it raises in-process."""
+    with Runtime(config=RuntimeConfig(backend="threads")) as rt:
+        pid, attempt, _ = wait_on(_crashing_probe.opts(max_retries=2)(5, 1))
+        trace = rt.trace()
     assert attempt == 1
-    records = sorted(trace.records(name="_probe"), key=lambda r: r.attempt)
+    records = sorted(trace.records(name="_crashing_probe"), key=lambda r: r.attempt)
     assert [r.status for r in records] == ["failed", "done"]
     assert "NodeFailureError" in records[0].error
     assert pid == os.getpid()
 
 
 def test_kill_worker_exhausting_retries_fails_task():
-    with faults.inject(faults.kill_worker("_probe", 1, 2)):
-        with Runtime(config=_processes_cfg()):
-            fut = _probe.opts(max_retries=1)(9)
-            with pytest.raises(TaskExecutionError) as err:
-                wait_on(fut)
+    with Runtime(config=_processes_cfg()):
+        fut = _crashing_probe.opts(max_retries=1)(9, 2)
+        with pytest.raises(TaskExecutionError) as err:
+            wait_on(fut)
     assert isinstance(err.value.__cause__, NodeFailureError)
 
 
-def test_kill_worker_rule_validates():
-    with pytest.raises(ValueError):
-        faults.kill_worker("_probe")
-    rule = faults.kill_worker("_probe", 2)
-    assert rule.kind == "kill_worker"
-    assert rule.executions == frozenset({2})
-
-
 def test_node_failure_error_is_picklable():
-    err = NodeFailureError(123, task_name="train", simulated=True)
+    err = NodeFailureError(123, task_name="train")
     clone = pickle.loads(pickle.dumps(err))
     assert clone.pid == 123
+    assert clone.task_name == "train"
     assert "123" in str(clone)

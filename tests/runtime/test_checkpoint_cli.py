@@ -6,7 +6,7 @@ import pytest
 
 from repro.cli import main
 from repro.runtime.checkpoint import CheckpointStore
-from repro.runtime.faults import _flip_last_byte
+from tests.support.faults import flip_last_byte
 
 
 @pytest.fixture()
@@ -35,7 +35,7 @@ def test_verify_clean_store(store, capsys):
 
 def test_verify_flags_corruption(store, capsys):
     victim = next(store.entries())
-    _flip_last_byte(victim.path)
+    flip_last_byte(victim.path)
     assert main(["checkpoint", "verify", "--dir", str(store.root)]) == 1
     out = capsys.readouterr().out
     assert "corrupt  : 1" in out

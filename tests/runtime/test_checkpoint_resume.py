@@ -6,31 +6,42 @@ import numpy as np
 import pytest
 
 from repro.runtime import Runtime, barrier, task, wait_on
-from repro.runtime import faults
+from repro.runtime.checkpoint import CheckpointStore
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.directions import INOUT
 from repro.runtime.dot import to_dot
 from repro.runtime.exceptions import WorkflowKilledError
 from repro.runtime.provenance import build_provenance
+from tests.support.faults import fail_before, flip_last_byte
 
 CALLS: list[str] = []
+#: ``[n]`` kills the process (WorkflowKilledError) in the body that
+#: would be the (n+1)-th to run; empty = no kill.  Like CALLS, it lives
+#: in this process: the tests run these tasks in-process.
+KILL_AFTER: list[int] = []
+
+
+def ran(call: str) -> None:
+    if KILL_AFTER and len(CALLS) >= KILL_AFTER[0]:
+        raise WorkflowKilledError(f"workflow killed after {KILL_AFTER[0]} tasks")
+    CALLS.append(call)
 
 
 @task(returns=1)
 def load(i):
-    CALLS.append(f"load-{i}")
+    ran(f"load-{i}")
     return np.arange(8.0) + i
 
 
 @task(returns=1)
 def step(block):
-    CALLS.append("step")
+    ran("step")
     return np.asarray(block) * 2.0
 
 
 @task(returns=1)
 def merge(a, b):
-    CALLS.append("merge")
+    ran("merge")
     return float(np.asarray(a).sum() + np.asarray(b).sum())
 
 
@@ -43,7 +54,19 @@ def run_chain(executor="sequential", config=None):
 @pytest.fixture(autouse=True)
 def _reset_calls():
     CALLS.clear()
+    KILL_AFTER.clear()
     yield
+    KILL_AFTER.clear()
+
+
+def killed_run(n, executor="sequential", config=None):
+    """run_chain with the process killed after *n* tasks."""
+    KILL_AFTER.append(n)
+    try:
+        with pytest.raises(WorkflowKilledError):
+            run_chain(executor=executor, config=config)
+    finally:
+        KILL_AFTER.clear()
 
 
 def cfg(tmp_path, **kw):
@@ -82,9 +105,7 @@ class TestResume:
 
     def test_kill_then_resume_executes_only_the_rest(self, tmp_path):
         config = cfg(tmp_path)
-        with pytest.raises(WorkflowKilledError):
-            with faults.inject(faults.kill_after_n_tasks(3)):
-                run_chain(config=config)
+        killed_run(3, config=config)
         survived = len(CALLS)
         assert survived == 3
 
@@ -105,7 +126,7 @@ class TestResume:
         # corrupt exactly one entry on disk
         store_dir = tmp_path / "ckpt" / "entries"
         victim = sorted(store_dir.glob("*.ckpt"))[0]
-        faults._flip_last_byte(str(victim))
+        flip_last_byte(victim)
 
         CALLS.clear()
         with caplog.at_level("WARNING", logger="repro.runtime.checkpoint"):
@@ -120,11 +141,12 @@ class TestResume:
         clean_total, _, _, _ = run_chain()
         assert total == clean_total
 
-    def test_injected_corruption_via_corrupt_nth(self, tmp_path, caplog):
+    def test_corrupted_step_entry_recomputes_only_step(self, tmp_path, caplog):
         config = cfg(tmp_path)
-        with faults.inject(faults.corrupt_nth("step", 1)) as injector:
-            run_chain(config=config)
-        assert ("step", 1, "corrupt") in injector.log
+        run_chain(config=config)
+        store = CheckpointStore(tmp_path / "ckpt")
+        victim = next(e for e in store.entries() if e.task == "step")
+        flip_last_byte(victim.path)
 
         CALLS.clear()
         with caplog.at_level("WARNING", logger="repro.runtime.checkpoint"):
@@ -151,9 +173,7 @@ class TestResume:
         # A kill firing on a worker thread must re-raise in the waiting
         # driver thread, not silently kill the worker and hang wait_on.
         config = RuntimeConfig(executor="threads", checkpoint_dir=str(tmp_path / "ckpt"))
-        with pytest.raises(WorkflowKilledError):
-            with faults.inject(faults.kill_after_n_tasks(2)):
-                run_chain(executor="threads", config=config)
+        killed_run(2, executor="threads", config=config)
 
         CALLS.clear()
         with Runtime(executor="threads", config=config) as rt:
@@ -248,13 +268,14 @@ class TestRetryInteraction:
         @task(returns=1, max_retries=2)
         def flaky(x):
             CALLS.append("flaky")
+            fail_before(1, "flaky")
             return x + 1
 
         config = cfg(tmp_path)
-        with faults.inject(faults.fail_nth("flaky", 1)):
-            with Runtime(config=config) as rt:
-                assert wait_on(flaky(1)) == 2
-                assert rt.stats()["checkpoint_writes"] == 1
+        with Runtime(config=config) as rt:
+            assert wait_on(flaky(1)) == 2
+            assert rt.stats()["checkpoint_writes"] == 1
+        assert CALLS == ["flaky", "flaky"]
         CALLS.clear()
         with Runtime(config=config) as rt:
             assert wait_on(flaky(1)) == 2
@@ -295,21 +316,9 @@ class TestReporting:
 
 
 class TestFaultRules:
-    def test_kill_rule_requires_after(self):
-        with pytest.raises(ValueError):
-            faults.FaultRule(task="*", kind="kill")
-
-    def test_kill_after_n_validates(self):
-        with pytest.raises(ValueError):
-            faults.kill_after_n_tasks(-1)
-
-    def test_corrupt_nth_needs_indices(self):
-        with pytest.raises(ValueError):
-            faults.corrupt_nth("step")
-
     def test_kill_fires_on_the_n_plus_first_execution(self, tmp_path):
         config = cfg(tmp_path)
-        with pytest.raises(WorkflowKilledError):
-            with faults.inject(faults.kill_after_n_tasks(0)):
-                run_chain(config=config)
+        killed_run(0, config=config)
         assert CALLS == []  # the very first execution died
+        # nothing completed, so nothing was persisted to resume from
+        assert list(CheckpointStore(tmp_path / "ckpt").entries()) == []

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from repro.runtime import Runtime, RuntimeConfig, faults, task, wait_on
+from repro.runtime import Runtime, RuntimeConfig, task, wait_on
 from repro.runtime import observability as obs
 from repro.runtime.tracing import TaskRecord, Trace
 

@@ -21,15 +21,25 @@ from repro.runtime import (
     Runtime,
     RuntimeConfig,
     StoreError,
+    current_attempt,
     is_ref,
     task,
     wait_on,
 )
 from repro.runtime.store import ObjectStore, WorkerStore, _Segment, scan_refs
+from tests.support.faults import kill_worker
 
 
 @task(returns=1)
 def _double(block):
+    return block * 2.0
+
+
+@task(returns=1)
+def _double_after_a_crash(block):
+    """``_double`` whose first attempt crashes the process running it."""
+    if current_attempt() == 0:
+        kill_worker("_double_after_a_crash")
     return block * 2.0
 
 
@@ -369,17 +379,14 @@ def test_shutdown_is_idempotent_and_closes_api():
 def test_worker_crash_leaves_no_segments_behind():
     """SIGKILLing a worker mid-run must not leak /dev/shm segments
     once the runtime shuts down."""
-    from repro.runtime import faults
-
     cfg = RuntimeConfig(
         backend="processes", max_workers=2, store_threshold_bytes=1024
     )
-    with faults.inject(faults.kill_worker("_double", 1)):
-        with Runtime(config=cfg) as rt:
-            prefix = rt.store.prefix
-            block = np.ones(2048)
-            out = wait_on(_double.opts(max_retries=2)(block))
-            assert np.array_equal(out, block * 2.0)
+    with Runtime(config=cfg) as rt:
+        prefix = rt.store.prefix
+        block = np.ones(2048)
+        out = wait_on(_double_after_a_crash.opts(max_retries=2)(block))
+        assert np.array_equal(out, block * 2.0)
     assert not list(Path("/dev/shm").glob(f"{prefix}*"))
 
 
@@ -389,20 +396,17 @@ def test_worker_crash_releases_transfer_pins():
     release those transfer pins on the failure path, or the entries
     stay unspillable and unevictable forever.  After the retry
     completes, zero pins may remain."""
-    from repro.runtime import faults
-
     cfg = RuntimeConfig(
         backend="processes", max_workers=2, store_threshold_bytes=1024
     )
-    with faults.inject(faults.kill_worker("_double", 1)):
-        with Runtime(config=cfg) as rt:
-            block = np.ones(2048)
-            out = wait_on(_double.opts(max_retries=2)(block))
-            assert np.array_equal(out, block * 2.0)
-            stats = rt.store.stats()
-            assert rt.stats()["backend_stats"]["worker_crashes"] == 1
-            assert stats["n_pinned"] == 0
-            assert stats["pinned_bytes"] == 0
+    with Runtime(config=cfg) as rt:
+        block = np.ones(2048)
+        out = wait_on(_double_after_a_crash.opts(max_retries=2)(block))
+        assert np.array_equal(out, block * 2.0)
+        stats = rt.store.stats()
+        assert rt.stats()["backend_stats"]["worker_crashes"] == 1
+        assert stats["n_pinned"] == 0
+        assert stats["pinned_bytes"] == 0
 
 
 def test_sweep_prefix_is_scoped_to_one_store(tmp_path):

@@ -1,18 +1,18 @@
-"""The acceptance chaos tests (ISSUE acceptance criterion).
+"""The acceptance chaos tests.
 
-Under a seeded schedule that kills a worker, ``kill -9``s the server
+Under a seeded schedule that fails attempts, ``kill -9``s the server
 mid-workload, and expires a lease, a restarted service completes the
 workload with **zero lost tasks** and **zero duplicate side-effecting
 executions** — verified from the signature-deduplicated results table
-and the provenance log by the shared harness in
-:mod:`repro.service.chaos` (also run by ``check.sh service``).
+and the provenance log by the harness in ``chaos.py`` beside this
+module (also run by ``check.sh service``).
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.service.chaos import (
+from tests.service.chaos import (
     run_crash_recovery_scenario,
     run_lease_expiry_scenario,
     run_traced_recovery_scenario,
@@ -25,7 +25,7 @@ def test_kill9_crash_recovery_completes_workload(tmp_path):
     assert report.ok, "\n" + report.line()
     counters = report.details["counters"]
     assert counters["recoveries"] >= 1  # kill -9 left leases to recover
-    assert counters["redeliveries"] >= 1  # the injected worker kill
+    assert counters["redeliveries"] >= 1  # the flaky tasks' failed attempts
     assert counters["completions"] == report.n_tasks
     assert "recovered" in report.details["events"]
 
@@ -73,5 +73,5 @@ def test_lease_expiry_redelivers_and_deduplicates(tmp_path):
     assert report.ok, "\n" + report.line()
     counters = report.details["counters"]
     assert counters["lease_expirations"] >= 1
-    assert counters.get("dedup_skips", 0) + counters.get("duplicates_discarded", 0) >= 1
+    assert counters["dedup_skips"] >= 1
     assert "lease_expired" in report.details["events"]

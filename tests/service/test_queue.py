@@ -310,6 +310,17 @@ def test_fail_attempt_from_stale_worker_ignored(queue, clock):
     assert queue.stats()["counters"]["stale_reports"] == 1
 
 
+def test_release_requeues_at_once_without_charging(queue, clock):
+    task_id = submit(queue)
+    claim(queue, worker="s/w0")
+    assert queue.release(task_id, "s/w1") == "stale"  # not w1's lease
+    assert queue.release(task_id, "s/w0") == "requeued"
+    row = queue.task(task_id)
+    assert (row["state"], row["attempt"], row["not_before"]) == ("queued", 0, clock())
+    assert queue.release(task_id, "s/w0") == "stale"  # no longer leased
+    assert claim(queue, worker="s/w1").attempt == 0
+
+
 def test_redelivery_backoff_grows_with_attempts(queue, clock):
     task_id = submit(queue, max_retries=5)
     delays = []

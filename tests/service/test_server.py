@@ -4,6 +4,7 @@ prefix hygiene across concurrent services, drain, sweeper, metrics."""
 from __future__ import annotations
 
 import pickle
+import sys
 import time
 from pathlib import Path
 
@@ -16,6 +17,11 @@ from repro.service.queue import DurableQueue
 from repro.service.server import QueueService, ServiceConfig, _pid_alive
 
 DEMO = "repro.service.demo"
+
+
+def exit_3():
+    """A task body that exits its interpreter."""
+    sys.exit(3)
 
 
 def make_service(data_dir, **kw):
@@ -207,31 +213,48 @@ def test_second_service_does_not_steal_live_leases(tmp_path):
 
 
 def test_sweeper_expires_dark_leases(tmp_path):
-    """The background sweeper redelivers a lease whose worker went
-    dark (heartbeats suppressed)."""
+    """The background sweeper redelivers a lease whose holder went
+    dark: here the test's own claim, which never heartbeats (its live
+    pid keeps cold-start recovery away from it)."""
     data = tmp_path / "data"
-    service = make_service(data, lease_timeout=0.3, workers=1).start()
-    try:
-        service.pool.suspend_heartbeats = True
-        release_path = tmp_path / "marker"
-        with ServiceClient(data) as client:
-            task_id = client.submit(
-                f"{DEMO}:wait_for_marker_then_append",
-                str(tmp_path / "effects.txt"),
-                "line",
-                str(release_path),
-            )
-            deadline = time.monotonic() + 20
-            while time.monotonic() < deadline:
-                if client.counts()["counters"].get("lease_expirations"):
-                    break
-                time.sleep(0.02)
-            assert client.counts()["counters"].get("lease_expirations", 0) >= 1
-            service.pool.suspend_heartbeats = False
-            release_path.touch()
-            assert client.result(task_id, timeout=30) == "line"
-    finally:
-        service.drain(timeout=10)
+    with ServiceClient(data) as client:
+        task_id = client.submit(f"{DEMO}:add", 1, 2)
+        dark = client.queue.claim(worker="dark/w0", server="dark", lease_timeout=0.3)
+        assert dark.id == task_id
+        service = make_service(data, lease_timeout=0.3, workers=1).start()
+        try:
+            assert service.recovery["requeued_tasks"] == []
+            assert client.result(task_id, timeout=30) == 3
+            counters = client.counts()["counters"]
+            row = client.status(task_id)
+        finally:
+            service.drain(timeout=10)
+    assert counters["lease_expirations"] == 1
+    assert row["attempt"] == 1  # the expiry charged the dark delivery
+
+
+def test_a_body_that_exits_stops_the_service_not_the_queue(tmp_path):
+    """Fail-stop: a body's ``SystemExit`` kills the embedded runtime,
+    so the pool stops claiming and ``serve_forever`` returns the exit.
+    A job queued behind it is never charged an attempt, and the next
+    service on the data directory completes it."""
+    data = tmp_path / "data"
+    with ServiceClient(data) as client:
+        killer = client.submit("tests.service.test_server:exit_3", max_retries=0)
+        behind = client.submit(f"{DEMO}:add", 2, 3, max_retries=1)
+    service = make_service(data, workers=1).start()
+    killed = service.serve_forever(until_idle=True, tick=0.02)
+    assert isinstance(killed, SystemExit) and killed.code == 3
+    with ServiceClient(data) as client:
+        assert client.status(killer)["state"] == "failed"
+        assert client.status(behind)["state"] == "queued"
+        assert client.status(behind)["attempt"] == 0
+        service = make_service(data, workers=1).start()
+        try:
+            assert client.result(behind, timeout=20) == 5
+            assert client.status(behind)["attempt"] == 0
+        finally:
+            service.drain(timeout=10)
 
 
 def test_metrics_merge_exposes_tenant_gauges(tmp_path):

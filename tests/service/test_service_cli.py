@@ -7,9 +7,7 @@ from __future__ import annotations
 import os
 import threading
 
-import pytest
-
-from repro.cli import _parse_fault_spec, main
+from repro.cli import main
 
 DEMO = "repro.service.demo"
 
@@ -101,18 +99,24 @@ def test_submit_rejects_bad_kwarg(tmp_path, capsys):
     assert "NAME=JSON" in capsys.readouterr().err
 
 
-def test_parse_fault_spec():
-    rule = _parse_fault_spec("kill_worker:append_line:3")
-    assert rule.task == "append_line" and rule.kind == "kill_worker"
-    assert rule.executions == frozenset({3})
-    assert _parse_fault_spec("fail:foo:1").kind == "fail"
-    delay = _parse_fault_spec("delay:foo:2:0.5")
-    assert delay.kind == "delay" and delay.delay == 0.5
-    import argparse
-
-    for bad in ("nope:foo:1", "kill_worker:foo", "kill_worker:foo:x"):
-        with pytest.raises(argparse.ArgumentTypeError):
-            _parse_fault_spec(bad)
+def test_serve_exits_nonzero_when_a_body_kills_the_runtime(tmp_path, capsys):
+    """Fail-stop: ``SystemExit`` in a body stops the server, which exits
+    1 with the task behind it still queued for the next server."""
+    data = str(tmp_path / "data")
+    assert main(["submit", "--data-dir", data, "--max-retries", "0",
+                 "tests.service.test_server:exit_3"]) == 0
+    assert main(["submit", "--data-dir", data, f"{DEMO}:add", "2", "3"]) == 0
+    capsys.readouterr()
+    assert main([
+        "serve", "--data-dir", data, "--workers", "1",
+        "--poll-interval", "0.01", "--until-idle",
+    ]) == 1
+    captured = capsys.readouterr()
+    assert "SystemExit(3)" in captured.err
+    assert "drained cleanly" not in captured.out
+    assert main(["queue", "list", "--data-dir", data]) == 0
+    out = capsys.readouterr().out
+    assert "failed" in out and "queued" in out
 
 
 def test_trace_service_exports_otlp(tmp_path, capsys):

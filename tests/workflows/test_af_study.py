@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.ecg import Dataset
-from repro.runtime import Runtime, RuntimeConfig, TaskExecutionError, faults
+from repro.runtime import Runtime, RuntimeConfig, TaskExecutionError
 from repro.workflows import (
     PipelineConfig,
     af_pipeline,
@@ -25,6 +25,7 @@ from repro.workflows import (
     run_study,
     study_features,
 )
+from tests.support.faults import InjectedFault
 
 TINY = PipelineConfig(
     scale=0.004,
@@ -236,9 +237,15 @@ def test_nothing_is_remembered_without_a_runtime(tiny_dataset):
     assert len(af_pipeline._remembered) == before
 
 
-def test_a_failed_prefix_is_not_remembered(tiny_dataset):
+def test_a_failed_prefix_is_not_remembered(tiny_dataset, monkeypatch):
+    def eigh_fails(cov):
+        raise InjectedFault("eigh failed")
+
+    # the patched callee exists in this process only: runtime() runs
+    # bodies on threads here
     with runtime() as rt:
-        with faults.inject(faults.fail_nth("_eigendecomposition", 1)):
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "eigh", eigh_fails)
             with pytest.raises(TaskExecutionError):
                 study_features(tiny_dataset, TINY)
         assert rt not in af_pipeline._remembered

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.runtime import Runtime, faults
+from repro.runtime import Runtime
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.exceptions import WorkflowKilledError
 from repro.workflows import (
@@ -19,8 +19,10 @@ from repro.workflows import (
     extract_features,
     make_estimator,
     prepare_dataset,
+    af_pipeline,
     reduce_dimensions,
 )
+from tests.support.faults import raise_after
 
 TINY = PipelineConfig(
     scale=0.004,
@@ -50,16 +52,27 @@ def run_pipeline(dataset, config=None):
         return feats, preds, rt.trace()
 
 
-def test_kill_then_resume_is_bit_identical(tmp_path, tiny_dataset):
+def test_kill_then_resume_is_bit_identical(tmp_path, tiny_dataset, monkeypatch):
     feats_clean, preds_clean, trace_clean = run_pipeline(tiny_dataset)
     assert trace_clean.n_restored == 0
 
     config = RuntimeConfig(
         executor="sequential", checkpoint_dir=str(tmp_path / "ckpt")
     )
-    # the process "dies" three task executions in
-    with pytest.raises(WorkflowKilledError):
-        with faults.inject(faults.kill_after_n_tasks(3)):
+    # the process "dies" in the fourth STFT batch, three tasks in: a
+    # callee of the stft_batch body raises the kill (patched in this
+    # process only; the runtime is sequential)
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            af_pipeline,
+            "stft_features",
+            raise_after(
+                3,
+                af_pipeline.stft_features,
+                lambda: WorkflowKilledError("killed in the fourth STFT batch"),
+            ),
+        )
+        with pytest.raises(WorkflowKilledError):
             run_pipeline(tiny_dataset, config=config)
 
     # resume against the same store

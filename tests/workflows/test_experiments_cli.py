@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import subprocess
 import sys
 
@@ -60,6 +61,23 @@ class TestCLI:
         )
         assert proc.returncode == 0, proc.stderr[-1500:]
         assert "simulated MareNostrum IV" in proc.stdout
+
+    def test_faults_command_retries_then_reports_a_node_failure(self, capsys):
+        from repro.cli import main
+
+        assert main(["faults", "--nodes", "2"]) == 0
+        out = capsys.readouterr().out
+        # four blocks of arange(64) + i, summed: 4 * 2016 + 64 * (0+1+2+3)
+        assert "result: 8448.0" in out
+        # every train call fails attempts 0 and 1, succeeds on attempt 2
+        (attempts_line,) = [ln for ln in out.splitlines() if ln.startswith("train attempts:")]
+        attempts = ast.literal_eval(attempts_line.removeprefix("train attempts:").strip())
+        statuses = sorted((attempt, status) for _, attempt, status in attempts)
+        assert statuses == [(0, "failed")] * 4 + [(1, "failed")] * 4 + [(2, "done")] * 4
+        assert "stats: retries=8 failed_attempts=8" in out
+        # the failure_report of the simulated node failure
+        assert "node failure" in out and "killed attempts" in out
+        assert "recovery overhead" in out
 
     @pytest.mark.slow
     def test_table1_tiny(self):
