@@ -9,7 +9,7 @@
 #   scripts/check.sh test        tests only
 #   scripts/check.sh inventory   every src/repro module must have a test file
 #   scripts/check.sh stress      randomized runtime matrix (stress profile) + engine regression tests
-#   scripts/check.sh backend     import guards (no networkx in the runtime or its workers), then tier-1 under REPRO_BACKEND=processes + the matrix's processes replays
+#   scripts/check.sh backend     import guards (no networkx and no coordinator-only module — engine, config, checkpoint, observability, otlp, dot, provenance, flightrec — in a fresh import of the runtime packages or in a pool worker), then tier-1 under REPRO_BACKEND=processes + the matrix's processes replays
 #   scripts/check.sh obs         observability smoke (metrics/trace exports, flight-recorder dump) + tracing/lifecycle-view tests
 #   scripts/check.sh dataplane   store tests + the matrix's store replays + bench smoke of blocks_procs
 #   scripts/check.sh service     queue-service tests (kill -9, lease-expiry and traced-recovery chaos included)
@@ -110,8 +110,12 @@ run_backend() {
     # processes: the differential guarantee is that nothing observable
     # changes.  REPRO_BACKEND is read by RuntimeConfig.from_env, so the
     # whole suite switches backend without touching a line of test code.
-    # First, in seconds, what a worker costs to start: a heavy module
-    # newly imported at the top of the runtime fails the import guards.
+    # First, in seconds, what a worker costs to start: the import guards
+    # fail when a fresh `import repro.runtime` (or `.backends`,
+    # `repro.dsarray`, `repro.ml`), or a pool worker that ran ds-array
+    # and KMeans tasks, loads networkx or a coordinator-only module
+    # (engine, config, checkpoint, observability, otlp, dot, provenance,
+    # flightrec), or when a worker loads estimators it did not run.
     echo "== import guards (runtime, subpackages, pool worker) =="
     PYTHONPATH=src python -m pytest -x -q tests/test_imports.py
     echo "== pytest under REPRO_BACKEND=processes =="

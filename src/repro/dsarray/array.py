@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.dsarray import blocking as bk
 from repro.runtime import wait_on
+from repro.runtime.active import active_runtime
 
 
 def _submit_rows(call_rows: list[list[tuple]]) -> list[list[Any]]:
@@ -28,9 +29,7 @@ def _submit_rows(call_rows: list[list[tuple]]) -> list[list[Any]]:
     each call runs eagerly on plain arrays, exactly like calling the
     task directly.
     """
-    from repro.runtime import engine
-
-    rt = engine.active_runtime()
+    rt = active_runtime()
     if rt is None:
         return [[fn(*args) for fn, args in row] for row in call_rows]
     futures = rt.submit_many(
@@ -125,10 +124,10 @@ class Array:
         tasks on the process backend consume zero-copy (results that
         already live in the store keep their existing ref — no copy).
         A no-op outside a runtime.  Returns ``self`` for chaining."""
-        from repro.runtime import engine, is_future, is_ref
+        from repro.runtime import is_future, is_ref
         from repro.runtime.future import resolve_futures
 
-        rt = engine.active_runtime()
+        rt = active_runtime()
         if rt is None:
             return self
         for row in self._blocks:

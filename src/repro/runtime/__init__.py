@@ -48,18 +48,25 @@ Public surface:
 * :mod:`repro.runtime.otlp` — the one span document: a trace as OTLP
   (``trace_to_otlp``, dependencies as span links) and the one
   chrome://tracing renderer, ``otlp_to_chrome(trace_to_otlp(trace))``.
+
+Importing the package loads what the module of a task body needs —
+:func:`task`, :func:`wait_on`, futures, directions, failure policies,
+exceptions, store handles, :func:`current_attempt` — and nothing only a
+coordinator runs.  ``Runtime``, ``RuntimeConfig`` and the checkpoint,
+observability, DOT, provenance, trace and ``compss_*`` names are
+imported on first access, so a worker process never loads the engine
+(DESIGN.md §11).
 """
 
 from __future__ import annotations
 
+import importlib
 from typing import Any
 
+from repro.runtime.active import active_runtime
 from repro.runtime.atomic_write import atomic_write, atomic_write_text
 from repro.runtime.backends import current_attempt, shutdown_workers
-from repro.runtime.checkpoint import CheckpointStore, fingerprint, task_signature
-from repro.runtime.config import RuntimeConfig
 from repro.runtime.directions import IN, INOUT, OUT, Direction
-from repro.runtime.engine import Runtime, active_runtime
 from repro.runtime.exceptions import (
     CancelledTaskError,
     CheckpointError,
@@ -82,25 +89,35 @@ from repro.runtime.failures import (
 from repro.runtime.future import Future, is_future, resolve_futures
 from repro.runtime.model import Constraints, TaskCall
 from repro.runtime.store import ObjectRef, ObjectStore, StoreError, is_ref
-from repro.runtime.observability import (
-    CriticalPath,
-    MetricsRegistry,
-    ProgressReporter,
-    critical_path,
-    summarize_trace,
-    to_prometheus,
-)
-from repro.runtime.dot import graph_summary, save_dot, to_dot
-from repro.runtime.provenance import ProvenanceRecord, build_provenance
 from repro.runtime.task import task
-from repro.runtime.tracing import TaskRecord, Trace
-from repro.runtime.compat import (
-    compss_barrier,
-    compss_delete_file,
-    compss_delete_object,
-    compss_open,
-    compss_wait_on,
-)
+
+#: Public names whose modules only a coordinator needs, by module: they
+#: are imported on first access (:func:`__getattr__`), so a worker
+#: process that imports a task module never loads them.
+_LAZY_MODULES = {
+    "engine": ("Runtime",),
+    "config": ("RuntimeConfig",),
+    "checkpoint": ("CheckpointStore", "fingerprint", "task_signature"),
+    "observability": (
+        "CriticalPath",
+        "MetricsRegistry",
+        "ProgressReporter",
+        "critical_path",
+        "summarize_trace",
+        "to_prometheus",
+    ),
+    "dot": ("graph_summary", "save_dot", "to_dot"),
+    "provenance": ("ProvenanceRecord", "build_provenance"),
+    "tracing": ("TaskRecord", "Trace"),
+    "compat": (
+        "compss_barrier",
+        "compss_delete_file",
+        "compss_delete_object",
+        "compss_open",
+        "compss_wait_on",
+    ),
+}
+_LAZY = {name: module for module, names in _LAZY_MODULES.items() for name in names}
 
 __all__ = [
     "task",
@@ -181,3 +198,16 @@ def barrier() -> None:
     rt = active_runtime()
     if rt is not None:
         rt.barrier()
+
+
+def __getattr__(name: str) -> Any:
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_LAZY))

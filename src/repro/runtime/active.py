@@ -1,0 +1,60 @@
+"""Which runtime governs the calling thread.
+
+The lookup every ``@task`` call, ``wait_on`` and ``barrier`` makes,
+kept apart from :mod:`repro.runtime.engine` so that the modules a task
+body lives in can be imported without the engine.  A worker process
+runs bodies with no runtime at all, and so never loads the engine, its
+configuration, checkpointing or observability.
+
+Two sources answer the question, innermost first:
+
+* the thread's *scope* — the engine binds one while a thread runs a
+  task body (nested submissions and synchronisations stay in that
+  task), and :meth:`Runtime.bind_current_thread` binds the root scope
+  for an adopted thread;
+* the stack of entered runtimes — a plain application thread sees the
+  innermost ``with Runtime(...)``.
+"""
+
+from __future__ import annotations
+
+import threading
+from typing import TYPE_CHECKING, Any
+
+if TYPE_CHECKING:
+    from repro.runtime.engine import Runtime
+
+#: ``_tls.scope`` is the scope the engine bound to this thread, if any.
+_tls = threading.local()
+
+_runtime_stack: list["Runtime"] = []
+_stack_lock = threading.Lock()
+
+
+def current_scope() -> Any:
+    """The engine scope bound to the calling thread, or None."""
+    return getattr(_tls, "scope", None)
+
+
+def push_runtime(rt: "Runtime") -> None:
+    with _stack_lock:
+        _runtime_stack.append(rt)
+
+
+def pop_runtime(rt: "Runtime") -> None:
+    with _stack_lock:
+        if rt in _runtime_stack:
+            _runtime_stack.remove(rt)
+
+
+def active_runtime() -> "Runtime | None":
+    """Runtime governing the current context.
+
+    A worker thread executing a task belongs to that task's runtime; a
+    plain application thread sees the innermost ``with Runtime(...)``.
+    """
+    scope = getattr(_tls, "scope", None)
+    if scope is not None:
+        return scope.runtime
+    with _stack_lock:
+        return _runtime_stack[-1] if _runtime_stack else None

@@ -65,7 +65,12 @@ Worker lifecycle
 Workers are spawned lazily (``spawn`` context: safe with the
 multithreaded coordinator), warmed up with a ping, and kept in one
 module-level pool shared by every Runtime so short-lived runtimes (the
-test suite creates hundreds) do not pay respawn costs.  A worker that
+test suite creates hundreds) do not pay respawn costs.  A worker
+imports what it runs: this module and, per task, the task's module.
+Neither pulls in the engine, its configuration, checkpointing or
+observability — ``@task`` finds the governing runtime through
+:mod:`repro.runtime.active`, and the package resolves coordinator-only
+names on first access (``tests/test_imports.py``).  A worker that
 dies mid-call — crash, OOM kill, or a body that SIGKILLs its own
 process — is detected by the broken pipe and surfaces as
 :class:`~repro.runtime.exceptions.NodeFailureError` in the dispatching

@@ -30,7 +30,7 @@ from __future__ import annotations
 import os
 from typing import Any, IO
 
-from repro.runtime import engine
+from repro.runtime.active import active_runtime
 from repro.runtime.future import resolve_futures
 
 __all__ = [
@@ -49,7 +49,7 @@ def compss_wait_on(*objs: Any) -> Any:
     With a single argument the value is returned directly; with several
     a list is returned, matching the PyCOMPSs binding.
     """
-    rt = engine.active_runtime()
+    rt = active_runtime()
 
     def sync(obj: Any) -> Any:
         if rt is None:
@@ -68,7 +68,7 @@ def compss_barrier(no_more_tasks: bool = False) -> None:
     runtime frees task structures eagerly either way.
     """
     del no_more_tasks
-    rt = engine.active_runtime()
+    rt = active_runtime()
     if rt is not None:
         rt.barrier()
 
@@ -98,7 +98,7 @@ def compss_delete_object(*objs: Any) -> bool:
     the segment deterministically.  Returns True like the PyCOMPSs
     binding.
     """
-    rt = engine.active_runtime()
+    rt = active_runtime()
     if rt is not None:
         for obj in objs:
             rt.release(obj)

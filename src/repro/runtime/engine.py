@@ -71,6 +71,13 @@ import traceback
 from typing import Any, Callable, Iterable
 
 from repro.runtime import checkpoint as ckpt
+from repro.runtime.active import (  # noqa: F401 - re-exported
+    _tls,
+    active_runtime,
+    current_scope as _current_scope,
+    pop_runtime,
+    push_runtime,
+)
 from repro.runtime.backends import create_backend
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.dag import TaskGraph
@@ -120,13 +127,7 @@ from repro.runtime.tracing import (
 
 _logger = logging.getLogger("repro.runtime")
 
-_tls = threading.local()
-
 _ckpt_logger = logging.getLogger("repro.runtime.checkpoint")
-
-
-def _current_scope() -> "Scope | None":
-    return getattr(_tls, "scope", None)
 
 
 class Scope:
@@ -1906,37 +1907,6 @@ class Runtime:
         if inst is None:
             inst = self._tasks[task_id]
         return inst.state
-
-
-# ----------------------------------------------------------------------
-# active-runtime stack
-# ----------------------------------------------------------------------
-_runtime_stack: list[Runtime] = []
-_stack_lock = threading.Lock()
-
-
-def push_runtime(rt: Runtime) -> None:
-    with _stack_lock:
-        _runtime_stack.append(rt)
-
-
-def pop_runtime(rt: Runtime) -> None:
-    with _stack_lock:
-        if rt in _runtime_stack:
-            _runtime_stack.remove(rt)
-
-
-def active_runtime() -> Runtime | None:
-    """Runtime governing the current context.
-
-    A worker thread executing a task belongs to that task's runtime; a
-    plain application thread sees the innermost ``with Runtime(...)``.
-    """
-    scope = _current_scope()
-    if scope is not None:
-        return scope.runtime
-    with _stack_lock:
-        return _runtime_stack[-1] if _runtime_stack else None
 
 
 # ----------------------------------------------------------------------

@@ -33,7 +33,6 @@ once all attempts are exhausted, so ``on_failure="IGNORE"`` with
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 from typing import Any
 
 from repro.runtime.exceptions import TaskDefinitionError
@@ -188,6 +187,8 @@ def retry_delay(
     """
     if base <= 0 or attempt <= 0:
         return 0.0
+    import hashlib  # not at module top: loading OpenSSL costs a worker ~4 ms
+
     raw = base * (2 ** (attempt - 1))
     digest = hashlib.sha256(f"{seed}:{task_name}:{root_id}:{attempt}".encode()).digest()
     jitter = 0.75 + (int.from_bytes(digest[:4], "big") / 2**32) * 0.5

@@ -10,8 +10,7 @@ attempt, worker).  Two render modes:
 * default — classic single-line text with the fields appended as
   ``key=value`` pairs, readable in terminals and test output;
 * JSON lines — one JSON object per record, enabled by
-  ``REPRO_LOG_JSON=1`` (or :func:`configure`), for machine ingestion
-  (``repro logs`` pretty-prints these back).
+  ``REPRO_LOG_JSON=1`` (or :func:`configure`), for machine ingestion.
 
 Usage::
 

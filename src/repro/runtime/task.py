@@ -29,7 +29,7 @@ import functools
 import inspect
 from typing import Any, Callable
 
-from repro.runtime import engine
+from repro.runtime.active import active_runtime
 from repro.runtime.directions import Direction, coerce_direction
 from repro.runtime.exceptions import TaskDefinitionError
 from repro.runtime.failures import IGNORE, TaskOptions, _UNSET
@@ -206,7 +206,7 @@ def task(
         )
 
         def invoke(args: tuple, kwargs: dict, call_options: TaskOptions | None):
-            rt = engine.active_runtime()
+            rt = active_runtime()
             if rt is None:
                 # No runtime: run as a plain function (PyCOMPSs scripts
                 # degrade to sequential Python the same way), honouring
