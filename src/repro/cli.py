@@ -54,6 +54,7 @@ tests/streaming/test_stress_stream.py`` (``make stress``).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 
@@ -649,6 +650,12 @@ def main(argv: list[str] | None = None) -> int:
             raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
         return n
 
+    def positive_float(value: str) -> float:
+        x = float(value)
+        if not 0 < x < math.inf:
+            raise argparse.ArgumentTypeError(f"must be > 0 and finite, got {value}")
+        return x
+
     p4 = sub.add_parser("faults", help="failure-management demonstration")
     p4.add_argument("--nodes", type=positive_int, default=2)
     p4.set_defaults(func=_cmd_faults)
@@ -678,7 +685,7 @@ def main(argv: list[str] | None = None) -> int:
     p6b.add_argument("--patients", type=int, default=2, help="interleaved patients")
     p6b.add_argument("--batch-size", type=int, default=4, help="inference micro-batch")
     p6b.add_argument(
-        "--rate", type=float, default=None,
+        "--rate", type=positive_float, default=None,
         help="source pacing in chunks/second (default: full speed)",
     )
     p6b.add_argument("--workers", type=positive_int, default=2)

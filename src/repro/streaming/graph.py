@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import collections
 import dataclasses
+import math
 import threading
 import time
 from typing import Any, Callable
@@ -200,15 +201,18 @@ class _Stage:
     def _run_source(self) -> None:
         out = self.output
         assert out is not None
-        items = self.items() if callable(self.items) else self.items
-        period = 1.0 / self.rate if self.rate else 0.0
+        items = iter(self.items() if callable(self.items) else self.items)
+        period = 1.0 / self.rate if self.rate is not None else 0.0
         next_t = time.monotonic()
         i = 0
         last_ts: float | None = None
         try:
-            for value in items:
-                if self._stop:
-                    break
+            while not self._stop:
+                # A paced source pulls each record at its due time, not
+                # right after the last emit: pulling ahead would produce
+                # the next record while the stages downstream work on
+                # the one just emitted, and take the interpreter lock
+                # from them.  An unpaced source pulls eagerly.
                 if period:
                     next_t += period
                     while not self._stop:
@@ -218,14 +222,19 @@ class _Stage:
                         time.sleep(min(delay, _MAX_SLEEP))
                     if self._stop:
                         break
+                t0 = time.monotonic()
+                try:
+                    value = next(items)
+                except StopIteration:
+                    break
+                # a source's operator is its feed: time the pull
+                self._observe(time.monotonic() - t0)
                 ts = (
                     self.timestamps(i, value)
                     if self.timestamps is not None
                     else float(i)
                 )
-                t0 = time.monotonic()
-                self._emit(Record(value, ts=ts, ingest=t0))
-                self._observe(time.monotonic() - t0)
+                self._emit(Record(value, ts=ts, ingest=time.monotonic()))
                 i += 1
                 last_ts = ts
                 if self.watermark_interval and i % self.watermark_interval == 0:
@@ -487,10 +496,23 @@ class StreamGraph:
         capacity: int | None = None,
     ) -> Stream:
         """A source stage: emits *items* (an iterable, or a zero-arg
-        callable returning one) as records.  ``rate`` paces emission in
-        records/second; ``timestamps(i, value)`` assigns event time
-        (default: the record index); ``watermark_interval`` emits a
-        watermark every N records and once more at end-of-feed."""
+        callable returning one) as records.  ``timestamps(i, value)``
+        assigns event time (default: the record index);
+        ``watermark_interval`` emits a watermark every N records and
+        once more at end-of-feed.
+
+        ``rate`` (records/second, positive and finite; ``None``: as fast
+        as the consumers take them) paces the source: record *k* (from
+        1) is pulled from *items* at its due time, *k*/``rate`` after
+        the stage starts, and emitted at once.  Nothing is pulled ahead,
+        so a drain during the wait pulls nothing more, and end of input
+        is seen at the next due time: a paced source closes at most one
+        period after its last record.  The source's stage statistics
+        time the pull from *items*."""
+        if rate is not None and not 0 < rate < math.inf:
+            raise ValueError(
+                f"rate must be a positive finite number of records/second, got {rate!r}"
+            )
         self._prepare(name)
         out = self._new_stream(name, capacity)
         self._add(

@@ -238,6 +238,116 @@ def test_rate_controlled_source_paces_emission(rt):
     assert elapsed >= 0.04  # 10 records at 200/s ≈ 50ms of pacing
 
 
+class _Pulls:
+    """An instrumented feed: records when each ``next()`` starts and
+    busy-waits *work_s* per item (``n=None``: endless)."""
+
+    def __init__(self, n=None, work_s=0.0):
+        self.n, self.work_s = n, work_s
+        self.times: list[float] = []
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        t = time.monotonic()
+        if self.n is not None and len(self.times) >= self.n:
+            raise StopIteration
+        self.times.append(t)
+        while time.monotonic() < t + self.work_s:
+            pass
+        return len(self.times) - 1
+
+
+def _wait_for(cond, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not cond():
+        assert time.monotonic() < deadline, "condition not reached"
+        time.sleep(0.002)
+
+
+def test_paced_source_pulls_each_record_at_its_due_time(rt):
+    rate, n = 100.0, 8
+    pulls = _Pulls(n)
+    g = StreamGraph(rt, name="g")
+    sink = g.sink(g.source(pulls, name="src", rate=rate))
+    start = time.monotonic()
+    g.start()
+    g.join()
+    assert sink.collected == list(range(n))
+    for k, t in enumerate(pulls.times, start=1):
+        assert t >= start + k / rate - 0.001, f"record {k} pulled early"
+
+
+def test_drain_during_paced_sleep_pulls_nothing_more(rt):
+    pulls = _Pulls()  # endless: only the drain ends it
+    g = StreamGraph(rt, name="g")
+    sink = g.sink(g.source(pulls, name="src", rate=50.0))
+    g.start()
+    _wait_for(lambda: len(sink.collected) >= 3)
+    g.initiate_drain()  # the source is asleep until its next due time
+    stats = g.join(timeout=10.0)
+    assert len(pulls.times) == stats["src"].n_out == len(sink.collected)
+    assert sink.collected == list(range(len(pulls.times)))
+
+
+def test_paced_source_closes_one_period_after_its_last_record(rt):
+    rate, n = 50.0, 5
+    g = StreamGraph(rt, name="g")
+    sink = g.sink(g.source(_Pulls(n), name="src", rate=rate))
+    g.start()
+    src = g.join()["src"]
+    assert sink.collected == list(range(n))
+    # end of input is seen at the next due time, (n + 1) / rate
+    assert n / rate <= src.finished_at - src.started_at <= (n + 1) / rate + 0.1
+
+
+def test_unpaced_source_pulls_ahead_up_to_capacity(rt):
+    cap, gate = 3, threading.Event()
+    pulls = _Pulls(50)
+    g = StreamGraph(rt, name="g")
+    src = g.source(pulls, name="src", capacity=cap)
+    sink = g.sink(src, lambda v: gate.wait(), collect=True)
+    g.start()
+    try:
+        # the sink holds record 0, the stream holds cap more, and the
+        # source waits to put the next one it has already pulled
+        _wait_for(lambda: len(pulls.times) >= cap + 2)
+        time.sleep(0.02)
+        assert len(pulls.times) == cap + 2
+        assert sink.collected == []
+    finally:
+        gate.set()
+    g.join()
+    assert sink.collected == [True] * 50
+
+
+@pytest.mark.parametrize("rate", [0, 0.0, -1.0, float("nan"), float("inf")])
+def test_source_rate_must_be_positive_and_finite(rate):
+    g = StreamGraph(None, name="g")
+    with pytest.raises(ValueError, match="rate must be a positive finite"):
+        g.source(range(3), name="src", rate=rate)
+    g.source(range(3), name="src", rate=None)  # unpaced is still fine
+
+
+def test_source_stage_stats_time_the_pull():
+    work_s, n = 0.005, 6
+    with runtime(observability="metrics") as rt:
+        g = StreamGraph(rt, name="g")
+        g.sink(g.source(_Pulls(n, work_s=work_s), name="src"), name="out")
+        g.start()
+        snap = g.join()["src"].snapshot()
+        hists = rt.metrics_registry.snapshot()["histograms"]
+    assert snap["n_out"] == n
+    assert snap["p50_ms"] >= work_s * 1e3
+    (src_hist,) = [
+        h
+        for h in hists
+        if h["name"] == "repro_stream_stage_seconds" and h["labels"]["stage"] == "src"
+    ]
+    assert src_hist["count"] == n and src_hist["sum"] >= n * work_s
+
+
 def test_backpressure_bounds_queue_depth():
     with runtime() as rt:
         g = StreamGraph(rt, name="g", capacity=3)

@@ -155,6 +155,16 @@ def test_rate_limited_serving_still_exact(model):
     assert paced.elapsed_s >= 8 / 400.0 * 0.5  # pacing actually happened
 
 
+@pytest.mark.parametrize("rate", ["0", "-5", "inf", "nan", "fast"])
+def test_serve_stream_cli_rejects_a_rate_that_is_not_positive(rate, capsys):
+    from repro.cli import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(["serve-stream", "--rate", rate])
+    assert exc.value.code == 2
+    assert "--rate" in capsys.readouterr().err
+
+
 def test_serving_metrics_flow_into_registry(model):
     with runtime(observability="metrics") as rt:
         res = serve_stream(CFG, rt, model)
