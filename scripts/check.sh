@@ -184,10 +184,6 @@ run_ml() {
     PYTHONPATH=src python -m pytest tests/ml tests/dsarray tests/workflows -x -q
     echo "== SMO oracle (stress profile) =="
     PYTHONPATH=src python -m pytest --hypothesis-profile=stress -x -q tests/ml/test_smo_svc.py
-    # the study is one graph: three cross-validations hanging off the
-    # same PCA futures is what the state-transition checks are for
-    echo "== workflow tests again under REPRO_DEBUG_INVARIANTS=1 (shared-prefix study graph) =="
-    REPRO_DEBUG_INVARIANTS=1 PYTHONPATH=src python -m pytest tests/workflows -x -q
     echo "== bench smoke: af_classical (oracle, silent stderr) =="
     bench_smoke --workload af_classical
 }

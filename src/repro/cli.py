@@ -481,8 +481,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.service import QueueService, ServiceConfig
 
     # the server is the long-running entry point: attach the structured
-    # handler so service INFO lines reach stderr (JSON under
-    # REPRO_LOG_JSON=1) instead of being dropped handler-less
+    # handler so service INFO lines reach stderr instead of being
+    # dropped handler-less
     configure_logging()
     config = ServiceConfig(
         data_dir=args.data_dir,

@@ -22,8 +22,8 @@ Public surface:
   ref accepted anywhere the value would be, ``Runtime.get``/
   ``wait_on`` turn refs back into arrays, ``Runtime.release`` frees
   them.  With ``backend="processes"`` large array arguments and
-  results travel by reference automatically (``RuntimeConfig(store=,
-  store_capacity_mb=)`` / ``REPRO_STORE_*``).
+  results travel by reference automatically (``RuntimeConfig(store=)``
+  / ``REPRO_STORE``).
 * :class:`TaskCall` / ``my_task.defer(...)`` — deferred call sites for
   ``Runtime.submit_many(calls)`` batch intake.
 * :mod:`repro.runtime.compat` — PyCOMPSs-named aliases

@@ -81,7 +81,6 @@ thread, which feeds the ordinary ``on_failure``/retry machinery.
 from __future__ import annotations
 
 import atexit
-import dataclasses
 import importlib
 import logging
 import os
@@ -95,6 +94,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.runtime import store as _store
 from repro.runtime import tracectx as _tracectx
 from repro.runtime.exceptions import NodeFailureError
 from repro.runtime.store import ObjectRef, ObjectStore, StoreError, WorkerStore
@@ -613,9 +613,6 @@ class ProcessPoolBackend(ExecutorBackend):
         self.max_workers = max(1, int(max_workers))
         self._store = store
         self.handles_refs = store is not None
-        #: Per-worker cache budget: same order as the coordinator store
-        #: (a worker never caches more than the store can hold).
-        self._worker_cache_bytes = store.capacity_bytes if store is not None else 0
         self._slots = threading.BoundedSemaphore(self.max_workers)
         self._lock = threading.Lock()
         self._counts = {
@@ -681,29 +678,27 @@ class ProcessPoolBackend(ExecutorBackend):
 
     # -- data plane -----------------------------------------------------
     def _freeze_args(self, obj: Any, leases: list, segments: dict[str, int]) -> Any:
-        """Replace large arrays/known refs in *obj* with transport-
-        stamped refs.  Leases pin each object resident until the call
-        completes; *segments* collects the input segment sizes for the
-        locality preference."""
+        """Replace large arrays in *obj* with refs.  Leases pin each
+        object until the call completes; *segments* collects the input
+        segment sizes for the locality preference."""
         store = self._store
         assert store is not None
+        threshold = _store.THRESHOLD_BYTES
 
         def freeze(value: Any) -> Any:
             if isinstance(value, ObjectRef):
-                segment = store.lease(value)
+                segments[store.lease(value)] = value.nbytes
                 leases.append(value)
-                segments[segment] = value.nbytes
-                return dataclasses.replace(value, segment=segment)
+                return value
             if (
                 isinstance(value, np.ndarray)
                 and value.dtype != object
-                and value.nbytes >= store.threshold_bytes
+                and value.nbytes >= threshold
             ):
                 ref = store.put(value)
-                segment = store.lease(ref)
+                segments[store.lease(ref)] = ref.nbytes
                 leases.append(ref)
-                segments[segment] = ref.nbytes
-                return dataclasses.replace(ref, segment=segment)
+                return ref
             if isinstance(value, list):
                 return [freeze(v) for v in value]
             if isinstance(value, tuple):
@@ -779,16 +774,17 @@ class ProcessPoolBackend(ExecutorBackend):
             if store is not None:
                 store_cfg = {
                     "prefix": store.prefix,
-                    "threshold": store.threshold_bytes,
-                    "cache_bytes": self._worker_cache_bytes,
+                    "threshold": _store.THRESHOLD_BYTES,
+                    "cache_bytes": _store.WORKER_CACHE_BYTES,
                 }
                 try:
-                    args = self._freeze_args(args, leases, segments)
-                    kwargs = self._freeze_args(kwargs, leases, segments)
-                except StoreError:
-                    # Unstorable argument (or store shut down): ship the
-                    # call the classic way, buffers over the pipe.
-                    store_cfg = None
+                    frozen = self._freeze_args((args, kwargs), leases, segments)
+                except (StoreError, OSError):
+                    # A released ref, an unstorable argument, a store shut
+                    # down or a full /dev/shm: run where the data is, on
+                    # the caller's own arguments.
+                    return self._run_inline(spec, args, kwargs, attempt)
+                args, kwargs = frozen
             # The engine installs the executing attempt's trace context
             # ambiently before calling run(); ship it across the pipe
             # as a traceparent header so worker-side logs correlate.

@@ -23,22 +23,19 @@ Environment variables (all optional):
 ``REPRO_MAX_WORKERS``     int (worker-pool size)
 ``REPRO_TRACE``           ``1``/``0`` — collect task records
 ``REPRO_CHECKPOINT_DIR``  checkpoint-store directory (enables resume)
-``REPRO_DEBUG_INVARIANTS``  ``1``/``0`` — validate state transitions
 ``REPRO_OBSERVABILITY``   observability flags (``metrics``,
                           ``progress``, ``all``; comma-separated)
 ``REPRO_STORE``           ``auto`` | ``off`` — by-reference transport
                           through the shared-memory object store
                           (data plane; see :mod:`repro.runtime.store`)
-``REPRO_STORE_CAPACITY_MB``  shared-memory budget before LRU spill
-``REPRO_STORE_SPILL_DIR``    directory of the spill tier
-``REPRO_STORE_THRESHOLD_BYTES``  arrays below this size stay inline
 ``REPRO_FLIGHTREC``       crash flight-recorder dump directory
                           (enables the recorder; see
                           :mod:`repro.runtime.flightrec`)
 ========================  =====================================
 
-``REPRO_LOG_JSON`` (read by :mod:`repro.runtime.structlog`, not a
-config field) switches structured log output to JSON lines.
+The store's inline threshold and worker cache bound are constants of
+:mod:`repro.runtime.store`, not fields, and the state-transition checks
+always run (``Runtime.check_invariants``).
 """
 
 from __future__ import annotations
@@ -73,12 +70,6 @@ class RuntimeConfig:
     #: (crash/resume), and checkpoints every completed pure task.
     #: ``None`` (default) disables checkpointing entirely.
     checkpoint_dir: str | None = None
-    #: Validate every task state transition against the lifecycle
-    #: state machine and record violations (see
-    #: ``Runtime.check_invariants``).  Cheap but not free; enabled by
-    #: the randomized runtime tests (``tests/runtime/test_stress.py``),
-    #: off by default in production.
-    debug_invariants: bool = False
     #: Observability flags: ``""`` (default, off), or a comma/space
     #: separated subset of ``metrics`` (``Runtime.metrics()`` shapes the
     #: task-lifecycle series from the task table when read, next to a
@@ -94,15 +85,6 @@ class RuntimeConfig:
     #: store itself is created on first use); this knob controls
     #: automatic by-ref transport in the backend.
     store: str = "auto"
-    #: Shared-memory budget in MiB; the LRU tier spills the coldest
-    #: unpinned objects to ``store_spill_dir`` beyond it.
-    store_capacity_mb: float = 256.0
-    #: Spill directory (None = a per-store folder under the system
-    #: temp dir, removed at shutdown).
-    store_spill_dir: str | None = None
-    #: Arrays smaller than this stay on the classic pickle path — a
-    #: shared-memory round trip costs more than copying a tiny buffer.
-    store_threshold_bytes: int = 65536
     #: Read by nothing (no fusion pass); bench/workloads pass it until ROADMAP item 1.
     fusion: bool = False
     #: Directory for crash flight-recorder dumps.  When set, the
@@ -123,10 +105,6 @@ class RuntimeConfig:
             raise ValueError("max_workers must be >= 1")
         if self.store not in _STORE_MODES:
             raise ValueError(f"unknown store mode {self.store!r}; expected one of {_STORE_MODES}")
-        if self.store_capacity_mb <= 0:
-            raise ValueError("store_capacity_mb must be > 0")
-        if self.store_threshold_bytes < 0:
-            raise ValueError("store_threshold_bytes must be >= 0")
         from repro.runtime.observability import parse_flags
 
         parse_flags(self.observability)  # raises ValueError on unknown flags
@@ -155,12 +133,8 @@ class RuntimeConfig:
         take("REPRO_MAX_WORKERS", "max_workers", int)
         take("REPRO_TRACE", "collect_trace", _parse_bool)
         take("REPRO_CHECKPOINT_DIR", "checkpoint_dir", str)
-        take("REPRO_DEBUG_INVARIANTS", "debug_invariants", _parse_bool)
         take("REPRO_OBSERVABILITY", "observability", str)
         take("REPRO_STORE", "store", str)
-        take("REPRO_STORE_CAPACITY_MB", "store_capacity_mb", float)
-        take("REPRO_STORE_SPILL_DIR", "store_spill_dir", str)
-        take("REPRO_STORE_THRESHOLD_BYTES", "store_threshold_bytes", int)
         take("REPRO_FLIGHTREC", "flightrec_dir", str)
         values.update(overrides)
         return cls(**values)

@@ -129,6 +129,10 @@ _logger = logging.getLogger("repro.runtime")
 
 _ckpt_logger = logging.getLogger("repro.runtime.checkpoint")
 
+#: ``VALID_TRANSITIONS`` plus staying put: every transition is checked
+#: against it, so the check is one set test.
+_ALLOWED = {state: nxt | {state} for state, nxt in VALID_TRANSITIONS.items()}
+
 
 class Scope:
     """Tracks the tasks submitted from one context.
@@ -330,7 +334,6 @@ class Runtime:
         # -- invariant tracking ----------------------------------------
         self._violations: list[str] = []
         self._violations_lock = threading.Lock()
-        self._debug = cfg.debug_invariants
         # -- checkpoint/restart ----------------------------------------
         #: Store persisting completed task outputs (None = disabled).
         self.checkpoint_store: ckpt.CheckpointStore | None = (
@@ -461,12 +464,7 @@ class Runtime:
         that never passes data by reference pays nothing for it."""
         with self._store_lock:
             if self._store is None:
-                cfg = self.config
-                self._store = ObjectStore(
-                    capacity_bytes=int(cfg.store_capacity_mb * 1024 * 1024),
-                    spill_dir=cfg.store_spill_dir,
-                    threshold_bytes=cfg.store_threshold_bytes,
-                )
+                self._store = ObjectStore()
             return self._store
 
     def put(self, value: Any) -> ObjectRef:
@@ -1016,8 +1014,7 @@ class Runtime:
         if prev is None:
             return False
         inst.t_ready = self._now()
-        if self._debug:
-            self._check_transition(inst, prev, READY)
+        self._check_transition(inst, prev, READY)
         return True
 
     def _enqueue(self, inst: TaskInstance) -> None:
@@ -1221,13 +1218,12 @@ class Runtime:
 
     def _set_state(self, inst: TaskInstance, new_state: str) -> None:
         """Transition *inst*, validating against the lifecycle state
-        machine when ``debug_invariants`` is on."""
-        if self._debug:
-            self._check_transition(inst, inst.state, new_state)
+        machine."""
+        self._check_transition(inst, inst.state, new_state)
         inst.state = new_state
 
     def _check_transition(self, inst: TaskInstance, old: str, new_state: str) -> None:
-        if old != new_state and new_state not in VALID_TRANSITIONS.get(old, frozenset()):
+        if new_state not in _ALLOWED.get(old, ()):
             self._record_violation(
                 f"illegal transition {old} -> {new_state} "
                 f"for {inst.name}#{inst.task_id}"
@@ -1361,11 +1357,7 @@ class Runtime:
         prev_state = inst.claim_run()
         if prev_state is None:
             return  # cancelled (or finalized) before it could start
-        if self._debug and RUNNING not in VALID_TRANSITIONS.get(prev_state, frozenset()):
-            self._record_violation(
-                f"illegal transition {prev_state} -> {RUNNING} "
-                f"for {inst.name}#{inst.task_id}"
-            )
+        self._check_transition(inst, prev_state, RUNNING)
         outer_scope = _current_scope()
         scope = Scope(self, parent_task_id=inst.task_id)
         time_out = inst.options.time_out if inst.options is not None else None
@@ -1693,8 +1685,7 @@ class Runtime:
             prev = cur.try_cancel()
             if prev is None:
                 continue  # already running or finalized: not ours
-            if self._debug:
-                self._check_transition(cur, prev, CANCELLED)
+            self._check_transition(cur, prev, CANCELLED)
             cancelled_any = True
             cur.t_end = self._now()
             for fut in cur.futures:

@@ -32,8 +32,8 @@ TERMINAL_STATES = frozenset({DONE, FAILED, IGNORED, CANCELLED})
 #: The task lifecycle state machine.  ``PENDING -> RUNNING`` is the
 #: sequential executor (submission executes inline, skipping READY);
 #: ``PENDING -> DONE`` is a checkpoint restore (the body never runs).
-#: The runtime validates transitions against this table when
-#: ``RuntimeConfig(debug_invariants=True)``.
+#: The runtime validates every transition against this table
+#: (``Runtime.check_invariants`` reports the illegal ones).
 VALID_TRANSITIONS: dict[str, frozenset[str]] = {
     PENDING: frozenset({READY, RUNNING, DONE, CANCELLED}),
     READY: frozenset({RUNNING, CANCELLED}),

@@ -395,21 +395,12 @@ def merge_backend_stats(snapshot: dict[str, Any], backend_stats: dict) -> dict[s
 
 
 #: Store stats that are point-in-time occupancy, not monotonic counts.
-_STORE_GAUGES = frozenset(
-    {
-        "n_objects",
-        "n_resident",
-        "n_spilled",
-        "bytes_resident",
-        "bytes_spilled",
-        "capacity_bytes",
-    }
-)
+_STORE_GAUGES = frozenset({"n_objects", "bytes_resident"})
 
 
 def merge_store_stats(snapshot: dict[str, Any], store_stats: dict) -> dict[str, Any]:
     """Fold an :class:`~repro.runtime.store.ObjectStore`'s stats into
-    *snapshot* as ``repro_store_*`` series (puts/spills/reloads as
+    *snapshot* as ``repro_store_*`` series (puts/gets/releases as
     counters, occupancy as gauges), so one exposition covers the data
     plane even when the backend does not carry the store itself."""
     snapshot["store"] = dict(store_stats)
@@ -500,14 +491,6 @@ def reconcile_store(runtime, trace: Trace | None = None) -> list[str]:
         problems.append(
             f"store_hit_rate is {rate:g}, hits/misses say {expected:g}"
         )
-    store_stats = runtime.stats().get("store")
-    if store_stats is not None:
-        if store_stats["n_objects"] != store_stats["n_resident"] + store_stats["n_spilled"]:
-            problems.append(
-                "store n_objects does not split into resident + spilled "
-                f"({store_stats['n_objects']} != {store_stats['n_resident']} "
-                f"+ {store_stats['n_spilled']})"
-            )
     return problems
 
 

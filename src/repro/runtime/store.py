@@ -16,15 +16,17 @@ Components
 ----------
 :class:`ObjectRef`
     Immutable, picklable handle: object id, shape/dtype/nbytes, and the
-    shared-memory segment name at send time.
+    shared-memory segment holding the bytes.
 :class:`ObjectStore`
-    The coordinator-side store.  Put-once/get-many semantics with
-    identity deduplication, refcounting with deterministic release,
-    pinning for in-flight transfers, an LRU spill-to-disk tier bounding
-    shared-memory use, and crash-safe cleanup: every segment carries a
-    per-store name prefix, and ``shutdown()`` unlinks tracked segments
-    *and* sweeps ``/dev/shm`` for orphans with the same prefix (left
-    behind by a coordinator that died before cleanup).
+    The coordinator-side store: a refcounted map of shared-memory
+    segments whose objects never move.  Put-once/get-many semantics
+    with identity deduplication, refcounting with deterministic
+    release, pinning for in-flight transfers, and crash-safe cleanup:
+    every segment carries a per-store name prefix, and ``shutdown()``
+    unlinks tracked segments *and* sweeps ``/dev/shm`` for orphans with
+    the same prefix (left behind by a coordinator that died before
+    cleanup).  Live data stays resident: there is no budget and no
+    second tier (DESIGN.md §15).
 :class:`WorkerStore`
     The worker-process side: attaches coordinator segments into a
     bounded cache (cache hit = the locality win the scheduler aims
@@ -55,12 +57,14 @@ import numpy as np
 
 __all__ = ["ObjectRef", "ObjectStore", "WorkerStore", "StoreError", "sweep_prefix"]
 
-#: Arrays below this many bytes travel inline (pickled) by default —
-#: a shared-memory round trip costs more than copying a small buffer.
-DEFAULT_THRESHOLD_BYTES = 64 * 1024
+#: Arrays below this many bytes travel inline (pickled) — a
+#: shared-memory round trip costs more than copying a small buffer.
+#: Read at every dispatch (the coordinator ships it to the worker with
+#: the call), so patching this attribute reaches both sides.
+THRESHOLD_BYTES = 64 * 1024
 
-#: Default shared-memory budget before the LRU tier spills to disk.
-DEFAULT_CAPACITY_BYTES = 256 * 1024 * 1024
+#: Bound on the segments one worker keeps mapped between tasks.
+WORKER_CACHE_BYTES = 256 * 1024 * 1024
 
 
 class StoreError(RuntimeError):
@@ -74,10 +78,8 @@ class ObjectRef:
 
     Refs are small and picklable — they are what crosses task
     submission, futures and worker pipes in place of the buffer.
-    ``segment`` names the shared-memory segment holding the bytes *at
-    the time the ref was stamped for transport*; the store may move an
-    object (spill + reload) so the authoritative location is always the
-    store's table, looked up by ``object_id``.
+    ``segment`` names the shared-memory segment holding the bytes — the
+    object's only location, for as long as it lives.
     """
 
     object_id: str
@@ -151,38 +153,23 @@ def _sweep_shm(prefix: str) -> int:
     return swept
 
 
-def sweep_prefix(prefix: str, spill_dir: str | os.PathLike | None = None) -> int:
-    """Sweep the debris of a *dead* store identified by its segment
-    *prefix*: leftover ``/dev/shm`` segments and (when *spill_dir* is
-    given) its per-prefix spill directory.
+def sweep_prefix(prefix: str) -> int:
+    """Sweep the leftover ``/dev/shm`` segments of a *dead* store
+    identified by its segment *prefix*.
 
     This is the crash-recovery entry point used by long-running
     services on cold start: a restarted coordinator knows the prefixes
     of its previous incarnations (it persisted them) and sweeps exactly
     those.  The scope is strictly the prefix — two stores sharing
-    ``/dev/shm`` or one spill root can never sweep each other's live
-    segments, because every prefix is unique per store instance.
+    ``/dev/shm`` can never sweep each other's live segments, because
+    every prefix is unique per store instance.
 
-    Returns the number of files removed.  Never call this with the
+    Returns the number of segments removed.  Never call this with the
     prefix of a store that is still alive.
     """
     if not prefix:
         raise ValueError("sweep_prefix requires a non-empty prefix")
-    removed = _sweep_shm(prefix)
-    if spill_dir is not None:
-        root = Path(spill_dir) / f"repro-store-{prefix}"
-        if root.is_dir():
-            for leftover in root.glob("*.bin"):
-                try:
-                    leftover.unlink()
-                    removed += 1
-                except OSError:
-                    pass
-            try:
-                root.rmdir()
-            except OSError:
-                pass
-    return removed
+    return _sweep_shm(prefix)
 
 
 class _Segment:
@@ -256,45 +243,23 @@ class _Segment:
 class _Entry:
     """Coordinator-side record of one stored object."""
 
-    __slots__ = (
-        "object_id",
-        "shape",
-        "dtype",
-        "nbytes",
-        "seg",
-        "spill_path",
-        "refcount",
-        "pins",
-        "clock",
-        "dedup_key",
-    )
+    __slots__ = ("object_id", "shape", "dtype", "nbytes", "seg", "refcount", "pins", "dedup_key")
 
-    def __init__(self, object_id: str, shape: tuple, dtype: str, nbytes: int):
+    def __init__(self, object_id: str, shape: tuple, dtype: str, nbytes: int, seg: _Segment):
         self.object_id = object_id
         self.shape = shape
         self.dtype = dtype
         self.nbytes = nbytes
-        #: The segment holding the bytes (None while spilled).  An
-        #: adopted worker result stays an unmapped name until the
-        #: coordinator itself reads it.
-        self.seg: _Segment | None = None
-        self.spill_path: Path | None = None
+        #: The segment holding the bytes.  An adopted worker result
+        #: stays an unmapped name until the coordinator itself reads it.
+        self.seg = seg
         #: ``id()`` of the array this entry was put from: its key in the
         #: store's dedup cache, purged with the entry.
         self.dedup_key: int | None = None
         self.refcount = 1
-        #: In-flight transfer pins: a pinned entry is neither spilled
-        #: nor freed, even at refcount zero (freed on last unpin).
+        #: In-flight transfer pins: a pinned entry is not freed, even at
+        #: refcount zero (freed on last unpin).
         self.pins = 0
-        self.clock = 0  # LRU timestamp (store-global counter)
-
-    @property
-    def resident(self) -> bool:
-        return self.seg is not None
-
-    @property
-    def segment(self) -> str | None:
-        return self.seg.name if self.seg is not None else None
 
 
 class ObjectStore:
@@ -309,12 +274,7 @@ class ObjectStore:
     _seq = 0
     _seq_lock = threading.Lock()
 
-    def __init__(
-        self,
-        capacity_bytes: int = DEFAULT_CAPACITY_BYTES,
-        spill_dir: str | os.PathLike | None = None,
-        threshold_bytes: int = DEFAULT_THRESHOLD_BYTES,
-    ):
+    def __init__(self) -> None:
         with ObjectStore._seq_lock:
             ObjectStore._seq += 1
             seq = ObjectStore._seq
@@ -323,20 +283,12 @@ class ObjectStore:
         #: sweeps.  pid + instance counter + random tag keeps prefixes
         #: unique across processes and store generations.
         self.prefix = f"rs{os.getpid():x}g{seq:x}{uuid.uuid4().hex[:6]}"
-        self.capacity_bytes = int(capacity_bytes)
-        self.threshold_bytes = int(threshold_bytes)
-        self._spill_dir_setting = spill_dir
-        self._spill_dir: Path | None = None
         self._entries: dict[str, _Entry] = {}
         #: id(array) -> (weakref to array, object_id): the put-once
         #: dedup cache (ten tasks sharing one block put it once).
         self._dedup: dict[int, tuple[Any, str]] = {}
         self._lock = threading.RLock()
-        self._clock = 0
         self._next_oid = 0
-        #: Running sum of ``nbytes`` over resident entries (kept by
-        #: _set_segment_locked / _drop_segment_locked).
-        self._resident_bytes = 0
         self.closed = False
         self._stats = {
             "puts": 0,
@@ -346,74 +298,13 @@ class ObjectStore:
             "adopted": 0,
             "adopted_bytes": 0,
             "releases": 0,
-            "spills": 0,
-            "spill_bytes": 0,
-            "reloads": 0,
-            "reload_bytes": 0,
             "orphans_swept": 0,
         }
 
     # -- internals ------------------------------------------------------
-    def _tick(self, entry: _Entry) -> None:
-        self._clock += 1
-        entry.clock = self._clock
-
     def _new_segment(self, data: Any) -> _Segment:
         self._next_oid += 1
         return _Segment.create(f"{self.prefix}c{self._next_oid:x}", data)
-
-    def _set_segment_locked(self, entry: _Entry, seg: _Segment) -> None:
-        entry.seg = seg
-        self._resident_bytes += entry.nbytes
-
-    def _drop_segment_locked(self, entry: _Entry) -> None:
-        """Unlink *entry*'s segment and let go of our mapping (views
-        handed out earlier keep theirs)."""
-        assert entry.seg is not None
-        entry.seg.unlink()
-        entry.seg = None
-        self._resident_bytes -= entry.nbytes
-
-    def _spill_root(self) -> Path:
-        if self._spill_dir is None:
-            if self._spill_dir_setting is not None:
-                root = Path(self._spill_dir_setting)
-            else:
-                import tempfile
-
-                root = Path(tempfile.gettempdir())
-            self._spill_dir = root / f"repro-store-{self.prefix}"
-            self._spill_dir.mkdir(parents=True, exist_ok=True)
-        return self._spill_dir
-
-    def _spill_locked(self, entry: _Entry) -> None:
-        assert entry.seg is not None
-        path = self._spill_root() / f"{entry.object_id}.bin"
-        with open(path, "wb") as fh:
-            fh.write(entry.seg.map())
-        entry.spill_path = path
-        self._drop_segment_locked(entry)
-        self._stats["spills"] += 1
-        self._stats["spill_bytes"] += entry.nbytes
-
-    def _reload_locked(self, entry: _Entry) -> None:
-        assert entry.spill_path is not None
-        self._ensure_capacity_locked(entry.nbytes)
-        self._set_segment_locked(entry, self._new_segment(entry.spill_path.read_bytes()))
-        entry.spill_path.unlink(missing_ok=True)
-        entry.spill_path = None
-        self._stats["reloads"] += 1
-        self._stats["reload_bytes"] += entry.nbytes
-
-    def _ensure_capacity_locked(self, incoming: int) -> None:
-        """Spill LRU unpinned residents until *incoming* bytes fit.
-        When nothing is evictable the store runs over budget rather
-        than failing — capacity is a target, not a hard wall."""
-        while self._resident_bytes + incoming > self.capacity_bytes:
-            victims = [e for e in self._entries.values() if e.resident and e.pins == 0]
-            if not victims:
-                return
-            self._spill_locked(min(victims, key=lambda e: e.clock))
 
     def _entry(self, ref: ObjectRef | str) -> _Entry:
         oid = ref.object_id if isinstance(ref, ObjectRef) else ref
@@ -429,11 +320,8 @@ class ObjectStore:
         cached = self._dedup.get(entry.dedup_key)
         if cached is not None and cached[1] == entry.object_id:
             del self._dedup[entry.dedup_key]
-        if entry.seg is not None:
-            self._drop_segment_locked(entry)
-        if entry.spill_path is not None:
-            entry.spill_path.unlink(missing_ok=True)
-            entry.spill_path = None
+        # Unlink the name; views handed out earlier keep their mapping.
+        entry.seg.unlink()
         self._stats["releases"] += 1
 
     def _maybe_free_locked(self, entry: _Entry) -> None:
@@ -459,19 +347,14 @@ class ObjectStore:
                 wr, oid = cached
                 if wr() is value and oid in self._entries:
                     self._stats["dedup_hits"] += 1
-                    entry = self._entries[oid]
-                    self._tick(entry)
-                    return self._ref_of(entry)
+                    return self._ref_of(self._entries[oid])
                 del self._dedup[id(value)]
             contiguous = np.ascontiguousarray(arr)
             nbytes = int(contiguous.nbytes)
-            self._ensure_capacity_locked(nbytes)
             seg = self._new_segment(contiguous)
             oid = f"{self.prefix}o{self._next_oid:x}"
-            entry = _Entry(oid, tuple(contiguous.shape), contiguous.dtype.str, nbytes)
-            self._set_segment_locked(entry, seg)
+            entry = _Entry(oid, tuple(contiguous.shape), contiguous.dtype.str, nbytes, seg)
             self._entries[oid] = entry
-            self._tick(entry)
             if isinstance(value, np.ndarray):
                 try:
                     self._dedup[id(value)] = (weakref.ref(value), oid)
@@ -502,20 +385,16 @@ class ObjectStore:
             shape=entry.shape,
             dtype=entry.dtype,
             nbytes=entry.nbytes,
-            segment=entry.segment,
+            segment=entry.seg.name,
         )
 
     def get(self, ref: ObjectRef | str, copy: bool = False) -> np.ndarray:
         """The stored array — a read-only zero-copy view by default
-        (valid until the object is released or evicted; pass
-        ``copy=True`` for an independent array)."""
+        (it outlives the object's release; pass ``copy=True`` for an
+        independent array)."""
         with self._lock:
             entry = self._entry(ref)
-            if not entry.resident:
-                self._reload_locked(entry)
-            self._tick(entry)
             self._stats["gets"] += 1
-            assert entry.seg is not None
             view = entry.seg.view(entry.shape, entry.dtype)
             return view.copy() if copy else view
 
@@ -523,34 +402,28 @@ class ObjectStore:
         """Take ownership of a segment created elsewhere (a worker's
         frozen task result) and track it like a local put.  Only the
         name is recorded: most results are read by other workers alone,
-        so the coordinator maps the segment on its own first ``get`` (or
-        spill) and, if that never comes, unlinks it by name."""
+        so the coordinator maps the segment on its own first ``get`` and,
+        if that never comes, unlinks it by name."""
         if self.closed:
             raise StoreError("object store is shut down")
         with self._lock:
             if object_id in self._entries:  # duplicate adopt: idempotent
                 return self._ref_of(self._entries[object_id])
-            self._ensure_capacity_locked(nbytes)
-            entry = _Entry(object_id, tuple(shape), dtype, int(nbytes))
-            self._set_segment_locked(entry, _Segment(segment, entry.nbytes))
+            nbytes = int(nbytes)
+            entry = _Entry(object_id, tuple(shape), dtype, nbytes, _Segment(segment, nbytes))
             self._entries[object_id] = entry
-            self._tick(entry)
             self._stats["adopted"] += 1
-            self._stats["adopted_bytes"] += int(nbytes)
+            self._stats["adopted_bytes"] += nbytes
             return self._ref_of(entry)
 
     def lease(self, ref: ObjectRef | str) -> str:
         """Pin *ref* for an in-flight transfer and return the segment
-        name holding its bytes (reloading a spilled object first).
-        Every lease must be matched by :meth:`unlease`."""
+        name holding its bytes.  Every lease must be matched by
+        :meth:`unlease`."""
         with self._lock:
             entry = self._entry(ref)
-            if not entry.resident:
-                self._reload_locked(entry)
             entry.pins += 1
-            self._tick(entry)
-            assert entry.segment is not None
-            return entry.segment
+            return entry.seg.name
 
     def unlease(self, ref: ObjectRef | str) -> None:
         with self._lock:
@@ -566,7 +439,7 @@ class ObjectStore:
 
     def decref(self, ref: ObjectRef | str) -> None:
         """Drop one reference; the last drop releases deterministically
-        (segment unlinked, spill file removed, dedup entry purged)."""
+        (segment unlinked, dedup entry purged)."""
         with self._lock:
             entry = self._entries.get(ref.object_id if isinstance(ref, ObjectRef) else ref)
             if entry is None:
@@ -604,19 +477,15 @@ class ObjectStore:
 
     def stats(self) -> dict:
         with self._lock:
-            resident = [e for e in self._entries.values() if e.resident]
-            spilled = [e for e in self._entries.values() if not e.resident]
             pinned = [e for e in self._entries.values() if e.pins > 0]
             out = dict(self._stats)
             out.update(
                 n_objects=len(self._entries),
-                n_resident=len(resident),
-                n_spilled=len(spilled),
                 n_pinned=len(pinned),
                 pinned_bytes=sum(e.nbytes for e in pinned),
-                bytes_resident=self._resident_bytes,
-                bytes_spilled=sum(e.nbytes for e in spilled),
-                capacity_bytes=self.capacity_bytes,
+                bytes_resident=sum(e.nbytes for e in self._entries.values()),
+                # Always 0 (one tier); bench/harness.py still reads it.
+                spills=0,
             )
             return out
 
@@ -635,13 +504,6 @@ class ObjectStore:
             self._entries.clear()
             self._dedup.clear()
             self._stats["orphans_swept"] += self._sweep_orphans()
-            if self._spill_dir is not None:
-                try:
-                    for leftover in self._spill_dir.glob("*.bin"):
-                        leftover.unlink(missing_ok=True)
-                    self._spill_dir.rmdir()
-                except OSError:
-                    pass
 
     def _sweep_orphans(self) -> int:
         return _sweep_shm(self.prefix)

@@ -5,12 +5,9 @@ handlers and level filtering keep working) that attaches **correlation
 fields** to every record: the ambient
 :class:`~repro.runtime.tracectx.TraceContext` (trace_id / span_id),
 the emitting pid, and whatever the call site knows (task_id, tenant,
-attempt, worker).  Two render modes:
-
-* default — classic single-line text with the fields appended as
-  ``key=value`` pairs, readable in terminals and test output;
-* JSON lines — one JSON object per record, enabled by
-  ``REPRO_LOG_JSON=1`` (or :func:`configure`), for machine ingestion.
+attempt, worker).  A record renders as one line of text with the
+fields appended as ``key=value`` pairs, readable in terminals and test
+output.
 
 Usage::
 
@@ -30,8 +27,7 @@ import logging
 import os
 import sys
 import threading
-import time
-from typing import Any, Optional
+from typing import Any
 
 from repro.runtime import tracectx
 
@@ -39,7 +35,6 @@ __all__ = [
     "StructLogger",
     "get_logger",
     "configure",
-    "json_mode_enabled",
     "StructFormatter",
     "format_event",
 ]
@@ -49,31 +44,9 @@ _lock = threading.Lock()
 _configured = False
 
 
-def json_mode_enabled(environ: Optional[dict] = None) -> bool:
-    env = os.environ if environ is None else environ
-    raw = env.get("REPRO_LOG_JSON", "").strip().lower()
-    return raw in ("1", "true", "yes", "on")
-
-
-def format_event(
-    level: str, logger: str, message: str, fields: dict[str, Any], *, json_mode: bool
-) -> str:
+def format_event(message: str, fields: dict[str, Any]) -> str:
     """Render one structured event — the single code path both the
     formatter and tests go through."""
-    if json_mode:
-        payload = {
-            "ts": round(time.time(), 6),
-            "level": level,
-            "logger": logger,
-            "msg": message,
-        }
-        payload.update(fields)
-        try:
-            return json.dumps(payload, default=repr)
-        except (TypeError, ValueError):
-            return json.dumps(
-                {k: repr(v) for k, v in payload.items()}
-            )
     if not fields:
         return message
     suffix = " ".join(f"{k}={_scalar(v)}" for k, v in fields.items())
@@ -88,25 +61,14 @@ def _scalar(value: Any) -> str:
 
 
 class StructFormatter(logging.Formatter):
-    """Formatter rendering ``repro_fields`` — text or JSON lines."""
-
-    def __init__(self, *, json_mode: bool = False):
-        super().__init__()
-        self.json_mode = json_mode
+    """Formatter rendering ``repro_fields`` as ``key=value`` text."""
 
     def format(self, record: logging.LogRecord) -> str:
         fields = getattr(record, _FIELDS_ATTR, None) or {}
-        message = record.getMessage()
         if record.exc_info and not record.exc_text:
             record.exc_text = self.formatException(record.exc_info)
-        rendered = format_event(
-            record.levelname,
-            record.name,
-            message,
-            fields,
-            json_mode=self.json_mode,
-        )
-        if record.exc_text and not self.json_mode:
+        rendered = format_event(record.getMessage(), fields)
+        if record.exc_text:
             rendered = f"{rendered}\n{record.exc_text}"
         return rendered
 
@@ -174,22 +136,18 @@ def get_logger(name: str) -> StructLogger:
 
 def configure(
     *,
-    json_mode: Optional[bool] = None,
     level: int = logging.INFO,
     stream: Any = None,
     force: bool = False,
 ) -> logging.Handler:
     """Attach one structured handler to the ``repro`` logger tree.
 
-    Idempotent per process unless *force*.  *json_mode* defaults to
-    the ``REPRO_LOG_JSON`` environment variable.  Returns the handler
-    (tests point *stream* at a ``StringIO`` and read it back).
+    Idempotent per process unless *force*.  Returns the handler (tests
+    point *stream* at a ``StringIO`` and read it back).
     """
     global _configured
     root = logging.getLogger("repro")
     with _lock:
-        if json_mode is None:
-            json_mode = json_mode_enabled()
         if force:
             for handler in [
                 h for h in root.handlers if getattr(h, "_repro_struct", False)
@@ -201,7 +159,7 @@ def configure(
                 if getattr(handler, "_repro_struct", False):
                     return handler
         handler = logging.StreamHandler(stream if stream is not None else sys.stderr)
-        handler.setFormatter(StructFormatter(json_mode=json_mode))
+        handler.setFormatter(StructFormatter())
         handler._repro_struct = True  # type: ignore[attr-defined]
         root.addHandler(handler)
         if root.level == logging.NOTSET or root.level > level:

@@ -94,7 +94,7 @@ CREATE TABLE IF NOT EXISTS provenance (
 );
 
 -- Store-segment prefixes of live server incarnations, so a cold start
--- can sweep exactly the /dev/shm + spill debris of dead incarnations
+-- can sweep exactly the /dev/shm segments of dead incarnations
 -- (prefix-scoped: concurrent servers never touch each other's rows).
 CREATE TABLE IF NOT EXISTS store_prefixes (
     prefix        TEXT PRIMARY KEY,

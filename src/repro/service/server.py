@@ -6,7 +6,6 @@ directory::
     data_dir/
       queue.db      the WAL-mode queue (repro.service.db); its provenance
                     log is also the service's span log
-      spill/        the object store's disk tier, one subdir per prefix
       traces/       one OTLP document per drained incarnation's runtime
       flightrec/    flight-recorder dumps (SIGTERM, kill, abort)
 
@@ -19,7 +18,7 @@ Lifecycle — both exits are first-class, chaos-tested paths:
   recovery path.  Cold-start recovery happens *before* any new work is
   leased: every task the WAL shows leased by a process that is gone is
   requeued (the dead incarnation can never report back), and
-  shared-memory/spill segments of dead incarnations are swept via the
+  shared-memory segments of dead incarnations are swept via the
   store's prefix-scoped orphan logic — each incarnation registers its
   store prefix durably.  Both go by the recorded pid, so two live
   services on one data directory never take each other's leases or
@@ -163,7 +162,6 @@ class QueueService:
                 backend=cfg.backend,
                 max_workers=cfg.workers,
                 name=f"svc-{self.server_id}",
-                store_spill_dir=str(self.data_dir / "spill"),
                 flightrec_dir=str(self.data_dir / "flightrec"),
             )
         )
@@ -195,12 +193,11 @@ class QueueService:
         requeued = self.queue.recover(self.server_id)
         swept_prefixes: list[str] = []
         swept_files = 0
-        spill_root = self.data_dir / "spill"
         rows = self.db.query("SELECT prefix, pid FROM store_prefixes")
         for row in rows:
             if _pid_alive(row["pid"]):
                 continue  # a live sibling service: not ours to sweep
-            swept_files += sweep_prefix(row["prefix"], spill_dir=spill_root)
+            swept_files += sweep_prefix(row["prefix"])
             swept_prefixes.append(row["prefix"])
         if swept_prefixes:
             with self.db.transaction() as conn:

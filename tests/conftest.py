@@ -20,6 +20,7 @@ import pytest
 from hypothesis import settings
 
 from repro.runtime import Runtime
+from tests.support.store import small_threshold  # noqa: F401 - shared fixture
 
 settings.register_profile(
     "matrix", derandomize=True, deadline=None, max_examples=20, stateful_step_count=20

@@ -253,7 +253,7 @@ def test_persist_moves_blocks_into_store(rng):
     from repro.runtime import RuntimeConfig, is_ref
 
     x = rng.standard_normal((12, 8))
-    cfg = RuntimeConfig(executor="threads", store_threshold_bytes=64)
+    cfg = RuntimeConfig(executor="threads")
     with Runtime(config=cfg) as rt:
         a = ds.array(x, (5, 4)).persist()
         assert all(is_ref(b) for row in a.blocks for b in row)

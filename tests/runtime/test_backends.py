@@ -272,14 +272,10 @@ def _pool_cached_segments() -> list[str]:
             pool.release(w)
 
 
-def _store_cfg():
-    return _processes_cfg(store_threshold_bytes=1024)
-
-
-def test_pooled_workers_forget_a_store_when_its_runtime_exits():
+def test_pooled_workers_forget_a_store_when_its_runtime_exits(small_threshold):
     shutdown_workers()  # fresh workers: nothing cached from other tests
     for round_ in range(3):
-        with Runtime(config=_store_cfg()) as rt:
+        with Runtime(config=_processes_cfg()) as rt:
             prefix = rt.store.prefix
             refs = [rt.put(np.full(512, float(i))) for i in range(4)]
             assert wait_on([_block_sum(r) for r in refs]) == [512.0 * i for i in range(4)]
@@ -287,13 +283,13 @@ def test_pooled_workers_forget_a_store_when_its_runtime_exits():
         assert _pool_cached_segments() == [], f"round {round_}"
 
 
-def test_forget_is_scoped_to_the_store_that_shut_down():
+def test_forget_is_scoped_to_the_store_that_shut_down(small_threshold):
     shutdown_workers()
     block = np.ones(512)
-    with Runtime(config=_store_cfg()) as rt_a:
+    with Runtime(config=_processes_cfg()) as rt_a:
         ref_a = rt_a.put(block)
         assert wait_on(rt_a.submit_many([_block_sum.defer(ref_a)] * 4)) == [512.0] * 4
-        with Runtime(config=_store_cfg()) as rt_b:
+        with Runtime(config=_processes_cfg()) as rt_b:
             ref_b = rt_b.put(block)
             assert wait_on(rt_b.submit_many([_block_sum.defer(ref_b)] * 4)) == [512.0] * 4
             prefix_b = rt_b.store.prefix

@@ -266,7 +266,7 @@ def test_a_dependent_cancelled_by_an_abort_is_never_marked_ready():
     def child(x):
         return x
 
-    cfg = RuntimeConfig(executor="threads", max_workers=1, debug_invariants=True)
+    cfg = RuntimeConfig(executor="threads", max_workers=1)
     with Runtime(config=cfg) as rt:
         fut = child(parked())
         inst = rt._by_root[fut.task_id]

@@ -21,7 +21,10 @@ def test_defaults():
     cfg = RuntimeConfig()
     assert cfg.executor == "threads"
     assert cfg.collect_trace is True
-    assert len(dataclasses.fields(cfg)) == 14
+    assert [f.name for f in dataclasses.fields(cfg)] == [
+        "executor", "backend", "max_workers", "name", "collect_trace", "checkpoint_dir",
+        "observability", "store", "fusion", "flightrec_dir",
+    ]
     # the failure-policy defaults are constants, not settings
     assert failures.DEFAULT_ON_FAILURE == CANCEL_SUCCESSORS
     assert failures.DEFAULT_MAX_RETRIES == 2
@@ -41,9 +44,6 @@ def test_validation():
 def test_store_defaults_and_validation():
     cfg = RuntimeConfig()
     assert cfg.store == "auto"
-    assert cfg.store_capacity_mb == 256.0
-    assert cfg.store_spill_dir is None
-    assert cfg.store_threshold_bytes == 65536
     assert RuntimeConfig(store="off").store == "off"
     # "on" used to be accepted and behaved as "auto": two values, not three
     for mode in ("maybe", "on"):
@@ -51,24 +51,21 @@ def test_store_defaults_and_validation():
             RuntimeConfig(store=mode)
     with pytest.raises(ValueError, match="unknown store mode"):
         RuntimeConfig.from_env(environ={"REPRO_STORE": "on"})
-    with pytest.raises(ValueError):
-        RuntimeConfig(store_capacity_mb=0)
-    with pytest.raises(ValueError):
-        RuntimeConfig(store_threshold_bytes=-1)
+    # the threshold and the worker cache bound are constants, not settings
+    for knob in ("store_capacity_mb", "store_threshold_bytes", "debug_invariants"):
+        with pytest.raises(TypeError):
+            RuntimeConfig(**{knob: 1})
 
 
 def test_store_env_overrides():
     env = {
         "REPRO_STORE": "off",
+        # read by nothing: the store has no budget and one threshold
         "REPRO_STORE_CAPACITY_MB": "64",
-        "REPRO_STORE_SPILL_DIR": "/tmp/spill-here",
         "REPRO_STORE_THRESHOLD_BYTES": "4096",
+        "REPRO_DEBUG_INVARIANTS": "1",
     }
-    cfg = RuntimeConfig.from_env(environ=env)
-    assert cfg.store == "off"
-    assert cfg.store_capacity_mb == 64.0
-    assert cfg.store_spill_dir == "/tmp/spill-here"
-    assert cfg.store_threshold_bytes == 4096
+    assert RuntimeConfig.from_env(environ=env) == RuntimeConfig(store="off")
 
 
 def test_replace_returns_new_config():

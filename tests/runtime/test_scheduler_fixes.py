@@ -219,7 +219,7 @@ def test_check_invariants_clean_after_quiesced_run():
 
     from repro.runtime.config import RuntimeConfig
 
-    cfg = RuntimeConfig(executor="threads", max_workers=4, debug_invariants=True)
+    cfg = RuntimeConfig(executor="threads", max_workers=4)
     with Runtime(config=cfg) as rt:
         f = 1
         for _ in range(20):
@@ -227,3 +227,25 @@ def test_check_invariants_clean_after_quiesced_run():
         assert wait_on(f) == 2**20
         rt.barrier()
         assert rt.check_invariants(quiesced=True) == []
+
+
+def test_default_runtime_records_an_illegal_transition():
+    """The state-transition checks are always on: moving a finished
+    task back to RUNNING is reported by ``check_invariants``."""
+
+    @task(returns=1)
+    def one():
+        return 1
+
+    with Runtime() as rt:
+        fut = one()
+        assert wait_on(fut) == 1
+        rt.barrier()
+        assert rt.check_invariants() == []
+        inst = rt._by_root[fut.task_id]
+        rt._set_state(inst, "running")
+        assert rt.check_invariants() == [
+            f"illegal transition done -> running for one#{inst.task_id}"
+        ]
+        rt._set_state(inst, "done")  # RUNNING -> DONE is legal: nothing more recorded
+        assert len(rt.check_invariants(quiesced=True)) == 1

@@ -1,11 +1,11 @@
 """Tests of the shared-memory object store and the redesigned
-data-passing API: refcounted release, LRU spill/reload, concurrent
-access, crash-safe cleanup, ref transport on the process backend, and
-the ``put``/``get``/``submit_many`` runtime surface."""
+data-passing API: refcounted release, concurrent access, crash-safe
+cleanup, ref transport on the process backend, and the
+``put``/``get``/``submit_many`` runtime surface."""
 
 from __future__ import annotations
 
-import os
+import errno
 import random
 import subprocess
 import sys
@@ -21,6 +21,7 @@ from repro.runtime import (
     Runtime,
     RuntimeConfig,
     StoreError,
+    TaskExecutionError,
     current_attempt,
     is_ref,
     task,
@@ -53,10 +54,9 @@ def _checksum(block):
     return float(np.asarray(block).sum())
 
 
-def _store(**kw):
-    kw.setdefault("capacity_bytes", 1 << 20)
-    kw.setdefault("threshold_bytes", 1024)
-    return ObjectStore(**kw)
+@task(returns=1)
+def _kinds(a, b=None):
+    return type(a).__name__, type(b).__name__
 
 
 # ----------------------------------------------------------------------
@@ -77,7 +77,7 @@ def test_object_ref_identity_and_scan():
 # put / get / release
 # ----------------------------------------------------------------------
 def test_put_get_roundtrip_zero_copy_view():
-    store = _store()
+    store = ObjectStore()
     try:
         src = np.arange(512.0).reshape(16, 32)
         ref = store.put(src)
@@ -95,7 +95,7 @@ def test_put_get_roundtrip_zero_copy_view():
 
 
 def test_put_is_deduplicated_per_array_object():
-    store = _store()
+    store = ObjectStore()
     try:
         src = np.ones(256)
         ref1, ref2 = store.put(src), store.put(src)
@@ -109,7 +109,7 @@ def test_put_is_deduplicated_per_array_object():
 
 
 def test_put_rejects_object_dtype():
-    store = _store()
+    store = ObjectStore()
     try:
         with pytest.raises(StoreError):
             store.put(np.array([object()], dtype=object))
@@ -118,7 +118,7 @@ def test_put_rejects_object_dtype():
 
 
 def test_refcount_release_is_deterministic():
-    store = _store()
+    store = ObjectStore()
     try:
         ref = store.put(np.zeros(128))
         segment = ref.segment
@@ -138,7 +138,7 @@ def test_refcount_release_is_deterministic():
 
 
 def test_lease_pins_entry_until_unleased():
-    store = _store()
+    store = ObjectStore()
     try:
         ref = store.put(np.zeros(64))
         segment = store.lease(ref)
@@ -152,60 +152,16 @@ def test_lease_pins_entry_until_unleased():
 
 
 # ----------------------------------------------------------------------
-# LRU spill tier
-# ----------------------------------------------------------------------
-def test_lru_spill_and_reload_roundtrip(tmp_path):
-    block = 64 * 1024
-    store = ObjectStore(
-        capacity_bytes=3 * block, spill_dir=tmp_path, threshold_bytes=1024
-    )
-    try:
-        arrays = [np.full(block // 8, float(i)) for i in range(5)]
-        refs = [store.put(a) for a in arrays]
-        stats = store.stats()
-        # five 64K objects under a 192K budget: the least recently
-        # used ones were spilled to disk
-        assert stats["n_spilled"] >= 2
-        assert stats["spills"] == stats["n_spilled"]
-        assert list(Path(tmp_path).glob("repro-store-*/*.bin"))
-        # reading a spilled object reloads it bit-exactly (and may
-        # evict another resident in turn)
-        for ref, src in zip(refs, arrays):
-            assert np.array_equal(store.get(ref, copy=True), src)
-        assert store.stats()["reloads"] >= 2
-        assert store.stats()["bytes_resident"] <= 3 * block
-    finally:
-        store.shutdown()
-    # shutdown removed the spill directory and its files
-    assert not list(Path(tmp_path).glob("repro-store-*"))
-
-
-def test_spill_lru_order_prefers_cold_objects():
-    block = 64 * 1024
-    store = _store(capacity_bytes=3 * block)
-    try:
-        hot = store.put(np.zeros(block // 8))
-        cold = store.put(np.ones(block // 8))
-        store.get(hot)  # touch: hot is now most recently used
-        store.put(np.full(block // 8, 2.0))
-        store.put(np.full(block // 8, 3.0))  # forces one eviction
-        entries = store._entries
-        assert entries[hot.object_id].resident
-        assert not entries[cold.object_id].resident
-    finally:
-        store.shutdown()
-
-
-# ----------------------------------------------------------------------
 # concurrency
 # ----------------------------------------------------------------------
 def _assert_bookkeeping_exact(store: ObjectStore) -> None:
-    """The O(1) bookkeeping equals what a scan of the table says."""
+    """The table agrees with ``/dev/shm`` and with the dedup cache."""
     with store._lock:
         entries = dict(store._entries)
-        resident = sum(e.nbytes for e in entries.values() if e.resident)
-        assert store._resident_bytes == resident
-        assert store.stats()["bytes_resident"] == resident
+        on_shm = {p.name for p in Path("/dev/shm").glob(f"{store.prefix}*")}
+        # a live object's segment is never unlinked under it
+        assert {e.seg.name for e in entries.values()} <= on_shm
+        assert store.stats()["bytes_resident"] == sum(e.nbytes for e in entries.values())
         # no dedup key outlives its entry, and every entry knows its key
         for key, (_, oid) in store._dedup.items():
             assert oid in entries and entries[oid].dedup_key == key
@@ -213,9 +169,9 @@ def _assert_bookkeeping_exact(store: ObjectStore) -> None:
 
 def test_concurrent_put_get_release_threads():
     """Four threads run a randomized put / get / lease / release /
-    adopt mix against a store small enough to spill: bytes never
-    diverge, and the running totals stay equal to a from-scratch sum."""
-    store = _store(capacity_bytes=16 * 1024)
+    adopt mix against one store: bytes never diverge, live segments
+    stay on ``/dev/shm`` and the dedup cache stays consistent."""
+    store = ObjectStore()
     errors: list[BaseException] = []
 
     def churn(worker: int) -> None:
@@ -265,7 +221,6 @@ def test_concurrent_put_get_release_threads():
         assert not any(t.is_alive() for t in threads)
         assert not errors, errors
         assert store.n_objects == 0  # everything released
-        assert store.stats()["spills"] > 0 and store.stats()["reloads"] > 0
         _assert_bookkeeping_exact(store)
         assert store.stats()["bytes_resident"] == 0 and not store._dedup
         assert not list(Path("/dev/shm").glob(f"{store.prefix}*"))
@@ -274,12 +229,10 @@ def test_concurrent_put_get_release_threads():
         store.shutdown()
 
 
-def test_concurrent_get_from_worker_processes():
+def test_concurrent_get_from_worker_processes(small_threshold):
     """Many tasks reading one stored block from pool workers: every
     read sees the same bytes, and repeat reads hit the worker cache."""
-    cfg = RuntimeConfig(
-        backend="processes", max_workers=2, store_threshold_bytes=1024
-    )
+    cfg = RuntimeConfig(backend="processes", max_workers=2)
     with Runtime(config=cfg) as rt:
         src = np.arange(4096.0)
         ref = rt.put(src)
@@ -298,7 +251,7 @@ def test_concurrent_get_from_worker_processes():
 def test_shutdown_sweeps_orphan_segments():
     """A segment created under the store's prefix but never adopted
     (worker crashed mid-freeze) is removed by the shutdown sweep."""
-    store = _store()
+    store = ObjectStore()
     orphan_name = f"{store.prefix}worphan"
     try:
         _Segment.create(orphan_name, bytes(64))
@@ -313,7 +266,7 @@ def test_shutdown_sweeps_orphan_segments():
 def test_never_read_adopted_result_is_unlinked_unmapped(how):
     """Most worker results are only ever read by other workers: the
     coordinator adopts them as a name, and frees them by name."""
-    store = _store()
+    store = ObjectStore()
     try:
         info = WorkerStore.new_info()
         WorkerStore().freeze(np.arange(1024.0), store.prefix, 1024, info)
@@ -331,31 +284,13 @@ def test_never_read_adopted_result_is_unlinked_unmapped(how):
         store.shutdown()
 
 
-def test_adopted_result_spills_and_reloads(tmp_path):
-    """An adopted, never-read segment is a spill victim like any other:
-    it is mapped for the copy-out and reloads bit-exactly."""
-    block = np.arange(1024.0)
-    store = ObjectStore(capacity_bytes=block.nbytes, spill_dir=tmp_path, threshold_bytes=1024)
-    try:
-        info = WorkerStore.new_info()
-        WorkerStore().freeze(block, store.prefix, 1024, info)
-        ref = store.adopt(*info["created"][0])
-        store.put(np.zeros(1024))  # over budget: the adopted block spills
-        assert not store._entries[ref.object_id].resident
-        assert not Path(f"/dev/shm/{ref.segment}").exists()
-        assert np.array_equal(store.get(ref), block)
-        _assert_bookkeeping_exact(store)
-    finally:
-        store.shutdown()
-
-
 def test_live_view_survives_release_and_shutdown():
     """Zero-copy views handed out by get() stay readable after the
     object is released and after the whole store shuts down — the store
     detaches instead of unmapping under a live view (regression: this
     used to segfault, because np.ndarray(buffer=...) holds no buffer
     export and SharedMemory.close() unmaps silently)."""
-    store = _store()
+    store = ObjectStore()
     x = np.arange(1024, dtype=np.float64)
     ref = store.put(x)
     view = store.get(ref)
@@ -366,7 +301,7 @@ def test_live_view_survives_release_and_shutdown():
 
 
 def test_shutdown_is_idempotent_and_closes_api():
-    store = _store()
+    store = ObjectStore()
     ref = store.put(np.zeros(32))
     store.shutdown()
     store.shutdown()
@@ -376,12 +311,10 @@ def test_shutdown_is_idempotent_and_closes_api():
         store.get(ref)
 
 
-def test_worker_crash_leaves_no_segments_behind():
+def test_worker_crash_leaves_no_segments_behind(small_threshold):
     """SIGKILLing a worker mid-run must not leak /dev/shm segments
     once the runtime shuts down."""
-    cfg = RuntimeConfig(
-        backend="processes", max_workers=2, store_threshold_bytes=1024
-    )
+    cfg = RuntimeConfig(backend="processes", max_workers=2)
     with Runtime(config=cfg) as rt:
         prefix = rt.store.prefix
         block = np.ones(2048)
@@ -390,15 +323,13 @@ def test_worker_crash_leaves_no_segments_behind():
     assert not list(Path("/dev/shm").glob(f"{prefix}*"))
 
 
-def test_worker_crash_releases_transfer_pins():
-    """A store-shipped argument is pinned resident for the duration of
-    the dispatch; when the worker dies mid-task the coordinator must
+def test_worker_crash_releases_transfer_pins(small_threshold):
+    """A store-shipped argument is pinned for the duration of the
+    dispatch; when the worker dies mid-task the coordinator must
     release those transfer pins on the failure path, or the entries
-    stay unspillable and unevictable forever.  After the retry
-    completes, zero pins may remain."""
-    cfg = RuntimeConfig(
-        backend="processes", max_workers=2, store_threshold_bytes=1024
-    )
+    can never be freed.  After the retry completes, zero pins may
+    remain."""
+    cfg = RuntimeConfig(backend="processes", max_workers=2)
     with Runtime(config=cfg) as rt:
         block = np.ones(2048)
         out = wait_on(_double_after_a_crash.opts(max_retries=2)(block))
@@ -409,42 +340,31 @@ def test_worker_crash_releases_transfer_pins():
         assert stats["pinned_bytes"] == 0
 
 
-def test_sweep_prefix_is_scoped_to_one_store(tmp_path):
-    """Two stores sharing /dev/shm and one spill root: sweeping the
-    prefix of a dead store must not touch the live one's segments —
-    concurrent services pointed at the same directories stay isolated."""
+def test_sweep_prefix_is_scoped_to_one_store():
+    """Two stores sharing /dev/shm: sweeping the prefix of a dead store
+    must not touch the live one's segments — concurrent services
+    pointed at the same machine stay isolated."""
     from repro.runtime.store import sweep_prefix
 
-    a = _store(capacity_bytes=4096, spill_dir=tmp_path)
-    b = _store(capacity_bytes=4096, spill_dir=tmp_path)
+    a, b = ObjectStore(), ObjectStore()
     try:
-        # Both stores hold segments in shm plus a spilled block in the
-        # shared spill root (capacity fits one 4 KiB block, so the
-        # second put evicts the first to disk).
-        b_refs = []
-        for store in (a, b):
-            refs = [store.put(np.full(512, float(i + 1))) for i in range(2)]
-            if store is b:
-                b_refs = refs
-        assert list(Path("/dev/shm").glob(f"{a.prefix}*"))
+        for i in range(2):
+            a.put(np.full(512, float(i + 1)))
+        b_refs = [b.put(np.full(512, float(i + 1))) for i in range(2)]
+        assert len(list(Path("/dev/shm").glob(f"{a.prefix}*"))) == 2
         assert list(Path("/dev/shm").glob(f"{b.prefix}*"))
-        assert (tmp_path / f"repro-store-{a.prefix}").is_dir()
 
         # Simulate store A dying without cleanup, then a cold-start
         # sweep of exactly its prefix.
-        a_prefix = a.prefix
-        removed = sweep_prefix(a_prefix, spill_dir=tmp_path)
-        assert removed > 0
-        assert not list(Path("/dev/shm").glob(f"{a_prefix}*"))
-        assert not (tmp_path / f"repro-store-{a_prefix}").exists()
-        # B's world is untouched: shm segments, spill dir, and data.
-        assert list(Path("/dev/shm").glob(f"{b.prefix}*"))
-        assert (tmp_path / f"repro-store-{b.prefix}").is_dir()
+        assert sweep_prefix(a.prefix) == 2
+        assert not list(Path("/dev/shm").glob(f"{a.prefix}*"))
+        # B's world is untouched: shm segments and data.
+        assert len(list(Path("/dev/shm").glob(f"{b.prefix}*"))) == 2
         for i, ref in enumerate(b_refs):
             assert float(b.get(ref)[0]) == float(i + 1)
     finally:
         b.shutdown()
-        sweep_prefix(a.prefix, spill_dir=tmp_path)
+        a.shutdown()
 
 
 def test_sweep_prefix_rejects_empty_prefix():
@@ -454,10 +374,8 @@ def test_sweep_prefix_rejects_empty_prefix():
         sweep_prefix("")
 
 
-def test_runtime_shutdown_unlinks_all_segments():
-    cfg = RuntimeConfig(
-        backend="processes", max_workers=2, store_threshold_bytes=1024
-    )
+def test_runtime_shutdown_unlinks_all_segments(small_threshold):
+    cfg = RuntimeConfig(backend="processes", max_workers=2)
     with Runtime(config=cfg) as rt:
         prefix = rt.store.prefix
         refs = [rt.put(np.full(1024, float(i))) for i in range(4)]
@@ -470,18 +388,13 @@ def test_runtime_shutdown_unlinks_all_segments():
 # ref transport correctness
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("backend", ["threads", "processes"])
-def test_ref_passed_results_bit_identical_to_inline(backend):
+def test_ref_passed_results_bit_identical_to_inline(backend, small_threshold):
     """The same workload computed with arguments passed by reference
     and passed inline produces bit-identical results on both backends."""
     src = np.arange(8192.0).reshape(64, 128) / 3.0
 
     def run(store_mode: str) -> np.ndarray:
-        cfg = RuntimeConfig(
-            backend=backend,
-            max_workers=2,
-            store=store_mode,
-            store_threshold_bytes=1024,
-        )
+        cfg = RuntimeConfig(backend=backend, max_workers=2, store=store_mode)
         with Runtime(config=cfg) as rt:
             a = rt.put(src) if store_mode == "auto" else src
             doubled = _double(a)
@@ -494,10 +407,8 @@ def test_ref_passed_results_bit_identical_to_inline(backend):
     assert with_store.tobytes() == (src * 3.0).tobytes()
 
 
-def test_large_args_and_results_travel_by_reference():
-    cfg = RuntimeConfig(
-        backend="processes", max_workers=1, store_threshold_bytes=1024
-    )
+def test_large_args_and_results_travel_by_reference(small_threshold):
+    cfg = RuntimeConfig(backend="processes", max_workers=1)
     with Runtime(config=cfg) as rt:
         src = np.ones(4096)
         out = wait_on(_double(src))
@@ -532,11 +443,39 @@ def test_small_values_stay_inline():
         assert rt.stats()["backend_stats"]["store_bytes_moved"] == 0
 
 
-def test_store_off_disables_ref_transport():
-    cfg = RuntimeConfig(
-        backend="processes", max_workers=1, store="off",
-        store_threshold_bytes=1024,
-    )
+@pytest.mark.parametrize("backend", ["threads", "processes"])
+def test_released_ref_argument_fails_alike_on_both_backends(backend, small_threshold):
+    """A released ref among the arguments is the same ``StoreError`` on
+    both backends.  Under processes it used to fail only once the
+    positional block was already frozen: the call went out with refs
+    the worker was never told to thaw, and the body saw ``ObjectRef``s."""
+    with Runtime(config=RuntimeConfig(backend=backend, max_workers=1)) as rt:
+        live, dead = rt.put(np.zeros(4096)), rt.put(np.ones(4096))
+        rt.release(dead)
+        assert wait_on(_kinds(np.ones(4096), b=live)) == ("ndarray", "ndarray")
+        with pytest.raises(TaskExecutionError) as failed:
+            wait_on(_kinds(np.ones(4096), b=dead))
+        assert isinstance(failed.value.__cause__, StoreError)
+        assert "unknown or released object" in str(failed.value.__cause__)
+
+
+def test_full_shm_runs_the_call_inline(monkeypatch, small_threshold):
+    """No room in ``/dev/shm`` for an argument: the call runs inline on
+    the caller's own arrays instead of failing the task."""
+
+    def no_space(cls, name, data):
+        raise OSError(errno.ENOSPC, "No space left on device", name)
+
+    with Runtime(config=RuntimeConfig(backend="processes", max_workers=1)) as rt:
+        assert np.array_equal(wait_on(_double(np.ones(4096))), np.full(4096, 2.0))
+        inline = rt.stats()["backend_stats"]["inline"]
+        monkeypatch.setattr(_Segment, "create", classmethod(no_space))
+        assert np.array_equal(wait_on(_double(np.ones(4096))), np.full(4096, 2.0))
+        assert rt.stats()["backend_stats"]["inline"] == inline + 1
+
+
+def test_store_off_disables_ref_transport(small_threshold):
+    cfg = RuntimeConfig(backend="processes", max_workers=1, store="off")
     with Runtime(config=cfg) as rt:
         out = wait_on(_double(np.ones(4096)))
         assert np.array_equal(out, np.full(4096, 2.0))
@@ -561,10 +500,8 @@ def test_runtime_put_get_release():
         assert rt.store.n_objects == 0
 
 
-def test_wait_on_derefs_task_results():
-    cfg = RuntimeConfig(
-        backend="processes", max_workers=1, store_threshold_bytes=1024
-    )
+def test_wait_on_derefs_task_results(small_threshold):
+    cfg = RuntimeConfig(backend="processes", max_workers=1)
     with Runtime(config=cfg):
         out = wait_on(_double(np.ones(4096)))
         assert isinstance(out, np.ndarray)  # a value, not a ref
@@ -612,7 +549,7 @@ def test_submit_many_results_chain_into_later_tasks():
 # worker-side store
 # ----------------------------------------------------------------------
 def test_worker_store_thaw_freeze_roundtrip():
-    store = _store()
+    store = ObjectStore()
     try:
         ws = WorkerStore()
         src = np.arange(1024.0)
@@ -638,7 +575,7 @@ def test_worker_store_thaw_freeze_roundtrip():
 
 
 def test_worker_store_prune_bounds_cache():
-    store, other = _store(), _store()
+    store, other = ObjectStore(), ObjectStore()
     try:
         ws = WorkerStore()
 
@@ -672,7 +609,7 @@ def test_worker_store_prune_bounds_cache():
 
 
 def test_worker_store_thaw_of_vanished_segment_leaves_cache_clean():
-    store = _store()
+    store = ObjectStore()
     try:
         ws = WorkerStore()
         ref = store.put(np.zeros(512))
@@ -691,11 +628,13 @@ _QUIET_RUN = """
 import os
 import numpy as np
 import repro.dsarray as ds
+import repro.runtime.store
 from repro.runtime import Runtime, RuntimeConfig, shutdown_workers
 
+repro.runtime.store.THRESHOLD_BYTES = 1024  # 32x32 blocks go by reference
 rng = np.random.default_rng(0)
 a, b = rng.standard_normal((192, 192)), rng.standard_normal((192, 192))
-cfg = RuntimeConfig(backend="processes", max_workers=2, store_threshold_bytes=1024)
+cfg = RuntimeConfig(backend="processes", max_workers=2)
 with Runtime(config=cfg) as rt:
     c = (ds.array(a, (32, 32)) @ ds.array(b, (32, 32))).collect()
     stats = rt.stats()["backend_stats"]

@@ -28,7 +28,6 @@ def double(x):
 def runtime(**kw):
     kw.setdefault("executor", "threads")
     kw.setdefault("max_workers", 2)
-    kw.setdefault("debug_invariants", True)
     return Runtime(config=RuntimeConfig(**kw))
 
 

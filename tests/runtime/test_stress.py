@@ -61,6 +61,10 @@ from repro.runtime.flightrec import run_under_watchdog
 from repro.runtime.task import task
 from tests.conftest import matrix_settings
 
+#: Every machine here stores 8 KiB blocks by reference: the store's
+#: threshold is lowered for each test (``tests/support/store.py``).
+pytestmark = pytest.mark.usefixtures("small_threshold")
+
 #: Per-step hang watchdog (seconds).
 TIMEOUT = 30.0
 
@@ -219,10 +223,7 @@ class RuntimeMachine(RuleBasedStateMachine):
         observability=st.sampled_from(["", "metrics", "progress"]),
         collect_trace=st.booleans(),
     )
-    def start(
-        self, executor, store, observability, collect_trace,
-        max_workers=3, store_threshold_bytes=4096,
-    ):
+    def start(self, executor, store, observability, collect_trace, max_workers=3):
         self.executor = executor
         DRAWN.update([
             ("executor", executor),
@@ -234,11 +235,9 @@ class RuntimeMachine(RuleBasedStateMachine):
             **EXECUTORS[executor],
             max_workers=max_workers,
             name=f"machine-{next(_NAMES)}",
-            debug_invariants=True,
             collect_trace=collect_trace,
             observability=observability,
             store=store,
-            store_threshold_bytes=store_threshold_bytes,
         )
         # Vary interleavings within each example, not only across them.
         self._switch = sys.getswitchinterval()
@@ -306,8 +305,9 @@ class RuntimeMachine(RuleBasedStateMachine):
         addend=st.none() | st.integers(-9, 9),
     )
     def array_op(self, base, fill, via_put, k, addend):
-        """Store traffic: 8 KiB blocks (over the 4 KiB store threshold),
-        some placed with ``Runtime.put``, some stored by the backend."""
+        """Store traffic: 8 KiB blocks (over the 1 KiB store threshold
+        every test here runs under), some placed with ``Runtime.put``,
+        some stored by the backend."""
         if base is None:
             av = np.full((32, 32), float(fill))
             base = (self.rt.put(av) if via_put else av, av)
@@ -594,7 +594,6 @@ def _replay(seed, n_ops=120, workers=4, backend="threads", store=False):
     m.start(
         executor=backend, store="auto", observability="",
         collect_trace=store, max_workers=workers,
-        store_threshold_bytes=4096 if store else 65536,
     )
 
     def operand():

@@ -1,11 +1,10 @@
-"""Tests of :mod:`repro.runtime.structlog`: field rendering (text and
-JSON-lines), ambient trace correlation, stdlib/caplog compatibility,
-and idempotent handler configuration."""
+"""Tests of :mod:`repro.runtime.structlog`: ``key=value`` field
+rendering, ambient trace correlation, stdlib/caplog compatibility, and
+idempotent handler configuration."""
 
 from __future__ import annotations
 
 import io
-import json
 import logging
 import os
 
@@ -15,7 +14,6 @@ from repro.runtime.structlog import (
     configure,
     format_event,
     get_logger,
-    json_mode_enabled,
 )
 from repro.runtime.tracectx import new_trace, use_context
 
@@ -24,46 +22,13 @@ from repro.runtime.tracectx import new_trace, use_context
 # rendering
 # ----------------------------------------------------------------------
 def test_format_event_text_appends_fields():
-    line = format_event(
-        "INFO", "repro.x", "task claimed", {"task_id": 7, "tenant": "acme"},
-        json_mode=False,
-    )
+    line = format_event("task claimed", {"task_id": 7, "tenant": "acme"})
     assert line == "task claimed task_id=7 tenant=acme"
 
 
 def test_format_event_text_quotes_awkward_values():
-    line = format_event(
-        "INFO", "repro.x", "m", {"detail": 'two words "quoted"'}, json_mode=False
-    )
+    line = format_event("m", {"detail": 'two words "quoted"'})
     assert line == 'm detail="two words \\"quoted\\""'
-
-
-def test_format_event_json_is_parseable():
-    line = format_event(
-        "WARNING", "repro.x", "msg", {"task_id": 3}, json_mode=True
-    )
-    payload = json.loads(line)
-    assert payload["level"] == "WARNING"
-    assert payload["logger"] == "repro.x"
-    assert payload["msg"] == "msg"
-    assert payload["task_id"] == 3
-    assert isinstance(payload["ts"], float)
-
-
-def test_format_event_json_degrades_unserialisable_values():
-    line = format_event(
-        "INFO", "repro.x", "m", {"bad": object()}, json_mode=True
-    )
-    payload = json.loads(line)  # repr fallback, never a crash
-    assert "object" in payload["bad"]
-
-
-def test_json_mode_enabled_parses_common_truthy_forms():
-    for raw in ("1", "true", "YES", " on "):
-        assert json_mode_enabled({"REPRO_LOG_JSON": raw})
-    for raw in ("", "0", "false", "off"):
-        assert not json_mode_enabled({"REPRO_LOG_JSON": raw})
-    assert not json_mode_enabled({})
 
 
 # ----------------------------------------------------------------------
@@ -131,11 +96,9 @@ def _make_record(fields):
     return record
 
 
-def test_struct_formatter_text_and_json_modes():
-    record = _make_record({"task_id": 5})
-    assert StructFormatter(json_mode=False).format(record) == "msg task_id=5"
-    payload = json.loads(StructFormatter(json_mode=True).format(record))
-    assert payload["task_id"] == 5 and payload["msg"] == "msg"
+def test_struct_formatter_renders_fields_as_text():
+    assert StructFormatter().format(_make_record({"task_id": 5})) == "msg task_id=5"
+    assert StructFormatter().format(_make_record({})) == "msg"
 
 
 def test_configure_is_idempotent_and_force_replaces():
@@ -154,14 +117,13 @@ def test_configure_is_idempotent_and_force_replaces():
     structlog._configured = False
 
 
-def test_configured_stream_receives_json_lines():
+def test_configured_stream_receives_text_lines():
     stream = io.StringIO()
-    handler = configure(stream=stream, json_mode=True, force=True)
+    handler = configure(stream=stream, force=True)
     try:
         get_logger("repro.test.structlog").warning("served", tenant="acme")
-        payload = json.loads(stream.getvalue().strip().splitlines()[-1])
-        assert payload["msg"] == "served"
-        assert payload["tenant"] == "acme"
+        line = stream.getvalue().strip().splitlines()[-1]
+        assert line == f"served pid={os.getpid()} tenant=acme"
     finally:
         logging.getLogger("repro").removeHandler(handler)
         structlog._configured = False

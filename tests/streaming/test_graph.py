@@ -31,7 +31,6 @@ def _total(values):
 def runtime(**kw):
     kw.setdefault("executor", "threads")
     kw.setdefault("max_workers", 2)
-    kw.setdefault("debug_invariants", True)
     return Runtime(config=RuntimeConfig(**kw))
 
 

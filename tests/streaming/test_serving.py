@@ -35,7 +35,6 @@ def model():
 def runtime(**kw):
     kw.setdefault("executor", "threads")
     kw.setdefault("max_workers", 2)
-    kw.setdefault("debug_invariants", True)
     return Runtime(config=RuntimeConfig(**kw))
 
 

@@ -73,7 +73,6 @@ def _run(scenario, **params) -> int:
         cfg = RuntimeConfig(
             executor="threads",
             max_workers=2,
-            debug_invariants=True,
             name=f"stream-{scenario.__name__}",
         )
         rt = Runtime(config=cfg)

@@ -91,13 +91,11 @@ def normalize(block):
     return (block - block.mean()) / block.std()
 
 
-def test_data_plane_walkthrough():
+def test_data_plane_walkthrough(small_threshold):
     """Section 6: put/refs/submit_many/release on the process backend."""
     from repro.runtime import RuntimeConfig
 
-    cfg = RuntimeConfig(
-        backend="processes", max_workers=2, store_threshold_bytes=1024
-    )
+    cfg = RuntimeConfig(backend="processes", max_workers=2)
     with Runtime(config=cfg) as rt:
         x = np.random.default_rng(0).normal(size=(256, 16))
         ref = rt.put(x)

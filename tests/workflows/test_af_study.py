@@ -109,6 +109,15 @@ def test_run_study_equals_one_runtime_per_model(tiny_dataset):
         assert summary(study[model]) == summary(alone)
 
 
+def test_the_shared_prefix_graph_breaks_no_invariant(tiny_dataset):
+    """Three cross-validations hanging off one PCA's futures: every
+    state transition of the study's graph is legal, and it drains."""
+    with runtime("threads") as rt:
+        run_study(MODELS, TINY, tiny_dataset, OVERRIDES)
+        rt.barrier()
+        assert rt.check_invariants(quiesced=True) == []
+
+
 # -- (b) a remembered prefix is the computed one --------------------------
 def test_remembered_prefix_is_byte_identical(tiny_dataset):
     with runtime():
