@@ -129,8 +129,9 @@ _logger = logging.getLogger("repro.runtime")
 
 _ckpt_logger = logging.getLogger("repro.runtime.checkpoint")
 
-#: ``VALID_TRANSITIONS`` plus staying put: every transition is checked
-#: against it, so the check is one set test.
+#: ``VALID_TRANSITIONS`` plus staying put, the table for every
+#: transition but the claim (see ``_execute``), so the check is one set
+#: test.
 _ALLOWED = {state: nxt | {state} for state, nxt in VALID_TRANSITIONS.items()}
 
 
@@ -1222,8 +1223,14 @@ class Runtime:
         self._check_transition(inst, inst.state, new_state)
         inst.state = new_state
 
-    def _check_transition(self, inst: TaskInstance, old: str, new_state: str) -> None:
-        if new_state not in _ALLOWED.get(old, ()):
+    def _check_transition(
+        self,
+        inst: TaskInstance,
+        old: str,
+        new_state: str,
+        table: dict[str, frozenset[str]] = _ALLOWED,
+    ) -> None:
+        if new_state not in table.get(old, ()):
             self._record_violation(
                 f"illegal transition {old} -> {new_state} "
                 f"for {inst.name}#{inst.task_id}"
@@ -1357,7 +1364,9 @@ class Runtime:
         prev_state = inst.claim_run()
         if prev_state is None:
             return  # cancelled (or finalized) before it could start
-        self._check_transition(inst, prev_state, RUNNING)
+        # Strict table, no self-loop: claiming an instance that is
+        # already RUNNING runs its body twice.
+        self._check_transition(inst, prev_state, RUNNING, VALID_TRANSITIONS)
         outer_scope = _current_scope()
         scope = Scope(self, parent_task_id=inst.task_id)
         time_out = inst.options.time_out if inst.options is not None else None

@@ -249,3 +249,33 @@ def test_default_runtime_records_an_illegal_transition():
         ]
         rt._set_state(inst, "done")  # RUNNING -> DONE is legal: nothing more recorded
         assert len(rt.check_invariants(quiesced=True)) == 1
+
+
+def test_claiming_a_running_task_again_is_recorded():
+    """The claim path has no self-loop: a second ``_execute`` of an
+    instance a worker is already running (its body run twice) is
+    reported as ``running -> running``."""
+    from repro.runtime.config import RuntimeConfig
+
+    started, gate, calls = threading.Event(), threading.Event(), []
+
+    @task(returns=1)
+    def slow():
+        calls.append(1)
+        if len(calls) == 1:
+            started.set()
+            gate.wait(10)
+        return len(calls)
+
+    with Runtime(config=RuntimeConfig(executor="threads", max_workers=2)) as rt:
+        fut = slow()
+        assert started.wait(10)
+        inst = rt._by_root[fut.task_id]
+        assert inst.state == "running"
+        rt._execute(inst)  # the second claim runs the body again
+        gate.set()
+        rt.barrier()
+        assert len(calls) == 2
+        assert rt.check_invariants() == [
+            f"illegal transition running -> running for slow#{inst.task_id}"
+        ]
