@@ -9,7 +9,7 @@
 #   scripts/check.sh test        tests only
 #   scripts/check.sh inventory   every src/repro module must have a test file
 #   scripts/check.sh stress      randomized runtime matrix (stress profile) + engine regression tests
-#   scripts/check.sh backend     import guards (no networkx and no coordinator-only module — engine, config, checkpoint, observability, otlp, dot, provenance, flightrec — in a fresh import of the runtime packages or in a pool worker), then tier-1 under REPRO_BACKEND=processes + the matrix's processes replays
+#   scripts/check.sh backend     import guards (no networkx and no coordinator-only module — engine, config, checkpoint, observability, otlp, dot, provenance, flightrec — in a fresh import of the runtime packages or in a pool worker), then tier-1 under REPRO_BACKEND=processes + the matrix's processes replays + bench smoke of blocks_procs
 #   scripts/check.sh obs         observability smoke (metrics/trace exports, flight-recorder dump) + tracing/lifecycle-view tests
 #   scripts/check.sh dataplane   store tests + the matrix's store replays + bench smoke of blocks_procs
 #   scripts/check.sh service     queue-service tests (kill -9, lease-expiry and traced-recovery chaos included)
@@ -122,6 +122,12 @@ run_backend() {
     REPRO_BACKEND=processes PYTHONPATH=src python -m pytest -x -q
     echo "== pinned replays under the processes backend =="
     run_matrix -k "processes or backends"
+    # Workers are forked from a fork server that shutdown_workers() stops
+    # with the pool: the benchmark's exit hygiene (live children,
+    # processes outliving the run, temp files left in TMPDIR, a silent
+    # standard error) on the workload that starts them.
+    echo "== bench smoke: blocks_procs (exit hygiene, silent stderr) =="
+    bench_smoke --workload blocks_procs
 }
 
 run_dataplane() {

@@ -16,7 +16,7 @@ from repro.cluster.analysis import (
     idle_fraction,
     time_breakdown,
 )
-from repro.cluster.chrometrace import save_chrome_schedule, schedule_to_chrome
+from repro.cluster.chrometrace import schedule_to_chrome
 from repro.cluster.costmodel import CostModel, IDENTITY, name_mean_smoother
 from repro.cluster.replay import (
     SweepPoint,
@@ -76,5 +76,4 @@ __all__ = [
     "idle_fraction",
     "bottleneck_report",
     "schedule_to_chrome",
-    "save_chrome_schedule",
 ]

@@ -107,11 +107,3 @@ def validate_chrome_json(text: str) -> list[dict]:
             raise ValueError(f"flow {flow_id} is unmatched (phases {sorted(phases)})")
     return events
 
-
-def save_chrome_schedule(
-    result: SimResult, path, process_name: str = "simulated-cluster"
-) -> None:
-    """Render and write a simulated schedule to *path*, atomically."""
-    from repro.runtime.atomic_write import atomic_write
-
-    atomic_write(path, schedule_to_chrome(result, process_name=process_name))

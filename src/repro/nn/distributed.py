@@ -64,23 +64,22 @@ def _local_data_parallel_epoch(
     model.set_weights(merged)
 
 
-def _make_train_task(n_gpus: int):
-    @task(
-        returns=1,
-        constraints=Constraints(gpus=n_gpus),
-        name=f"train_epoch_{n_gpus}gpu",
-    )
-    def train_epoch(config, weights, x_shard, y_shard, lr, batch_size, seed):
-        model = Sequential.from_config(config, seed=seed)
-        model.set_weights(weights)
-        _local_data_parallel_epoch(model, x_shard, y_shard, n_gpus, lr, batch_size, seed)
-        return model.get_weights()
-
-    return train_epoch
+def _train_epoch(config, weights, x_shard, y_shard, lr, batch_size, seed, n_gpus):
+    model = Sequential.from_config(config, seed=seed)
+    model.set_weights(weights)
+    _local_data_parallel_epoch(model, x_shard, y_shard, n_gpus, lr, batch_size, seed)
+    return model.get_weights()
 
 
-_train_epoch_1gpu = _make_train_task(1)
-_train_epoch_4gpu = _make_train_task(4)
+# Module-level tasks, so a worker process can import them by qualname.
+@task(returns=1, constraints=Constraints(gpus=1), name="train_epoch_1gpu")
+def _train_epoch_1gpu(config, weights, x_shard, y_shard, lr, batch_size, seed):
+    return _train_epoch(config, weights, x_shard, y_shard, lr, batch_size, seed, 1)
+
+
+@task(returns=1, constraints=Constraints(gpus=4), name="train_epoch_4gpu")
+def _train_epoch_4gpu(config, weights, x_shard, y_shard, lr, batch_size, seed):
+    return _train_epoch(config, weights, x_shard, y_shard, lr, batch_size, seed, 4)
 
 
 @task(returns=1, name="merge_weights")

@@ -106,7 +106,7 @@ _LAZY_MODULES = {
         "summarize_trace",
         "to_prometheus",
     ),
-    "dot": ("graph_summary", "save_dot", "to_dot"),
+    "dot": ("graph_summary", "to_dot"),
     "provenance": ("ProvenanceRecord", "build_provenance"),
     "tracing": ("TaskRecord", "Trace"),
     "compat": (
@@ -148,7 +148,6 @@ __all__ = [
     "summarize_trace",
     "to_prometheus",
     "to_dot",
-    "save_dot",
     "graph_summary",
     "ProvenanceRecord",
     "build_provenance",

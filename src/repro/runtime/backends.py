@@ -62,29 +62,38 @@ forget its store's segments.
 
 Worker lifecycle
 ----------------
-Workers are spawned lazily (``spawn`` context: safe with the
-multithreaded coordinator), warmed up with a ping, and kept in one
-module-level pool shared by every Runtime so short-lived runtimes (the
-test suite creates hundreds) do not pay respawn costs.  A worker
-imports what it runs: this module and, per task, the task's module.
-Neither pulls in the engine, its configuration, checkpointing or
-observability — ``@task`` finds the governing runtime through
-:mod:`repro.runtime.active`, and the package resolves coordinator-only
-names on first access (``tests/test_imports.py``).  A worker that
-dies mid-call — crash, OOM kill, or a body that SIGKILLs its own
-process — is detected by the broken pipe and surfaces as
+Workers are started lazily and kept in one module-level pool shared by
+every Runtime, so short-lived runtimes (the test suite creates
+hundreds) do not pay start-up costs.  Each worker is forked from a
+``forkserver`` that preloaded this module, and with it numpy: the
+interpreter and its imports are paid once per server, and a worker
+(a crashed one's replacement too) costs a fork and a warm-up ping.
+Per task, a worker imports the task's module.  Neither pulls in the
+engine, its configuration, checkpointing or observability — ``@task``
+finds the governing runtime through :mod:`repro.runtime.active`, and
+the package resolves coordinator-only names on first access
+(``tests/test_imports.py``).  The server preloads only what the
+environment can import: Python 3.11's server ignores the coordinator's
+``sys.path`` for its own preload, so without ``repro`` on
+``PYTHONPATH`` (or installed) each worker imports after the fork.  A
+worker that dies mid-call — crash, OOM kill, or a body that SIGKILLs
+its own process — is detected by the broken pipe and surfaces as
 :class:`~repro.runtime.exceptions.NodeFailureError` in the dispatching
 thread, which feeds the ordinary ``on_failure``/retry machinery.
-``shutdown_workers()`` (also registered ``atexit``) terminates the pool.
+``shutdown_workers()`` (also registered ``atexit``) closes the pool and
+then stops and reaps the server, so no process outlives it and the
+workers' peak RSS reaches the coordinator's ``RUSAGE_CHILDREN``.
 """
 
 from __future__ import annotations
 
 import atexit
+import gc
 import importlib
 import logging
 import os
 import pickle
+import select
 import signal
 import struct
 import sys
@@ -237,15 +246,15 @@ def _safe_send(conn, reply: tuple) -> None:
     _send_frames(conn, frames)
 
 
-def _worker_main(conn, search_path: list[str]) -> None:
+def _worker_main(conn) -> None:
     """Loop of one worker process: serve ``run`` requests until told to
     exit or the pipe closes."""
+    # Everything inherited from the fork server is long-lived: keep the
+    # collector from walking (and so copying) those pages.
+    gc.freeze()
     # The coordinator owns interrupt handling; a Ctrl-C against the
     # process group must not tear down workers mid-reply.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    for entry in search_path:
-        if entry not in sys.path:
-            sys.path.append(entry)
     pid = os.getpid()
     worker_store = WorkerStore()
     while True:
@@ -316,17 +325,19 @@ _spawn_lock = threading.Lock()
 
 
 def _start_without_main_reimport(process) -> None:
-    """Start a spawn-context process *without* re-importing the
-    parent's ``__main__`` module in the child.
+    """Start a worker process *without* re-importing the parent's
+    ``__main__`` module in the child.
 
-    The default spawn bootstrap re-runs the parent's main script so
-    objects pickled from ``__main__`` can be rebuilt — but this backend
-    never pickles anything from ``__main__`` (tasks travel by
-    ``(module, qualname)`` and ``__main__`` tasks run inline), so the
+    A forkserver child still runs ``spawn.prepare()`` on the parent's
+    preparation data: that is how it gets the coordinator's ``sys.path``
+    and working directory, and the same data would re-run the parent's
+    main script so objects pickled from ``__main__`` can be rebuilt.
+    This backend never pickles anything from ``__main__`` (tasks travel
+    by ``(module, qualname)`` and ``__main__`` tasks run inline), so the
     re-import is pure cost *and* a hazard: an unguarded workflow script
-    would recursively execute on every worker spawn.  The preparation
+    would recursively execute on every worker start.  The preparation
     data is patched for the duration of ``start()`` (under a lock —
-    concurrent spawns see the same, idempotent patch)."""
+    concurrent starts see the same, idempotent patch)."""
     from multiprocessing import spawn as mp_spawn
 
     with _spawn_lock:
@@ -352,7 +363,7 @@ class _Worker:
         parent_conn, child_conn = ctx.Pipe()
         self.process = ctx.Process(
             target=_worker_main,
-            args=(child_conn, list(sys.path)),
+            args=(child_conn,),
             name="repro-backend-worker",
             daemon=True,
         )
@@ -360,6 +371,11 @@ class _Worker:
         child_conn.close()
         self.conn = parent_conn
         self.pid: int | None = self.process.pid
+        # The process sentinel turns readable when the worker has exited.
+        # ``Process.is_alive()`` on a forkserver child builds a selector
+        # per call; the pool asks twice per task.
+        self._exited = select.poll()
+        self._exited.register(self.process.sentinel, select.POLLIN)
 
     def warm_up(self, timeout: float = _SPAWN_TIMEOUT) -> None:
         _send(self.conn, ("ping",))
@@ -379,7 +395,7 @@ class _Worker:
             raise _WorkerDied(str(exc)) from exc
 
     def alive(self) -> bool:
-        return self.process.is_alive()
+        return not self._exited.poll(0)
 
     def close(self, timeout: float = 1.0) -> None:
         try:
@@ -402,14 +418,17 @@ class WorkerPool:
     One module-level instance is shared by every
     :class:`ProcessPoolBackend` (see :func:`get_worker_pool`): workers
     outlive individual Runtimes, so a suite creating hundreds of
-    short-lived runtimes pays the spawn + import cost once per worker,
-    not once per runtime.  Concurrency *limits* are per-backend
+    short-lived runtimes starts each worker once, not once per
+    runtime.  Workers are forked from a ``forkserver`` that preloads
+    this module (and numpy), so a worker costs a fork, not an
+    interpreter start.  Concurrency *limits* are per-backend
     (``max_workers`` semaphore), not per-pool."""
 
-    def __init__(self, ctx_method: str = "spawn"):
+    def __init__(self):
         import multiprocessing
 
-        self._ctx = multiprocessing.get_context(ctx_method)
+        self._ctx = multiprocessing.get_context("forkserver")
+        self._ctx.set_forkserver_preload([__name__])
         self._idle: list[_Worker] = []
         self._all: list[_Worker] = []
         self._lock = threading.Lock()
@@ -519,12 +538,32 @@ def get_worker_pool() -> WorkerPool:
         return _pool
 
 
+def _stop_fork_server() -> None:
+    """Stop and reap the workers' fork server, if one was started.
+
+    CPython has no public stop; ``ForkServer._stop`` (3.8+) closes the
+    server's "alive" pipe and waits for it, and the server has reaped
+    every worker it forked, so their ``ru_maxrss`` rolls up into this
+    process's ``RUSAGE_CHILDREN``.  Never starts a server."""
+    forkserver = sys.modules.get("multiprocessing.forkserver")
+    if forkserver is None or forkserver._forkserver._forkserver_pid is None:
+        return
+    try:
+        forkserver._forkserver._stop()
+    except FileNotFoundError:
+        # at interpreter exit multiprocessing's finalizer may have
+        # removed the temp dir holding the server's socket already
+        pass
+
+
 def shutdown_workers() -> None:
-    """Terminate every pooled worker process (re-created on demand)."""
+    """Terminate every pooled worker process and their fork server
+    (both re-created on demand)."""
     with _pool_lock:
         pool = _pool
     if pool is not None:
         pool.shutdown()
+    _stop_fork_server()
 
 
 atexit.register(shutdown_workers)

@@ -135,18 +135,6 @@ def to_dot(
     return "\n".join(lines)
 
 
-def save_dot(
-    graph: TaskGraph | nx.DiGraph,
-    path,
-    title: str = "workflow",
-    group_nested: bool = False,
-) -> None:
-    """Render the graph and write the DOT text to *path*, atomically."""
-    from repro.runtime.atomic_write import atomic_write
-
-    atomic_write(path, to_dot(graph, title=title, group_nested=group_nested))
-
-
 def graph_summary(graph: TaskGraph | nx.DiGraph) -> dict:
     """Structural summary used by the graph-reproduction benchmarks:
     task counts per type, dependency count, depth (critical path in

@@ -122,3 +122,33 @@ def test_cv_returns_per_fold_accuracies():
     params = TrainerParams(epochs=2, n_workers=2, lr=0.05)
     res = cnn_cross_validation(make_config(), x, y, n_splits=3, params=params)
     assert len(res["fold_accuracies"]) == 3
+
+
+def test_flat_cv_dispatches_training_under_processes():
+    """The flat strategy's training tasks are module-level, so a worker
+    process runs them (they used to be local-scope functions that the
+    process backend ran inline on the coordinator), and the result is
+    bit-identical to the sequential executor's."""
+    import os
+
+    from repro.runtime import RuntimeConfig
+
+    x, y = make_data(n=90)
+    cfg = make_config()
+    params = TrainerParams(epochs=2, n_workers=2, lr=0.05)
+    with Runtime(executor="sequential"):
+        want = cnn_cross_validation(cfg, x, y, n_splits=3, params=params)
+        want_weights = DistributedTrainer(cfg, params).fit(x, y)
+    config = RuntimeConfig(backend="processes", max_workers=2, collect_trace=True)
+    with Runtime(config=config) as rt:
+        got = cnn_cross_validation(cfg, x, y, n_splits=3, params=params)
+        weights = DistributedTrainer(cfg, params).fit(x, y)
+        rt.barrier()
+        stats = rt.stats()["backend_stats"]
+        trains = [r for r in rt.trace() if r.name == "train_epoch_1gpu"]
+    assert len(trains) == (3 + 1) * 2 * 2
+    assert all(r.pid not in (None, os.getpid()) for r in trains)
+    assert stats["inline"] == 0
+    assert [w.tobytes() for w in weights] == [w.tobytes() for w in want_weights]
+    assert got["fold_accuracies"] == want["fold_accuracies"]
+    assert got["mean_confusion"].tobytes() == want["mean_confusion"].tobytes()

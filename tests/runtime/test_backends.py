@@ -4,6 +4,7 @@ worker pool lifecycle, dispatch/fallback rules and crash detection
 
 from __future__ import annotations
 
+import importlib
 import os
 import pickle
 import threading
@@ -231,6 +232,35 @@ def test_a_worker_resolves_each_function_once(monkeypatch):
             backends._worker_task_function(__name__, "_no_such_task")
     assert imported == [__name__] * 3
     assert list(backends._worker_bodies) == [(__name__, "_probe")]
+
+
+def _package_tasks():
+    """``(module, attribute, task)`` for every ``@task`` object defined
+    by a module of the ``repro`` package."""
+    import pkgutil
+
+    import repro
+    from repro.runtime.model import TaskSpec
+
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if info.name.endswith("__main__"):
+            continue
+        module = importlib.import_module(info.name)
+        for attr, obj in vars(module).items():
+            spec = getattr(obj, "spec", None)
+            if isinstance(spec, TaskSpec) and spec.func.__module__ == info.name:
+                yield info.name, attr, obj
+
+
+def test_every_package_task_resolves_to_its_own_body():
+    """A worker finds a task by ``(module, qualname)``: a task built in a
+    local scope would run inline on the coordinator under processes."""
+    tasks = list(_package_tasks())
+    assert len(tasks) > 40
+    for module, attr, obj in tasks:
+        func = obj.spec.func
+        resolved = backends._resolve_task_function(func.__module__, func.__qualname__)
+        assert resolved is func, f"{module}.{attr}"
 
 
 def test_success_reply_never_reprs_the_result():
