@@ -13,7 +13,7 @@
 #   scripts/check.sh obs         observability smoke (metrics/trace exports, flight-recorder dump) + tracing/lifecycle-view tests
 #   scripts/check.sh dataplane   store tests + the matrix's store replays + bench smoke of blocks_procs
 #   scripts/check.sh service     queue-service tests (kill -9, lease-expiry and traced-recovery chaos included)
-#   scripts/check.sh stream      streaming + all ECG tests (detector and filter oracles) + stream scenarios (stress profile) + serving differential + bench smoke of stream_serve
+#   scripts/check.sh stream      streaming + all ECG tests (detector and filter oracles) + stream scenarios incl. keyed count windows vs their offline replay (stress profile) + serving differential + bench smoke of stream_serve
 #   scripts/check.sh ml          estimator + ds-array + AF-workflow tests (kernel oracles, frozen benchmark reference) + SMO oracle (stress profile) + bench smoke of af_classical
 #   scripts/check.sh bench       bench/run.py --smoke over all seven workloads (oracles + exit hygiene, < 30 s)
 set -euo pipefail
@@ -153,8 +153,10 @@ run_stream() {
     # the runtime lifecycle edges (shutdown-drain, abort interrupts, a
     # stage that only polls its task's future), the streaming scenarios
     # of tests/streaming/test_stress_stream.py (backpressure, RETRY
-    # mid-stream, abort, shutdown mid-flight, windowing edge cases; hang
-    # watchdog + zero-leak audits) and the streamed
+    # mid-stream, abort, shutdown mid-flight; keyed count windows over
+    # drawn key interleavings, window lengths and feed lengths against
+    # run_windowed's offline replay, and EOS versus poison with partial
+    # windows open; hang watchdog + zero-leak audits) and the streamed
     # vs batch AF-serving bit-identity differential.  The serving
     # stages spend their time in the repro.ecg kernels, so all of
     # tests/ecg runs here too: the tests that pin those kernels byte for

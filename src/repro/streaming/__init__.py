@@ -10,11 +10,10 @@ futures, and ordinary DAG tasks can block on stream results.
 Layering:
 
 * :mod:`repro.streaming.channel` — :class:`Stream` (bounded,
-  credit-based backpressure, poison/EOS), :class:`Record`,
-  :class:`Watermark`;
-* :mod:`repro.streaming.operators` — tumbling/sliding count and
-  event-time windows, closed deterministically by arrival or
-  watermark; :func:`run_windowed` replays the same windower offline;
+  credit-based backpressure, poison/EOS) and :class:`Record`;
+* :mod:`repro.streaming.operators` — keyed tumbling count windows,
+  closed by arrival; :func:`run_windowed` replays the same windower
+  offline;
 * :mod:`repro.streaming.graph` — :class:`StreamGraph` stage wiring,
   per-element failure policies, runtime drain/interrupt integration,
   per-stage latency/throughput telemetry;
@@ -28,18 +27,9 @@ from repro.streaming.channel import (
     Record,
     Stream,
     StreamClosed,
-    Watermark,
 )
 from repro.streaming.graph import StageStats, StreamFailure, StreamGraph
-from repro.streaming.operators import (
-    ClosedWindow,
-    SlidingCountWindow,
-    SlidingTimeWindow,
-    TumblingCountWindow,
-    TumblingTimeWindow,
-    WindowSpec,
-    run_windowed,
-)
+from repro.streaming.operators import TumblingCountWindow, run_windowed
 from repro.streaming.serving import (
     ServeConfig,
     ServingResult,
@@ -54,16 +44,10 @@ __all__ = [
     "Record",
     "Stream",
     "StreamClosed",
-    "Watermark",
     "StageStats",
     "StreamFailure",
     "StreamGraph",
-    "ClosedWindow",
-    "SlidingCountWindow",
-    "SlidingTimeWindow",
     "TumblingCountWindow",
-    "TumblingTimeWindow",
-    "WindowSpec",
     "run_windowed",
     "ServeConfig",
     "ServingResult",

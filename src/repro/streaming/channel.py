@@ -6,18 +6,12 @@ free slot, ``capacity - depth``, and :meth:`put` blocks while there is
 none.  Credits are derived from the queue, never counted on their own,
 so no path can leak one.
 
-Streams transport three element kinds:
-
-* :class:`Record` — one data element, optionally carrying an
-  event-time timestamp (``ts``), a routing ``key`` (set by ``key_by``)
-  and the wall-clock ``ingest`` instant the source stamped for
-  end-to-end latency measurement;
-* :class:`Watermark` — a punctuation asserting that no record with a
-  smaller event time will follow; time windows close on watermarks,
-  never on the wall clock, which keeps replays deterministic;
-* ``EOS`` — not an element at all: :meth:`close` flips a flag, readers
-  drain whatever is queued and then observe end-of-stream, so no data
-  is ever cut off by a graceful close.
+A stream carries :class:`Record` elements: one data value, optionally
+with a routing ``key`` (set by ``key_by``) and the wall-clock
+``ingest`` instant the source stamped for end-to-end latency
+measurement.  End-of-stream is not an element at all: :meth:`close`
+flips a flag, readers drain whatever is queued and then observe
+:data:`EOS`, so no data is ever cut off by a graceful close.
 
 Error propagation runs the other way: :meth:`poison` drops everything
 queued (which frees every credit), and makes every current and future
@@ -57,47 +51,25 @@ EOS = _EndOfStream()
 class Record:
     """One data element in flight.
 
-    ``ts`` is the element's *event time* (seconds, source-defined);
     ``key`` is the routing key assigned by ``key_by`` (None = global);
     ``ingest`` is the wall-clock (monotonic) instant the source emitted
     it, carried through every operator so the sink can measure true
     end-to-end latency.
     """
 
-    __slots__ = ("value", "ts", "key", "ingest")
+    __slots__ = ("value", "key", "ingest")
 
-    def __init__(
-        self,
-        value: Any,
-        ts: float | None = None,
-        key: Any = None,
-        ingest: float | None = None,
-    ):
+    def __init__(self, value: Any, key: Any = None, ingest: float | None = None):
         self.value = value
-        self.ts = ts
         self.key = key
         self.ingest = ingest
 
     def replace(self, value: Any) -> "Record":
         """A new record carrying *value* with this record's metadata."""
-        return Record(value, ts=self.ts, key=self.key, ingest=self.ingest)
+        return Record(value, self.key, self.ingest)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Record({self.value!r}, ts={self.ts}, key={self.key!r})"
-
-
-class Watermark:
-    """Event-time punctuation: no later record will carry ``ts`` below
-    this one.  Operators forward watermarks downstream after emitting
-    whatever windows the watermark closed."""
-
-    __slots__ = ("ts",)
-
-    def __init__(self, ts: float):
-        self.ts = ts
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Watermark({self.ts})"
+        return f"Record({self.value!r}, key={self.key!r})"
 
 
 class Stream:
@@ -150,13 +122,13 @@ class Stream:
             rt.remove_interrupt(self.notify_interrupt)
 
     # -- producing ------------------------------------------------------
-    def put(self, value: Any, ts: float | None = None) -> None:
+    def put(self, value: Any) -> None:
         """Enqueue one value (wrapped in a :class:`Record`), blocking
         while no credit is available."""
-        self.put_item(Record(value, ts=ts))
+        self.put_item(Record(value))
 
-    def put_item(self, item: "Record | Watermark") -> None:
-        """Enqueue a prepared :class:`Record` or :class:`Watermark`."""
+    def put_item(self, item: Record) -> None:
+        """Enqueue a prepared :class:`Record`."""
         with self._lock:
             while True:
                 if self._error is not None:
@@ -200,8 +172,8 @@ class Stream:
                 self._get_waits += 1
                 self._not_empty.wait()
 
-    def __iter__(self) -> Iterator["Record | Watermark"]:
-        """Drain the stream: yields records and watermarks until EOS."""
+    def __iter__(self) -> Iterator[Record]:
+        """Drain the stream: yields records until EOS."""
         while True:
             item = self.get()
             if item is EOS:

@@ -41,8 +41,8 @@ from typing import Any, Callable
 from repro.runtime import tracectx as _tracectx
 from repro.runtime.engine import Runtime, active_runtime
 from repro.runtime.failures import CANCEL_SUCCESSORS, FAIL, IGNORE, RETRY
-from repro.streaming.channel import EOS, Record, Stream, StreamClosed, Watermark
-from repro.streaming.operators import ClosedWindow, WindowSpec
+from repro.streaming.channel import EOS, Record, Stream, StreamClosed
+from repro.streaming.operators import TumblingCountWindow
 
 #: Latency reservoir length per stage — enough for stable p99 at test
 #: scale without unbounded growth on long-running pipelines.
@@ -125,13 +125,11 @@ class _Stage:
         output: Stream | None,
         fn: Callable | None = None,
         *,
-        spec: WindowSpec | None = None,
+        spec: TumblingCountWindow | None = None,
         batch_n: int | None = None,
         on_failure: str = FAIL,
         max_retries: int = 2,
         rate: float | None = None,
-        timestamps: Callable[[int, Any], float] | None = None,
-        watermark_interval: int | None = None,
         items: Any = None,
         collect: bool = False,
     ):
@@ -146,8 +144,6 @@ class _Stage:
         self.on_failure = on_failure
         self.max_retries = max_retries
         self.rate = rate
-        self.timestamps = timestamps
-        self.watermark_interval = watermark_interval
         self.items = items
         self.collect = collect
         self.collected: list = []
@@ -178,11 +174,10 @@ class _Stage:
                     f"operator failed after {attempt + 1} attempt(s)",
                 ) from exc
 
-    def _emit(self, item: "Record | Watermark") -> None:
+    def _emit(self, item: Record) -> None:
         assert self.output is not None
         self.output.put_item(item)
-        if isinstance(item, Record):
-            self.stats.n_out += 1
+        self.stats.n_out += 1
 
     def _observe(self, dt: float) -> None:
         self.stats.latencies.append(dt)
@@ -204,8 +199,6 @@ class _Stage:
         items = iter(self.items() if callable(self.items) else self.items)
         period = 1.0 / self.rate if self.rate is not None else 0.0
         next_t = time.monotonic()
-        i = 0
-        last_ts: float | None = None
         try:
             while not self._stop:
                 # A paced source pulls each record at its due time, not
@@ -229,32 +222,17 @@ class _Stage:
                     break
                 # a source's operator is its feed: time the pull
                 self._observe(time.monotonic() - t0)
-                ts = (
-                    self.timestamps(i, value)
-                    if self.timestamps is not None
-                    else float(i)
-                )
-                self._emit(Record(value, ts=ts, ingest=time.monotonic()))
-                i += 1
-                last_ts = ts
-                if self.watermark_interval and i % self.watermark_interval == 0:
-                    out.put_item(Watermark(ts))
+                self._emit(Record(value, ingest=time.monotonic()))
         except StreamClosed:
             # The consumer side went away first (drain overlap); the
             # elements already emitted are all that was asked for.
             pass
-        if last_ts is not None and self.watermark_interval:
-            try:
-                out.put_item(Watermark(last_ts))
-            except StreamClosed:
-                pass
         out.close()
 
     def _iter_input(self):
         assert self.source is not None
         for item in self.source:
-            if isinstance(item, Record):
-                self.stats.n_in += 1
+            self.stats.n_in += 1
             yield item
 
     # map / filter / flat_map / key_by share one loop shape but differ
@@ -265,9 +243,6 @@ class _Stage:
         assert out is not None and self.fn is not None
         try:
             for item in self._iter_input():
-                if isinstance(item, Watermark):
-                    out.put_item(item)
-                    continue
                 t0 = time.monotonic()
                 emitted, value = self._apply(self.fn, item.value)
                 self._observe(time.monotonic() - t0)
@@ -281,9 +256,6 @@ class _Stage:
         assert out is not None and self.fn is not None
         try:
             for item in self._iter_input():
-                if isinstance(item, Watermark):
-                    out.put_item(item)
-                    continue
                 t0 = time.monotonic()
                 emitted, keep = self._apply(self.fn, item.value)
                 self._observe(time.monotonic() - t0)
@@ -297,9 +269,6 @@ class _Stage:
         assert out is not None and self.fn is not None
         try:
             for item in self._iter_input():
-                if isinstance(item, Watermark):
-                    out.put_item(item)
-                    continue
                 t0 = time.monotonic()
                 emitted, values = self._apply(self.fn, item.value)
                 self._observe(time.monotonic() - t0)
@@ -315,29 +284,22 @@ class _Stage:
         assert out is not None and self.fn is not None
         try:
             for item in self._iter_input():
-                if isinstance(item, Watermark):
-                    out.put_item(item)
-                    continue
                 t0 = time.monotonic()
                 emitted, key = self._apply(self.fn, item.value)
                 self._observe(time.monotonic() - t0)
                 if not emitted:
                     continue
-                self._emit(
-                    Record(item.value, ts=item.ts, key=key, ingest=item.ingest)
-                )
+                self._emit(Record(item.value, key, item.ingest))
         finally:
             out.close()
 
-    def _emit_windows(self, closed: list[ClosedWindow]) -> None:
-        for w in closed:
-            if self.fn is not None:
-                emitted, value = self._apply(self.fn, w.values)
-                if not emitted:
-                    continue
-            else:
-                value = w.values
-            self._emit(Record(value, ts=w.end_ts, key=w.key, ingest=w.ingest))
+    def _emit_window(self, window: Record) -> None:
+        if self.fn is not None:
+            emitted, value = self._apply(self.fn, window.value)
+            if not emitted:
+                return
+            window = window.replace(value)
+        self._emit(window)
 
     def _run_window(self) -> None:
         out = self.output
@@ -346,17 +308,14 @@ class _Stage:
         try:
             for item in self._iter_input():
                 t0 = time.monotonic()
-                if isinstance(item, Watermark):
-                    self._emit_windows(windower.advance(item.ts))
-                    self._observe(time.monotonic() - t0)
-                    out.put_item(item)
-                    continue
-                self._emit_windows(windower.add(item))
+                window = windower.add(item)
+                if window is not None:
+                    self._emit_window(window)
                 self._observe(time.monotonic() - t0)
-            # End of stream: flush whatever is still open so a bounded
-            # feed loses nothing (partial-window semantics are the
-            # window spec's call).
-            self._emit_windows(windower.flush())
+            # End of stream: flush the partial windows so a bounded feed
+            # loses nothing.
+            for window in windower.flush():
+                self._emit_window(window)
         finally:
             out.close()
 
@@ -365,25 +324,18 @@ class _Stage:
         assert out is not None and self.batch_n is not None
         buffer: list = []
         ingest: float | None = None
-        last: Record | None = None
         try:
             for item in self._iter_input():
-                if isinstance(item, Watermark):
-                    out.put_item(item)
-                    continue
                 buffer.append(item.value)
-                last = item
                 if item.ingest is not None:
                     ingest = (
                         item.ingest if ingest is None else max(ingest, item.ingest)
                     )
                 if len(buffer) >= self.batch_n:
-                    self._emit(Record(buffer, ts=last.ts, ingest=ingest))
+                    self._emit(Record(buffer, ingest=ingest))
                     buffer, ingest = [], None
             if buffer:
-                self._emit(
-                    Record(buffer, ts=last.ts if last else None, ingest=ingest)
-                )
+                self._emit(Record(buffer, ingest=ingest))
         finally:
             out.close()
 
@@ -391,8 +343,6 @@ class _Stage:
         fn = self.fn
         m = self.graph._metrics
         for item in self._iter_input():
-            if isinstance(item, Watermark):
-                continue
             t0 = time.monotonic()
             if fn is not None:
                 emitted, value = self._apply(fn, item.value)
@@ -428,6 +378,8 @@ class StreamGraph:
         name: str = "stream-graph",
         capacity: int = 64,
     ):
+        if capacity < 1:
+            raise ValueError(f"stream capacity must be >= 1, got {capacity}")
         self.runtime = runtime if runtime is not None else active_runtime()
         self.name = name
         self.capacity = capacity
@@ -453,7 +405,7 @@ class StreamGraph:
     # -- topology -------------------------------------------------------
     def _new_stream(self, name: str, capacity: int | None) -> Stream:
         s = Stream(
-            capacity or self.capacity,
+            capacity if capacity is not None else self.capacity,
             name=f"{self.name}.{name}",
             runtime=self.runtime,
         )
@@ -471,14 +423,16 @@ class StreamGraph:
         self._consumed.add(id(stream))
         return stream
 
-    def _prepare(self, name: str) -> str:
-        """Validate a new stage's name *before* any stream is created or
-        consumed, so a rejected builder call leaves the topology
-        untouched."""
+    def _prepare(self, name: str, capacity: int | None = None) -> str:
+        """Validate a new stage's name and output capacity *before* any
+        stream is created or consumed, so a rejected builder call leaves
+        the topology untouched."""
         if self._started:
             raise RuntimeError("cannot add stages to a started graph")
         if any(s.name == name for s in self.stages):
             raise ValueError(f"duplicate stage name {name!r}")
+        if capacity is not None and capacity < 1:
+            raise ValueError(f"stream capacity must be >= 1, got {capacity}")
         return name
 
     def _add(self, stage: _Stage) -> _Stage:
@@ -491,15 +445,10 @@ class StreamGraph:
         *,
         name: str = "source",
         rate: float | None = None,
-        timestamps: Callable[[int, Any], float] | None = None,
-        watermark_interval: int | None = None,
         capacity: int | None = None,
     ) -> Stream:
         """A source stage: emits *items* (an iterable, or a zero-arg
-        callable returning one) as records.  ``timestamps(i, value)``
-        assigns event time (default: the record index);
-        ``watermark_interval`` emits a watermark every N records and
-        once more at end-of-feed.
+        callable returning one) as records.
 
         ``rate`` (records/second, positive and finite; ``None``: as fast
         as the consumers take them) paces the source: record *k* (from
@@ -513,21 +462,9 @@ class StreamGraph:
             raise ValueError(
                 f"rate must be a positive finite number of records/second, got {rate!r}"
             )
-        self._prepare(name)
+        self._prepare(name, capacity)
         out = self._new_stream(name, capacity)
-        self._add(
-            _Stage(
-                self,
-                name,
-                "source",
-                None,
-                out,
-                items=items,
-                rate=rate,
-                timestamps=timestamps,
-                watermark_interval=watermark_interval,
-            )
-        )
+        self._add(_Stage(self, name, "source", None, out, items=items, rate=rate))
         return out
 
     def _transform(
@@ -539,8 +476,9 @@ class StreamGraph:
         on_failure: str,
         max_retries: int,
         capacity: int | None,
+        **stage_options: Any,
     ) -> Stream:
-        name = self._prepare(name or f"{kind}{len(self.stages)}")
+        name = self._prepare(name or f"{kind}{len(self.stages)}", capacity)
         inp = self._take(stream)
         out = self._new_stream(name, capacity)
         self._add(
@@ -553,6 +491,7 @@ class StreamGraph:
                 fn,
                 on_failure=on_failure,
                 max_retries=max_retries,
+                **stage_options,
             )
         )
         return out
@@ -608,7 +547,7 @@ class StreamGraph:
     def window(
         self,
         stream: Stream,
-        spec: WindowSpec,
+        spec: TumblingCountWindow,
         fn: Callable[[list], Any] | None = None,
         *,
         name: str | None = None,
@@ -619,23 +558,9 @@ class StreamGraph:
         """A windowed operator: groups records per the spec (and per
         key), optionally aggregates each closed window with ``fn``
         (default: emit the value list)."""
-        name = self._prepare(name or f"window{len(self.stages)}")
-        inp = self._take(stream)
-        out = self._new_stream(name, capacity)
-        self._add(
-            _Stage(
-                self,
-                name,
-                "window",
-                inp,
-                out,
-                fn,
-                spec=spec,
-                on_failure=on_failure,
-                max_retries=max_retries,
-            )
+        return self._transform(
+            "window", stream, fn, name, on_failure, max_retries, capacity, spec=spec
         )
-        return out
 
     def batch(
         self,
@@ -649,11 +574,7 @@ class StreamGraph:
         (the remainder flushes at end-of-stream)."""
         if n < 1:
             raise ValueError("batch size must be >= 1")
-        name = self._prepare(name or f"batch{len(self.stages)}")
-        inp = self._take(stream)
-        out = self._new_stream(name, capacity)
-        self._add(_Stage(self, name, "batch", inp, out, batch_n=n))
-        return out
+        return self._transform("batch", stream, None, name, FAIL, 0, capacity, batch_n=n)
 
     def sink(
         self,

@@ -1,271 +1,85 @@
 """Windowed operators: how unbounded streams become finite work units.
 
-Four window shapes, mirroring the hybrid-workflows programming model
-(Ramon-Cortes et al.) the subsystem reproduces:
+One window shape, :class:`TumblingCountWindow`: every ``n`` records of
+a key, no overlap, closed by arrival alone.  End-of-stream flushes every
+open partial window, so a bounded feed loses nothing.
 
-* :class:`TumblingCountWindow` — every ``n`` records, no overlap;
-* :class:`SlidingCountWindow` — ``n`` records every ``step`` records;
-* :class:`TumblingTimeWindow` — event-time buckets ``[k·size, (k+1)·size)``;
-* :class:`SlidingTimeWindow` — event-time spans ``[k·step, k·step+size)``.
-
-Count windows close by arrival alone.  Time windows close **only** on
-watermarks (:class:`~repro.streaming.channel.Watermark`): a window
-``[start, end)`` is emitted once a watermark with ``ts >= end``
-arrives.  End-of-stream flushes every open window (tumbling-count
-partials included, so a bounded feed loses nothing; sliding-count
-partials are dropped — an incomplete overlap is not a window).
-
-All windows are keyed: records carry an optional routing ``key`` (set
-by ``key_by``) and each key gets independent window state; ``None`` is
-the global key.  Emission order is deterministic — close events fire
-in window order per key, keys in first-seen order — which is what lets
-the differential suite demand bit-identical streamed vs. batch output.
+Windows are keyed: records carry an optional routing ``key`` (set by
+``key_by``) and each key gets independent window state; ``None`` is the
+global key.  Emission order is deterministic — a window closes on the
+arrival that fills it, and the partials flush in first-seen key order —
+which is what lets the differential suite demand bit-identical streamed
+vs. batch output.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Any, Callable, Iterable
 
-from repro.streaming.channel import Record, Watermark
+from repro.streaming.channel import Record
 
 
-class WindowSpec:
-    """Base class of the window shapes (marker + validation helpers)."""
-
-    def make(self) -> "_Windower":
-        raise NotImplementedError
-
-
-class TumblingCountWindow(WindowSpec):
+class TumblingCountWindow:
     def __init__(self, n: int):
         if n < 1:
             raise ValueError("tumbling count window needs n >= 1")
         self.n = n
 
-    def make(self) -> "_Windower":
-        return _CountWindower(self.n, self.n, flush_partial=True)
+    def make(self) -> "_CountWindower":
+        return _CountWindower(self.n)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"TumblingCountWindow({self.n})"
 
 
-class SlidingCountWindow(WindowSpec):
-    def __init__(self, n: int, step: int):
-        if n < 1 or step < 1:
-            raise ValueError("sliding count window needs n >= 1 and step >= 1")
+class _CountWindower:
+    """Per-operator window state.  A closed window is a :class:`Record`
+    whose value is the list of its members' values, carrying their key
+    and the latest of their ``ingest`` stamps."""
+
+    def __init__(self, n: int):
         self.n = n
-        self.step = step
+        #: key -> [open values, max ingest]; a key keeps its first-seen
+        #: place in the dict across the windows it closes.
+        self._open: dict[Any, list] = {}
 
-    def make(self) -> "_Windower":
-        return _CountWindower(self.n, self.step, flush_partial=False)
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"SlidingCountWindow({self.n}, step={self.step})"
-
-
-class TumblingTimeWindow(WindowSpec):
-    def __init__(self, size: float):
-        if size <= 0:
-            raise ValueError("tumbling time window needs size > 0")
-        self.size = float(size)
-
-    def make(self) -> "_Windower":
-        return _TimeWindower(self.size, self.size)
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"TumblingTimeWindow({self.size})"
-
-
-class SlidingTimeWindow(WindowSpec):
-    def __init__(self, size: float, step: float):
-        if size <= 0 or step <= 0:
-            raise ValueError("sliding time window needs size > 0 and step > 0")
-        self.size = float(size)
-        self.step = float(step)
-
-    def make(self) -> "_Windower":
-        return _TimeWindower(self.size, self.step)
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"SlidingTimeWindow({self.size}, step={self.step})"
-
-
-class ClosedWindow:
-    """One emitted window: its ordered values plus the metadata a
-    downstream record inherits."""
-
-    __slots__ = ("key", "values", "end_ts", "ingest")
-
-    def __init__(self, key: Any, values: list, end_ts: float | None, ingest: float | None):
-        self.key = key
-        self.values = values
-        self.end_ts = end_ts
-        self.ingest = ingest
-
-
-class _Windower:
-    """Per-operator window state: feed records and watermarks, collect
-    closed windows."""
-
-    def add(self, rec: Record) -> list[ClosedWindow]:
-        raise NotImplementedError
-
-    def advance(self, ts: float) -> list[ClosedWindow]:
-        """Close every window whose end the watermark *ts* passed."""
-        return []
-
-    def flush(self) -> list[ClosedWindow]:
-        """End-of-stream: close whatever remains open."""
-        return []
-
-
-def _merge_ingest(a: float | None, b: float | None) -> float | None:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return max(a, b)
-
-
-class _CountWindower(_Windower):
-    """Count windows, per key.  Window ``i`` covers arrivals
-    ``[i·step, i·step + n)``; with ``step == n`` that is tumbling.
-    Because ``step <= n`` keeps the last ``n`` arrivals a superset of
-    every open window, and ``step > n`` samples disjoint spans, the
-    most recent ``n`` values per key are all the state needed."""
-
-    def __init__(self, n: int, step: int, flush_partial: bool):
-        self.n = n
-        self.step = step
-        self.flush_partial = flush_partial
-        #: key -> (recent values bounded deque as list, arrivals seen)
-        self._state: dict[Any, tuple[list, int]] = {}
-        self._ingest: dict[Any, float | None] = {}
-        self._last_ts: dict[Any, float | None] = {}
-
-    def add(self, rec: Record) -> list[ClosedWindow]:
-        values, count = self._state.get(rec.key, ([], 0))
+    def add(self, rec: Record) -> Record | None:
+        """Feed one record; returns the window its arrival closed."""
+        slot = self._open.get(rec.key)
+        if slot is None:
+            slot = self._open[rec.key] = [[], None]
+        values, ingest = slot
         values.append(rec.value)
-        if len(values) > self.n:
-            del values[0]
-        count += 1
-        self._state[rec.key] = (values, count)
-        self._ingest[rec.key] = _merge_ingest(self._ingest.get(rec.key), rec.ingest)
-        self._last_ts[rec.key] = rec.ts
-        if count >= self.n and (count - self.n) % self.step == 0:
-            out = [
-                ClosedWindow(
-                    rec.key,
-                    list(values),
-                    self._last_ts.get(rec.key),
-                    self._ingest.get(rec.key),
-                )
-            ]
-            self._ingest[rec.key] = None
-            return out
-        return []
+        if rec.ingest is not None and (ingest is None or rec.ingest > ingest):
+            slot[1] = ingest = rec.ingest
+        if len(values) < self.n:
+            return None
+        self._open[rec.key] = [[], None]
+        return Record(values, key=rec.key, ingest=ingest)
 
-    def flush(self) -> list[ClosedWindow]:
-        if not self.flush_partial:
-            return []
-        out: list[ClosedWindow] = []
-        for key, (values, count) in self._state.items():
-            emitted = count >= self.n and (count - self.n) % self.step == 0
-            partial = count % self.step if count >= self.n else count
-            if not emitted and partial:
-                tail = list(values[-partial:])
-                out.append(
-                    ClosedWindow(
-                        key, tail, self._last_ts.get(key), self._ingest.get(key)
-                    )
-                )
-        self._state.clear()
+    def flush(self) -> list[Record]:
+        """End-of-stream: close every partial window."""
+        out = [
+            Record(values, key=key, ingest=ingest)
+            for key, (values, ingest) in self._open.items()
+            if values
+        ]
+        self._open.clear()
         return out
-
-
-class _TimeWindower(_Windower):
-    """Event-time windows, per key, closed by watermarks.  A record
-    with ``ts`` joins every window ``[k·step, k·step + size)``
-    containing it; a watermark ``w`` closes (in start order) every
-    window with ``start + size <= w``."""
-
-    def __init__(self, size: float, step: float):
-        self.size = size
-        self.step = step
-        #: (key, start) -> values; dict order = insertion order, and we
-        #: sort starts at close time, so emission is deterministic.
-        self._windows: dict[tuple[Any, float], list] = {}
-        self._ingest: dict[tuple[Any, float], float | None] = {}
-        self._keys_seen: list = []
-
-    def _starts_for(self, ts: float) -> list[float]:
-        last = math.floor(ts / self.step) * self.step
-        starts = []
-        start = last
-        while start > ts - self.size:
-            starts.append(start)
-            start -= self.step
-        starts.reverse()
-        return starts
-
-    def add(self, rec: Record) -> list[ClosedWindow]:
-        if rec.ts is None:
-            raise ValueError(
-                "time windows need event-time timestamps; the record has ts=None"
-            )
-        if rec.key not in self._keys_seen:
-            self._keys_seen.append(rec.key)
-        for start in self._starts_for(rec.ts):
-            slot = (rec.key, start)
-            self._windows.setdefault(slot, []).append(rec.value)
-            self._ingest[slot] = _merge_ingest(self._ingest.get(slot), rec.ingest)
-        return []
-
-    def _close(self, ready: Callable[[float], bool]) -> list[ClosedWindow]:
-        out: list[ClosedWindow] = []
-        for key in self._keys_seen:
-            starts = sorted(s for (k, s) in self._windows if k == key and ready(s))
-            for start in starts:
-                slot = (key, start)
-                out.append(
-                    ClosedWindow(
-                        key,
-                        self._windows.pop(slot),
-                        start + self.size,
-                        self._ingest.pop(slot, None),
-                    )
-                )
-        return out
-
-    def advance(self, ts: float) -> list[ClosedWindow]:
-        return self._close(lambda start: start + self.size <= ts)
-
-    def flush(self) -> list[ClosedWindow]:
-        return self._close(lambda start: True)
 
 
 def run_windowed(
-    spec: WindowSpec,
-    elements: Iterable,
+    spec: TumblingCountWindow,
+    records: Iterable[Record],
     fn: Callable[[list], Any] | None = None,
 ) -> list[Record]:
-    """Replay *elements* (records/watermarks) through a fresh windower
-    and return the emitted records — the batch-side twin of a streamed
-    window stage, used by the differential suite so both paths share
-    one windowing implementation."""
+    """Replay *records* through a fresh windower and return the emitted
+    records — the batch-side twin of a streamed window stage, used by
+    :func:`~repro.streaming.serving.serve_batch` so both paths share one
+    windowing implementation."""
     windower = spec.make()
-    out: list[Record] = []
-
-    def emit(closed: list[ClosedWindow]) -> None:
-        for w in closed:
-            value = fn(w.values) if fn is not None else w.values
-            out.append(Record(value, ts=w.end_ts, key=w.key, ingest=w.ingest))
-
-    for item in elements:
-        if isinstance(item, Watermark):
-            emit(windower.advance(item.ts))
-        else:
-            emit(windower.add(item))
-    emit(windower.flush())
-    return out
+    closed = [w for w in map(windower.add, records) if w is not None]
+    closed += windower.flush()
+    if fn is None:
+        return closed
+    return [w.replace(fn(w.value)) for w in closed]

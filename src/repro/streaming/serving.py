@@ -268,7 +268,6 @@ def serve_stream(
         lambda: iter_feed(cfg),
         name="ecg",
         rate=cfg.rate,
-        watermark_interval=cfg.patients,
     )
     keyed = g.key_by(src, lambda v: v[0], name="key_by_patient")
     segments = g.window(
@@ -322,9 +321,7 @@ def serve_batch(
         model = make_model(cfg)
 
     t0 = time.monotonic()
-    records = [
-        Record(v, ts=float(i), key=v[0]) for i, v in enumerate(iter_feed(cfg))
-    ]
+    records = [Record(v, key=v[0]) for v in iter_feed(cfg)]
     segments = run_windowed(
         TumblingCountWindow(cfg.chunks_per_segment), records, fn=assemble_segment
     )

@@ -10,18 +10,17 @@ import pytest
 from repro.runtime import Runtime
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.exceptions import WorkflowAbortedError
-from repro.streaming import EOS, Record, Stream, StreamClosed, Watermark
+from repro.streaming import EOS, Record, Stream, StreamClosed
 
 
 def test_put_get_fifo_and_accounting():
     s = Stream(capacity=8, name="t")
     for i in range(5):
-        s.put(i, ts=float(i))
+        s.put(i)
     assert s.depth() == 5
     assert s.credits() == 3
     got = [s.get() for _ in range(5)]
     assert [r.value for r in got] == [0, 1, 2, 3, 4]
-    assert [r.ts for r in got] == [0.0, 1.0, 2.0, 3.0, 4.0]
     assert s.credits() == 8
     assert s.depth() == 0
     st = s.stats()
@@ -62,14 +61,13 @@ def test_close_drains_then_eos_and_rejects_puts():
         s.put(3)
 
 
-def test_iter_yields_records_and_watermarks_until_eos():
+def test_iter_yields_records_until_eos():
     s = Stream(capacity=8, name="t")
     s.put(1)
-    s.put_item(Watermark(5.0))
+    s.put_item(Record(5, key="k"))
     s.put(2)
     s.close()
-    items = list(s)
-    assert [type(i).__name__ for i in items] == ["Record", "Watermark", "Record"]
+    assert [(r.value, r.key) for r in s] == [(1, None), (5, "k"), (2, None)]
 
 
 def test_poison_drops_restores_credits_and_raises_everywhere():
@@ -135,9 +133,9 @@ def test_runtime_abort_interrupts_parked_consumer():
 
 
 def test_record_replace_preserves_metadata():
-    r = Record(1, ts=2.0, key="k", ingest=3.0)
+    r = Record(1, key="k", ingest=3.0)
     r2 = r.replace(10)
-    assert (r2.value, r2.ts, r2.key, r2.ingest) == (10, 2.0, "k", 3.0)
+    assert (r2.value, r2.key, r2.ingest) == (10, "k", 3.0)
 
 
 def test_capacity_validation():

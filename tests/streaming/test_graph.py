@@ -14,7 +14,6 @@ from repro.streaming import (
     StreamFailure,
     StreamGraph,
     TumblingCountWindow,
-    TumblingTimeWindow,
 )
 
 
@@ -80,16 +79,6 @@ def test_key_by_routes_windows_per_key(rt):
     g.start()
     g.join()
     assert sink.collected == [[0, 2], [1, 3], [4, 6], [5, 7]]
-
-
-def test_event_time_windows_close_on_watermarks(rt):
-    g = StreamGraph(rt, name="g")
-    src = g.source(range(10), name="src", watermark_interval=4)
-    w = g.window(src, TumblingTimeWindow(2.0), fn=list)
-    sink = g.sink(w)
-    g.start()
-    g.join()
-    assert sink.collected == [[0, 1], [2, 3], [4, 5], [6, 7], [8, 9]]
 
 
 def test_stream_stage_submits_tasks_and_waits(rt):
@@ -223,6 +212,26 @@ def test_topology_validation(rt):
         g.source(range(3), name="late")
     g.join()
     assert sink.collected == [0, 1, 2]
+
+
+def test_rejected_capacity_leaves_the_input_unconsumed(rt):
+    g = StreamGraph(rt, name="g")
+    src = g.source(range(3), name="src")
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="capacity"):
+            g.map(src, lambda v: v, capacity=bad)
+        with pytest.raises(ValueError, match="capacity"):
+            g.window(src, TumblingCountWindow(2), capacity=bad)
+        with pytest.raises(ValueError, match="capacity"):
+            g.source(range(3), name=f"src{-bad}", capacity=bad)
+    assert len(g.streams) == 1
+    sink = g.sink(g.map(src, lambda v: v + 1, capacity=1))
+    assert g.streams[-1].capacity == 1
+    with g:
+        pass
+    assert sink.collected == [1, 2, 3]
+    with pytest.raises(ValueError, match="capacity"):
+        StreamGraph(rt, capacity=0)
 
 
 def test_rate_controlled_source_paces_emission(rt):

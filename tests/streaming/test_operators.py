@@ -1,25 +1,14 @@
-"""Window semantics: count/time, tumbling/sliding, keys, watermarks."""
+"""Window semantics: tumbling count windows, keys, partial flush."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.streaming import (
-    Record,
-    SlidingCountWindow,
-    SlidingTimeWindow,
-    TumblingCountWindow,
-    TumblingTimeWindow,
-    Watermark,
-    run_windowed,
-)
+from repro.streaming import Record, TumblingCountWindow, run_windowed
 
 
-def recs(values, ts=None, key=None):
-    return [
-        Record(v, ts=float(i) if ts is None else ts[i], key=key)
-        for i, v in enumerate(values)
-    ]
+def recs(values, key=None):
+    return [Record(v, key=key) for v in values]
 
 
 def test_tumbling_count_exact_windows():
@@ -32,21 +21,8 @@ def test_tumbling_count_flushes_partial_at_eos():
     assert [r.value for r in out] == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]
 
 
-def test_sliding_count_overlap_and_no_partial_flush():
-    out = run_windowed(SlidingCountWindow(3, 2), recs(range(8)), fn=list)
-    # windows close on arrivals 3, 5, 7 (n=3 then every step=2)
-    assert [r.value for r in out] == [[0, 1, 2], [2, 3, 4], [4, 5, 6]]
-
-
-def test_sliding_count_step_larger_than_n_samples():
-    out = run_windowed(SlidingCountWindow(2, 4), recs(range(10)), fn=list)
-    assert [r.value for r in out] == [[0, 1], [4, 5], [8, 9]]
-
-
 def test_count_windows_are_keyed_independently():
-    elements = [
-        Record(v, ts=float(i), key=v % 2) for i, v in enumerate(range(8))
-    ]
+    elements = [Record(v, key=v % 2) for v in range(8)]
     out = run_windowed(TumblingCountWindow(2), elements, fn=list)
     assert [(r.key, r.value) for r in out] == [
         (0, [0, 2]),
@@ -56,75 +32,38 @@ def test_count_windows_are_keyed_independently():
     ]
 
 
-def test_time_window_closes_only_on_watermark():
-    elements = recs(range(6))  # ts 0..5
-    out = run_windowed(TumblingTimeWindow(2.0), elements, fn=list)
-    # no watermark: everything flushes at EOS, in window order
-    assert [r.value for r in out] == [[0, 1], [2, 3], [4, 5]]
-
-    elements = recs(range(6)) + [Watermark(4.0)]
-    windower_out = run_windowed(TumblingTimeWindow(2.0), elements, fn=list)
-    # watermark 4.0 closes [0,2) and [2,4); EOS flushes [4,6)
-    assert [r.value for r in windower_out] == [[0, 1], [2, 3], [4, 5]]
-    assert [r.ts for r in windower_out] == [2.0, 4.0, 6.0]
-
-
-def test_mid_stream_watermark_emits_before_later_records():
+def test_reopened_key_flushes_in_first_seen_order():
+    # "a" is seen first, closes a window and reopens after "b" was
+    # seen: the partials still flush "a" before "b".
     elements = [
-        Record(0, ts=0.0),
-        Record(1, ts=1.0),
-        Watermark(2.0),
-        Record(2, ts=2.0),
-        Record(3, ts=3.0),
+        Record(0, key="a"),
+        Record(1, key="a"),
+        Record(2, key="b"),
+        Record(3, key="a"),
+        Record(4, key="c"),
     ]
-    out = run_windowed(TumblingTimeWindow(2.0), elements, fn=list)
-    assert [r.value for r in out] == [[0, 1], [2, 3]]
-
-
-def test_sliding_time_window_overlaps():
-    elements = recs(range(6)) + [Watermark(100.0)]
-    out = run_windowed(SlidingTimeWindow(4.0, 2.0), elements, fn=sum)
-    # windows [-2,2)=0+1, [0,4)=0..3, [2,6)=2..5, [4,8)=4+5
-    assert [(r.ts, r.value) for r in out] == [
-        (2.0, 1),
-        (4.0, 6),
-        (6.0, 14),
-        (8.0, 9),
+    out = run_windowed(TumblingCountWindow(2), elements, fn=list)
+    assert [(r.key, r.value) for r in out] == [
+        ("a", [0, 1]),
+        ("a", [3]),
+        ("b", [2]),
+        ("c", [4]),
     ]
-
-
-def test_time_window_requires_timestamps():
-    with pytest.raises(ValueError, match="ts=None"):
-        run_windowed(TumblingTimeWindow(1.0), [Record(1, ts=None)])
-
-
-def test_late_record_opens_new_window_after_close():
-    # A record older than the watermark lands in a fresh (re-opened)
-    # window slot and flushes at EOS — data is never silently dropped.
-    elements = [
-        Record(0, ts=0.0),
-        Watermark(2.0),
-        Record(1, ts=0.5),  # late
-    ]
-    out = run_windowed(TumblingTimeWindow(2.0), elements, fn=list)
-    assert [r.value for r in out] == [[0], [1]]
 
 
 def test_window_metadata_propagates_ingest():
     elements = [
-        Record(0, ts=0.0, ingest=10.0),
-        Record(1, ts=1.0, ingest=12.0),
+        Record(0, ingest=12.0),
+        Record(1, ingest=10.0),
+        Record(2),
+        Record(3, ingest=11.0),
+        Record(4, ingest=15.0),
     ]
     out = run_windowed(TumblingCountWindow(2), elements, fn=list)
-    assert out[0].ingest == 12.0  # max ingest of members
+    # max ingest of the members, reset by each close; a partial keeps it
+    assert [r.ingest for r in out] == [12.0, 11.0, 15.0]
 
 
 def test_spec_validation():
     with pytest.raises(ValueError):
         TumblingCountWindow(0)
-    with pytest.raises(ValueError):
-        SlidingCountWindow(2, 0)
-    with pytest.raises(ValueError):
-        TumblingTimeWindow(0.0)
-    with pytest.raises(ValueError):
-        SlidingTimeWindow(1.0, -1.0)

@@ -1,7 +1,7 @@
 """Streaming scenarios under the hang watchdog: backpressure, a failing
-operator under RETRY/IGNORE, abort and shutdown mid-flight, and the
-windowing edge cases (late and out-of-order records, EOS versus poison
-with open windows).  Every scenario checks its output against a
+operator under RETRY/IGNORE, abort and shutdown mid-flight, and keyed
+count windows (any key interleaving and window length against the
+offline replay, EOS versus poison with partial windows open).  Every scenario checks its output against a
 reference computed offline, then audits the graph (zero leaked queue
 slots) and the runtime (quiesced, no invariant violations)."""
 
@@ -21,12 +21,9 @@ from repro.runtime.failures import FAIL, IGNORE, RETRY
 from repro.runtime.flightrec import run_under_watchdog
 from repro.streaming import (
     Record,
-    SlidingTimeWindow,
     StreamFailure,
     StreamGraph,
     TumblingCountWindow,
-    TumblingTimeWindow,
-    Watermark,
     run_windowed,
 )
 from tests.conftest import matrix_settings
@@ -233,92 +230,39 @@ def test_reference_windows_helper():
 
 
 # ----------------------------------------------------------------------
-# windowing edge cases, each against ``run_windowed`` replaying the
-# same input offline
+# keyed count windows, each against ``run_windowed`` replaying the same
+# records offline
 # ----------------------------------------------------------------------
-def _source_elements(values, timestamps, interval):
-    """The records and watermarks a source stage emits for *values*."""
-    out = []
-    for i, v in enumerate(values):
-        out.append(Record(v, ts=timestamps[i]))
-        if (i + 1) % interval == 0:
-            out.append(Watermark(timestamps[i]))
-    if values:
-        out.append(Watermark(timestamps[-1]))
-    return out
-
-
-def _windowed_graph(rt, values, timestamps, interval, spec, items=None):
+def _keyed_windows(rt, keys, n, items=None):
+    """source → key_by → tumbling count window → sink over the indices
+    of *keys*, record ``i`` routed to ``keys[i]``."""
     g = StreamGraph(rt, name="win", capacity=4)
-    src = g.source(
-        values if items is None else items,
-        name="src",
-        timestamps=lambda i, v: timestamps[i],
-        watermark_interval=interval,
-    )
-    sink = g.sink(g.window(src, spec, fn=tuple, name="w"), name="sink", collect=True)
-    return g, sink
+    src = g.source(range(len(keys)) if items is None else items, name="src")
+    keyed = g.key_by(src, lambda i: keys[i], name="key")
+    windows = g.window(keyed, TumblingCountWindow(n), fn=tuple, name="w")
+    return g, g.sink(windows, name="sink", collect=True)
 
 
-@pytest.mark.parametrize(
-    "spec", [TumblingTimeWindow(10.0), SlidingTimeWindow(10.0, 5.0)], ids=["tumbling", "sliding"]
-)
-def test_late_records_behind_a_watermark(spec):
-    """Records older than a watermark already emitted reopen their
-    closed window; the stream emits exactly what the offline replay
-    of the same elements does."""
-    timestamps = [1.0, 4.0, 12.0, 15.0, 3.0, 21.0, 7.0, 33.0, 2.0, 35.0]
-    values = list(range(len(timestamps)))
-
-    def scenario(rt):
-        g, sink = _windowed_graph(rt, values, timestamps, 3, spec)
-        with g:
-            pass
-        expected = run_windowed(spec, _source_elements(values, timestamps, 3), fn=tuple)
-        assert sink.collected == [r.value for r in expected]
-        # the late records reopened windows already closed once
-        assert len({r.ts for r in expected}) < len(expected)
-        _audit_streams(g)
-
-    _run(scenario)
-
-
-def test_out_of_order_records_inside_a_window():
-    """Arrival order inside an open window is kept; the window closes
-    on the watermark regardless of the disorder."""
-    timestamps = [9.0, 1.0, 5.0, 3.0, 14.0, 11.0, 19.0, 10.0, 25.0, 21.0]
-    values = [t * 10 for t in timestamps]
-    spec = TumblingTimeWindow(10.0)
-
-    def scenario(rt):
-        g, sink = _windowed_graph(rt, values, timestamps, 4, spec)
-        with g:
-            pass
-        expected = run_windowed(spec, _source_elements(values, timestamps, 4), fn=tuple)
-        assert sink.collected == [r.value for r in expected]
-        assert sink.collected[0] == (90.0, 10.0, 50.0, 30.0)  # arrival order
-        _audit_streams(g)
-
-    _run(scenario)
+def _replay(keys, n):
+    records = [Record(i, key=k) for i, k in enumerate(keys)]
+    return [r.value for r in run_windowed(TumblingCountWindow(n), records, fn=tuple)]
 
 
 @matrix_settings()
 @given(
-    timestamps=st.lists(st.integers(0, 40).map(float), min_size=1, max_size=12),
-    interval=st.integers(1, 4),
-    spec=st.sampled_from([TumblingTimeWindow(10.0), SlidingTimeWindow(10.0, 5.0)]),
+    keys=st.lists(st.integers(0, 3), max_size=16),
+    n=st.integers(1, 5),
 )
-def test_time_windows_match_the_offline_replay(timestamps, interval, spec):
-    """Any event-time order — late, out of order, repeated — streams to
-    what the offline replay of the same elements emits."""
-    values = list(range(len(timestamps)))
+def test_count_windows_match_the_offline_replay(keys, n):
+    """Any key interleaving, window length and feed length — partial
+    windows included — streams to what the offline replay of the same
+    records emits."""
 
     def scenario(rt):
-        g, sink = _windowed_graph(rt, values, timestamps, interval, spec)
+        g, sink = _keyed_windows(rt, keys, n)
         with g:
             pass
-        expected = run_windowed(spec, _source_elements(values, timestamps, interval), fn=tuple)
-        assert sink.collected == [r.value for r in expected]
+        assert sink.collected == _replay(keys, n)
         _audit_streams(g)
 
     _run(scenario)
@@ -326,24 +270,23 @@ def test_time_windows_match_the_offline_replay(timestamps, interval, spec):
 
 @pytest.mark.parametrize("end", ["eos", "poison"])
 def test_eos_versus_poison_with_open_windows(end):
-    """The source parks after its last watermark, with windows still
-    open.  EOS flushes them (the offline replay); poison drops them
-    (the replay's windows the watermarks closed) and leaks no slot."""
-    timestamps = [1.0, 6.0, 12.0, 18.0, 24.0, 27.0, 31.0, 38.0]
-    values = list(range(len(timestamps)))
-    spec = TumblingTimeWindow(10.0)
-    elements = _source_elements(values, timestamps, 4)
-    offline = run_windowed(spec, elements, fn=tuple)
-    closed = [r.value for r in offline if r.ts <= timestamps[-1]]
+    """The source parks after its last record, with partial windows
+    still open.  EOS flushes them (the offline replay); poison drops
+    them (the replay's windows that arrivals closed) and leaks no
+    slot."""
+    keys = [i % 3 for i in range(11)]
+    n = 3
+    offline = _replay(keys, n)
+    closed = [w for w in offline if len(w) == n]
     assert len(closed) < len(offline)  # windows are open at the end
     release = threading.Event()
 
     def items():
-        yield from values
-        release.wait(30)  # parked after the last watermark
+        yield from range(len(keys))
+        release.wait(30)  # parked after the last record
 
     def scenario(rt):
-        g, sink = _windowed_graph(rt, values, timestamps, 4, spec, items=items)
+        g, sink = _keyed_windows(rt, keys, n, items=items)
         g.start()
         deadline = time.monotonic() + 30
         while len(sink.collected) < len(closed) and time.monotonic() < deadline:
@@ -354,7 +297,7 @@ def test_eos_versus_poison_with_open_windows(end):
         g.join(timeout=30, raise_on_error=False)
         if end == "eos":
             assert g.error is None
-            assert sink.collected == [r.value for r in offline]
+            assert sink.collected == offline
         else:
             assert isinstance(g.error, StreamFailure)
             assert sink.collected == closed
