@@ -9,7 +9,7 @@
 #   scripts/check.sh test        tests only
 #   scripts/check.sh inventory   every src/repro module must have a test file
 #   scripts/check.sh stress      randomized runtime matrix (stress profile) + engine regression tests
-#   scripts/check.sh backend     import guards (no networkx and no coordinator-only module — engine, config, checkpoint, observability, otlp, dot, provenance, flightrec — in a fresh import of the runtime packages or in a pool worker), then tier-1 under REPRO_BACKEND=processes + the matrix's processes replays + bench smoke of blocks_procs
+#   scripts/check.sh backend     import guards (no networkx and no coordinator-only module — engine, config, checkpoint, observability, otlp, dot, flightrec — in a fresh import of the runtime packages or in a pool worker), then tier-1 under REPRO_BACKEND=processes + the matrix's processes replays + bench smoke of blocks_procs
 #   scripts/check.sh obs         observability smoke (metrics/trace exports, flight-recorder dump) + tracing/lifecycle-view tests
 #   scripts/check.sh dataplane   store tests + the matrix's store replays + bench smoke of blocks_procs
 #   scripts/check.sh service     queue-service tests (kill -9, lease-expiry and traced-recovery chaos included)
@@ -87,19 +87,20 @@ run_obs() {
     # the trace, its Prometheus exposition parses, the chrome timeline
     # rendered from the trace's OTLP document validates with one flow
     # arrow per recorded dependency edge, the critical path is bounded,
-    # the trace CLI works, and a killed run's flight-recorder dump
-    # agrees with stats() and renders via `repro logs`.  Then the
-    # tracing stack: task table -> TaskRecord/Trace, TaskGraph, the
-    # lifecycle and timeline views, trace-context propagation,
-    # structured logging, the flight recorder, OTLP export and the one
+    # the trace CLI works on the saved document, and a killed run's
+    # flight-recorder dump agrees with stats() and renders via `repro
+    # logs`.  Then the tracing stack: task table -> TaskRecord/Trace,
+    # TaskGraph, the lifecycle and timeline views, trace-context
+    # propagation, the flight recorder, OTLP export, the document's
+    # round trip back to a Trace (and `repro trace` on it), the one
     # chrome renderer, and the service span log.  What telemetry costs
     # is obs.* in bench/ (`check.sh bench`).
     echo "== observability smoke (metrics + trace exports + flight recorder) =="
     PYTHONPATH=src python scripts/obs_smoke.py
-    echo "== tracing / logging / flight-recorder tests =="
+    echo "== tracing / run record / flight-recorder tests =="
     PYTHONPATH=src python -m pytest -x -q \
         tests/runtime/test_tracing.py \
-        tests/runtime/test_tracectx.py tests/runtime/test_structlog.py \
+        tests/runtime/test_tracectx.py tests/runtime/test_run_record.py \
         tests/runtime/test_flightrec.py tests/runtime/test_otlp.py \
         tests/service/test_spanlog.py tests/runtime/test_observability.py \
         tests/cluster/test_chrometrace.py
@@ -114,7 +115,7 @@ run_backend() {
     # fail when a fresh `import repro.runtime` (or `.backends`,
     # `repro.dsarray`, `repro.ml`), or a pool worker that ran ds-array
     # and KMeans tasks, loads networkx or a coordinator-only module
-    # (engine, config, checkpoint, observability, otlp, dot, provenance,
+    # (engine, config, checkpoint, observability, otlp, dot,
     # flightrec), or when a worker loads estimators it did not run.
     echo "== import guards (runtime, subpackages, pool worker) =="
     PYTHONPATH=src python -m pytest -x -q tests/test_imports.py

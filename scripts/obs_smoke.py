@@ -21,7 +21,8 @@ executor with metrics enabled, and asserts:
 4. the critical path is bounded: at least the longest single task,
    at most the makespan,
 5. the ``repro trace`` CLI (summarize / critical-path / chrome) works
-   end to end on the saved trace file,
+   end to end on the run's saved OTLP document, which reads back with
+   its span timestamps,
 6. a run with ``flightrec_dir`` whose task kills the workflow leaves a
    dump whose terminal rows agree with ``stats()`` and which
    ``repro logs`` renders under its usual columns.
@@ -43,10 +44,9 @@ from repro.cli import main as cli_main
 from repro.cluster.chrometrace import validate_chrome_json
 from repro.runtime import Runtime, RuntimeConfig, task, wait_on
 from repro.runtime import observability as obs
-from repro.runtime.otlp import otlp_to_chrome, trace_to_otlp
+from repro.runtime.otlp import otlp_to_chrome, otlp_to_traces, save_otlp, trace_to_otlp
 from repro.runtime.exceptions import WorkflowKilledError
 from repro.runtime.flightrec import load_dump
-from repro.runtime.tracing import Trace
 from repro.workflows.af_pipeline import (
     PipelineConfig,
     extract_features,
@@ -194,8 +194,8 @@ def main() -> None:
 
     # -- 5. the trace CLI end to end ------------------------------------
     with tempfile.TemporaryDirectory() as tmp:
-        trace_file = Path(tmp) / "trace.json"
-        trace.save(trace_file)
+        trace_file = Path(tmp) / "trace.otlp.json"
+        save_otlp(trace_to_otlp(trace), trace_file)
         for action in ("summarize", "critical-path"):
             rc = cli_main([ "trace", action, str(trace_file)])
             if rc != 0:
@@ -205,10 +205,10 @@ def main() -> None:
         if rc != 0:
             fail(f"repro trace chrome exited {rc}")
         validate_chrome_json(chrome_file.read_text())
-        # the saved trace round-trips with spans intact
-        back = Trace.load(trace_file)
-        if any(r.t_submit is None for r in back):
-            fail("saved trace lost span timestamps")
+        # the saved document reads back with spans intact
+        ((_, back),) = otlp_to_traces(json.loads(trace_file.read_text()))
+        if len(back) != len(trace) or any(r.t_submit is None for r in back):
+            fail("saved document lost records or span timestamps")
     print("ok: repro trace CLI (summarize, critical-path, chrome)")
 
     # -- 6. the flight recorder: a view of the table, dumped on a kill --

@@ -20,17 +20,15 @@ Commands:
   pipeline (:mod:`repro.streaming`) with micro-batched CNN inference,
   printing per-stage p50/p99 latency and throughput (``--prometheus``
   dumps the metric exposition).
-* ``trace summarize|chrome|critical-path FILE`` — analyse a trace JSON
-  written by ``Trace.save``: makespan/work/overhead breakdown, a
-  chrome://tracing timeline, or the longest duration-weighted
-  dependency chain.  ``trace --service DATA_DIR`` instead exports the
-  merged distributed trace of a queue service (client submit spans,
-  worker deliveries across every server incarnation — including
-  crashed ones — and the embedded runtimes' task spans) as one
-  OTLP/JSON document.  ``trace chrome`` renders either through that
-  one span document (``otlp_to_chrome``): a process row per resource
-  and pid, per-worker lanes, dependency flow arrows, retry/restore/
-  failure markers and the data-plane counter lane.
+* ``trace summarize|chrome|critical-path FILE`` — analyse a run's
+  OTLP/JSON document (``save_otlp(trace_to_otlp(trace), FILE)``), or
+  with ``--service DATA_DIR`` the merged distributed trace of a queue
+  service (client submit spans, worker deliveries across every server
+  incarnation — including crashed ones — and the embedded runtimes'
+  task spans).  ``summarize`` (makespan/work/overhead breakdown) and
+  ``critical-path`` print one block per runtime incarnation;
+  ``chrome`` writes a chrome://tracing timeline (``otlp_to_chrome``);
+  no action writes the document itself (stdout or ``--output``).
 * ``logs PATH`` — render observability artifacts a run leaves behind:
   a flight-recorder dump JSON (``flightrec-*.json``) or a service data
   directory (renders the spans rebuilt from its provenance log and
@@ -43,7 +41,8 @@ Commands:
   task on a service's queue (JSON-parsed arguments) and optionally
   ``--wait`` for its result.
 * ``queue status|list|cancel|reprioritize|tenant|provenance --data-dir
-  DIR`` — inspect and steer a service's queue.
+  DIR`` — inspect and steer a service's queue (only ``tenant`` creates
+  one where there is none).
 
 The randomized runtime matrix (executors × store × observability ×
 trace collection, under a hang watchdog) is a test, not a command:
@@ -326,52 +325,58 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.runtime import atomic_write
     from repro.runtime import observability as obs
     from repro.runtime import otlp
-    from repro.runtime.tracing import Trace
 
-    if args.service is not None:
-        from repro.service.server import export_service_otlp
+    source = args.service if args.service is not None else args.file
+    if source is None:
+        print("trace wants a FILE (or --service DATA_DIR)", file=sys.stderr)
+        return 2
+    analyse = args.action in ("summarize", "critical-path")
+    try:
+        if args.service is not None:
+            from repro.service.server import export_service_otlp
 
-        document = export_service_otlp(args.service)
+            document = export_service_otlp(source)
+        else:
+            with open(source, encoding="utf-8") as fh:
+                document = json.load(fh)
+        if not isinstance(document, dict) or not isinstance(
+            document.get("resourceSpans"), list
+        ):
+            raise ValueError("not an OTLP document")
         n_spans = sum(1 for _ in otlp.iter_spans(document))
-        if not n_spans:
-            print(f"no spans recorded under {args.service}", file=sys.stderr)
-            return 1
-        if args.action != "chrome":
-            if args.output:
-                otlp.save_otlp(document, args.output)
-                print(f"wrote {args.output} ({n_spans} spans, OTLP/JSON)")
-            else:
-                print(json.dumps(document, indent=2))
-            return 0
-        # merged multi-process timeline: client, every server
-        # incarnation and worker runtime as process rows on one clock
-        out = args.output or "service.chrome.json"
-        what = f"{n_spans} spans, merged chrome trace"
-    else:
-        if args.file is None:
-            print("trace wants a FILE (or --service DATA_DIR)", file=sys.stderr)
-            return 2
-        try:
-            trace = Trace.load(args.file)
-        except (OSError, ValueError, KeyError) as exc:
-            print(f"cannot load trace {args.file}: {exc}", file=sys.stderr)
-            return 1
-        if not len(trace):
-            print(f"trace {args.file} holds no records", file=sys.stderr)
-            return 1
+        groups = otlp.otlp_to_traces(document) if analyse else []
+        chrome = otlp.otlp_to_chrome(document) if args.action == "chrome" else None
+    except (OSError, AttributeError, KeyError, TypeError, ValueError) as exc:
+        print(f"cannot read trace {source}: {exc!r}", file=sys.stderr)
+        return 1
+    if not n_spans:
+        print(f"no spans recorded in {source}", file=sys.stderr)
+        return 1
+    if analyse and not groups:
+        print(f"no task spans in {source}", file=sys.stderr)
+        return 1
+
+    if chrome is not None:
+        out = args.output or (
+            f"{args.file}.chrome.json" if args.service is None else "service.chrome.json"
+        )
+        atomic_write(out, json.dumps(chrome) + "\n")
+        print(f"wrote {out} ({n_spans} spans, merged chrome trace; open in about:tracing)")
+    elif args.action is None:
+        if args.output:
+            otlp.save_otlp(document, args.output)
+            print(f"wrote {args.output} ({n_spans} spans, OTLP/JSON)")
+        else:
+            print(json.dumps(document, indent=2))
+    for index, (resource, trace) in enumerate(groups):  # one block per runtime
+        if index:
+            print()
+        pid = f" pid {resource['repro.pid']}" if "repro.pid" in resource else ""
+        print(f"== {otlp.resource_label(resource)}{pid}: {len(trace)} records ==")
         if args.action == "summarize":
             print(obs.format_summary(obs.summarize_trace(trace)))
-            return 0
-        if args.action == "critical-path":
-            cp = obs.critical_path(trace)
-            print(obs.format_critical_path(cp, top=args.top))
-            return 0
-        document = otlp.trace_to_otlp(trace)
-        out = args.output or f"{args.file}.chrome.json"
-        what = f"{len(trace)} task events"
-
-    atomic_write(out, json.dumps(otlp.otlp_to_chrome(document)) + "\n")
-    print(f"wrote {out} ({what}; open in about:tracing)")
+        else:
+            print(obs.format_critical_path(obs.critical_path(trace), top=args.top))
     return 0
 
 
@@ -477,13 +482,24 @@ def _cmd_logs(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.runtime.structlog import configure as configure_logging
+    import logging
+
+    # the server is the long-running entry point: its INFO lines
+    # ("service started ...", "service drained ...") go to stderr
+    log = logging.getLogger("repro")
+    handler, level = logging.StreamHandler(), log.level
+    log.addHandler(handler)
+    log.setLevel(logging.INFO)
+    try:
+        return _serve(args)
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
+
+
+def _serve(args: argparse.Namespace) -> int:
     from repro.service import QueueService, ServiceConfig
 
-    # the server is the long-running entry point: attach the structured
-    # handler so service INFO lines reach stderr instead of being
-    # dropped handler-less
-    configure_logging()
     config = ServiceConfig(
         data_dir=args.data_dir,
         workers=args.workers,
@@ -566,8 +582,16 @@ def _cmd_submit(args: argparse.Namespace) -> int:
 
 
 def _cmd_queue(args: argparse.Namespace) -> int:
-    from repro.service import ServiceClient
+    import pathlib
 
+    from repro.service import ServiceClient
+    from repro.service.server import QUEUE_DB
+
+    # only ``tenant`` writes; reading or steering a queue that is not
+    # there must not create one (a mistyped DIR would read as empty)
+    if args.action != "tenant" and not (pathlib.Path(args.data_dir) / QUEUE_DB).exists():
+        print(f"no queue at {args.data_dir}", file=sys.stderr)
+        return 1
     with ServiceClient(args.data_dir) as client:
         if args.action == "status":
             stats = client.counts()
@@ -702,27 +726,28 @@ def main(argv: list[str] | None = None) -> int:
     )
     p6b.set_defaults(func=_cmd_serve_stream)
 
-    p7 = sub.add_parser("trace", help="analyse/export a saved runtime trace")
+    p7 = sub.add_parser(
+        "trace", help="analyse/export a run's OTLP trace document"
+    )
     p7.add_argument(
         "action",
         nargs="?",
-        default="summarize",
+        default=None,
         choices=["summarize", "chrome", "critical-path"],
+        help="none: write the document itself",
     )
-    p7.add_argument("file", nargs="?", default=None, help="trace JSON written by Trace.save")
+    p7.add_argument("file", nargs="?", default=None, help="an OTLP/JSON document")
     p7.add_argument(
         "--service",
         default=None,
         metavar="DATA_DIR",
-        help="export a queue service's merged distributed trace as OTLP/JSON "
-        "(stdout, or --output FILE; with the 'chrome' action, as a merged "
-        "chrome://tracing timeline)",
+        help="read a queue service's merged distributed trace instead of FILE",
     )
     p7.add_argument(
         "--output",
         default=None,
-        help="chrome: output path (default FILE.chrome.json); "
-        "--service: OTLP output path (default stdout)",
+        help="chrome: output path (default FILE.chrome.json or "
+        "service.chrome.json); no action: OTLP output path (default stdout)",
     )
     p7.add_argument(
         "--top",

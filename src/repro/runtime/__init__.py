@@ -31,7 +31,6 @@ Public surface:
   so paper snippets run verbatim.
 * :class:`Constraints` — per-task resource requirements.
 * :func:`to_dot` / :func:`graph_summary` — execution-graph export.
-* :func:`build_provenance` — provenance record of a finished run.
 * :class:`CheckpointStore` — crash-consistent persistence of task
   results; set ``RuntimeConfig(checkpoint_dir=...)`` (or
   ``REPRO_CHECKPOINT_DIR``) and a killed workflow resumes, re-executing
@@ -45,15 +44,17 @@ Public surface:
   (:func:`critical_path`, :func:`summarize_trace`); enabled with
   ``RuntimeConfig(observability="metrics,progress")`` or
   ``REPRO_OBSERVABILITY``.
-* :mod:`repro.runtime.otlp` — the one span document: a trace as OTLP
-  (``trace_to_otlp``, dependencies as span links) and the one
-  chrome://tracing renderer, ``otlp_to_chrome(trace_to_otlp(trace))``.
+* :mod:`repro.runtime.otlp` — the one record of a run: a trace as an
+  OTLP document (``trace_to_otlp``, dependencies as span links, every
+  record field an attribute, the repro/Python/numpy versions on the
+  resource), read back by ``otlp_to_traces`` and drawn by the one
+  chrome://tracing renderer, ``otlp_to_chrome``.
 
 Importing the package loads what the module of a task body needs —
 :func:`task`, :func:`wait_on`, futures, directions, failure policies,
 exceptions, store handles, :func:`current_attempt` — and nothing only a
 coordinator runs.  ``Runtime``, ``RuntimeConfig`` and the checkpoint,
-observability, DOT, provenance, trace and ``compss_*`` names are
+observability, DOT, trace and ``compss_*`` names are
 imported on first access, so a worker process never loads the engine
 (DESIGN.md §11).
 """
@@ -107,7 +108,6 @@ _LAZY_MODULES = {
         "to_prometheus",
     ),
     "dot": ("graph_summary", "to_dot"),
-    "provenance": ("ProvenanceRecord", "build_provenance"),
     "tracing": ("TaskRecord", "Trace"),
     "compat": (
         "compss_barrier",
@@ -149,8 +149,6 @@ __all__ = [
     "to_prometheus",
     "to_dot",
     "graph_summary",
-    "ProvenanceRecord",
-    "build_provenance",
     "CheckpointStore",
     "fingerprint",
     "task_signature",

@@ -104,7 +104,6 @@ from typing import Any
 import numpy as np
 
 from repro.runtime import store as _store
-from repro.runtime import tracectx as _tracectx
 from repro.runtime.exceptions import NodeFailureError
 from repro.runtime.store import ObjectRef, ObjectStore, StoreError, WorkerStore
 
@@ -271,7 +270,7 @@ def _worker_main(conn) -> None:
         if kind == "forget":  # a store shut down; no reply expected
             worker_store.forget(request[1])
             continue
-        _, module_name, qualname, args, kwargs, attempt, store_cfg, trace_header = request
+        _, module_name, qualname, args, kwargs, attempt, store_cfg = request
         info = None
         if store_cfg is not None:
             # Data plane active: map incoming refs to read-only views
@@ -288,19 +287,8 @@ def _worker_main(conn) -> None:
         except Exception as exc:  # noqa: BLE001 - reported, not fatal
             _send(conn, ("unresolvable", f"{type(exc).__name__}: {exc}", pid))
             continue
-        trace_ctx = None
-        if trace_header:
-            # The context rides the task frame: install it ambiently so
-            # structured logs emitted by the body carry the trace id
-            # (the span itself is recorded coordinator-side, with this
-            # worker's pid from the reply).
-            try:
-                trace_ctx = _tracectx.TraceContext.from_header(trace_header)
-            except ValueError:
-                trace_ctx = None
         try:
-            with _tracectx.use_context(trace_ctx):
-                value = _call_with_attempt(func, args, kwargs, attempt)
+            value = _call_with_attempt(func, args, kwargs, attempt)
         except BaseException as exc:  # noqa: BLE001 - relayed to coordinator
             _safe_send(conn, ("raised", exc, pid, info))
             continue
@@ -824,10 +812,6 @@ class ProcessPoolBackend(ExecutorBackend):
                     # the caller's own arguments.
                     return self._run_inline(spec, args, kwargs, attempt)
                 args, kwargs = frozen
-            # The engine installs the executing attempt's trace context
-            # ambiently before calling run(); ship it across the pipe
-            # as a traceparent header so worker-side logs correlate.
-            ambient = _tracectx.current_context()
             request = (
                 "run",
                 spec.func.__module__,
@@ -836,7 +820,6 @@ class ProcessPoolBackend(ExecutorBackend):
                 kwargs,
                 attempt,
                 store_cfg,
-                ambient.to_header() if ambient is not None else None,
             )
             t0 = time.perf_counter()
             try:

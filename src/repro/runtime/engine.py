@@ -1109,11 +1109,7 @@ class Runtime:
         except Exception as exc:  # noqa: BLE001 - diagnostics must not raise
             _logger.warning("flight recorder dump failed: %r", exc)
         else:
-            from repro.runtime.structlog import get_logger
-
-            get_logger("repro.runtime").warning(
-                "flight recorder dumped", reason=reason, path=path
-            )
+            _logger.warning("flight recorder dumped reason=%r path=%s", reason, path)
 
     # ------------------------------------------------------------------
     # external waiters (streaming integration)
@@ -1211,11 +1207,7 @@ class Runtime:
         randomized runtime tests fail on any."""
         with self._violations_lock:
             self._violations.append(message)
-        from repro.runtime.structlog import get_logger
-
-        get_logger("repro.runtime").warning(
-            "runtime invariant violated: %s" % message, runtime=self.name
-        )
+        _logger.warning("runtime invariant violated: %s runtime=%s", message, self.name)
 
     def _set_state(self, inst: TaskInstance, new_state: str) -> None:
         """Transition *inst*, validating against the lifecycle state
@@ -1302,9 +1294,7 @@ class Runtime:
             args = store.deref(args)
             kwargs = store.deref(kwargs)
         # Install this attempt's trace context ambiently for the span
-        # of the body: nested submissions become children of this span,
-        # and the process backend reads it to ship the context across
-        # the worker pipe.
+        # of the body: nested submissions become children of this span.
         ctx = inst.trace_ctx
         prev_ctx = _tracectx.set_context(ctx) if ctx is not None else None
         try:

@@ -4,8 +4,8 @@ A :class:`FlightRecorder` holds no events of its own.  It is given a
 callable returning the time-ordered lifecycle rows of a runtime
 (:func:`~repro.runtime.observability.lifecycle_events` over the task
 table) plus an optional metrics-snapshot callback, and costs nothing
-until something goes wrong — workflow kill/abort, a
-:func:`run_under_watchdog` trip, or ``SIGTERM`` on a service.  Then it **dumps** a JSON
+until something goes wrong — workflow kill/abort, a hang watchdog
+trip, or ``SIGTERM`` on a service.  Then it **dumps** a JSON
 file: the last ``capacity`` rows (``n_dropped`` counts the older ones
 left out), a final metrics snapshot, the reason, and identifying fields
 (pid, runtime name, wall-clock time).  The dump is the black box a
@@ -14,9 +14,9 @@ crashed run leaves behind; ``repro logs <dump.json>`` renders it.
 Enable per-runtime with ``RuntimeConfig(flightrec_dir=...)`` /
 ``REPRO_FLIGHTREC=<dir>`` (the engine then dumps automatically on
 kill/abort), or construct one explicitly over any source of rows.
-Module-level :func:`dump_all` walks every live recorder — the hook the
-hang watchdog (:func:`run_under_watchdog`) and the service SIGTERM
-handler call, where no runtime reference is in scope.
+Module-level :func:`dump_all` walks every live recorder — the hook a
+hang watchdog and the service SIGTERM handler call, where no runtime
+reference is in scope.
 """
 
 from __future__ import annotations
@@ -24,17 +24,15 @@ from __future__ import annotations
 import itertools
 import json
 import os
-import sys
 import threading
 import time
-import traceback
 import weakref
 from pathlib import Path
 from typing import Any, Callable, Optional
 
 from repro.runtime.atomic_write import atomic_write
 
-__all__ = ["FlightRecorder", "dump_all", "load_dump", "run_under_watchdog"]
+__all__ = ["FlightRecorder", "dump_all", "load_dump"]
 
 #: Default dump window: enough to hold the full lifecycle of ~400
 #: tasks (5 rows each) while staying a few MB at worst.
@@ -137,60 +135,6 @@ def load_dump(path: str | os.PathLike) -> dict[str, Any]:
     """Parse a flight-recorder dump, validating its format marker."""
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
-    if payload.get("format") != "repro-flightrec-v1":
+    if not isinstance(payload, dict) or payload.get("format") != "repro-flightrec-v1":
         raise ValueError(f"{path} is not a flight-recorder dump")
     return payload
-
-
-def _dump_stacks() -> str:
-    names = {t.ident: t.name for t in threading.enumerate()}
-    lines = []
-    for tid, frame in sys._current_frames().items():
-        lines.append(f"--- thread {names.get(tid, tid)} ---")
-        lines.append("".join(traceback.format_stack(frame)))
-    return "\n".join(lines)
-
-
-def run_under_watchdog(fn, timeout: float, label: str) -> dict[str, Any]:
-    """Run ``fn()`` on a daemon thread bounded by *timeout* seconds.
-
-    Returns an outcome dict: ``ok`` and ``duration`` always; ``value``
-    on success; ``error``/``trace`` when *fn* raised; ``problems``
-    (human-readable lines, including a full stack dump of every live
-    thread on a hang) whenever ``ok`` is false.  On a hang every live
-    flight recorder is dumped (``flightrec_dumps``: the lifecycle rows
-    leading into it) and the thread is abandoned, not killed — the
-    caller keeps moving and reports the hang instead of wedging.  The
-    classic signature of a lost wakeup is every thread parked in
-    ``Condition.wait``.  The randomized runtime tests and the stream
-    scenarios run their steps through this.
-    """
-    outcome: dict[str, Any] = {}
-
-    def target() -> None:
-        try:
-            outcome["value"] = fn()
-        except BaseException as exc:  # noqa: BLE001 - relayed to the outcome
-            outcome["error"] = exc
-            outcome["trace"] = traceback.format_exc()
-
-    thread = threading.Thread(target=target, name=label, daemon=True)
-    t0 = time.perf_counter()
-    thread.start()
-    thread.join(timeout)
-    duration = time.perf_counter() - t0
-    if thread.is_alive():
-        dumps = dump_all(f"watchdog: {label}")
-        problems = [f"HANG: {label} did not finish within {timeout}s", _dump_stacks()]
-        if dumps:
-            problems.append("flight recorder dumps: " + ", ".join(dumps))
-        return {"ok": False, "duration": duration, "problems": problems, "flightrec_dumps": dumps}
-    if "error" in outcome:
-        return {
-            "ok": False,
-            "duration": duration,
-            "error": outcome["error"],
-            "trace": outcome["trace"],
-            "problems": [f"{label} raised {outcome['error']!r}", outcome["trace"]],
-        }
-    return {"ok": True, "duration": duration, "value": outcome.get("value")}

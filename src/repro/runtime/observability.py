@@ -455,57 +455,6 @@ def merge_service_stats(snapshot: dict[str, Any], service_stats: dict) -> dict[s
     return snapshot
 
 
-def reconcile_store(runtime, trace: Trace | None = None) -> list[str]:
-    """Cross-check the data plane of a drained runtime: per-attempt
-    ``bytes_moved``/``bytes_saved`` in the trace must sum to the
-    backend's cumulative counters, and the derived hit rate must match
-    the raw hit/miss tallies.  Returns discrepancy descriptions (empty
-    = consistent).
-
-    Only meaningful after a clean drain with ``collect_trace=True`` and
-    no serialization/result fallbacks (an inline fallback re-run after
-    a worker attach legitimately leaves the attach uncounted in the
-    trace)."""
-    backend_stats = runtime.stats()["backend_stats"]
-    if not backend_stats.get("store_enabled"):
-        return ["no object store is attached to the backend"]
-    if not runtime.config.collect_trace:
-        return ["trace collection is disabled on this runtime"]
-    trace = trace if trace is not None else runtime.trace()
-    problems: list[str] = []
-    for attr, counter in (
-        ("total_bytes_moved", "store_bytes_moved"),
-        ("total_bytes_saved", "store_bytes_saved"),
-    ):
-        from_trace = getattr(trace, attr)
-        from_backend = backend_stats.get(counter, 0)
-        if from_trace != from_backend:
-            problems.append(
-                f"trace {attr} is {from_trace}, backend {counter} says {from_backend}"
-            )
-    hits = backend_stats.get("store_hits", 0)
-    misses = backend_stats.get("store_misses", 0)
-    rate = backend_stats.get("store_hit_rate", 0.0)
-    expected = hits / (hits + misses) if hits + misses else 0.0
-    if abs(rate - expected) > 1e-9:
-        problems.append(
-            f"store_hit_rate is {rate:g}, hits/misses say {expected:g}"
-        )
-    return problems
-
-
-def metric_value(
-    snapshot: dict[str, Any], name: str, default: float | None = None, **labels: str
-) -> float | None:
-    """Value of one series in a snapshot (counters and gauges)."""
-    want = {k: str(v) for k, v in labels.items()}
-    for section in ("counters", "gauges"):
-        for series in snapshot.get(section, ()):
-            if series["name"] == name and series["labels"] == want:
-                return series["value"]
-    return default
-
-
 def save_metrics_json(snapshot: dict[str, Any], path) -> None:
     """Atomically dump a metrics snapshot to *path* as JSON."""
     from repro.runtime.atomic_write import atomic_write

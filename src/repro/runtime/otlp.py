@@ -12,9 +12,11 @@ Two producers feed it:
 * :func:`trace_to_otlp` — a runtime
   :class:`~repro.runtime.tracing.Trace` whose records carry the
   ``trace_id``/``span_id``/``parent_span_id`` stamped by the engine;
-  records from traces predating distributed tracing get a synthesized
-  per-export trace id so old artifacts still render.  Each recorded
-  dependency becomes a span *link* to its producer's span.
+  records without them (``collect_trace`` off) get a synthesized
+  per-export trace id.  Each recorded dependency becomes a span *link*
+  to its producer's span, and every other field of a
+  :class:`~repro.runtime.tracing.TaskRecord` is a ``repro.*``
+  attribute, so :func:`otlp_to_traces` gives the trace back.
 * :func:`spans_to_otlp` — durable **service spans** (the start/end
   rows :meth:`repro.service.queue.DurableQueue.span_rows` rebuilds
   from the queue's provenance log): client submissions and worker
@@ -28,19 +30,26 @@ producers into one document — the ``repro trace --service`` view of
 one request across client, two server incarnations and worker
 processes.  :func:`otlp_to_chrome` is the one chrome://tracing
 renderer: every timeline, of a single runtime trace or of a merged
-service document, is drawn from an OTLP document.
+service document, is drawn from an OTLP document.  The document is
+the one file format of a run: ``repro trace`` reads nothing else.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import platform
 from typing import Any, Iterable, Mapping, Optional
 
-from repro.runtime.tracing import Trace
+import numpy as np
+
+from repro._version import __version__
+from repro.runtime.tracing import TaskRecord, Trace
 
 __all__ = [
     "trace_to_otlp",
+    "otlp_to_traces",
+    "resource_label",
     "spans_to_otlp",
     "merge_otlp",
     "iter_spans",
@@ -50,6 +59,22 @@ __all__ = [
 ]
 
 _NANO = 1_000_000_000
+
+#: The TaskRecord fields a task span carries as ``repro.*`` attributes;
+#: the name, the times, the dependencies and the trace identity travel
+#: in the span's own fields.
+_RECORD_ATTRS = {
+    "computing_units": "repro.cores",
+    **{
+        field: f"repro.{field}"
+        for field in (
+            "task_id", "attempt", "status", "pid", "worker", "retry_of", "error", "gpus",
+            "bytes_moved", "bytes_saved", "parent_id", "label", "in_bytes", "out_bytes",
+        )
+    },
+}
+#: Lifecycle stamps, as Unix nanoseconds on the span clock.
+_STAMPS = ("t_submit", "t_ready", "t_dispatch")
 
 
 def _attr(key: str, value: Any) -> dict[str, Any]:
@@ -79,6 +104,10 @@ def _nanos(seconds: float) -> str:
     return str(int(seconds * _NANO))
 
 
+def _seconds(nanos: Any) -> float:
+    return int(nanos) / _NANO
+
+
 def trace_to_otlp(
     trace: Trace,
     *,
@@ -91,7 +120,8 @@ def trace_to_otlp(
     epoch; *wall_t0* (Unix seconds of that epoch) anchors them to wall
     clock so traces from different processes land on one timeline.
     Each dependency on a recorded producer is a link to that producer's
-    span.
+    span.  The default resource names the repro, Python and numpy
+    versions the run used.
     """
     fallback_trace_id = os.urandom(16).hex()
     ids = {
@@ -113,19 +143,14 @@ def trace_to_otlp(
             "endTimeUnixNano": _nanos(wall_t0 + rec.t_end),
             "attributes": _attrs(
                 {
-                    "repro.task_id": rec.task_id,
-                    "repro.attempt": rec.attempt,
-                    "repro.status": rec.status,
-                    "repro.pid": rec.pid,
-                    "repro.worker": rec.worker,
-                    "repro.retry_of": rec.retry_of,
-                    "repro.error": rec.error,
-                    "repro.cores": rec.computing_units,
-                    "repro.gpus": rec.gpus,
+                    **{attr: getattr(rec, field) for field, attr in _RECORD_ATTRS.items()},
+                    **{
+                        f"repro.{stamp}": int((wall_t0 + t) * _NANO)
+                        for stamp in _STAMPS
+                        if (t := getattr(rec, stamp)) is not None
+                    },
                     "repro.queue_wait_us": rec.queue_wait * 1e6,
                     "repro.overhead_us": rec.overhead * 1e6,
-                    "repro.bytes_moved": rec.bytes_moved,
-                    "repro.bytes_saved": rec.bytes_saved,
                 }
             ),
             "status": {"code": 1 if rec.ok else 2},
@@ -138,10 +163,58 @@ def trace_to_otlp(
         if links:
             span["links"] = links
         spans.append(span)
-    res = {"service.name": "repro-runtime"}
+    res = {
+        "service.name": "repro-runtime",
+        "repro.version": __version__,
+        "process.runtime.version": platform.python_version(),
+        "repro.numpy.version": np.__version__,
+    }
     if resource:
         res.update(resource)
     return {"resourceSpans": [_resource_group(res, spans)]}
+
+
+def otlp_to_traces(document: Mapping[str, Any]) -> list[tuple[dict[str, Any], Trace]]:
+    """The runtime traces in an OTLP document, the inverse of
+    :func:`trace_to_otlp`: one ``(resource attributes, Trace)`` per
+    resource group whose spans carry ``repro.task_id`` (service
+    ``submit``/``deliver`` groups have none and are skipped).  Links to
+    spans of the same group are the dependencies; times are seconds on
+    the span clock (the recorded ones for a document written with
+    ``wall_t0=0``)."""
+    out = []
+    for group in document.get("resourceSpans", ()):
+        spans = [(span, span_attributes(span)) for span in _group_spans(group)]
+        spans = [(span, attrs) for span, attrs in spans if "repro.task_id" in attrs]
+        if not spans:
+            continue
+        ids = {(span.get("traceId"), span.get("spanId")): attrs["repro.task_id"]
+               for span, attrs in spans}
+        trace = Trace()
+        for span, attrs in spans:
+            links = {(link.get("traceId"), link.get("spanId")) for link in span.get("links", ())}
+            trace.add(TaskRecord(
+                name=span["name"],
+                deps=tuple(sorted(ids[link] for link in links if link in ids)),
+                t_start=_seconds(span["startTimeUnixNano"]),
+                t_end=_seconds(span["endTimeUnixNano"]),
+                trace_id=span.get("traceId"),
+                span_id=span.get("spanId"),
+                parent_span_id=span.get("parentSpanId"),
+                **{field: attrs[attr] for field, attr in _RECORD_ATTRS.items() if attr in attrs},
+                **{stamp: _seconds(attrs[f"repro.{stamp}"])
+                   for stamp in _STAMPS if f"repro.{stamp}" in attrs},
+            ))
+        out.append((span_attributes(group.get("resource", {})), trace))
+    return out
+
+
+def resource_label(resource: Mapping[str, Any]) -> str:
+    """``service.name [server_id]`` of a group's resource attributes."""
+    service = resource.get("service.name", "repro")
+    if resource.get("repro.server_id"):
+        service = f"{service} [{resource['repro.server_id']}]"
+    return service
 
 
 def spans_to_otlp(
@@ -284,9 +357,7 @@ def otlp_to_chrome(document: Mapping[str, Any]) -> dict[str, Any]:
     placed: list[tuple[dict[str, Any], int, int, float]] = []
     for index, group in enumerate(groups):
         res = span_attributes(group.get("resource", {}))
-        service = res.get("service.name", "repro")
-        if res.get("repro.server_id"):
-            service = f"{service} [{res['repro.server_id']}]"
+        service = resource_label(res)
         samples: list[tuple[float, int, int]] = []
         for span in _group_spans(group):
             attrs = span_attributes(span)

@@ -3,10 +3,11 @@
 A :class:`TraceContext` is the ``(trace_id, span_id, parent_id)``
 triple that follows one logical request across every causal boundary
 the system has grown: thread → thread inside one
-:class:`~repro.runtime.engine.Runtime`, coordinator → worker process
-over the pickle pipe, client → durable-queue row → lease → embedded
-runtime in :mod:`repro.service`, and stream source → stage → micro-
-batched ``submit_many`` in :mod:`repro.streaming`.
+:class:`~repro.runtime.engine.Runtime`, client → durable-queue row →
+lease → embedded runtime in :mod:`repro.service`, and stream source →
+stage → micro-batched ``submit_many`` in :mod:`repro.streaming`.  A
+body run in a pool worker sees no context: its span is recorded on the
+coordinator.
 
 The design constraints, in order:
 
@@ -18,7 +19,7 @@ The design constraints, in order:
    ``next()`` is one GIL-atomic C call — kept as integers; the 32/16-hex
    text is made by whoever reads ``trace_id`` / ``span_id`` /
    ``parent_id`` / ``to_header()``: a record being shaped, the
-   process-backend pipe, the service row, a log line.
+   service row.
 2. **Propagation is ambient.**  Task bodies and service workers don't
    pass contexts by hand; the current context lives in a
    ``threading.local`` and everything that submits work reads it.
@@ -27,8 +28,8 @@ The design constraints, in order:
    become children automatically.
 3. **The wire format is text.**  ``to_header()`` emits the W3C
    ``traceparent`` shape (``00-{trace}-{span}-01``) so a context can
-   ride a sqlite column, a pickle frame, an environment variable or a
-   JSON log line unchanged, and ``from_header()`` round-trips it.
+   ride a sqlite column unchanged, and ``from_header()`` round-trips
+   it.
 """
 
 from __future__ import annotations

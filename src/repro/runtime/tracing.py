@@ -7,13 +7,16 @@ output data sizes.  The engine keeps no records of its own:
 table.  A finished :class:`Trace` is the input of the
 cluster simulator (:mod:`repro.cluster.replay`), which re-schedules the
 same DAG on an arbitrary simulated machine — this is how the paper's
-MareNostrum-scale figures are regenerated without the testbed.
+MareNostrum-scale figures are regenerated without the testbed.  A
+trace is saved as an OTLP document
+(:func:`repro.runtime.otlp.trace_to_otlp`, read back with
+:func:`~repro.runtime.otlp.otlp_to_traces`), the one file format of a
+run.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 from typing import Any, Iterable, Iterator
 
 import numpy as np
@@ -205,9 +208,6 @@ class TaskRecord:
         """True if the task body actually ran (restored attempts did not)."""
         return self.status != "restored"
 
-    def to_dict(self) -> dict[str, Any]:
-        return dataclasses.asdict(self)
-
 
 class Trace:
     """A completed execution trace: an ordered set of task records."""
@@ -334,31 +334,3 @@ class Trace:
             )
             out.add(scaled)
         return out
-
-    # -- (de)serialisation ------------------------------------------------
-    def to_json(self) -> str:
-        return json.dumps([r.to_dict() for r in self])
-
-    @classmethod
-    def from_json(cls, text: str) -> "Trace":
-        """Parse a trace, ignoring record keys this version doesn't
-        know: those of traces written by newer versions, and those
-        older versions wrote for fields since removed."""
-        known = TaskRecord.__dataclass_fields__.keys()
-        records = [
-            TaskRecord(**{k: v for k, v in {**d, "deps": tuple(d["deps"])}.items() if k in known})
-            for d in json.loads(text)
-        ]
-        return cls(records)
-
-    def save(self, path) -> None:
-        """Write the trace to *path* as JSON, atomically."""
-        from repro.runtime.atomic_write import atomic_write
-
-        atomic_write(path, self.to_json())
-
-    @classmethod
-    def load(cls, path) -> "Trace":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_json(fh.read())
-

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import logging
 import os
 import signal
 import threading
@@ -47,12 +48,11 @@ from repro.runtime import otlp
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.engine import Runtime
 from repro.runtime.store import sweep_prefix
-from repro.runtime.structlog import get_logger
 from repro.service.db import Database
 from repro.service.queue import DurableQueue, _pid_alive
 from repro.service.worker import ServiceWorkerPool
 
-_log = get_logger("repro.service.server")
+_log = logging.getLogger("repro.service.server")
 
 __all__ = ["QueueService", "ServiceConfig", "export_service_otlp"]
 
@@ -180,12 +180,12 @@ class QueueService:
         )
         self._sweeper.start()
         _log.info(
-            "service started",
-            server_id=self.server_id,
-            data_dir=str(self.data_dir),
-            workers=cfg.workers,
-            backend=cfg.backend,
-            recovered=len(self.recovery.get("requeued_tasks", ())),
+            "service started server_id=%s data_dir=%s workers=%d backend=%s recovered=%d",
+            self.server_id,
+            self.data_dir,
+            cfg.workers,
+            cfg.backend,
+            len(self.recovery.get("requeued_tasks", ())),
         )
         return self
 
@@ -259,7 +259,7 @@ class QueueService:
         except Exception:  # noqa: BLE001 - the WAL replays on next open
             pass
         self.db.close()
-        _log.info("service drained", server_id=self.server_id, clean=ok)
+        _log.info("service drained server_id=%s clean=%s", self.server_id, ok)
         return ok
 
     stop = drain
@@ -286,7 +286,7 @@ class QueueService:
             otlp.save_otlp(document, traces_dir / f"trace-{self.server_id}.json")
         except Exception as exc:  # noqa: BLE001 - drain must proceed
             _log.warning(
-                "failed to save runtime trace", server_id=self.server_id, error=repr(exc)
+                "failed to save runtime trace server_id=%s error=%r", self.server_id, exc
             )
 
     def install_signal_handlers(self) -> None:

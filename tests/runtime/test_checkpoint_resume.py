@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import collections
+import json
+
 import numpy as np
 import pytest
 
@@ -11,7 +14,8 @@ from repro.runtime.config import RuntimeConfig
 from repro.runtime.directions import INOUT
 from repro.runtime.dot import to_dot
 from repro.runtime.exceptions import WorkflowKilledError
-from repro.runtime.provenance import build_provenance
+from repro.runtime.observability import summarize_trace
+from repro.runtime.otlp import otlp_to_traces, save_otlp, trace_to_otlp
 from tests.support.faults import fail_before, flip_last_byte
 
 CALLS: list[str] = []
@@ -287,12 +291,13 @@ class TestReporting:
     def test_provenance_separates_restored_from_executed(self, tmp_path):
         config = cfg(tmp_path)
         run_chain(config=config)
-        _, trace, _, graph = run_chain(config=config)
-        record = build_provenance("chain", graph, trace)
-        assert record.restored["count"] == 5
-        assert record.restored["by_name"] == {"load": 2, "step": 2, "merge": 1}
-        # restored-only names contribute no timing rows
-        assert record.task_stats == {}
+        _, trace, _, _ = run_chain(config=config)
+        summary = summarize_trace(trace)
+        assert summary["n_restored"] == 5
+        restored = collections.Counter(r.name for r in trace.records(status="restored"))
+        assert restored == {"load": 2, "step": 2, "merge": 1}
+        # restored attempts never ran: no executed attempt, no work
+        assert summary["n_executed"] == 0 and summary["work"] == 0.0
 
     def test_dot_marks_restored_nodes(self, tmp_path):
         config = cfg(tmp_path)
@@ -307,10 +312,8 @@ class TestReporting:
         run_chain(config=config)
         _, trace, _, _ = run_chain(config=config)
         path = tmp_path / "trace.json"
-        trace.save(path)
-        from repro.runtime.tracing import Trace
-
-        loaded = Trace.load(path)
+        save_otlp(trace_to_otlp(trace), path)
+        ((_, loaded),) = otlp_to_traces(json.loads(path.read_text()))
         assert loaded.n_restored == 5
         assert [r.status for r in loaded] == [r.status for r in trace]
 

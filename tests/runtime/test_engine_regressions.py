@@ -19,6 +19,7 @@ from repro.runtime import Runtime, task, wait_on
 from repro.runtime import engine
 from repro.runtime.backends import current_attempt
 from repro.runtime.config import RuntimeConfig
+from tests.support.oracles import metric_value
 
 
 def test_shutdown_waits_for_all_live_scopes():
@@ -509,10 +510,10 @@ def test_submit_many_stats_and_metrics_reconcile():
         rt.barrier()
         snap, stats, trace = rt.metrics(), rt.stats(), rt.trace()
         kinds = [row["kind"] for row in obs.lifecycle_events(rt._attempts())]
-    assert obs.metric_value(snap, "repro_tasks_submitted_total") == stats["n_tasks"] == 9
-    assert obs.metric_value(snap, "repro_tasks_total", state="done") == 9
-    assert obs.metric_value(snap, "repro_tasks_enqueued_total") == 9
-    assert obs.metric_value(snap, "repro_tasks_running") == 0
+    assert metric_value(snap, "repro_tasks_submitted_total") == stats["n_tasks"] == 9
+    assert metric_value(snap, "repro_tasks_total", state="done") == 9
+    assert metric_value(snap, "repro_tasks_enqueued_total") == 9
+    assert metric_value(snap, "repro_tasks_running") == 0
     for kind in ("submitted", "ready", "dispatched", "running", "done"):
         assert kinds.count(kind) == 9, kind
     durations = [

@@ -14,8 +14,9 @@ import pytest
 from repro.runtime import Runtime, task, wait_on
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.exceptions import WorkflowKilledError
-from repro.runtime.flightrec import FlightRecorder, dump_all, load_dump, run_under_watchdog
+from repro.runtime.flightrec import FlightRecorder, dump_all, load_dump
 from repro.runtime.observability import lifecycle_events
+from tests.support.oracles import run_under_watchdog
 
 
 def _ev(kind="done", task_id=0):
@@ -89,6 +90,19 @@ def test_load_dump_rejects_foreign_json(tmp_path):
     path.write_text(json.dumps({"hello": "world"}))
     with pytest.raises(ValueError):
         load_dump(path)
+
+
+@pytest.mark.parametrize("payload", [[{"task_id": 0}], "a bare string"])
+def test_logs_of_a_json_that_is_not_an_object_exits_1(tmp_path, capsys, payload):
+    from repro.cli import main
+
+    path = tmp_path / "other.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="not a flight-recorder dump"):
+        load_dump(path)
+    assert main(["logs", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot read {path}") and "not a flight-recorder dump" in err
 
 
 def test_metrics_snapshot_captured_and_errors_contained(tmp_path):

@@ -1,22 +1,26 @@
-"""TaskGraph analyses, tracing, DOT export and provenance."""
+"""TaskGraph analyses, tracing, DOT export and the run's OTLP record."""
 
 from __future__ import annotations
 
 import json
+import platform
 
 import numpy as np
+
+import repro
 
 from repro.runtime import (
     Runtime,
     Trace,
-    build_provenance,
     graph_summary,
+    summarize_trace,
     task,
     to_dot,
     wait_on,
 )
 from repro.runtime.dag import TaskGraph
 from repro.runtime.dot import color_for
+from repro.runtime.otlp import otlp_to_traces, span_attributes, trace_to_otlp
 from repro.runtime.tracing import TaskRecord, estimate_nbytes
 
 
@@ -116,14 +120,15 @@ def test_estimate_nbytes():
 def test_trace_json_roundtrip(seq_runtime):
     _run_diamond(seq_runtime)
     trace = seq_runtime.trace()
-    text = trace.to_json()
-    back = Trace.from_json(text)
+    text = json.dumps(trace_to_otlp(trace))
+    ((_, back),) = otlp_to_traces(json.loads(text))
     assert len(back) == len(trace)
     orig = list(trace)[0]
     copy = back[orig.task_id]
     assert copy.name == orig.name
     assert copy.deps == orig.deps
-    assert copy.duration == orig.duration
+    # span times are integer nanoseconds
+    assert abs(copy.duration - orig.duration) < 1e-6
 
 
 def test_trace_scaling():
@@ -135,16 +140,12 @@ def test_trace_scaling():
 
 def test_provenance_record(seq_runtime):
     _run_diamond(seq_runtime)
-    prov = build_provenance(
-        "diamond",
-        seq_runtime.graph,
-        seq_runtime.trace(),
-        parameters={"n": 4},
-        results={"answer": np.float64(1.5)},
-    )
-    assert prov.n_tasks == 4
-    assert prov.task_stats["combine"]["count"] == 3.0
-    blob = json.loads(prov.to_json())
-    assert blob["workflow"] == "diamond"
-    assert blob["parameters"]["n"] == 4
-    assert blob["environment"]["python"]
+    trace = seq_runtime.trace()
+    assert graph_summary(seq_runtime.graph)["n_tasks"] == 4
+    assert summarize_trace(trace)["by_name"]["combine"]["count"] == 3
+    document = json.loads(json.dumps(trace_to_otlp(trace)))
+    resource = span_attributes(document["resourceSpans"][0]["resource"])
+    assert resource["service.name"] == "repro-runtime"
+    assert resource["repro.version"] == repro.__version__
+    assert resource["process.runtime.version"] == platform.python_version()
+    assert resource["repro.numpy.version"] == np.__version__

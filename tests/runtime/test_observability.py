@@ -13,6 +13,7 @@ import pytest
 from repro.runtime import Runtime, RuntimeConfig, task, wait_on
 from repro.runtime import observability as obs
 from repro.runtime.tracing import TaskRecord, Trace
+from tests.support.oracles import metric_value
 
 
 @task(returns=1)
@@ -83,9 +84,9 @@ def test_registry_manual_series_and_snapshot():
     reg.set_gauge("repro_depth", 7)
     reg.observe("repro_latency_seconds", 0.5)
     snap = reg.snapshot()
-    assert obs.metric_value(snap, "repro_things_total", kind="a") == 3
-    assert obs.metric_value(snap, "repro_depth") == 7
-    assert obs.metric_value(snap, "repro_missing", default=-1) == -1
+    assert metric_value(snap, "repro_things_total", kind="a") == 3
+    assert metric_value(snap, "repro_depth") == 7
+    assert metric_value(snap, "repro_missing", default=-1) == -1
     (hist,) = snap["histograms"]
     assert hist["count"] == 1
     json.dumps(snap)  # snapshot must be JSON-serialisable
@@ -160,17 +161,17 @@ def test_merge_helpers_are_idempotent():
         for s in snap[section]
     ]
     assert len(names) == len(set(names))  # no duplicate series
-    assert obs.metric_value(snap, "repro_backend_tasks_run_total") == 5
-    assert obs.metric_value(snap, "repro_store_puts_total") == 7
-    assert obs.metric_value(snap, "repro_service_claims_total") == 9
-    assert obs.metric_value(snap, "repro_service_queue_depth", tenant="acme") == 2
+    assert metric_value(snap, "repro_backend_tasks_run_total") == 5
+    assert metric_value(snap, "repro_store_puts_total") == 7
+    assert metric_value(snap, "repro_service_claims_total") == 9
+    assert metric_value(snap, "repro_service_queue_depth", tenant="acme") == 2
 
 
 def test_merge_idempotency_updates_changed_values():
     snap = obs.empty_snapshot()
     obs.merge_store_stats(snap, {"puts": 7})
     obs.merge_store_stats(snap, {"puts": 11})  # newer snapshot wins
-    assert obs.metric_value(snap, "repro_store_puts_total") == 11
+    assert metric_value(snap, "repro_store_puts_total") == 11
     assert (
         sum(1 for s in snap["counters"] if s["name"] == "repro_store_puts_total")
         == 1
@@ -182,8 +183,8 @@ def test_merge_backend_stats_prefixes_series():
     merged = obs.merge_backend_stats(
         snap, {"backend": "threads", "tasks_run": 5, "max_workers": 4}
     )
-    assert obs.metric_value(merged, "repro_backend_tasks_run_total") == 5
-    assert obs.metric_value(merged, "repro_backend_max_workers") == 4
+    assert metric_value(merged, "repro_backend_tasks_run_total") == 5
+    assert metric_value(merged, "repro_backend_max_workers") == 4
     assert merged["backend"]["backend"] == "threads"
 
 
@@ -205,8 +206,8 @@ def _assert_metrics_agree_with_stats(rt):
         ("repro_retries_total", "retries"),
         ("repro_tasks_restored_total", "restored"),
     ):
-        assert obs.metric_value(snap, name, default=0) == stats[key], name
-    assert obs.metric_value(snap, "repro_tasks_running", default=0) == 0
+        assert metric_value(snap, name, default=0) == stats[key], name
+    assert metric_value(snap, "repro_tasks_running", default=0) == 0
 
 
 def test_event_sequence_for_one_task():
@@ -292,10 +293,10 @@ def test_metrics_reconcile_with_stats_and_trace():
         h for h in snap["histograms"] if h["name"] == "repro_task_duration_seconds"
     ]
     assert sum(h["count"] for h in durations) == trace.n_executed == 30
-    assert obs.metric_value(snap, "repro_tasks_submitted_total") == 30
-    assert obs.metric_value(snap, "repro_tasks_total", state="done") == 30
-    assert obs.metric_value(snap, "repro_tasks_running") == 0
-    util = obs.metric_value(snap, "repro_worker_utilization")
+    assert metric_value(snap, "repro_tasks_submitted_total") == 30
+    assert metric_value(snap, "repro_tasks_total", state="done") == 30
+    assert metric_value(snap, "repro_tasks_running") == 0
+    util = metric_value(snap, "repro_worker_utilization")
     assert util is not None and 0 <= util <= 1
 
 
@@ -314,10 +315,10 @@ def test_metrics_count_retries_and_failures():
         rt.shutdown()
         _assert_metrics_agree_with_stats(rt)
         snap = rt.metrics()
-    assert obs.metric_value(snap, "repro_retries_total") == 1
-    assert obs.metric_value(snap, "repro_tasks_total", state="failed") == 1
-    assert obs.metric_value(snap, "repro_tasks_total", state="done") == 1
-    assert obs.metric_value(snap, "repro_task_failures_total", task="flaky") == 1
+    assert metric_value(snap, "repro_retries_total") == 1
+    assert metric_value(snap, "repro_tasks_total", state="failed") == 1
+    assert metric_value(snap, "repro_tasks_total", state="done") == 1
+    assert metric_value(snap, "repro_task_failures_total", task="flaky") == 1
 
 
 def test_metrics_count_cancellations():
@@ -334,8 +335,8 @@ def test_metrics_count_cancellations():
         rt.shutdown()
         _assert_metrics_agree_with_stats(rt)
         snap = rt.metrics()
-    assert obs.metric_value(snap, "repro_tasks_total", state="failed") == 1
-    assert obs.metric_value(snap, "repro_tasks_total", state="cancelled") == 1
+    assert metric_value(snap, "repro_tasks_total", state="failed") == 1
+    assert metric_value(snap, "repro_tasks_total", state="cancelled") == 1
 
 
 def test_metrics_count_restored(tmp_path):
@@ -351,9 +352,9 @@ def test_metrics_count_restored(tmp_path):
         _assert_metrics_agree_with_stats(rt)
         snap = rt.metrics()
         assert rt.trace().n_restored == 1
-    assert obs.metric_value(snap, "repro_tasks_restored_total") == 1
+    assert metric_value(snap, "repro_tasks_restored_total") == 1
     # the restored attempt terminates as done, so totals still reconcile
-    assert obs.metric_value(snap, "repro_tasks_total", state="done") == 1
+    assert metric_value(snap, "repro_tasks_total", state="done") == 1
 
 
 def test_save_metrics_json(tmp_path):
@@ -364,7 +365,7 @@ def test_save_metrics_json(tmp_path):
         rt.save_metrics(out)
     doc = json.loads(out.read_text())
     assert doc["enabled"] is True
-    assert obs.metric_value(doc, "repro_tasks_submitted_total") == 1
+    assert metric_value(doc, "repro_tasks_submitted_total") == 1
 
 
 def test_trace_records_carry_span_timestamps():

@@ -9,7 +9,7 @@ and backend, store mode, observability, trace collection) and
 then applying random operations both to the runtime and to a plain-Python
 reference: the expected value of every future, the expected value of the
 INOUT box and the expected bits of every array.  Every step runs under
-the hang watchdog (:func:`repro.runtime.flightrec.run_under_watchdog`),
+the hang watchdog (:func:`tests.support.oracles.run_under_watchdog`),
 so a lost wakeup fails the example with the stacks of every thread
 instead of wedging the suite.  Teardown compares every resolved future
 with the reference and audits the drained runtime: invariants, store
@@ -57,9 +57,9 @@ from repro.runtime.exceptions import (
     WorkflowAbortedError,
     WorkflowKilledError,
 )
-from repro.runtime.flightrec import run_under_watchdog
 from repro.runtime.task import task
 from tests.conftest import matrix_settings
+from tests.support.oracles import metric_value, reconcile_store, run_under_watchdog
 
 #: Every machine here stores 8 KiB blocks by reference: the store's
 #: threshold is lowered for each test (``tests/support/store.py``).
@@ -524,7 +524,7 @@ class RuntimeMachine(RuleBasedStateMachine):
             return
         assert stats["ready_queue"] == 0
         if rt.config.observability == "metrics":
-            enqueued = obs.metric_value(rt.metrics(), "repro_tasks_enqueued_total", default=0)
+            enqueued = metric_value(rt.metrics(), "repro_tasks_enqueued_total", default=0)
             stamped = sum(1 for inst in rt._attempts() if inst.t_ready is not None)
             assert enqueued == stamped, (enqueued, stamped)
             self.audits.append("enqueued")
@@ -533,7 +533,7 @@ class RuntimeMachine(RuleBasedStateMachine):
             and rt.config.store == "auto"
             and rt.config.collect_trace
         ):
-            problems = obs.reconcile_store(rt)
+            problems = reconcile_store(rt)
             assert not problems, problems
             self.audits.append("reconcile_store")
         # leaks (store pins are checked with the arrays, before shutdown)

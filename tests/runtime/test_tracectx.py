@@ -1,10 +1,9 @@
 """Tests of :mod:`repro.runtime.tracectx`: context minting, the W3C
-traceparent wire form, ambient propagation, and the engine/backends
+traceparent wire form, ambient propagation, and the engine
 integration that stamps trace lineage onto :class:`TaskRecord`s."""
 
 from __future__ import annotations
 
-import os
 import pickle
 import threading
 
@@ -236,28 +235,3 @@ def test_retry_spans_share_trace_and_parent_under_failed_attempt():
     assert retried.trace_id == failed.trace_id
     assert retried.span_id != failed.span_id
     assert retried.parent_span_id == failed.span_id
-
-
-# ----------------------------------------------------------------------
-# process backend: context crosses the pickle pipe
-# ----------------------------------------------------------------------
-def _report_worker_view():
-    ctx = current_context()
-    return (os.getpid(), None if ctx is None else ctx.trace_id)
-
-
-@task(returns=1)
-def _worker_view():
-    return _report_worker_view()
-
-
-@pytest.mark.slow
-def test_context_propagates_into_worker_process():
-    cfg = RuntimeConfig(executor="threads", backend="processes", max_workers=2)
-    with Runtime(config=cfg) as rt:
-        pid, worker_trace_id = wait_on(_worker_view())
-        trace = rt.trace()
-    (rec,) = list(trace)
-    assert pid != os.getpid()  # it really ran in a worker process
-    # the worker saw the same trace id the coordinator stamped
-    assert worker_trace_id == rec.trace_id

@@ -24,8 +24,15 @@ from repro.runtime.config import RuntimeConfig
 from repro.runtime.dag import TaskGraph
 from repro.runtime.dot import graph_summary
 from repro.runtime.future import Future
-from repro.runtime.otlp import otlp_to_chrome, trace_to_otlp
+from repro.runtime.otlp import (
+    iter_spans,
+    otlp_to_chrome,
+    otlp_to_traces,
+    save_otlp,
+    trace_to_otlp,
+)
 from repro.runtime.tracing import TaskRecord, Trace, estimate_nbytes
+from tests.support.oracles import metric_value
 
 
 def _rec(task_id, t_start, t_end, name="t", deps=(), **kw):
@@ -192,8 +199,13 @@ def test_scaled_empty_trace():
 
 
 # ----------------------------------------------------------------------
-# (de)serialisation
+# (de)serialisation: the OTLP document is the one file format
 # ----------------------------------------------------------------------
+def _read_back(document):
+    ((_, trace),) = otlp_to_traces(document)
+    return trace
+
+
 def test_json_roundtrip_preserves_spans():
     tr = Trace(
         [
@@ -201,7 +213,7 @@ def test_json_roundtrip_preserves_spans():
                  worker="w-0", pid=123),
         ]
     )
-    back = Trace.from_json(tr.to_json())
+    back = _read_back(json.loads(json.dumps(trace_to_otlp(tr))))
     rec = back[0]
     assert rec.t_submit == 0.1 and rec.t_dispatch == 0.9
     assert rec.worker == "w-0" and rec.pid == 123
@@ -209,18 +221,16 @@ def test_json_roundtrip_preserves_spans():
 
 
 def test_from_json_tolerates_unknown_keys():
-    payload = [
-        {
-            "task_id": 0,
-            "name": "t",
-            "deps": [],
-            "t_start": 0.0,
-            "t_end": 1.0,
-            "some_future_field": {"nested": True},
-            "another_new_key": 42,
-        }
-    ]
-    tr = Trace.from_json(json.dumps(payload))
+    document = trace_to_otlp(Trace([_rec(0, 0.0, 1.0)]))
+    (span,) = iter_spans(document)
+    span["attributes"].append(
+        {"key": "some.future_field", "value": {"stringValue": "nested"}}
+    )
+    span["someFutureKey"] = 42
+    document["resourceSpans"][0]["resource"]["attributes"].append(
+        {"key": "another.new_key", "value": {"intValue": "42"}}
+    )
+    tr = _read_back(document)
     assert len(tr) == 1
     assert tr[0].duration == 1.0
 
@@ -228,30 +238,11 @@ def test_from_json_tolerates_unknown_keys():
 def test_save_and_load(tmp_path):
     tr = _retry_trace()
     path = tmp_path / "trace.json"
-    tr.save(path)
-    back = Trace.load(path)
+    save_otlp(trace_to_otlp(tr), path)
+    back = _read_back(json.loads(path.read_text()))
     assert len(back) == len(tr)
     assert back.n_failed_attempts == tr.n_failed_attempts
     assert [r.task_id for r in back] == [r.task_id for r in tr]
-
-
-def test_a_trace_from_the_fusion_era_still_loads(tmp_path, capsys):
-    """Records written while the runtime had a fusion pass carry the
-    unit id under a key this version dropped; ``Trace.load`` and
-    ``repro trace summarize`` still read such a file."""
-    from repro.cli import main
-
-    records = []
-    for rec in _retry_trace():
-        old = rec.to_dict()
-        old["fused_id"] = 0 if rec.name == "flaky" else None  # the dropped key
-        records.append(old)
-    path = tmp_path / "old-trace.json"
-    path.write_text(json.dumps(records))
-    back = Trace.load(path)
-    assert [r.to_dict() for r in back] == [r.to_dict() for r in _retry_trace()]
-    assert main(["trace", "summarize", str(path)]) == 0
-    assert "flaky" in capsys.readouterr().out
 
 
 # ----------------------------------------------------------------------
@@ -389,7 +380,6 @@ def test_records_equal_across_executors_and_backends(seed, tmp_path):
             if rec.retry_of is not None:
                 assert rec.parent_span_id == by_id[rec.retry_of].span_id
         assert sum(r.parent_id is not None for r in trace) == 2
-        assert Trace.from_json(trace.to_json()).to_json() == trace.to_json()
 
 
 @pytest.mark.parametrize("name", list(_EXECUTORS))
@@ -580,7 +570,7 @@ def test_metrics_are_a_view_of_the_task_table(name, tmp_path):
     }
     assert counters["repro_retries_total", ()] and counters["repro_tasks_restored_total", ()]
     assert ("repro_tasks_enqueued_total", ()) in counters or name == "sequential"
-    assert obs.metric_value(snap, "repro_tasks_running") == 0
+    assert metric_value(snap, "repro_tasks_running") == 0
 
     # one duration sample per attempt that ran, under its task's name;
     # one queue-wait and one overhead sample per attempt that ran
@@ -608,7 +598,7 @@ def test_metrics_are_a_view_of_the_task_table(name, tmp_path):
     assert got_busy == pytest.approx(dict(busy))
     spans = sum(r.t_end - r.t_start for r in run.trace if r.status != "restored")
     assert sum(got_busy.values()) == pytest.approx(spans)
-    util = obs.metric_value(snap, "repro_worker_utilization")
+    util = metric_value(snap, "repro_worker_utilization")
     assert util == pytest.approx(spans / (snap["uptime_seconds"] * 2))
 
     # the exposition of the same read round-trips
@@ -638,12 +628,12 @@ def test_metrics_read_mid_run_count_the_running_attempt():
         assert wait_on(fut) == 1
         rt.barrier()
         after = rt.metrics()
-    assert obs.metric_value(mid, "repro_tasks_running") == 1
-    assert obs.metric_value(mid, "repro_tasks_submitted_total") == 1
-    assert obs.metric_value(mid, "repro_tasks_total", state="done") is None
+    assert metric_value(mid, "repro_tasks_running") == 1
+    assert metric_value(mid, "repro_tasks_submitted_total") == 1
+    assert metric_value(mid, "repro_tasks_total", state="done") is None
     assert not mid["histograms"]
-    assert obs.metric_value(after, "repro_tasks_running") == 0
-    assert obs.metric_value(after, "repro_tasks_total", state="done") == 1
+    assert metric_value(after, "repro_tasks_running") == 0
+    assert metric_value(after, "repro_tasks_total", state="done") == 1
     assert [h["count"] for h in after["histograms"]] == [1, 1, 1]
 
 

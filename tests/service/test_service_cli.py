@@ -7,6 +7,8 @@ from __future__ import annotations
 import os
 import threading
 
+import pytest
+
 from repro.cli import main
 
 DEMO = "repro.service.demo"
@@ -175,6 +177,25 @@ def test_trace_service_chrome_merges_incarnations(tmp_path, capsys):
     assert label.startswith(f"repro-service-runtime [{os.getpid():x}-")
     assert label.endswith(f"] pid {os.getpid()}")
 
+
+
+@pytest.mark.parametrize(
+    "argv", [["status"], ["list"], ["provenance"], ["cancel", "1"],
+             ["reprioritize", "1", "--priority", "3"]],
+)
+def test_queue_views_of_a_missing_queue_exit_1_and_create_nothing(tmp_path, capsys, argv):
+    data = tmp_path / "mistyped"
+    assert main(["queue", *argv, "--data-dir", str(data)]) == 1
+    assert capsys.readouterr().err.strip() == f"no queue at {data}"
+    assert not data.exists()
+
+
+def test_queue_tenant_creates_the_queue(tmp_path, capsys):
+    data = tmp_path / "fresh"
+    assert main(["queue", "tenant", "--data-dir", str(data), "--name", "acme"]) == 0
+    assert (data / "queue.db").exists()
+    assert main(["queue", "status", "--data-dir", str(data)]) == 0
+    assert "tenant acme" in capsys.readouterr().out
 
 
 def test_trace_service_empty_dir_fails(tmp_path, capsys):

@@ -186,11 +186,16 @@ def test_export_merges_span_log_and_saved_runtime_traces(tmp_path, queue):
     assert int(runtime_span["startTimeUnixNano"]) >= int(5000.0 * 1e9)
     resources = [span_attributes(group["resource"]) for group in doc["resourceSpans"]]
     assert any(r.get("service.name") == "repro-service" for r in resources)
-    assert {
-        "service.name": "repro-service-runtime",
-        "repro.server_id": "a",
-        "repro.pid": 1234,
-    } in resources
+    # the saved resource, plus the versions trace_to_otlp names by default
+    assert any(
+        r.items() >= {
+            "service.name": "repro-service-runtime",
+            "repro.server_id": "a",
+            "repro.pid": 1234,
+        }.items()
+        and "repro.version" in r
+        for r in resources
+    )
 
 
 def test_export_tolerates_corrupt_trace_file(tmp_path, queue):

@@ -18,7 +18,6 @@ from repro.runtime.config import RuntimeConfig
 from repro.runtime.engine import Runtime, pop_runtime, push_runtime
 from repro.runtime.exceptions import RuntimeStateError, WorkflowAbortedError
 from repro.runtime.failures import FAIL, IGNORE, RETRY
-from repro.runtime.flightrec import run_under_watchdog
 from repro.streaming import (
     Record,
     StreamFailure,
@@ -27,6 +26,7 @@ from repro.streaming import (
     run_windowed,
 )
 from tests.conftest import matrix_settings
+from tests.support.oracles import run_under_watchdog
 
 
 @task(returns=1, name="stream_stress_boom", on_failure="FAIL")

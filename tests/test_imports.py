@@ -40,7 +40,6 @@ COORDINATOR_ONLY = tuple(
         "observability",
         "otlp",
         "dot",
-        "provenance",
         "flightrec",
     )
 )

@@ -1,7 +1,7 @@
 """Cross-subsystem integration: one run exercising every layer.
 
 ecg → preprocessing → dsarray → PCA → classifier → metrics, recorded by
-the runtime, exported as provenance + DOT, and replayed on a simulated
+the runtime, exported as its OTLP record + DOT, and replayed on a simulated
 cluster — the complete loop a downstream user of this library runs.
 """
 
@@ -16,7 +16,8 @@ import repro.dsarray as ds
 from repro.cluster import bottleneck_report, core_sweep, marenostrum4, simulate
 from repro.ecg import ECGConfig
 from repro.ml import PCA, RandomForestClassifier, StandardScaler, cross_validate
-from repro.runtime import Runtime, build_provenance, graph_summary, to_dot, wait_on
+from repro.runtime import Runtime, graph_summary, to_dot, wait_on
+from repro.runtime.otlp import iter_spans, span_attributes, trace_to_otlp
 from repro.workflows import PipelineConfig, extract_features, prepare_dataset
 
 CFG = PipelineConfig(
@@ -50,13 +51,7 @@ def full_run():
         rt.barrier()
         trace = rt.trace()
         graph = rt.graph
-        prov = build_provenance(
-            "af-integration",
-            graph,
-            trace,
-            parameters={"scale": CFG.scale},
-            results={"accuracy": cv.mean_accuracy},
-        )
+        prov = trace_to_otlp(trace, resource={"repro.workflow": "af-integration"})
         dot = to_dot(graph, title="af-integration")
     return {
         "dataset": dataset,
@@ -105,10 +100,11 @@ def test_trace_consistent_with_graph(full_run):
 
 
 def test_provenance_serialisable(full_run):
-    blob = json.loads(full_run["prov"].to_json())
-    assert blob["workflow"] == "af-integration"
-    assert blob["results"]["accuracy"] > 0
-    assert blob["n_tasks"] == full_run["graph"].n_tasks
+    blob = json.loads(json.dumps(full_run["prov"]))
+    resource = span_attributes(blob["resourceSpans"][0]["resource"])
+    assert resource["repro.workflow"] == "af-integration"
+    assert full_run["cv"].mean_accuracy > 0
+    assert sum(1 for _ in iter_spans(blob)) == full_run["graph"].n_tasks
 
 
 def test_dot_export_contains_all_tasks(full_run):
