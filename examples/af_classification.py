@@ -5,8 +5,9 @@ Run:  python examples/af_classification.py
 
 Generates a CinC-2017-like dataset (imbalanced N vs AF), balances it
 with the shuffling-based augmentation of Fig. 2, extracts STFT
-features, reduces them with the covariance-method PCA (95% variance),
-and cross-validates the three classical classifiers the paper compares
+features, reduces them with the covariance-method PCA (95% variance;
+with fewer recordings than features its one decomposition task is the
+thin SVD of the centered rows), and cross-validates the three classical classifiers the paper compares
 — printing a Table-I-style report.
 """
 

@@ -1,5 +1,5 @@
-"""Distributed PCA via the covariance method — exactly the paper's
-§III-B.4 description of the dislib implementation:
+"""Distributed PCA via the covariance method — the paper's §III-B.4
+description of the dislib implementation:
 
 * features are **centered but not standardised** (covariance, not
   correlation, method);
@@ -8,6 +8,16 @@
 * the unpartitioned (n_features, n_features) covariance matrix is
   processed by a **single task** computing the eigendecomposition with
   ``numpy.linalg.eigh``.
+
+That graph is kept when there are at least as many samples as features.
+With fewer samples than features (the paper's own 10308 x 18810 matrix)
+the covariance has rank < n_samples, and its non-zero eigenpairs are
+those of the n_samples-sized problem: after the mean map-reduce, one
+task stacks and centers the rows and takes their thin SVD instead of
+building and factoring the d x d covariance (DESIGN.md §18).  Both
+routes return components with canonical signs — the largest-magnitude
+entry of each is positive — so what is fitted downstream does not
+depend on LAPACK's sign choice or on the route.
 
 ``n_components`` may be an int (component count) or a float in (0, 1]
 — the preserved-variance fraction; the paper keeps 95% of the variance,
@@ -35,23 +45,59 @@ def _sum_partials(partials: list) -> np.ndarray:
     return acc
 
 
+def _check_array(x) -> None:
+    if not isinstance(x, ds.Array):
+        raise TypeError("x must be a ds-array")
+
+
+def _stripe(stripe_blocks: list) -> np.ndarray:
+    """One row stripe as a single array."""
+    if len(stripe_blocks) > 1:
+        return np.hstack([np.asarray(b) for b in stripe_blocks])
+    return np.asarray(stripe_blocks[0])
+
+
+def _use_rows(n_samples: int, n_features: int) -> bool:
+    """Whether ``fit`` factors the centered rows (n x d) rather than the
+    covariance (d x d): whenever that is the smaller problem."""
+    return n_samples < n_features
+
+
+def _canonical_signs(components: np.ndarray) -> np.ndarray:
+    """Flip, in place, each row whose largest-magnitude entry (the first
+    one on a tie) is negative."""
+    pivot = components[np.arange(len(components)), np.argmax(np.abs(components), axis=1)]
+    components[pivot < 0] *= -1
+    return components
+
+
+def _spectrum(components: np.ndarray, values: np.ndarray) -> tuple:
+    """``(components, variances, ratios)`` of components already sorted
+    by decreasing explained variance."""
+    total = values.sum()
+    ratio = values / total if total > 0 else np.zeros_like(values)
+    return _canonical_signs(components), values, ratio
+
+
 @task(returns=1)
 def _partial_sum(stripe_blocks: list):
-    x = np.hstack([np.asarray(b) for b in stripe_blocks]) if len(stripe_blocks) > 1 else np.asarray(stripe_blocks[0])
+    x = _stripe(stripe_blocks)
     return np.concatenate([[x.shape[0]], x.sum(axis=0)])
 
 
 @task(returns=1)
 def _reduce_mean(partials: list):
     acc = _sum_partials(partials)
+    # a NaN or an infinity anywhere in a column reaches that column's sum
+    if not np.isfinite(acc).all():
+        raise ValueError("PCA input has non-finite values")
     return acc[1:] / acc[0]
 
 
 @task(returns=1)
 def _partial_cov(stripe_blocks: list, mean):
     """Per-stripe scatter of the centered samples: (X - mu)ᵀ (X - mu)."""
-    x = np.hstack([np.asarray(b) for b in stripe_blocks]) if len(stripe_blocks) > 1 else np.asarray(stripe_blocks[0])
-    xc = x - mean
+    xc = _stripe(stripe_blocks) - mean
     return xc.T @ xc
 
 
@@ -67,17 +113,25 @@ def _eigendecomposition(cov):
     explained variance."""
     values, vectors = np.linalg.eigh(cov)
     order = np.argsort(values)[::-1]
-    values = np.maximum(values[order], 0.0)
-    vectors = vectors[:, order]
-    total = values.sum()
-    ratio = values / total if total > 0 else np.zeros_like(values)
-    return vectors.T, values, ratio  # components_ rows are eigenvectors
+    # components_ rows are eigenvectors
+    return _spectrum(vectors[:, order].T, np.maximum(values[order], 0.0))
+
+
+@task(returns=3)
+def _row_decomposition(stripes: list, mean):
+    """The single decomposition task of the row route: the thin SVD of
+    the centered samples, whose right singular vectors are the
+    covariance's eigenvectors and ``s**2 / (n - 1)`` its eigenvalues."""
+    # centered in place, in the mean's dtype: the bits of ``x - mean``
+    xc = np.vstack([_stripe(s) for s in stripes], dtype=mean.dtype)
+    xc -= mean
+    _, s, vt = np.linalg.svd(xc, full_matrices=False)
+    return _spectrum(vt, s**2 / (len(xc) - 1))
 
 
 @task(returns=1)
 def _transform_stripe(stripe_blocks: list, mean, components):
-    x = np.hstack([np.asarray(b) for b in stripe_blocks]) if len(stripe_blocks) > 1 else np.asarray(stripe_blocks[0])
-    return (x - mean) @ components.T
+    return (_stripe(stripe_blocks) - mean) @ components.T
 
 
 class PCA(BaseEstimator):
@@ -89,28 +143,34 @@ class PCA(BaseEstimator):
         int — keep that many components;
         float in (0, 1] — keep the smallest number of components whose
         cumulative explained-variance ratio reaches the value;
-        None — keep all.
+        None — keep all: min(n_samples, n_features) of them.
     """
 
     def __init__(self, n_components=None):
+        if isinstance(n_components, (bool, np.bool_)):
+            raise ValueError("n_components must be an int, a float or None, not a bool")
         if isinstance(n_components, float) and not (0.0 < n_components <= 1.0):
             raise ValueError("fractional n_components must be in (0, 1]")
-        if isinstance(n_components, (int, np.integer)) and not isinstance(n_components, bool) and n_components < 1:
+        if isinstance(n_components, (int, np.integer)) and n_components < 1:
             raise ValueError("integer n_components must be >= 1")
         self.n_components = n_components
 
     # ------------------------------------------------------------------
     def fit(self, x: ds.Array) -> "PCA":
-        if not isinstance(x, ds.Array):
-            raise TypeError("x must be a ds-array")
+        _check_array(x)
         if x.shape[0] < 2:
             raise ValueError("PCA needs at least 2 samples")
         stripes = list(x.iter_row_stripes())
         # phase 1: mean (map-reduce)
         mean_f = _reduce_mean([_partial_sum(s) for s in stripes])
-        # phase 2: covariance (map-reduce over centered stripes)
-        cov_f = _reduce_cov([_partial_cov(s, mean_f) for s in stripes], x.shape[0])
-        comp_f, val_f, ratio_f = _eigendecomposition(cov_f)
+        if _use_rows(*x.shape):
+            # one task: thin SVD of the centered rows
+            comp_f, val_f, ratio_f = _row_decomposition(stripes, mean_f)
+        else:
+            # phase 2: covariance (map-reduce over centered stripes),
+            # then the single eigh task
+            cov_f = _reduce_cov([_partial_cov(s, mean_f) for s in stripes], x.shape[0])
+            comp_f, val_f, ratio_f = _eigendecomposition(cov_f)
 
         self._mean = np.asarray(wait_on(mean_f))
         components = np.asarray(wait_on(comp_f))
@@ -142,6 +202,7 @@ class PCA(BaseEstimator):
     # ------------------------------------------------------------------
     def transform(self, x: ds.Array, block_size: tuple[int, int] | None = None) -> ds.Array:
         """Project onto the principal components; one task per stripe."""
+        _check_array(x)
         self._check_fitted("components_")
         if x.shape[1] != self.n_features_in_:
             raise ValueError(
@@ -166,6 +227,7 @@ class PCA(BaseEstimator):
 
     def inverse_transform(self, z: ds.Array) -> ds.Array:
         """Map component scores back to the original feature space."""
+        _check_array(z)
         self._check_fitted("components_")
 
         comp = self.components_
@@ -187,5 +249,4 @@ class PCA(BaseEstimator):
 
 @task(returns=1)
 def _inverse_stripe(stripe_blocks: list, mean, components):
-    zc = np.hstack([np.asarray(b) for b in stripe_blocks]) if len(stripe_blocks) > 1 else np.asarray(stripe_blocks[0])
-    return zc @ components + mean
+    return _stripe(stripe_blocks) @ components + mean

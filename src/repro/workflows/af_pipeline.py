@@ -6,7 +6,8 @@ Stages, exactly as the paper describes them:
 2. shuffling-based augmentation of the AF class until balanced,
 3. zero-padding to the longest signal,
 4. STFT feature extraction (flattened spectrograms),
-5. PCA keeping 95% of the variance (covariance method),
+5. PCA keeping 95% of the variance (covariance method; with fewer
+   recordings than features, one SVD task on the centered rows),
 6. optional StandardScaler (the extra step of the KNN experiments),
 7. 5-fold cross-validated training of the chosen classifier,
 8. accuracy + averaged confusion matrix (Table I artefacts).
@@ -140,7 +141,9 @@ def extract_features(dataset: Dataset, cfg: PipelineConfig) -> tuple[np.ndarray,
 def reduce_dimensions(
     features: np.ndarray, cfg: PipelineConfig
 ) -> tuple[ds.Array, PCA]:
-    """Stage 5: PCA via the covariance method on a ds-array."""
+    """Stage 5: PCA on a ds-array: the mean map-reduce, then one
+    decomposition task (the centered rows' thin SVD when there are
+    fewer recordings than features, else the covariance's ``eigh``)."""
     dx = ds.array(features, cfg.block_size)
     pca = PCA(n_components=cfg.pca_variance)
     reduced = pca.fit_transform(dx, block_size=cfg.block_size)
@@ -215,7 +218,7 @@ def study_features(dataset: Dataset, cfg: PipelineConfig) -> StudyFeatures:
     finally:
         _padded.reset(token)
     # only the component count is kept of the PCA: its components_ is a
-    # view that pins the whole d x d eigenvector matrix
+    # view that pins the whole min(n, d) x d matrix of components
     reduced, pca = reduce_dimensions(feats, cfg)
     dy = ds.array(labels.reshape(-1, 1), (cfg.block_size[0], 1))
     prefix = StudyFeatures(reduced, dy, feats.shape[1], pca.n_components_)

@@ -80,8 +80,7 @@ def test_every_stage_present_in_graph(full_run):
         "stft_batch",
         "slice_block",
         "_partial_sum",
-        "_partial_cov",
-        "_eigendecomposition",
+        "_row_decomposition",
         "_partial_stats",
         "_scale_block",
         "_gather",

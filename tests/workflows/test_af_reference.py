@@ -21,6 +21,7 @@ import pytest
 import scipy
 
 from repro.ecg.dataset import DURATION_RANGE
+from repro.ml.decomposition import pca
 from repro.runtime import Runtime
 from repro.workflows import prepare_dataset, run_classical, run_study
 from repro.workflows.experiments import get_preset
@@ -106,3 +107,26 @@ def test_run_study_equals_the_classical_loop():
         study = run_study(MODELS, cfg, dataset, overrides)
     assert list(study) == list(MODELS)
     assert {m: outputs(r) for m, r in study.items()} == classical_loop(cfg, dataset, overrides)
+
+
+def test_covariance_route_gives_the_row_routes_outputs(monkeypatch):
+    """The benchmark's matrix has fewer samples than features, so PCA
+    factors the centered rows.  Forced through the paper's covariance
+    route instead, the three models' outputs are the same: the
+    components' canonical signs leave the two routes only rounding
+    apart, and no model output sees that.  Unlike the frozen reference,
+    this runs on any numeric stack."""
+    _, cfg, dataset, overrides, _ = bench_inputs()
+    with Runtime(executor="threads", max_workers=2) as rt:
+        rows = run_study(MODELS, cfg, dataset, overrides)
+        rt.barrier()
+        assert "_row_decomposition" in rt.graph.count_by_name()
+    monkeypatch.setattr(pca, "_use_rows", lambda n_samples, n_features: False)
+    with Runtime(executor="threads", max_workers=2) as rt:
+        covariance = run_study(MODELS, cfg, dataset, overrides)
+        rt.barrier()
+        counts = rt.graph.count_by_name()
+    assert counts["_eigendecomposition"] == 1 and "_row_decomposition" not in counts
+    assert {m: outputs(r) for m, r in covariance.items()} == {
+        m: outputs(r) for m, r in rows.items()
+    }

@@ -37,7 +37,9 @@ TINY = PipelineConfig(
 )
 MODELS = ("csvm", "knn", "rf")
 OVERRIDES = {"csvm": {"max_iter": 1}, "rf": {"n_estimators": 3}}
-PREFIX_TASKS = ("stft_batch", "_partial_cov", "_eigendecomposition")
+#: the prefix's tasks; the STFT matrix has fewer samples than features, so
+#: PCA's decomposition is the single ``_row_decomposition`` task
+PREFIX_TASKS = ("stft_batch", "_partial_sum", "_row_decomposition")
 
 RUNTIMES = {
     "sequential": {"executor": "sequential"},
@@ -172,10 +174,10 @@ def test_a_changed_prefix_field_recomputes(tiny_dataset, field, value):
     assert field in af_pipeline._PREFIX_FIELDS
     with runtime() as rt:
         first = study_features(tiny_dataset, TINY)
-        once = prefix_counts(rt)["_eigendecomposition"]
+        once = prefix_counts(rt)["_row_decomposition"]
         other = study_features(tiny_dataset, dataclasses.replace(TINY, **{field: value}))
         assert other is not first
-        assert prefix_counts(rt)["_eigendecomposition"] == 2 * once
+        assert prefix_counts(rt)["_row_decomposition"] == 2 * once
 
 
 def test_every_config_field_is_prefix_or_not():
@@ -190,19 +192,19 @@ def test_every_config_field_is_prefix_or_not():
 def test_the_key_is_content_not_identity(own_dataset):
     with runtime() as rt:
         first = study_features(own_dataset, TINY)
-        once = prefix_counts(rt)["_eigendecomposition"]
+        once = prefix_counts(rt)["_row_decomposition"]
 
         # a sample the decimation keeps, changed in place
         own_dataset.records[3].signal[2 * TINY.decimate] += 0.5
         sample = study_features(own_dataset, TINY)
         assert sample is not first
-        assert prefix_counts(rt)["_eigendecomposition"] == 2 * once
+        assert prefix_counts(rt)["_row_decomposition"] == 2 * once
 
         record = own_dataset.records[0]
         record.label = "AF" if record.label == "N" else "N"
         label = study_features(own_dataset, TINY)
         assert label is not sample
-        assert prefix_counts(rt)["_eigendecomposition"] == 3 * once
+        assert prefix_counts(rt)["_row_decomposition"] == 3 * once
 
         # an equal copy is the same content
         assert study_features(copy.deepcopy(own_dataset), TINY) is label
@@ -247,20 +249,20 @@ def test_nothing_is_remembered_without_a_runtime(tiny_dataset):
 
 
 def test_a_failed_prefix_is_not_remembered(tiny_dataset, monkeypatch):
-    def eigh_fails(cov):
-        raise InjectedFault("eigh failed")
+    def svd_fails(a, full_matrices=True):
+        raise InjectedFault("svd failed")
 
     # the patched callee exists in this process only: runtime() runs
     # bodies on threads here
     with runtime() as rt:
         with monkeypatch.context() as patch:
-            patch.setattr(np.linalg, "eigh", eigh_fails)
+            patch.setattr(np.linalg, "svd", svd_fails)
             with pytest.raises(TaskExecutionError):
                 study_features(tiny_dataset, TINY)
         assert rt not in af_pipeline._remembered
         prefix = study_features(tiny_dataset, TINY)
         assert af_pipeline._remembered[rt][1] is prefix
-        assert prefix_counts(rt)["_eigendecomposition"] == 2
+        assert prefix_counts(rt)["_row_decomposition"] == 2
         assert np.isfinite(prefix.reduced.collect()).all()
 
 
