@@ -14,7 +14,7 @@
 #   scripts/check.sh dataplane   store tests + the matrix's store replays + bench smoke of blocks_procs
 #   scripts/check.sh service     queue-service tests (kill -9, lease-expiry and traced-recovery chaos included)
 #   scripts/check.sh stream      streaming + all ECG tests (detector and filter oracles) + stream scenarios incl. keyed count windows vs their offline replay (stress profile) + serving differential + bench smoke of stream_serve
-#   scripts/check.sh ml          estimator + ds-array + AF-workflow tests (kernel oracles, frozen benchmark reference) + SMO oracle (stress profile) + E14 PCA checks + bench smoke of af_classical
+#   scripts/check.sh ml          estimator + ds-array + AF-workflow tests (kernel oracles, frozen benchmark reference) + SMO oracle (stress profile) + E14 PCA checks + Table I ordering (rewrites its results file) + bench smoke of af_classical
 #   scripts/check.sh bench       bench/run.py --smoke over all seven workloads (oracles + exit hygiene, < 30 s)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -188,7 +188,11 @@ run_ml() {
     # profile (its property over random problems draws 300 fresh
     # examples instead of tier-1's 100), then PCA on the AF features
     # (E14: 95 % of the variance kept, the same graph whatever follows),
-    # then the benchmark's own smoke of af_classical through its oracle.
+    # then Table I (the paper's ordering: KNN worst, CSVM between, RF
+    # and CNN strong -- so every cascade change is gated on it; ~15 s,
+    # and it rewrites benchmarks/results/table1_accuracy.txt, byte for
+    # byte the committed file when nothing moved), then the benchmark's
+    # own smoke of af_classical through its oracle.
     # Their speed is that workload at full length
     # (`python3 bench/run.py --workload af_classical`).
     echo "== ml + dsarray + workflow tests (kernel oracles, frozen AF reference) =="
@@ -197,6 +201,8 @@ run_ml() {
     PYTHONPATH=src python -m pytest --hypothesis-profile=stress -x -q tests/ml/test_smo_svc.py
     echo "== PCA on the AF features: E14 variance kept, fixed prefix =="
     PYTHONPATH=src python -m pytest -x -q benchmarks/test_pca_task_counts.py
+    echo "== Table I: the paper's accuracy ordering (KNN < CSVM < RF, CNN) =="
+    PYTHONPATH=src python -m pytest -x -q benchmarks/test_table1_accuracy.py
     echo "== bench smoke: af_classical (oracle, silent stderr) =="
     bench_smoke --workload af_classical
 }

@@ -571,8 +571,8 @@ class Runtime:
             # inputs need not even exist), its futures resolve to the
             # persisted outputs and the DAG records a "restored" node.
             self._restore(inst, restored_values)
-        elif upstream_failed:
-            self._cancel_pending(inst)
+        elif upstream_failed is not None:
+            self._cancel_pending(inst, upstream_failed.error)
         elif self.executor == "sequential":
             # Submission order is a topological order, so deps are done.
             self._execute(inst)
@@ -655,8 +655,8 @@ class Runtime:
                 restored_values, _unresolved, upstream_failed = self._register(inst, scope)
                 if restored_values is not None:
                     self._restore(inst, restored_values)
-                elif upstream_failed:
-                    self._cancel_pending(inst)
+                elif upstream_failed is not None:
+                    self._cancel_pending(inst, upstream_failed.error)
                 else:
                     self._execute(inst)
             return [self._returns_of(inst) for inst in insts]
@@ -669,8 +669,8 @@ class Runtime:
         for inst, (restored_values, unresolved, upstream_failed) in zip(insts, registered):
             if restored_values is not None:
                 self._restore(inst, restored_values)
-            elif upstream_failed:
-                self._cancel_pending(inst)
+            elif upstream_failed is not None:
+                self._cancel_pending(inst, upstream_failed.error)
             elif unresolved == 0:
                 ready_batch.append(inst)
         self._enqueue_batch(ready_batch)
@@ -879,12 +879,13 @@ class Runtime:
 
     def _walk_deps_locked(
         self, inst: TaskInstance, restored_values: tuple | None
-    ) -> tuple[int, bool]:
+    ) -> tuple[int, TaskInstance | None]:
         """Dependency walk of phase 4 (callers hold ``_state_lock``):
         registers *inst* as a child of every unresolved dependency and
-        reports ``(unresolved, upstream_failed)``."""
+        reports ``(unresolved, upstream_failed)``, the latter a failed
+        or cancelled dependency (None when there is none)."""
         unresolved = 0
-        upstream_failed = False
+        upstream_failed = None
         if restored_values is None:
             by_root = self._by_root
             children = self._children
@@ -899,7 +900,7 @@ class Runtime:
                     unresolved += 1
                 elif dep_inst.state in (FAILED, CANCELLED):
                     # upstream already failed: the caller cancels.
-                    upstream_failed = True
+                    upstream_failed = dep_inst
         return unresolved, upstream_failed
 
     def _register_batch(self, insts: list[TaskInstance], scope: "Scope") -> list[tuple]:
@@ -1658,7 +1659,7 @@ class Runtime:
         for child in children:
             if failure:
                 # Propagate: the child can never run.
-                self._cancel_pending(child)
+                self._cancel_pending(child, inst.error)
             elif child.dep_completed() and child.state == PENDING:
                 to_enqueue.append(child)
         for child in to_enqueue:
@@ -1670,13 +1671,19 @@ class Runtime:
         # wakeup cannot be lost.
         self._broadcast()
 
-    def _cancel_pending(self, inst: TaskInstance) -> None:
+    def _cancel_pending(
+        self, inst: TaskInstance, cause: TaskExecutionError | None = None
+    ) -> None:
         """Cancel *inst* and, transitively, every dependent waiting on
         it.  Iterative worklist (failure chains can be deep); each node
         is claimed via ``try_cancel`` so the bookkeeping runs exactly
         once even when racing a worker or a second cancellation, and a
         single broadcast at the end wakes waiters parked on any of the
-        now-cancelled futures or scopes."""
+        now-cancelled futures or scopes.  *cause* is the error of the
+        failed upstream attempt that dooms them all (None for shutdown
+        and abort cancellations): every cancelled node keeps it as its
+        ``error`` and its futures raise a ``CancelledTaskError``
+        chained from it."""
         worklist = [inst]
         cancelled_any = False
         while worklist:
@@ -1687,8 +1694,9 @@ class Runtime:
             self._check_transition(cur, prev, CANCELLED)
             cancelled_any = True
             cur.t_end = self._now()
+            cur.error = cause
             for fut in cur.futures:
-                fut._cancel()
+                fut._cancel(cause)
             with self._state_lock:
                 children = self._children.pop(cur.root_id, [])
                 self._unfinished_total -= 1

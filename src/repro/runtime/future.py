@@ -80,7 +80,10 @@ class Future:
         if event is not None:
             event.set()
 
-    def _cancel(self) -> None:
+    def _cancel(self, cause: BaseException | None = None) -> None:
+        # *cause*: the failed upstream attempt's TaskExecutionError, or
+        # None for a cancellation no failure caused (shutdown, abort).
+        self._error = cause
         self._state = _CANCELLED
         event = self._event
         if event is not None:
@@ -101,7 +104,8 @@ class Future:
 
         Raises the producing task's error (wrapped in
         :class:`TaskExecutionError`) if it failed, or
-        :class:`CancelledTaskError` if it was cancelled.
+        :class:`CancelledTaskError` if it was cancelled — chained from
+        the upstream task's error when an upstream failure caused it.
         """
         if self._state == _PENDING:
             event = self._event
@@ -122,7 +126,13 @@ class Future:
             assert self._error is not None
             raise self._error
         if self._state == _CANCELLED:
-            raise CancelledTaskError(f"task {self.task_id} was cancelled")
+            cause = self._error
+            if cause is None:
+                raise CancelledTaskError(f"task {self.task_id} was cancelled")
+            raise CancelledTaskError(
+                f"task {self.task_id} was cancelled: "
+                f"upstream {cause.task_name}#{cause.task_id} failed"
+            ) from cause
         return self._value
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -174,6 +174,8 @@ class TaskInstance:
         self.state = PENDING
         self.parent_id = parent_id
         self.label = label
+        #: The attempt's ``TaskExecutionError`` once it failed; for an
+        #: attempt cancelled because an upstream failed, that upstream's.
         self.error: BaseException | None = None
         #: Resolved effective options, set by the runtime at submission.
         self.options = None

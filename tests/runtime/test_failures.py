@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.runtime import (
@@ -47,6 +49,49 @@ def test_downstream_cancelled_after_failure():
         h = ident(g)
         with pytest.raises((TaskExecutionError, CancelledTaskError)):
             wait_on(h)
+
+
+#: Holds ``gated_boom`` until the test has submitted its dependents.
+_gate = threading.Event()
+
+
+@task(returns=1)
+def gated_boom(x):
+    _gate.wait(10.0)
+    raise ValueError(f"bad value {x}")
+
+
+@pytest.mark.parametrize(
+    "executor, gated",
+    [("sequential", False), ("threads", False), ("threads", True)],
+)
+def test_cancelled_dependent_names_and_chains_its_failed_upstream(executor, gated):
+    """A three-task chain whose first body raises: the last task's
+    cancellation names the failed upstream and chains its error, both
+    when the dependents register after the failure (sequential, and
+    threads ungated) and when the failure reaches them registered
+    (threads, gated)."""
+    _gate.clear()
+    if not gated:
+        _gate.set()
+    with Runtime(executor=executor, max_workers=2):
+        f = gated_boom(1)
+        g = ident(f)
+        h = ident(g)
+        _gate.set()
+        with pytest.raises(CancelledTaskError) as excinfo:
+            wait_on(h)
+    error = excinfo.value
+    assert str(error) == (
+        f"task {h.task_id} was cancelled: upstream gated_boom#{f.task_id} failed"
+    )
+    upstream = error.__cause__
+    assert isinstance(upstream, TaskExecutionError)
+    assert (upstream.task_name, upstream.task_id) == ("gated_boom", f.task_id)
+    assert isinstance(upstream.__cause__, ValueError)
+    # the middle task names the same upstream
+    with pytest.raises(CancelledTaskError, match=r"^task \d+ was cancelled: upstream gated_boom#"):
+        g.result()
 
 
 def test_failure_does_not_poison_independent_tasks():
