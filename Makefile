@@ -1,4 +1,4 @@
-.PHONY: check lint test inventory stress obs backend dataplane service stream ml bench
+.PHONY: check lint test inventory reach stress obs backend dataplane service stream ml bench
 
 check:
 	bash scripts/check.sh
@@ -11,6 +11,9 @@ test:
 
 inventory:
 	bash scripts/check.sh inventory
+
+reach:
+	bash scripts/check.sh reach
 
 stress:
 	PYTHONPATH=src python -m pytest --hypothesis-profile=stress -q tests/runtime/test_stress.py tests/streaming/test_stress_stream.py

@@ -8,6 +8,7 @@
 #   scripts/check.sh lint        lint only
 #   scripts/check.sh test        tests only
 #   scripts/check.sh inventory   every src/repro module must have a test file
+#   scripts/check.sh reach       call-reach audit: every src/repro def/class the study's run set (CLI subcommands, examples, pytest benchmarks/, bench smoke) never enters must be kept in DESIGN.md §20 (~2 min)
 #   scripts/check.sh stress      randomized runtime matrix (stress profile) + engine regression tests
 #   scripts/check.sh backend     import guards (no networkx and no coordinator-only module — engine, config, checkpoint, observability, otlp, dot, flightrec — in a fresh import of the runtime packages or in a pool worker), then tier-1 under REPRO_BACKEND=processes + the matrix's processes replays + bench smoke of blocks_procs
 #   scripts/check.sh obs         observability smoke (metrics/trace exports, flight-recorder dump) + tracing/lifecycle-view tests
@@ -38,6 +39,17 @@ run_tests() {
 run_inventory() {
     echo "== test inventory (every module needs a test file) =="
     python scripts/test_inventory.py
+}
+
+# What the study reaches (DESIGN.md §20): tests/support/reach.py runs
+# every CLI subcommand, every example, `pytest benchmarks/` and the
+# benchmark's smoke under a call recorder, puts benchmarks/results/ back
+# as it found it, and fails on a definition of src/repro none of them
+# entered that its KEEP table (or, in runtime/, service/ and
+# streaming/graph.py, a check by hand) does not account for.
+run_reach() {
+    echo "== call-reach audit (DESIGN.md §20) =="
+    python tests/support/reach.py
 }
 
 # The randomized runtime matrix (tests/runtime/test_stress.py): a
@@ -228,6 +240,7 @@ case "$mode" in
     lint)       run_lint ;;
     test)       run_tests ;;
     inventory)  run_inventory ;;
+    reach)      run_reach ;;
     stress)     run_stress ;;
     backend)    run_backend ;;
     obs)        run_obs ;;
@@ -236,6 +249,6 @@ case "$mode" in
     stream)     run_stream ;;
     ml)         run_ml ;;
     bench)      run_bench ;;
-    all)        run_lint; run_tests; run_inventory; run_stress; run_obs; run_backend; run_dataplane; run_service; run_stream; run_ml; run_bench ;;
-    *)          echo "usage: scripts/check.sh [lint|test|inventory|stress|obs|backend|dataplane|service|stream|ml|bench]" >&2; exit 2 ;;
+    all)        run_lint; run_tests; run_inventory; run_reach; run_stress; run_obs; run_backend; run_dataplane; run_service; run_stream; run_ml; run_bench ;;
+    *)          echo "usage: scripts/check.sh [lint|test|inventory|reach|stress|obs|backend|dataplane|service|stream|ml|bench]" >&2; exit 2 ;;
 esac

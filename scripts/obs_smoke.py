@@ -41,7 +41,6 @@ import tempfile
 from pathlib import Path
 
 from repro.cli import main as cli_main
-from repro.cluster.chrometrace import validate_chrome_json
 from repro.runtime import Runtime, RuntimeConfig, task, wait_on
 from repro.runtime import observability as obs
 from repro.runtime.otlp import otlp_to_chrome, otlp_to_traces, save_otlp, trace_to_otlp
@@ -53,6 +52,9 @@ from repro.workflows.af_pipeline import (
     prepare_dataset,
     reduce_dimensions,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from tests.support.chrome import validate_chrome_json  # noqa: E402
 
 TINY = PipelineConfig(
     scale=0.004,

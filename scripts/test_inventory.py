@@ -9,8 +9,8 @@ A module ``src/repro/a/b/foo.py`` counts as covered when either
   -> ``test_foo.py``, ``test_foo_bar.py``; not ``test_foobar.py``), or
 * ``EXTRA_COVERAGE`` maps it to the test file that exercises it under a
   different name (the mapping is validated: the file must exist, and a
-  mapping for a module that a filename already matches is flagged as
-  stale so the table cannot rot).
+  mapping for a module that no longer exists, or that a filename
+  already matches, is flagged as stale so the table cannot rot).
 
 The filename heuristic is deliberately simple — it checks that someone
 *claimed* the module, not that the tests are good — so keep new module
@@ -60,7 +60,6 @@ EXTRA_COVERAGE = {
     "nn/losses.py": "tests/nn/test_model_optim.py",
     "runtime/exceptions.py": "tests/runtime/test_failure_policies.py",
     "runtime/future.py": "tests/runtime/test_task_basic.py",
-    "runtime/provenance.py": "tests/runtime/test_checkpoint_resume.py",
     "runtime/registry.py": "tests/runtime/test_directions.py",
     "service/demo.py": "tests/service/test_worker.py",
 }
@@ -121,6 +120,10 @@ def main() -> int:
             continue
         if not name_match:
             uncovered.append(rel)
+
+    modules = {m.relative_to(SRC).as_posix() for m in source_modules()}
+    stale.extend(f"{rel} (no such module; drop the mapping)"
+                 for rel in sorted(EXTRA_COVERAGE) if rel not in modules)
 
     ok = True
     if uncovered:

@@ -2,7 +2,7 @@
 
 Commands:
 
-* ``table1 [--preset tiny|small]`` — run the four-model comparison and
+* ``table1 [--preset tiny|small|paper]`` — run the four-model comparison and
   print a Table-I-style report.
 * ``scaling [--algorithm csvm|knn|rf] [--nodes N ...]`` — record a
   training trace locally and replay it on simulated MareNostrum IV
@@ -14,7 +14,7 @@ Commands:
 * ``checkpoint inspect|verify|prune --dir DIR`` — inspect, integrity-
   check, or garbage-collect a checkpoint store written by a
   ``Runtime(config=RuntimeConfig(checkpoint_dir=...))`` run (or by the
-  epoch/round/grid checkpoints of the higher layers).
+  epoch/round checkpoints of the higher layers).
 * ``serve-stream`` — run the online AF inference serving demo: a
   rate-controlled synthetic-ECG source through the windowed streaming
   pipeline (:mod:`repro.streaming`) with micro-batched CNN inference,

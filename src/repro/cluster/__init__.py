@@ -2,9 +2,9 @@
 
 Replays recorded task traces on parameterised clusters (MareNostrum IV
 48-core nodes, CTE-Power 4-GPU nodes) to regenerate the paper's
-scalability results without the hardware.  A simulated schedule renders
-as a chrome://tracing timeline (:func:`schedule_to_chrome`); a recorded
-runtime trace renders through its OTLP document,
+scalability results without the hardware (:func:`gantt_text` draws a
+simulated schedule).  A recorded runtime trace renders as a
+chrome://tracing timeline through its OTLP document,
 ``repro.runtime.otlp.otlp_to_chrome(trace_to_otlp(trace))``.
 """
 
@@ -13,10 +13,7 @@ from repro.cluster.analysis import (
     critical_path,
     failure_report,
     gantt_text,
-    idle_fraction,
-    time_breakdown,
 )
-from repro.cluster.chrometrace import schedule_to_chrome
 from repro.cluster.costmodel import CostModel, IDENTITY, name_mean_smoother
 from repro.cluster.replay import (
     SweepPoint,
@@ -30,7 +27,6 @@ from repro.cluster.resources import (
     ClusterSpec,
     NodeSpec,
     cte_power,
-    laptop,
     marenostrum4,
 )
 from repro.cluster.simulator import (
@@ -52,7 +48,6 @@ __all__ = [
     "NodeSpec",
     "marenostrum4",
     "cte_power",
-    "laptop",
     "simulate",
     "SimResult",
     "Placement",
@@ -71,9 +66,6 @@ __all__ = [
     "SweepPoint",
     "name_mean_smoother",
     "critical_path",
-    "time_breakdown",
     "gantt_text",
-    "idle_fraction",
     "bottleneck_report",
-    "schedule_to_chrome",
 ]

@@ -71,10 +71,6 @@ class ClusterSpec:
     def total_cores(self) -> int:
         return self.node.cores * self.n_nodes
 
-    @property
-    def total_gpus(self) -> int:
-        return self.node.gpus * self.n_nodes
-
     def transfer_time(self, nbytes: int) -> float:
         """Time to move *nbytes* between two nodes."""
         return self.latency + nbytes / self.bandwidth
@@ -92,10 +88,3 @@ def cte_power(n_nodes: int) -> ClusterSpec:
         n_nodes=n_nodes,
         bandwidth=12.5e9,
     )
-
-
-def laptop() -> ClusterSpec:
-    """A single-node stand-in for local runs."""
-    import os
-
-    return ClusterSpec(node=NodeSpec(cores=os.cpu_count() or 4), n_nodes=1)

@@ -124,10 +124,6 @@ class SimResult:
     checkpoint_spec: CheckpointSpec | None = None
 
     @property
-    def n_tasks(self) -> int:
-        return len(self.placements)
-
-    @property
     def checkpoint_overhead(self) -> float:
         """Seconds spent writing checkpoints (completed writes only)."""
         return sum(w.duration for w in self.checkpoint_writes)
@@ -148,20 +144,6 @@ class SimResult:
             return 0.0
         busy = sum(p.duration * p.cores for p in self.placements.values())
         return busy / (self.cluster.total_cores * self.makespan)
-
-    def node_busy_time(self) -> list[float]:
-        busy = [0.0] * self.cluster.n_nodes
-        for p in self.placements.values():
-            busy[p.node] += p.duration * p.cores
-        return busy
-
-    def per_name_span(self) -> dict[str, tuple[float, float]]:
-        """(first start, last end) per task type."""
-        out: dict[str, tuple[float, float]] = {}
-        for p in self.placements.values():
-            lo, hi = out.get(p.name, (float("inf"), 0.0))
-            out[p.name] = (min(lo, p.t_start), max(hi, p.t_end))
-        return out
 
 
 class OversubscribedTaskError(ValueError):

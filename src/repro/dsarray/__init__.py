@@ -1,17 +1,15 @@
 """Block-distributed arrays — the dislib ``ds-array`` analog."""
 
 from repro.dsarray.array import Array
-from repro.dsarray.creation import array, full, ones, random_array, zeros
+from repro.dsarray.creation import array, full, ones, zeros
 
 __all__ = [
     "Array",
     "array",
-    "random_array",
     "zeros",
     "ones",
     "full",
     "vstack",
-    "frobenius_norm",
     "save_npz",
     "load_npz",
 ]
@@ -20,7 +18,7 @@ __all__ = [
 def __getattr__(name):
     # ops imports runtime tasks which import dsarray; resolve lazily to
     # keep `import repro.dsarray` cycle-free.
-    if name in ("vstack", "frobenius_norm", "save_npz", "load_npz"):
+    if name in ("vstack", "save_npz", "load_npz"):
         from repro.dsarray import ops
 
         return getattr(ops, name)

@@ -182,42 +182,6 @@ class Array:
         )
         return Array(grid, self._shape, self._block_size)
 
-    # ------------------------------------------------------------------
-    # arithmetic
-    # ------------------------------------------------------------------
-    def _binary(self, other: Any, op: str) -> "Array":
-        if isinstance(other, Array):
-            if other.shape != self.shape or other.block_size != self.block_size:
-                raise ValueError(
-                    "elementwise ops need matching shape and block_size: "
-                    f"{self.shape}/{self.block_size} vs {other.shape}/{other.block_size}"
-                )
-            grid = _submit_rows(
-                [
-                    [
-                        (bk.elementwise_block, (op, a, b))
-                        for a, b in zip(row_a, row_b)
-                    ]
-                    for row_a, row_b in zip(self._blocks, other._blocks)
-                ]
-            )
-        elif isinstance(other, (int, float, np.integer, np.floating)):
-            grid = _submit_rows(
-                [
-                    [(bk.elementwise_block, (op, a, other)) for a in row]
-                    for row in self._blocks
-                ]
-            )
-        else:
-            return NotImplemented  # type: ignore[return-value]
-        return Array(grid, self._shape, self._block_size)
-
-    def __add__(self, other): return self._binary(other, "add")
-    def __sub__(self, other): return self._binary(other, "sub")
-    def __mul__(self, other): return self._binary(other, "mul")
-    def __truediv__(self, other): return self._binary(other, "truediv")
-    def __pow__(self, other): return self._binary(other, "pow")
-
     def __matmul__(self, other: "Array") -> "Array":
         """Block matrix multiply: one task per (i, k, j) product plus a
         reduction task per output block."""
@@ -253,43 +217,6 @@ class Array:
             shape=(self._shape[0], other._shape[1]),
             block_size=(self._block_size[0], other._block_size[1]),
         )
-
-    # ------------------------------------------------------------------
-    # reductions
-    # ------------------------------------------------------------------
-    def sum(self, axis: int = 0) -> np.ndarray:
-        """Column (axis=0) or row (axis=1) sums, computed per block and
-        reduced locally after synchronisation."""
-        return self._reduce("sum", axis)
-
-    def mean(self, axis: int = 0) -> np.ndarray:
-        total = self._reduce("sum", axis)
-        n = self._shape[0] if axis == 0 else self._shape[1]
-        return total / n
-
-    def _reduce(self, op: str, axis: int) -> np.ndarray:
-        if axis not in (0, 1):
-            raise ValueError("axis must be 0 or 1")
-
-        def partial(block: np.ndarray) -> np.ndarray:
-            return getattr(block, op)(axis=axis)
-
-        partials = wait_on(
-            _submit_rows(
-                [[(bk.apply_block, (partial, b)) for b in row] for row in self._blocks]
-            )
-        )
-        if axis == 0:
-            cols = []
-            for j in range(self.n_blocks[1]):
-                acc = sum(partials[i][j] for i in range(self.n_blocks[0]))
-                cols.append(acc)
-            return np.concatenate(cols) if cols else np.zeros(0)
-        rows = []
-        for i in range(self.n_blocks[0]):
-            acc = sum(partials[i][j] for j in range(self.n_blocks[1]))
-            rows.append(acc)
-        return np.concatenate(rows) if rows else np.zeros(0)
 
     # ------------------------------------------------------------------
     # row selection / slicing

@@ -30,12 +30,6 @@ def slice_block(data: np.ndarray, r0: int, r1: int, c0: int, c1: int) -> np.ndar
 
 
 @task(returns=1)
-def random_block(shape_r: int, shape_c: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    return rng.random((shape_r, shape_c))
-
-
-@task(returns=1)
 def full_block(shape_r: int, shape_c: int, value: float) -> np.ndarray:
     return np.full((shape_r, shape_c), value)
 
@@ -54,22 +48,6 @@ def vstack_blocks(blocks: list) -> np.ndarray:
 @task(returns=1)
 def transpose_block(block: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(block.T)
-
-
-@task(returns=1)
-def elementwise_block(op: str, a: np.ndarray, b) -> np.ndarray:
-    """Elementwise op between a block and a block/scalar."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "truediv":
-        return a / b
-    if op == "pow":
-        return a**b
-    raise ValueError(f"unknown op {op!r}")
 
 
 @task(returns=1)

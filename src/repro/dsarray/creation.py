@@ -31,23 +31,6 @@ def array(data: np.ndarray, block_size: tuple[int, int]) -> Array:
     return Array(grid, shape=data.shape, block_size=block_size)
 
 
-def random_array(
-    shape: tuple[int, int], block_size: tuple[int, int], random_state: int = 0
-) -> Array:
-    """Uniform [0, 1) random ds-array; one generator task per block."""
-    rows = bk.grid(shape[0], block_size[0])
-    cols = bk.grid(shape[1], block_size[1])
-    calls = []
-    seed = random_state
-    for r0, r1 in rows:
-        row = []
-        for c0, c1 in cols:
-            row.append((bk.random_block, (r1 - r0, c1 - c0, seed)))
-            seed += 1
-        calls.append(row)
-    return Array(_submit_rows(calls), shape=shape, block_size=block_size)
-
-
 def full(shape: tuple[int, int], block_size: tuple[int, int], value: float) -> Array:
     rows = bk.grid(shape[0], block_size[0])
     cols = bk.grid(shape[1], block_size[1])

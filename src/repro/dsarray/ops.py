@@ -1,5 +1,5 @@
 """Functional operations on ds-arrays beyond the Array methods:
-stacking, norms and persistence."""
+stacking and persistence."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import numpy as np
 
 from repro.dsarray import blocking as bk
 from repro.dsarray.array import Array
-from repro.runtime import task, wait_on
 
 
 def vstack(arrays: list[Array]) -> Array:
@@ -41,19 +40,6 @@ def vstack(arrays: list[Array]) -> Array:
         for r0, r1 in row_ranges
     ]
     return Array(grid, shape=(total_rows, first.shape[1]), block_size=bs)
-
-
-@task(returns=1)
-def _block_sq_sum(block) -> np.ndarray:
-    b = np.asarray(block)
-    return np.array([np.sum(b * b)])
-
-
-def frobenius_norm(a: Array) -> float:
-    """||A||_F via one task per block plus a local reduction."""
-    partials = wait_on([[_block_sq_sum(b) for b in row] for row in a.blocks])
-    total = sum(float(p[0]) for row in partials for p in row)
-    return float(np.sqrt(total))
 
 
 def save_npz(a: Array, path) -> None:

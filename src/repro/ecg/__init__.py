@@ -1,7 +1,7 @@
 """Synthetic ECG substrate: generation, R-peak detection, augmentation
 and STFT feature extraction (the PhysioNet + BioSPPy substitute)."""
 
-from repro.ecg.augmentation import augment_minority, segment_patches, shuffle_patches
+from repro.ecg.augmentation import augment_minority
 from repro.ecg.dataset import (
     PAPER_N_AF,
     PAPER_N_NORMAL,
@@ -12,37 +12,14 @@ from repro.ecg.dataset import (
     load_npz,
     save_npz,
 )
-from repro.ecg.hrv import HRV_FEATURE_NAMES, hrv_features, rr_feature_matrix
-from repro.ecg.quality import (
-    QualityReport,
-    assess_quality,
-    clipping_fraction,
-    filter_dataset,
-    flatline_fraction,
-    qrs_band_ratio,
-)
-from repro.ecg.features import (
-    PAPER_MAX_LENGTH,
-    preprocess_signals,
-    stft_feature_dim,
-    stft_features,
-    zero_pad,
-)
-from repro.ecg.generator import (
-    ECGConfig,
-    generate_af,
-    generate_nsr,
-    generate_other,
-    generate_recording,
-)
+from repro.ecg.hrv import rr_feature_matrix
+from repro.ecg.features import PAPER_MAX_LENGTH, stft_features, zero_pad
+from repro.ecg.generator import ECGConfig, generate_recording
 from repro.ecg.rpeaks import gamboa_segmenter, pan_tompkins, rr_intervals
 
 __all__ = [
     "ECGConfig",
     "generate_recording",
-    "generate_nsr",
-    "generate_af",
-    "generate_other",
     "save_npz",
     "load_npz",
     "Dataset",
@@ -56,19 +33,7 @@ __all__ = [
     "pan_tompkins",
     "rr_intervals",
     "augment_minority",
-    "shuffle_patches",
-    "segment_patches",
     "zero_pad",
     "stft_features",
-    "stft_feature_dim",
-    "preprocess_signals",
-    "hrv_features",
     "rr_feature_matrix",
-    "HRV_FEATURE_NAMES",
-    "assess_quality",
-    "QualityReport",
-    "qrs_band_ratio",
-    "flatline_fraction",
-    "clipping_fraction",
-    "filter_dataset",
 ]

@@ -62,21 +62,3 @@ def stft_features(
     )
     # spec: (n_signals, n_freqs, n_times) -> flatten per signal
     return spec.reshape(len(padded), -1)
-
-
-def stft_feature_dim(n_samples: int, fs: float = 300.0, nperseg: int = 128, noverlap: int | None = None) -> int:
-    """Dimensionality of the flattened STFT features for a given
-    padded length (useful for sizing ds-array blocks up front)."""
-    probe = np.zeros((1, n_samples))
-    return stft_features(probe, fs=fs, nperseg=nperseg, noverlap=noverlap).shape[1]
-
-
-def preprocess_signals(
-    signals: list[np.ndarray],
-    fs: float = 300.0,
-    target_length: int | None = None,
-    nperseg: int = 128,
-) -> np.ndarray:
-    """The full §III-B.2 + §III-B.3 chain: zero-pad then STFT-flatten."""
-    padded = zero_pad(signals, target_length)
-    return stft_features(padded, fs=fs, nperseg=nperseg)

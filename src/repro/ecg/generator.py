@@ -194,16 +194,3 @@ def generate_recording(
     if cfg.gain_std > 0:
         sig *= rng.lognormal(mean=0.0, sigma=cfg.gain_std)
     return sig
-
-
-def generate_nsr(duration: float, rng: np.random.Generator, cfg: ECGConfig | None = None) -> np.ndarray:
-    return generate_recording("N", duration, rng, cfg)
-
-
-def generate_af(duration: float, rng: np.random.Generator, cfg: ECGConfig | None = None) -> np.ndarray:
-    return generate_recording("AF", duration, rng, cfg)
-
-
-def generate_other(duration: float, rng: np.random.Generator, cfg: ECGConfig | None = None) -> np.ndarray:
-    """An 'Other rhythm' recording (ectopic beats on a sinus base)."""
-    return generate_recording("O", duration, rng, cfg)

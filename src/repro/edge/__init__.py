@@ -12,15 +12,11 @@ from repro.edge.export import (
     bundle_nbytes,
     export_model,
     import_model,
-    load_bundle,
-    save_bundle,
 )
 
 __all__ = [
     "export_model",
     "import_model",
-    "save_bundle",
-    "load_bundle",
     "bundle_nbytes",
     "DeviceSpec",
     "EdgeDevice",

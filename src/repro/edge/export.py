@@ -4,13 +4,10 @@ The paper's Fig. 1 pipeline trains in the HPC/cloud and deploys the AF
 detector "at the edge or close to where the data is generated (e.g.
 smartwatches)".  A deployed model must be self-contained and cheap to
 ship: we export any :class:`repro.nn.Sequential` (or fitted classical
-estimator exposing ``predict``) to a plain dict of config + weights,
-serialisable to ``.npz``.
+estimator exposing ``predict``) to a plain dict of config + weights.
 """
 
 from __future__ import annotations
-
-import json
 
 import numpy as np
 
@@ -32,28 +29,6 @@ def import_model(bundle: dict) -> Sequential:
     model = Sequential.from_config(bundle["config"])
     model.set_weights([np.asarray(w) for w in bundle["weights"]])
     return model
-
-
-def save_bundle(bundle: dict, path) -> None:
-    """Persist a bundle to .npz (config as JSON, weights as arrays)."""
-    arrays = {f"w{i}": w for i, w in enumerate(bundle["weights"])}
-    np.savez_compressed(
-        path,
-        config=np.frombuffer(json.dumps(bundle["config"]).encode(), dtype=np.uint8),
-        n_weights=np.array([len(bundle["weights"])]),
-        **arrays,
-    )
-
-
-def load_bundle(path) -> dict:
-    blob = np.load(path, allow_pickle=False)
-    config = json.loads(bytes(blob["config"]).decode())
-    n = int(blob["n_weights"][0])
-    return {
-        "format": "repro-edge-v1",
-        "config": config,
-        "weights": [blob[f"w{i}"] for i in range(n)],
-    }
 
 
 def bundle_nbytes(bundle: dict) -> int:

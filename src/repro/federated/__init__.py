@@ -6,7 +6,6 @@ from repro.federated.aggregation import (
     STRATEGIES,
     fedavg,
     fedavg_with_momentum,
-    uniform_average,
 )
 from repro.federated.federation import (
     ClientData,
@@ -28,7 +27,6 @@ __all__ = [
     "RoundMetrics",
     "FederatedRoundError",
     "fedavg",
-    "uniform_average",
     "fedavg_with_momentum",
     "STRATEGIES",
     "iid_partition",

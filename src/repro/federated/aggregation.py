@@ -22,14 +22,6 @@ def fedavg(weight_sets: list[list[np.ndarray]], n_samples: list[int]) -> list[np
     ]
 
 
-def uniform_average(weight_sets: list[list[np.ndarray]], n_samples: list[int] | None = None) -> list[np.ndarray]:
-    """Plain unweighted average (ignores client sizes)."""
-    if not weight_sets:
-        raise ValueError("no client updates to aggregate")
-    k = len(weight_sets)
-    return [sum(w[i] for w in weight_sets) / k for i in range(len(weight_sets[0]))]
-
-
 def fedavg_with_momentum(
     weight_sets: list[list[np.ndarray]],
     n_samples: list[int],
@@ -50,5 +42,4 @@ def fedavg_with_momentum(
 
 STRATEGIES = {
     "fedavg": fedavg,
-    "uniform": uniform_average,
 }

@@ -17,12 +17,11 @@ from repro.ml.base import BaseEstimator, NotFittedError
 _LAZY_MODULES = {
     "clustering": ("KMeans",),
     "decomposition": ("PCA",),
-    "linear": ("LogisticRegression",),
-    "model_selection": ("CVResult", "GridSearchCV", "KFold", "cross_validate"),
+    "model_selection": ("CVResult", "KFold", "cross_validate"),
     "neighbors": ("KNeighborsClassifier", "NearestNeighbors"),
-    "preprocessing": ("MinMaxScaler", "StandardScaler"),
-    "svm": ("SVC", "CascadeSVM", "OneVsRestClassifier"),
-    "trees": ("DecisionTreeClassifier", "RandomForestClassifier"),
+    "preprocessing": ("StandardScaler",),
+    "svm": ("SVC", "CascadeSVM"),
+    "trees": ("RandomForestClassifier",),
 }
 _LAZY = {name: module for module, names in _LAZY_MODULES.items() for name in names}
 
@@ -31,19 +30,14 @@ __all__ = [
     "NotFittedError",
     "PCA",
     "KMeans",
-    "LogisticRegression",
     "KFold",
     "cross_validate",
     "CVResult",
-    "GridSearchCV",
     "NearestNeighbors",
     "KNeighborsClassifier",
     "StandardScaler",
-    "MinMaxScaler",
     "SVC",
     "CascadeSVM",
-    "OneVsRestClassifier",
-    "DecisionTreeClassifier",
     "RandomForestClassifier",
 ]
 

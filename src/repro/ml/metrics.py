@@ -108,22 +108,6 @@ def roc_auc_score(y_true, scores, positive) -> float:
     return float(np.trapezoid(tpr, fpr))
 
 
-def classification_report(y_true, y_pred, labels=None) -> dict:
-    """Per-class precision/recall/F1 plus overall accuracy."""
-    y_true, y_pred = _flat(y_true), _flat(y_pred)
-    if labels is None:
-        labels = np.unique(np.concatenate([y_true, y_pred]))
-    report: dict = {"accuracy": accuracy_score(y_true, y_pred), "classes": {}}
-    for lab in np.asarray(labels).tolist():
-        report["classes"][lab] = {
-            "precision": precision_score(y_true, y_pred, lab),
-            "recall": recall_score(y_true, y_pred, lab),
-            "f1": f1_score(y_true, y_pred, lab),
-            "support": int(np.sum(y_true == lab)),
-        }
-    return report
-
-
 def format_confusion(cm: np.ndarray, labels) -> str:
     """Render a confusion matrix like the paper's Table I cells."""
     labels = [str(l) for l in labels]

@@ -1,18 +1,10 @@
 """Model selection: K-fold splitting and cross-validated evaluation."""
 
 from repro.ml.model_selection.cross_val import CVResult, cross_validate
-from repro.ml.model_selection.grid_search import (
-    GridSearchCV,
-    GridSearchResult,
-    parameter_grid,
-)
 from repro.ml.model_selection.kfold import KFold
 
 __all__ = [
     "KFold",
     "cross_validate",
     "CVResult",
-    "GridSearchCV",
-    "GridSearchResult",
-    "parameter_grid",
 ]

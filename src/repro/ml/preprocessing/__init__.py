@@ -1,6 +1,5 @@
 """Distributed preprocessing estimators."""
 
-from repro.ml.preprocessing.minmax import MinMaxScaler
 from repro.ml.preprocessing.scaler import StandardScaler
 
-__all__ = ["StandardScaler", "MinMaxScaler"]
+__all__ = ["StandardScaler"]

@@ -2,20 +2,15 @@
 CascadeSVM estimator of the paper."""
 
 from repro.ml.svm.csvm import CascadeSVM
-from repro.ml.svm.multiclass import OneVsRestClassifier
-from repro.ml.svm.kernels import linear_kernel, make_kernel, poly_kernel, rbf_kernel, resolve_gamma
+from repro.ml.svm.kernels import make_kernel, resolve_gamma
 from repro.ml.svm.smo import SMOResult, smo_solve
 from repro.ml.svm.svc import SVC
 
 __all__ = [
     "SVC",
     "CascadeSVM",
-    "OneVsRestClassifier",
     "smo_solve",
     "SMOResult",
     "make_kernel",
-    "rbf_kernel",
-    "linear_kernel",
-    "poly_kernel",
     "resolve_gamma",
 ]

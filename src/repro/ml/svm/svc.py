@@ -117,43 +117,6 @@ class SVC(BaseEstimator):
         return np.where(scores >= 0, self.classes_[1], self.classes_[0])
 
     # ------------------------------------------------------------------
-    def calibrate(self, x: np.ndarray, y: np.ndarray, max_iter: int = 200) -> "SVC":
-        """Platt scaling: fit P(classes_[1] | score) = sigmoid(a*s + b)
-        on held-out data so :meth:`predict_proba` is available.
-
-        Enables the threshold tuning the paper's §V discusses (recall
-        focus vs precision focus in stroke care).
-        """
-        self._check_fitted("support_vectors_")
-        if self._single_class is not None:
-            raise ValueError(
-                f"calibrate needs two classes; this model was fit on one ({self._single_class!r})"
-            )
-        scores = self.decision_function(x)
-        t = (np.asarray(y).ravel() == self.classes_[1]).astype(float)
-        a, b = 1.0, 0.0
-        lr = 0.1
-        for _ in range(max_iter):
-            p = 1.0 / (1.0 + np.exp(-np.clip(a * scores + b, -500, 500)))
-            err = p - t
-            ga = float(err @ scores) / len(t)
-            gb = float(err.sum()) / len(t)
-            a -= lr * ga
-            b -= lr * gb
-        self._platt = (a, b)
-        return self
-
-    def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        """(n, 2) probabilities [P(classes_[0]), P(classes_[1])];
-        requires a prior :meth:`calibrate` call."""
-        self._check_fitted("support_vectors_")
-        if not hasattr(self, "_platt"):
-            raise RuntimeError("call calibrate(x, y) before predict_proba")
-        a, b = self._platt
-        s = self.decision_function(x)
-        p1 = 1.0 / (1.0 + np.exp(-np.clip(a * s + b, -500, 500)))
-        return np.column_stack([1.0 - p1, p1])
-
     def score(self, x: np.ndarray, y: np.ndarray) -> float:
         from repro.ml.metrics import accuracy_score
 

@@ -1,6 +1,5 @@
 """Decision trees and the distributed random forest."""
 
 from repro.ml.trees.forest import RandomForestClassifier
-from repro.ml.trees.tree import DecisionTreeClassifier
 
-__all__ = ["DecisionTreeClassifier", "RandomForestClassifier"]
+__all__ = ["RandomForestClassifier"]

@@ -209,23 +209,3 @@ class RandomForestClassifier(BaseEstimator):
         from repro.ml.metrics import accuracy_score
 
         return accuracy_score(as_labels(y.collect()), self.predict(q))
-
-    def feature_importances(self, n_features: int) -> np.ndarray:
-        """Split-frequency importances: how often each feature is used
-        as a split across the forest, normalised to sum to 1."""
-        self._check_fitted("_trees")
-        from repro.ml.trees.tree import Split
-
-        counts = np.zeros(n_features)
-
-        def walk(node):
-            if node is None or node.is_leaf:
-                return
-            counts[node.feature] += 1
-            walk(node.left)
-            walk(node.right)
-
-        for t in wait_on(list(self._trees)):
-            walk(t)
-        total = counts.sum()
-        return counts / total if total > 0 else counts

@@ -1,10 +1,9 @@
 """CART decision trees (gini), built from scratch.
 
-Used standalone as an in-memory estimator and as the building block of
-the distributed random forest.  Split search is one whole-array pass
-per node: every candidate feature is sorted at once and one cumulative
-class-count array gives the gini of every threshold of every candidate,
-O(F n log n) in a handful of numpy calls.
+The building block of the distributed random forest.  Split search is
+one whole-array pass per node: every candidate feature is sorted at
+once and one cumulative class-count array gives the gini of every
+threshold of every candidate, O(F n log n) in a handful of numpy calls.
 """
 
 from __future__ import annotations
@@ -12,8 +11,6 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
-
-from repro.ml.base import BaseEstimator
 
 
 @dataclasses.dataclass
@@ -191,77 +188,3 @@ def tree_predict_proba(node: Leaf | Split, x: np.ndarray, n_classes: int) -> np.
             stack.append((cur.left, rows[mask]))
             stack.append((cur.right, rows[~mask]))
     return out
-
-
-def tree_depth(node: Leaf | Split) -> int:
-    if node.is_leaf:
-        return 0
-    return 1 + max(tree_depth(node.left), tree_depth(node.right))
-
-
-def tree_n_leaves(node: Leaf | Split) -> int:
-    if node.is_leaf:
-        return 1
-    return tree_n_leaves(node.left) + tree_n_leaves(node.right)
-
-
-class DecisionTreeClassifier(BaseEstimator):
-    """In-memory CART classifier."""
-
-    def __init__(
-        self,
-        max_depth: int | None = None,
-        min_samples_split: int = 2,
-        min_samples_leaf: int = 1,
-        max_features=None,
-        random_state: int | None = None,
-    ):
-        self.max_depth = max_depth
-        self.min_samples_split = min_samples_split
-        self.min_samples_leaf = min_samples_leaf
-        self.max_features = max_features
-        self.random_state = random_state
-
-    def fit(self, x: np.ndarray, y: np.ndarray) -> "DecisionTreeClassifier":
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y).ravel()
-        if len(x) != len(y):
-            raise ValueError("x and y length mismatch")
-        if len(x) == 0:
-            raise ValueError("empty training set")
-        self.classes_, codes = np.unique(y, return_inverse=True)
-        rng = np.random.default_rng(self.random_state)
-        self.tree_ = build_tree(
-            x,
-            codes,
-            len(self.classes_),
-            self.max_depth,
-            self.min_samples_split,
-            self.min_samples_leaf,
-            self.max_features,
-            rng,
-        )
-        return self
-
-    def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        self._check_fitted("tree_")
-        return tree_predict_proba(self.tree_, np.atleast_2d(np.asarray(x, dtype=float)), len(self.classes_))
-
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        probs = self.predict_proba(x)
-        return self.classes_[np.argmax(probs, axis=1)]
-
-    def score(self, x: np.ndarray, y: np.ndarray) -> float:
-        from repro.ml.metrics import accuracy_score
-
-        return accuracy_score(np.asarray(y).ravel(), self.predict(x))
-
-    @property
-    def depth(self) -> int:
-        self._check_fitted("tree_")
-        return tree_depth(self.tree_)
-
-    @property
-    def n_leaves(self) -> int:
-        self._check_fitted("tree_")
-        return tree_n_leaves(self.tree_)

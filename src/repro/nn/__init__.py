@@ -6,10 +6,8 @@ from repro.nn.distributed import (
     cnn_cross_validation,
 )
 from repro.nn.layers import (
-    BatchNorm1D,
     Conv1D,
     Dense,
-    Dropout,
     Flatten,
     Layer,
     MaxPool1D,
@@ -23,10 +21,8 @@ from repro.nn.optim import SGD, Adam, Optimizer
 __all__ = [
     "Sequential",
     "af_cnn",
-    "BatchNorm1D",
     "Conv1D",
     "Dense",
-    "Dropout",
     "Flatten",
     "MaxPool1D",
     "ReLU",

@@ -226,110 +226,12 @@ class Dense(Layer):
         }
 
 
-class BatchNorm1D(Layer):
-    """Batch normalisation over the feature axis of (N, F) inputs.
-
-    Running statistics are tracked with exponential moving averages and
-    used at inference.
-    """
-
-    def __init__(self, n_features: int, momentum: float = 0.9, eps: float = 1e-5):
-        if n_features < 1:
-            raise ValueError("n_features must be >= 1")
-        if not 0.0 < momentum < 1.0:
-            raise ValueError("momentum must be in (0, 1)")
-        self.n_features = n_features
-        self.momentum = momentum
-        self.eps = eps
-        self.gamma = np.ones(n_features)
-        self.beta = np.zeros(n_features)
-        self.dgamma = np.zeros(n_features)
-        self.dbeta = np.zeros(n_features)
-        self.running_mean = np.zeros(n_features)
-        self.running_var = np.ones(n_features)
-        self._cache: tuple | None = None
-
-    def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
-        if x.ndim != 2 or x.shape[1] != self.n_features:
-            raise ValueError(f"BatchNorm1D expects (N, {self.n_features}); got {x.shape}")
-        if training:
-            mu = x.mean(axis=0)
-            var = x.var(axis=0)
-            self.running_mean = self.momentum * self.running_mean + (1 - self.momentum) * mu
-            self.running_var = self.momentum * self.running_var + (1 - self.momentum) * var
-            xhat = (x - mu) / np.sqrt(var + self.eps)
-            self._cache = (xhat, var)
-            return self.gamma * xhat + self.beta
-        xhat = (x - self.running_mean) / np.sqrt(self.running_var + self.eps)
-        return self.gamma * xhat + self.beta
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        assert self._cache is not None, "backward before forward"
-        xhat, var = self._cache
-        n = len(grad)
-        self.dgamma = (grad * xhat).sum(axis=0) / n
-        self.dbeta = grad.sum(axis=0) / n
-        # standard batchnorm input gradient
-        dxhat = grad * self.gamma
-        inv_std = 1.0 / np.sqrt(var + self.eps)
-        return (
-            inv_std
-            / n
-            * (n * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0))
-        )
-
-    @property
-    def params(self):
-        return [self.gamma, self.beta]
-
-    @property
-    def grads(self):
-        return [self.dgamma, self.dbeta]
-
-    def config(self) -> dict:
-        return {
-            "type": "BatchNorm1D",
-            "n_features": self.n_features,
-            "momentum": self.momentum,
-        }
-
-
-class Dropout(Layer):
-    """Inverted dropout: active only during training."""
-
-    def __init__(self, rate: float = 0.5, seed: int = 0):
-        if not 0.0 <= rate < 1.0:
-            raise ValueError("rate must be in [0, 1)")
-        self.rate = rate
-        self.seed = seed
-        self._rng = np.random.default_rng(seed)
-        self._mask: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
-        if not training or self.rate == 0.0:
-            self._mask = None
-            return x
-        keep = 1.0 - self.rate
-        self._mask = (self._rng.uniform(size=x.shape) < keep) / keep
-        return x * self._mask
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            return grad
-        return grad * self._mask
-
-    def config(self) -> dict:
-        return {"type": "Dropout", "rate": self.rate, "seed": self.seed}
-
-
 _LAYER_TYPES = {
     "Conv1D": lambda cfg, rng: Conv1D(cfg["in_channels"], cfg["out_channels"], cfg["kernel_size"], rng),
     "MaxPool1D": lambda cfg, rng: MaxPool1D(cfg["pool_size"]),
     "ReLU": lambda cfg, rng: ReLU(),
     "Flatten": lambda cfg, rng: Flatten(),
     "Dense": lambda cfg, rng: Dense(cfg["in_features"], cfg["out_features"], rng),
-    "Dropout": lambda cfg, rng: Dropout(cfg["rate"], cfg.get("seed", 0)),
-    "BatchNorm1D": lambda cfg, rng: BatchNorm1D(cfg["n_features"], cfg.get("momentum", 0.9)),
 }
 
 

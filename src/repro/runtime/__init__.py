@@ -65,7 +65,7 @@ import importlib
 from typing import Any
 
 from repro.runtime.active import active_runtime
-from repro.runtime.atomic_write import atomic_write, atomic_write_text
+from repro.runtime.atomic_write import atomic_write
 from repro.runtime.backends import current_attempt, shutdown_workers
 from repro.runtime.directions import IN, INOUT, OUT, Direction
 from repro.runtime.exceptions import (
@@ -83,7 +83,6 @@ from repro.runtime.failures import (
     CANCEL_SUCCESSORS,
     FAIL,
     IGNORE,
-    POLICIES,
     RETRY,
     TaskOptions,
 )
@@ -153,12 +152,10 @@ __all__ = [
     "fingerprint",
     "task_signature",
     "atomic_write",
-    "atomic_write_text",
     "FAIL",
     "RETRY",
     "IGNORE",
     "CANCEL_SUCCESSORS",
-    "POLICIES",
     "TaskDefinitionError",
     "TaskExecutionError",
     "TaskTimeoutError",

@@ -43,11 +43,6 @@ def atomic_write(path: str | os.PathLike, data: bytes | str, encoding: str = "ut
     _fsync_dir(path.parent)
 
 
-def atomic_write_text(path: str | os.PathLike, text: str, encoding: str = "utf-8") -> None:
-    """Alias of :func:`atomic_write` for text payloads (readability)."""
-    atomic_write(path, text, encoding=encoding)
-
-
 def _fsync_dir(directory: Path) -> None:
     """Flush the directory entry so the rename itself is durable.
 

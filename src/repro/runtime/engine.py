@@ -1620,20 +1620,20 @@ class Runtime:
                 self._timers.add(timer)
             timer.start()
 
-    def _abort(self, error: BaseException) -> bool:
+    def _abort(self, error: TaskExecutionError) -> bool:
         """``on_failure="FAIL"``: stop the workflow — cancel every task
-        that has not started yet; running tasks finish undisturbed.
-        ``try_cancel`` (inside ``_cancel_pending``) arbitrates the race
-        against workers picking victims up concurrently: exactly one
-        side wins per task.  False when the workflow was already
-        aborted."""
+        that has not started yet, each chained from *error*; running
+        tasks finish undisturbed.  ``try_cancel`` (inside
+        ``_cancel_pending``) arbitrates the race against workers picking
+        victims up concurrently: exactly one side wins per task.  False
+        when the workflow was already aborted."""
         with self._state_lock:
             if self._aborted is not None:
                 return False
             self._aborted = error
             victims = [i for i in self._tasks.values() if i.state in (PENDING, READY)]
         for inst in victims:
-            self._cancel_pending(inst)
+            self._cancel_pending(inst, error)
         self._broadcast()
         self._notify_interrupts()
         return True
@@ -1680,8 +1680,8 @@ class Runtime:
         once even when racing a worker or a second cancellation, and a
         single broadcast at the end wakes waiters parked on any of the
         now-cancelled futures or scopes.  *cause* is the error of the
-        failed upstream attempt that dooms them all (None for shutdown
-        and abort cancellations): every cancelled node keeps it as its
+        failed attempt that dooms them all (None for a shutdown
+        cancellation): every cancelled node keeps it as its
         ``error`` and its futures raise a ``CancelledTaskError``
         chained from it."""
         worklist = [inst]

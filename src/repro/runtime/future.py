@@ -81,8 +81,9 @@ class Future:
             event.set()
 
     def _cancel(self, cause: BaseException | None = None) -> None:
-        # *cause*: the failed upstream attempt's TaskExecutionError, or
-        # None for a cancellation no failure caused (shutdown, abort).
+        # *cause*: the TaskExecutionError of the failed attempt that doomed
+        # this task (an upstream, or an aborting FAIL task), or None for a
+        # cancellation no failure caused (shutdown).
         self._error = cause
         self._state = _CANCELLED
         event = self._event
@@ -94,10 +95,6 @@ class Future:
     def done(self) -> bool:
         """True once the producing task finished (successfully or not)."""
         return self._state != _PENDING
-
-    @property
-    def failed(self) -> bool:
-        return self._state == _FAILED
 
     def result(self, timeout: float | None = None) -> Any:
         """Block until the value is available and return it.

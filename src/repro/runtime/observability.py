@@ -238,11 +238,6 @@ class MetricsRegistry:
         with self._lock:
             self._gauges[(name, _labels_key(labels))] = value
 
-    def add_gauge(self, name: str, delta: float, **labels: str) -> None:
-        key = (name, _labels_key(labels))
-        with self._lock:
-            self._gauges[key] = self._gauges.get(key, 0.0) + delta
-
     def observe(self, name: str, value: float, **labels: str) -> None:
         key = (name, _labels_key(labels))
         with self._lock:

@@ -298,39 +298,3 @@ class Trace:
     def total_bytes_saved(self) -> int:
         """Pickle-pipe bytes avoided by reference passing (data plane)."""
         return sum(r.bytes_saved for r in self._records.values())
-
-    def mean_duration(self, name: str) -> float:
-        recs = [r for r in self if r.name == name]
-        if not recs:
-            raise KeyError(f"no tasks named {name!r} in trace")
-        return float(np.mean([r.duration for r in recs]))
-
-    def scaled(self, factor: float) -> "Trace":
-        """A copy with every duration *and* inter-task gap multiplied
-        by *factor*, re-anchored to the trace's own start so absolute
-        (epoch-like) timestamps don't explode: every timestamp maps to
-        ``t0 + (t - t0) * factor``.  The scaled makespan is exactly
-        ``makespan * factor``.
-
-        Used to extrapolate small local runs to paper-scale problem
-        sizes before replaying on the simulated cluster.
-        """
-        if not self._records:
-            return Trace()
-        t0 = min(r.t_start for r in self._records.values())
-
-        def remap(t: float | None) -> float | None:
-            return None if t is None else t0 + (t - t0) * factor
-
-        out = Trace()
-        for rec in self:
-            scaled = dataclasses.replace(
-                rec,
-                t_start=remap(rec.t_start),
-                t_end=remap(rec.t_end),
-                t_submit=remap(rec.t_submit),
-                t_ready=remap(rec.t_ready),
-                t_dispatch=remap(rec.t_dispatch),
-            )
-            out.add(scaled)
-        return out

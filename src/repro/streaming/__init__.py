@@ -33,7 +33,6 @@ from repro.streaming.operators import TumblingCountWindow, run_windowed
 from repro.streaming.serving import (
     ServeConfig,
     ServingResult,
-    iter_feed,
     make_model,
     serve_batch,
     serve_stream,
@@ -51,7 +50,6 @@ __all__ = [
     "run_windowed",
     "ServeConfig",
     "ServingResult",
-    "iter_feed",
     "make_model",
     "serve_batch",
     "serve_stream",

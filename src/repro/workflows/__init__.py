@@ -5,15 +5,13 @@ from repro.workflows.af_pipeline import (
     PipelineConfig,
     StudyFeatures,
     extract_features,
-    make_estimator,
     prepare_dataset,
     reduce_dimensions,
     run_classical,
     run_cnn,
     run_study,
-    study_features,
 )
-from repro.workflows.reporting import figure_series, side_by_side, table1_block
+from repro.workflows.reporting import side_by_side, table1_block
 
 __all__ = [
     "PipelineConfig",
@@ -22,12 +20,9 @@ __all__ = [
     "prepare_dataset",
     "extract_features",
     "reduce_dimensions",
-    "make_estimator",
-    "study_features",
     "run_study",
     "run_classical",
     "run_cnn",
     "table1_block",
     "side_by_side",
-    "figure_series",
 ]

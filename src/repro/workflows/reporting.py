@@ -20,11 +20,3 @@ def table1_block(name: str, accuracy: float, confusion: np.ndarray, labels) -> s
 
 def side_by_side(blocks: list[str]) -> str:
     return "\n\n".join(blocks)
-
-
-def figure_series(title: str, xlabel: str, ylabel: str, xs, ys) -> str:
-    """A textual figure: the (x, y) series a plot would show."""
-    lines = [title, f"{xlabel:>10} {ylabel:>14}"]
-    for x, y in zip(xs, ys):
-        lines.append(f"{x:>10} {y:>14.3f}")
-    return "\n".join(lines)

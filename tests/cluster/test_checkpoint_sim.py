@@ -12,7 +12,6 @@ from repro.cluster import (
     failure_report,
     simulate,
 )
-from repro.cluster.chrometrace import schedule_to_chrome
 from repro.runtime.tracing import TaskRecord, Trace
 
 
@@ -145,15 +144,3 @@ class TestReporting:
             failures=[NodeFailure(node=0, at=0.5)],
         )
         assert "costs more than it saves" in failure_report(dear)
-
-    def test_chrome_trace_emits_checkpoint_events(self):
-        import json
-
-        trace = chain_trace(n=3)
-        result = simulate(
-            trace, one_node(), checkpoint=CheckpointSpec(every=1, write_cost=0.25)
-        )
-        events = json.loads(schedule_to_chrome(result))["traceEvents"]
-        ck_events = [e for e in events if e.get("cat") == "checkpoint"]
-        assert len(ck_events) == 3
-        assert all(e["name"].startswith("ckpt#") for e in ck_events)

@@ -1,5 +1,5 @@
-"""Chrome Trace Event Format exports: a simulated schedule, and a
-recorded runtime trace through its OTLP document."""
+"""Chrome Trace Event Format export of a recorded runtime trace
+through its OTLP document."""
 
 from __future__ import annotations
 
@@ -7,11 +7,10 @@ import json
 
 import pytest
 
-from repro.cluster import ClusterSpec, NodeSpec, schedule_to_chrome, simulate
-from repro.cluster.chrometrace import validate_chrome_json
 from repro.runtime import Runtime, task, wait_on
 from repro.runtime.otlp import otlp_to_chrome, trace_to_otlp
 from repro.runtime.tracing import TaskRecord, Trace
+from tests.support.chrome import validate_chrome_json
 
 
 def _timeline(trace: Trace) -> list[dict]:
@@ -153,21 +152,6 @@ def test_validate_chrome_json_rejects_malformed():
                 {"traceEvents": [{"ph": "s", "id": 7, "pid": 1, "tid": 0, "ts": 0}]}
             )
         )
-
-
-def test_schedule_export():
-    tr = Trace(
-        [
-            TaskRecord(task_id=0, name="a", deps=(), t_start=0, t_end=1),
-            TaskRecord(task_id=1, name="b", deps=(0,), t_start=0, t_end=2),
-        ]
-    )
-    res = simulate(tr, ClusterSpec(node=NodeSpec(cores=2), n_nodes=2))
-    blob = json.loads(schedule_to_chrome(res))
-    xs = [e for e in blob["traceEvents"] if e["ph"] == "X"]
-    assert len(xs) == 2
-    names = [e for e in blob["traceEvents"] if e.get("name") == "thread_name"]
-    assert len(names) == 2
 
 
 def test_empty_trace_valid_json():

@@ -12,7 +12,6 @@ from repro.cluster import (
     core_sweep,
     cte_power,
     flatten_nested,
-    laptop,
     marenostrum4,
     simulate,
     speedups,
@@ -42,7 +41,7 @@ def one_node(cores=4, gpus=0):
 def test_empty_trace():
     res = simulate(Trace(), one_node())
     assert res.makespan == 0.0
-    assert res.n_tasks == 0
+    assert len(res.placements) == 0
 
 
 def test_single_task():
@@ -180,7 +179,7 @@ def test_utilization_and_node_busy():
     tr = Trace([rec(i, dur=1.0) for i in range(4)])
     res = simulate(tr, one_node(cores=4))
     assert res.utilization() == pytest.approx(1.0)
-    assert sum(res.node_busy_time()) == pytest.approx(4.0)
+    assert sum(p.duration * p.cores for p in res.placements.values()) == pytest.approx(4.0)
 
 
 def test_core_sweep_monotone_for_parallel_workload():
@@ -200,12 +199,6 @@ def test_format_sweep_table():
     assert "demo" in table
     assert "cores" in table
     assert len(table.splitlines()) == 4
-
-
-def test_laptop_cluster():
-    spec = laptop()
-    assert spec.n_nodes == 1
-    assert spec.total_cores >= 1
 
 
 def test_resource_validation():

@@ -69,44 +69,12 @@ def test_zeros_ones_full(runtime_mode):
     assert z.sum() == 0 and o.sum() == 25 and f[0, 0] == 3.5
 
 
-def test_random_array_reproducible(runtime_mode):
-    a = ds.random_array((20, 10), (6, 4), random_state=7).collect()
-    b = ds.random_array((20, 10), (6, 4), random_state=7).collect()
-    np.testing.assert_array_equal(a, b)
-    assert a.min() >= 0 and a.max() < 1
-
-
 def test_transpose(runtime_mode, rng):
     x = rng.standard_normal((13, 7))
     a = ds.array(x, (5, 3))
     np.testing.assert_allclose(a.T.collect(), x.T)
     assert a.T.shape == (7, 13)
     assert a.T.block_size == (3, 5)
-
-
-def test_elementwise_scalar(runtime_mode, rng):
-    x = rng.standard_normal((9, 9))
-    a = ds.array(x, (4, 4))
-    np.testing.assert_allclose((a + 1).collect(), x + 1)
-    np.testing.assert_allclose((a - 2).collect(), x - 2)
-    np.testing.assert_allclose((a * 3).collect(), x * 3)
-    np.testing.assert_allclose((a / 4).collect(), x / 4)
-    np.testing.assert_allclose((a**2).collect(), x**2)
-
-
-def test_elementwise_array(runtime_mode, rng):
-    x = rng.standard_normal((9, 6))
-    y = rng.standard_normal((9, 6))
-    a, b = ds.array(x, (4, 4)), ds.array(y, (4, 4))
-    np.testing.assert_allclose((a + b).collect(), x + y)
-    np.testing.assert_allclose((a * b).collect(), x * y)
-
-
-def test_elementwise_shape_mismatch():
-    a = ds.zeros((4, 4), (2, 2))
-    b = ds.zeros((4, 5), (2, 2))
-    with pytest.raises(ValueError):
-        a + b
 
 
 def test_matmul(runtime_mode, rng):
@@ -134,21 +102,6 @@ def test_matmul_mismatch():
     c = ds.zeros((4, 4), (3, 2))
     with pytest.raises(ValueError):
         a @ c
-
-
-def test_sum_mean(runtime_mode, rng):
-    x = rng.standard_normal((15, 8))
-    a = ds.array(x, (4, 3))
-    np.testing.assert_allclose(a.sum(axis=0), x.sum(axis=0), rtol=1e-10)
-    np.testing.assert_allclose(a.sum(axis=1), x.sum(axis=1), rtol=1e-10)
-    np.testing.assert_allclose(a.mean(axis=0), x.mean(axis=0), rtol=1e-10)
-    np.testing.assert_allclose(a.mean(axis=1), x.mean(axis=1), rtol=1e-10)
-
-
-def test_reduce_bad_axis():
-    a = ds.zeros((4, 4), (2, 2))
-    with pytest.raises(ValueError):
-        a.sum(axis=2)
 
 
 def test_map_blocks(runtime_mode, rng):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import repro.dsarray as ds
-from repro.dsarray.ops import frobenius_norm, load_npz, save_npz, vstack
+from repro.dsarray.ops import load_npz, save_npz, vstack
 from repro.runtime import Runtime
 
 
@@ -48,12 +48,6 @@ def test_vstack_validation(rng):
         vstack([a, c])
     with pytest.raises(ValueError):
         vstack([])
-
-
-def test_frobenius_norm(rng):
-    x = rng.standard_normal((9, 7))
-    a = ds.array(x, (4, 3))
-    assert frobenius_norm(a) == pytest.approx(np.linalg.norm(x))
 
 
 def test_npz_roundtrip(rng, tmp_path):

@@ -9,12 +9,12 @@ from repro.ecg import (
     ECGConfig,
     gamboa_segmenter,
     generate_dataset,
-    generate_other,
     generate_recording,
     load_npz,
     rr_intervals,
     save_npz,
 )
+from tests.ecg.conftest import generate_other
 
 
 class TestOtherRhythm:

@@ -14,14 +14,13 @@ from repro.ecg import (
     Dataset,
     Record,
     gamboa_segmenter,
-    generate_af,
     generate_dataset,
-    generate_nsr,
     generate_recording,
     load_cinc2017_like,
     rr_intervals,
 )
 from repro.ecg import generator
+from tests.ecg.conftest import generate_af, generate_nsr
 
 
 class TestGenerator:

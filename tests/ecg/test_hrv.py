@@ -5,13 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.ecg import (
-    HRV_FEATURE_NAMES,
-    generate_af,
-    generate_nsr,
-    hrv_features,
-    rr_feature_matrix,
-)
+from repro.ecg import rr_feature_matrix
+from repro.ecg.hrv import HRV_FEATURE_NAMES, hrv_features
+from tests.ecg.conftest import generate_af, generate_nsr
 
 
 def test_feature_vector_shape_and_names():

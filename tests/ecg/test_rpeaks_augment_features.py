@@ -16,21 +16,18 @@ from repro.ecg import (
     Record,
     augment_minority,
     gamboa_segmenter,
-    generate_af,
     generate_dataset,
-    generate_nsr,
     generate_recording,
     pan_tompkins,
-    preprocess_signals,
     rr_intervals,
-    segment_patches,
-    shuffle_patches,
-    stft_feature_dim,
     stft_features,
     zero_pad,
 )
+from repro.ecg.augmentation import segment_patches, shuffle_patches
 from repro.ecg import rpeaks
-from repro.streaming import ServeConfig, iter_feed, serving
+from repro.streaming import ServeConfig, serving
+from repro.streaming.serving import iter_feed
+from tests.ecg.conftest import generate_af, generate_nsr
 
 
 class TestRPeaks:
@@ -499,7 +496,7 @@ class TestFeatures:
     def test_stft_shape_deterministic(self, rng):
         x = rng.standard_normal((3, 3000))
         feats = stft_features(x, fs=300.0, nperseg=128)
-        assert feats.shape == (3, stft_feature_dim(3000, nperseg=128))
+        assert feats.shape == (3, stft_features(np.zeros((1, 3000)), nperseg=128).shape[1])
 
     def test_stft_nperseg_too_long(self):
         with pytest.raises(ValueError):
@@ -520,9 +517,9 @@ class TestFeatures:
 
     def test_preprocess_chain(self, rng):
         sigs = [generate_nsr(9.0, rng), generate_nsr(12.0, rng)]
-        feats = preprocess_signals(sigs, target_length=3600)
+        feats = stft_features(zero_pad(sigs, 3600))
         assert feats.shape[0] == 2
-        assert feats.shape[1] == stft_feature_dim(3600)
+        assert feats.shape[1] == stft_features(np.zeros((1, 3600))).shape[1]
 
     @settings(max_examples=10, deadline=None)
     @given(st.integers(0, 10_000))

@@ -12,8 +12,6 @@ from repro.edge import (
     bundle_nbytes,
     export_model,
     import_model,
-    load_bundle,
-    save_bundle,
 )
 from repro.nn import Sequential
 from repro.nn.layers import Conv1D, Dense, Flatten, MaxPool1D, ReLU
@@ -71,15 +69,6 @@ class TestExport:
     def test_bundle_format_guard(self):
         with pytest.raises(ValueError):
             import_model({"format": "onnx", "config": [], "weights": []})
-
-    def test_npz_roundtrip(self, model_and_data, tmp_path):
-        model, (x, _) = model_and_data
-        path = tmp_path / "model.npz"
-        save_bundle(export_model(model), path)
-        back = import_model(load_bundle(path))
-        np.testing.assert_allclose(
-            back.predict_proba(x[:4]), model.predict_proba(x[:4]), rtol=1e-6
-        )
 
     def test_bundle_size_accounting(self, model_and_data):
         model, _ = model_and_data

@@ -16,7 +16,6 @@ from repro.federated import (
     fedavg_with_momentum,
     iid_partition,
     partition_stats,
-    uniform_average,
 )
 from repro.nn import Sequential
 from repro.nn.layers import Dense, ReLU
@@ -108,10 +107,6 @@ class TestAggregation:
         w = [np.array([1.0, 2.0])]
         out = fedavg([w], n_samples=[10])
         np.testing.assert_allclose(out[0], w[0])
-
-    def test_uniform_average(self):
-        out = uniform_average([[np.array([0.0])], [np.array([4.0])]])
-        np.testing.assert_allclose(out[0], [2.0])
 
     def test_fedavg_validation(self):
         with pytest.raises(ValueError):

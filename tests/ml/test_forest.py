@@ -98,7 +98,7 @@ def test_distr_depth_zero_single_task_per_tree():
 
 
 def test_max_depth_respected():
-    from repro.ml.trees.tree import tree_depth
+    from tests.ml.conftest import tree_depth
 
     x, y = make_blobs(n=200, sep=0.8, seed=3)
     dx, dy = as_ds(x, y)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from repro.ml.metrics import (
     accuracy_score,
     binary_counts,
-    classification_report,
     confusion_matrix,
     f1_score,
     format_confusion,
@@ -83,13 +82,6 @@ def test_zero_division_guards():
     assert precision_score([0, 0], [0, 0], positive=1) == 0.0
     assert recall_score([0, 0], [0, 0], positive=1) == 0.0
     assert f1_score([0, 0], [0, 0], positive=1) == 0.0
-
-
-def test_classification_report():
-    rep = classification_report([0, 1, 1], [0, 1, 0])
-    assert rep["accuracy"] == pytest.approx(2 / 3)
-    assert rep["classes"][1]["support"] == 2
-    assert 0 <= rep["classes"][0]["f1"] <= 1
 
 
 def test_format_confusion():

@@ -411,12 +411,6 @@ class TestSVC:
         np.testing.assert_array_equal(clf.support_, [0])
         np.testing.assert_array_equal(clf.support_vectors_, x[clf.support_])
 
-    def test_single_class_calibrate_names_the_class(self):
-        x = np.random.default_rng(0).standard_normal((10, 3))
-        clf = SVC().fit(x, np.full(10, "AF"))
-        with pytest.raises(ValueError, match="one.*'AF'"):
-            clf.calibrate(x, np.full(10, "AF"))
-
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_features_rejected(self, bad):
         x, y = make_blobs(n=20, d=3)

@@ -7,8 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ml import DecisionTreeClassifier
-from repro.ml.base import NotFittedError
 from repro.ml.trees import tree as tree_mod
 from repro.ml.trees.tree import (
     Leaf,
@@ -17,11 +15,9 @@ from repro.ml.trees.tree import (
     _gini,
     best_split,
     build_tree,
-    tree_depth,
-    tree_n_leaves,
     tree_predict_proba,
 )
-from tests.ml.conftest import make_blobs
+from tests.ml.conftest import GrownTree, make_blobs, tree_depth, tree_n_leaves
 
 
 class TestGini:
@@ -273,9 +269,9 @@ class TestThresholdSeparates:
     def test_extreme_neighbours(self, column):
         x = np.array(column).reshape(-1, 1)
         y = np.array([0, 0, 1, 1])
-        clf = DecisionTreeClassifier().fit(x, y)
+        clf = GrownTree(x, y)
         assert clf.depth == 1
-        assert clf.tree_.threshold == min(column)
+        assert clf.root.threshold == min(column)
         np.testing.assert_array_equal(clf.predict(x), y)
 
     def test_midpoint_kept_when_it_separates(self):
@@ -284,77 +280,64 @@ class TestThresholdSeparates:
 
 
 class TestDecisionTree:
+    """One tree of the forest, grown by ``build_tree`` directly."""
+
     def test_fits_blobs(self):
         x, y = make_blobs(n=200, sep=3.0)
-        clf = DecisionTreeClassifier(random_state=0).fit(x, y)
-        assert clf.score(x, y) == 1.0  # unrestricted tree memorises
+        clf = GrownTree(x, y, seed=0)
+        assert (clf.predict(x) == y).all()  # unrestricted tree memorises
 
     def test_max_depth_limits(self):
         x, y = make_blobs(n=200, sep=1.0, seed=4)
-        clf = DecisionTreeClassifier(max_depth=2, random_state=0).fit(x, y)
+        clf = GrownTree(x, y, max_depth=2, seed=0)
         assert clf.depth <= 2
 
     def test_max_depth_zero_like(self):
         x, y = make_blobs(n=50)
-        clf = DecisionTreeClassifier(max_depth=0).fit(x, y)
+        clf = GrownTree(x, y, max_depth=0)
         assert clf.depth == 0
         assert clf.n_leaves == 1
 
     def test_min_samples_split(self):
         x, y = make_blobs(n=100, sep=0.5, seed=2)
-        big = DecisionTreeClassifier(min_samples_split=50, random_state=0).fit(x, y)
-        small = DecisionTreeClassifier(min_samples_split=2, random_state=0).fit(x, y)
+        big = GrownTree(x, y, min_samples_split=50, seed=0)
+        small = GrownTree(x, y, min_samples_split=2, seed=0)
         assert big.n_leaves <= small.n_leaves
 
     def test_predict_proba_sums_to_one(self):
         x, y = make_blobs(n=150, sep=2.0)
-        clf = DecisionTreeClassifier(max_depth=3, random_state=0).fit(x, y)
+        clf = GrownTree(x, y, max_depth=3, seed=0)
         probs = clf.predict_proba(x)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0)
 
     def test_max_features_sqrt(self):
         x, y = make_blobs(n=100, d=9, sep=3.0)
-        clf = DecisionTreeClassifier(max_features="sqrt", random_state=0).fit(x, y)
-        assert clf.score(x, y) > 0.9
+        clf = GrownTree(x, y, max_features="sqrt", seed=0)
+        assert (clf.predict(x) == y).mean() > 0.9
 
     def test_max_features_int_and_log2(self):
         x, y = make_blobs(n=80, d=8, sep=3.0)
-        assert DecisionTreeClassifier(max_features=2, random_state=0).fit(x, y)
-        assert DecisionTreeClassifier(max_features="log2", random_state=0).fit(x, y)
+        assert GrownTree(x, y, max_features=2, seed=0)
+        assert GrownTree(x, y, max_features="log2", seed=0)
 
     def test_max_features_invalid(self):
         x, y = make_blobs(n=20)
         with pytest.raises(ValueError):
-            DecisionTreeClassifier(max_features=0).fit(x, y)
+            GrownTree(x, y, max_features=0)
         with pytest.raises(ValueError):
-            DecisionTreeClassifier(max_features="cube").fit(x, y)
-
-    def test_empty_and_mismatch(self):
-        with pytest.raises(ValueError):
-            DecisionTreeClassifier().fit(np.zeros((0, 2)), np.zeros(0))
-        with pytest.raises(ValueError):
-            DecisionTreeClassifier().fit(np.zeros((3, 2)), np.zeros(2))
-
-    def test_not_fitted(self):
-        with pytest.raises(NotFittedError):
-            DecisionTreeClassifier().predict(np.zeros((2, 2)))
-
-    def test_string_labels(self):
-        x, y = make_blobs(n=60, sep=3.0, labels=("N", "AF"))
-        clf = DecisionTreeClassifier(random_state=0).fit(x, y)
-        assert set(clf.predict(x)) <= {"N", "AF"}
+            GrownTree(x, y, max_features="cube")
 
     def test_deterministic_given_seed(self):
         x, y = make_blobs(n=100, d=6, sep=1.0, seed=9)
-        a = DecisionTreeClassifier(max_features="sqrt", random_state=42).fit(x, y)
-        b = DecisionTreeClassifier(max_features="sqrt", random_state=42).fit(x, y)
+        a = GrownTree(x, y, max_features="sqrt", seed=42)
+        b = GrownTree(x, y, max_features="sqrt", seed=42)
         np.testing.assert_array_equal(a.predict(x), b.predict(x))
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10_000), st.integers(1, 6))
     def test_property_depth_bound(self, seed, depth):
         x, y = make_blobs(n=60, d=3, sep=1.0, seed=seed)
-        clf = DecisionTreeClassifier(max_depth=depth, random_state=0).fit(x, y)
+        clf = GrownTree(x, y, max_depth=depth, seed=0)
         assert clf.depth <= depth
         assert clf.n_leaves <= 2**depth
 

@@ -8,7 +8,7 @@ import threading
 
 import pytest
 
-from repro.runtime.atomic_write import atomic_write, atomic_write_text
+from repro.runtime.atomic_write import atomic_write
 
 
 def _tmp_residue(directory):
@@ -26,7 +26,7 @@ def test_writes_bytes_and_str(tmp_path):
 
 def test_text_alias_and_encoding(tmp_path):
     target = tmp_path / "note.txt"
-    atomic_write_text(target, "héllo", encoding="latin-1")
+    atomic_write(target, "héllo", encoding="latin-1")
     assert target.read_bytes() == "héllo".encode("latin-1")
 
 

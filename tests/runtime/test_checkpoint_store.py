@@ -8,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.runtime.atomic_write import atomic_write, atomic_write_text
+from repro.runtime.atomic_write import atomic_write
 from repro.runtime.checkpoint import (
     MAGIC,
     CheckpointStore,
@@ -29,7 +29,7 @@ class TestAtomicWrite:
         p = tmp_path / "a.bin"
         atomic_write(p, b"\x00\x01")
         assert p.read_bytes() == b"\x00\x01"
-        atomic_write_text(p, "hello")
+        atomic_write(p, "hello")
         assert p.read_text() == "hello"
 
     def test_replaces_existing_file(self, tmp_path):

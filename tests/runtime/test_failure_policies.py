@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.runtime import (
@@ -64,6 +66,37 @@ def test_fail_aborts_whole_workflow(executor):
             other(1)
         with pytest.raises(WorkflowAbortedError):
             rt.barrier()
+
+
+def test_fail_abort_chains_the_failure_into_every_cancellation():
+    """A task cancelled by a FAIL abort names the failed task and chains
+    its error, as a dependent cancelled under CANCEL_SUCCESSORS does."""
+    gate = threading.Event()
+
+    @task(returns=1, on_failure=FAIL)
+    def fatal():
+        gate.wait(10.0)
+        raise RuntimeError("die")
+
+    @task(returns=1)
+    def other(v):
+        return v
+
+    with Runtime(executor="threads", max_workers=2):
+        f = fatal()
+        dependent = other(f)
+        gate.set()
+        with pytest.raises(TaskExecutionError):
+            wait_on(f)
+        with pytest.raises(CancelledTaskError) as excinfo:
+            wait_on(dependent)
+    error = excinfo.value
+    assert str(error) == (
+        f"task {dependent.task_id} was cancelled: upstream fatal#{f.task_id} failed"
+    )
+    assert isinstance(error.__cause__, TaskExecutionError)
+    assert (error.__cause__.task_name, error.__cause__.task_id) == ("fatal", f.task_id)
+    assert isinstance(error.__cause__.__cause__, RuntimeError)
 
 
 @pytest.mark.parametrize("executor", EXECUTORS)

@@ -212,7 +212,7 @@ def test_otlp_to_chrome_merged_timeline():
 def test_otlp_to_chrome_rebases_on_a_span_at_time_zero():
     """A span starting at Unix-nano 0 is the earliest span: nothing
     renders before zero."""
-    from repro.cluster.chrometrace import validate_chrome_json
+    from tests.support.chrome import validate_chrome_json
     from repro.runtime.tracing import TaskRecord, Trace
 
     trace = Trace(

@@ -17,11 +17,11 @@ from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.cluster import marenostrum4, simulate
-from repro.cluster.chrometrace import validate_chrome_json
 from repro.runtime import observability as obs
 from repro.runtime.otlp import otlp_to_traces, save_otlp, spans_to_otlp, trace_to_otlp
 from repro.runtime.tracing import TaskRecord, Trace
 from tests.runtime.test_tracing import _EXECUTORS, _random_dag_run
+from tests.support.chrome import validate_chrome_json
 
 #: fields on the span clock: integer nanoseconds in the document
 _TIMES = ("t_start", "t_end", "t_submit", "t_ready", "t_dispatch")

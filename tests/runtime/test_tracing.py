@@ -16,7 +16,6 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from repro.cluster.chrometrace import validate_chrome_json
 from repro.runtime import Runtime, active_runtime, task, tracectx, wait_on
 from repro.runtime import observability as obs
 from repro.runtime.backends import current_attempt
@@ -32,6 +31,7 @@ from repro.runtime.otlp import (
     trace_to_otlp,
 )
 from repro.runtime.tracing import TaskRecord, Trace, estimate_nbytes
+from tests.support.chrome import validate_chrome_json
 from tests.support.oracles import metric_value
 
 
@@ -153,49 +153,6 @@ def test_counts_and_aggregates():
     assert tr.n_executed == 4
     assert tr.total_task_time == pytest.approx(3.5)
     assert tr.makespan == pytest.approx(3.0)
-    assert tr.mean_duration("flaky") == pytest.approx(1.0)
-    with pytest.raises(KeyError):
-        tr.mean_duration("missing")
-
-
-# ----------------------------------------------------------------------
-# scaled
-# ----------------------------------------------------------------------
-def test_scaled_multiplies_makespan_exactly():
-    tr = Trace([_rec(0, 2.0, 3.0), _rec(1, 3.5, 5.0, deps=(0,))])
-    for factor in (0.5, 2.0, 10.0):
-        scaled = tr.scaled(factor)
-        assert scaled.makespan == pytest.approx(tr.makespan * factor)
-        assert scaled.total_task_time == pytest.approx(tr.total_task_time * factor)
-
-
-def test_scaled_reanchors_to_trace_start():
-    # An epoch-like absolute start must not explode: timestamps are
-    # re-anchored to the trace's own t0.
-    t0 = 1_700_000_000.0
-    tr = Trace([_rec(0, t0, t0 + 1.0), _rec(1, t0 + 2.0, t0 + 3.0)])
-    scaled = tr.scaled(10.0)
-    assert min(r.t_start for r in scaled) == pytest.approx(t0)
-    assert scaled.makespan == pytest.approx(30.0)
-    assert scaled[1].t_start == pytest.approx(t0 + 20.0)
-
-
-def test_scaled_remaps_span_timestamps():
-    tr = Trace([_rec(0, 1.0, 2.0, t_submit=0.0, t_ready=0.25, t_dispatch=0.5)])
-    scaled = tr.scaled(2.0)
-    rec = scaled[0]
-    # t0 is t_start=1.0; earlier span stamps scale around the same anchor
-    assert rec.t_submit == pytest.approx(-1.0)
-    assert rec.t_ready == pytest.approx(-0.5)
-    assert rec.t_dispatch == pytest.approx(0.0)
-    assert rec.queue_wait == pytest.approx(0.5)
-    # a record without span stamps survives scaling untouched
-    bare = Trace([_rec(0, 0.0, 1.0)]).scaled(3.0)[0]
-    assert bare.t_submit is None
-
-
-def test_scaled_empty_trace():
-    assert len(Trace().scaled(4.0)) == 0
 
 
 # ----------------------------------------------------------------------

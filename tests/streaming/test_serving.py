@@ -15,11 +15,11 @@ from repro.runtime import Runtime
 from repro.runtime.config import RuntimeConfig
 from repro.streaming import (
     ServeConfig,
-    iter_feed,
     make_model,
     serve_batch,
     serve_stream,
 )
+from repro.streaming.serving import iter_feed
 from repro.streaming import serving
 
 CFG = ServeConfig(

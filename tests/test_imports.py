@@ -91,9 +91,10 @@ def test_a_worker_that_ran_dsarray_tasks_has_no_networkx():
     shutdown_workers()  # a fresh worker: earlier tests' modules are not in it
     cfg = RuntimeConfig(backend="processes", max_workers=1, collect_trace=True)
     with Runtime(config=cfg) as rt:
-        x = ds.random_array((8, 8), (4, 4), random_state=0)
+        rng = np.random.default_rng(0)
+        x = ds.array(rng.random((8, 8)), (4, 4))
         assert (x @ x).collect().shape == (8, 8)
-        points = ds.random_array((40, 4), (10, 4), random_state=1)
+        points = ds.array(rng.random((40, 4)), (10, 4))
         KMeans(n_clusters=2, max_iter=2, random_state=0).fit(points)
         pid, loaded = wait_on(_loaded_modules())
         pids = {r.pid for r in rt.trace() if r.name != "_loaded_modules"}

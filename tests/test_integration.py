@@ -113,7 +113,7 @@ def test_dot_export_contains_all_tasks(full_run):
 def test_trace_replays_on_simulated_cluster(full_run):
     trace = full_run["trace"]
     res = simulate(trace, marenostrum4(2))
-    assert res.n_tasks == len(trace)
+    assert len(res.placements) == len(trace)
     assert res.makespan > 0
     report = bottleneck_report(trace, res)
     assert "critical path" in report

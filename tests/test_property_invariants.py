@@ -68,7 +68,7 @@ def test_simulator_lower_bounds(trace, n_nodes, cores):
     total_work = sum(r.duration * r.computing_units for r in trace)
     assert res.makespan >= total_work / cluster.total_cores - 1e-9
     # all tasks placed exactly once, inside the horizon
-    assert res.n_tasks == len(trace)
+    assert len(res.placements) == len(trace)
     for p in res.placements.values():
         assert 0.0 <= p.t_start <= p.t_end <= res.makespan + 1e-9
 

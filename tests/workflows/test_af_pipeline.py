@@ -11,15 +11,14 @@ from repro.runtime import Runtime
 from repro.workflows import (
     PipelineConfig,
     extract_features,
-    make_estimator,
     prepare_dataset,
     reduce_dimensions,
     run_classical,
     run_cnn,
     table1_block,
     side_by_side,
-    figure_series,
 )
+from repro.workflows.af_pipeline import make_estimator
 
 TINY = PipelineConfig(
     scale=0.004,
@@ -153,7 +152,3 @@ class TestReporting:
 
     def test_side_by_side(self):
         assert "a\n\nb" == side_by_side(["a", "b"])
-
-    def test_figure_series(self):
-        text = figure_series("Fig 11a", "cores", "time", [48, 96], [100.0, 60.0])
-        assert "48" in text and "100.000" in text

@@ -23,8 +23,8 @@ from repro.workflows import (
     run_classical,
     run_cnn,
     run_study,
-    study_features,
 )
+from repro.workflows.af_pipeline import study_features
 from tests.support.faults import InjectedFault
 
 TINY = PipelineConfig(

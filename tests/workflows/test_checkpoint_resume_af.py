@@ -17,11 +17,11 @@ from repro.runtime.exceptions import WorkflowKilledError
 from repro.workflows import (
     PipelineConfig,
     extract_features,
-    make_estimator,
     prepare_dataset,
     af_pipeline,
     reduce_dimensions,
 )
+from repro.workflows.af_pipeline import make_estimator
 from tests.support.faults import raise_after
 
 TINY = PipelineConfig(

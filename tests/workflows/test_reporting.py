@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.workflows import figure_series, side_by_side, table1_block
+from repro.workflows import side_by_side, table1_block
 
 
 def test_table1_block_contains_name_accuracy_and_confusion():
@@ -27,18 +27,3 @@ def test_side_by_side_joins_blocks_with_blank_lines():
     assert side_by_side(["a", "b", "c"]) == "a\n\nb\n\nc"
     assert side_by_side(["solo"]) == "solo"
     assert side_by_side([]) == ""
-
-
-def test_figure_series_rows_and_alignment():
-    text = figure_series("Fig. 11", "nodes", "speedup", [1, 2, 4], [1.0, 1.9, 3.5])
-    lines = text.splitlines()
-    assert lines[0] == "Fig. 11"
-    assert lines[1].split() == ["nodes", "speedup"]
-    assert len(lines) == 5
-    assert lines[2].split() == ["1", "1.000"]
-    assert lines[4].split() == ["4", "3.500"]
-
-
-def test_figure_series_truncates_to_shorter_sequence():
-    text = figure_series("t", "x", "y", [1, 2, 3], [0.5])
-    assert len(text.splitlines()) == 3  # title + header + one row
