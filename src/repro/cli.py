@@ -131,19 +131,22 @@ def _cmd_scaling(args: argparse.Namespace) -> int:
 
 
 def _cmd_graphs(args: argparse.Namespace) -> int:
+    import pathlib
     import subprocess
 
+    # the figure tests live beside src/ in a source checkout, wherever
+    # the command is run from
+    root = pathlib.Path(__file__).resolve().parents[2]
+    tests = root / "benchmarks" / "test_graphs.py"
+    if not tests.is_file():
+        print(f"repro graphs: {tests} not found (needs a source checkout)", file=sys.stderr)
+        return 1
     code = subprocess.call(
-        [
-            sys.executable,
-            "-m",
-            "pytest",
-            "benchmarks/test_graphs.py",
-            "--benchmark-only",
-            "-q",
-        ]
+        [sys.executable, "-m", "pytest", str(tests), "--benchmark-only", "-q"],
+        cwd=root,
     )
-    print(f"DOT files are in benchmarks/results/ (exit {code})")
+    if code == 0:
+        print(f"DOT files are in {root / 'benchmarks' / 'results'}/")
     return code
 
 

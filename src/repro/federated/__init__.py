@@ -3,7 +3,6 @@ extension (§V): devices with private local data train local models
 whose weights are combined into a general model."""
 
 from repro.federated.aggregation import (
-    STRATEGIES,
     fedavg,
     fedavg_with_momentum,
 )
@@ -28,7 +27,6 @@ __all__ = [
     "FederatedRoundError",
     "fedavg",
     "fedavg_with_momentum",
-    "STRATEGIES",
     "iid_partition",
     "dirichlet_partition",
     "partition_stats",

@@ -1,4 +1,4 @@
-"""Server-side aggregation strategies."""
+"""Server-side aggregation: FedAvg, optionally with server momentum."""
 
 from __future__ import annotations
 
@@ -38,8 +38,3 @@ def fedavg_with_momentum(
     velocity = [beta * v + d for v, d in zip(velocity, delta)]
     new_weights = [g + v for g, v in zip(global_weights, velocity)]
     return new_weights, velocity
-
-
-STRATEGIES = {
-    "fedavg": fedavg,
-}

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.federated.aggregation import STRATEGIES, fedavg_with_momentum
+from repro.federated.aggregation import fedavg, fedavg_with_momentum
 from repro.nn.model import Sequential
 from repro.nn.optim import SGD
 from repro.runtime import task, wait_on
@@ -54,7 +54,6 @@ class FederatedConfig:
     batch_size: int = 16
     #: fraction of clients selected each round (1.0 = all)
     client_fraction: float = 1.0
-    aggregation: str = "fedavg"
     server_momentum: float | None = None
     #: FedProx proximal coefficient; None = plain FedAvg local SGD
     proximal_mu: float | None = None
@@ -75,11 +74,6 @@ class FederatedConfig:
             raise ValueError("quorum must be in (0, 1]")
         if self.proximal_mu is not None and self.proximal_mu < 0:
             raise ValueError("proximal_mu must be >= 0")
-        if self.aggregation not in STRATEGIES:
-            raise ValueError(
-                f"unknown aggregation {self.aggregation!r}; "
-                f"expected one of {sorted(STRATEGIES)}"
-            )
 
 
 @task(returns=1, name="client_update")
@@ -124,8 +118,8 @@ def _client_update_prox(config, weights, x, y, local_epochs, lr, batch_size, see
 
 
 @task(returns=1, name="aggregate")
-def _aggregate(strategy_name, weight_sets, n_samples):
-    return STRATEGIES[strategy_name](weight_sets, n_samples)
+def _aggregate(weight_sets, n_samples):
+    return fedavg(weight_sets, n_samples)
 
 
 @dataclasses.dataclass
@@ -236,9 +230,7 @@ class Federation:
                 self._velocity, beta=cfg.server_momentum,
             )
         else:
-            self.global_weights = wait_on(
-                _aggregate(cfg.aggregation, updates, n_samples)
-            )
+            self.global_weights = wait_on(_aggregate(updates, n_samples))
 
         acc = None
         if eval_fn is not None:

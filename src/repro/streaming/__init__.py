@@ -1,7 +1,8 @@
 """Hybrid task+dataflow streaming (:mod:`repro.streaming`).
 
 The subsystem extends the task runtime with long-lived *stream stages*
-wired by bounded, credit-backpressured channels — the hybrid
+chained on shared threads and joined, after each window or batch, by
+bounded, credit-backpressured channels — the hybrid
 workflows model (Ramon-Cortes et al.) the source paper's group built
 on COMPSs.  Stages are full task-runtime citizens: a stream stage can
 ``submit_many()`` micro-batched ``@task`` calls and ``wait_on`` the
@@ -14,7 +15,7 @@ Layering:
 * :mod:`repro.streaming.operators` — keyed tumbling count windows,
   closed by arrival; :func:`run_windowed` replays the same windower
   offline;
-* :mod:`repro.streaming.graph` — :class:`StreamGraph` stage wiring,
+* :mod:`repro.streaming.graph` — :class:`StreamGraph` operator chains,
   per-element failure policies, runtime drain/interrupt integration,
   per-stage latency/throughput telemetry;
 * :mod:`repro.streaming.serving` — the online AF inference pipeline

@@ -1,11 +1,14 @@
-"""Stream graphs: long-lived stages wired by bounded streams.
+"""Stream graphs: operator chains joined by bounded streams.
 
-A :class:`StreamGraph` is the hybrid task+dataflow construct: each
-stage (source, ``map``/``filter``/``flat_map``/``key_by``, windowed
-operators, ``batch``, sink) runs as a long-lived loop on its own
-thread, consuming one input :class:`~repro.streaming.channel.Stream`
-and producing another, with credit-based backpressure end to end.
-Stage threads are *bound* to the owning
+A :class:`StreamGraph` is the hybrid task+dataflow construct.  Its
+stages (source, ``map``/``filter``/``flat_map``/``key_by``, windowed
+operators, ``batch``, sink) form *chains*: a stage runs on its
+upstream's thread, which hands it each record by a direct call.  A
+bounded :class:`~repro.streaming.channel.Stream` with credit-based
+backpressure is created only after a stage that aggregates
+(``window``, ``batch``), where the record rate drops; it is the one
+thread boundary, and the stage that reads it heads the next chain.
+Chain threads are *bound* to the owning
 :class:`~repro.runtime.engine.Runtime` (``bind_current_thread``), so a
 stage body is full task-runtime territory: it can call ``@task``
 functions, ``submit_many()`` micro-batches, and ``wait_on`` the
@@ -16,9 +19,10 @@ al.) the source paper's group built on COMPSs.
 Lifecycle integration with the runtime:
 
 * every stream registers an interrupt notifier, so kill/abort/shutdown
-  reaches threads parked on a full or empty stream;
+  reaches threads parked on a full or empty stream, and a source checks
+  the runtime's interruption before each pull;
 * the graph registers a shutdown **drain hook**: ``shutdown(wait=True)``
-  first stops the sources and joins the stages (flushing in-flight
+  first stops the sources and joins the chains (flushing in-flight
   windows through the pipeline) and only then waits for the unfinished
   task count — stream scopes drain like everything else;
 * a stage failure applies the runtime's failure-policy vocabulary
@@ -41,7 +45,7 @@ from typing import Any, Callable
 from repro.runtime import tracectx as _tracectx
 from repro.runtime.engine import Runtime, active_runtime
 from repro.runtime.failures import CANCEL_SUCCESSORS, FAIL, IGNORE, RETRY
-from repro.streaming.channel import EOS, Record, Stream, StreamClosed
+from repro.streaming.channel import EOS, Record, Stream
 from repro.streaming.operators import TumblingCountWindow
 
 #: Latency reservoir length per stage — enough for stable p99 at test
@@ -51,6 +55,14 @@ _RESERVOIR = 4096
 #: Rate-controlled sources sleep in chunks no longer than this so a
 #: drain request interrupts the pacing promptly.
 _MAX_SLEEP = 0.05
+
+#: What a record-rate operator's result means: the records it passes on.
+_EMITS: dict[str, Callable[[Record, Any], Any]] = {
+    "map": lambda item, value: (item.replace(value),),
+    "filter": lambda item, keep: (item,) if keep else (),
+    "flat_map": lambda item, values: (item.replace(v) for v in values),
+    "key_by": lambda item, key: (Record(item.value, key, item.ingest),),
+}
 
 
 class StreamFailure(Exception):
@@ -113,20 +125,22 @@ class StageStats:
 
 
 class _Stage:
-    """One long-lived stage loop.  ``kind`` selects the body; the
-    failure policy wraps every per-element operator application."""
+    """One operator of a chain.  :meth:`push` takes one record from
+    upstream, applies the operator under the failure policy and passes
+    what it emits on: to the next stage of the chain by a direct call,
+    or into the boundary stream after a ``window``/``batch``.
+
+    A stage is also the handle of its output while that output is
+    chained (source, ``map``, ``filter``, ``flat_map``, ``key_by``)."""
 
     def __init__(
         self,
         graph: "StreamGraph",
         name: str,
         kind: str,
-        source: Stream | None,
-        output: Stream | None,
         fn: Callable | None = None,
         *,
         spec: TumblingCountWindow | None = None,
-        batch_n: int | None = None,
         on_failure: str = FAIL,
         max_retries: int = 2,
         rate: float | None = None,
@@ -136,11 +150,7 @@ class _Stage:
         self.graph = graph
         self.name = name
         self.kind = kind
-        self.source = source
-        self.output = output
         self.fn = fn
-        self.spec = spec
-        self.batch_n = batch_n
         self.on_failure = on_failure
         self.max_retries = max_retries
         self.rate = rate
@@ -148,8 +158,21 @@ class _Stage:
         self.collect = collect
         self.collected: list = []
         self.stats = StageStats(name=name, kind=kind)
-        self._stop = False
+        #: the boundary stream this stage reads (it heads a chain), if any
+        self.input: Stream | None = None
+        #: the chained consumer of this stage's output, if any
+        self.next: _Stage | None = None
+        #: the boundary stream a ``window``/``batch`` writes
+        self.output: Stream | None = None
         self.thread: threading.Thread | None = None
+        self._stop = False
+        self._metrics = graph._metrics
+        self._windower = spec.make() if spec is not None else None
+        self._emits = _EMITS.get(kind)
+        if kind in _EMITS:
+            self.push = self._push_record
+        elif kind != "source":
+            self.push = getattr(self, f"_push_{kind}")
 
     # -- failure policy around one operator application ----------------
     def _apply(self, fn: Callable, *args: Any) -> tuple[bool, Any]:
@@ -175,200 +198,117 @@ class _Stage:
                 ) from exc
 
     def _emit(self, item: Record) -> None:
-        assert self.output is not None
-        self.output.put_item(item)
         self.stats.n_out += 1
+        self._send(item)
 
     def _observe(self, dt: float) -> None:
         self.stats.latencies.append(dt)
-        m = self.graph._metrics
+        m = self._metrics
         if m is not None:
             m.observe("repro_stream_stage_seconds", dt, stage=self.name)
 
-    # -- stage bodies ---------------------------------------------------
-    def run(self) -> None:
-        self.stats.started_at = time.monotonic()
-        try:
-            getattr(self, f"_run_{self.kind}")()
-        finally:
-            self.stats.finished_at = time.monotonic()
-
-    def _run_source(self) -> None:
-        out = self.output
-        assert out is not None
+    # -- operators: one record in, what it emits passed on -------------
+    # A stage's latency times its own operator, never the downstream
+    # chain its emits call into.
+    def pump(self, interruption: Callable[[], BaseException | None] | None) -> None:
+        """A source's loop: pull each record from the feed and hand it
+        down the chain, until the feed ends or the source is stopped."""
         items = iter(self.items() if callable(self.items) else self.items)
         period = 1.0 / self.rate if self.rate is not None else 0.0
         next_t = time.monotonic()
-        try:
-            while not self._stop:
-                # A paced source pulls each record at its due time, not
-                # right after the last emit: pulling ahead would produce
-                # the next record while the stages downstream work on
-                # the one just emitted, and take the interpreter lock
-                # from them.  An unpaced source pulls eagerly.
-                if period:
-                    next_t += period
-                    while not self._stop:
-                        delay = next_t - time.monotonic()
-                        if delay <= 0:
-                            break
-                        time.sleep(min(delay, _MAX_SLEEP))
-                    if self._stop:
+        while not self._stop:
+            # A paced source pulls each record at its due time, not
+            # right after the last emit: pulling ahead would produce
+            # the next record while the stages downstream work on the
+            # one just emitted, and take the interpreter lock from them.
+            if period:
+                next_t += period
+                while not self._stop:
+                    delay = next_t - time.monotonic()
+                    if delay <= 0:
                         break
-                t0 = time.monotonic()
-                try:
-                    value = next(items)
-                except StopIteration:
+                    time.sleep(min(delay, _MAX_SLEEP))
+                if self._stop:
                     break
-                # a source's operator is its feed: time the pull
-                self._observe(time.monotonic() - t0)
-                self._emit(Record(value, ingest=time.monotonic()))
-        except StreamClosed:
-            # The consumer side went away first (drain overlap); the
-            # elements already emitted are all that was asked for.
-            pass
-        out.close()
+            if interruption is not None:
+                exc = interruption()
+                if exc is not None:
+                    raise exc
+            t0 = time.monotonic()
+            try:
+                value = next(items)
+            except StopIteration:
+                break
+            # a source's operator is its feed: time the pull
+            self._observe(time.monotonic() - t0)
+            self._emit(Record(value, ingest=time.monotonic()))
 
-    def _iter_input(self):
-        assert self.source is not None
-        for item in self.source:
-            self.stats.n_in += 1
-            yield item
+    def _push_record(self, item: Record) -> None:
+        """``map`` / ``filter`` / ``flat_map`` / ``key_by``."""
+        self.stats.n_in += 1
+        t0 = time.monotonic()
+        emitted, value = self._apply(self.fn, item.value)
+        self._observe(time.monotonic() - t0)
+        if emitted:
+            for out in self._emits(item, value):
+                self._emit(out)
 
-    # map / filter / flat_map / key_by share one loop shape but differ
-    # in what the operator result means; keep them explicit so the
-    # stats and emission rules stay obvious.
-    def _run_map(self) -> None:
-        out = self.output
-        assert out is not None and self.fn is not None
-        try:
-            for item in self._iter_input():
-                t0 = time.monotonic()
-                emitted, value = self._apply(self.fn, item.value)
-                self._observe(time.monotonic() - t0)
-                if emitted:
-                    self._emit(item.replace(value))
-        finally:
-            out.close()
+    def _aggregate(self, window: Record | None) -> Record | None:
+        if window is None or self.fn is None:
+            return window
+        emitted, value = self._apply(self.fn, window.value)
+        return window.replace(value) if emitted else None
 
-    def _run_filter(self) -> None:
-        out = self.output
-        assert out is not None and self.fn is not None
-        try:
-            for item in self._iter_input():
-                t0 = time.monotonic()
-                emitted, keep = self._apply(self.fn, item.value)
-                self._observe(time.monotonic() - t0)
-                if emitted and keep:
-                    self._emit(item)
-        finally:
-            out.close()
+    def _push_window(self, item: Record) -> None:
+        self.stats.n_in += 1
+        t0 = time.monotonic()
+        window = self._aggregate(self._windower.add(item))
+        self._observe(time.monotonic() - t0)
+        if window is not None:
+            self._emit(window)
 
-    def _run_flat_map(self) -> None:
-        out = self.output
-        assert out is not None and self.fn is not None
-        try:
-            for item in self._iter_input():
-                t0 = time.monotonic()
-                emitted, values = self._apply(self.fn, item.value)
-                self._observe(time.monotonic() - t0)
-                if not emitted:
-                    continue
-                for value in values:
-                    self._emit(item.replace(value))
-        finally:
-            out.close()
+    def _push_batch(self, item: Record) -> None:
+        # a micro-batch is a count window over every key at once
+        self._push_window(Record(item.value, None, item.ingest))
 
-    def _run_key_by(self) -> None:
-        out = self.output
-        assert out is not None and self.fn is not None
-        try:
-            for item in self._iter_input():
-                t0 = time.monotonic()
-                emitted, key = self._apply(self.fn, item.value)
-                self._observe(time.monotonic() - t0)
-                if not emitted:
-                    continue
-                self._emit(Record(item.value, key, item.ingest))
-        finally:
-            out.close()
-
-    def _emit_window(self, window: Record) -> None:
+    def _push_sink(self, item: Record) -> None:
+        self.stats.n_in += 1
+        t0 = time.monotonic()
         if self.fn is not None:
-            emitted, value = self._apply(self.fn, window.value)
+            emitted, value = self._apply(self.fn, item.value)
             if not emitted:
                 return
-            window = window.replace(value)
-        self._emit(window)
+        else:
+            value = item.value
+        if self.collect:
+            self.collected.append(value)
+        self.stats.n_out += 1
+        now = time.monotonic()
+        self._observe(now - t0)
+        if item.ingest is not None:
+            e2e = now - item.ingest
+            self.stats.latencies[-1] = e2e  # e2e is the sink's headline
+            if self._metrics is not None:
+                self._metrics.observe("repro_stream_e2e_seconds", e2e, stage=self.name)
 
-    def _run_window(self) -> None:
-        out = self.output
-        assert out is not None and self.spec is not None
-        windower = self.spec.make()
-        try:
-            for item in self._iter_input():
-                t0 = time.monotonic()
-                window = windower.add(item)
+    def flush(self) -> None:
+        """End of input: a ``window``/``batch`` emits its open windows,
+        so a bounded feed loses nothing."""
+        if self._windower is not None:
+            for window in self._windower.flush():
+                window = self._aggregate(window)
                 if window is not None:
-                    self._emit_window(window)
-                self._observe(time.monotonic() - t0)
-            # End of stream: flush the partial windows so a bounded feed
-            # loses nothing.
-            for window in windower.flush():
-                self._emit_window(window)
-        finally:
-            out.close()
-
-    def _run_batch(self) -> None:
-        out = self.output
-        assert out is not None and self.batch_n is not None
-        buffer: list = []
-        ingest: float | None = None
-        try:
-            for item in self._iter_input():
-                buffer.append(item.value)
-                if item.ingest is not None:
-                    ingest = (
-                        item.ingest if ingest is None else max(ingest, item.ingest)
-                    )
-                if len(buffer) >= self.batch_n:
-                    self._emit(Record(buffer, ingest=ingest))
-                    buffer, ingest = [], None
-            if buffer:
-                self._emit(Record(buffer, ingest=ingest))
-        finally:
-            out.close()
-
-    def _run_sink(self) -> None:
-        fn = self.fn
-        m = self.graph._metrics
-        for item in self._iter_input():
-            t0 = time.monotonic()
-            if fn is not None:
-                emitted, value = self._apply(fn, item.value)
-                if not emitted:
-                    continue
-            else:
-                value = item.value
-            if self.collect:
-                self.collected.append(value)
-            self.stats.n_out += 1
-            now = time.monotonic()
-            self._observe(now - t0)
-            if item.ingest is not None:
-                e2e = now - item.ingest
-                self.stats.latencies[-1] = e2e  # e2e is the sink's headline
-                if m is not None:
-                    m.observe("repro_stream_e2e_seconds", e2e, stage=self.name)
+                    self._emit(window)
 
 
 class StreamGraph:
-    """A wiring of stages and streams over one runtime.
+    """A wiring of stages over one runtime.
 
     Build the topology with :meth:`source` / :meth:`map` /
     :meth:`window` / ... , then :meth:`start` it and :meth:`join` for
     the per-stage stats.  Use it as a context manager to get
-    start/join (or abort on error) automatically.
+    start/join (or abort on error) automatically.  ``capacity`` is the
+    default bound of the streams ``window`` and ``batch`` write.
     """
 
     def __init__(
@@ -384,6 +324,7 @@ class StreamGraph:
         self.name = name
         self.capacity = capacity
         self.stages: list[_Stage] = []
+        #: the boundary streams, one after each ``window``/``batch``
         self.streams: list[Stream] = []
         self._consumed: set[int] = set()
         self._started = False
@@ -398,31 +339,11 @@ class StreamGraph:
         #: ``repro_stream_records_total`` by :meth:`publish_gauges`.
         self._published: dict[tuple[str, str], int] = {}
         #: Root trace context of this graph run (minted at ``start``).
-        #: Each stage thread gets a child installed ambiently, so every
+        #: Each chain thread gets a child installed ambiently, so every
         #: ``submit_many`` micro-batch a stage issues joins one trace.
         self.trace_ctx: "_tracectx.TraceContext | None" = None
 
     # -- topology -------------------------------------------------------
-    def _new_stream(self, name: str, capacity: int | None) -> Stream:
-        s = Stream(
-            capacity if capacity is not None else self.capacity,
-            name=f"{self.name}.{name}",
-            runtime=self.runtime,
-        )
-        self.streams.append(s)
-        return s
-
-    def _take(self, stream: Stream) -> Stream:
-        if not isinstance(stream, Stream):
-            raise TypeError(f"expected a Stream, got {type(stream).__name__}")
-        if id(stream) in self._consumed:
-            raise ValueError(
-                f"stream {stream.name!r} already has a consumer; "
-                "streams are single-consumer"
-            )
-        self._consumed.add(id(stream))
-        return stream
-
     def _prepare(self, name: str, capacity: int | None = None) -> str:
         """Validate a new stage's name and output capacity *before* any
         stream is created or consumed, so a rejected builder call leaves
@@ -435,7 +356,30 @@ class StreamGraph:
             raise ValueError(f"stream capacity must be >= 1, got {capacity}")
         return name
 
-    def _add(self, stage: _Stage) -> _Stage:
+    def _take(self, upstream: "Stream | _Stage") -> "Stream | _Stage":
+        chained = (
+            isinstance(upstream, _Stage)
+            and upstream.graph is self
+            and upstream.kind not in ("window", "batch", "sink")
+        )
+        if not chained and not isinstance(upstream, Stream):
+            raise TypeError(
+                f"expected a stage output or a Stream, got {type(upstream).__name__}"
+            )
+        if id(upstream) in self._consumed:
+            raise ValueError(
+                f"stream {upstream.name!r} already has a consumer; "
+                "streams are single-consumer"
+            )
+        self._consumed.add(id(upstream))
+        return upstream
+
+    def _add(self, stage: _Stage, upstream: "Stream | _Stage | None") -> _Stage:
+        if isinstance(upstream, Stream):
+            stage.input = upstream
+        elif upstream is not None:
+            upstream.next = stage
+            upstream._send = stage.push
         self.stages.append(stage)
         return stage
 
@@ -445,13 +389,13 @@ class StreamGraph:
         *,
         name: str = "source",
         rate: float | None = None,
-        capacity: int | None = None,
-    ) -> Stream:
+    ) -> _Stage:
         """A source stage: emits *items* (an iterable, or a zero-arg
-        callable returning one) as records.
+        callable returning one) as records, each handed down its chain
+        before the next is pulled.
 
         ``rate`` (records/second, positive and finite; ``None``: as fast
-        as the consumers take them) paces the source: record *k* (from
+        as the chain takes them) paces the source: record *k* (from
         1) is pulled from *items* at its due time, *k*/``rate`` after
         the stage starts, and emitted at once.  Nothing is pulled ahead,
         so a drain during the wait pulls nothing more, and end of input
@@ -462,91 +406,90 @@ class StreamGraph:
             raise ValueError(
                 f"rate must be a positive finite number of records/second, got {rate!r}"
             )
-        self._prepare(name, capacity)
-        out = self._new_stream(name, capacity)
-        self._add(_Stage(self, name, "source", None, out, items=items, rate=rate))
-        return out
+        self._prepare(name)
+        return self._add(_Stage(self, name, "source", items=items, rate=rate), None)
 
     def _transform(
         self,
         kind: str,
-        stream: Stream,
-        fn: Callable,
+        upstream: "Stream | _Stage",
+        fn: Callable | None,
         name: str | None,
         on_failure: str,
         max_retries: int,
-        capacity: int | None,
+        capacity: int | None = None,
         **stage_options: Any,
-    ) -> Stream:
+    ) -> "Stream | _Stage":
         name = self._prepare(name or f"{kind}{len(self.stages)}", capacity)
-        inp = self._take(stream)
-        out = self._new_stream(name, capacity)
-        self._add(
-            _Stage(
-                self,
-                name,
-                kind,
-                inp,
-                out,
-                fn,
-                on_failure=on_failure,
-                max_retries=max_retries,
-                **stage_options,
-            )
+        upstream = self._take(upstream)
+        stage = _Stage(
+            self,
+            name,
+            kind,
+            fn,
+            on_failure=on_failure,
+            max_retries=max_retries,
+            **stage_options,
         )
-        return out
+        self._add(stage, upstream)
+        if kind not in ("window", "batch"):
+            return stage
+        stage.output = Stream(
+            capacity if capacity is not None else self.capacity,
+            name=f"{self.name}.{name}",
+            runtime=self.runtime,
+        )
+        stage._send = stage.output.put_item
+        self.streams.append(stage.output)
+        return stage.output
 
     def map(
         self,
-        stream: Stream,
+        stream: "Stream | _Stage",
         fn: Callable[[Any], Any],
         *,
         name: str | None = None,
         on_failure: str = FAIL,
         max_retries: int = 2,
-        capacity: int | None = None,
-    ) -> Stream:
-        return self._transform("map", stream, fn, name, on_failure, max_retries, capacity)
+    ) -> _Stage:
+        return self._transform("map", stream, fn, name, on_failure, max_retries)
 
     def filter(
         self,
-        stream: Stream,
+        stream: "Stream | _Stage",
         fn: Callable[[Any], bool],
         *,
         name: str | None = None,
         on_failure: str = FAIL,
         max_retries: int = 2,
-        capacity: int | None = None,
-    ) -> Stream:
-        return self._transform("filter", stream, fn, name, on_failure, max_retries, capacity)
+    ) -> _Stage:
+        return self._transform("filter", stream, fn, name, on_failure, max_retries)
 
     def flat_map(
         self,
-        stream: Stream,
+        stream: "Stream | _Stage",
         fn: Callable[[Any], Any],
         *,
         name: str | None = None,
         on_failure: str = FAIL,
         max_retries: int = 2,
-        capacity: int | None = None,
-    ) -> Stream:
-        return self._transform("flat_map", stream, fn, name, on_failure, max_retries, capacity)
+    ) -> _Stage:
+        return self._transform("flat_map", stream, fn, name, on_failure, max_retries)
 
     def key_by(
         self,
-        stream: Stream,
+        stream: "Stream | _Stage",
         fn: Callable[[Any], Any],
         *,
         name: str | None = None,
         on_failure: str = FAIL,
         max_retries: int = 2,
-        capacity: int | None = None,
-    ) -> Stream:
-        return self._transform("key_by", stream, fn, name, on_failure, max_retries, capacity)
+    ) -> _Stage:
+        return self._transform("key_by", stream, fn, name, on_failure, max_retries)
 
     def window(
         self,
-        stream: Stream,
+        stream: "Stream | _Stage",
         spec: TumblingCountWindow,
         fn: Callable[[list], Any] | None = None,
         *,
@@ -557,28 +500,32 @@ class StreamGraph:
     ) -> Stream:
         """A windowed operator: groups records per the spec (and per
         key), optionally aggregates each closed window with ``fn``
-        (default: emit the value list)."""
+        (default: emit the value list).  Its output is a bounded stream
+        of *capacity* (default: the graph's) that the next chain reads."""
         return self._transform(
             "window", stream, fn, name, on_failure, max_retries, capacity, spec=spec
         )
 
     def batch(
         self,
-        stream: Stream,
+        stream: "Stream | _Stage",
         n: int,
         *,
         name: str | None = None,
         capacity: int | None = None,
     ) -> Stream:
         """Micro-batching: emits lists of up to *n* consecutive values
-        (the remainder flushes at end-of-stream)."""
+        (the remainder flushes at end-of-stream) into a bounded stream
+        of *capacity* (default: the graph's) that the next chain reads."""
         if n < 1:
             raise ValueError("batch size must be >= 1")
-        return self._transform("batch", stream, None, name, FAIL, 0, capacity, batch_n=n)
+        return self._transform(
+            "batch", stream, None, name, FAIL, 0, capacity, spec=TumblingCountWindow(n)
+        )
 
     def sink(
         self,
-        stream: Stream,
+        stream: "Stream | _Stage",
         fn: Callable[[Any], Any] | None = None,
         *,
         name: str = "sink",
@@ -592,21 +539,30 @@ class StreamGraph:
         if collect is None:
             collect = fn is None
         self._prepare(name)
-        return self._add(
-            _Stage(
-                self,
-                name,
-                "sink",
-                self._take(stream),
-                None,
-                fn,
-                collect=collect,
-                on_failure=on_failure,
-                max_retries=max_retries,
-            )
+        stage = _Stage(
+            self,
+            name,
+            "sink",
+            fn,
+            collect=collect,
+            on_failure=on_failure,
+            max_retries=max_retries,
         )
+        return self._add(stage, self._take(stream))
 
     # -- lifecycle ------------------------------------------------------
+    def _chains(self) -> list[list[_Stage]]:
+        """Each source, and each stage reading a stream, heads a chain
+        that follows the direct-call links to its window, batch or sink."""
+        chains = []
+        for head in self.stages:
+            if head.kind == "source" or head.input is not None:
+                chain = [head]
+                while chain[-1].next is not None:
+                    chain.append(chain[-1].next)
+                chains.append(chain)
+        return chains
+
     def start(self) -> "StreamGraph":
         if self._started:
             raise RuntimeError("graph already started")
@@ -614,34 +570,41 @@ class StreamGraph:
             raise RuntimeError("graph has no stages")
         dangling = [
             s.name
-            for s in self.streams
-            if id(s) not in self._consumed
+            for s in self.stages
+            if s.kind != "sink" and id(s.output or s) not in self._consumed
         ]
         if dangling:
             raise RuntimeError(
-                f"streams with no consumer: {dangling}; every stage output "
-                "must feed another stage or a sink"
+                f"stages whose output has no consumer: {dangling}; every stage "
+                "output must feed another stage or a sink"
             )
         self._started = True
         if self.runtime is not None:
             self.runtime.add_drain_hook(self._on_runtime_drain)
             if self.runtime.config.collect_trace:
                 self.trace_ctx = _tracectx.child_of(_tracectx.current_context())
-        for stage in self.stages:
+        threads = []
+        for chain in self._chains():
             t = threading.Thread(
-                target=self._stage_main,
-                args=(stage,),
-                name=f"{self.name}-{stage.name}",
+                target=self._run_chain,
+                args=(chain,),
+                name=f"{self.name}-{chain[0].name}",
                 daemon=True,
             )
-            stage.thread = t
+            for stage in chain:
+                stage.thread = t
+            threads.append(t)
+        for t in threads:
             t.start()
         return self
 
-    def _stage_main(self, stage: _Stage) -> None:
+    def _run_chain(self, chain: list[_Stage]) -> None:
+        """The chain driver: feed the head from its source or stream,
+        then flush the tail and close the stream it writes."""
+        head, tail = chain[0], chain[-1]
         rt = self.runtime
         prev = rt.bind_current_thread() if rt is not None else None
-        # Stage-granularity tracing: each stage thread is one span
+        # Chain-granularity tracing: each chain thread is one span
         # context under the graph root — per-record contexts would cost
         # a minting per element on the streaming hot path.
         prev_ctx = (
@@ -649,14 +612,28 @@ class StreamGraph:
             if self.trace_ctx is not None
             else None
         )
+        started = time.monotonic()
+        for stage in chain:
+            stage.stats.started_at = started
         try:
-            stage.run()
+            if head.input is None:
+                head.pump(rt.interruption if rt is not None else None)
+            else:
+                push = head.push
+                for item in head.input:
+                    push(item)
+            if self._error is None:  # a failed graph flushes nothing
+                tail.flush()
         except BaseException as exc:  # noqa: BLE001 - unwind the graph
-            stage.stats.error = repr(exc)
-            self._fail(stage.name, exc)
+            for stage in chain:
+                stage.stats.error = repr(exc)
+            self._fail(exc.stage if isinstance(exc, StreamFailure) else head.name, exc)
         finally:
-            if stage.output is not None and not stage.output.closed:
-                stage.output.close()
+            if tail.output is not None:
+                tail.output.close()
+            finished = time.monotonic()
+            for stage in chain:
+                stage.stats.finished_at = finished
             if self.trace_ctx is not None:
                 _tracectx.set_context(prev_ctx)
             if rt is not None:
@@ -664,7 +641,7 @@ class StreamGraph:
 
     def _fail(self, stage_name: str | None, error: BaseException) -> None:
         """First terminal error wins; every stream is poisoned so all
-        stages unwind promptly and no queue slot leaks."""
+        chains unwind promptly and no queue slot leaks."""
         with self._lock:
             if self._error is None:
                 self._error = error
@@ -684,9 +661,10 @@ class StreamGraph:
         self._fail(None, error or StreamFailure("<graph>", "aborted by caller"))
 
     def initiate_drain(self) -> None:
-        """Graceful stop: sources stop emitting and close; in-flight
-        elements (and open windows) flush through the remaining
-        stages.  Non-blocking; ``join()`` observes the drained end."""
+        """Graceful stop: sources stop emitting and their chains end;
+        in-flight elements (and open windows) flush through the
+        remaining stages.  Non-blocking; ``join()`` observes the
+        drained end."""
         for stage in self.stages:
             if stage.kind == "source":
                 stage._stop = True
@@ -694,7 +672,7 @@ class StreamGraph:
     def _on_runtime_drain(self) -> None:
         # Runs inside Runtime.shutdown(wait=True), before the runtime
         # waits out its unfinished count: stop feeding, flush, and join
-        # the stage threads so every micro-batch they were going to
+        # the chain threads so every micro-batch they were going to
         # submit is in the DAG by the time the drain wait starts.
         self.initiate_drain()
         for stage in self.stages:

@@ -1,15 +1,16 @@
 """Online AF inference serving: the flagship streaming workload.
 
-A rate-controlled synthetic-ECG source feeds a multi-stage stream
-graph that reproduces, online, exactly what the batch AF pipeline
-(:mod:`repro.workflows.af_pipeline`) does offline:
+A rate-controlled synthetic-ECG source feeds a stream graph of three
+operator chains that reproduces, online, exactly what the batch AF
+pipeline (:mod:`repro.workflows.af_pipeline`) does offline:
 
 ``ecg source`` → ``key_by(patient)`` → ``tumbling count window``
 (chunks → one segment per patient) → ``features`` (R-peak detection +
 log-STFT spectrogram, the CNN's input representation) → ``microbatch``
 → ``infer`` (a ``submit_many()`` micro-batched task on the
 :func:`repro.nn.af_cnn` model — the stream stage awaits the DAG
-future) → ``predictions sink``.
+future) → ``predictions sink``.  The window and the micro-batch end a
+chain each, so the graph runs on three threads joined by two streams.
 
 Because every transformation is a shared pure function and windowing
 runs through the same :class:`~repro.streaming.operators` windower,
@@ -64,7 +65,7 @@ class ServeConfig:
     rate: float | None = None
     nperseg: int = 64
     decimate: int = 2
-    #: stream capacity (credits) between stages.
+    #: capacity (credits) of the streams after ``segment`` and ``microbatch``.
     capacity: int = 32
     label_cycle: tuple = ("N", "AF", "O")
     #: generator settings; None = ``ECGConfig(fs=fs)``.  Its ``fs`` must

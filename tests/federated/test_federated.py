@@ -145,8 +145,6 @@ class TestFederation:
             FederatedConfig(rounds=0)
         with pytest.raises(ValueError):
             FederatedConfig(client_fraction=0.0)
-        with pytest.raises(ValueError):
-            FederatedConfig(aggregation="median")
 
     def test_client_data_validation(self):
         with pytest.raises(ValueError):

@@ -219,17 +219,18 @@ def test_rejected_capacity_leaves_the_input_unconsumed(rt):
     src = g.source(range(3), name="src")
     for bad in (0, -1):
         with pytest.raises(ValueError, match="capacity"):
-            g.map(src, lambda v: v, capacity=bad)
-        with pytest.raises(ValueError, match="capacity"):
             g.window(src, TumblingCountWindow(2), capacity=bad)
         with pytest.raises(ValueError, match="capacity"):
-            g.source(range(3), name=f"src{-bad}", capacity=bad)
-    assert len(g.streams) == 1
-    sink = g.sink(g.map(src, lambda v: v + 1, capacity=1))
-    assert g.streams[-1].capacity == 1
+            g.batch(src, 2, capacity=bad)
+    # a chained stage hands records on by a direct call: nothing to bound
+    with pytest.raises(TypeError, match="capacity"):
+        g.map(src, lambda v: v, capacity=1)
+    assert g.streams == []
+    sink = g.sink(g.window(src, TumblingCountWindow(1), fn=sum, capacity=1))
+    assert [s.capacity for s in g.streams] == [1]
     with g:
         pass
-    assert sink.collected == [1, 2, 3]
+    assert sink.collected == [0, 1, 2]
     with pytest.raises(ValueError, match="capacity"):
         StreamGraph(rt, capacity=0)
 
@@ -310,16 +311,36 @@ def test_paced_source_closes_one_period_after_its_last_record(rt):
     assert n / rate <= src.finished_at - src.started_at <= (n + 1) / rate + 0.1
 
 
-def test_unpaced_source_pulls_ahead_up_to_capacity(rt):
+def test_unpaced_source_pulls_after_its_chain_passed_the_record_on(rt):
+    gate = threading.Event()
+    pulls = _Pulls(50)
+    g = StreamGraph(rt, name="g")
+    held = g.map(g.source(pulls, name="src"), lambda v: (gate.wait(), v)[1])
+    sink = g.sink(held)
+    g.start()
+    try:
+        # record 0 is still inside the chain's map: nothing more is pulled
+        _wait_for(lambda: len(pulls.times) >= 1)
+        time.sleep(0.02)
+        assert len(pulls.times) == 1
+        assert sink.collected == []
+    finally:
+        gate.set()
+    g.join()
+    assert sink.collected == list(range(50))
+
+
+def test_full_boundary_stream_stops_an_unpaced_source(rt):
     cap, gate = 3, threading.Event()
     pulls = _Pulls(50)
     g = StreamGraph(rt, name="g")
-    src = g.source(pulls, name="src", capacity=cap)
-    sink = g.sink(src, lambda v: gate.wait(), collect=True)
+    src = g.source(pulls, name="src")
+    ones = g.window(src, TumblingCountWindow(1), fn=sum, capacity=cap)
+    sink = g.sink(ones, lambda v: gate.wait(), collect=True)
     g.start()
     try:
         # the sink holds record 0, the stream holds cap more, and the
-        # source waits to put the next one it has already pulled
+        # source's chain waits to put the next one it has already pulled
         _wait_for(lambda: len(pulls.times) >= cap + 2)
         time.sleep(0.02)
         assert len(pulls.times) == cap + 2

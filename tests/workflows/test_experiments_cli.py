@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import os
 import subprocess
 import sys
 
@@ -47,6 +48,41 @@ class TestCLI:
         with pytest.raises(SystemExit) as usage:
             main(["graphs", "--output", "x"])
         assert usage.value.code == 2
+
+    def test_graphs_runs_the_figure_tests_from_anywhere(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from repro import cli
+
+        calls = []
+        monkeypatch.setattr(
+            subprocess, "call", lambda argv, cwd: calls.append((argv, cwd)) or 0
+        )
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["graphs"]) == 0
+        ((argv, cwd),) = calls
+        (path,) = [a for a in argv if a.endswith("test_graphs.py")]
+        assert os.path.isabs(path) and os.path.isfile(path)
+        assert os.path.samefile(cwd, os.path.dirname(os.path.dirname(path)))
+        assert "DOT files are in" in capsys.readouterr().out
+
+    def test_graphs_failure_prints_no_dot_location(self, monkeypatch, capsys):
+        from repro import cli
+
+        monkeypatch.setattr(subprocess, "call", lambda argv, cwd: 4)
+        assert cli.main(["graphs"]) == 4
+        assert "DOT files" not in capsys.readouterr().out
+
+    def test_graphs_without_the_figure_tests_exits_1(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from repro import cli
+
+        monkeypatch.setattr(cli, "__file__", str(tmp_path / "src" / "repro" / "cli.py"))
+        monkeypatch.setattr(subprocess, "call", lambda argv, cwd: 0)
+        assert cli.main(["graphs"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
 
     def test_scaling_command_runs(self):
         proc = subprocess.run(
