@@ -11,7 +11,7 @@
 #   scripts/check.sh reach       call-reach audit: every src/repro def/class the study's run set (CLI subcommands, examples, pytest benchmarks/, bench smoke) never enters must be kept in DESIGN.md §20 (~2 min)
 #   scripts/check.sh stress      randomized runtime matrix (stress profile) + engine regression tests
 #   scripts/check.sh backend     import guards (no networkx and no coordinator-only module — engine, config, checkpoint, observability, otlp, dot, flightrec — in a fresh import of the runtime packages or in a pool worker), then tier-1 under REPRO_BACKEND=processes + the matrix's processes replays + bench smoke of blocks_procs
-#   scripts/check.sh obs         observability smoke (metrics/trace exports, flight-recorder dump) + tracing/lifecycle-view tests
+#   scripts/check.sh obs         observability smoke (stats vs trace, trace exports, flight-recorder dump) + tracing/lifecycle-view tests
 #   scripts/check.sh dataplane   store tests + the matrix's store replays + bench smoke of blocks_procs
 #   scripts/check.sh service     queue-service tests (kill -9, lease-expiry and traced-recovery chaos included)
 #   scripts/check.sh stream      streaming + all ECG tests (detector and filter oracles) + stream scenarios incl. keyed count windows vs their offline replay (stress profile) + serving differential + bench smoke of stream_serve
@@ -95,8 +95,8 @@ bench_smoke() {
 }
 
 run_obs() {
-    # Real run with telemetry on: the metrics view sums to stats and
-    # the trace, its Prometheus exposition parses, the chrome timeline
+    # Real run with tracing on: stats() reconciles with the trace, the
+    # chrome timeline
     # rendered from the trace's OTLP document validates with one flow
     # arrow per recorded dependency edge, the critical path is bounded,
     # the trace CLI works on the saved document, and a killed run's
@@ -107,7 +107,7 @@ run_obs() {
     # round trip back to a Trace (and `repro trace` on it), the one
     # chrome renderer, and the service span log.  What telemetry costs
     # is obs.* in bench/ (`check.sh bench`).
-    echo "== observability smoke (metrics + trace exports + flight recorder) =="
+    echo "== observability smoke (stats vs trace + trace exports + flight recorder) =="
     PYTHONPATH=src python scripts/obs_smoke.py
     echo "== tracing / run record / flight-recorder tests =="
     PYTHONPATH=src python -m pytest -x -q \

@@ -1,6 +1,6 @@
 #!/usr/bin/env python
 """Observability smoke test: run a tiny-but-real AF pipeline stage with
-telemetry on, then prove every export is well-formed and consistent.
+tracing on, then prove every export is well-formed and consistent.
 
 Run from the repo root (``make obs`` does this)::
 
@@ -8,26 +8,26 @@ Run from the repo root (``make obs`` does this)::
 
 The script runs the feature-extraction + PCA stages of the AF workflow
 (real DAG dependencies through the distributed PCA) on the threads
-executor with metrics enabled, and asserts:
+executor, and asserts:
 
-1. the metrics view holds its own invariants on this run: the
-   ``repro_tasks_total`` series sum to ``stats()["n_tasks"]`` and the
-   duration histograms hold one sample per executed attempt,
-2. the Prometheus exposition parses and its totals match the trace,
-3. the chrome timeline rendered from the trace's OTLP document
+1. ``stats()`` and the trace are two readings of one task table: one
+   record per attempt (``n_tasks``), and ``by_state["done"]`` is the
+   executed plus the restored attempts,
+2. the chrome timeline rendered from the trace's OTLP document
    validates (lanes, flow events, phases), carries one lane per worker
    that actually ran a task and one flow arrow per recorded dependency
    edge,
-4. the critical path is bounded: at least the longest single task,
+3. the critical path is bounded: at least the longest single task,
    at most the makespan,
-5. the ``repro trace`` CLI (summarize / critical-path / chrome) works
+4. the ``repro trace`` CLI (summarize / critical-path / chrome) works
    end to end on the run's saved OTLP document, which reads back with
    its span timestamps,
-6. a run with ``flightrec_dir`` whose task kills the workflow leaves a
-   dump whose terminal rows agree with ``stats()`` and which
-   ``repro logs`` renders under its usual columns.
+5. a run with ``flightrec_dir`` whose task kills the workflow leaves a
+   dump whose terminal rows agree with ``stats()`` — read after the
+   kill and as recorded in the dump — and which ``repro logs`` renders
+   under its usual columns.
 
-Exit code 0 means all six hold.
+Exit code 0 means all five hold.
 """
 
 from __future__ import annotations
@@ -109,6 +109,9 @@ def flight_recorder_step(tmp: Path) -> None:
     by_state = {k: v for k, v in stats["by_state"].items() if k in obs.TERMINAL_KINDS}
     if dict(terminal) != by_state:
         fail(f"dump has terminal rows {dict(terminal)}, stats() says {stats['by_state']}")
+    dumped = {k: v for k, v in payload["stats"]["by_state"].items() if k in obs.TERMINAL_KINDS}
+    if dumped != by_state:
+        fail(f"dump's stats say {payload['stats']['by_state']}, stats() says {stats['by_state']}")
     submitted = sum(e["kind"] == obs.SUBMITTED for e in payload["events"])
     if submitted != stats["n_tasks"]:
         fail(f"dump has {submitted} submitted rows for {stats['n_tasks']} tasks")
@@ -119,7 +122,7 @@ def flight_recorder_step(tmp: Path) -> None:
     columns = [line.split() for line in lines]
     if rc != 0 or LOGS_COLUMNS not in columns:
         fail(f"repro logs exited {rc} without the header {LOGS_COLUMNS}:\n{out.getvalue()}")
-    # header, rule, one line per row, then the metrics line
+    # header, rule, one line per row, then the by-state line
     rendered = lines[columns.index(LOGS_COLUMNS) + 2 : -1]
     if len(rendered) != payload["n_events"]:
         fail(f"repro logs rendered {len(rendered)} rows of {payload['n_events']}")
@@ -130,7 +133,7 @@ def flight_recorder_step(tmp: Path) -> None:
 
 
 def main() -> None:
-    cfg = RuntimeConfig(executor="threads", max_workers=2, observability="metrics")
+    cfg = RuntimeConfig(executor="threads", max_workers=2)
     with Runtime(config=cfg) as rt:
         dataset = prepare_dataset(TINY)
         feats, _labels = extract_features(dataset, TINY)
@@ -140,32 +143,19 @@ def main() -> None:
 
         stats = rt.stats()
         trace = rt.trace()
-        snap = rt.metrics()
-        prom = rt.metrics_text()
 
-    # -- 1. the metrics view's own invariants ---------------------------
-    n_terminal = sum(
-        c["value"] for c in snap["counters"] if c["name"] == "repro_tasks_total"
-    )
-    if n_terminal != stats["n_tasks"]:
-        fail(f"repro_tasks_total sums to {n_terminal:g}, stats has {stats['n_tasks']}")
-    n_durations = sum(
-        h["count"]
-        for h in snap["histograms"]
-        if h["name"] == "repro_task_duration_seconds"
-    )
-    if n_durations != trace.n_executed:
-        fail(f"{n_durations} duration samples for {trace.n_executed} executed attempts")
-    print(f"ok: metrics view agrees with stats and trace ({stats['n_tasks']} tasks)")
-
-    # -- 2. Prometheus exposition parses and matches the trace ----------
-    parsed = obs.parse_prometheus(prom)
-    n_done = parsed[("repro_tasks_total", (("state", "done"),))]
+    # -- 1. stats() and the trace reconcile -----------------------------
+    if len(trace) != stats["n_tasks"] or sum(stats["by_state"].values()) != stats["n_tasks"]:
+        fail(f"{len(trace)} records, stats() says {stats['n_tasks']} tasks {stats['by_state']}")
+    n_done = stats["by_state"].get("done", 0)
     if n_done != trace.n_executed + trace.n_restored:
-        fail(f"prometheus done={n_done} != trace {trace.n_executed}")
-    print(f"ok: prometheus exposition parses ({len(parsed)} series)")
+        fail(
+            f"stats() done={n_done}, trace has {trace.n_executed} executed"
+            f" + {trace.n_restored} restored"
+        )
+    print(f"ok: stats() agrees with the trace ({stats['n_tasks']} tasks)")
 
-    # -- 3. the chrome timeline is a view of the trace ------------------
+    # -- 2. the chrome timeline is a view of the trace ------------------
     events = validate_chrome_json(json.dumps(otlp_to_chrome(trace_to_otlp(trace))))
     xs = [e for e in events if e["ph"] == "X"]
     lanes = {(e["pid"], e["tid"]) for e in xs}
@@ -182,7 +172,7 @@ def main() -> None:
         fail("no flow events despite DAG dependencies")
     print(f"ok: chrome trace valid ({len(xs)} slices, {len(lanes)} lanes, {flows} flows)")
 
-    # -- 4. critical-path bounds ----------------------------------------
+    # -- 3. critical-path bounds ----------------------------------------
     cp = obs.critical_path(trace)
     longest = max(r.duration for r in trace)
     if not (longest <= cp.length * (1 + 1e-9)):
@@ -194,7 +184,7 @@ def main() -> None:
         f" makespan, {len(cp.records)} tasks)"
     )
 
-    # -- 5. the trace CLI end to end ------------------------------------
+    # -- 4. the trace CLI end to end ------------------------------------
     with tempfile.TemporaryDirectory() as tmp:
         trace_file = Path(tmp) / "trace.otlp.json"
         save_otlp(trace_to_otlp(trace), trace_file)
@@ -213,7 +203,7 @@ def main() -> None:
             fail("saved document lost records or span timestamps")
     print("ok: repro trace CLI (summarize, critical-path, chrome)")
 
-    # -- 6. the flight recorder: a view of the table, dumped on a kill --
+    # -- 5. the flight recorder: a view of the table, dumped on a kill --
     with tempfile.TemporaryDirectory() as tmp:
         flight_recorder_step(Path(tmp))
 

@@ -18,8 +18,7 @@ Commands:
 * ``serve-stream`` — run the online AF inference serving demo: a
   rate-controlled synthetic-ECG source through the windowed streaming
   pipeline (:mod:`repro.streaming`) with micro-batched CNN inference,
-  printing per-stage p50/p99 latency and throughput (``--prometheus``
-  dumps the metric exposition).
+  printing per-stage p50/p99 latency and throughput.
 * ``trace summarize|chrome|critical-path FILE`` — analyse a run's
   OTLP/JSON document (``save_otlp(trace_to_otlp(trace), FILE)``), or
   with ``--service DATA_DIR`` the merged distributed trace of a queue
@@ -68,7 +67,7 @@ def _cmd_table1(args: argparse.Namespace) -> int:
     dataset = prepare_dataset(preset.pipeline)
     print(f"dataset: {dataset.class_counts()} (balanced)")
     blocks = []
-    overrides = {"executor": "threads"}
+    overrides = {}
     if args.progress:
         overrides["observability"] = "progress"
     config = RuntimeConfig.from_env(**overrides)
@@ -288,14 +287,10 @@ def _cmd_serve_stream(args: argparse.Namespace) -> int:
         rate=args.rate,
     )
     rt_cfg = RuntimeConfig(
-        executor=args.backend,
-        max_workers=args.workers,
-        observability="metrics",
-        name="af-serving",
+        executor=args.executor, max_workers=args.workers, name="af-serving"
     )
     with Runtime(config=rt_cfg) as rt:
-        result = serve_stream(cfg, rt, gauge_interval=args.gauge_interval)
-        prom = rt.metrics_text() if args.prometheus else None
+        result = serve_stream(cfg, rt)
 
     print(
         f"served {len(result.predictions)} segment prediction(s) in "
@@ -316,9 +311,6 @@ def _cmd_serve_stream(args: argparse.Namespace) -> int:
             f"patient {p['patient']} segment {p['segment']:>3}  label={p['label']}  "
             f"pred={verdict:<6} p(AF)={p['prob_af']:.3f}  hr={p['hr_bpm']:.0f} bpm"
         )
-    if prom is not None:
-        print()
-        print(prom)
     return 0
 
 
@@ -414,9 +406,12 @@ def _render_flightrec_dump(payload: dict, limit: int | None) -> None:
             f"{str(event.get('state') or ''):<10} {event.get('name', '')}"
             + (f"  [{worker}]" if worker else "")
         )
-    metrics = payload.get("metrics")
-    if isinstance(metrics, dict):
-        print(f"metrics snapshot: {len(metrics)} top-level keys")
+    stats = payload.get("stats")
+    if isinstance(stats, dict):
+        by_state = ", ".join(f"{k}={v}" for k, v in sorted(stats.get("by_state", {}).items()))
+        print(f"by state : {by_state or '(no tasks)'}")
+    elif "stats_error" in payload:
+        print(f"by state : unread ({payload['stats_error']})")
 
 
 def _render_span_rows(rows, limit: int | None) -> None:
@@ -717,15 +712,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     p6b.add_argument("--workers", type=positive_int, default=2)
     p6b.add_argument(
-        "--backend", choices=("threads", "sequential"), default="threads"
-    )
-    p6b.add_argument(
-        "--gauge-interval", type=float, default=None,
-        help="republish live queue/latency gauges every N seconds",
-    )
-    p6b.add_argument(
-        "--prometheus", action="store_true",
-        help="print the Prometheus metric exposition after the run",
+        "--executor", choices=("threads", "sequential"), default="threads"
     )
     p6b.set_defaults(func=_cmd_serve_stream)
 

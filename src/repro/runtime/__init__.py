@@ -38,12 +38,11 @@ Public surface:
 * :func:`atomic_write` — temp file + fsync + rename file writes, used
   by every exporter here and available to applications.
 * :mod:`repro.runtime.observability` — read-side views of the task
-  table (the lifecycle history the flight recorder dumps,
-  ``Runtime.metrics()`` / Prometheus exposition, the live progress
-  line) and trace analysis
-  (:func:`critical_path`, :func:`summarize_trace`); enabled with
-  ``RuntimeConfig(observability="metrics,progress")`` or
-  ``REPRO_OBSERVABILITY``.
+  table (the lifecycle history the flight recorder dumps, the live
+  progress line enabled with ``RuntimeConfig(observability="progress")``
+  or ``REPRO_OBSERVABILITY``) and trace analysis
+  (:func:`critical_path`, :func:`summarize_trace`).  The run's counts
+  are ``Runtime.stats()``.
 * :mod:`repro.runtime.otlp` — the one record of a run: a trace as an
   OTLP document (``trace_to_otlp``, dependencies as span links, every
   record field an attribute, the repro/Python/numpy versions on the
@@ -100,11 +99,9 @@ _LAZY_MODULES = {
     "checkpoint": ("CheckpointStore", "fingerprint", "task_signature"),
     "observability": (
         "CriticalPath",
-        "MetricsRegistry",
         "ProgressReporter",
         "critical_path",
         "summarize_trace",
-        "to_prometheus",
     ),
     "dot": ("graph_summary", "to_dot"),
     "tracing": ("TaskRecord", "Trace"),
@@ -140,12 +137,10 @@ __all__ = [
     "is_ref",
     "Trace",
     "TaskRecord",
-    "MetricsRegistry",
     "ProgressReporter",
     "CriticalPath",
     "critical_path",
     "summarize_trace",
-    "to_prometheus",
     "to_dot",
     "graph_summary",
     "CheckpointStore",

@@ -71,12 +71,10 @@ class RuntimeConfig:
     #: ``None`` (default) disables checkpointing entirely.
     checkpoint_dir: str | None = None
     #: Observability flags: ``""`` (default, off), or a comma/space
-    #: separated subset of ``metrics`` (``Runtime.metrics()`` shapes the
-    #: task-lifecycle series from the task table when read, next to a
-    #: :class:`~repro.runtime.observability.MetricsRegistry` for
-    #: manually written series) and ``progress`` (a throttled live
-    #: progress line on stderr, counted from the same table).  ``all``
-    #: enables everything.  Lifecycle timestamps are always stamped.
+    #: separated subset of ``progress`` (a throttled live progress line
+    #: on stderr, counted from the task table) and ``metrics`` (accepted,
+    #: does nothing: counts are ``Runtime.stats()``).  ``all`` enables
+    #: everything.  Lifecycle timestamps are always stamped.
     observability: str = ""
     #: Shared-memory object store (:mod:`repro.runtime.store`):
     #: ``"auto"`` (default) activates by-reference data passing when —

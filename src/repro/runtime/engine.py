@@ -43,7 +43,7 @@ registration — releases the child like any other.
 A task is written down once: its :class:`TaskInstance` in the task
 table ``_tasks``, the only per-task structure the task path writes.
 ``Runtime.graph``, ``Runtime.trace()``, ``Runtime.stats()``, the
-metrics, the lifecycle history a flight-recorder dump holds and the
+lifecycle history a flight-recorder dump holds and the
 checkpoint lineage key of a future are views shaped from that table
 when read — nothing is pushed to observers; as an attempt retires,
 ``_record`` stamps on the instance what only its trace record knows,
@@ -250,12 +250,8 @@ class Runtime:
             store=self.store if ref_transport else None,
         )
         self.registry = DataRegistry()
-        self._metrics: obs.MetricsRegistry | None = None
         self._progress: obs.ProgressReporter | None = None
-        obs_flags = obs.parse_flags(cfg.observability)
-        if "metrics" in obs_flags:
-            self._metrics = obs.MetricsRegistry()
-        if "progress" in obs_flags:
+        if "progress" in obs.parse_flags(cfg.observability):
             self._progress = obs.ProgressReporter(self._attempts, label=cfg.name)
         #: Crash flight recorder: the tail of the lifecycle view of the
         #: task table, dumped to ``cfg.flightrec_dir`` on kill/abort
@@ -269,11 +265,11 @@ class Runtime:
                 lambda: obs.lifecycle_events(self._attempts()),
                 name=cfg.name,
                 dump_dir=cfg.flightrec_dir,
-                metrics_snapshot=self.metrics,
+                stats=self.stats,
             )
         #: every attempt, keyed by its own task id (retries included)
-        #: — the one per-task record: ``graph``, ``trace()``,
-        #: ``stats()`` and ``metrics()`` are views shaped from it when read.
+        #: — the one per-task record: ``graph``, ``trace()`` and
+        #: ``stats()`` are views shaped from it when read.
         self._tasks: dict[int, TaskInstance] = {}
         #: root task id -> *latest* attempt.  Futures and dependency
         #: edges reference root ids, so dependents submitted mid-retry
@@ -424,36 +420,6 @@ class Runtime:
         """Monotonic seconds since this runtime's epoch (the clock of
         every trace timestamp and lifecycle row)."""
         return time.perf_counter() - self._epoch
-
-    def metrics(self) -> dict:
-        """Point-in-time metrics snapshot (counters, gauges,
-        histograms): the task-lifecycle series shaped from the task
-        table as it stands, the registry's manually written series and
-        the backend counters; ``{"enabled": False}`` shape (backend
-        series only) when the runtime was built without the
-        ``metrics`` observability flag."""
-        if self._metrics is not None:
-            snap = obs.merge_task_metrics(
-                self._metrics.snapshot(), self._attempts(), self.max_workers
-            )
-        else:
-            snap = obs.empty_snapshot()
-        backend_stats = self._backend.stats()
-        snap = obs.merge_backend_stats(snap, backend_stats)
-        if self._store is not None and not backend_stats.get("store_enabled"):
-            # The backend does not carry the store (threads backend, or
-            # store transport off): fold its stats in directly so the
-            # exposition still covers the data plane.
-            snap = obs.merge_store_stats(snap, self._store.stats())
-        return snap
-
-    def metrics_text(self) -> str:
-        """The metrics snapshot as Prometheus text exposition."""
-        return obs.to_prometheus(self.metrics())
-
-    def save_metrics(self, path) -> None:
-        """Atomically dump the metrics snapshot to *path* as JSON."""
-        obs.save_metrics_json(self.metrics(), path)
 
     # ------------------------------------------------------------------
     # data plane (shared-memory object store)
@@ -1177,14 +1143,6 @@ class Runtime:
         if self._shutdown:
             return RuntimeStateError("runtime shut down while blocked on a stream")
         return None
-
-    @property
-    def metrics_registry(self) -> "obs.MetricsRegistry | None":
-        """The live metrics registry (None without the ``metrics``
-        observability flag).  Subsystems that instrument manually —
-        stream stages recording latency histograms and queue-depth
-        gauges — write through this instead of private state."""
-        return self._metrics
 
     def bind_current_thread(self) -> "Scope | None":
         """Adopt the calling (externally created) thread into this

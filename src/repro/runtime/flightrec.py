@@ -3,13 +3,14 @@
 A :class:`FlightRecorder` holds no events of its own.  It is given a
 callable returning the time-ordered lifecycle rows of a runtime
 (:func:`~repro.runtime.observability.lifecycle_events` over the task
-table) plus an optional metrics-snapshot callback, and costs nothing
-until something goes wrong — workflow kill/abort, a hang watchdog
-trip, or ``SIGTERM`` on a service.  Then it **dumps** a JSON
-file: the last ``capacity`` rows (``n_dropped`` counts the older ones
-left out), a final metrics snapshot, the reason, and identifying fields
-(pid, runtime name, wall-clock time).  The dump is the black box a
-crashed run leaves behind; ``repro logs <dump.json>`` renders it.
+table) plus an optional ``stats`` callback (the engine passes
+``Runtime.stats``), and costs nothing until something goes wrong —
+workflow kill/abort, a hang watchdog trip, or ``SIGTERM`` on a
+service.  Then it **dumps** a JSON file: the last ``capacity`` rows
+(``n_dropped`` counts the older ones left out), the final ``stats``,
+the reason, and identifying fields (pid, runtime name, wall-clock
+time).  The dump is the black box a crashed run leaves behind;
+``repro logs <dump.json>`` renders it.
 
 Enable per-runtime with ``RuntimeConfig(flightrec_dir=...)`` /
 ``REPRO_FLIGHTREC=<dir>`` (the engine then dumps automatically on
@@ -38,6 +39,12 @@ __all__ = ["FlightRecorder", "dump_all", "load_dump"]
 #: tasks (5 rows each) while staying a few MB at worst.
 DEFAULT_CAPACITY = 2048
 
+#: Seconds a dump waits for the ``stats`` callback, which takes the
+#: runtime's locks: a runtime wedged with one held (or a signal handler
+#: interrupting the thread that holds it) costs the dump its stats,
+#: never the dump itself.
+STATS_TIMEOUT = 0.5
+
 _registry: "weakref.WeakSet[FlightRecorder]" = weakref.WeakSet()
 _registry_lock = threading.Lock()
 #: Numbers every dump of this process: two dumps in one second (abort
@@ -52,7 +59,8 @@ class FlightRecorder:
     *events* returns the time-ordered lifecycle rows as dicts; it is
     called at dump time only, possibly from a signal handler or a
     watchdog thread while the observed runtime is wedged, so it must
-    not wait on that runtime's locks."""
+    not wait on that runtime's locks.  *stats* may: it is read on a
+    helper thread for at most :data:`STATS_TIMEOUT` seconds."""
 
     def __init__(
         self,
@@ -61,7 +69,7 @@ class FlightRecorder:
         *,
         name: str = "repro",
         dump_dir: str | os.PathLike | None = None,
-        metrics_snapshot: Optional[Callable[[], dict[str, Any]]] = None,
+        stats: Optional[Callable[[], dict[str, Any]]] = None,
     ):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
@@ -69,7 +77,7 @@ class FlightRecorder:
         self.name = name
         self.dump_dir = Path(dump_dir) if dump_dir is not None else None
         self._events = events
-        self._metrics_snapshot = metrics_snapshot
+        self._stats = stats
         with _registry_lock:
             _registry.add(self)
 
@@ -88,11 +96,8 @@ class FlightRecorder:
             "n_dropped": len(rows) - len(events),
             "events": events,
         }
-        if self._metrics_snapshot is not None:
-            try:
-                payload["metrics"] = self._metrics_snapshot()
-            except Exception as exc:  # noqa: BLE001 - a dump must not fail
-                payload["metrics_error"] = repr(exc)
+        if self._stats is not None:
+            payload.update(_read_stats(self._stats))
         return payload
 
     def dump(
@@ -113,6 +118,26 @@ class FlightRecorder:
     def close(self) -> None:
         with _registry_lock:
             _registry.discard(self)
+
+
+def _read_stats(stats: Callable[[], dict[str, Any]]) -> dict[str, Any]:
+    """``{"stats": stats()}``, or ``{"stats_error": ...}`` when the
+    call raises or outlasts :data:`STATS_TIMEOUT`."""
+    box: list[tuple[str, Any]] = []
+
+    def read() -> None:
+        try:
+            box.append(("stats", stats()))
+        except Exception as exc:  # noqa: BLE001 - a dump must not fail
+            box.append(("stats_error", repr(exc)))
+
+    reader = threading.Thread(target=read, name="flightrec-stats", daemon=True)
+    reader.start()
+    reader.join(STATS_TIMEOUT)
+    if not box:
+        return {"stats_error": f"no stats within {STATS_TIMEOUT}s"}
+    key, value = box[0]
+    return {key: value}
 
 
 def dump_all(reason: str, directory: str | os.PathLike | None = None) -> list[str]:

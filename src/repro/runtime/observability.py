@@ -1,4 +1,4 @@
-"""Runtime observability: lifecycle view, metrics, progress, analysis.
+"""Runtime observability: lifecycle view, progress, analysis.
 
 The engine (:mod:`repro.runtime.engine`) keeps one record per task
 attempt — its ``TaskInstance`` in the task table — and stamps the
@@ -11,19 +11,15 @@ reads:
   running -> done/failed/ignored/cancelled/restored`` history (plus
   ``retry``), as time-ordered rows.  The crash flight recorder
   (:mod:`repro.runtime.flightrec`) dumps the tail of it.
-* :func:`merge_task_metrics` — the task-lifecycle series behind
-  ``Runtime.metrics()`` (snapshot dict), ``Runtime.metrics_text()``
-  (Prometheus exposition) and ``Runtime.save_metrics(path)`` (atomic
-  JSON dump).  ``RuntimeConfig(observability="metrics")``
-  (``REPRO_OBSERVABILITY``) turns that view on and attaches a
-  :class:`MetricsRegistry` for the series nothing else can know — the
-  stream stages' manual writes, and uptime.
-  ``obs.metrics_overhead_frac`` in ``bench/`` measures a run with the
-  flag on, end to end (see ``bench/README.md``).
 * :class:`ProgressReporter` — a live running/done/failed + ETA line on
   stderr (or a callback), enabled with ``observability="progress"``;
   the engine ticks it as attempts finish and it counts the table at
   render time.
+
+Counts of the run (tasks by state, retries, restores, backend and
+store counters) are ``Runtime.stats()``; per-task timings are
+``Runtime.trace()`` and its OTLP document.  There is no separate
+metrics registry (DESIGN.md §22).
 
 Independent of the table, this module analyses finished
 :class:`~repro.runtime.tracing.Trace` objects: :func:`critical_path`
@@ -36,12 +32,8 @@ front-end for both.
 
 from __future__ import annotations
 
-import collections
 import dataclasses
-import json
-from bisect import bisect_left
 import sys
-import threading
 import time
 from typing import Any, Callable, Iterable
 
@@ -67,7 +59,10 @@ RETRY = "retry"
 TERMINAL_KINDS = frozenset({DONE, FAILED, IGNORED, CANCELLED, RESTORED})
 
 #: Valid ``RuntimeConfig(observability=...)`` flags.
-OBSERVABILITY_FLAGS = ("metrics", "progress")
+OBSERVABILITY_FLAGS = (
+    "metrics",  # accepted and inert: the benchmark still passes it (ROADMAP item 1a)
+    "progress",
+)
 
 
 def parse_flags(raw: str | None) -> frozenset[str]:
@@ -157,458 +152,6 @@ def lifecycle_events(attempts: Iterable) -> list[dict[str, Any]]:
     # Stable: rows of one attempt that share a stamp keep lifecycle order.
     rows.sort(key=lambda row: row[1])
     return [dict(zip(_ROW_KEYS, row)) for row in rows]
-
-
-# ----------------------------------------------------------------------
-# metrics registry
-# ----------------------------------------------------------------------
-#: Fixed log-scale histogram bounds (seconds): 1-2.5-5 per decade from
-#: 1 µs to 500 s.  Fixed bounds keep every exposition mergeable across
-#: runs and processes (the Prometheus histogram contract).
-DURATION_BUCKETS: tuple[float, ...] = tuple(
-    m * 10.0**e for e in range(-6, 3) for m in (1.0, 2.5, 5.0)
-)
-
-
-class Histogram:
-    """A fixed-bucket time histogram (not thread-safe on its own; the
-    registry serialises access)."""
-
-    __slots__ = ("bounds", "counts", "sum", "count")
-
-    def __init__(self, bounds: tuple[float, ...] = DURATION_BUCKETS):
-        self.bounds = bounds
-        self.counts = [0] * (len(bounds) + 1)  # last bucket = +Inf
-        self.sum = 0.0
-        self.count = 0
-
-    def observe(self, value: float) -> None:
-        # bisect_left gives the first bound >= value, i.e. the smallest
-        # bucket whose ``le`` covers it (boundary values land low).
-        self.counts[bisect_left(self.bounds, value)] += 1
-        self.sum += value
-        self.count += 1
-
-    def snapshot(self) -> dict[str, Any]:
-        cumulative: list[list[Any]] = []
-        running = 0
-        for bound, n in zip(self.bounds, self.counts):
-            running += n
-            cumulative.append([bound, running])
-        cumulative.append(["+Inf", running + self.counts[-1]])
-        return {"buckets": cumulative, "sum": self.sum, "count": self.count}
-
-
-_LabelKey = tuple[tuple[str, str], ...]
-
-
-def _labels_key(labels: dict[str, str]) -> _LabelKey:
-    return tuple(sorted((k, str(v)) for k, v in labels.items()))
-
-
-class MetricsRegistry:
-    """Manually written counters, gauges and histograms, plus uptime.
-
-    One instance is attached per Runtime when
-    ``RuntimeConfig(observability="metrics")`` is set; subsystems that
-    instrument themselves (the stream stages) write through
-    ``Runtime.metrics_registry``.  It holds only what no other record
-    can answer: the task-lifecycle series are not kept here but shaped
-    from the task table by :func:`merge_task_metrics` when
-    ``Runtime.metrics()`` is read.  All series use the ``repro_``
-    namespace and Prometheus naming conventions so
-    :func:`to_prometheus` output scrapes cleanly.
-    """
-
-    def __init__(self, clock=time.monotonic):
-        self._lock = threading.Lock()
-        self._clock = clock
-        self.started_at = clock()
-        self._counters: dict[tuple[str, _LabelKey], float] = {}
-        self._gauges: dict[tuple[str, _LabelKey], float] = {}
-        self._hists: dict[tuple[str, _LabelKey], Histogram] = {}
-
-    # -- manual instrumentation ----------------------------------------
-    def inc(self, name: str, value: float = 1.0, **labels: str) -> None:
-        key = (name, _labels_key(labels))
-        with self._lock:
-            self._counters[key] = self._counters.get(key, 0.0) + value
-
-    def set_gauge(self, name: str, value: float, **labels: str) -> None:
-        with self._lock:
-            self._gauges[(name, _labels_key(labels))] = value
-
-    def observe(self, name: str, value: float, **labels: str) -> None:
-        key = (name, _labels_key(labels))
-        with self._lock:
-            hist = self._hists.get(key)
-            if hist is None:
-                hist = self._hists[key] = Histogram()
-            hist.observe(value)
-
-    # -- snapshot -------------------------------------------------------
-    def snapshot(self) -> dict[str, Any]:
-        """A JSON-serialisable point-in-time view of every series."""
-        with self._lock:
-            uptime = max(self._clock() - self.started_at, 1e-9)
-            counters = [
-                {"name": name, "labels": dict(labels), "value": value}
-                for (name, labels), value in sorted(self._counters.items())
-            ]
-            gauges = [
-                {"name": name, "labels": dict(labels), "value": value}
-                for (name, labels), value in sorted(self._gauges.items())
-            ]
-            hists = [
-                {"name": name, "labels": dict(labels), **hist.snapshot()}
-                for (name, labels), hist in sorted(self._hists.items())
-            ]
-        return {
-            "enabled": True,
-            "uptime_seconds": uptime,
-            "counters": counters,
-            "gauges": gauges,
-            "histograms": hists,
-        }
-
-
-def empty_snapshot() -> dict[str, Any]:
-    """The snapshot shape of a runtime with metrics disabled."""
-    return {
-        "enabled": False,
-        "uptime_seconds": 0.0,
-        "counters": [],
-        "gauges": [],
-        "histograms": [],
-    }
-
-
-def _upsert_series(
-    snapshot: dict[str, Any], section: str, name: str, labels: dict[str, str], value: float
-) -> None:
-    """Set one series in a snapshot section, replacing an existing
-    entry with the same ``(name, labels)`` instead of appending a
-    duplicate — this is what makes the ``merge_*_stats`` helpers
-    idempotent: re-merging the same stats overwrites, never
-    double-counts."""
-    for series in snapshot[section]:
-        if series["name"] == name and series["labels"] == labels:
-            series["value"] = value
-            return
-    snapshot[section].append({"name": name, "labels": labels, "value": value})
-
-
-def _series_key(series: dict[str, Any]) -> tuple[str, _LabelKey]:
-    return series["name"], _labels_key(series["labels"])
-
-
-def merge_task_metrics(
-    snapshot: dict[str, Any], attempts: Iterable, max_workers: int
-) -> dict[str, Any]:
-    """Shape the task-lifecycle series from *attempts* — a snapshot of
-    the runtime's task table, one ``TaskInstance`` per attempt — and
-    fold them into *snapshot*: tasks by terminal state, submissions,
-    enqueues, retries, restores, failures by task name, the running
-    gauge, busy seconds per worker (and the utilization they imply over
-    the snapshot's uptime and *max_workers*), and the duration /
-    queue-wait / overhead histograms of the attempts whose body ran.
-    A counter or histogram exists once something was counted into it.
-
-    ``Runtime.stats()`` reads the same table, so after a drained run
-    ``repro_tasks_total{state=S}`` is its ``by_state[S]``,
-    ``repro_tasks_submitted_total`` its ``n_tasks``, and the retry and
-    restore counters its ``retries`` and ``restored``."""
-    counters: collections.Counter = collections.Counter()
-    hists: dict[tuple[str, _LabelKey], Histogram] = collections.defaultdict(Histogram)
-    running = 0
-    busy = 0.0
-    for inst in attempts:
-        counters["repro_tasks_submitted_total", ()] += 1
-        if inst.t_ready is not None:
-            counters["repro_tasks_enqueued_total", ()] += 1
-        if inst.retry_of is not None:
-            counters["repro_retries_total", ()] += 1
-        state, t_body, t_end = inst.state, inst.t_body_start, inst.t_end
-        if state not in TERMINAL_STATES:
-            if t_body is not None:
-                running += 1
-            continue
-        counters["repro_tasks_total", (("state", state),)] += 1
-        if inst.status == RESTORED:
-            counters["repro_tasks_restored_total", ()] += 1
-        if state == FAILED:
-            counters["repro_task_failures_total", (("task", inst.name),)] += 1
-        if t_body is None or t_end is None:
-            continue  # the body never ran: restored, cancelled, failed before it
-        duration = t_end - t_body
-        busy += duration
-        worker = inst.worker_name or "main"
-        counters["repro_worker_busy_seconds_total", (("worker", worker),)] += duration
-        hists["repro_task_duration_seconds", (("task", inst.name),)].observe(duration)
-        hists["repro_task_queue_wait_seconds", ()].observe(
-            queue_wait_of(inst.t_ready, inst.t_dispatch)
-        )
-        hists["repro_task_overhead_seconds", ()].observe(
-            overhead_of(inst.t_submit, inst.t_ready, inst.t_dispatch, t_body)
-        )
-
-    snapshot["counters"] += [
-        {"name": name, "labels": dict(labels), "value": float(value)}
-        for (name, labels), value in counters.items()
-    ]
-    snapshot["histograms"] += [
-        {"name": name, "labels": dict(labels), **hist.snapshot()}
-        for (name, labels), hist in hists.items()
-    ]
-    gauges = snapshot["gauges"]
-    gauges.append({"name": "repro_tasks_running", "labels": {}, "value": float(running)})
-    for section in ("counters", "gauges", "histograms"):
-        snapshot[section].sort(key=_series_key)
-    utilization = busy / (snapshot["uptime_seconds"] * max_workers)
-    gauges.append({"name": "repro_worker_utilization", "labels": {}, "value": utilization})
-    return snapshot
-
-
-def merge_backend_stats(snapshot: dict[str, Any], backend_stats: dict) -> dict[str, Any]:
-    """Fold an :class:`ExecutorBackend`'s counters into *snapshot* as
-    ``repro_backend_*`` series (dispatch/fallback counts, serialization
-    seconds), so one exposition covers scheduler and backend.
-    Idempotent: merging the same stats twice overwrites in place."""
-    snapshot["backend"] = dict(backend_stats)
-    for key, value in sorted(backend_stats.items()):
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            continue
-        if key in ("max_workers", "pool_workers"):
-            _upsert_series(
-                snapshot, "gauges", f"repro_backend_{key}", {}, float(value)
-            )
-        else:
-            _upsert_series(
-                snapshot, "counters", f"repro_backend_{key}_total", {}, float(value)
-            )
-    return snapshot
-
-
-#: Store stats that are point-in-time occupancy, not monotonic counts.
-_STORE_GAUGES = frozenset({"n_objects", "bytes_resident"})
-
-
-def merge_store_stats(snapshot: dict[str, Any], store_stats: dict) -> dict[str, Any]:
-    """Fold an :class:`~repro.runtime.store.ObjectStore`'s stats into
-    *snapshot* as ``repro_store_*`` series (puts/gets/releases as
-    counters, occupancy as gauges), so one exposition covers the data
-    plane even when the backend does not carry the store itself."""
-    snapshot["store"] = dict(store_stats)
-    for key, value in sorted(store_stats.items()):
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            continue
-        if key in _STORE_GAUGES:
-            _upsert_series(snapshot, "gauges", f"repro_store_{key}", {}, float(value))
-        else:
-            _upsert_series(
-                snapshot, "counters", f"repro_store_{key}_total", {}, float(value)
-            )
-    return snapshot
-
-
-def merge_service_stats(snapshot: dict[str, Any], service_stats: dict) -> dict[str, Any]:
-    """Fold a durable queue service's stats into *snapshot* as
-    ``repro_service_*`` series.
-
-    Per-tenant occupancy (``service_stats["tenants"]``: tenant →
-    state → count) becomes labelled gauges — ``queue_depth`` is the
-    deliverable backlog, ``leases_active`` the in-flight lease count —
-    and the service's monotonic tallies (``service_stats["counters"]``:
-    claims, completions, lease expirations, duplicates discarded, ...)
-    become ``_total`` counters, so one exposition covers the queue next
-    to the scheduler and data plane."""
-    snapshot["service"] = {
-        "tenants": {t: dict(v) for t, v in service_stats.get("tenants", {}).items()},
-        "counters": dict(service_stats.get("counters", {})),
-    }
-    for tenant, states in sorted(service_stats.get("tenants", {}).items()):
-        _upsert_series(
-            snapshot,
-            "gauges",
-            "repro_service_queue_depth",
-            {"tenant": tenant},
-            float(states.get("queued", 0)),
-        )
-        _upsert_series(
-            snapshot,
-            "gauges",
-            "repro_service_leases_active",
-            {"tenant": tenant},
-            float(states.get("leased", 0)),
-        )
-    for key, value in sorted(service_stats.get("counters", {}).items()):
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            continue
-        _upsert_series(
-            snapshot, "counters", f"repro_service_{key}_total", {}, float(value)
-        )
-    return snapshot
-
-
-def save_metrics_json(snapshot: dict[str, Any], path) -> None:
-    """Atomically dump a metrics snapshot to *path* as JSON."""
-    from repro.runtime.atomic_write import atomic_write
-
-    atomic_write(path, json.dumps(snapshot, indent=2, sort_keys=True) + "\n")
-
-
-# ----------------------------------------------------------------------
-# Prometheus text exposition
-# ----------------------------------------------------------------------
-def _escape_label_value(value: str) -> str:
-    """Escape a label value per the Prometheus text format: backslash,
-    double quote and newline (a raw newline would split the sample
-    line and corrupt the whole exposition)."""
-    return (
-        value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-    )
-
-
-def _unescape_label_value(value: str) -> str:
-    out: list[str] = []
-    i, n = 0, len(value)
-    while i < n:
-        ch = value[i]
-        if ch == "\\" and i + 1 < n:
-            nxt = value[i + 1]
-            if nxt == "n":
-                out.append("\n")
-            elif nxt in ('"', "\\"):
-                out.append(nxt)
-            else:  # unknown escape: keep verbatim
-                out.append(ch)
-                out.append(nxt)
-            i += 2
-            continue
-        out.append(ch)
-        i += 1
-    return "".join(out)
-
-
-def _format_labels(labels: dict[str, str]) -> str:
-    if not labels:
-        return ""
-    inner = ",".join(
-        f'{k}="{_escape_label_value(str(v))}"' for k, v in sorted(labels.items())
-    )
-    return "{" + inner + "}"
-
-
-def to_prometheus(snapshot: dict[str, Any]) -> str:
-    """Render a snapshot as the Prometheus text exposition format."""
-    lines: list[str] = []
-    seen_types: set[str] = set()
-
-    def type_line(name: str, kind: str) -> None:
-        if name not in seen_types:
-            seen_types.add(name)
-            lines.append(f"# TYPE {name} {kind}")
-
-    for series in snapshot.get("counters", ()):
-        type_line(series["name"], "counter")
-        lines.append(
-            f"{series['name']}{_format_labels(series['labels'])} {series['value']:g}"
-        )
-    for series in snapshot.get("gauges", ()):
-        type_line(series["name"], "gauge")
-        lines.append(
-            f"{series['name']}{_format_labels(series['labels'])} {series['value']:g}"
-        )
-    for series in snapshot.get("histograms", ()):
-        name = series["name"]
-        type_line(name, "histogram")
-        labels = dict(series["labels"])
-        for bound, count in series["buckets"]:
-            le = "+Inf" if bound == "+Inf" else f"{bound:g}"
-            lines.append(
-                f"{name}_bucket{_format_labels({**labels, 'le': le})} {count}"
-            )
-        lines.append(f"{name}_sum{_format_labels(labels)} {series['sum']:g}")
-        lines.append(f"{name}_count{_format_labels(labels)} {series['count']}")
-    return "\n".join(lines) + "\n"
-
-
-def _parse_label_body(body: str) -> dict[str, str]:
-    """Scan one ``k="v",k2="v2"`` label body, honouring the escape
-    sequences :func:`_escape_label_value` emits (``\\\\``, ``\\"``,
-    ``\\n``) — a naive split on ``,`` would break on any value
-    containing a comma, quote or brace."""
-    labels: dict[str, str] = {}
-    i, n = 0, len(body)
-    while i < n:
-        eq = body.find("=", i)
-        if eq < 0:
-            raise ValueError(f"bad label segment {body[i:]!r}")
-        key = body[i:eq].strip()
-        if not key:
-            raise ValueError(f"empty label name in {body!r}")
-        if eq + 1 >= n or body[eq + 1] != '"':
-            raise ValueError(f"unquoted label value for {key!r}")
-        j = eq + 2
-        raw: list[str] = []
-        while j < n:
-            ch = body[j]
-            if ch == "\\" and j + 1 < n:
-                raw.append(ch)
-                raw.append(body[j + 1])
-                j += 2
-                continue
-            if ch == '"':
-                break
-            raw.append(ch)
-            j += 1
-        else:
-            raise ValueError(f"unterminated label value for {key!r}")
-        if j >= n or body[j] != '"':
-            raise ValueError(f"unterminated label value for {key!r}")
-        labels[key] = _unescape_label_value("".join(raw))
-        j += 1
-        if j < n:
-            if body[j] != ",":
-                raise ValueError(f"expected ',' after label {key!r}")
-            j += 1
-        i = j
-    return labels
-
-
-def parse_prometheus(text: str) -> dict[tuple[str, _LabelKey], float]:
-    """Parse a text exposition back into ``(name, labels) -> value``.
-
-    A deliberately strict mini-parser used by the ``obs`` CI gate and
-    the tests to prove the exposition is well-formed; raises
-    :class:`ValueError` on any malformed line."""
-    out: dict[tuple[str, _LabelKey], float] = {}
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        head, _, value_text = line.rpartition(" ")
-        if not head:
-            raise ValueError(f"line {lineno}: no value in {line!r}")
-        try:
-            value = float(value_text)
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: bad value {value_text!r}") from exc
-        if "{" in head:
-            name, _, rest = head.partition("{")
-            if not rest.endswith("}"):
-                raise ValueError(f"line {lineno}: unterminated labels in {line!r}")
-            try:
-                labels = _parse_label_body(rest[:-1])
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from None
-            key = (name, _labels_key(labels))
-        else:
-            key = (head, ())
-        if not key[0].replace("_", "").replace(":", "").isalnum():
-            raise ValueError(f"line {lineno}: bad metric name {key[0]!r}")
-        out[key] = value
-    return out
 
 
 # ----------------------------------------------------------------------

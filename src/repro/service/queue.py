@@ -756,9 +756,9 @@ class DurableQueue:
         return rows
 
     def stats(self) -> dict[str, Any]:
-        """Snapshot for the metrics surface: per-tenant state counts
-        plus the operation counters, a view of the provenance log
-        (shaped for :func:`repro.runtime.observability.merge_service_stats`)."""
+        """Per-tenant state counts plus the operation counters, a view
+        of the provenance log (``ServiceClient.counts()`` returns it, ``QueueService.status()``
+        embeds it)."""
         tenants: dict[str, dict[str, int]] = {
             name: {} for name in self.tenants()
         }

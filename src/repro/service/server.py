@@ -43,7 +43,6 @@ from pathlib import Path
 from typing import Any, Mapping, Optional
 
 from repro.runtime import flightrec
-from repro.runtime import observability as obs
 from repro.runtime import otlp
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.engine import Runtime
@@ -334,16 +333,6 @@ class QueueService:
         return killed
 
     # -- introspection --------------------------------------------------
-    def metrics(self) -> dict[str, Any]:
-        """One snapshot covering the embedded runtime *and* the queue
-        (per-tenant depth/lease gauges, durable op counters)."""
-        assert self.runtime is not None, "call start() first"
-        snapshot = self.runtime.metrics()
-        return obs.merge_service_stats(snapshot, self.queue.stats())
-
-    def metrics_text(self) -> str:
-        return obs.to_prometheus(self.metrics())
-
     def status(self) -> dict[str, Any]:
         stats = self.queue.stats()
         return {

@@ -166,7 +166,6 @@ class _Stage:
         self.output: Stream | None = None
         self.thread: threading.Thread | None = None
         self._stop = False
-        self._metrics = graph._metrics
         self._windower = spec.make() if spec is not None else None
         self._emits = _EMITS.get(kind)
         if kind in _EMITS:
@@ -201,12 +200,6 @@ class _Stage:
         self.stats.n_out += 1
         self._send(item)
 
-    def _observe(self, dt: float) -> None:
-        self.stats.latencies.append(dt)
-        m = self._metrics
-        if m is not None:
-            m.observe("repro_stream_stage_seconds", dt, stage=self.name)
-
     # -- operators: one record in, what it emits passed on -------------
     # A stage's latency times its own operator, never the downstream
     # chain its emits call into.
@@ -240,7 +233,7 @@ class _Stage:
             except StopIteration:
                 break
             # a source's operator is its feed: time the pull
-            self._observe(time.monotonic() - t0)
+            self.stats.latencies.append(time.monotonic() - t0)
             self._emit(Record(value, ingest=time.monotonic()))
 
     def _push_record(self, item: Record) -> None:
@@ -248,7 +241,7 @@ class _Stage:
         self.stats.n_in += 1
         t0 = time.monotonic()
         emitted, value = self._apply(self.fn, item.value)
-        self._observe(time.monotonic() - t0)
+        self.stats.latencies.append(time.monotonic() - t0)
         if emitted:
             for out in self._emits(item, value):
                 self._emit(out)
@@ -263,7 +256,7 @@ class _Stage:
         self.stats.n_in += 1
         t0 = time.monotonic()
         window = self._aggregate(self._windower.add(item))
-        self._observe(time.monotonic() - t0)
+        self.stats.latencies.append(time.monotonic() - t0)
         if window is not None:
             self._emit(window)
 
@@ -283,13 +276,9 @@ class _Stage:
         if self.collect:
             self.collected.append(value)
         self.stats.n_out += 1
-        now = time.monotonic()
-        self._observe(now - t0)
-        if item.ingest is not None:
-            e2e = now - item.ingest
-            self.stats.latencies[-1] = e2e  # e2e is the sink's headline
-            if self._metrics is not None:
-                self._metrics.observe("repro_stream_e2e_seconds", e2e, stage=self.name)
+        # a record's ingest-to-sink time is the sink's headline
+        start = t0 if item.ingest is None else item.ingest
+        self.stats.latencies.append(time.monotonic() - start)
 
     def flush(self) -> None:
         """End of input: a ``window``/``batch`` emits its open windows,
@@ -332,12 +321,6 @@ class StreamGraph:
         self._error: BaseException | None = None
         self._error_stage: str | None = None
         self._lock = threading.Lock()
-        self._metrics = (
-            self.runtime.metrics_registry if self.runtime is not None else None
-        )
-        #: ``(stage, port)`` -> record count already folded into
-        #: ``repro_stream_records_total`` by :meth:`publish_gauges`.
-        self._published: dict[tuple[str, str], int] = {}
         #: Root trace context of this graph run (minted at ``start``).
         #: Each chain thread gets a child installed ambiently, so every
         #: ``submit_many`` micro-batch a stage issues joins one trace.
@@ -738,53 +721,12 @@ class StreamGraph:
 
     def metrics_snapshot(self) -> dict:
         """Graph-local telemetry: per-stage p50/p99/throughput and
-        per-stream depth/credit accounting — available with or without
-        the runtime metrics registry."""
+        per-stream depth/credit accounting."""
         return {
             "graph": self.name,
             "stages": {s.name: s.stats.snapshot() for s in self.stages},
             "streams": {s.name: s.stats() for s in self.streams},
         }
-
-    def publish_gauges(self) -> None:
-        """Fold live queue-depth / latency-quantile / throughput gauges
-        and the per-stage record counts (``StageStats.n_in`` / ``n_out``)
-        into the runtime metrics registry (Prometheus exposition and
-        ``repro trace`` read from there).  Safe no-op without the
-        ``metrics`` observability flag."""
-        m = self._metrics
-        if m is None:
-            return
-        for stream in self.streams:
-            st = stream.stats()
-            m.set_gauge("repro_stream_queue_depth", st["depth"], stream=st["name"])
-            m.set_gauge("repro_stream_queue_credits", st["credits"], stream=st["name"])
-            m.set_gauge(
-                "repro_stream_queue_high_water", st["high_water"], stream=st["name"]
-            )
-        for stage in self.stages:
-            snap = stage.stats.snapshot()
-            m.set_gauge(
-                "repro_stream_stage_latency_seconds",
-                snap["p50_ms"] / 1000.0,
-                stage=stage.name,
-                quantile="0.5",
-            )
-            m.set_gauge(
-                "repro_stream_stage_latency_seconds",
-                snap["p99_ms"] / 1000.0,
-                stage=stage.name,
-                quantile="0.99",
-            )
-            m.set_gauge("repro_stream_stage_rps", snap["rps"], stage=stage.name)
-            for port in ("in", "out"):
-                n = snap[f"n_{port}"]
-                delta = n - self._published.get((stage.name, port), 0)
-                if delta:
-                    m.inc(
-                        "repro_stream_records_total", delta, stage=stage.name, port=port
-                    )
-                    self._published[stage.name, port] = n
 
 
 __all__ = [

@@ -18,11 +18,10 @@ runs through the same :class:`~repro.streaming.operators` windower,
 ordinary task DAG — the differential suite requires the two paths to
 be **bit-identical**, on both the threaded and sequential executors.
 
-Per-stage p50/p99 latency, throughput and queue-depth gauges flow
-through the runtime's :class:`~repro.runtime.observability.MetricsRegistry`
-(``repro_stream_*`` series in the Prometheus exposition); the
-micro-batch inference tasks appear in ``repro trace`` like any other
-task.
+Per-stage p50/p99 latency, throughput and queue depth are graph-local
+(:meth:`~repro.streaming.graph.StreamGraph.metrics_snapshot`, returned
+as :attr:`ServingResult.metrics`); the micro-batch inference tasks
+appear in ``repro trace`` like any other task.
 """
 
 from __future__ import annotations
@@ -243,14 +242,8 @@ def serve_stream(
     cfg: ServeConfig,
     runtime: Runtime | None = None,
     model=None,
-    *,
-    gauge_interval: float | None = None,
 ) -> ServingResult:
-    """Run the online serving pipeline over the bounded feed.
-
-    ``gauge_interval`` (seconds) republishes live queue-depth and
-    latency gauges into the metrics registry while the graph runs —
-    the ``repro serve-stream`` demo uses it."""
+    """Run the online serving pipeline over the bounded feed."""
     rt = runtime if runtime is not None else active_runtime()
     if rt is None:
         raise RuntimeError("serve_stream needs an active Runtime")
@@ -283,13 +276,8 @@ def serve_stream(
     sink = g.sink(preds, name="predictions")
 
     g.start()
-    if gauge_interval:
-        while any(s.thread is not None and s.thread.is_alive() for s in g.stages):
-            g.publish_gauges()
-            time.sleep(gauge_interval)
     g.join()
     elapsed = time.monotonic() - t0
-    g.publish_gauges()
 
     predictions = list(sink.collected)
     probs = (

@@ -91,6 +91,8 @@ class TestResume:
         assert total2 == total1
         assert CALLS == []  # nothing re-executed
         assert stats2["restored"] == 5
+        # a restored attempt terminates as done
+        assert stats2["by_state"] == {"done": 5}
         assert stats2["checkpoint_writes"] == 0
         assert trace2.n_restored == 5
         assert trace2.n_executed == 0

@@ -19,7 +19,6 @@ from repro.runtime import Runtime, task, wait_on
 from repro.runtime import engine
 from repro.runtime.backends import current_attempt
 from repro.runtime.config import RuntimeConfig
-from tests.support.oracles import metric_value
 
 
 def test_shutdown_waits_for_all_live_scopes():
@@ -497,29 +496,24 @@ def test_failure_mid_chain_cancels_successors():
         assert wait_on(f) == 1
 
 
-def test_submit_many_stats_and_metrics_reconcile():
+def test_submit_many_stats_and_trace_reconcile():
     """Every batch task is submitted, queued, run and finished once:
-    one ``ready`` row and one enqueue per attempt."""
+    one ``ready`` row and one ``t_ready`` stamp per attempt."""
     from repro.runtime import observability as obs
 
-    with _pool(observability="metrics") as rt:
+    with _pool() as rt:
         futs = rt.submit_many([_inc.defer(i) for i in range(4)])
         futs = rt.submit_many([_double.defer(f) for f in futs])
         head = rt.submit_many([_inc.defer(futs[0])])[0]
         assert wait_on([head, *futs[1:]]) == [3, 4, 6, 8]
         rt.barrier()
-        snap, stats, trace = rt.metrics(), rt.stats(), rt.trace()
+        stats, trace = rt.stats(), rt.trace()
         kinds = [row["kind"] for row in obs.lifecycle_events(rt._attempts())]
-    assert metric_value(snap, "repro_tasks_submitted_total") == stats["n_tasks"] == 9
-    assert metric_value(snap, "repro_tasks_total", state="done") == 9
-    assert metric_value(snap, "repro_tasks_enqueued_total") == 9
-    assert metric_value(snap, "repro_tasks_running") == 0
+    assert stats["n_tasks"] == trace.n_executed == 9
+    assert stats["by_state"] == {"done": 9}
+    assert sum(r.t_ready is not None for r in trace) == 9
     for kind in ("submitted", "ready", "dispatched", "running", "done"):
         assert kinds.count(kind) == 9, kind
-    durations = [
-        h for h in snap["histograms"] if h["name"] == "repro_task_duration_seconds"
-    ]
-    assert sum(h["count"] for h in durations) == trace.n_executed == 9
 
 
 def test_submit_many_chain_resumes_from_checkpoint(tmp_path):

@@ -15,7 +15,7 @@ from repro.runtime import Runtime, task, wait_on
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.exceptions import WorkflowKilledError
 from repro.runtime.flightrec import FlightRecorder, dump_all, load_dump
-from repro.runtime.observability import lifecycle_events
+from repro.runtime.observability import TERMINAL_KINDS, lifecycle_events
 from tests.support.oracles import run_under_watchdog
 
 
@@ -105,21 +105,23 @@ def test_logs_of_a_json_that_is_not_an_object_exits_1(tmp_path, capsys, payload)
     assert err.startswith(f"cannot read {path}") and "not a flight-recorder dump" in err
 
 
-def test_metrics_snapshot_captured_and_errors_contained(tmp_path):
+def test_stats_captured_and_errors_contained(tmp_path):
     good = FlightRecorder(
-        _no_events, name="good", dump_dir=tmp_path, metrics_snapshot=lambda: {"counters": [1]}
+        _no_events, name="good", dump_dir=tmp_path, stats=lambda: {"by_state": {"done": 1}}
     )
     bad = FlightRecorder(
         _no_events,
         name="bad",
         dump_dir=tmp_path,
-        metrics_snapshot=lambda: (_ for _ in ()).throw(RuntimeError("no metrics")),
+        stats=lambda: (_ for _ in ()).throw(RuntimeError("no stats")),
     )
     try:
-        assert load_dump(good.dump())["metrics"] == {"counters": [1]}
+        payload = load_dump(good.dump())
+        assert payload["stats"] == {"by_state": {"done": 1}}
+        assert "stats_error" not in payload
         payload = load_dump(bad.dump())
-        assert "metrics" not in payload
-        assert "no metrics" in payload["metrics_error"]
+        assert "stats" not in payload
+        assert "no stats" in payload["stats_error"]
     finally:
         good.close()
         bad.close()
@@ -165,12 +167,14 @@ def _killer():
     raise KeyboardInterrupt()
 
 
-def test_runtime_dumps_flight_recorder_on_kill(tmp_path):
+def test_runtime_dumps_flight_recorder_on_kill(tmp_path, capsys):
+    from repro.cli import main
+
     dump_dir = tmp_path / "flightrec"
     cfg = RuntimeConfig(executor="threads", flightrec_dir=str(dump_dir))
     with Runtime(config=cfg) as rt:
         assert rt.flight_recorder is not None
-        wait_on(_fine(1))
+        wait_on([_fine(1), _flaky(2)])
         with pytest.raises((WorkflowKilledError, KeyboardInterrupt)):
             wait_on(_killer())
     dumps = list(dump_dir.glob("flightrec-*.json"))
@@ -180,7 +184,18 @@ def test_runtime_dumps_flight_recorder_on_kill(tmp_path):
     assert payload["n_events"] >= 1
     kinds = {e["kind"] for e in payload["events"]}
     assert "submitted" in kinds
-    assert "metrics" in payload  # the engine wires its metrics snapshot
+    # the engine records its stats(): by state, they are the dump's
+    # terminal rows (the killed attempt never retired)
+    terminal = collections.Counter(
+        e["state"] for e in payload["events"] if e["kind"] in TERMINAL_KINDS
+    )
+    assert dict(terminal) == {"done": 2, "failed": 1}
+    by_state = payload["stats"]["by_state"]
+    assert {s: n for s, n in by_state.items() if s in TERMINAL_KINDS} == dict(terminal)
+    assert payload["stats"]["retries"] == 1
+    capsys.readouterr()
+    assert main(["logs", str(dumps[0])]) == 0
+    assert "by state : done=2, failed=1, running=1" in capsys.readouterr().out
 
 
 def test_runtime_without_flightrec_dir_has_no_recorder():
@@ -223,10 +238,10 @@ def test_task_table_does_not_depend_on_the_recorder(tmp_path):
     assert all(key[-1] for key in plain)
 
 
-def test_dump_does_not_wait_on_a_wedged_runtime(tmp_path):
-    cfg = RuntimeConfig(
-        executor="threads", flightrec_dir=str(tmp_path), observability="metrics"
-    )
+def test_dump_does_not_wait_on_a_wedged_runtime(tmp_path, capsys):
+    from repro.cli import main
+
+    cfg = RuntimeConfig(executor="threads", flightrec_dir=str(tmp_path))
     with Runtime(config=cfg) as rt:
         wait_on(_fine(1))
         rt.barrier()
@@ -253,7 +268,11 @@ def test_dump_does_not_wait_on_a_wedged_runtime(tmp_path):
             holder.join(5)
     payload = load_dump(paths[0])
     assert [e["kind"] for e in payload["events"]][-1] == "done"
-    assert payload["metrics"]["enabled"] is True
+    # stats() takes the held locks: the dump goes without it, and says so
+    assert "stats" not in payload and "no stats within" in payload["stats_error"]
+    capsys.readouterr()
+    assert main(["logs", paths[0]]) == 0
+    assert "by state : unread (no stats within" in capsys.readouterr().out
 
 
 # ----------------------------------------------------------------------

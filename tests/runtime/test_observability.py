@@ -1,11 +1,9 @@
 """Tests for :mod:`repro.runtime.observability`: the lifecycle view,
-metrics registry, Prometheus exposition, progress reporting and
-critical-path analysis."""
+progress reporting and critical-path analysis."""
 
 from __future__ import annotations
 
 import io
-import json
 import time
 
 import pytest
@@ -13,7 +11,6 @@ import pytest
 from repro.runtime import Runtime, RuntimeConfig, task, wait_on
 from repro.runtime import observability as obs
 from repro.runtime.tracing import TaskRecord, Trace
-from tests.support.oracles import metric_value
 
 
 @task(returns=1)
@@ -43,7 +40,9 @@ def test_parse_flags():
 
 
 def test_config_validates_observability():
-    RuntimeConfig(observability="metrics")  # fine
+    # "metrics" does nothing but stays valid, alone and inside "all"
+    for flags in ("metrics", "all", "metrics,progress"):
+        assert RuntimeConfig(observability=flags).observability == flags
     with pytest.raises(ValueError, match="unknown observability flag"):
         RuntimeConfig(observability="telemetry")
 
@@ -59,157 +58,8 @@ def test_config_env_observability_and_metrics_shorthand():
 
 
 # ----------------------------------------------------------------------
-# Histogram / registry primitives
+# runtime integration: the lifecycle view
 # ----------------------------------------------------------------------
-def test_histogram_buckets_are_cumulative():
-    h = obs.Histogram(bounds=(0.001, 0.01, 0.1))
-    for v in (0.0005, 0.005, 0.005, 0.05, 5.0):
-        h.observe(v)
-    snap = h.snapshot()
-    assert [c for _, c in snap["buckets"]] == [1, 3, 4, 5]
-    assert snap["buckets"][-1][0] == "+Inf"
-    assert snap["count"] == 5
-    assert snap["sum"] == pytest.approx(5.0605)
-
-
-def test_histogram_boundary_value_falls_in_lower_bucket():
-    h = obs.Histogram(bounds=(1.0, 2.0))
-    h.observe(1.0)  # le="1" bucket includes exactly 1.0
-    assert h.snapshot()["buckets"][0] == [1.0, 1]
-
-
-def test_registry_manual_series_and_snapshot():
-    reg = obs.MetricsRegistry()
-    reg.inc("repro_things_total", 3, kind="a")
-    reg.set_gauge("repro_depth", 7)
-    reg.observe("repro_latency_seconds", 0.5)
-    snap = reg.snapshot()
-    assert metric_value(snap, "repro_things_total", kind="a") == 3
-    assert metric_value(snap, "repro_depth") == 7
-    assert metric_value(snap, "repro_missing", default=-1) == -1
-    (hist,) = snap["histograms"]
-    assert hist["count"] == 1
-    json.dumps(snap)  # snapshot must be JSON-serialisable
-
-
-# ----------------------------------------------------------------------
-# Prometheus exposition
-# ----------------------------------------------------------------------
-def test_prometheus_roundtrip():
-    cfg = RuntimeConfig(executor="sequential", observability="metrics")
-    with Runtime(config=cfg) as rt:
-        wait_on(_add(1, 2))
-        text = rt.metrics_text()
-    parsed = obs.parse_prometheus(text)
-    assert parsed[("repro_tasks_submitted_total", ())] == 1
-    assert parsed[("repro_tasks_total", (("state", "done"),))] == 1
-    assert parsed[("repro_tasks_running", ())] == 0
-    assert parsed[("repro_task_duration_seconds_count", (("task", "_add"),))] == 1
-    # histogram exposition carries cumulative le buckets and a sum
-    assert ("repro_task_duration_seconds_sum", (("task", "_add"),)) in parsed
-    assert any(name == "repro_task_duration_seconds_bucket" for name, _ in parsed)
-    assert "# TYPE repro_task_duration_seconds histogram" in text
-
-
-def test_parse_prometheus_rejects_malformed():
-    with pytest.raises(ValueError):
-        obs.parse_prometheus("repro_x{unterminated 1")
-    with pytest.raises(ValueError):
-        obs.parse_prometheus("repro_x notanumber")
-    with pytest.raises(ValueError):
-        obs.parse_prometheus('repro_x{label=unquoted} 1')
-
-
-def test_prometheus_escapes_hostile_label_values():
-    hostile = 'evil\\path"quoted"\nnewline,comma={brace}'
-    reg = obs.MetricsRegistry()
-    reg.inc("repro_things_total", 5, task=hostile, plain="x")
-    text = obs.to_prometheus(reg.snapshot())
-    # the exposition stays one sample per line: the raw newline must
-    # have been escaped, never emitted
-    sample_lines = [
-        l for l in text.splitlines()
-        if l.startswith("repro_things_total")
-    ]
-    assert len(sample_lines) == 1
-    assert "\\n" in sample_lines[0]
-    parsed = obs.parse_prometheus(text)
-    ((name, labels),) = [k for k in parsed if k[0] == "repro_things_total"]
-    assert dict(labels)["task"] == hostile  # byte-exact round-trip
-    assert parsed[(name, labels)] == 5
-
-
-def test_label_escape_unescape_roundtrip_edge_cases():
-    for value in ("", "\\", "\\n", '\\"', "\n\n", 'a\\"b', "trailing\\"):
-        assert (
-            obs._unescape_label_value(obs._escape_label_value(value)) == value
-        )
-
-
-def test_merge_helpers_are_idempotent():
-    snap = obs.empty_snapshot()
-    backend = {"backend": "threads", "tasks_run": 5, "max_workers": 4}
-    store = {"n_objects": 3, "puts": 7}
-    service = {"tenants": {"acme": {"queued": 2, "leased": 1}}, "counters": {"claims": 9}}
-    for _ in range(3):  # re-merging must overwrite, never double-count
-        obs.merge_backend_stats(snap, backend)
-        obs.merge_store_stats(snap, store)
-        obs.merge_service_stats(snap, service)
-    names = [
-        (s["name"], tuple(sorted(s["labels"].items())))
-        for section in ("counters", "gauges")
-        for s in snap[section]
-    ]
-    assert len(names) == len(set(names))  # no duplicate series
-    assert metric_value(snap, "repro_backend_tasks_run_total") == 5
-    assert metric_value(snap, "repro_store_puts_total") == 7
-    assert metric_value(snap, "repro_service_claims_total") == 9
-    assert metric_value(snap, "repro_service_queue_depth", tenant="acme") == 2
-
-
-def test_merge_idempotency_updates_changed_values():
-    snap = obs.empty_snapshot()
-    obs.merge_store_stats(snap, {"puts": 7})
-    obs.merge_store_stats(snap, {"puts": 11})  # newer snapshot wins
-    assert metric_value(snap, "repro_store_puts_total") == 11
-    assert (
-        sum(1 for s in snap["counters"] if s["name"] == "repro_store_puts_total")
-        == 1
-    )
-
-
-def test_merge_backend_stats_prefixes_series():
-    snap = obs.empty_snapshot()
-    merged = obs.merge_backend_stats(
-        snap, {"backend": "threads", "tasks_run": 5, "max_workers": 4}
-    )
-    assert metric_value(merged, "repro_backend_tasks_run_total") == 5
-    assert metric_value(merged, "repro_backend_max_workers") == 4
-    assert merged["backend"]["backend"] == "threads"
-
-
-# ----------------------------------------------------------------------
-# runtime integration: events, metrics()
-# ----------------------------------------------------------------------
-def _assert_metrics_agree_with_stats(rt):
-    """On a drained runtime the metrics view and ``stats()`` are two
-    readings of one task table."""
-    snap, stats = rt.metrics(), rt.stats()
-    by_state = {
-        c["labels"]["state"]: c["value"]
-        for c in snap["counters"]
-        if c["name"] == "repro_tasks_total"
-    }
-    assert by_state == stats["by_state"]
-    for name, key in (
-        ("repro_tasks_submitted_total", "n_tasks"),
-        ("repro_retries_total", "retries"),
-        ("repro_tasks_restored_total", "restored"),
-    ):
-        assert metric_value(snap, name, default=0) == stats[key], name
-    assert metric_value(snap, "repro_tasks_running", default=0) == 0
-
-
 def test_event_sequence_for_one_task():
     with Runtime(executor="sequential") as rt:
         wait_on(_add(1, 2))
@@ -258,114 +108,18 @@ def test_lifecycle_view_of_a_live_attempt_stops_where_it_stands():
         first, queued = parked(), _inc(1)
         assert started.wait(5)
         rows = obs.lifecycle_events(rt._attempts())
+        mid = rt.stats()["by_state"]
         release.set()
         assert wait_on([first, queued]) == [1, 2]
+        rt.barrier()
+        after = rt.stats()["by_state"]
+    # a read mid-run counts the running attempt; none is left after
+    assert mid == {"running": 1, "ready": 1} and after == {"done": 2}
     by_task = {name: [r["kind"] for r in rows if r["name"] == name] for name in ("parked", "_inc")}
     assert by_task == {
         "parked": ["submitted", "ready", "dispatched", "running"],
         "_inc": ["submitted", "ready"],
     }
-
-
-def test_metrics_disabled_snapshot_shape():
-    with Runtime(executor="sequential") as rt:
-        wait_on(_add(1, 1))
-        snap = rt.metrics()
-    assert snap["enabled"] is False
-    # no lifecycle series, but backend stats are still merged in
-    assert all(c["name"].startswith("repro_backend_") for c in snap["counters"])
-    assert "backend" in snap
-    # exposition of a disabled runtime still renders (backend series only)
-    obs.parse_prometheus(rt.metrics_text())
-
-
-def test_metrics_reconcile_with_stats_and_trace():
-    cfg = RuntimeConfig(executor="threads", max_workers=2, observability="metrics")
-    with Runtime(config=cfg) as rt:
-        futs = [_add(i, 1) for i in range(25)]
-        futs += [_inc(futs[i]) for i in range(5)]
-        wait_on(futs)
-        rt.shutdown()
-        _assert_metrics_agree_with_stats(rt)
-        snap = rt.metrics()
-        trace = rt.trace()
-    durations = [
-        h for h in snap["histograms"] if h["name"] == "repro_task_duration_seconds"
-    ]
-    assert sum(h["count"] for h in durations) == trace.n_executed == 30
-    assert metric_value(snap, "repro_tasks_submitted_total") == 30
-    assert metric_value(snap, "repro_tasks_total", state="done") == 30
-    assert metric_value(snap, "repro_tasks_running") == 0
-    util = metric_value(snap, "repro_worker_utilization")
-    assert util is not None and 0 <= util <= 1
-
-
-def test_metrics_count_retries_and_failures():
-    @task(returns=1, on_failure="RETRY", max_retries=2)
-    def flaky(x):
-        from repro.runtime.backends import current_attempt
-
-        if current_attempt() < 1:
-            raise RuntimeError("first attempt fails")
-        return x
-
-    cfg = RuntimeConfig(executor="threads", max_workers=2, observability="metrics")
-    with Runtime(config=cfg) as rt:
-        assert wait_on(flaky.opts(retry_backoff=0.0)(5)) == 5
-        rt.shutdown()
-        _assert_metrics_agree_with_stats(rt)
-        snap = rt.metrics()
-    assert metric_value(snap, "repro_retries_total") == 1
-    assert metric_value(snap, "repro_tasks_total", state="failed") == 1
-    assert metric_value(snap, "repro_tasks_total", state="done") == 1
-    assert metric_value(snap, "repro_task_failures_total", task="flaky") == 1
-
-
-def test_metrics_count_cancellations():
-    @task(returns=1)
-    def boom():
-        raise ValueError("dead")
-
-    cfg = RuntimeConfig(executor="threads", max_workers=2, observability="metrics")
-    with Runtime(config=cfg) as rt:
-        f = boom()
-        g = _inc(f)  # cancelled when boom fails (CANCEL_SUCCESSORS)
-        with pytest.raises(Exception):
-            wait_on(g)
-        rt.shutdown()
-        _assert_metrics_agree_with_stats(rt)
-        snap = rt.metrics()
-    assert metric_value(snap, "repro_tasks_total", state="failed") == 1
-    assert metric_value(snap, "repro_tasks_total", state="cancelled") == 1
-
-
-def test_metrics_count_restored(tmp_path):
-    cfg = RuntimeConfig(
-        executor="sequential",
-        checkpoint_dir=str(tmp_path / "ckpt"),
-        observability="metrics",
-    )
-    with Runtime(config=cfg) as rt:
-        assert wait_on(_add(3, 4)) == 7
-    with Runtime(config=cfg) as rt:
-        assert wait_on(_add(3, 4)) == 7
-        _assert_metrics_agree_with_stats(rt)
-        snap = rt.metrics()
-        assert rt.trace().n_restored == 1
-    assert metric_value(snap, "repro_tasks_restored_total") == 1
-    # the restored attempt terminates as done, so totals still reconcile
-    assert metric_value(snap, "repro_tasks_total", state="done") == 1
-
-
-def test_save_metrics_json(tmp_path):
-    cfg = RuntimeConfig(executor="sequential", observability="metrics")
-    out = tmp_path / "metrics.json"
-    with Runtime(config=cfg) as rt:
-        wait_on(_add(1, 1))
-        rt.save_metrics(out)
-    doc = json.loads(out.read_text())
-    assert doc["enabled"] is True
-    assert metric_value(doc, "repro_tasks_submitted_total") == 1
 
 
 def test_trace_records_carry_span_timestamps():

@@ -138,3 +138,33 @@ def test_trace_collection_can_be_disabled():
         wait_on(t(1))
         assert len(rt.trace()) == 0
         assert rt.stats()["trace_enabled"] is False
+
+
+@pytest.mark.parametrize("executor", ["sequential", "threads"])
+def test_table1_runs_on_the_executor_of_the_environment(executor, monkeypatch, capsys):
+    """``repro table1`` builds its runtime from ``RuntimeConfig.from_env``
+    and overrides no executor, so ``REPRO_EXECUTOR`` reaches it."""
+    import types
+
+    import repro.workflows
+    from repro.cli import main
+    from repro.runtime import active_runtime
+    from repro.workflows import af_pipeline
+
+    class Stop(Exception):
+        pass
+
+    seen = []
+
+    def study(*args, **kwargs):
+        seen.append(active_runtime().executor)
+        raise Stop
+
+    monkeypatch.setenv("REPRO_EXECUTOR", executor)
+    monkeypatch.setattr(repro.workflows, "run_study", study)
+    monkeypatch.setattr(
+        af_pipeline, "prepare_dataset", lambda cfg: types.SimpleNamespace(class_counts=dict)
+    )
+    with pytest.raises(Stop):
+        main(["table1", "--preset", "tiny", "--skip-cnn"])
+    assert seen == [executor]

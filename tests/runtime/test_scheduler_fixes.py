@@ -42,11 +42,14 @@ def test_stats_counts_each_attempt_once():
 
     with Runtime(executor="sequential") as rt:
         assert wait_on(flaky()) == 42
-        stats = rt.stats()
+        stats, trace = rt.stats(), rt.trace()
 
     assert stats["by_state"] == {"failed": 1, "done": 1}
     assert stats["retries"] == 1
     assert sum(stats["by_state"].values()) == stats["n_tasks"]
+    # the trace agrees: one failed attempt, of the task that failed
+    assert trace.n_failed_attempts == 1
+    assert [r.name for r in trace.records(status="failed")] == ["flaky"]
 
 
 def test_task_state_of_root_id_follows_latest_attempt():

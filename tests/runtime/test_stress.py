@@ -13,8 +13,8 @@ the hang watchdog (:func:`tests.support.oracles.run_under_watchdog`),
 so a lost wakeup fails the example with the stacks of every thread
 instead of wedging the suite.  Teardown compares every resolved future
 with the reference and audits the drained runtime: invariants, store
-byte accounting, lifecycle rows against ``stats()`` and the metrics,
-and leaked worker threads, ``/dev/shm`` segments and store pins.
+byte accounting, lifecycle rows against ``stats()``, enqueue stamps
+against the trace, and leaked worker threads, ``/dev/shm`` segments and store pins.
 
 The ``matrix`` hypothesis profile (``tests/conftest.py``) is
 derandomized and small; ``pytest --hypothesis-profile=stress tests/runtime/test_stress.py``
@@ -59,7 +59,7 @@ from repro.runtime.exceptions import (
 )
 from repro.runtime.task import task
 from tests.conftest import matrix_settings
-from tests.support.oracles import metric_value, reconcile_store, run_under_watchdog
+from tests.support.oracles import reconcile_store, run_under_watchdog
 
 #: Every machine here stores 8 KiB blocks by reference: the store's
 #: threshold is lowered for each test (``tests/support/store.py``).
@@ -220,7 +220,7 @@ class RuntimeMachine(RuleBasedStateMachine):
     @initialize(
         executor=st.sampled_from(sorted(EXECUTORS)),
         store=st.sampled_from(["auto", "off"]),
-        observability=st.sampled_from(["", "metrics", "progress"]),
+        observability=st.sampled_from(["", "progress"]),
         collect_trace=st.booleans(),
     )
     def start(self, executor, store, observability, collect_trace, max_workers=3):
@@ -523,9 +523,12 @@ class RuntimeMachine(RuleBasedStateMachine):
         if not clean:
             return
         assert stats["ready_queue"] == 0
-        if rt.config.observability == "metrics":
-            enqueued = metric_value(rt.metrics(), "repro_tasks_enqueued_total", default=0)
-            stamped = sum(1 for inst in rt._attempts() if inst.t_ready is not None)
+        if rt.config.collect_trace:
+            # each record carries its attempt's enqueue stamp, so the
+            # trace counts the enqueued attempts the table does
+            trace = rt.trace()
+            enqueued = {r.task_id: r.t_ready for r in trace}
+            stamped = {i.task_id: i.t_ready for i in rt._attempts() if i.task_id in trace}
             assert enqueued == stamped, (enqueued, stamped)
             self.audits.append("enqueued")
         if (
@@ -569,7 +572,7 @@ def test_every_scenario_family_is_reachable():
     expected = {
         *(("executor", e) for e in EXECUTORS),
         ("store", "auto"), ("store", "off"),
-        *(("observability", o) for o in ("", "metrics", "progress")),
+        *(("observability", o) for o in ("", "progress")),
         ("collect_trace", True), ("collect_trace", False),
         *(("end", e) for e in (None, "abort", "kill", "shutdown")),
     }

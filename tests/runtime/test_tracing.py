@@ -32,7 +32,6 @@ from repro.runtime.otlp import (
 )
 from repro.runtime.tracing import TaskRecord, Trace, estimate_nbytes
 from tests.support.chrome import validate_chrome_json
-from tests.support.oracles import metric_value
 
 
 def _rec(task_id, t_start, t_end, name="t", deps=(), **kw):
@@ -277,8 +276,6 @@ def _random_dag_run(seed, ckpt_dir, **cfg):
             trace=rt.trace(),
             graph=rt.graph,
             stats=rt.stats(),
-            metrics=rt.metrics(),
-            metrics_text=rt.metrics_text(),
             n_tasks=rt.n_tasks,
             events=[
                 types.SimpleNamespace(**row) for row in obs.lifecycle_events(rt._attempts())
@@ -469,129 +466,27 @@ def test_lifecycle_events_are_a_view_of_the_task_table(name, tmp_path):
     assert kinds["submitted"] == run.n_tasks == run.stats["n_tasks"]
     assert kinds["retry"] == run.stats["retries"] > 0
     assert kinds["restored"] == run.stats["restored"] == 1
+    assert "running" not in run.stats["by_state"]
+    # under a pool every attempt that ran was enqueued once
+    assert kinds["ready"] == (0 if name == "sequential" else run.trace.n_executed)
 
-
-def _event_fed_metrics(events):
-    """What a subscriber tallying every lifecycle event would hold after
-    *events* (the metrics registry used to be that subscriber; the rows
-    now come from ``lifecycle_events``, an independent reading of the
-    table ``merge_task_metrics`` shapes the series from): the counters, the running gauge, busy seconds per worker and the
-    number of duration samples per task name."""
-    counters: collections.Counter = collections.Counter()
-    busy: collections.Counter = collections.Counter()
-    samples: collections.Counter = collections.Counter()
-    running = 0
-    for e in events:
-        if e.kind == obs.SUBMITTED:
-            counters["repro_tasks_submitted_total", ()] += 1
-        elif e.kind == obs.READY:
-            counters["repro_tasks_enqueued_total", ()] += 1
-        elif e.kind == obs.RETRY:
-            counters["repro_retries_total", ()] += 1
-        elif e.kind == obs.RUNNING:
-            running += 1
-        elif e.kind in obs.TERMINAL_KINDS:
-            counters["repro_tasks_total", (("state", e.state),)] += 1
-            if e.kind == obs.RESTORED:
-                counters["repro_tasks_restored_total", ()] += 1
-            if e.state == "failed":
-                counters["repro_task_failures_total", (("task", e.name),)] += 1
-            if e.ran:
-                running -= 1
-                samples[e.name] += 1
-                busy[e.worker or "main"] += e.duration
-    return counters, running, busy, samples
-
-
-@pytest.mark.parametrize("name", list(_EXECUTORS))
-def test_metrics_are_a_view_of_the_task_table(name, tmp_path):
-    run = _random_dag_run(0, tmp_path, observability="metrics", **_EXECUTORS[name])
-    counters, running, busy, samples = _event_fed_metrics(run.events)
-    snap = run.metrics
-    assert snap["enabled"] is True and running == 0
-
-    def series(section):
-        """The task-lifecycle series (worker seconds are compared below)."""
-        other = ("repro_backend_", "repro_store_", "repro_worker_")
-        return {
-            (s["name"], tuple(sorted(s["labels"].items()))): s
-            for s in snap[section]
-            if not s["name"].startswith(other)
-        }
-
-    # counters: tasks by state, submitted, enqueued, retries, restored,
-    # failures by task — same series, same labels, same values
-    assert {k: s["value"] for k, s in series("counters").items()} == dict(counters)
-    assert {dict(labels)["state"] for n, labels in counters if n == "repro_tasks_total"} == {
-        "done", "failed", "ignored", "cancelled"
-    }
-    assert counters["repro_retries_total", ()] and counters["repro_tasks_restored_total", ()]
-    assert ("repro_tasks_enqueued_total", ()) in counters or name == "sequential"
-    assert metric_value(snap, "repro_tasks_running") == 0
-
-    # one duration sample per attempt that ran, under its task's name;
-    # one queue-wait and one overhead sample per attempt that ran
-    hists = series("histograms")
-    assert {
-        dict(labels)["task"]: h["count"]
-        for (n, labels), h in hists.items()
-        if n == "repro_task_duration_seconds"
-    } == dict(samples)
-    ran = sum(samples.values())
-    assert ran == run.trace.n_executed
-    assert hists["repro_task_queue_wait_seconds", ()]["count"] == ran
-    assert hists["repro_task_overhead_seconds", ()]["count"] == ran
-    assert len(hists) == len(samples) + 2
-    for h in hists.values():
-        assert [b for b, _ in h["buckets"]] == [*obs.DURATION_BUCKETS, "+Inf"]
-        assert h["buckets"][-1][1] == h["count"]
-
-    # busy seconds per worker are the body spans, t_end - t_body_start
-    got_busy = {
-        s["labels"]["worker"]: s["value"]
-        for s in snap["counters"]
-        if s["name"] == "repro_worker_busy_seconds_total"
-    }
-    assert got_busy == pytest.approx(dict(busy))
-    spans = sum(r.t_end - r.t_start for r in run.trace if r.status != "restored")
-    assert sum(got_busy.values()) == pytest.approx(spans)
-    util = metric_value(snap, "repro_worker_utilization")
-    assert util == pytest.approx(spans / (snap["uptime_seconds"] * 2))
-
-    # the exposition of the same read round-trips
-    parsed = obs.parse_prometheus(run.metrics_text)
-    for key, value in counters.items():
-        assert parsed[key] == value
-    assert parsed["repro_task_queue_wait_seconds_count", ()] == ran
-
-
-def test_metrics_read_mid_run_count_the_running_attempt():
-    started, release = threading.Event(), threading.Event()
-
-    @task(returns=1)
-    def _parked():
-        started.set()
-        release.wait(30)
-        return 1
-
-    cfg = RuntimeConfig(executor="threads", max_workers=2, observability="metrics")
-    with Runtime(config=cfg) as rt:
-        try:
-            fut = _parked()
-            assert started.wait(30)
-            mid = rt.metrics()
-        finally:
-            release.set()
-        assert wait_on(fut) == 1
-        rt.barrier()
-        after = rt.metrics()
-    assert metric_value(mid, "repro_tasks_running") == 1
-    assert metric_value(mid, "repro_tasks_submitted_total") == 1
-    assert metric_value(mid, "repro_tasks_total", state="done") is None
-    assert not mid["histograms"]
-    assert metric_value(after, "repro_tasks_running") == 0
-    assert metric_value(after, "repro_tasks_total", state="done") == 1
-    assert [h["count"] for h in after["histograms"]] == [1, 1, 1]
+    # the trace is a third reading of the same table: failed attempts
+    # by task, restored and executed attempts, body seconds
+    failed = collections.Counter(
+        e.name for e in run.events if e.kind in (obs.FAILED, obs.IGNORED)
+    )
+    assert failed == collections.Counter(
+        r.name for r in run.trace if r.status in ("failed", "ignored")
+    )
+    assert sum(failed.values()) == run.trace.n_failed_attempts == (
+        run.stats["by_state"]["failed"] + run.stats["by_state"]["ignored"]
+    )
+    assert kinds["restored"] == run.trace.n_restored
+    ran = [e for e in run.events if e.kind in obs.TERMINAL_KINDS and e.ran]
+    assert len(ran) == run.trace.n_executed
+    assert sum(e.duration for e in ran) == pytest.approx(
+        sum(r.t_end - r.t_start for r in run.trace if r.status != "restored")
+    )
 
 
 def test_trace_read_from_another_thread_during_a_flood():

@@ -1,5 +1,5 @@
 """Tests of the queue server lifecycle: cold-start recovery, store
-prefix hygiene across concurrent services, drain, sweeper, metrics."""
+prefix hygiene across concurrent services, drain, sweeper, status."""
 
 from __future__ import annotations
 
@@ -252,7 +252,7 @@ def test_a_body_that_exits_stops_the_service_not_the_queue(tmp_path):
             service.drain(timeout=10)
 
 
-def test_metrics_merge_exposes_tenant_gauges(tmp_path):
+def test_status_reports_tenants_and_counters(tmp_path):
     data = tmp_path / "data"
     service = make_service(data).start()
     try:
@@ -260,15 +260,11 @@ def test_metrics_merge_exposes_tenant_gauges(tmp_path):
             client.ensure_tenant("alpha")
             task_id = client.submit(f"{DEMO}:add", 1, 1, tenant="alpha")
             client.result(task_id, timeout=20)
-        snapshot = service.metrics()
-        assert "service" in snapshot
-        assert snapshot["service"]["counters"]["completions"] >= 1
-        text = service.metrics_text()
-        assert 'repro_service_queue_depth{tenant="alpha"} 0' in text
-        assert "repro_service_completions_total" in text
         status = service.status()
         assert status["outstanding"] == 0
         assert status["counters"]["submissions"] == 1
+        assert status["counters"]["completions"] >= 1
+        assert status["tenants"]["alpha"].get("queued", 0) == 0
     finally:
         service.drain(timeout=10)
 

@@ -361,20 +361,16 @@ def test_source_rate_must_be_positive_and_finite(rate):
 
 def test_source_stage_stats_time_the_pull():
     work_s, n = 0.005, 6
-    with runtime(observability="metrics") as rt:
+    with runtime() as rt:
         g = StreamGraph(rt, name="g")
         g.sink(g.source(_Pulls(n, work_s=work_s), name="src"), name="out")
         g.start()
-        snap = g.join()["src"].snapshot()
-        hists = rt.metrics_registry.snapshot()["histograms"]
+        stats = g.join()["src"]
+    snap = stats.snapshot()
     assert snap["n_out"] == n
     assert snap["p50_ms"] >= work_s * 1e3
-    (src_hist,) = [
-        h
-        for h in hists
-        if h["name"] == "repro_stream_stage_seconds" and h["labels"]["stage"] == "src"
-    ]
-    assert src_hist["count"] == n and src_hist["sum"] >= n * work_s
+    # one sample per pull, each at least the pull's work
+    assert len(stats.latencies) == n and min(stats.latencies) >= work_s
 
 
 def test_backpressure_bounds_queue_depth():
@@ -408,32 +404,3 @@ def test_stage_stats_snapshot_shape(rt):
     meta = g.metrics_snapshot()
     assert set(meta["stages"]) == {"src", "m", "out"}
     assert all(v["closed"] for v in meta["streams"].values())
-
-
-def test_published_record_counts_are_the_stage_stats():
-    """``repro_stream_records_total`` is ``StageStats.n_in / n_out``,
-    folded in by ``publish_gauges`` — nothing counts a record twice."""
-    with runtime(observability="metrics") as rt:
-        g = StreamGraph(rt, name="g")
-        src = g.source(range(30), name="src")
-        kept = g.filter(src, lambda v: v % 3 != 0, name="kept")
-        g.sink(kept, name="out")
-        g.start()
-        stats = g.join()
-        assert rt.metrics_registry.snapshot()["counters"] == []
-        g.publish_gauges()
-        g.publish_gauges()  # a second fold adds nothing
-        snap = rt.metrics()
-    got = {
-        (c["labels"]["stage"], c["labels"]["port"]): c["value"]
-        for c in snap["counters"]
-        if c["name"] == "repro_stream_records_total"
-    }
-    assert got == {
-        ("src", "out"): stats["src"].n_out,
-        ("kept", "in"): stats["kept"].n_in,
-        ("kept", "out"): stats["kept"].n_out,
-        ("out", "in"): stats["out"].n_in,
-        ("out", "out"): stats["out"].n_out,  # what the sink delivered
-    }
-    assert got["src", "out"] == got["kept", "in"] == 30 and got["kept", "out"] == 20

@@ -164,26 +164,21 @@ def test_serve_stream_cli_rejects_a_rate_that_is_not_positive(rate, capsys):
     assert "--rate" in capsys.readouterr().err
 
 
-def test_serving_metrics_flow_into_registry(model):
-    with runtime(observability="metrics") as rt:
-        res = serve_stream(CFG, rt, model)
-        registry = rt.metrics_registry
-        assert registry is not None
-        snap = registry.snapshot()
-    names = {c["name"] for c in snap["counters"]}
-    assert "repro_stream_records_total" in names
-    hists = {h["name"] for h in snap["histograms"]}
-    assert "repro_stream_stage_seconds" in hists
-    assert "repro_stream_e2e_seconds" in hists
-    gauges = {g["name"] for g in snap["gauges"]}
-    assert "repro_stream_queue_depth" in gauges
-    assert "repro_stream_stage_rps" in gauges
-    # and the text exposition renders them
-    from repro.runtime.observability import to_prometheus
+@pytest.mark.parametrize("executor", ["sequential", "threads"])
+def test_serve_stream_cli_runs_on_the_executor_it_names(executor, monkeypatch, capsys):
+    import repro.streaming
+    from repro.cli import main
 
-    text = to_prometheus(snap)
-    assert "repro_stream_queue_depth" in text
-    assert res.metrics is not None and "stages" in res.metrics
+    seen = []
+
+    def spy(cfg, rt):
+        seen.append(rt.executor)
+        return serve_stream(cfg, rt)
+
+    monkeypatch.setattr(repro.streaming, "serve_stream", spy)
+    assert main(["serve-stream", "--executor", executor, "--segments", "2", "--patients", "1"]) == 0
+    assert seen == [executor]
+    assert "served 2 segment prediction(s)" in capsys.readouterr().out
 
 
 def _first_segment(cfg):

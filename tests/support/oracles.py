@@ -1,6 +1,6 @@
-"""Oracles only tests call: a metric lookup, the data-plane
-reconciliation of a drained runtime and the hang watchdog the randomized
-runtime and stream tests run their steps under."""
+"""Oracles only tests call: the data-plane reconciliation of a drained
+runtime and the hang watchdog the randomized runtime and stream tests
+run their steps under."""
 
 from __future__ import annotations
 
@@ -51,18 +51,6 @@ def reconcile_store(runtime, trace: Trace | None = None) -> list[str]:
             f"store_hit_rate is {rate:g}, hits/misses say {expected:g}"
         )
     return problems
-
-
-def metric_value(
-    snapshot: dict[str, Any], name: str, default: float | None = None, **labels: str
-) -> float | None:
-    """Value of one series in a snapshot (counters and gauges)."""
-    want = {k: str(v) for k, v in labels.items()}
-    for section in ("counters", "gauges"):
-        for series in snapshot.get(section, ()):
-            if series["name"] == name and series["labels"] == want:
-                return series["value"]
-    return default
 
 
 def _dump_stacks() -> str:

@@ -216,7 +216,7 @@ def run_set(work: pathlib.Path) -> list[list[str]]:
         [*cli, "scaling", "--samples", "600", "--block-rows", "150", "--nodes", "1", "2"],
         [*cli, "graphs"],
         [*cli, "faults"],
-        [*cli, "serve-stream", "--segments", "4", "--rate", "2000", "--prometheus"],
+        [*cli, "serve-stream", "--segments", "4", "--rate", "2000"],
         [*cli, "submit", "--data-dir", data, "repro.service.demo:add", "40", "2"],
         [*cli, "serve", "--data-dir", data, "--workers", "1", "--until-idle"],
         [*cli, "queue", "status", "--data-dir", data],
