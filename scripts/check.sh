@@ -55,12 +55,13 @@ run_reach() {
 # The randomized runtime matrix (tests/runtime/test_stress.py): a
 # hypothesis state machine over executors x store x observability x
 # trace collection, every step under the hang watchdog, every resolved
-# future against a reference, lifecycle rows against stats() and the
-# metrics, and a leak audit (threads, /dev/shm segments, store pins)
-# after every clean drain.  The stress
-# profile draws fresh examples, many more than tier-1's derandomized
-# matrix profile.  Extra pytest arguments select tests (-k ...): only
-# `stress` runs the whole file, the other modes run their named replays.
+# future against a reference, lifecycle rows against stats() and each
+# traced record's t_ready against its attempt's stamp, and a leak audit
+# (threads, /dev/shm segments, store pins) after every clean drain.
+# The stress profile draws fresh examples, many more than tier-1's
+# derandomized matrix profile.  Extra pytest arguments select tests
+# (-k ...): only `stress` runs the whole file, the other modes run their
+# named replays.
 run_matrix() {
     PYTHONPATH=src python -m pytest --hypothesis-profile=stress -x -q \
         tests/runtime/test_stress.py "$@"

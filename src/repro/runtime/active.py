@@ -8,10 +8,11 @@ configuration, checkpointing or observability.
 
 Two sources answer the question, innermost first:
 
-* the thread's *scope* — the engine binds one while a thread runs a
-  task body (nested submissions and synchronisations stay in that
-  task), and :meth:`Runtime.bind_current_thread` binds the root scope
-  for an adopted thread;
+* the thread's *scope* — while a thread runs a task body the engine
+  binds that body's attempt (nested submissions and synchronisations
+  stay in that task; its scope object is made by its first nested
+  submission), and :meth:`Runtime.bind_current_thread` binds the root
+  scope for an adopted thread; either answers ``.runtime``;
 * the stack of entered runtimes — a plain application thread sees the
   innermost ``with Runtime(...)``.
 """
@@ -24,16 +25,22 @@ from typing import TYPE_CHECKING, Any
 if TYPE_CHECKING:
     from repro.runtime.engine import Runtime
 
-#: ``_tls.scope`` is the scope the engine bound to this thread, if any.
-_tls = threading.local()
 
+class _Binding(threading.local):
+    scope: Any = None  # a class default: an unset read raises no AttributeError
+
+
+_tls = _Binding()
+
+#: Written under ``_stack_lock``; read without it (one subscript).
 _runtime_stack: list["Runtime"] = []
 _stack_lock = threading.Lock()
 
 
 def current_scope() -> Any:
-    """The engine scope bound to the calling thread, or None."""
-    return getattr(_tls, "scope", None)
+    """The engine scope (or running attempt) bound to the calling
+    thread, or None."""
+    return _tls.scope
 
 
 def push_runtime(rt: "Runtime") -> None:
@@ -53,8 +60,10 @@ def active_runtime() -> "Runtime | None":
     A worker thread executing a task belongs to that task's runtime; a
     plain application thread sees the innermost ``with Runtime(...)``.
     """
-    scope = getattr(_tls, "scope", None)
+    scope = _tls.scope
     if scope is not None:
         return scope.runtime
-    with _stack_lock:
-        return _runtime_stack[-1] if _runtime_stack else None
+    try:
+        return _runtime_stack[-1]
+    except IndexError:
+        return None

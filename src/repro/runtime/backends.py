@@ -118,7 +118,11 @@ BACKENDS = ("threads", "processes")
 # ----------------------------------------------------------------------
 # attempt-local state (both sides of the pipe)
 # ----------------------------------------------------------------------
-_exec_tls = threading.local()
+class _Attempt(threading.local):
+    attempt = 0  # outside any body; a class default: no AttributeError when unset
+
+
+_exec_tls = _Attempt()
 
 
 def current_attempt() -> int:
@@ -128,19 +132,20 @@ def current_attempt() -> int:
     inside worker processes, so task bodies that want deterministic
     attempt-dependent behaviour — "fail twice, then succeed" — need no
     process-shared counters."""
-    return getattr(_exec_tls, "attempt", 0)
+    return _exec_tls.attempt
 
 
 def _call_with_attempt(func, args, kwargs, attempt: int):
-    prev = getattr(_exec_tls, "attempt", None)
+    prev = _exec_tls.attempt
+    if attempt == prev:
+        # The common case (attempt 0, no enclosing body): the thread
+        # already reads the right attempt.
+        return func(*args, **kwargs)
     _exec_tls.attempt = attempt
     try:
         return func(*args, **kwargs)
     finally:
-        if prev is None:
-            del _exec_tls.attempt
-        else:
-            _exec_tls.attempt = prev
+        _exec_tls.attempt = prev
 
 
 # ----------------------------------------------------------------------
@@ -609,18 +614,8 @@ class ThreadBackend(ExecutorBackend):
 
     name = "threads"
 
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._n_tasks = 0
-
     def run(self, spec, args, kwargs, *, attempt=0):
-        with self._lock:
-            self._n_tasks += 1
         return _call_with_attempt(spec.func, args, kwargs, attempt), os.getpid(), None
-
-    def stats(self) -> dict:
-        with self._lock:
-            return {"backend": self.name, "tasks_run": self._n_tasks}
 
 
 class ProcessPoolBackend(ExecutorBackend):

@@ -74,7 +74,6 @@ from repro.runtime import checkpoint as ckpt
 from repro.runtime.active import (  # noqa: F401 - re-exported
     _tls,
     active_runtime,
-    current_scope as _current_scope,
     pop_runtime,
     push_runtime,
 )
@@ -138,10 +137,11 @@ _ALLOWED = {state: nxt | {state} for state, nxt in VALID_TRANSITIONS.items()}
 class Scope:
     """Tracks the tasks submitted from one context.
 
-    The top-level scope belongs to the application; each running task
-    gets a child scope so that nested submissions and their
-    synchronisations stay local to that task (paper §III-D: nesting
-    "encapsulates the synchronizations within a task").
+    The top-level scope belongs to the application; a running task's
+    first nested submission gives it a child scope, so nested
+    submissions and their synchronisations stay local to that task
+    (paper §III-D: nesting "encapsulates the synchronizations within a
+    task").
     """
 
     def __init__(self, runtime: "Runtime", parent_task_id: int | None = None):
@@ -166,15 +166,10 @@ class Scope:
                 f"scope(parent={self.parent_task_id}) pending count went negative"
             )
 
-    @property
-    def pending(self) -> int:
-        with self._lock:
-            return self._unfinished
-
     def wait_all(self) -> None:
         """Block until every task submitted in this scope finished,
         helping to execute ready tasks meanwhile."""
-        self.runtime._help_until(lambda: self.pending == 0)
+        self.runtime._help_until(lambda: self._unfinished == 0)
 
 
 class Runtime:
@@ -297,6 +292,9 @@ class Runtime:
         #: The scheduler condition: workers and waiters park here with
         #: no timeout; every producer of work or progress notifies it.
         self._cond = threading.Condition()
+        #: Threads parked in ``_help_until`` (written under ``_cond``):
+        #: the only parked threads a completion can have news for.
+        self._waiting = 0
         self._shutdown = False
         self._threads: list[threading.Thread] = []
         self._timers: set[threading.Timer] = set()
@@ -454,13 +452,7 @@ class Runtime:
         their stored arrays (read-only zero-copy views unless *copy*),
         containers are rebuilt.  The ref-aware superset of
         :meth:`wait_on`."""
-        futures = scan_futures(obj)
-        if futures:
-            self._help_until(lambda: all(f.done for f in futures))
-        out = resolve_futures(obj)
-        if self._store is not None and scan_refs(out):
-            out = self._store.deref(out, copy=copy)
-        return out
+        return self._gather(obj, copy)
 
     def release(self, obj: Any) -> int:
         """Drop one reference on every ref reachable from *obj*
@@ -508,43 +500,24 @@ class Runtime:
         scope = self._submission_scope()
 
         # -- phase 1 (no lock): argument scan ---------------------------
-        future_deps, bound = self._scan_call(spec, args, kwargs)
+        future_deps, bound, resolve = self._scan_call(spec, args, kwargs)
 
         # -- phase 2 (dep lock): id allocation + registry pass ----------
-        # The lock keeps registry write-chains ordered by task id; a
-        # contended acquisition is counted as submit-path contention.
-        contended = not self._dep_lock.acquire(blocking=False)
-        if contended:
-            self._dep_lock.acquire()
+        self._lock_deps()
         try:
-            if contended:
-                self._counters.submit_contentions += 1
             task_id, deps = self._detect_deps_locked(spec, bound, future_deps, args, kwargs)
         finally:
             self._dep_lock.release()
 
         inst = self._build_instance(
-            spec, args, kwargs, deps, scope, resolved.label, resolved, task_id
+            spec, args, kwargs, deps, scope, resolved.label, resolved, task_id, resolve
         )
         if initial_attempt:
             inst.attempt = initial_attempt
 
         # -- phases 3-4: signature, registration ------------------------
-        restored_values, unresolved, upstream_failed = self._register(inst, scope)
-
-        if restored_values is not None:
-            # Replay from the checkpoint store: the task never runs (its
-            # inputs need not even exist), its futures resolve to the
-            # persisted outputs and the DAG records a "restored" node.
-            self._restore(inst, restored_values)
-        elif upstream_failed is not None:
-            self._cancel_pending(inst, upstream_failed.error)
-        elif self.executor == "sequential":
-            # Submission order is a topological order, so deps are done.
-            self._execute(inst)
-        elif unresolved == 0:
+        if self._admit(inst, self._register(inst, scope)):
             self._enqueue(inst)
-
         return self._returns_of(inst)
 
     def submit_many(self, calls: Iterable[Any]) -> list[Any]:
@@ -584,29 +557,24 @@ class Runtime:
         for spec, args, kwargs, options, label in normalized:
             resolved = self._resolve_options_cached(spec, options)
             effective_label = label if label is not None else resolved.label
-            future_deps, bound = self._scan_call(spec, args, kwargs)
+            future_deps, bound, resolve = self._scan_call(spec, args, kwargs)
             prepared.append(
-                (spec, args, kwargs, resolved, effective_label, future_deps, bound)
+                (spec, args, kwargs, resolved, effective_label, future_deps, bound, resolve)
             )
 
         # -- phase 2: one dep-lock acquisition for the whole batch ------
-        contended = not self._dep_lock.acquire(blocking=False)
-        if contended:
-            self._dep_lock.acquire()
-        allocated: list[tuple[int, set[int]]] = []
+        self._lock_deps()
         try:
-            if contended:
-                self._counters.submit_contentions += 1
-            for spec, args, kwargs, _resolved, _label, future_deps, bound in prepared:
-                allocated.append(
-                    self._detect_deps_locked(spec, bound, future_deps, args, kwargs)
-                )
+            allocated = [
+                self._detect_deps_locked(spec, bound, future_deps, args, kwargs)
+                for spec, args, kwargs, _resolved, _label, future_deps, bound, _r in prepared
+            ]
         finally:
             self._dep_lock.release()
 
         insts = [
-            self._build_instance(spec, args, kwargs, deps, scope, label, resolved, task_id)
-            for (spec, args, kwargs, resolved, label, _fd, _b), (task_id, deps) in zip(
+            self._build_instance(spec, args, kwargs, deps, scope, label, resolved, task_id, r)
+            for (spec, args, kwargs, resolved, label, _fd, _b, r), (task_id, deps) in zip(
                 prepared, allocated
             )
         ]
@@ -618,29 +586,20 @@ class Runtime:
             # leave intra-batch children parked on a queue that the
             # sequential executor never drains).
             for inst in insts:
-                restored_values, _unresolved, upstream_failed = self._register(inst, scope)
-                if restored_values is not None:
-                    self._restore(inst, restored_values)
-                elif upstream_failed is not None:
-                    self._cancel_pending(inst, upstream_failed.error)
-                else:
-                    self._execute(inst)
-            return [self._returns_of(inst) for inst in insts]
-
-        # -- phases 3-4: one batched registration pass ------------------
-        registered = self._register_batch(insts, scope)
-
-        # -- dispatch, in call order ------------------------------------
-        ready_batch: list[TaskInstance] = []
-        for inst, (restored_values, unresolved, upstream_failed) in zip(insts, registered):
-            if restored_values is not None:
-                self._restore(inst, restored_values)
-            elif upstream_failed is not None:
-                self._cancel_pending(inst, upstream_failed.error)
-            elif unresolved == 0:
-                ready_batch.append(inst)
-        self._enqueue_batch(ready_batch)
-
+                self._admit(inst, self._register(inst, scope))
+        else:
+            # -- phases 3-4: one batched registration pass, then dispatch
+            # in call order and one grouped enqueue.
+            lookups = [self._checkpoint_lookup(inst) for inst in insts]
+            scope.task_submitted(len(insts))
+            with self._state_lock:
+                registered = [
+                    self._register_locked(inst, scope, restored)
+                    for inst, restored in zip(insts, lookups)
+                ]
+            self._enqueue(
+                *[inst for inst, reg in zip(insts, registered) if self._admit(inst, reg)]
+            )
         return [self._returns_of(inst) for inst in insts]
 
     # -- submission helpers (shared by submit / submit_many) ------------
@@ -652,11 +611,42 @@ class Runtime:
                 "workflow aborted by an on_failure='FAIL' task"
             ) from self._aborted
 
+    def _lock_deps(self) -> None:
+        """Take ``_dep_lock`` (it orders registry write-chains by task
+        id), counting a contended acquisition."""
+        if not self._dep_lock.acquire(blocking=False):
+            self._dep_lock.acquire()
+            self._counters.submit_contentions += 1
+
+    def _admit(self, inst: TaskInstance, registered: tuple) -> bool:
+        """Dispatch a registered instance: replay it from the checkpoint
+        store (its futures resolve to the persisted outputs), cancel it
+        under a failed upstream, or run it inline on the sequential
+        executor (submission order is topological, so its deps are
+        done).  True when it is ready to queue instead."""
+        restored_values, unresolved, upstream_failed = registered
+        if restored_values is not None:
+            self._restore(inst, restored_values)
+        elif upstream_failed is not None:
+            self._cancel_pending(inst, upstream_failed.error)
+        elif self.executor == "sequential":
+            self._execute(inst)
+        else:
+            return unresolved == 0
+        return False
+
     def _submission_scope(self) -> "Scope":
-        scope = _current_scope()
-        if scope is None or scope.runtime is not self:
-            scope = self.root_scope
-        return scope
+        """The scope a submission from the calling thread joins: the
+        running task's (made here on its body's first nested
+        submission), the thread's bound scope, or the root scope."""
+        bound = _tls.scope
+        if bound is None or bound.runtime is not self:
+            return self.root_scope
+        if type(bound) is TaskInstance:
+            if bound.scope is None:  # only the body's own thread submits here
+                bound.scope = Scope(self, parent_task_id=bound.task_id)
+            return bound.scope
+        return bound
 
     def _normalize_call(self, call: Any, index: int | None = None) -> tuple:
         """Normalize one ``submit_many`` item to
@@ -711,39 +701,38 @@ class Runtime:
 
     def _scan_call(
         self, spec: TaskSpec, args: tuple, kwargs: dict
-    ) -> tuple[list[int], dict | None]:
-        """Collect future dependencies from the call's arguments and —
-        for tasks with declared writes — bind arguments to parameter
-        names for the registry pass.
+    ) -> tuple[list[int], dict | None, bool]:
+        """Collect future dependencies from the call's arguments, tell
+        whether the body needs them resolved, and — for tasks with
+        declared writes — bind arguments to parameter names for the
+        registry pass.
 
         The future scan is inlined for the dominant flat-argument case
         (futures and scalars passed directly): the deep container scan
-        only runs for arguments that are containers.  Pure tasks (no
-        INOUT/OUT) defer argument binding entirely (``bound=None``) —
-        ``_detect_deps_locked`` binds lazily only when the registry
-        has recorded writes that could produce edges.
+        only runs for arguments that are containers.  ``resolve`` is
+        False when no argument is a future (of any runtime: another
+        runtime's future is no dependency, but the body still gets its
+        value) or a container (resolution hands the body a rebuilt
+        copy): the body then takes the arguments as submitted.  Pure
+        tasks (no INOUT/OUT) defer argument binding entirely
+        (``bound=None``) — ``_detect_deps_locked`` binds lazily only
+        when the registry has recorded writes that could produce edges.
         """
         rid = self.runtime_id
         future_deps: list[int] = []
-        for value in args:
+        resolve = False
+        for value in (*args, *kwargs.values()) if kwargs else args:
             if isinstance(value, Future):
+                resolve = True
                 if value._runtime_id == rid:
                     future_deps.append(value.task_id)
             elif isinstance(value, (list, tuple, dict)):
+                resolve = True
                 for fut in scan_futures(value):
                     if fut._runtime_id == rid:
                         future_deps.append(fut.task_id)
-        if kwargs:
-            for value in kwargs.values():
-                if isinstance(value, Future):
-                    if value._runtime_id == rid:
-                        future_deps.append(value.task_id)
-                elif isinstance(value, (list, tuple, dict)):
-                    for fut in scan_futures(value):
-                        if fut._runtime_id == rid:
-                            future_deps.append(fut.task_id)
         bound = _bind_arguments(spec, args, kwargs) if spec.has_writes else None
-        return future_deps, bound
+        return future_deps, bound, resolve
 
     def _detect_deps_locked(
         self,
@@ -787,6 +776,7 @@ class Runtime:
         label: str | None,
         resolved,
         task_id: int,
+        resolve: bool,
     ) -> TaskInstance:
         if spec.returns == 1:  # the dominant case, kept allocation-lean
             futures = (Future(task_id, 0, self.runtime_id),)
@@ -805,6 +795,7 @@ class Runtime:
             label=label,
         )
         inst.options = resolved
+        inst.resolve_args = resolve
         inst.t_submit = self._now()
         if self.config.collect_trace:
             # Mint this attempt's span as a child of the ambient
@@ -814,42 +805,38 @@ class Runtime:
             inst.trace_ctx = _tracectx.child_of(_tracectx.current_context())
         return inst
 
+    def _checkpoint_lookup(self, inst: TaskInstance) -> tuple | None:
+        """Phase 3 of submission (sig lock inside): sign *inst* and
+        return its persisted outputs, if the store holds them."""
+        if self.checkpoint_store is None:
+            return None
+        signature = self._task_signature(inst.spec, inst.args, inst.kwargs, inst.options)
+        if signature is None:
+            return None
+        inst.signature = signature
+        return self.checkpoint_store.get(signature, expect=inst.spec.returns)
+
     def _register(self, inst: TaskInstance, scope: "Scope") -> tuple:
-        """Phases 3-4 of submission: checkpoint-signature lookup and
-        registration in the task table.  Returns ``(restored_values,
-        unresolved, upstream_failed)`` for the caller's dispatch
-        decision."""
-        spec, task_id = inst.spec, inst.task_id
-
-        # -- phase 3 (sig lock inside): checkpoint signature ------------
-        restored_values: tuple | None = None
-        if self.checkpoint_store is not None:
-            signature = self._task_signature(spec, inst.args, inst.kwargs, inst.options)
-            if signature is not None:
-                inst.signature = signature
-                restored_values = self.checkpoint_store.get(
-                    signature, expect=spec.returns
-                )
-
-        # -- phase 4 (state lock): registration -------------------------
+        """Phases 3-4 of submission for one call; see
+        ``_register_locked``."""
+        restored_values = self._checkpoint_lookup(inst)
+        scope.task_submitted()
         with self._state_lock:
-            self._tasks[task_id] = inst
-            self._by_root[task_id] = inst
-            scope.task_submitted()
-            inst._owner_scope = scope  # type: ignore[attr-defined]
-            self._unfinished_total += 1
-            unresolved, upstream_failed = self._walk_deps_locked(inst, restored_values)
-            inst._remaining = unresolved
+            return self._register_locked(inst, scope, restored_values)
 
-        return restored_values, unresolved, upstream_failed
-
-    def _walk_deps_locked(
-        self, inst: TaskInstance, restored_values: tuple | None
-    ) -> tuple[int, TaskInstance | None]:
-        """Dependency walk of phase 4 (callers hold ``_state_lock``):
-        registers *inst* as a child of every unresolved dependency and
-        reports ``(unresolved, upstream_failed)``, the latter a failed
-        or cancelled dependency (None when there is none)."""
+    def _register_locked(
+        self, inst: TaskInstance, scope: "Scope", restored_values: tuple | None
+    ) -> tuple:
+        """Phase 4 (callers hold ``_state_lock`` and counted *inst* in
+        *scope*): enter *inst* in the task table and, unless it is
+        restored, register it as a child of every unresolved dependency.
+        Returns ``(restored_values, unresolved, upstream_failed)`` for
+        ``_admit``, the last a failed or cancelled dependency (or None)."""
+        task_id = inst.task_id
+        self._tasks[task_id] = inst
+        self._by_root[task_id] = inst
+        inst._owner_scope = scope  # type: ignore[attr-defined]
+        self._unfinished_total += 1
         unresolved = 0
         upstream_failed = None
         if restored_values is None:
@@ -865,46 +852,9 @@ class Runtime:
                     children[dep].append(inst)
                     unresolved += 1
                 elif dep_inst.state in (FAILED, CANCELLED):
-                    # upstream already failed: the caller cancels.
                     upstream_failed = dep_inst
-        return unresolved, upstream_failed
-
-    def _register_batch(self, insts: list[TaskInstance], scope: "Scope") -> list[tuple]:
-        """Phases 3-4 for a whole ``submit_many`` batch (pooled
-        executor only): per-instance checkpoint signatures, one
-        state-lock pass.  Returns the per-instance
-        ``(restored_values, unresolved, upstream_failed)`` tuples in
-        batch order."""
-        store = self.checkpoint_store
-        if store is not None:
-            restored_list: list[tuple | None] = []
-            for inst in insts:
-                restored_values = None
-                signature = self._task_signature(
-                    inst.spec, inst.args, inst.kwargs, inst.options
-                )
-                if signature is not None:
-                    inst.signature = signature
-                    restored_values = store.get(signature, expect=inst.spec.returns)
-                restored_list.append(restored_values)
-        else:
-            restored_list = [None] * len(insts)
-
-        out: list[tuple] = []
-        scope.task_submitted(len(insts))
-        with self._state_lock:
-            tasks = self._tasks
-            by_root = self._by_root
-            for inst, restored_values in zip(insts, restored_list):
-                task_id = inst.task_id
-                tasks[task_id] = inst
-                by_root[task_id] = inst
-                inst._owner_scope = scope  # type: ignore[attr-defined]
-                self._unfinished_total += 1
-                unresolved, upstream_failed = self._walk_deps_locked(inst, restored_values)
-                inst._remaining = unresolved
-                out.append((restored_values, unresolved, upstream_failed))
-        return out
+        inst._remaining = unresolved
+        return restored_values, unresolved, upstream_failed
 
     def _returns_of(self, inst: TaskInstance) -> Any:
         if inst.spec.returns == 0:
@@ -985,52 +935,42 @@ class Runtime:
         self._check_transition(inst, prev, READY)
         return True
 
-    def _enqueue(self, inst: TaskInstance) -> None:
-        if not self._mark_ready(inst):
-            return
-        priority = inst.options.priority if inst.options is not None else 0
-        with self._cond:
-            heapq.heappush(self._ready, (-priority, self._ready_seq, inst))
-            self._ready_seq += 1
-            # One new task, one targeted wakeup: any woken thread —
-            # worker or helping waiter — will consume it (or pass the
-            # baton on exit, see _help_until).
-            self._counters.notifies += 1
-            self._cond.notify()
-
-    def _enqueue_batch(self, insts: list[TaskInstance]) -> None:
-        """Enqueue a batch of ready tasks under one condition
-        acquisition, waking up to ``len(insts)`` parked threads with a
-        single grouped notify — the scheduler half of the
-        ``submit_many`` fast path."""
-        insts = [inst for inst in insts if self._mark_ready(inst)]
-        if not insts:
+    def _enqueue(self, *insts: TaskInstance) -> None:
+        """Queue *insts* under one condition acquisition and wake up to
+        one parked thread per task with a single grouped notify: any
+        woken thread — worker or helping waiter — consumes a task (or
+        passes the baton on exit, see ``_help_until``)."""
+        marked = [inst for inst in insts if self._mark_ready(inst)]
+        if not marked:
             return
         with self._cond:
-            for inst in insts:
-                priority = inst.options.priority if inst.options is not None else 0
-                heapq.heappush(self._ready, (-priority, self._ready_seq, inst))
-                self._ready_seq += 1
-            self._counters.notifies += len(insts)
-            self._cond.notify(len(insts))
-
-    def _pop_ready(self) -> TaskInstance | None:
-        with self._cond:
-            if self._ready:
-                return heapq.heappop(self._ready)[2]
-            return None
+            for inst in marked:
+                # An abort may have cancelled it since ``_mark_ready``;
+                # the abort sweeps the queue under this lock, so the
+                # check keeps a cancelled task off it either way.
+                if inst.state == READY:
+                    priority = inst.options.priority if inst.options is not None else 0
+                    heapq.heappush(self._ready, (-priority, self._ready_seq, inst))
+                    self._ready_seq += 1
+            self._counters.notifies += len(marked)
+            self._cond.notify(len(marked))
 
     def _broadcast(self) -> None:
-        """Wake every parked thread.  Issued after any state change a
-        waiter predicate can depend on (completion, cancellation, kill,
-        abort): the change is made visible *before* the broadcast, and
-        parked threads re-check under the condition's lock before
-        waiting, so progress notifications cannot be lost."""
-        with self._cond:
-            self._counters.broadcasts += 1
-            self._cond.notify_all()
+        """Wake every parked thread once a ``_help_until`` waiter is
+        among them (parked workers wait for work or shutdown, which
+        notify on their own).  Issued after any state change a waiter
+        predicate can depend on (completion, cancellation, kill, abort).
+        The count is read unlocked: a waiter counts itself before its
+        locked re-check and statements run in one interpreter-lock
+        order, so a 0 here means that re-check sees this change; a
+        counted waiter holds the lock until it waits."""
+        if self._waiting:
+            with self._cond:
+                self._counters.broadcasts += 1
+                self._cond.notify_all()
 
     def _worker_loop(self) -> None:
+        name = threading.current_thread().name
         while True:
             with self._cond:
                 # Event-driven: park with no timeout.  Every producer
@@ -1043,7 +983,7 @@ class Runtime:
                     return
                 inst = heapq.heappop(self._ready)[2]
             try:
-                self._execute(inst)
+                self._execute(inst, name)
             except BaseException as exc:  # noqa: BLE001
                 # _execute already routed kills/BaseExceptions through
                 # _kill; this is belt-and-braces so a worker can never
@@ -1151,7 +1091,7 @@ class Runtime:
         Returns the previous binding for :meth:`release_current_thread`
         to restore.  Long-lived stream stages run on their own threads
         and use this to interoperate with ordinary task futures."""
-        prev = _current_scope()
+        prev = _tls.scope
         _tls.scope = self.root_scope
         return prev
 
@@ -1204,28 +1144,37 @@ class Runtime:
         so that wakeup is never lost to the other parked threads.
         """
         parked = False
+        name = None
         try:
             while not predicate():
                 if self._killed is not None:
                     raise self._killed
-                inst = self._pop_ready()
-                if inst is not None:
-                    self._execute(inst)
-                    continue
                 with self._cond:
-                    # Re-check under the lock: any notifier changes
-                    # state before notifying under this same lock, so
-                    # passing these checks and then waiting cannot miss
-                    # a wakeup.
-                    if self._ready or predicate() or self._killed is not None:
-                        continue
-                    if self._shutdown:
-                        raise RuntimeStateError(
-                            "runtime shut down while waiting for tasks"
-                        )
-                    parked = True
-                    self._counters.idle_wakeups += 1
-                    self._cond.wait()
+                    if self._ready:
+                        inst = heapq.heappop(self._ready)[2]
+                    else:
+                        inst = None
+                        # Counted first, then re-checked under the lock:
+                        # any notifier changes state before it reads the
+                        # count (see _broadcast) or notifies under this
+                        # same lock, so passing these checks and then
+                        # waiting cannot miss a wakeup.
+                        self._waiting += 1
+                        try:
+                            if not predicate() and self._killed is None:
+                                if self._shutdown:
+                                    raise RuntimeStateError(
+                                        "runtime shut down while waiting for tasks"
+                                    )
+                                parked = True
+                                self._counters.idle_wakeups += 1
+                                self._cond.wait()
+                        finally:
+                            self._waiting -= 1
+                if inst is not None:
+                    if name is None:
+                        name = threading.current_thread().name
+                    self._execute(inst, name)
         finally:
             if parked:
                 with self._cond:
@@ -1236,16 +1185,20 @@ class Runtime:
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def _run_body(self, inst: TaskInstance, scope: Scope):
+    def _run_body(self, inst: TaskInstance):
         """Resolve inputs, run the task body via the execution backend
         and wait for nested children.  Runs in the scheduling thread (or
-        the watchdog-supervised body thread for timed tasks)."""
+        the watchdog-supervised body thread for timed tasks), bound to
+        *inst*."""
         if not inst._abandoned:
             # The span from here to t_end is attributed to the body:
             # argument resolution, the backend call and nested children.
             inst.t_body_start = self._now()
-        args = resolve_futures(inst.args)
-        kwargs = resolve_futures(inst.kwargs)
+        if inst.resolve_args:
+            args = resolve_futures(inst.args)
+            kwargs = resolve_futures(inst.kwargs)
+        else:
+            args, kwargs = inst.args, inst.kwargs
         store = self._store
         if store is not None and not self._backend.handles_refs:
             # Futures (or direct arguments) may resolve to ObjectRefs;
@@ -1271,15 +1224,17 @@ class Runtime:
             # unlocked count read is exact for the no-children case: only
             # this thread (running the body) can have submitted into the
             # scope, so a zero cannot turn nonzero after the body returned.
-            if scope._unfinished:
+            scope = inst.scope
+            if scope is not None and scope._unfinished:
                 scope.wait_all()
         finally:
             if ctx is not None:
                 _tracectx.set_context(prev_ctx)
-        result = resolve_futures(result)
+        if isinstance(result, (Future, list, tuple, dict)):
+            result = resolve_futures(result)
         return args, kwargs, _split_results(inst, result)
 
-    def _run_with_watchdog(self, inst: TaskInstance, scope: Scope, time_out: float):
+    def _run_with_watchdog(self, inst: TaskInstance, time_out: float):
         """Run the body in a helper thread and watch the deadline.
 
         Python threads cannot be killed, so on timeout the body thread
@@ -1290,9 +1245,9 @@ class Runtime:
         finished = threading.Event()
 
         def body() -> None:
-            _tls.scope = scope
+            _tls.scope = inst
             try:
-                outcome["value"] = self._run_body(inst, scope)
+                outcome["value"] = self._run_body(inst)
             except BaseException as exc:  # noqa: BLE001 - relayed below
                 outcome["error"] = exc
             finally:
@@ -1309,26 +1264,27 @@ class Runtime:
             raise outcome["error"]
         return outcome["value"]
 
-    def _execute(self, inst: TaskInstance) -> None:
+    def _execute(self, inst: TaskInstance, worker_name: str | None = None) -> None:
+        """Claim and run *inst* on the calling thread, named
+        *worker_name* (looked up when the caller does not know it)."""
         prev_state = inst.claim_run()
         if prev_state is None:
             return  # cancelled (or finalized) before it could start
         # Strict table, no self-loop: claiming an instance that is
         # already RUNNING runs its body twice.
         self._check_transition(inst, prev_state, RUNNING, VALID_TRANSITIONS)
-        outer_scope = _current_scope()
-        scope = Scope(self, parent_task_id=inst.task_id)
+        outer_scope = _tls.scope
         time_out = inst.options.time_out if inst.options is not None else None
         t_start = self._now()
         inst.t_dispatch = t_start
-        inst.worker_name = threading.current_thread().name
+        inst.worker_name = worker_name or threading.current_thread().name
         try:
             if time_out is not None and self.executor == "threads":
-                args, kwargs, results = self._run_with_watchdog(inst, scope, time_out)
+                args, kwargs, results = self._run_with_watchdog(inst, time_out)
             else:
-                _tls.scope = scope
+                _tls.scope = inst
                 try:
-                    args, kwargs, results = self._run_body(inst, scope)
+                    args, kwargs, results = self._run_body(inst)
                 finally:
                     _tls.scope = outer_scope
                 if time_out is not None:
@@ -1341,12 +1297,10 @@ class Runtime:
             # A body-declared process death: tears through the failure
             # policies, but every parked thread must still learn about
             # it — no silently-dead worker, no hung waiter.
-            _tls.scope = outer_scope
             self._kill(exc)
             raise
         except Exception as exc:  # noqa: BLE001 - routed to failure policies
             t_end = self._now()
-            _tls.scope = outer_scope
             self._fail(inst, exc, t_start, t_end)
             return
         except BaseException as exc:  # noqa: BLE001
@@ -1357,7 +1311,6 @@ class Runtime:
             # own futures fail first, so a waiter woken by the kill can
             # tell the body that raised from the tasks it stranded.
             t_end = time.perf_counter() - self._epoch
-            _tls.scope = outer_scope
             error = TaskExecutionError(inst.name, inst.task_id, exc)
             inst.error = error
             inst.t_end = t_end
@@ -1369,7 +1322,6 @@ class Runtime:
             raise
         t_end = self._now()
         inst.t_end = t_end
-        _tls.scope = outer_scope
 
         # Recorded before it is published, as on every failure path: a
         # caller woken by these futures finds the attempt in ``trace()``.
@@ -1515,6 +1467,7 @@ class Runtime:
                 label=inst.label,
             )
             new.options = options
+            new.resolve_args = inst.resolve_args
             new.t_submit = t_retry
             new.attempt = inst.attempt + 1
             new.retry_of = inst.task_id
@@ -1592,6 +1545,11 @@ class Runtime:
             victims = [i for i in self._tasks.values() if i.state in (PENDING, READY)]
         for inst in victims:
             self._cancel_pending(inst, error)
+        with self._cond:
+            # Cancelled victims leave the queue with the abort; a racing
+            # enqueue finds them cancelled (``_enqueue``).
+            self._ready[:] = [entry for entry in self._ready if entry[2].state == READY]
+            heapq.heapify(self._ready)
         self._broadcast()
         self._notify_interrupts()
         return True
@@ -1672,12 +1630,15 @@ class Runtime:
         Values that live in the object store come back as read-only
         zero-copy views (:meth:`get` with ``copy=True`` returns
         independent arrays)."""
+        return self._gather(obj)
+
+    def _gather(self, obj: Any, copy: bool = False) -> Any:
         futures = scan_futures(obj)
         if futures:
-            self._help_until(lambda: all(f.done for f in futures))
+            self._help_until(_all_done(futures))
         out = resolve_futures(obj)
         if self._store is not None and scan_refs(out):
-            out = self._store.deref(out)
+            out = self._store.deref(out, copy=copy)
         return out
 
     def barrier(self) -> None:
@@ -1685,10 +1646,7 @@ class Runtime:
         done.  Raises :class:`WorkflowAbortedError` if an
         ``on_failure="FAIL"`` task aborted the workflow meanwhile, and
         the killing exception if the runtime was killed."""
-        scope = _current_scope()
-        if scope is None or scope.runtime is not self:
-            scope = self.root_scope
-        scope.wait_all()
+        self._submission_scope().wait_all()
         if self._killed is not None:
             # ``_help_until`` tests its predicate first, so a scope that
             # had already drained when the kill landed returns normally.
@@ -1941,6 +1899,20 @@ def _shape_record(inst: TaskInstance) -> TaskRecord:
         span_id=ctx.span_id if ctx is not None else None,
         parent_span_id=ctx.parent_id if ctx is not None else None,
     )
+
+
+def _all_done(futures: list[Future]) -> Callable[[], bool]:
+    """The ``_help_until`` predicate "every future is done".  Done never
+    reverts, so each call resumes where the last one stopped."""
+    cursor = 0
+
+    def all_done() -> bool:
+        nonlocal cursor
+        while cursor < len(futures) and futures[cursor].done:
+            cursor += 1
+        return cursor == len(futures)
+
+    return all_done
 
 
 def _split_results(inst: TaskInstance, result: Any) -> tuple[Any, ...]:

@@ -147,6 +147,8 @@ class TaskInstance:
         "out_bytes",
         "error_repr",
         "_trace_record",
+        "scope",
+        "resolve_args",
         "_remaining",
         "_lock",
         "_owner_scope",
@@ -230,6 +232,11 @@ class TaskInstance:
         #: the fields above by the first ``Runtime.trace()`` that reads
         #: this attempt; later reads reuse it.
         self._trace_record = None
+        #: Scope of the body's nested tasks, made by its first one.
+        self.scope = None
+        #: False when no argument is a future or a container: the body
+        #: then takes the arguments as submitted.
+        self.resolve_args = True
         self._remaining = len(deps)
         self._lock = threading.Lock()
         #: True once a timed-out body thread was abandoned.
@@ -298,6 +305,12 @@ class TaskInstance:
     @property
     def name(self) -> str:
         return self.spec.name
+
+    @property
+    def runtime(self):
+        """The runtime this attempt was submitted to (a thread running
+        its body is bound to it, see :mod:`repro.runtime.active`)."""
+        return self._owner_scope.runtime
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<TaskInstance {self.name}#{self.task_id} {self.state}>"

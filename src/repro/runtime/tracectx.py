@@ -16,10 +16,12 @@ The design constraints, in order:
    ``obs.collect_trace_cost_frac`` and ``ops_per_s`` on ``task_flood``
    in ``bench/``) and its ids are read once, after the run, if at all.
    Ids are one random base per process plus an ``itertools.count()`` —
-   ``next()`` is one GIL-atomic C call — kept as integers; the 32/16-hex
-   text is made by whoever reads ``trace_id`` / ``span_id`` /
-   ``parent_id`` / ``to_header()``: a record being shaped, the
-   service row.
+   ``next()`` is one GIL-atomic C call — kept as integers: :func:`child_of`
+   writes them into the slots of a bare instance, and only a context
+   built from text (``TraceContext(hex, ...)``, :meth:`from_header`)
+   parses.  The 32/16-hex text is made by whoever reads ``trace_id`` /
+   ``span_id`` / ``parent_id`` / ``to_header()``: a record being
+   shaped, the service row.
 2. **Propagation is ambient.**  Task bodies and service workers don't
    pass contexts by hand; the current context lives in a
    ``threading.local`` and everything that submits work reads it.
@@ -118,7 +120,7 @@ class TraceContext:
 
     def child(self) -> "TraceContext":
         """A fresh child span in the same trace."""
-        return TraceContext(self._trace, _span_base + next(_span_counter), self._span)
+        return child_of(self)
 
     def to_header(self) -> str:
         """W3C-``traceparent``-shaped text form.
@@ -140,28 +142,37 @@ class TraceContext:
 
 def new_trace() -> TraceContext:
     """Mint a root context: fresh trace id, fresh span, no parent."""
-    return TraceContext(_trace_base + next(_trace_counter), _span_base + next(_span_counter))
+    return child_of(None)
 
 
 def child_of(parent: Optional[TraceContext]) -> TraceContext:
-    """A child of *parent*, or a new root when *parent* is None."""
+    """A child of *parent*, or a new root when *parent* is None.  The
+    one minting path: it fills the integer slots of a bare instance."""
+    ctx = object.__new__(TraceContext)
     if parent is None:
-        return new_trace()
-    return parent.child()
+        ctx._trace, ctx._parent = _trace_base + next(_trace_counter), None
+    else:
+        ctx._trace, ctx._parent = parent._trace, parent._span
+    ctx._span = _span_base + next(_span_counter)
+    return ctx
 
 
-_tls = threading.local()
+class _Ambient(threading.local):
+    ctx: Optional[TraceContext] = None  # class default: no AttributeError when unset
+
+
+_tls = _Ambient()
 
 
 def current_context() -> Optional[TraceContext]:
     """The ambient context of the calling thread (None outside any)."""
-    return getattr(_tls, "ctx", None)
+    return _tls.ctx
 
 
 def set_context(ctx: Optional[TraceContext]) -> Optional[TraceContext]:
     """Install *ctx* as the calling thread's ambient context and
     return the previous one (restore it when the scope ends)."""
-    prev = getattr(_tls, "ctx", None)
+    prev = _tls.ctx
     _tls.ctx = ctx
     return prev
 

@@ -42,15 +42,19 @@ def test_push_and_pop_are_the_engines_and_popping_twice_is_harmless():
 
 
 def test_a_task_body_sees_its_own_runtime_through_its_scope():
+    """A thread running a body is bound to that attempt, which answers
+    its runtime (its scope object waits for a nested submission)."""
+
     @task(returns=1)
     def whose():
-        scope = active.current_scope()
-        return scope.runtime is active_runtime(), scope.parent_task_id is not None
+        bound = active.current_scope()
+        return bound.runtime is active_runtime(), bound.task_id
 
     with Runtime(executor="threads", max_workers=2) as rt:
-        same, nested_scope = wait_on(whose())
+        fut = whose()
+        same, task_id = wait_on(fut)
         assert active_runtime() is rt
-    assert same and nested_scope
+    assert same and task_id == fut.task_id
 
 
 def test_a_bound_thread_beats_the_stack_and_an_unbound_thread_sees_it():

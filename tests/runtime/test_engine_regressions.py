@@ -525,3 +525,230 @@ def test_submit_many_chain_resumes_from_checkpoint(tmp_path):
             f = rt.submit_many([_inc.defer(f)])[0]
             assert wait_on(f) == 2
             assert rt.trace().n_restored == 2 * run
+
+
+def _aborting_error():
+    from repro.runtime.exceptions import TaskExecutionError
+
+    return TaskExecutionError("fatal", -1, ValueError("abort"))
+
+
+def _queued_behind_a_parked_worker(rt, gate: threading.Event):
+    """A READY task sitting in the queue of a one-worker pool whose
+    worker is held by a parked body."""
+    started = threading.Event()
+
+    @task(returns=1)
+    def hold():
+        started.set()
+        gate.wait(10)
+        return 0
+
+    hold()
+    assert started.wait(10)
+    inst = rt._by_root[_inc(1).task_id]
+    assert inst.state == "ready"
+    return inst
+
+
+def test_an_abort_takes_its_cancelled_victims_off_the_queue():
+    """A READY task cancelled by an abort leaves the ready queue with
+    the abort, not when some thread pops and discards it: a quiesced
+    audit (and ``stats()["ready_queue"]``) used to count it."""
+    gate = threading.Event()
+    with pytest.raises(engine.WorkflowAbortedError):
+        with Runtime(executor="threads", max_workers=1) as rt:
+            inst = _queued_behind_a_parked_worker(rt, gate)
+            assert any(entry[-1] is inst for entry in rt._ready)
+            assert rt._abort(_aborting_error())
+            assert inst.state == "cancelled"
+            assert rt._ready == []
+            assert rt.stats()["ready_queue"] == 0
+            assert rt.check_invariants(quiesced=False) == []
+            gate.set()
+            rt.barrier()
+    assert rt.check_invariants(quiesced=True) == []
+
+
+def test_an_enqueue_racing_an_abort_cannot_requeue_its_victim():
+    """The abort lands between an enqueue marking a task READY and
+    pushing it: the push must find it cancelled and leave the queue
+    empty."""
+    gate = threading.Event()
+    with pytest.raises(engine.WorkflowAbortedError):
+        with Runtime(executor="threads", max_workers=1) as rt:
+            _queued_behind_a_parked_worker(rt, gate)
+            heldback = rt.submit_many([_inc.defer(_parked_future(gate))])[0]
+            child = rt._by_root[heldback.task_id]
+            assert child.state == "pending"
+
+            def mark_then_abort(inst):
+                marked = Runtime._mark_ready(rt, inst)
+                rt._abort(_aborting_error())
+                return marked
+
+            rt._mark_ready = mark_then_abort
+            rt._enqueue(child)
+            assert child.state == "cancelled"
+            assert rt._ready == []
+            gate.set()
+            rt.barrier()
+    assert rt.check_invariants(quiesced=True) == []
+
+
+@task(returns=1)
+def _attempt_around_a_nested_wait(nested_attempts):
+    """This body's attempt, a nested task's, then this body's again."""
+    before = current_attempt()
+    if nested_attempts:
+        inner = wait_on(_fails_then_reports_attempt(nested_attempts))
+    else:
+        inner = wait_on(_attempt_of(0))
+    return before, inner, current_attempt()
+
+
+@task(returns=1, retries=3)
+def _fails_then_reports_attempt(failures):
+    attempt = current_attempt()
+    if attempt < failures:
+        raise OSError(f"transient at attempt {attempt}")
+    return attempt
+
+
+@pytest.mark.parametrize("executor", ["sequential", "threads"])
+def test_a_retried_body_keeps_its_attempt_across_a_nested_wait(executor):
+    """A body at attempt 2 whose ``wait_on`` runs a nested attempt-0
+    task on its own thread reads 2 again afterwards; a body at attempt
+    0 whose nested task succeeds at attempt 1 reads 0 again."""
+    with _pool(executor=executor, max_workers=1) as rt:
+        spec = _attempt_around_a_nested_wait.spec
+        retried = rt.submit(spec, (0,), {}, initial_attempt=2)
+        assert wait_on(retried) == (2, 0, 2)
+        assert wait_on(_attempt_around_a_nested_wait(1)) == (0, 1, 0)
+        assert current_attempt() == 0
+
+
+@pytest.mark.parametrize("executor", ["sequential", "threads"])
+def test_a_future_of_another_runtime_reaches_the_body_as_its_value(executor):
+    """Another runtime's future is no dependency, but the body still
+    receives its value — positional, keyword and inside a container."""
+
+    @task(returns=1)
+    def total(a, items, *, b=0):
+        return a + sum(items) + b
+
+    with Runtime(executor="sequential") as other:
+        foreign = other.submit(_inc.spec, (1,), {})
+    assert foreign.done
+    with _pool(executor=executor, max_workers=2) as rt:
+        f = total(foreign, [foreign], b=foreign)
+        assert wait_on(f) == 6
+        assert rt._by_root[f.task_id].deps == frozenset()
+        assert wait_on(_inc(foreign)) == 3
+
+
+@pytest.mark.parametrize("executor", ["sequential", "threads"])
+def test_a_parent_completes_after_the_children_it_never_waited_for(executor):
+    """A body that submits nested tasks and returns without waiting on
+    them still completes after every one of them: its scope is made by
+    its first nested submission and drained before it retires."""
+    done: list[int] = []
+
+    @task(returns=1)
+    def child(i):
+        time.sleep(0.01)
+        done.append(i)
+        return i
+
+    @task(returns=1)
+    def parent():
+        for i in range(3):
+            child(i)
+        return len(done)
+
+    @task(returns=1)
+    def leaf():
+        return 0
+
+    with _pool(executor=executor, max_workers=2) as rt:
+        f = parent()
+        f.result(timeout=10)
+        assert sorted(done) == [0, 1, 2]
+        assert wait_on(leaf()) == 0
+        rt.barrier()
+        records = {r.task_id: r for r in rt.trace()}
+    kids = [r for r in records.values() if r.name == "child"]
+    assert len(kids) == 3
+    assert all(r.parent_id == f.task_id for r in kids)
+    assert all(r.t_end <= records[f.task_id].t_end for r in kids)
+    assert rt._by_root[f.task_id].scope is not None
+    assert all(r.parent_id is None for r in records.values() if r.name == "leaf")
+
+
+def test_waiters_parked_on_completions_are_never_stranded():
+    """Completions skip their broadcast while no ``wait_on`` waiter is
+    parked, reading the parked count without the lock.  Six application
+    threads and four workers (more than the cores) wait on chains
+    finished by other threads, with the interpreter switching threads
+    every 10 µs: a lost wakeup strands a waiter and the watchdog
+    reports the hang."""
+    from tests.support.oracles import run_under_watchdog
+
+    def waiter(rt, k, seen):
+        for i in range(200):
+            f = _inc(_double(_inc(k * 1000 + i)))
+            seen.append(wait_on(f) == 2 * (k * 1000 + i + 1) + 1)
+
+    def scenario():
+        seen: list[bool] = []
+        with _pool(max_workers=4) as rt:
+            threads = [
+                threading.Thread(target=waiter, args=(rt, k, seen)) for k in range(6)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(30)
+            assert not any(t.is_alive() for t in threads)
+            rt.barrier()
+            assert rt.check_invariants(quiesced=True) == []
+        return seen
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        outcome = run_under_watchdog(scenario, 60, "stranded-waiter scenario")
+    finally:
+        sys.setswitchinterval(interval)
+    assert outcome["ok"], "\n".join(outcome["problems"])
+    assert outcome["value"] == [True] * 1200
+
+
+def test_a_completion_during_a_waiters_recheck_still_wakes_it():
+    """The interleaving the unlocked read of the parked count must
+    survive: a completion lands while a waiter re-checks its predicate
+    under the lock, after the predicate found nothing done.  The waiter
+    counted itself before the re-check, so the completion's broadcast
+    waits for the lock and reaches the waiter once it parks."""
+    from tests.support.oracles import run_under_watchdog
+
+    done: list[int] = []
+    calls = [0]
+
+    def complete():
+        done.append(1)
+        rt._broadcast()
+
+    def predicate():
+        calls[0] += 1
+        finished = bool(done)
+        if calls[0] == 2:  # the re-check under the lock, before parking
+            t = threading.Thread(target=complete)
+            t.start()
+            t.join(0.2)
+        return finished
+
+    with Runtime(executor="threads", max_workers=1) as rt:
+        outcome = run_under_watchdog(lambda: rt._help_until(predicate), 10, "recheck race")
+        assert outcome["ok"], "\n".join(outcome["problems"])
+        assert calls[0] == 3 and rt.stats()["scheduler"]["broadcasts"] == 1
