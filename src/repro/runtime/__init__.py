@@ -15,7 +15,8 @@ Public surface:
   :func:`shutdown_workers` tears the shared worker pool down.
 * :func:`wait_on` — synchronise futures into values
   (``compss_wait_on``).
-* :func:`barrier` — wait for all tasks of the current scope
+* :func:`barrier` — wait for all tasks submitted from the calling
+  context: a body's nested tasks, else the top-level ones
   (``compss_barrier``).
 * :class:`ObjectRef` / :class:`ObjectStore` — the shared-memory data
   plane (:mod:`repro.runtime.store`): ``Runtime.put(value)`` returns a
@@ -63,9 +64,9 @@ from __future__ import annotations
 import importlib
 from typing import Any
 
-from repro.runtime.active import active_runtime
+from repro.runtime.active import active_runtime, current_attempt
 from repro.runtime.atomic_write import atomic_write
-from repro.runtime.backends import current_attempt, shutdown_workers
+from repro.runtime.backends import shutdown_workers
 from repro.runtime.directions import IN, INOUT, OUT, Direction
 from repro.runtime.exceptions import (
     CancelledTaskError,
@@ -183,7 +184,8 @@ def wait_on(obj: Any) -> Any:
 
 
 def barrier() -> None:
-    """Block until every task submitted from the current scope finished."""
+    """Block until every task submitted from the calling context finished
+    (a body's nested tasks, else the top-level ones)."""
     rt = active_runtime()
     if rt is not None:
         rt.barrier()

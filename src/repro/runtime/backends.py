@@ -41,6 +41,12 @@ there is no active runtime, so nested ``@task`` calls degrade to plain
 inline calls and ``wait_on`` is a pass-through — same values, computed
 within the worker.
 
+Attempts: an in-process body runs on the calling thread, which the
+engine has bound to the running attempt, so ``current_attempt()``
+reads it there.  A worker binds one runtime-less
+:class:`~repro.runtime.active.Binding` for its life and sets its
+``attempt`` from each request before calling the body.
+
 Data plane (shared-memory object store)
 ---------------------------------------
 When the backend is built with an
@@ -104,6 +110,7 @@ from typing import Any
 import numpy as np
 
 from repro.runtime import store as _store
+from repro.runtime.active import Binding, _tls, current_attempt  # noqa: F401 - re-exported
 from repro.runtime.exceptions import NodeFailureError
 from repro.runtime.store import ObjectRef, ObjectStore, StoreError, WorkerStore
 
@@ -115,37 +122,17 @@ _SPAWN_TIMEOUT = 30.0
 BACKENDS = ("threads", "processes")
 
 
-# ----------------------------------------------------------------------
-# attempt-local state (both sides of the pipe)
-# ----------------------------------------------------------------------
-class _Attempt(threading.local):
-    attempt = 0  # outside any body; a class default: no AttributeError when unset
+#: This process's pid, stamped on every in-process run; a fork (a pool
+#: worker forked from the server) refreshes it in the child.
+_pid = os.getpid()
 
 
-_exec_tls = _Attempt()
+def _refresh_pid() -> None:
+    global _pid
+    _pid = os.getpid()
 
 
-def current_attempt() -> int:
-    """0-based retry attempt of the task body running on this thread.
-
-    Valid on the coordinator (thread backend / inline fallback) *and*
-    inside worker processes, so task bodies that want deterministic
-    attempt-dependent behaviour — "fail twice, then succeed" — need no
-    process-shared counters."""
-    return _exec_tls.attempt
-
-
-def _call_with_attempt(func, args, kwargs, attempt: int):
-    prev = _exec_tls.attempt
-    if attempt == prev:
-        # The common case (attempt 0, no enclosing body): the thread
-        # already reads the right attempt.
-        return func(*args, **kwargs)
-    _exec_tls.attempt = attempt
-    try:
-        return func(*args, **kwargs)
-    finally:
-        _exec_tls.attempt = prev
+os.register_at_fork(after_in_child=_refresh_pid)
 
 
 # ----------------------------------------------------------------------
@@ -259,8 +246,11 @@ def _worker_main(conn) -> None:
     # The coordinator owns interrupt handling; a Ctrl-C against the
     # process group must not tear down workers mid-reply.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    pid = os.getpid()
+    pid = _pid
     worker_store = WorkerStore()
+    # The worker's one binding: no runtime (a nested ``@task`` call runs
+    # inline), and the attempt of the request being served.
+    bound = _tls.bound = Binding()
     while True:
         try:
             request = _recv(conn)
@@ -293,7 +283,8 @@ def _worker_main(conn) -> None:
             _send(conn, ("unresolvable", f"{type(exc).__name__}: {exc}", pid))
             continue
         try:
-            value = _call_with_attempt(func, args, kwargs, attempt)
+            bound.attempt = attempt
+            value = func(*args, **kwargs)
         except BaseException as exc:  # noqa: BLE001 - relayed to coordinator
             _safe_send(conn, ("raised", exc, pid, info))
             continue
@@ -577,6 +568,10 @@ class ExecutorBackend:
     dies during the call surfaces as
     :class:`~repro.runtime.exceptions.NodeFailureError`.
 
+    *attempt* is the running attempt's number, which only a backend
+    that leaves the calling thread needs to ship: an in-process body
+    reads it from the thread's binding.
+
     ``handles_refs`` tells the engine whether arguments may contain
     :class:`~repro.runtime.store.ObjectRef` handles: a backend that
     does not handle them gets arguments dereferenced by the engine
@@ -615,7 +610,9 @@ class ThreadBackend(ExecutorBackend):
     name = "threads"
 
     def run(self, spec, args, kwargs, *, attempt=0):
-        return _call_with_attempt(spec.func, args, kwargs, attempt), os.getpid(), None
+        # The calling thread is bound to the attempt: its body reads
+        # ``current_attempt()`` from there.
+        return spec.func(*args, **kwargs), _pid, None
 
 
 class ProcessPoolBackend(ExecutorBackend):
@@ -689,14 +686,14 @@ class ProcessPoolBackend(ExecutorBackend):
         with self._lock:
             self._counts[key] += n
 
-    def _run_inline(self, spec, args, kwargs, attempt):
+    def _run_inline(self, spec, args, kwargs):
         if self._store is not None:
             # Fallback args may carry refs (future results live in the
             # store); the inline body needs the concrete arrays.
             args = self._store.deref(args)
             kwargs = self._store.deref(kwargs)
         self._count("inline")
-        return _call_with_attempt(spec.func, args, kwargs, attempt), os.getpid(), None
+        return spec.func(*args, **kwargs), _pid, None
 
     # -- data plane -----------------------------------------------------
     def _freeze_args(self, obj: Any, leases: list, segments: dict[str, int]) -> Any:
@@ -787,7 +784,7 @@ class ProcessPoolBackend(ExecutorBackend):
     # -- execution ------------------------------------------------------
     def run(self, spec, args, kwargs, *, attempt=0):
         if not self._dispatchable(spec):
-            return self._run_inline(spec, args, kwargs, attempt)
+            return self._run_inline(spec, args, kwargs)
         store = self._store
         leases: list[ObjectRef] = []
         segments: dict[str, int] = {}
@@ -805,7 +802,7 @@ class ProcessPoolBackend(ExecutorBackend):
                     # A released ref, an unstorable argument, a store shut
                     # down or a full /dev/shm: run where the data is, on
                     # the caller's own arguments.
-                    return self._run_inline(spec, args, kwargs, attempt)
+                    return self._run_inline(spec, args, kwargs)
                 args, kwargs = frozen
             request = (
                 "run",
@@ -821,7 +818,7 @@ class ProcessPoolBackend(ExecutorBackend):
                 frames = _encode(request)
             except Exception:  # unpicklable argument: run where the data is
                 self._count("serialization_fallbacks")
-                return self._run_inline(spec, args, kwargs, attempt)
+                return self._run_inline(spec, args, kwargs)
             finally:
                 with self._lock:
                     self._serialization_seconds += time.perf_counter() - t0
@@ -887,7 +884,7 @@ class ProcessPoolBackend(ExecutorBackend):
             with self._lock:
                 self._inline_only.add(id(spec))
             self._count("unresolvable")
-            return self._run_inline(spec, args, kwargs, attempt)
+            return self._run_inline(spec, args, kwargs)
         if kind == "badresult":
             # Result did not pickle; recompute locally (pure tasks only
             # are dispatched, so re-running is safe).
@@ -895,7 +892,7 @@ class ProcessPoolBackend(ExecutorBackend):
             with self._lock:
                 self._inline_only.add(id(spec))
             self._count("result_fallbacks")
-            return self._run_inline(spec, args, kwargs, attempt)
+            return self._run_inline(spec, args, kwargs)
         raise RuntimeError(f"unknown worker reply {kind!r}")
 
     def shutdown(self) -> None:

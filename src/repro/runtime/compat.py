@@ -62,7 +62,7 @@ def compss_wait_on(*objs: Any) -> Any:
 
 
 def compss_barrier(no_more_tasks: bool = False) -> None:
-    """Block until every task submitted from the current scope is done.
+    """Block until every task submitted from the calling context is done.
 
     ``no_more_tasks`` is accepted for signature compatibility; this
     runtime frees task structures eagerly either way.

@@ -15,7 +15,12 @@ default, or on persistent worker processes with
 Worker threads use *help-while-waiting*: any thread blocked in
 ``wait_on`` or a barrier keeps executing ready tasks, so nested task
 graphs (tasks spawning tasks, the paper's "nesting" feature) can never
-deadlock the pool.
+deadlock the pool.  A thread running a body is bound to that body's
+attempt (:mod:`repro.runtime.active`), so what the body submits counts
+on the attempt's ``_pending`` and the body waits for zero before its
+attempt completes; everything else submitted counts at top level
+(``_unfinished_top``), which is what the application's ``barrier()``
+waits for.
 
 The scheduler is **event-driven**: idle threads park on a condition
 variable with *no timeout* and are woken only by events — a task
@@ -34,7 +39,7 @@ not serialise on one global lock: dependency detection runs under a
 dedicated ``_dep_lock`` (keeping registry write-chains and task-id
 order consistent), checkpoint-signature hashing under ``_sig_lock``,
 the ready queue under the scheduler condition, and only the cheap
-bookkeeping (task registration, scope counts) under ``_state_lock``.
+bookkeeping (task registration, pending counts) under ``_state_lock``.
 A dependency discovered through the registry may name a task that has
 allocated its id but not yet finished registering; it is counted as
 unresolved and its completion — which necessarily happens after its
@@ -72,6 +77,7 @@ from typing import Any, Callable, Iterable
 
 from repro.runtime import checkpoint as ckpt
 from repro.runtime.active import (  # noqa: F401 - re-exported
+    Binding,
     _tls,
     active_runtime,
     pop_runtime,
@@ -96,6 +102,7 @@ from repro.runtime.failures import (
     TaskOptions,
     resolve_options,
     retry_delay,
+    split_default,
 )
 from repro.runtime.future import Future, resolve_futures, scan_futures
 from repro.runtime.model import (
@@ -132,44 +139,6 @@ _ckpt_logger = logging.getLogger("repro.runtime.checkpoint")
 #: transition but the claim (see ``_execute``), so the check is one set
 #: test.
 _ALLOWED = {state: nxt | {state} for state, nxt in VALID_TRANSITIONS.items()}
-
-
-class Scope:
-    """Tracks the tasks submitted from one context.
-
-    The top-level scope belongs to the application; a running task's
-    first nested submission gives it a child scope, so nested
-    submissions and their synchronisations stay local to that task
-    (paper §III-D: nesting "encapsulates the synchronizations within a
-    task").
-    """
-
-    def __init__(self, runtime: "Runtime", parent_task_id: int | None = None):
-        self.runtime = runtime
-        self.parent_task_id = parent_task_id
-        self._unfinished = 0
-        self._lock = threading.Lock()
-
-    def task_submitted(self, n: int = 1) -> None:
-        with self._lock:
-            self._unfinished += n
-
-    def task_finished(self) -> None:
-        with self._lock:
-            self._unfinished -= 1
-            negative = self._unfinished < 0
-        if negative:
-            # A task was "finished" more often than submitted: double
-            # completion bookkeeping.  Record instead of raising — the
-            # randomized runtime tests turn this into a hard failure.
-            self.runtime._record_violation(
-                f"scope(parent={self.parent_task_id}) pending count went negative"
-            )
-
-    def wait_all(self) -> None:
-        """Block until every task submitted in this scope finished,
-        helping to execute ready tasks meanwhile."""
-        self.runtime._help_until(lambda: self._unfinished == 0)
 
 
 class Runtime:
@@ -308,6 +277,11 @@ class Runtime:
         self._opts_cache: dict[tuple[int, int], tuple] = {}
         self._epoch = time.perf_counter()
         self._unfinished_total = 0
+        #: Top-level attempts not yet retired (submitted by no body of
+        #: this runtime): what the application's ``barrier()`` waits
+        #: for.  A body's own children are counted on its attempt
+        #: (``TaskInstance._pending``).  Both under ``_state_lock``.
+        self._unfinished_top = 0
         self._aborted: BaseException | None = None
         self._killed: BaseException | None = None
         # -- streaming integration -------------------------------------
@@ -339,7 +313,6 @@ class Runtime:
         #: call-lineage counters: base signature -> occurrences so far.
         self._sig_counts: collections.Counter[str] = collections.Counter()
         self._n_checkpoint_writes = 0
-        self.root_scope = Scope(self)
         if self.executor == "threads":
             self._start_workers()
 
@@ -356,13 +329,13 @@ class Runtime:
 
     @property
     def unfinished(self) -> int:
-        """Tasks submitted (in any scope) that have not completed."""
+        """Tasks submitted (top level or nested) that have not completed."""
         with self._state_lock:
             return self._unfinished_total
 
     def shutdown(self, wait: bool = True) -> None:
         """Stop the runtime.  With ``wait=True`` (default) drains every
-        live scope first — root *and* nested/detached ones — so no
+        unfinished task first — top-level *and* nested ones — so no
         in-flight task is lost."""
         was_shutdown = self._shutdown
         if wait and not was_shutdown:
@@ -497,7 +470,7 @@ class Runtime:
         """
         self._check_accepting()
         resolved = self._resolve_options_cached(spec, options)
-        scope = self._submission_scope()
+        parent, ctx = self._submitting_attempt()
 
         # -- phase 1 (no lock): argument scan ---------------------------
         future_deps, bound, resolve = self._scan_call(spec, args, kwargs)
@@ -510,13 +483,13 @@ class Runtime:
             self._dep_lock.release()
 
         inst = self._build_instance(
-            spec, args, kwargs, deps, scope, resolved.label, resolved, task_id, resolve
+            spec, args, kwargs, deps, parent, ctx, resolved.label, resolved, task_id, resolve
         )
         if initial_attempt:
             inst.attempt = initial_attempt
 
         # -- phases 3-4: signature, registration ------------------------
-        if self._admit(inst, self._register(inst, scope)):
+        if self._admit(inst, self._register(inst)):
             self._enqueue(inst)
         return self._returns_of(inst)
 
@@ -550,7 +523,7 @@ class Runtime:
         ]
         if not normalized:
             return []
-        scope = self._submission_scope()
+        parent, ctx = self._submitting_attempt()
 
         # -- phase 1 (no lock), once per call ---------------------------
         prepared = []
@@ -573,7 +546,9 @@ class Runtime:
             self._dep_lock.release()
 
         insts = [
-            self._build_instance(spec, args, kwargs, deps, scope, label, resolved, task_id, r)
+            self._build_instance(
+                spec, args, kwargs, deps, parent, ctx, label, resolved, task_id, r
+            )
             for (spec, args, kwargs, resolved, label, _fd, _b, r), (task_id, deps) in zip(
                 prepared, allocated
             )
@@ -586,15 +561,14 @@ class Runtime:
             # leave intra-batch children parked on a queue that the
             # sequential executor never drains).
             for inst in insts:
-                self._admit(inst, self._register(inst, scope))
+                self._admit(inst, self._register(inst))
         else:
             # -- phases 3-4: one batched registration pass, then dispatch
             # in call order and one grouped enqueue.
             lookups = [self._checkpoint_lookup(inst) for inst in insts]
-            scope.task_submitted(len(insts))
             with self._state_lock:
                 registered = [
-                    self._register_locked(inst, scope, restored)
+                    self._register_locked(inst, restored)
                     for inst, restored in zip(insts, lookups)
                 ]
             self._enqueue(
@@ -635,18 +609,18 @@ class Runtime:
             return unresolved == 0
         return False
 
-    def _submission_scope(self) -> "Scope":
-        """The scope a submission from the calling thread joins: the
-        running task's (made here on its body's first nested
-        submission), the thread's bound scope, or the root scope."""
-        bound = _tls.scope
-        if bound is None or bound.runtime is not self:
-            return self.root_scope
-        if type(bound) is TaskInstance:
-            if bound.scope is None:  # only the body's own thread submits here
-                bound.scope = Scope(self, parent_task_id=bound.task_id)
-            return bound.scope
-        return bound
+    def _submitting_attempt(self) -> tuple[TaskInstance | None, Any]:
+        """Read the calling thread's binding once: the parent attempt of
+        a submission made from it and the span the submission parents
+        under.  Only a body of this runtime is a parent; an adopted
+        thread, another runtime's body or an unbound thread submits at
+        top level, under its binding's span if it has one."""
+        bound = _tls.bound
+        if bound is None:
+            return None, None
+        if type(bound) is TaskInstance and bound.runtime is self:
+            return bound, bound.trace_ctx
+        return None, bound.trace_ctx
 
     def _normalize_call(self, call: Any, index: int | None = None) -> tuple:
         """Normalize one ``submit_many`` item to
@@ -772,7 +746,8 @@ class Runtime:
         args: tuple,
         kwargs: dict,
         deps: set[int],
-        scope: "Scope",
+        parent: TaskInstance | None,
+        ctx: Any,
         label: str | None,
         resolved,
         task_id: int,
@@ -791,18 +766,19 @@ class Runtime:
             kwargs=kwargs,
             deps=frozenset(deps),
             futures=futures,
-            parent_id=scope.parent_task_id,
+            runtime=self,
+            parent=parent,
             label=label,
         )
         inst.options = resolved
         inst.resolve_args = resolve
         inst.t_submit = self._now()
         if self.config.collect_trace:
-            # Mint this attempt's span as a child of the ambient
-            # context (a task body submitting nested tasks, a service
-            # delivery, a streaming stage) — or a fresh root trace when
-            # nothing is ambient.
-            inst.trace_ctx = _tracectx.child_of(_tracectx.current_context())
+            # Mint this attempt's span as a child of the submitting
+            # thread's binding (a task body submitting nested tasks, a
+            # service delivery, a streaming chain) — or a fresh root
+            # trace when the thread carries no context.
+            inst.trace_ctx = _tracectx.child_of(ctx)
         return inst
 
     def _checkpoint_lookup(self, inst: TaskInstance) -> tuple | None:
@@ -816,26 +792,28 @@ class Runtime:
         inst.signature = signature
         return self.checkpoint_store.get(signature, expect=inst.spec.returns)
 
-    def _register(self, inst: TaskInstance, scope: "Scope") -> tuple:
+    def _register(self, inst: TaskInstance) -> tuple:
         """Phases 3-4 of submission for one call; see
         ``_register_locked``."""
         restored_values = self._checkpoint_lookup(inst)
-        scope.task_submitted()
         with self._state_lock:
-            return self._register_locked(inst, scope, restored_values)
+            return self._register_locked(inst, restored_values)
 
-    def _register_locked(
-        self, inst: TaskInstance, scope: "Scope", restored_values: tuple | None
-    ) -> tuple:
-        """Phase 4 (callers hold ``_state_lock`` and counted *inst* in
-        *scope*): enter *inst* in the task table and, unless it is
-        restored, register it as a child of every unresolved dependency.
-        Returns ``(restored_values, unresolved, upstream_failed)`` for
-        ``_admit``, the last a failed or cancelled dependency (or None)."""
+    def _register_locked(self, inst: TaskInstance, restored_values: tuple | None) -> tuple:
+        """Phase 4 (callers hold ``_state_lock``): enter *inst* in the
+        task table, count it unfinished — on its parent attempt, or at
+        top level — and, unless it is restored, register it as a child
+        of every unresolved dependency.  Returns ``(restored_values,
+        unresolved, upstream_failed)`` for ``_admit``, the last a failed
+        or cancelled dependency (or None)."""
         task_id = inst.task_id
         self._tasks[task_id] = inst
         self._by_root[task_id] = inst
-        inst._owner_scope = scope  # type: ignore[attr-defined]
+        parent = inst._parent
+        if parent is None:
+            self._unfinished_top += 1
+        else:
+            parent._pending += 1
         self._unfinished_total += 1
         unresolved = 0
         upstream_failed = None
@@ -1084,23 +1062,24 @@ class Runtime:
             return RuntimeStateError("runtime shut down while blocked on a stream")
         return None
 
-    def bind_current_thread(self) -> "Scope | None":
+    def bind_current_thread(self, trace_ctx: Any = None) -> Any:
         """Adopt the calling (externally created) thread into this
-        runtime's root scope so ``@task`` calls made from it submit
-        here, and ``wait_on``/``barrier`` resolve against this runtime.
-        Returns the previous binding for :meth:`release_current_thread`
-        to restore.  Long-lived stream stages run on their own threads
-        and use this to interoperate with ordinary task futures."""
-        prev = _tls.scope
-        _tls.scope = self.root_scope
+        runtime: ``@task`` calls made from it submit here at top level,
+        as children of *trace_ctx* when given, and ``wait_on``/``barrier``
+        resolve against this runtime.  Returns the previous binding for
+        :meth:`release_current_thread` to restore.  Stream chains and
+        the queue service's claim thread run on their own threads and
+        use this to interoperate with ordinary task futures."""
+        prev = _tls.bound
+        _tls.bound = Binding(self, 0, trace_ctx)
         return prev
 
-    def release_current_thread(self, prev: "Scope | None" = None) -> None:
+    def release_current_thread(self, prev: Any = None) -> None:
         """Undo :meth:`bind_current_thread`."""
-        _tls.scope = prev
+        _tls.bound = prev
 
     def _record_violation(self, message: str) -> None:
-        """Log and remember a broken runtime invariant (negative scope
+        """Log and remember a broken runtime invariant (negative pending
         count, illegal state transition).  Violations never raise on
         the hot path; ``check_invariants()`` surfaces them and the
         randomized runtime tests fail on any."""
@@ -1205,31 +1184,20 @@ class Runtime:
             # an in-process backend needs the concrete arrays.
             args = store.deref(args)
             kwargs = store.deref(kwargs)
-        # Install this attempt's trace context ambiently for the span
-        # of the body: nested submissions become children of this span.
-        ctx = inst.trace_ctx
-        prev_ctx = _tracectx.set_context(ctx) if ctx is not None else None
-        try:
-            result, pid, dinfo = self._backend.run(
-                inst.spec, args, kwargs, attempt=inst.attempt
-            )
-            if not inst._abandoned:  # else already retired: its record is read-only
-                inst.worker_pid = pid
-                if dinfo:
-                    # Per-call data-plane accounting (bytes freshly mapped into
-                    # the worker / pickle bytes avoided), for the trace record.
-                    inst.bytes_moved = dinfo.get("bytes_moved", 0)
-                    inst.bytes_saved = dinfo.get("bytes_saved", 0)
-            # Nested tasks must complete before the parent is done.  The
-            # unlocked count read is exact for the no-children case: only
-            # this thread (running the body) can have submitted into the
-            # scope, so a zero cannot turn nonzero after the body returned.
-            scope = inst.scope
-            if scope is not None and scope._unfinished:
-                scope.wait_all()
-        finally:
-            if ctx is not None:
-                _tracectx.set_context(prev_ctx)
+        result, pid, dinfo = self._backend.run(inst.spec, args, kwargs, attempt=inst.attempt)
+        if not inst._abandoned:  # else already retired: its record is read-only
+            inst.worker_pid = pid
+            if dinfo:
+                # Per-call data-plane accounting (bytes freshly mapped into
+                # the worker / pickle bytes avoided), for the trace record.
+                inst.bytes_moved = dinfo.get("bytes_moved", 0)
+                inst.bytes_saved = dinfo.get("bytes_saved", 0)
+        # Nested tasks must complete before the parent is done.  The
+        # unlocked count read is exact for the no-children case: only
+        # this thread (bound to *inst*) submits children of *inst*, so a
+        # zero cannot turn nonzero after the body returned.
+        if inst._pending:
+            self._help_until(lambda: inst._pending == 0)
         if isinstance(result, (Future, list, tuple, dict)):
             result = resolve_futures(result)
         return args, kwargs, _split_results(inst, result)
@@ -1245,7 +1213,7 @@ class Runtime:
         finished = threading.Event()
 
         def body() -> None:
-            _tls.scope = inst
+            _tls.bound = inst
             try:
                 outcome["value"] = self._run_body(inst)
             except BaseException as exc:  # noqa: BLE001 - relayed below
@@ -1273,7 +1241,7 @@ class Runtime:
         # Strict table, no self-loop: claiming an instance that is
         # already RUNNING runs its body twice.
         self._check_transition(inst, prev_state, RUNNING, VALID_TRANSITIONS)
-        outer_scope = _tls.scope
+        outer = _tls.bound
         time_out = inst.options.time_out if inst.options is not None else None
         t_start = self._now()
         inst.t_dispatch = t_start
@@ -1282,11 +1250,11 @@ class Runtime:
             if time_out is not None and self.executor == "threads":
                 args, kwargs, results = self._run_with_watchdog(inst, time_out)
             else:
-                _tls.scope = inst
+                _tls.bound = inst
                 try:
                     args, kwargs, results = self._run_body(inst)
                 finally:
-                    _tls.scope = outer_scope
+                    _tls.bound = outer
                 if time_out is not None:
                     # Sequential executor cannot preempt: detect the
                     # overrun after the fact (documented best effort).
@@ -1427,7 +1395,9 @@ class Runtime:
         policy = options.on_failure if options is not None else None
         if policy == IGNORE:
             self._record(inst, t_start, "ignored", error=exc)
-            for fut, value in zip(inst.futures, _split_default(inst)):
+            for fut, value in zip(
+                inst.futures, split_default(options.failure_default, inst.spec.returns)
+            ):
                 fut._set_result(value)
             self._complete(inst, IGNORED)
             return
@@ -1451,7 +1421,6 @@ class Runtime:
         adopts the dependents that were waiting on the failed node.
         """
         options = inst.options
-        scope: Scope = inst._owner_scope  # type: ignore[attr-defined]
         with self._state_lock:
             new_id = self._next_task_id
             self._next_task_id += 1
@@ -1463,7 +1432,8 @@ class Runtime:
                 kwargs=inst.kwargs,
                 deps=frozenset(inst.deps | {inst.task_id}),
                 futures=inst.futures,
-                parent_id=inst.parent_id,
+                runtime=self,
+                parent=inst._parent,
                 label=inst.label,
             )
             new.options = options
@@ -1480,7 +1450,6 @@ class Runtime:
                 # as the DAG's retry edge does.
                 new.trace_ctx = inst.trace_ctx.child()
             new._remaining = 0  # the failed attempt is complete, deps were done
-            new._owner_scope = scope  # type: ignore[attr-defined]
             self._tasks[new_id] = new
             # Futures (and therefore dependents) reference the first
             # attempt's id, so the root entry must track the latest
@@ -1490,17 +1459,15 @@ class Runtime:
             # instance, so ``stats()`` counts it exactly once.  Child
             # bookkeeping is keyed by root id, so no hand-over needed.
             self._by_root[new.root_id] = new
-            scope.task_submitted()
-            self._unfinished_total += 1
             # Close out the failed attempt (dependents follow the root
-            # id, so they transparently wait for the new attempt).
+            # id, so they transparently wait for the new attempt).  The
+            # new attempt takes its place in the unfinished and pending
+            # counts, so neither moves.
             inst.try_finalize()
             self._set_state(inst, FAILED)
-            self._unfinished_total -= 1
             # The new attempt holds the same payload; a retired attempt
             # keeps its scalars only.
             inst.args = inst.kwargs = None
-        scope.task_finished()
 
         delay = retry_delay(
             options.retry_backoff,
@@ -1564,8 +1531,7 @@ class Runtime:
             self._progress.tick()
         with self._state_lock:
             children = self._children.pop(inst.root_id, [])
-            self._unfinished_total -= 1
-        getattr(inst, "_owner_scope").task_finished()
+            self._retire_locked(inst)
         # Retired: the body resolved its arguments when it started and
         # no view reads them, so the payload is released here, not at
         # shutdown.
@@ -1580,8 +1546,8 @@ class Runtime:
                 to_enqueue.append(child)
         for child in to_enqueue:
             self._enqueue(child)
-        # Wake every waiter whose predicate (futures done, scope
-        # drained, unfinished == 0) may have just turned true.  The
+        # Wake every waiter whose predicate (futures done, pending
+        # count drained, unfinished == 0) may have just turned true.  The
         # state changes above happened before this broadcast, and
         # waiters re-check under the condition before parking, so the
         # wakeup cannot be lost.
@@ -1595,7 +1561,7 @@ class Runtime:
         is claimed via ``try_cancel`` so the bookkeeping runs exactly
         once even when racing a worker or a second cancellation, and a
         single broadcast at the end wakes waiters parked on any of the
-        now-cancelled futures or scopes.  *cause* is the error of the
+        now-cancelled futures or pending counts.  *cause* is the error of the
         failed attempt that dooms them all (None for a shutdown
         cancellation): every cancelled node keeps it as its
         ``error`` and its futures raise a ``CancelledTaskError``
@@ -1615,12 +1581,29 @@ class Runtime:
                 fut._cancel(cause)
             with self._state_lock:
                 children = self._children.pop(cur.root_id, [])
-                self._unfinished_total -= 1
-            getattr(cur, "_owner_scope").task_finished()
+                self._retire_locked(cur)
             cur.args = cur.kwargs = None
             worklist.extend(children)
         if cancelled_any:
             self._broadcast()
+
+    def _retire_locked(self, inst: TaskInstance) -> None:
+        """Uncount a retired *inst* (callers hold ``_state_lock``): from
+        the unfinished total and from its parent's pending count, or the
+        top-level one."""
+        self._unfinished_total -= 1
+        parent = inst._parent
+        if parent is None:
+            self._unfinished_top -= 1
+            negative = self._unfinished_top < 0
+        else:
+            parent._pending -= 1
+            negative = parent._pending < 0
+        if negative:
+            # A task was retired more often than submitted: double
+            # completion bookkeeping.  Recorded instead of raised — the
+            # randomized runtime tests turn it into a hard failure.
+            self._record_violation(f"pending count of parent={inst.parent_id} went negative")
 
     # ------------------------------------------------------------------
     # synchronisation & introspection
@@ -1642,13 +1625,18 @@ class Runtime:
         return out
 
     def barrier(self) -> None:
-        """Wait until every task submitted from the current scope is
-        done.  Raises :class:`WorkflowAbortedError` if an
+        """Wait until every task submitted from the calling context is
+        done: inside a body, that body's nested tasks; anywhere else,
+        the top-level ones.  Raises :class:`WorkflowAbortedError` if an
         ``on_failure="FAIL"`` task aborted the workflow meanwhile, and
         the killing exception if the runtime was killed."""
-        self._submission_scope().wait_all()
+        parent, _ = self._submitting_attempt()
+        if parent is None:
+            self._help_until(lambda: self._unfinished_top == 0)
+        else:
+            self._help_until(lambda: parent._pending == 0)
         if self._killed is not None:
-            # ``_help_until`` tests its predicate first, so a scope that
+            # ``_help_until`` tests its predicate first, so a count that
             # had already drained when the kill landed returns normally.
             raise self._killed
         if self._aborted is not None:
@@ -1932,16 +1920,3 @@ def _split_results(inst: TaskInstance, result: Any) -> tuple[Any, ...]:
             ),
         )
     return tuple(result)
-
-
-def _split_default(inst: TaskInstance) -> tuple[Any, ...]:
-    """Shape the declared ``failure_default`` onto the task's return
-    arity: a tuple/list of matching length is split, anything else is
-    replicated per future."""
-    n = inst.spec.returns
-    default = inst.options.failure_default if inst.options is not None else None
-    if n == 0:
-        return ()
-    if isinstance(default, (tuple, list)) and len(default) == n:
-        return tuple(default)
-    return tuple(default for _ in range(n))

@@ -76,7 +76,7 @@ class TaskOptions:
 
     Every field defaults to "unset"; unset fields fall back to the
     ``@task`` declaration and then to this module's defaults.  Created
-    explicitly via ``my_task.opts(label=..., retries=...)(args)``.
+    explicitly via ``my_task.opts(label=..., max_retries=...)(args)``.
     """
 
     label: str | None = None
@@ -160,6 +160,15 @@ def resolve_options(spec_options: TaskOptions, call_options: TaskOptions | None)
         retry_backoff=opts.retry_backoff if opts.retry_backoff is not None else RETRY_BACKOFF,
         checkpoint=opts.checkpoint if opts.checkpoint is not None else True,
     )
+
+
+def split_default(default: Any, returns: int) -> tuple[Any, ...]:
+    """Shape an ``IGNORE`` task's ``failure_default`` onto its *returns*
+    values: a tuple/list of matching length is split, anything else is
+    replicated per value."""
+    if isinstance(default, (tuple, list)) and len(default) == returns:
+        return tuple(default)
+    return (default,) * returns
 
 
 def retry_delay(

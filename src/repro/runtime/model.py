@@ -123,7 +123,8 @@ class TaskInstance:
         "deps",
         "futures",
         "state",
-        "parent_id",
+        "runtime",
+        "_parent",
         "label",
         "error",
         "options",
@@ -147,11 +148,10 @@ class TaskInstance:
         "out_bytes",
         "error_repr",
         "_trace_record",
-        "scope",
         "resolve_args",
+        "_pending",
         "_remaining",
         "_lock",
-        "_owner_scope",
         "_abandoned",
         "_finalized",
     )
@@ -164,7 +164,8 @@ class TaskInstance:
         kwargs: dict[str, Any],
         deps: frozenset[int],
         futures: tuple[Future, ...],
-        parent_id: int | None,
+        runtime,
+        parent: "TaskInstance | None",
         label: str | None,
     ):
         self.task_id = task_id
@@ -174,7 +175,12 @@ class TaskInstance:
         self.deps = deps
         self.futures = futures
         self.state = PENDING
-        self.parent_id = parent_id
+        #: The runtime this attempt was submitted to: a thread running
+        #: its body is bound to the attempt (:mod:`repro.runtime.active`)
+        #: and so submits there.
+        self.runtime = runtime
+        #: The attempt whose body submitted this one (None: top level).
+        self._parent = parent
         self.label = label
         #: The attempt's ``TaskExecutionError`` once it failed; for an
         #: attempt cancelled because an upstream failed, that upstream's.
@@ -232,8 +238,10 @@ class TaskInstance:
         #: the fields above by the first ``Runtime.trace()`` that reads
         #: this attempt; later reads reuse it.
         self._trace_record = None
-        #: Scope of the body's nested tasks, made by its first one.
-        self.scope = None
+        #: Nested attempts submitted by this attempt's body and not yet
+        #: retired, written under the runtime's ``_state_lock``; the
+        #: body waits for zero before the attempt completes.
+        self._pending = 0
         #: False when no argument is a future or a container: the body
         #: then takes the arguments as submitted.
         self.resolve_args = True
@@ -294,7 +302,7 @@ class TaskInstance:
 
     def try_finalize(self) -> bool:
         """Claim the right to run this instance's completion
-        bookkeeping (scope/unfinished counters, child propagation).
+        bookkeeping (pending/unfinished counts, child propagation).
         Exactly one caller wins; the loser must do nothing."""
         with self._lock:
             if self._finalized:
@@ -307,10 +315,10 @@ class TaskInstance:
         return self.spec.name
 
     @property
-    def runtime(self):
-        """The runtime this attempt was submitted to (a thread running
-        its body is bound to it, see :mod:`repro.runtime.active`)."""
-        return self._owner_scope.runtime
+    def parent_id(self) -> int | None:
+        """task_id of the attempt whose body submitted this one."""
+        parent = self._parent
+        return None if parent is None else parent.task_id
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<TaskInstance {self.name}#{self.task_id} {self.state}>"

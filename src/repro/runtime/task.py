@@ -29,10 +29,10 @@ import functools
 import inspect
 from typing import Any, Callable
 
-from repro.runtime.active import active_runtime
+from repro.runtime.active import Binding, _tls, active_runtime
 from repro.runtime.directions import Direction, coerce_direction
 from repro.runtime.exceptions import TaskDefinitionError
-from repro.runtime.failures import IGNORE, TaskOptions, _UNSET
+from repro.runtime.failures import IGNORE, TaskOptions, _UNSET, resolve_options, split_default
 from repro.runtime.future import resolve_futures
 from repro.runtime.model import Constraints, TaskCall, TaskSpec
 
@@ -42,7 +42,6 @@ _RESERVED = {
     "constraints",
     "label",
     "name",
-    "retries",
     "max_retries",
     "on_failure",
     "time_out",
@@ -52,38 +51,6 @@ _RESERVED = {
 }
 
 
-def _build_options(
-    *,
-    label: str | None,
-    on_failure: str | None,
-    max_retries: int | None,
-    retries: int | None,
-    time_out: float | None,
-    failure_default: Any,
-    priority: int | None,
-    retry_backoff: float | None = None,
-    checkpoint: bool | None = None,
-) -> TaskOptions:
-    """Validate and normalise option keywords (``retries`` is the
-    legacy alias of ``max_retries``)."""
-    if retries is not None and max_retries is not None:
-        raise TaskDefinitionError("pass either retries or max_retries, not both")
-    if retries is not None:
-        if retries < 0:
-            raise TaskDefinitionError("retries must be >= 0")
-        max_retries = retries
-    return TaskOptions(
-        label=label,
-        on_failure=on_failure,
-        max_retries=max_retries,
-        time_out=time_out,
-        failure_default=failure_default,
-        priority=priority,
-        retry_backoff=retry_backoff,
-        checkpoint=checkpoint,
-    )
-
-
 def task(
     _func: Callable[..., Any] | None = None,
     *,
@@ -91,7 +58,6 @@ def task(
     constraints: Constraints | dict | None = None,
     label: str | None = None,
     name: str | None = None,
-    retries: int | None = None,
     max_retries: int | None = None,
     on_failure: str | None = None,
     time_out: float | None = None,
@@ -118,7 +84,7 @@ def task(
         Runtime-level resubmission budget: each failed attempt is
         re-enqueued through the scheduler as a fresh DAG node (COMPSs
         task resubmission), with exponential backoff and deterministic
-        jitter.  ``retries`` is the legacy alias.
+        jitter.
     on_failure:
         Failure policy applied once attempts are exhausted: ``"FAIL"``,
         ``"RETRY"``, ``"IGNORE"`` or ``"CANCEL_SUCCESSORS"`` (default,
@@ -145,11 +111,10 @@ def task(
     def decorate(func: Callable[..., Any]) -> Callable[..., Any]:
         if returns < 0:
             raise TaskDefinitionError("returns must be >= 0")
-        options = _build_options(
+        options = TaskOptions(
             label=label,
             on_failure=on_failure,
             max_retries=max_retries,
-            retries=retries,
             time_out=time_out,
             failure_default=failure_default,
             priority=priority,
@@ -223,7 +188,6 @@ def task(
             label: str | None = None,
             on_failure: str | None = None,
             max_retries: int | None = None,
-            retries: int | None = None,
             time_out: float | None = None,
             failure_default: Any = _UNSET,
             priority: int | None = None,
@@ -232,11 +196,10 @@ def task(
         ) -> Callable[..., Any]:
             """Bind call-site option overrides; returns a callable
             submitting the task with them applied."""
-            call_options = _build_options(
+            call_options = TaskOptions(
                 label=label,
                 on_failure=on_failure,
                 max_retries=max_retries,
-                retries=retries,
                 time_out=time_out,
                 failure_default=failure_default,
                 priority=priority,
@@ -276,22 +239,26 @@ def task(
 def _run_inline(
     spec: TaskSpec, call_options: TaskOptions | None, args: tuple, kwargs: dict
 ) -> Any:
-    """Runtime-less execution: plain call with inline retry/IGNORE
-    semantics so scripts behave the same with and without a runtime."""
-    merged = (call_options or TaskOptions()).merged_over(spec.options)
-    budget = merged.max_retries or 0
-    last: BaseException | None = None
-    for _attempt in range(budget + 1):
-        try:
-            return spec.func(*resolve_futures(args), **resolve_futures(kwargs))
-        except Exception as exc:  # noqa: BLE001 - inline failure management
-            last = exc
-    assert last is not None
-    if merged.on_failure == IGNORE:
-        default = None if merged.failure_default is _UNSET else merged.failure_default
-        if spec.returns > 1:
-            if isinstance(default, (tuple, list)) and len(default) == spec.returns:
-                return tuple(default)
-            return tuple(default for _ in range(spec.returns))
-        return default
-    raise last
+    """Runtime-less execution: a plain call under the engine's failure
+    semantics, so scripts behave the same with and without a runtime —
+    the same resolved options, each try bound to its attempt (what
+    ``current_attempt()`` reads; the thread keeps its trace context),
+    the ``IGNORE`` default shaped as the runtime shapes it."""
+    options = resolve_options(spec.options, call_options)
+    prev = _tls.bound
+    bound = _tls.bound = Binding(None, 0, None if prev is None else prev.trace_ctx)
+    try:
+        for attempt in range(options.max_retries + 1):
+            bound.attempt = attempt
+            try:
+                return spec.func(*resolve_futures(args), **resolve_futures(kwargs))
+            except Exception as exc:  # noqa: BLE001 - inline failure management
+                last = exc
+    finally:
+        _tls.bound = prev
+    if options.on_failure != IGNORE:
+        raise last
+    if spec.returns == 0:
+        return None
+    values = split_default(options.failure_default, spec.returns)
+    return values[0] if spec.returns == 1 else values

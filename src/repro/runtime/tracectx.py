@@ -23,11 +23,13 @@ The design constraints, in order:
    ``span_id`` / ``parent_id`` / ``to_header()``: a record being
    shaped, the service row.
 2. **Propagation is ambient.**  Task bodies and service workers don't
-   pass contexts by hand; the current context lives in a
-   ``threading.local`` and everything that submits work reads it.
-   :func:`use_context` installs one for a scope, the engine installs
-   the executing task's context around its body, so nested submissions
-   become children automatically.
+   pass contexts by hand; the current context is the ``trace_ctx`` of
+   whatever the thread is bound to (:mod:`repro.runtime.active`), and
+   everything that submits work reads it there.  A running body is
+   bound to its own attempt, so nested submissions become children of
+   its span; ``Runtime.bind_current_thread(ctx)`` gives an adopted
+   thread (a stream chain, a service delivery) the context its
+   submissions parent under.
 3. **The wire format is text.**  ``to_header()`` emits the W3C
    ``traceparent`` shape (``00-{trace}-{span}-01``) so a context can
    ride a sqlite column unchanged, and ``from_header()`` round-trips
@@ -39,16 +41,15 @@ from __future__ import annotations
 import itertools
 import os
 import re
-import threading
 from typing import Optional
+
+from repro.runtime.active import _tls
 
 __all__ = [
     "TraceContext",
     "new_trace",
     "child_of",
     "current_context",
-    "set_context",
-    "use_context",
 ]
 
 _HEADER_VERSION = "00"
@@ -157,42 +158,8 @@ def child_of(parent: Optional[TraceContext]) -> TraceContext:
     return ctx
 
 
-class _Ambient(threading.local):
-    ctx: Optional[TraceContext] = None  # class default: no AttributeError when unset
-
-
-_tls = _Ambient()
-
-
 def current_context() -> Optional[TraceContext]:
-    """The ambient context of the calling thread (None outside any)."""
-    return _tls.ctx
-
-
-def set_context(ctx: Optional[TraceContext]) -> Optional[TraceContext]:
-    """Install *ctx* as the calling thread's ambient context and
-    return the previous one (restore it when the scope ends)."""
-    prev = _tls.ctx
-    _tls.ctx = ctx
-    return prev
-
-
-class use_context:
-    """``with use_context(ctx): ...`` — ambient context for a scope.
-
-    A tiny hand-rolled context manager (not ``@contextmanager``) so
-    entering/exiting costs two attribute writes, usable on hot paths.
-    """
-
-    __slots__ = ("_ctx", "_prev")
-
-    def __init__(self, ctx: Optional[TraceContext]):
-        self._ctx = ctx
-
-    def __enter__(self) -> Optional[TraceContext]:
-        self._prev = set_context(self._ctx)
-        return self._ctx
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        set_context(self._prev)
-
+    """The trace context of the attempt bound to the calling thread
+    (None outside any, or when it carries none)."""
+    bound = _tls.bound
+    return None if bound is None else bound.trace_ctx

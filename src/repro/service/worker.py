@@ -38,7 +38,7 @@ from typing import Any
 from repro.runtime.backends import _resolve_task_function
 from repro.runtime.failures import TaskOptions
 from repro.runtime.model import Constraints, TaskSpec
-from repro.runtime.tracectx import TraceContext, use_context
+from repro.runtime.tracectx import TraceContext
 from repro.service.queue import ClaimedTask, DurableQueue
 
 __all__ = ["ServiceWorkerPool"]
@@ -194,10 +194,13 @@ class ServiceWorkerPool:
         try:
             args, kwargs = pickle.loads(claim.payload)
             spec = self._spec_for(claim)
-            # Ambient context around the embedded runtime: the task's
-            # TaskRecord span becomes a child of this delivery, joining
-            # the client's trace.
-            with use_context(span_ctx and TraceContext.from_header(span_ctx)):
+            # This thread is bound to the embedded runtime with the
+            # delivery's context: the task's span becomes a child of
+            # this delivery, joining the client's trace.
+            prev = self.runtime.bind_current_thread(
+                span_ctx and TraceContext.from_header(span_ctx)
+            )
+            try:
                 future = self.runtime.submit(
                     spec,
                     tuple(args),
@@ -206,6 +209,8 @@ class ServiceWorkerPool:
                     initial_attempt=claim.attempt,
                 )
                 value = self.runtime.wait_on(future)
+            finally:
+                self.runtime.release_current_thread(prev)
         except BaseException as exc:  # noqa: BLE001 - reported to the queue
             if self.runtime.interruption() is not None and (future is None or not future.done):
                 # Not this body's failure: it only waited on a runtime

@@ -24,7 +24,7 @@ Lifecycle integration with the runtime:
 * the graph registers a shutdown **drain hook**: ``shutdown(wait=True)``
   first stops the sources and joins the chains (flushing in-flight
   windows through the pipeline) and only then waits for the unfinished
-  task count — stream scopes drain like everything else;
+  task count — stream submissions drain like everything else;
 * a stage failure applies the runtime's failure-policy vocabulary
   **per element**: ``RETRY`` re-applies the operator to the element
   (up to ``max_retries``), ``IGNORE`` drops it, ``FAIL`` /
@@ -322,7 +322,7 @@ class StreamGraph:
         self._error_stage: str | None = None
         self._lock = threading.Lock()
         #: Root trace context of this graph run (minted at ``start``).
-        #: Each chain thread gets a child installed ambiently, so every
+        #: Each chain thread is bound with a child of it, so every
         #: ``submit_many`` micro-batch a stage issues joins one trace.
         self.trace_ctx: "_tracectx.TraceContext | None" = None
 
@@ -586,15 +586,11 @@ class StreamGraph:
         then flush the tail and close the stream it writes."""
         head, tail = chain[0], chain[-1]
         rt = self.runtime
-        prev = rt.bind_current_thread() if rt is not None else None
-        # Chain-granularity tracing: each chain thread is one span
-        # context under the graph root — per-record contexts would cost
-        # a minting per element on the streaming hot path.
-        prev_ctx = (
-            _tracectx.set_context(self.trace_ctx.child())
-            if self.trace_ctx is not None
-            else None
-        )
+        # Chain-granularity tracing: each chain thread is bound with one
+        # span context under the graph root — per-record contexts would
+        # cost a minting per element on the streaming hot path.
+        ctx = self.trace_ctx
+        prev = rt.bind_current_thread(ctx and ctx.child()) if rt is not None else None
         started = time.monotonic()
         for stage in chain:
             stage.stats.started_at = started
@@ -617,8 +613,6 @@ class StreamGraph:
             finished = time.monotonic()
             for stage in chain:
                 stage.stats.finished_at = finished
-            if self.trace_ctx is not None:
-                _tracectx.set_context(prev_ctx)
             if rt is not None:
                 rt.release_current_thread(prev)
 

@@ -1,4 +1,4 @@
-"""The active-runtime lookup: a thread's bound scope first, then the
+"""The active-runtime lookup: a thread's binding first, then the
 innermost entered runtime — and no engine import to answer it."""
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from repro.runtime import Runtime, active, active_runtime, engine, task, wait_on
 
 def test_no_runtime_outside_a_with_block():
     assert active_runtime() is None
-    assert active.current_scope() is None
+    assert active._tls.bound is None
 
 
 def test_the_innermost_entered_runtime_governs():
@@ -43,11 +43,11 @@ def test_push_and_pop_are_the_engines_and_popping_twice_is_harmless():
 
 def test_a_task_body_sees_its_own_runtime_through_its_scope():
     """A thread running a body is bound to that attempt, which answers
-    its runtime (its scope object waits for a nested submission)."""
+    its runtime."""
 
     @task(returns=1)
     def whose():
-        bound = active.current_scope()
+        bound = active._tls.bound
         return bound.runtime is active_runtime(), bound.task_id
 
     with Runtime(executor="threads", max_workers=2) as rt:

@@ -21,7 +21,7 @@ from repro.runtime import (
     task,
     wait_on,
 )
-from repro.runtime import backends
+from repro.runtime import active, backends
 from repro.runtime.backends import (
     ProcessPoolBackend,
     ThreadBackend,
@@ -96,6 +96,31 @@ def _processes_cfg(**kw):
     return RuntimeConfig(backend="processes", max_workers=2, **kw)
 
 
+@task(returns=1, max_retries=2)
+def _pid_at_third_attempt():
+    """Fails at attempts 0 and 1; returns where attempt 2 ran."""
+    if current_attempt() < 2:
+        raise ValueError(f"attempt {current_attempt()}")
+    return os.getpid(), current_attempt()
+
+
+@task(returns=1)
+def _nested_pid_at_third_attempt():
+    """Calls the retried task from its own body: inside a pool worker
+    that call runs inline, retries included."""
+    return _pid_at_third_attempt()
+
+
+def _local_pid_at_third_attempt():
+    @task(returns=1, max_retries=2)
+    def local():
+        if current_attempt() < 2:
+            raise ValueError(f"attempt {current_attempt()}")
+        return os.getpid(), current_attempt()
+
+    return local
+
+
 # ----------------------------------------------------------------------
 # serialization framing
 # ----------------------------------------------------------------------
@@ -142,14 +167,48 @@ def test_backend_from_env():
 
 
 def test_thread_backend_runs_in_coordinator():
+    """The body runs on the calling thread and reads the attempt that
+    thread is bound to (the engine binds the running attempt)."""
     backend = ThreadBackend()
     spec = _probe.spec
-    (pid, attempt, x), run_pid, info = backend.run(spec, (7,), {}, attempt=2)
+    prev = active._tls.bound
+    active._tls.bound = active.Binding(None, 2)
+    try:
+        (pid, attempt, x), run_pid, info = backend.run(spec, (7,), {}, attempt=2)
+    finally:
+        active._tls.bound = prev
     assert pid == run_pid == os.getpid()
     assert info is None
     assert attempt == 2
     assert x == 7
     assert backend.stats() == {"backend": "threads"}
+
+
+@pytest.mark.parametrize(
+    "where", ["threads", "processes", "processes-inline", "worker-nested", "no-runtime"]
+)
+def test_current_attempt_reads_the_running_attempt(where):
+    """A body at its third attempt reads 2 under the thread backend, in
+    a pool worker, in the processes inline fallback (a ``<locals>``
+    task), nested inside a pool-worker body and with no runtime."""
+    fn = {
+        "processes-inline": _local_pid_at_third_attempt(),
+        "worker-nested": _nested_pid_at_third_attempt,
+    }.get(where, _pid_at_third_attempt)
+    if where == "no-runtime":
+        assert fn() == (os.getpid(), 2)
+        return
+    cfg = RuntimeConfig(max_workers=2) if where == "threads" else _processes_cfg()
+    with Runtime(config=cfg) as rt:
+        pid, attempt = wait_on(fn())
+        counts = rt.stats()["backend_stats"]
+    assert attempt == 2
+    assert current_attempt() == 0
+    in_worker = where in ("processes", "worker-nested")
+    assert (pid != os.getpid()) is in_worker
+    if where != "threads":
+        assert counts["dispatched"] == {"processes": 3, "worker-nested": 1}.get(where, 0)
+        assert counts["inline"] == (3 if where == "processes-inline" else 0)
 
 
 def test_thread_backend_simulates_worker_kill():

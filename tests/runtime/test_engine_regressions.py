@@ -36,8 +36,8 @@ def test_shutdown_waits_for_all_live_scopes():
     rt.__enter__()
 
     def submit_from_own_scope():
-        # a fresh thread gets its own scope, distinct from the root one
-        engine._tls.scope = engine.Scope(rt)
+        # an adopted thread submits at top level from its own binding
+        rt.bind_current_thread()
         slow_mark()
 
     t = threading.Thread(target=submit_from_own_scope)
@@ -459,7 +459,7 @@ def test_retried_chain_member_sees_its_attempt():
     """A member retried mid-chain runs again at attempt 1 and releases
     the rest of the chain exactly once."""
 
-    @task(returns=1, retries=2)
+    @task(returns=1, max_retries=2)
     def flaky(x):
         attempt = current_attempt()
         if attempt == 0:
@@ -481,7 +481,7 @@ def test_failure_mid_chain_cancels_successors():
     leaves what ran before it done."""
     from repro.runtime import CancelledTaskError, TaskExecutionError
 
-    @task(returns=1, retries=0)
+    @task(returns=1, max_retries=0)
     def bad(x):
         raise ValueError("boom")
 
@@ -607,7 +607,7 @@ def _attempt_around_a_nested_wait(nested_attempts):
     return before, inner, current_attempt()
 
 
-@task(returns=1, retries=3)
+@task(returns=1, max_retries=3)
 def _fails_then_reports_attempt(failures):
     attempt = current_attempt()
     if attempt < failures:
@@ -650,8 +650,8 @@ def test_a_future_of_another_runtime_reaches_the_body_as_its_value(executor):
 @pytest.mark.parametrize("executor", ["sequential", "threads"])
 def test_a_parent_completes_after_the_children_it_never_waited_for(executor):
     """A body that submits nested tasks and returns without waiting on
-    them still completes after every one of them: its scope is made by
-    its first nested submission and drained before it retires."""
+    them still completes after every one of them: its attempt counts
+    them pending and the body waits for zero before it retires."""
     done: list[int] = []
 
     @task(returns=1)
@@ -681,7 +681,7 @@ def test_a_parent_completes_after_the_children_it_never_waited_for(executor):
     assert len(kids) == 3
     assert all(r.parent_id == f.task_id for r in kids)
     assert all(r.t_end <= records[f.task_id].t_end for r in kids)
-    assert rt._by_root[f.task_id].scope is not None
+    assert rt._by_root[f.task_id]._pending == 0
     assert all(r.parent_id is None for r in records.values() if r.name == "leaf")
 
 
@@ -752,3 +752,42 @@ def test_a_completion_during_a_waiters_recheck_still_wakes_it():
         outcome = run_under_watchdog(lambda: rt._help_until(predicate), 10, "recheck race")
         assert outcome["ok"], "\n".join(outcome["problems"])
         assert calls[0] == 3 and rt.stats()["scheduler"]["broadcasts"] == 1
+
+
+def test_application_barrier_skips_the_children_a_failed_body_left():
+    """A body that raises with a nested child still pending fails
+    without waiting for it.  The application's ``barrier()`` waits for
+    top-level tasks only, so it returns with the child still running;
+    shutdown drains the child."""
+    gate = threading.Event()
+    started = threading.Event()
+
+    @task(returns=1)
+    def child():
+        started.set()
+        gate.wait(10)
+        return 1
+
+    @task(returns=1)
+    def parent():
+        child()
+        started.wait(10)
+        raise ValueError("parent fails with its child pending")
+
+    from repro.runtime import TaskExecutionError
+
+    with Runtime(executor="threads", max_workers=2) as rt:
+        try:
+            with pytest.raises(TaskExecutionError):
+                wait_on(parent())
+            returned = threading.Event()
+            waiter = threading.Thread(target=lambda: (rt.barrier(), returned.set()))
+            waiter.start()
+            assert returned.wait(5), "barrier() waited for the failed body's child"
+            waiter.join(5)
+            assert not waiter.is_alive()
+            assert rt.unfinished == 1
+        finally:
+            gate.set()
+    assert rt.unfinished == 0
+    assert rt.check_invariants(quiesced=True) == []

@@ -282,3 +282,32 @@ def test_claiming_a_running_task_again_is_recorded():
         assert rt.check_invariants() == [
             f"illegal transition running -> running for slow#{inst.task_id}"
         ]
+
+
+def test_retiring_an_attempt_twice_is_recorded():
+    """Retiring an attempt more often than it was submitted drives its
+    owner's pending count negative — the top-level count for an
+    application task, the parent attempt's for a nested one — and
+    ``check_invariants`` reports it."""
+
+    @task(returns=1)
+    def leaf():
+        return 1
+
+    @task(returns=1)
+    def parent():
+        return wait_on(leaf())
+
+    with Runtime(executor="sequential") as rt:
+        top = parent()
+        assert wait_on(top) == 1
+        rt.barrier()
+        (child,) = [i for i in rt._attempts() if i.parent_id == top.task_id]
+        for inst in (rt._by_root[top.task_id], child):
+            with rt._state_lock:
+                rt._retire_locked(inst)
+        assert rt.check_invariants() == [
+            "pending count of parent=None went negative",
+            f"pending count of parent={top.task_id} went negative",
+        ]
+        rt.shutdown(wait=False)  # the unfinished count is off by two now

@@ -25,15 +25,19 @@ earlier scenario harness pinned regressions with.
 
 from __future__ import annotations
 
+import ast
 import collections
 import itertools
+import os
 import random
+import subprocess
 import sys
 import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
     Bundle,
@@ -42,7 +46,6 @@ from hypothesis.stateful import (
     multiple,
     precondition,
     rule,
-    run_state_machine_as_test,
 )
 
 from repro.runtime import observability as obs
@@ -58,7 +61,6 @@ from repro.runtime.exceptions import (
     WorkflowKilledError,
 )
 from repro.runtime.task import task
-from tests.conftest import matrix_settings
 from tests.support.oracles import reconcile_store, run_under_watchdog
 
 #: Every machine here stores 8 KiB blocks by reference: the store's
@@ -564,11 +566,34 @@ class RuntimeMachine(RuleBasedStateMachine):
             sys.setswitchinterval(self._switch)
 
 
+#: Runs the matrix's draw in a fresh interpreter under the profile named
+#: by argv[1] and prints the drawn set.
+_DRAW_IN_FRESH_INTERPRETER = """
+import sys
+from hypothesis import settings
+from hypothesis.stateful import run_state_machine_as_test
+import tests.runtime.test_stress as m
+from tests.conftest import matrix_settings
+settings.load_profile(sys.argv[1])
+run_state_machine_as_test(m.RuntimeMachine, settings=matrix_settings())
+print(repr(sorted(m.DRAWN, key=repr)))
+"""
+
+
 def test_every_scenario_family_is_reachable():
     """The matrix itself, sized by the hypothesis profile; the drawn
-    configurations must cover every axis value and every ending."""
-    DRAWN.clear()
-    run_state_machine_as_test(RuntimeMachine, settings=matrix_settings())
+    configurations must cover every axis value and every ending.  The
+    draw runs in a fresh interpreter, so what earlier tests leave in
+    this process cannot starve an axis value."""
+    root = Path(__file__).resolve().parents[2]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root)])}
+    out = subprocess.run(
+        [sys.executable, "-c", _DRAW_IN_FRESH_INTERPRETER,
+         settings.get_current_profile_name()],
+        cwd=root, env=env, capture_output=True, text=True, timeout=1200,
+    )
+    assert out.returncode == 0, out.stderr[-4000:]
+    drawn = set(ast.literal_eval(out.stdout.strip().splitlines()[-1]))
     expected = {
         *(("executor", e) for e in EXECUTORS),
         ("store", "auto"), ("store", "off"),
@@ -576,7 +601,7 @@ def test_every_scenario_family_is_reachable():
         ("collect_trace", True), ("collect_trace", False),
         *(("end", e) for e in (None, "abort", "kill", "shutdown")),
     }
-    assert expected <= DRAWN, sorted(expected - DRAWN, key=repr)
+    assert expected <= drawn, sorted(expected - drawn, key=repr)
 
 
 # ----------------------------------------------------------------------

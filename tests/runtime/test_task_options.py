@@ -82,11 +82,6 @@ def test_priority_orders_ready_tasks():
     assert order == ["hi", "lo"]
 
 
-def test_opts_rejects_conflicting_retry_spellings():
-    with pytest.raises(TaskDefinitionError):
-        plain.opts(retries=1, max_retries=2)
-
-
 def test_opts_validation_matches_decorator():
     with pytest.raises(TaskDefinitionError):
         plain.opts(on_failure="NOPE")

@@ -1,6 +1,7 @@
 """Tests of :mod:`repro.runtime.tracectx`: context minting, the W3C
-traceparent wire form, ambient propagation, and the engine
-integration that stamps trace lineage onto :class:`TaskRecord`s."""
+traceparent wire form, propagation through the thread's binding, and
+the engine integration that stamps trace lineage onto
+:class:`TaskRecord`s."""
 
 from __future__ import annotations
 
@@ -11,15 +12,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.runtime import Runtime, task, wait_on
+from repro.runtime import Runtime, active, task, wait_on
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.tracectx import (
     TraceContext,
     child_of,
     current_context,
     new_trace,
-    set_context,
-    use_context,
 )
 
 
@@ -126,25 +125,33 @@ def test_context_is_a_value_built_from_either_form():
 def test_set_context_returns_previous():
     assert current_context() is None
     a, b = new_trace(), new_trace()
-    prev = set_context(a)
-    assert prev is None and current_context() is a
-    prev = set_context(b)
-    assert prev is a and current_context() is b
-    set_context(None)
-    assert current_context() is None
+    with Runtime(executor="sequential") as rt:
+        prev = rt.bind_current_thread(a)
+        assert prev is None and current_context() is a
+        inner = rt.bind_current_thread(b)
+        assert inner.trace_ctx is a and current_context() is b
+        rt.release_current_thread(inner)
+        assert current_context() is a
+        rt.release_current_thread(prev)
+        assert current_context() is None
 
 
 def test_use_context_restores_on_exit_even_on_error():
     outer = new_trace()
-    set_context(outer)
-    try:
-        with pytest.raises(RuntimeError):
-            with use_context(new_trace()):
-                assert current_context() is not outer
-                raise RuntimeError("boom")
-        assert current_context() is outer
-    finally:
-        set_context(None)
+    with Runtime(executor="sequential") as rt:
+        prev = rt.bind_current_thread(outer)
+        try:
+            with pytest.raises(RuntimeError):
+                inner = rt.bind_current_thread(new_trace())
+                try:
+                    assert current_context() is not outer
+                    raise RuntimeError("boom")
+                finally:
+                    rt.release_current_thread(inner)
+            assert current_context() is outer
+        finally:
+            rt.release_current_thread(prev)
+    assert current_context() is None
 
 
 def test_ambient_context_is_per_thread():
@@ -154,11 +161,15 @@ def test_ambient_context_is_per_thread():
     def probe():
         seen["other"] = current_context()
 
-    with use_context(ctx):
-        t = threading.Thread(target=probe)
-        t.start()
-        t.join()
-        assert current_context() is ctx
+    with Runtime(executor="sequential") as rt:
+        prev = rt.bind_current_thread(ctx)
+        try:
+            t = threading.Thread(target=probe)
+            t.start()
+            t.join()
+            assert current_context() is ctx
+        finally:
+            rt.release_current_thread(prev)
     assert seen["other"] is None
 
 
@@ -201,8 +212,11 @@ def test_sibling_roots_get_distinct_traces():
 def test_ambient_caller_context_adopts_submissions():
     root = new_trace()
     with Runtime(executor="threads") as rt:
-        with use_context(root):
+        prev = rt.bind_current_thread(root)
+        try:
             assert wait_on(_leaf(1)) == 2
+        finally:
+            rt.release_current_thread(prev)
         trace = rt.trace()
     (rec,) = list(trace)
     assert rec.trace_id == root.trace_id
@@ -235,3 +249,32 @@ def test_retry_spans_share_trace_and_parent_under_failed_attempt():
     assert retried.trace_id == failed.trace_id
     assert retried.span_id != failed.span_id
     assert retried.parent_span_id == failed.span_id
+
+
+# ----------------------------------------------------------------------
+# a body's context is its attempt's
+# ----------------------------------------------------------------------
+@task(returns=1)
+def _context_and_graph_span():
+    """This body's context, its attempt's span, and the parent span of
+    a stream graph started inside it."""
+    from repro.streaming import StreamGraph
+
+    bound = active._tls.bound
+    g = StreamGraph(name="inside-a-body")
+    g.sink(g.source(range(3), name="src"), name="out", collect=True)
+    with g:
+        pass
+    return current_context(), bound.trace_ctx, g.trace_ctx, g.results("out")
+
+
+@pytest.mark.parametrize("executor", ["sequential", "threads"])
+def test_a_body_context_is_its_attempt_span_and_a_graph_parents_under_it(executor):
+    with Runtime(executor=executor, backend="threads", max_workers=2) as rt:
+        f = _context_and_graph_span()
+        ctx, attempt_ctx, graph_ctx, results = wait_on(f)
+        inst = rt._by_root[f.task_id]
+    assert results == [0, 1, 2]
+    assert ctx is attempt_ctx is inst.trace_ctx
+    assert graph_ctx.trace_id == ctx.trace_id
+    assert graph_ctx.parent_id == ctx.span_id
