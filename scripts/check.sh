@@ -12,7 +12,7 @@
 #   scripts/check.sh stress      randomized runtime matrix (stress profile) + engine regression tests
 #   scripts/check.sh backend     import guards (no networkx and no coordinator-only module — engine, config, checkpoint, observability, otlp, dot, flightrec — in a fresh import of the runtime packages or in a pool worker), then tier-1 under REPRO_BACKEND=processes + the matrix's processes replays + bench smoke of blocks_procs
 #   scripts/check.sh obs         observability smoke (stats vs trace, trace exports, flight-recorder dump) + tracing/lifecycle-view tests
-#   scripts/check.sh dataplane   store tests + the matrix's store replays + bench smoke of blocks_procs
+#   scripts/check.sh dataplane   store tests + dispatch tests (backends, threads-vs-processes differential) + the matrix's store replays + bench smoke of blocks_procs
 #   scripts/check.sh service     queue-service tests (kill -9, lease-expiry and traced-recovery chaos included)
 #   scripts/check.sh stream      streaming + all ECG tests (detector and filter oracles) + stream scenarios incl. keyed count windows vs their offline replay (stress profile) + serving differential + bench smoke of stream_serve
 #   scripts/check.sh ml          estimator + ds-array + AF-workflow tests (kernel oracles, frozen benchmark reference) + SMO oracle (stress profile) + E14 PCA checks + Table I ordering (rewrites its results file) + bench smoke of af_classical
@@ -152,6 +152,12 @@ run_dataplane() {
     # processes drain, no pins or /dev/shm segments left.
     echo "== object store tests =="
     PYTHONPATH=src python -m pytest tests/runtime/test_store.py -x -q
+    # Where a body runs: in the scheduling thread or on the idle pool
+    # worker (framing, pool lifecycle, fallbacks, crashes), and the same
+    # workloads bit-identical on both.
+    echo "== dispatch tests (backends + differential) =="
+    PYTHONPATH=src python -m pytest tests/runtime/test_backends.py \
+        tests/runtime/test_backend_differential.py -x -q
     echo "== pinned store replays (both backends) =="
     run_matrix -k store
     # The benchmark's own smoke of the processes workload: its oracle

@@ -1,22 +1,21 @@
-"""Execution backends: where a task body actually runs.
+"""The process backend: task bodies on persistent worker processes.
 
 The engine (:mod:`repro.runtime.engine`) owns *scheduling* — dependency
-release, help-while-waiting, retries, checkpoint replay — and delegates
-the single step "invoke this task body with these resolved arguments"
-to an :class:`ExecutorBackend`:
+release, help-while-waiting, retries, checkpoint replay — and runs each
+resolved task body in one of two places:
 
-* :class:`ThreadBackend` (``RuntimeConfig(backend="threads")``, the
-  default) calls the function in the scheduling thread, exactly as the
-  engine always has.  NumPy kernels release the GIL, nested tasks see
-  the live runtime, INOUT arguments are mutated in place.
-* :class:`ProcessPoolBackend` (``backend="processes"``, or
-  ``REPRO_BACKEND=processes``) ships the call to a persistent worker
-  *process* over a pipe — the COMPSs executor-process model — so pure
-  Python task bodies (SMO loops, feature extraction) escape the GIL on
-  multi-core machines.
+* in the scheduling thread itself (``RuntimeConfig(backend="threads")``,
+  the default): the engine calls the body directly.  NumPy kernels
+  release the GIL, nested tasks see the live runtime, INOUT arguments
+  are mutated in place.  This module only stamps the pid (``_pid``).
+* on a persistent worker *process* (``backend="processes"``, or
+  ``REPRO_BACKEND=processes``): :class:`ProcessPoolBackend` ships the
+  call over a pipe to the idle worker :meth:`WorkerPool.acquire` pops —
+  the COMPSs executor-process model — so pure Python task bodies (SMO
+  loops, feature extraction) escape the GIL on multi-core machines.
 
-Serialization layer (process backend)
--------------------------------------
+Serialization layer
+-------------------
 Calls are framed as pickle **protocol 5** with out-of-band buffers:
 NumPy blocks travel as raw buffer frames after the payload instead of
 being copied into the pickle stream (:func:`_encode` / :func:`_decode`).
@@ -26,7 +25,7 @@ the ``@task`` decorator to the raw body (once per function: the worker
 keeps the bodies it resolved).
 
 Not every task can cross a process boundary.  The backend falls back to
-an **inline** call (thread-backend semantics, same results) when:
+an **inline** call (in-process semantics, same results) when:
 
 * the task declares INOUT/OUT writes — mutations of the caller's
   objects cannot propagate back from another address space;
@@ -57,14 +56,15 @@ segments (put-once — repeated arguments are dedup hits) and sends tiny
 maps each segment once into a bounded cache and hands the task body a
 read-only zero-copy view; large results are frozen by the worker into
 fresh segments that the coordinator adopts into the store by name, so
-task chains move references, never buffers.  Dispatch is
-locality-aware: a residency map (which worker holds which segments)
-steers each call to the worker already caching the largest share of its
-input bytes.  At shutdown the backend tells the idle pooled workers to
-forget its store's segments.
+task chains move references, never buffers.  There is no placement
+rule beyond the pool's: the idle worker released last is picked, and a
+worker is released before its task's result is published, so the next
+link of a chain lands on the worker that froze (and still caches) its
+input (DESIGN.md §25).  At shutdown the backend tells the idle pooled
+workers to forget its store's segments.
 ``stats()`` exposes the accounting — ``pipe_bytes_sent/recv``,
 ``store_bytes_moved`` (fresh segment attaches), ``store_bytes_saved``
-(pickle bytes avoided), locality hit/miss counters.
+(pickle bytes avoided), ``store_hits``/``store_misses`` (worker cache).
 
 Worker lifecycle
 ----------------
@@ -118,8 +118,6 @@ _logger = logging.getLogger("repro.runtime.backends")
 
 #: Seconds to wait for a fresh worker's warm-up ping reply.
 _SPAWN_TIMEOUT = 30.0
-
-BACKENDS = ("threads", "processes")
 
 
 #: This process's pid, stamped on every in-process run; a fork (a pool
@@ -297,7 +295,7 @@ def _worker_main(conn) -> None:
                 )
             except Exception:  # noqa: BLE001 - fall back to pickling the value
                 pass
-            info["evicted"] = worker_store.prune(store_cfg["cache_bytes"])
+            worker_store.prune(store_cfg["cache_bytes"])
         _safe_send(conn, ("ok", value, pid, info))
 
 
@@ -419,25 +417,17 @@ class WorkerPool:
         self.spawned = 0
         self.closed = False
 
-    def acquire(self, prefer_pid: int | None = None) -> _Worker:
-        """An idle live worker, or a freshly spawned + warmed-up one.
-
-        ``prefer_pid`` is the locality hint: when that worker is idle
-        it is picked over the default LIFO choice, so a task lands on
-        the process already caching its input segments."""
+    def acquire(self) -> _Worker:
+        """The idle live worker released last, or a freshly spawned +
+        warmed-up one.  Last in, first out: a worker is released before
+        its task's result is published, so a dependent task dispatched
+        next lands on the process that froze, and still caches, its
+        input (DESIGN.md §25)."""
         while True:
             with self._lock:
                 if self.closed:
                     raise RuntimeError("worker pool is shut down")
-                worker = None
-                if prefer_pid is not None:
-                    for candidate in self._idle:
-                        if candidate.pid == prefer_pid:
-                            self._idle.remove(candidate)
-                            worker = candidate
-                            break
-                if worker is None and self._idle:
-                    worker = self._idle.pop()
+                worker = self._idle.pop() if self._idle else None
             if worker is None:
                 break
             if worker.alive():
@@ -476,11 +466,6 @@ class WorkerPool:
                 self._all.remove(worker)
             if worker in self._idle:
                 self._idle.remove(worker)
-
-    @property
-    def n_idle(self) -> int:
-        with self._lock:
-            return len(self._idle)
 
     @property
     def n_workers(self) -> int:
@@ -554,77 +539,28 @@ atexit.register(shutdown_workers)
 
 
 # ----------------------------------------------------------------------
-# backends
+# the process backend
 # ----------------------------------------------------------------------
-class ExecutorBackend:
-    """Strategy interface: run one resolved task body.
+class ProcessPoolBackend:
+    """Dispatch task bodies to persistent worker processes.
 
-    ``run`` receives the task's :class:`~repro.runtime.model.TaskSpec`
-    and fully-resolved (future-free) arguments and returns
-    ``(result, pid, info)`` — the pid of the OS process that executed
-    the body (recorded in the trace) and a per-call data-plane
-    accounting dict (``bytes_moved``/``bytes_saved``/hit counters, or
-    ``None`` when no object store is attached).  A worker process that
+    ``run`` receives the task's :class:`~repro.runtime.model.TaskSpec`,
+    fully-resolved (future-free) arguments and the running attempt's
+    number, and returns ``(result, pid, info)``: the pid of the process
+    that executed the body (recorded in the trace) and the call's
+    data-plane accounting (``bytes_moved``/``bytes_saved``, or ``None``
+    when the call did not go through the store).  A worker process that
     dies during the call surfaces as
     :class:`~repro.runtime.exceptions.NodeFailureError`.
-
-    *attempt* is the running attempt's number, which only a backend
-    that leaves the calling thread needs to ship: an in-process body
-    reads it from the thread's binding.
-
-    ``handles_refs`` tells the engine whether arguments may contain
-    :class:`~repro.runtime.store.ObjectRef` handles: a backend that
-    does not handle them gets arguments dereferenced by the engine
-    before ``run``.
-    """
-
-    name = "abstract"
-    #: True when ``run`` accepts ObjectRef arguments (and may return
-    #: refs inside results).
-    handles_refs = False
-
-    def run(
-        self,
-        spec,
-        args: tuple,
-        kwargs: dict,
-        *,
-        attempt: int = 0,
-    ) -> tuple[Any, int, dict | None]:
-        raise NotImplementedError
-
-    def shutdown(self) -> None:
-        """Release backend resources (no-op by default)."""
-
-    def stats(self) -> dict:
-        return {"backend": self.name}
-
-
-class ThreadBackend(ExecutorBackend):
-    """In-process execution: the body runs on the calling thread.
-
-    This is the engine's historical behaviour, unchanged — nesting,
-    help-while-waiting and INOUT mutation all work because everything
-    shares the coordinator's address space."""
-
-    name = "threads"
-
-    def run(self, spec, args, kwargs, *, attempt=0):
-        # The calling thread is bound to the attempt: its body reads
-        # ``current_attempt()`` from there.
-        return spec.func(*args, **kwargs), _pid, None
-
-
-class ProcessPoolBackend(ExecutorBackend):
-    """Dispatch task bodies to persistent worker processes.
 
     ``max_workers`` bounds the calls in flight (a semaphore over the
     shared :class:`WorkerPool`); non-dispatchable calls fall back to an
     inline invocation with identical semantics (see the module
     docstring for the rules).  With an :class:`ObjectStore` attached
-    (``store=``), large array arguments and results travel by
-    reference through shared memory, and dispatch prefers the worker
-    already holding a task's input segments."""
+    (``store=``), large array arguments and results travel by reference
+    through shared memory, and ``handles_refs`` tells the engine to
+    leave :class:`~repro.runtime.store.ObjectRef` arguments as they
+    are."""
 
     name = "processes"
 
@@ -648,13 +584,7 @@ class ProcessPoolBackend(ExecutorBackend):
             "store_bytes_saved": 0,
             "store_hits": 0,
             "store_misses": 0,
-            "locality_hits": 0,
-            "locality_misses": 0,
         }
-        #: Residency map: worker pid -> {segment name: nbytes} — which
-        #: worker caches which segments, fed by reply accounting and
-        #: consumed by the locality preference.  Guarded by ``_lock``.
-        self._residency: dict[int, dict[str, int]] = {}
         #: Cumulative seconds spent encoding requests and decoding
         #: replies on the coordinator side — the serialization share of
         #: dispatch overhead (``stats()["serialization_seconds"]``).
@@ -696,17 +626,16 @@ class ProcessPoolBackend(ExecutorBackend):
         return spec.func(*args, **kwargs), _pid, None
 
     # -- data plane -----------------------------------------------------
-    def _freeze_args(self, obj: Any, leases: list, segments: dict[str, int]) -> Any:
+    def _freeze_args(self, obj: Any, leases: list) -> Any:
         """Replace large arrays in *obj* with refs.  Leases pin each
-        object until the call completes; *segments* collects the input
-        segment sizes for the locality preference."""
+        object until the call completes."""
         store = self._store
         assert store is not None
         threshold = _store.THRESHOLD_BYTES
 
         def freeze(value: Any) -> Any:
             if isinstance(value, ObjectRef):
-                segments[store.lease(value)] = value.nbytes
+                store.lease(value)
                 leases.append(value)
                 return value
             if (
@@ -715,7 +644,7 @@ class ProcessPoolBackend(ExecutorBackend):
                 and value.nbytes >= threshold
             ):
                 ref = store.put(value)
-                segments[store.lease(ref)] = ref.nbytes
+                store.lease(ref)
                 leases.append(ref)
                 return ref
             if isinstance(value, list):
@@ -728,58 +657,33 @@ class ProcessPoolBackend(ExecutorBackend):
 
         return freeze(obj)
 
-    def _preferred_pid(self, segments: dict[str, int]) -> int | None:
-        """The worker caching the largest share of *segments*' bytes."""
-        if not segments:
-            return None
-        best_pid, best_bytes = None, 0
-        with self._lock:
-            for pid, cached in self._residency.items():
-                overlap = sum(nbytes for seg, nbytes in segments.items() if seg in cached)
-                if overlap > best_bytes:
-                    best_pid, best_bytes = pid, overlap
-        return best_pid
-
-    def _absorb_info(self, pid: int, info: dict | None) -> dict | None:
-        """Fold one reply's data-plane accounting into the counters,
-        the residency map and the store (adopting worker-created result
-        segments).  Returns the per-call summary for the trace."""
+    def _absorb_info(self, info: dict | None) -> dict | None:
+        """Fold one reply's data-plane accounting into the counters and
+        the store (adopting worker-created result segments).  Returns
+        the per-call summary for the trace."""
         if info is None:
             return None
         store = self._store
         created_bytes = 0
         if store is not None:
-            for oid, segment, shape, dtype, nbytes in info.get("created", ()):
+            for oid, segment, shape, dtype, nbytes in info["created"]:
                 try:
                     store.adopt(oid, segment, shape, dtype, nbytes)
                     created_bytes += nbytes
                 except StoreError:
                     pass  # store shut down mid-call: segment swept later
-        moved = info.get("moved_bytes", 0)
-        hit_bytes = info.get("hit_bytes", 0)
+        moved = info["moved_bytes"]
         # "Saved" counts pickle-pipe bytes avoided: every by-ref input
         # byte (whether freshly mapped or a cache hit) plus every
         # worker-frozen result byte.  "Moved" is the subset that had to
-        # be mapped into the worker fresh — the locality miss cost.
-        saved = moved + hit_bytes + created_bytes
+        # be mapped into the worker fresh — the cache miss cost.
+        saved = moved + info["hit_bytes"] + created_bytes
         with self._lock:
             self._counts["store_bytes_moved"] += moved
             self._counts["store_bytes_saved"] += saved
-            self._counts["store_hits"] += len(info.get("hits", ()))
-            self._counts["store_misses"] += len(info.get("attached", ()))
-            cached = self._residency.setdefault(pid, {})
-            for _oid, segment, nbytes in info.get("attached", ()):
-                cached[segment] = nbytes
-            for _oid, segment, _shape, _dtype, nbytes in info.get("created", ()):
-                cached[segment] = nbytes
-            for segment in info.get("evicted", ()):
-                cached.pop(segment, None)
-        return {
-            "bytes_moved": moved,
-            "bytes_saved": saved,
-            "store_hits": len(info.get("hits", ())),
-            "store_misses": len(info.get("attached", ())),
-        }
+            self._counts["store_hits"] += info["hits"]
+            self._counts["store_misses"] += info["attached"]
+        return {"bytes_moved": moved, "bytes_saved": saved}
 
     # -- execution ------------------------------------------------------
     def run(self, spec, args, kwargs, *, attempt=0):
@@ -787,7 +691,6 @@ class ProcessPoolBackend(ExecutorBackend):
             return self._run_inline(spec, args, kwargs)
         store = self._store
         leases: list[ObjectRef] = []
-        segments: dict[str, int] = {}
         store_cfg = None
         try:
             if store is not None:
@@ -797,7 +700,7 @@ class ProcessPoolBackend(ExecutorBackend):
                     "cache_bytes": _store.WORKER_CACHE_BYTES,
                 }
                 try:
-                    frozen = self._freeze_args((args, kwargs), leases, segments)
+                    frozen = self._freeze_args((args, kwargs), leases)
                 except (StoreError, OSError):
                     # A released ref, an unstorable argument, a store shut
                     # down or a full /dev/shm: run where the data is, on
@@ -823,21 +726,16 @@ class ProcessPoolBackend(ExecutorBackend):
                 with self._lock:
                     self._serialization_seconds += time.perf_counter() - t0
 
-            preferred = self._preferred_pid(segments)
             with self._slots:
                 pool = get_worker_pool()
-                worker = pool.acquire(prefer_pid=preferred)
+                worker = pool.acquire()
                 pid = worker.pid or -1
-                if preferred is not None:
-                    self._count("locality_hits" if pid == preferred else "locality_misses")
                 self._count("pipe_bytes_sent", sum(len(f) for f in frames))
                 try:
                     reply_frames = worker.call(frames)
                 except _WorkerDied as exc:
                     pool.discard(worker)
                     self._count("worker_crashes")
-                    with self._lock:
-                        self._residency.pop(pid, None)
                     raise NodeFailureError(pid, task_name=spec.name) from exc
                 pool.release(worker)
                 self._count("pipe_bytes_recv", sum(len(f) for f in reply_frames))
@@ -858,7 +756,7 @@ class ProcessPoolBackend(ExecutorBackend):
             with self._lock:
                 self._serialization_seconds += time.perf_counter() - t0
         kind = reply[0]
-        info = self._absorb_info(pid, reply[3] if len(reply) > 3 else None)
+        info = self._absorb_info(reply[3] if len(reply) > 3 else None)
         if kind == "ok":
             self._count("dispatched")
             return reply[1], reply[2], info
@@ -918,6 +816,9 @@ class ProcessPoolBackend(ExecutorBackend):
             "serialization_seconds": serialization_seconds,
             "store_enabled": self._store is not None,
             "store_hit_rate": hits / (hits + misses) if hits + misses else 0.0,
+            # Always 0 (no locality steering); bench/harness.py still reads them (ROADMAP item 1a).
+            "locality_hits": 0,
+            "locality_misses": 0,
             **counts,
         }
         if self._store is not None:
@@ -925,17 +826,3 @@ class ProcessPoolBackend(ExecutorBackend):
                 out[f"store_{key}"] = value
         return out
 
-
-def create_backend(
-    name: str, max_workers: int, store: ObjectStore | None = None
-) -> ExecutorBackend:
-    """Instantiate the backend selected by ``RuntimeConfig.backend``.
-
-    *store* attaches the shared-memory data plane (process backend
-    only; the thread backend shares the coordinator's address space and
-    needs no transport)."""
-    if name == "threads":
-        return ThreadBackend()
-    if name == "processes":
-        return ProcessPoolBackend(max_workers, store=store)
-    raise ValueError(f"unknown backend {name!r}; expected one of {BACKENDS}")

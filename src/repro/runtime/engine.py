@@ -6,11 +6,11 @@ derives data dependencies from the arguments (futures and versioned
 INOUT objects), registers the task, and executes tasks either
 inline (``sequential`` executor) or on a pool of worker threads
 (``threads`` executor).  *Where the task body runs* is a separate
-axis: the scheduling thread hands the resolved call to an
-:class:`~repro.runtime.backends.ExecutorBackend` — in-process by
-default, or on persistent worker processes with
-``RuntimeConfig(backend="processes")`` (see
-:mod:`repro.runtime.backends`).
+axis with two places: the scheduling thread calls the body itself by
+default, and with ``RuntimeConfig(backend="processes")`` it hands the
+resolved call to the runtime's
+:class:`~repro.runtime.backends.ProcessPoolBackend`, which runs it on
+the idle persistent worker process (see :mod:`repro.runtime.backends`).
 
 Worker threads use *help-while-waiting*: any thread blocked in
 ``wait_on`` or a barrier keeps executing ready tasks, so nested task
@@ -83,7 +83,7 @@ from repro.runtime.active import (  # noqa: F401 - re-exported
     pop_runtime,
     push_runtime,
 )
-from repro.runtime.backends import create_backend
+from repro.runtime import backends as _backends
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.dag import TaskGraph
 from repro.runtime.directions import Direction
@@ -194,11 +194,10 @@ class Runtime:
         self.name = cfg.name
         self.executor = cfg.executor
         self.max_workers = cfg.max_workers or (os.cpu_count() or 4)
-        #: Execution backend: runs resolved task bodies (in-process or
-        #: on worker processes) and reports the executing pid.  The
-        #: sequential executor's contract is run-inline-at-submission
-        #: (deterministic, nested tasks become DAG nodes), so backend
-        #: selection only applies to the pooled executor.
+        #: Where bodies run.  The sequential executor's contract is
+        #: run-inline-at-submission (deterministic, nested tasks become
+        #: DAG nodes), so backend selection only applies to the pooled
+        #: executor.
         self.backend_name = cfg.backend if self.executor == "threads" else "threads"
         #: Shared-memory object store (:mod:`repro.runtime.store`).
         #: Created lazily by the ``store`` property so runtimes that
@@ -207,12 +206,13 @@ class Runtime:
         #: resolves to on exactly then).
         self._store: ObjectStore | None = None
         self._store_lock = threading.Lock()
-        ref_transport = cfg.store != "off" and self.backend_name == "processes"
-        self._backend = create_backend(
-            self.backend_name,
-            self.max_workers,
-            store=self.store if ref_transport else None,
-        )
+        #: The process backend, or None: the scheduling thread calls
+        #: the body itself (``_run_body``).
+        self._backend: _backends.ProcessPoolBackend | None = None
+        if self.backend_name == "processes":
+            self._backend = _backends.ProcessPoolBackend(
+                self.max_workers, store=self.store if cfg.store != "off" else None
+            )
         self.registry = DataRegistry()
         self._progress: obs.ProgressReporter | None = None
         if "progress" in obs.parse_flags(cfg.observability):
@@ -336,8 +336,11 @@ class Runtime:
     def shutdown(self, wait: bool = True) -> None:
         """Stop the runtime.  With ``wait=True`` (default) drains every
         unfinished task first — top-level *and* nested ones — so no
-        in-flight task is lost."""
+        in-flight task is lost.  A drain cut short by a recorded
+        invariant violation (:class:`RuntimeStateError`) is raised after
+        the teardown."""
         was_shutdown = self._shutdown
+        drain_error: RuntimeStateError | None = None
         if wait and not was_shutdown:
             # Streaming drain first: stream graphs stop their sources
             # and join their stages while the runtime still accepts
@@ -348,7 +351,10 @@ class Runtime:
                     hook()
                 except Exception:  # noqa: BLE001 - shutdown must proceed
                     _logger.exception("shutdown drain hook failed")
-            self._help_until(lambda: self.unfinished == 0)
+            try:
+                self._help_until(lambda: self.unfinished == 0)
+            except RuntimeStateError as exc:
+                drain_error = exc
         with self._cond:
             self._shutdown = True
             self._counters.broadcasts += 1
@@ -364,7 +370,8 @@ class Runtime:
             timer.cancel()
         for t in self._threads:
             t.join(timeout=5.0)
-        self._backend.shutdown()
+        if self._backend is not None:
+            self._backend.shutdown()
         self.registry.clear()
         # The store goes down after the backend: no call can be in
         # flight anymore, so unlinking segments (and sweeping orphans
@@ -375,6 +382,8 @@ class Runtime:
             self._progress.close()
         if not was_shutdown and self.flight_recorder is not None:
             self.flight_recorder.close()
+        if drain_error is not None:
+            raise drain_error
 
     def __enter__(self) -> "Runtime":
         push_runtime(self)
@@ -1081,8 +1090,9 @@ class Runtime:
     def _record_violation(self, message: str) -> None:
         """Log and remember a broken runtime invariant (negative pending
         count, illegal state transition).  Violations never raise on
-        the hot path; ``check_invariants()`` surfaces them and the
-        randomized runtime tests fail on any."""
+        the hot path; ``check_invariants()`` surfaces them, the
+        randomized runtime tests fail on any, and every wait not yet
+        satisfied raises on one (``_help_until``)."""
         with self._violations_lock:
             self._violations.append(message)
         _logger.warning("runtime invariant violated: %s runtime=%s", message, self.name)
@@ -1115,7 +1125,10 @@ class Runtime:
         condition with **no timeout**: completions broadcast, enqueues
         notify, and a kill/abort/shutdown broadcast always reaches a
         parked thread, so a timeout safety net is unnecessary.
-        ``stats()["idle_wakeups"]`` counts the parks.
+        ``stats()["idle_wakeups"]`` counts the parks.  Once an invariant
+        violation is recorded, a count may never drain: a wait whose
+        predicate is still false raises :class:`RuntimeStateError`
+        carrying the violations instead of parking.
 
         A parked waiter may absorb a targeted enqueue ``notify`` and
         then exit because its own predicate turned true; the ``finally``
@@ -1128,6 +1141,12 @@ class Runtime:
             while not predicate():
                 if self._killed is not None:
                     raise self._killed
+                if self._violations:
+                    # A broken count may never reach what the predicate
+                    # waits for: raise instead of parking forever.
+                    raise RuntimeStateError(
+                        "runtime invariant violated: " + "; ".join(list(self._violations))
+                    )
                 with self._cond:
                     if self._ready:
                         inst = heapq.heappop(self._ready)[2]
@@ -1140,7 +1159,7 @@ class Runtime:
                         # waiting cannot miss a wakeup.
                         self._waiting += 1
                         try:
-                            if not predicate() and self._killed is None:
+                            if not predicate() and self._killed is None and not self._violations:
                                 if self._shutdown:
                                     raise RuntimeStateError(
                                         "runtime shut down while waiting for tasks"
@@ -1165,26 +1184,32 @@ class Runtime:
     # execution
     # ------------------------------------------------------------------
     def _run_body(self, inst: TaskInstance):
-        """Resolve inputs, run the task body via the execution backend
-        and wait for nested children.  Runs in the scheduling thread (or
-        the watchdog-supervised body thread for timed tasks), bound to
-        *inst*."""
+        """Resolve inputs, run the task body (here, or through the
+        process backend) and wait for nested children.  Runs in the
+        scheduling thread (or the watchdog-supervised body thread for
+        timed tasks), bound to *inst*."""
         if not inst._abandoned:
             # The span from here to t_end is attributed to the body:
-            # argument resolution, the backend call and nested children.
+            # argument resolution, the body call and nested children.
             inst.t_body_start = self._now()
         if inst.resolve_args:
             args = resolve_futures(inst.args)
             kwargs = resolve_futures(inst.kwargs)
         else:
             args, kwargs = inst.args, inst.kwargs
+        backend = self._backend
         store = self._store
-        if store is not None and not self._backend.handles_refs:
+        if store is not None and (backend is None or not backend.handles_refs):
             # Futures (or direct arguments) may resolve to ObjectRefs;
-            # an in-process backend needs the concrete arrays.
+            # an in-process body needs the concrete arrays.
             args = store.deref(args)
             kwargs = store.deref(kwargs)
-        result, pid, dinfo = self._backend.run(inst.spec, args, kwargs, attempt=inst.attempt)
+        if backend is None:
+            # This thread is bound to *inst*: the body reads
+            # ``current_attempt()`` from there.
+            result, pid, dinfo = inst.spec.func(*args, **kwargs), _backends._pid, None
+        else:
+            result, pid, dinfo = backend.run(inst.spec, args, kwargs, attempt=inst.attempt)
         if not inst._abandoned:  # else already retired: its record is read-only
             inst.worker_pid = pid
             if dinfo:
@@ -1747,7 +1772,9 @@ class Runtime:
         return {
             "executor": self.executor,
             "backend": self.backend_name,
-            "backend_stats": self._backend.stats(),
+            "backend_stats": (
+                self._backend.stats() if self._backend is not None else {"backend": "threads"}
+            ),
             "max_workers": self.max_workers,
             "n_tasks": n_tasks,
             "n_edges": n_edges,
@@ -1800,15 +1827,6 @@ class Runtime:
     def n_tasks(self) -> int:
         """Attempts submitted so far (retries included)."""
         return len(self._tasks)
-
-    def task_state(self, task_id: int) -> str:
-        """State of a task id.  For a retried task's root id this is the
-        *latest* attempt's state (what callers holding the original
-        futures observe); attempt ids resolve to their own instance."""
-        inst = self._by_root.get(task_id)
-        if inst is None:
-            inst = self._tasks[task_id]
-        return inst.state
 
 
 # ----------------------------------------------------------------------

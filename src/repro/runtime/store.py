@@ -29,9 +29,11 @@ Components
     second tier (DESIGN.md §15).
 :class:`WorkerStore`
     The worker-process side: attaches coordinator segments into a
-    bounded cache (cache hit = the locality win the scheduler aims
-    for), hands task bodies read-only zero-copy views, and freezes
-    large results into new segments for the coordinator to adopt.
+    bounded LRU cache (a cache hit maps nothing), hands task bodies
+    read-only zero-copy views, and freezes large results into new
+    segments for the coordinator to adopt.  The pool's last-in,
+    first-out pick is what makes a chain of tasks hit it: the next link
+    lands on the worker that froze its input (DESIGN.md §25).
 
 Mutability contract
 -------------------
@@ -365,20 +367,6 @@ class ObjectStore:
             self._stats["put_bytes"] += nbytes
             return self._ref_of(entry)
 
-    def lookup(self, value: Any) -> ObjectRef | None:
-        """The existing ref of *value* if it was put before (dedup
-        cache hit), else None — never copies."""
-        if not isinstance(value, np.ndarray):
-            return None
-        with self._lock:
-            cached = self._dedup.get(id(value))
-            if cached is None:
-                return None
-            wr, oid = cached
-            if wr() is value and oid in self._entries:
-                return self._ref_of(self._entries[oid])
-            return None
-
     def _ref_of(self, entry: _Entry) -> ObjectRef:
         return ObjectRef(
             object_id=entry.object_id,
@@ -470,11 +458,6 @@ class ObjectStore:
         return _map_tree(obj, lambda ref: self.get(ref, copy=copy))
 
     # -- introspection --------------------------------------------------
-    @property
-    def n_objects(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
     def stats(self) -> dict:
         with self._lock:
             pinned = [e for e in self._entries.values() if e.pins > 0]
@@ -523,8 +506,8 @@ class WorkerStore:
 
     Lives inside a worker process (:func:`repro.runtime.backends._worker_main`).
     ``thaw`` maps incoming refs to read-only views — a cached segment is
-    a *locality hit* (zero bytes moved); a fresh attach counts its bytes
-    as moved.  ``freeze`` writes large results into new segments (named
+    a *hit* (zero bytes moved); a fresh attach counts its bytes as
+    moved.  ``freeze`` writes large results into new segments (named
     under the coordinator store's prefix, so a crash before adoption is
     swept up by the coordinator) and returns refs in their place.
     """
@@ -556,11 +539,11 @@ class WorkerStore:
             if hit:
                 self._cache[ref.segment] = self._cache.pop(ref.segment)  # refresh LRU position
                 info["hit_bytes"] += ref.nbytes
-                info["hits"].append(ref.object_id)
+                info["hits"] += 1
             else:
                 self._remember(seg)
                 info["moved_bytes"] += ref.nbytes
-                info["attached"].append((ref.object_id, ref.segment, ref.nbytes))
+                info["attached"] += 1
             return view
 
         return _map_tree(obj, deref)
@@ -603,16 +586,11 @@ class WorkerStore:
             return {k: self.freeze(v, prefix, threshold, info) for k, v in obj.items()}
         return maybe_freeze(obj)
 
-    def prune(self, cap_bytes: int) -> list[str]:
+    def prune(self, cap_bytes: int) -> None:
         """Evict least-recently-used cached segments until the cache
-        fits *cap_bytes*; returns the evicted segment names (reported
-        to the coordinator so its residency map stays honest)."""
-        evicted: list[str] = []
+        fits *cap_bytes*."""
         while self._cached_bytes > cap_bytes and self._cache:
-            segment = next(iter(self._cache))
-            self._cached_bytes -= self._cache.pop(segment).size
-            evicted.append(segment)
-        return evicted
+            self._cached_bytes -= self._cache.pop(next(iter(self._cache))).size
 
     def cached_segments(self) -> list[str]:
         """Names of the cached segments, least recently used first."""
@@ -626,12 +604,4 @@ class WorkerStore:
 
     @staticmethod
     def new_info() -> dict:
-        return {
-            "moved_bytes": 0,
-            "hit_bytes": 0,
-            "saved_bytes": 0,
-            "hits": [],
-            "attached": [],
-            "created": [],
-            "evicted": [],
-        }
+        return {"moved_bytes": 0, "hit_bytes": 0, "hits": 0, "attached": 0, "created": []}

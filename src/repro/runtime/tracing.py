@@ -288,13 +288,3 @@ class Trace:
     def n_executed(self) -> int:
         """Attempts whose body actually ran (everything but restored)."""
         return sum(1 for r in self._records.values() if r.status != "restored")
-
-    @property
-    def total_bytes_moved(self) -> int:
-        """Bytes freshly mapped into worker processes (data plane)."""
-        return sum(r.bytes_moved for r in self._records.values())
-
-    @property
-    def total_bytes_saved(self) -> int:
-        """Pickle-pipe bytes avoided by reference passing (data plane)."""
-        return sum(r.bytes_saved for r in self._records.values())

@@ -210,7 +210,7 @@ def test_persist_moves_blocks_into_store(rng):
     with Runtime(config=cfg) as rt:
         a = ds.array(x, (5, 4)).persist()
         assert all(is_ref(b) for row in a.blocks for b in row)
-        assert rt.store.n_objects == 6
+        assert rt.store.stats()["n_objects"] == 6
         np.testing.assert_allclose(a.collect(), x)
         doubled = a.map_blocks(lambda b: b * 2)
         np.testing.assert_allclose(doubled.collect(), x * 2)

@@ -1,6 +1,8 @@
-"""Unit tests of :mod:`repro.runtime.backends`: serialization framing,
-worker pool lifecycle, dispatch/fallback rules and crash detection
-(a body that kills its own worker process)."""
+"""Unit tests of where a task body runs: in the scheduling thread
+(``backend="threads"``) or through :mod:`repro.runtime.backends` on a
+pool worker — serialization framing, worker pool lifecycle,
+dispatch/fallback rules and crash detection (a body that kills its own
+worker process)."""
 
 from __future__ import annotations
 
@@ -21,13 +23,10 @@ from repro.runtime import (
     task,
     wait_on,
 )
-from repro.runtime import active, backends
+from repro.runtime import backends
 from repro.runtime.backends import (
-    ProcessPoolBackend,
-    ThreadBackend,
     _decode,
     _encode,
-    create_backend,
     get_worker_pool,
     shutdown_workers,
 )
@@ -146,15 +145,8 @@ def test_encode_rejects_unpicklable():
 
 
 # ----------------------------------------------------------------------
-# backend construction
+# backend selection
 # ----------------------------------------------------------------------
-def test_create_backend():
-    assert isinstance(create_backend("threads", 4), ThreadBackend)
-    assert isinstance(create_backend("processes", 4), ProcessPoolBackend)
-    with pytest.raises(ValueError):
-        create_backend("mpi", 4)
-
-
 def test_config_validates_backend():
     with pytest.raises(ValueError):
         RuntimeConfig(backend="bogus")
@@ -167,21 +159,17 @@ def test_backend_from_env():
 
 
 def test_thread_backend_runs_in_coordinator():
-    """The body runs on the calling thread and reads the attempt that
-    thread is bound to (the engine binds the running attempt)."""
-    backend = ThreadBackend()
-    spec = _probe.spec
-    prev = active._tls.bound
-    active._tls.bound = active.Binding(None, 2)
-    try:
-        (pid, attempt, x), run_pid, info = backend.run(spec, (7,), {}, attempt=2)
-    finally:
-        active._tls.bound = prev
-    assert pid == run_pid == os.getpid()
-    assert info is None
-    assert attempt == 2
-    assert x == 7
-    assert backend.stats() == {"backend": "threads"}
+    """Under threads the body runs in the coordinator, its record
+    carries the coordinator's pid, and there are no backend counters."""
+    with Runtime(config=RuntimeConfig(backend="threads", max_workers=2, collect_trace=True)) as rt:
+        pid, attempt, x = wait_on(_probe(7))
+        (record,) = rt.trace().records(name="_probe")
+        stats = rt.stats()
+    assert pid == record.pid == os.getpid()
+    assert (attempt, x) == (0, 7)
+    assert record.bytes_moved == record.bytes_saved == 0
+    assert stats["backend"] == "threads"
+    assert stats["backend_stats"] == {"backend": "threads"}
 
 
 @pytest.mark.parametrize(
@@ -214,11 +202,14 @@ def test_current_attempt_reads_the_running_attempt(where):
 def test_thread_backend_simulates_worker_kill():
     """In-process, a body's worker kill is a NodeFailureError for the
     coordinator's pid (a real SIGKILL would take the caller down)."""
-    backend = ThreadBackend()
-    with pytest.raises(NodeFailureError) as err:
-        backend.run(_crashing_probe.spec, (1, 1), {})
-    assert err.value.pid == os.getpid()
-    assert err.value.task_name == "_crashing_probe"
+    with Runtime(config=RuntimeConfig(backend="threads", max_workers=2)):
+        fut = _crashing_probe.opts(max_retries=0)(1, 1)
+        with pytest.raises(TaskExecutionError) as err:
+            wait_on(fut)
+    cause = err.value.__cause__
+    assert isinstance(cause, NodeFailureError)
+    assert cause.pid == os.getpid()
+    assert cause.task_name == "_crashing_probe"
 
 
 # ----------------------------------------------------------------------
@@ -353,7 +344,7 @@ def _pool_cached_segments() -> list[str]:
     """Every segment name some idle pooled worker caches (asked over
     the pipe, behind whatever the worker was told before)."""
     pool = get_worker_pool()
-    workers = [pool.acquire() for _ in range(pool.n_idle)]
+    workers = [pool.acquire() for _ in range(pool.n_workers)]
     try:
         return [name for w in workers for name in _decode(w.call(_encode(("ping",))))[2]]
     finally:

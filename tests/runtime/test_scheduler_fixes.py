@@ -20,8 +20,11 @@ import inspect
 import re
 import threading
 
-from repro.runtime import INOUT, Runtime, TaskExecutionError, task, wait_on
+import pytest
+
+from repro.runtime import INOUT, Runtime, RuntimeStateError, TaskExecutionError, task, wait_on
 from repro.runtime import engine
+from tests.support.oracles import run_under_watchdog
 
 
 # ----------------------------------------------------------------------
@@ -66,7 +69,7 @@ def test_task_state_of_root_id_follows_latest_attempt():
         fut = flaky()
         assert wait_on(fut) == 7
         # the root id resolves to the (successful) latest attempt ...
-        assert rt.task_state(fut.task_id) == "done"
+        assert rt._by_root[fut.task_id].state == "done"
         # ... while the retry attempt has its own id and state
         retried = [
             t for t in rt._tasks.values() if t.retry_of == fut.task_id
@@ -252,6 +255,10 @@ def test_default_runtime_records_an_illegal_transition():
         ]
         rt._set_state(inst, "done")  # RUNNING -> DONE is legal: nothing more recorded
         assert len(rt.check_invariants(quiesced=True)) == 1
+        # a wait already satisfied returns despite the violation, and so
+        # does the drain at the ``with`` exit (nothing is unfinished)
+        rt.barrier()
+        assert wait_on(fut) == 1
 
 
 def test_claiming_a_running_task_again_is_recorded():
@@ -276,12 +283,15 @@ def test_claiming_a_running_task_again_is_recorded():
         inst = rt._by_root[fut.task_id]
         assert inst.state == "running"
         rt._execute(inst)  # the second claim runs the body again
+        # The second run completed the attempt: nothing is unfinished,
+        # so the exit's drain returns without waiting for the worker.
+        assert rt.unfinished == 0
         gate.set()
-        rt.barrier()
-        assert len(calls) == 2
-        assert rt.check_invariants() == [
-            f"illegal transition running -> running for slow#{inst.task_id}"
-        ]
+    # the exit joined the worker thread: its first run has returned too
+    assert len(calls) == 2
+    assert rt.check_invariants() == [
+        f"illegal transition running -> running for slow#{inst.task_id}"
+    ]
 
 
 def test_retiring_an_attempt_twice_is_recorded():
@@ -298,7 +308,8 @@ def test_retiring_an_attempt_twice_is_recorded():
     def parent():
         return wait_on(leaf())
 
-    with Runtime(executor="sequential") as rt:
+    rt = Runtime(executor="sequential")
+    with rt:
         top = parent()
         assert wait_on(top) == 1
         rt.barrier()
@@ -306,8 +317,43 @@ def test_retiring_an_attempt_twice_is_recorded():
         for inst in (rt._by_root[top.task_id], child):
             with rt._state_lock:
                 rt._retire_locked(inst)
-        assert rt.check_invariants() == [
+        violations = [
             "pending count of parent=None went negative",
             f"pending count of parent={top.task_id} went negative",
         ]
-        rt.shutdown(wait=False)  # the unfinished count is off by two now
+        assert rt.check_invariants() == violations
+        # the unfinished count is off by two now: it can never drain,
+        # so the exit's drain raises instead of parking
+        with pytest.raises(RuntimeStateError) as err:
+            rt.shutdown()
+    assert "; ".join(violations) in str(err.value)
+    assert rt._shutdown
+
+
+def test_a_recorded_violation_ends_the_drain_at_exit():
+    """A ``with Runtime()`` whose count went negative used to hang in
+    its exit's drain.  It raises the violation instead, after tearing
+    the runtime down: threads joined, nothing left running."""
+
+    @task(returns=1)
+    def one():
+        return 1
+
+    runtimes = []
+
+    def run():
+        with Runtime(executor="threads", max_workers=2) as rt:
+            runtimes.append(rt)
+            fut = one()
+            assert wait_on(fut) == 1
+            rt.barrier()
+            inst = rt._by_root[fut.task_id]
+            with rt._state_lock:
+                rt._retire_locked(inst)  # retired a second time
+
+    outcome = run_under_watchdog(run, timeout=20.0, label="exit after a double retire")
+    assert "error" in outcome, outcome["problems"]
+    assert isinstance(outcome["error"], RuntimeStateError)
+    assert "pending count of parent=None went negative" in str(outcome["error"])
+    (rt,) = runtimes
+    assert rt._threads and not any(t.is_alive() for t in rt._threads)

@@ -27,6 +27,7 @@ from repro.runtime import (
     task,
     wait_on,
 )
+from repro.runtime.backends import get_worker_pool
 from repro.runtime.store import ObjectStore, WorkerStore, _Segment, scan_refs
 from tests.support.faults import kill_worker
 
@@ -42,6 +43,11 @@ def _double_after_a_crash(block):
     if current_attempt() == 0:
         kill_worker("_double_after_a_crash")
     return block * 2.0
+
+
+@task(returns=1)
+def _double_plus_one(block):
+    return block * 2.0 + 1.0
 
 
 @task(returns=1)
@@ -100,7 +106,7 @@ def test_put_is_deduplicated_per_array_object():
         src = np.ones(256)
         ref1, ref2 = store.put(src), store.put(src)
         assert ref1 == ref2
-        assert store.n_objects == 1
+        assert store.stats()["n_objects"] == 1
         assert store.stats()["dedup_hits"] == 1
         # an equal but distinct array is a distinct object
         assert store.put(np.ones(256)) != ref1
@@ -220,7 +226,7 @@ def test_concurrent_put_get_release_threads():
             t.join(timeout=60)
         assert not any(t.is_alive() for t in threads)
         assert not errors, errors
-        assert store.n_objects == 0  # everything released
+        assert store.stats()["n_objects"] == 0  # everything released
         _assert_bookkeeping_exact(store)
         assert store.stats()["bytes_resident"] == 0 and not store._dedup
         assert not list(Path("/dev/shm").glob(f"{store.prefix}*"))
@@ -435,6 +441,28 @@ def test_large_args_and_results_travel_by_reference(small_threshold):
     assert np.array_equal(product["auto"], product["off"])
 
 
+def test_a_by_ref_chain_hits_the_worker_cache(small_threshold):
+    """Each link of a dependent by-reference chain lands on the worker
+    that froze its input: the pool picks the worker released last, and
+    a worker is released before its result is published.  Only the
+    first link's input is mapped fresh; every later link is a cache hit."""
+    pool = get_worker_pool()
+    warm = [pool.acquire(), pool.acquire()]  # two idle workers to pick from
+    for worker in warm:
+        pool.release(worker)
+    n, first = 6, np.zeros(512)
+    with Runtime(config=RuntimeConfig(backend="processes", max_workers=2)) as rt:
+        link = first
+        for _ in range(n):
+            link = _double_plus_one(link)
+        out = wait_on(link)
+        stats = rt.stats()["backend_stats"]
+    assert out.tobytes() == np.full(512, 2.0**n - 1).tobytes()
+    assert stats["dispatched"] == n and stats["inline"] == 0
+    assert stats["store_hits"] == n - 1 and stats["store_misses"] == 1
+    assert stats["store_bytes_moved"] == first.nbytes
+
+
 def test_small_values_stay_inline():
     cfg = RuntimeConfig(backend="processes", max_workers=1)
     with Runtime(config=cfg) as rt:
@@ -497,7 +525,7 @@ def test_runtime_put_get_release():
         assert np.array_equal(got["x"][0], src)
         assert rt.release(ref) == 1
         assert rt.release(ref) == 1  # idempotent: ref already dead
-        assert rt.store.n_objects == 0
+        assert rt.store.stats()["n_objects"] == 0
 
 
 def test_wait_on_derefs_task_results(small_threshold):
@@ -559,17 +587,22 @@ def test_worker_store_thaw_freeze_roundtrip():
         assert np.array_equal(thawed[0], src)
         assert thawed[1] == 5
         assert not thawed[0].flags.writeable
-        assert info["moved_bytes"] == src.nbytes and info["hits"] == []
-        # second thaw of the same segment is a cache (locality) hit
+        assert info["moved_bytes"] == src.nbytes
+        assert (info["attached"], info["hits"]) == (1, 0)
+        assert ws.cached_segments() == [ref.segment]
+        # second thaw of the same segment is a cache hit
         info2 = WorkerStore.new_info()
         ws.thaw(ref, info2)
-        assert len(info2["hits"]) == 1 and info2["moved_bytes"] == 0
+        assert (info2["attached"], info2["hits"]) == (0, 1)
+        assert info2["moved_bytes"] == 0 and info2["hit_bytes"] == src.nbytes
 
         out, created_info = np.asarray(thawed[0]) * 2, WorkerStore.new_info()
         frozen = ws.freeze(out, store.prefix, 1024, created_info)
         assert is_ref(frozen)
         adopted = store.adopt(*created_info["created"][0])
         assert np.array_equal(store.get(adopted), out)
+        # the frozen result stays cached, most recently used last
+        assert ws.cached_segments() == [ref.segment, frozen.segment]
     finally:
         store.shutdown()
 
@@ -587,16 +620,19 @@ def test_worker_store_prune_bounds_cache():
         for ref in refs:
             ws.thaw(ref, info)
         ws.thaw(refs[0], info)  # a hit must not count the segment twice
-        ws.freeze(np.ones(512), store.prefix, 1024, info)
+        assert (info["attached"], info["hits"]) == (6, 1)
+        frozen = ws.freeze(np.ones(512), store.prefix, 1024, info)
         kept = ws.freeze(np.ones(512), other.prefix, 1024, info)
         assert cached_bytes_exact() and ws._cached_bytes == 8 * 512 * 8
-        evicted = ws.prune(4 * 512 * 8)
-        assert len(evicted) == 4  # cache was trimmed to the byte budget, LRU first
-        assert evicted == [r.segment for r in refs[1:5]]
+        ws.prune(4 * 512 * 8)
+        # trimmed to the byte budget, least recently used first
+        assert ws.cached_segments() == [
+            refs[5].segment, refs[0].segment, frozen.segment, kept.segment
+        ]
         assert cached_bytes_exact() and ws._cached_bytes == 4 * 512 * 8
         info2 = WorkerStore.new_info()
         ws.thaw(refs[1], info2)  # evicted entry re-attaches
-        assert info2["moved_bytes"] == 512 * 8
+        assert info2["moved_bytes"] == 512 * 8 and info2["attached"] == 1
         # a store shut down: its segments go, another store's stay
         ws.forget(store.prefix)
         assert ws.cached_segments() == [kept.segment]

@@ -427,11 +427,10 @@ def test_timeline_is_a_view_of_the_trace(name, tmp_path):
         assert markers["retry"] and markers["checkpoint"] and markers["failure"]
 
         counters = [e for e in events if e["ph"] == "C"]
-        if trace.total_bytes_moved or trace.total_bytes_saved:
-            assert counters[-1]["args"] == {
-                "moved": trace.total_bytes_moved,
-                "saved": trace.total_bytes_saved,
-            }
+        moved = sum(r.bytes_moved for r in trace)
+        saved = sum(r.bytes_saved for r in trace)
+        if moved or saved:
+            assert counters[-1]["args"] == {"moved": moved, "saved": saved}
         else:
             assert not counters
 

@@ -32,15 +32,12 @@ def reconcile_store(runtime, trace: Trace | None = None) -> list[str]:
         return ["trace collection is disabled on this runtime"]
     trace = trace if trace is not None else runtime.trace()
     problems: list[str] = []
-    for attr, counter in (
-        ("total_bytes_moved", "store_bytes_moved"),
-        ("total_bytes_saved", "store_bytes_saved"),
-    ):
-        from_trace = getattr(trace, attr)
-        from_backend = backend_stats.get(counter, 0)
+    for attr in ("bytes_moved", "bytes_saved"):
+        from_trace = sum(getattr(r, attr) for r in trace)
+        from_backend = backend_stats.get(f"store_{attr}", 0)
         if from_trace != from_backend:
             problems.append(
-                f"trace {attr} is {from_trace}, backend {counter} says {from_backend}"
+                f"trace {attr} sum to {from_trace}, backend store_{attr} says {from_backend}"
             )
     hits = backend_stats.get("store_hits", 0)
     misses = backend_stats.get("store_misses", 0)
