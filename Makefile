@@ -16,7 +16,7 @@ reach:
 	bash scripts/check.sh reach
 
 stress:
-	PYTHONPATH=src python -m pytest --hypothesis-profile=stress -q tests/runtime/test_stress.py tests/streaming/test_stress_stream.py
+	bash scripts/check.sh stress
 
 obs:
 	bash scripts/check.sh obs

@@ -34,6 +34,15 @@ parked and then exits with work still queued re-issues one ``notify``
 (the hand-off baton), so a targeted wakeup absorbed by a thread that
 did not consume the ready task is always passed on.
 
+A completing thread runs the successor it releases: when a body's
+attempt completes, ``_complete`` keeps at most one of the children it
+released — unless a queued task outranks it — and the thread that ran
+the body runs it next, in ``_worker_loop``'s or ``_help_until``'s loop,
+with no heap push and no wakeup; every other released child queues
+and is notified, so fan-out stays parallel.  The kept child needs no
+wakeup because the thread holding it runs it; a ``_help_until`` wait
+that ends first (its predicate holds, or it raises) queues it instead.
+
 The submission path is split across locks so concurrent submitters do
 not serialise on one global lock: dependency detection runs under a
 dedicated ``_dep_lock`` (keeping registry write-chains and task-id
@@ -129,6 +138,7 @@ from repro.runtime.tracing import (
     TaskRecord,
     Trace,
     estimate_nbytes,
+    payload_nbytes,
 )
 
 _logger = logging.getLogger("repro.runtime")
@@ -337,10 +347,10 @@ class Runtime:
         """Stop the runtime.  With ``wait=True`` (default) drains every
         unfinished task first — top-level *and* nested ones — so no
         in-flight task is lost.  A drain cut short by a recorded
-        invariant violation (:class:`RuntimeStateError`) is raised after
-        the teardown."""
+        invariant violation (:class:`RuntimeStateError`) or by a kill
+        is raised after the teardown."""
         was_shutdown = self._shutdown
-        drain_error: RuntimeStateError | None = None
+        drain_error: BaseException | None = None
         if wait and not was_shutdown:
             # Streaming drain first: stream graphs stop their sources
             # and join their stages while the runtime still accepts
@@ -353,7 +363,9 @@ class Runtime:
                     _logger.exception("shutdown drain hook failed")
             try:
                 self._help_until(lambda: self.unfinished == 0)
-            except RuntimeStateError as exc:
+            except BaseException as exc:  # noqa: BLE001 - re-raised after teardown
+                if not isinstance(exc, RuntimeStateError) and exc is not self._killed:
+                    raise
                 drain_error = exc
         with self._cond:
             self._shutdown = True
@@ -923,11 +935,14 @@ class Runtime:
         return True
 
     def _enqueue(self, *insts: TaskInstance) -> None:
-        """Queue *insts* under one condition acquisition and wake up to
-        one parked thread per task with a single grouped notify: any
-        woken thread — worker or helping waiter — consumes a task (or
-        passes the baton on exit, see ``_help_until``)."""
-        marked = [inst for inst in insts if self._mark_ready(inst)]
+        """Mark *insts* READY and queue them (``_push``)."""
+        self._push([inst for inst in insts if self._mark_ready(inst)])
+
+    def _push(self, marked: list[TaskInstance]) -> None:
+        """Queue READY *marked* under one condition acquisition and wake
+        up to one parked thread per task with a single grouped notify:
+        any woken thread — worker or helping waiter — consumes a task
+        (or passes the baton on exit, see ``_help_until``)."""
         if not marked:
             return
         with self._cond:
@@ -936,11 +951,22 @@ class Runtime:
                 # the abort sweeps the queue under this lock, so the
                 # check keeps a cancelled task off it either way.
                 if inst.state == READY:
-                    priority = inst.options.priority if inst.options is not None else 0
-                    heapq.heappush(self._ready, (-priority, self._ready_seq, inst))
+                    heapq.heappush(self._ready, (-_priority(inst), self._ready_seq, inst))
                     self._ready_seq += 1
             self._counters.notifies += len(marked)
             self._cond.notify(len(marked))
+
+    def _keep_one(self, released: list[TaskInstance]) -> TaskInstance | None:
+        """Take out of *released* the child the completing thread runs
+        next — the first of the highest priority — and mark it READY.
+        None when a queued task outranks it: then every child queues."""
+        kept = max(released, key=_priority)
+        if self._ready:  # an empty heap outranks nothing; no lock needed
+            with self._cond:
+                if self._ready and self._ready[0][0] < -_priority(kept):
+                    return None
+        released.remove(kept)
+        return kept if self._mark_ready(kept) else None
 
     def _broadcast(self) -> None:
         """Wake every parked thread once a ``_help_until`` waiter is
@@ -970,7 +996,12 @@ class Runtime:
                     return
                 inst = heapq.heappop(self._ready)[2]
             try:
-                self._execute(inst, name)
+                # Run the child each completion keeps (``_complete``)
+                # next, in this loop: no heap push, no wakeup.  An
+                # ``_execute`` that raises returns no child, so nothing
+                # kept is left behind.
+                while inst is not None:
+                    inst = self._execute(inst, name, keep=True)
             except BaseException as exc:  # noqa: BLE001
                 # _execute already routed kills/BaseExceptions through
                 # _kill; this is belt-and-braces so a worker can never
@@ -1134,9 +1165,16 @@ class Runtime:
         then exit because its own predicate turned true; the ``finally``
         clause re-notifies if work is still queued (the baton hand-off)
         so that wakeup is never lost to the other parked threads.
+
+        A child kept by a completion this waiter ran (``_complete``)
+        runs next, once the predicate, kill and violation checks at the
+        top of the loop pass again.  A wait that ends first — its
+        predicate holds, or it raises — queues the child instead, so
+        ``wait_on(mid)`` never runs the rest of a chain.
         """
         parked = False
         name = None
+        kept = None
         try:
             while not predicate():
                 if self._killed is not None:
@@ -1147,33 +1185,41 @@ class Runtime:
                     raise RuntimeStateError(
                         "runtime invariant violated: " + "; ".join(list(self._violations))
                     )
-                with self._cond:
-                    if self._ready:
-                        inst = heapq.heappop(self._ready)[2]
-                    else:
-                        inst = None
-                        # Counted first, then re-checked under the lock:
-                        # any notifier changes state before it reads the
-                        # count (see _broadcast) or notifies under this
-                        # same lock, so passing these checks and then
-                        # waiting cannot miss a wakeup.
-                        self._waiting += 1
-                        try:
-                            if not predicate() and self._killed is None and not self._violations:
-                                if self._shutdown:
-                                    raise RuntimeStateError(
-                                        "runtime shut down while waiting for tasks"
-                                    )
-                                parked = True
-                                self._counters.idle_wakeups += 1
-                                self._cond.wait()
-                        finally:
-                            self._waiting -= 1
+                inst, kept = kept, None
+                if inst is None:
+                    with self._cond:
+                        if self._ready:
+                            inst = heapq.heappop(self._ready)[2]
+                        else:
+                            # Counted first, then re-checked under the
+                            # lock: any notifier changes state before it
+                            # reads the count (see _broadcast) or
+                            # notifies under this same lock, so passing
+                            # these checks and then waiting cannot miss
+                            # a wakeup.
+                            self._waiting += 1
+                            try:
+                                if (
+                                    not predicate()
+                                    and self._killed is None
+                                    and not self._violations
+                                ):
+                                    if self._shutdown:
+                                        raise RuntimeStateError(
+                                            "runtime shut down while waiting for tasks"
+                                        )
+                                    parked = True
+                                    self._counters.idle_wakeups += 1
+                                    self._cond.wait()
+                            finally:
+                                self._waiting -= 1
                 if inst is not None:
                     if name is None:
                         name = threading.current_thread().name
-                    self._execute(inst, name)
+                    kept = self._execute(inst, name, keep=True)
         finally:
+            if kept is not None:
+                self._push([kept])
             if parked:
                 with self._cond:
                     if self._ready:
@@ -1257,12 +1303,16 @@ class Runtime:
             raise outcome["error"]
         return outcome["value"]
 
-    def _execute(self, inst: TaskInstance, worker_name: str | None = None) -> None:
+    def _execute(
+        self, inst: TaskInstance, worker_name: str | None = None, keep: bool = False
+    ) -> TaskInstance | None:
         """Claim and run *inst* on the calling thread, named
-        *worker_name* (looked up when the caller does not know it)."""
+        *worker_name* (looked up when the caller does not know it).
+        With *keep*, the caller runs what this returns next: the child
+        a successful completion kept for this thread (``_complete``)."""
         prev_state = inst.claim_run()
         if prev_state is None:
-            return  # cancelled (or finalized) before it could start
+            return None  # cancelled (or finalized) before it could start
         # Strict table, no self-loop: claiming an instance that is
         # already RUNNING runs its body twice.
         self._check_transition(inst, prev_state, RUNNING, VALID_TRANSITIONS)
@@ -1295,7 +1345,7 @@ class Runtime:
         except Exception as exc:  # noqa: BLE001 - routed to failure policies
             t_end = self._now()
             self._fail(inst, exc, t_start, t_end)
-            return
+            return None
         except BaseException as exc:  # noqa: BLE001
             # KeyboardInterrupt & friends escaping a task body: fail
             # the task terminally (retrying an interrupt would be
@@ -1323,8 +1373,8 @@ class Runtime:
             inst,
             t_start,
             "done",
-            in_bytes=estimate_nbytes((args, kwargs)) if collect else 0,
-            out_bytes=estimate_nbytes(results) if collect else 0,
+            in_bytes=payload_nbytes(args, kwargs) if collect else 0,
+            out_bytes=payload_nbytes(results) if collect else 0,
         )
         for fut, value in zip(inst.futures, results):
             fut._set_result(value)
@@ -1346,7 +1396,7 @@ class Runtime:
                     inst.task_id,
                     exc,
                 )
-        self._complete(inst, DONE)
+        return self._complete(inst, DONE, keep)
 
     # ------------------------------------------------------------------
     # failure management
@@ -1546,11 +1596,18 @@ class Runtime:
         self._notify_interrupts()
         return True
 
-    def _complete(self, inst: TaskInstance, state: str) -> None:
+    def _complete(
+        self, inst: TaskInstance, state: str, keep: bool = False
+    ) -> TaskInstance | None:
         """Retire *inst* (whose ``t_end`` the caller has set) into
-        *state* and release its dependents."""
+        *state* and release its dependents.
+
+        With *keep* — passed only by the thread that ran the body, which
+        runs what this returns next — one released child skips the
+        ready queue and its wakeup (``_keep_one``); the rest queue as
+        usual, so fan-out stays parallel."""
         if not inst.try_finalize():
-            return
+            return None
         self._set_state(inst, state)
         if self._progress is not None:
             self._progress.tick()
@@ -1562,21 +1619,22 @@ class Runtime:
         # shutdown.
         inst.args = inst.kwargs = None
         failure = state in (FAILED, CANCELLED)
-        to_enqueue: list[TaskInstance] = []
+        released: list[TaskInstance] = []
         for child in children:
             if failure:
                 # Propagate: the child can never run.
                 self._cancel_pending(child, inst.error)
             elif child.dep_completed() and child.state == PENDING:
-                to_enqueue.append(child)
-        for child in to_enqueue:
-            self._enqueue(child)
+                released.append(child)
+        kept = self._keep_one(released) if keep and released else None
+        self._enqueue(*released)
         # Wake every waiter whose predicate (futures done, pending
         # count drained, unfinished == 0) may have just turned true.  The
         # state changes above happened before this broadcast, and
         # waiters re-check under the condition before parking, so the
         # wakeup cannot be lost.
         self._broadcast()
+        return kept
 
     def _cancel_pending(
         self, inst: TaskInstance, cause: TaskExecutionError | None = None
@@ -1905,6 +1963,11 @@ def _shape_record(inst: TaskInstance) -> TaskRecord:
         span_id=ctx.span_id if ctx is not None else None,
         parent_span_id=ctx.parent_id if ctx is not None else None,
     )
+
+
+def _priority(inst: TaskInstance) -> int:
+    """The scheduling priority of *inst* (higher runs first)."""
+    return inst.options.priority if inst.options is not None else 0
 
 
 def _all_done(futures: list[Future]) -> Callable[[], bool]:

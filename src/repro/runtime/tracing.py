@@ -61,6 +61,26 @@ def estimate_nbytes(obj: Any) -> int:
     return total
 
 
+def payload_nbytes(values: tuple | list, kwargs: dict | None = None) -> int:
+    """``estimate_nbytes((values, kwargs))``, or ``estimate_nbytes(values)``
+    without *kwargs* (an empty dict adds nothing either way), minus the
+    walk's stack in the common flat case: no keywords, and every value
+    a scalar or a plain array (a fine-grained task's arguments, a
+    results tuple)."""
+    if kwargs:
+        return estimate_nbytes((values, kwargs))
+    total = 0
+    for value in values:
+        t = type(value)
+        if t in _FLAT_TYPES:
+            total += 64
+        elif t is np.ndarray:
+            total += value.nbytes
+        else:
+            return estimate_nbytes(values)
+    return total
+
+
 def queue_wait_of(t_ready: float | None, t_dispatch: float | None) -> float:
     """Seconds an attempt sat in the ready queue before a worker
     claimed it (0.0 when the span was not recorded)."""

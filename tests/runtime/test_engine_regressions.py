@@ -3,7 +3,8 @@ condition-variable wait replacing the busy-loop, record-before-publish,
 barrier on a killed or aborted runtime, no READY after an abort's
 cancel, payload release at retirement, ``submit_many`` intake copying
 the caller's containers, and futures that are only polled or
-``result()``-waited on a pool."""
+``result()``-waited on a pool, the released child a completing thread
+runs next, and a kill raised by ``shutdown`` only after its teardown."""
 
 from __future__ import annotations
 
@@ -13,12 +14,14 @@ import threading
 import time
 import weakref
 
+import numpy as np
 import pytest
 
 from repro.runtime import Runtime, task, wait_on
 from repro.runtime import engine
 from repro.runtime.backends import current_attempt
 from repro.runtime.config import RuntimeConfig
+from repro.runtime.exceptions import WorkflowKilledError
 
 
 def test_shutdown_waits_for_all_live_scopes():
@@ -791,3 +794,183 @@ def test_application_barrier_skips_the_children_a_failed_body_left():
             gate.set()
     assert rt.unfinished == 0
     assert rt.check_invariants(quiesced=True) == []
+
+
+# ----------------------------------------------------------------------
+# the released child a completing thread keeps and runs next
+# ----------------------------------------------------------------------
+BACKENDS = pytest.mark.parametrize("backend", ["threads", "processes"])
+
+
+@task(returns=1, priority=5)
+def _urgent(x):
+    return x
+
+
+def _holding(gate: threading.Event):
+    """A local task (so the processes backend runs it inline too) that
+    holds the thread running it until *gate* is set, and the event it
+    sets once it started."""
+    started = threading.Event()
+
+    @task(returns=1)
+    def hold():
+        started.set()
+        gate.wait(10)
+        return 0
+
+    return hold, started
+
+
+def _chain(head, links: int):
+    futures = [head]
+    for _ in range(links):
+        futures.append(_inc(futures[-1]))
+    return futures
+
+
+@BACKENDS
+def test_a_released_chain_runs_on_one_thread_without_a_notify_per_edge(backend):
+    """Each link's completion keeps the next link for its own thread:
+    the whole chain runs where its head was released, and no edge pushes
+    onto the ready queue or wakes a thread."""
+    gate = threading.Event()
+    with _pool(backend=backend, max_workers=2) as rt:
+        tail = _chain(_parked_future(gate), 200)[-1]
+        before = rt.stats()["scheduler"]["notifies"]
+        gate.set()
+        assert tail.result(timeout=30) == 201
+        rt.barrier()
+        notifies = rt.stats()["scheduler"]["notifies"] - before
+        threads = {r.worker for r in rt.trace() if r.name == "_inc"}
+        assert rt.check_invariants(quiesced=True) == []
+    assert notifies == 0
+    assert len(threads) == 1
+
+
+@BACKENDS
+def test_a_completion_releasing_two_children_queues_exactly_one(backend):
+    """Fan-out stays parallel: of two released children the first is
+    kept, the second queued and notified."""
+    gate = threading.Event()
+    with _pool(backend=backend, max_workers=2) as rt:
+        head = _parked_future(gate)
+        first, second = _inc(head), _double(head)
+        pushed = []
+        push = rt._push
+        rt._push = lambda marked: (pushed.extend(marked), push(marked))
+        gate.set()
+        assert wait_on([first, second]) == [2, 2]
+        rt.barrier()
+    assert [inst.task_id for inst in pushed] == [second.task_id]
+
+
+@BACKENDS
+def test_a_queued_task_of_higher_priority_runs_before_the_kept_child(backend):
+    """A child is kept only while nothing queued outranks it: on a
+    one-worker pool the queued urgent task runs first."""
+    gate = threading.Event()
+    hold, started = _holding(gate)
+    with _pool(backend=backend, max_workers=1) as rt:
+        child = _inc(hold())
+        assert started.wait(10)
+        urgent = _urgent(7)
+        gate.set()
+        assert child.result(timeout=10) == 1
+        assert urgent.result(timeout=10) == 7
+        rt.barrier()
+        records = {r.name: r for r in rt.trace()}
+    assert records["_urgent"].t_dispatch < records["_inc"].t_dispatch
+
+
+@BACKENDS
+def test_wait_on_mid_chain_returns_before_the_chain_tail_runs(backend):
+    """The waiter runs the chain up to what it waits for and no
+    further: the next link, kept by the completion of the awaited one,
+    goes back to the queue, and the tail runs only once the held worker
+    is free."""
+    gate = threading.Event()
+    hold, started = _holding(gate)
+    with _pool(backend=backend, max_workers=1) as rt:
+        hold()
+        assert started.wait(10)
+        links = _chain(_inc(0), 9)
+        assert wait_on(links[4]) == 5
+        nxt = rt._by_root[links[5].task_id]
+        assert nxt.state == "ready"
+        assert [entry[-1] for entry in rt._ready] == [nxt]
+        assert not any(f.done for f in links[5:])
+        gate.set()
+        assert wait_on(links[-1]) == 10
+
+
+class _Crash(BaseException):
+    """Escapes a task body: kills the workflow."""
+
+
+@BACKENDS
+def test_a_kill_in_mid_chain_strands_no_kept_child(backend):
+    """A waiter running a chain holds the next link when the kill lands
+    elsewhere: its wait raises, the link goes back to the queue, and the
+    worker that is left runs the rest of the chain."""
+    gate, crash = threading.Event(), threading.Event()
+    hold, held = _holding(gate)
+    crashing = threading.Event()
+
+    @task(returns=1)
+    def crasher():
+        crashing.set()
+        crash.wait(10)
+        raise _Crash("kill")
+
+    with _pool(backend=backend, max_workers=2) as rt:
+
+        @task(returns=1)
+        def tripwire(x):
+            crash.set()
+            deadline = time.monotonic() + 10
+            while rt._killed is None and time.monotonic() < deadline:
+                time.sleep(0.001)
+            return x + 1
+
+        hold()
+        crasher()
+        assert held.wait(10) and crashing.wait(10)
+        links = _chain(tripwire(_inc(0)), 10)
+        with pytest.raises(_Crash):
+            wait_on(links[-1])  # this thread runs the chain up to the kill
+        gate.set()
+        assert links[-1].result(timeout=10) == 12
+        assert rt.check_invariants(quiesced=True) == []
+
+
+@BACKENDS
+def test_a_long_released_chain_runs_in_a_loop_not_by_recursion(backend):
+    gate = threading.Event()
+    with _pool(backend=backend, max_workers=2) as rt:
+        tail = _chain(_parked_future(gate), 10_000)[-1]
+        gate.set()
+        assert tail.result(timeout=120) == 10_001
+        rt.barrier()
+        assert rt.check_invariants(quiesced=True) == []
+
+
+def test_shutdown_tears_down_before_it_raises_a_kill():
+    """A kill that cut the drain short is raised after the teardown:
+    threads joined, the store shut down, the runtime marked shut down."""
+
+    @task(returns=1)
+    def die():
+        raise WorkflowKilledError("killed mid-run")
+
+    rt = Runtime(executor="threads", max_workers=2)
+    rt.put(np.arange(4.0))
+    rt.submit(die.spec, (), {})
+    deadline = time.monotonic() + 10
+    while rt._killed is None and time.monotonic() < deadline:
+        time.sleep(0.001)
+    with pytest.raises(WorkflowKilledError):
+        rt.shutdown(wait=True)
+    assert rt._shutdown
+    assert not any(t.is_alive() for t in rt._threads)
+    assert rt.store.closed

@@ -30,7 +30,8 @@ from repro.runtime.otlp import (
     save_otlp,
     trace_to_otlp,
 )
-from repro.runtime.tracing import TaskRecord, Trace, estimate_nbytes
+from repro.runtime.store import ObjectRef
+from repro.runtime.tracing import TaskRecord, Trace, estimate_nbytes, payload_nbytes
 from tests.support.chrome import validate_chrome_json
 
 
@@ -83,6 +84,34 @@ def test_estimate_nbytes_depth_is_not_bounded_by_the_recursion_limit():
         nested = [nested, 1]
     assert sys.getrecursionlimit() < 5000
     assert estimate_nbytes(nested) == 32 + 5000 * 64
+
+
+_BLOCK = np.zeros(100, dtype=np.float64)
+_REF = ObjectRef(object_id="o1", shape=(64,), dtype="float64", nbytes=512)
+
+
+@pytest.mark.parametrize(
+    "values, kwargs",
+    [
+        ((), {}),
+        ((1, 2.5, True, "s", None), {}),
+        ((_BLOCK, 3), {}),
+        ((_BLOCK, np.float32(0.5)), {}),
+        (([_BLOCK, _BLOCK], 1), {}),
+        (([[_BLOCK], (_BLOCK, 2)],), {}),
+        ((_BLOCK,), {"k": _BLOCK, "n": 4}),
+        ((), {"grid": [[_BLOCK]]}),
+        ((_REF, 1), {}),
+        (([_REF, _BLOCK],), {"ref": _REF}),
+        ((b"abcd", memoryview(bytes(8))), {}),
+        ([_BLOCK, 1], {}),
+    ],
+)
+def test_payload_nbytes_equals_the_full_walk(values, kwargs):
+    """The flat fast path reads what ``estimate_nbytes`` reads: the
+    arguments with their keywords, and a results tuple on its own."""
+    assert payload_nbytes(values, kwargs) == estimate_nbytes((values, kwargs))
+    assert payload_nbytes(values) == estimate_nbytes(values)
 
 
 # ----------------------------------------------------------------------
