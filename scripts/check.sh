@@ -17,6 +17,7 @@
 #   scripts/check.sh stream      streaming + all ECG tests (detector and filter oracles) + stream scenarios incl. keyed count windows vs their offline replay (stress profile) + serving differential + bench smoke of stream_serve
 #   scripts/check.sh ml          estimator + ds-array + AF-workflow tests (kernel oracles, frozen benchmark reference) + SMO oracle (stress profile) + E14 PCA checks + Table I ordering (rewrites its results file) + bench smoke of af_classical
 #   scripts/check.sh bench       bench/run.py --smoke over all seven workloads (oracles + exit hygiene, < 30 s)
+#   scripts/check.sh handoff     scripts/handoff.py: per-task cost of sequential vs threads floods by body size, on one CPU and on all (~2.5 min; a measurement, not a gate, so not in `all`)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -243,6 +244,16 @@ run_bench() {
     bench_smoke
 }
 
+run_handoff() {
+    # What handing a task to a worker thread costs against running it
+    # where it is submitted: no-op and NumPy bodies of ~2-50 us, on one
+    # CPU and on all of them.  engine.INLINE_BELOW_S is read off this
+    # table (DESIGN.md section 27).  It prints numbers and fails only
+    # if the script does, so it is not part of `all`.
+    echo "== hand-off cost by body size (scripts/handoff.py) =="
+    PYTHONPATH=src python scripts/handoff.py "$@"
+}
+
 case "$mode" in
     lint)       run_lint ;;
     test)       run_tests ;;
@@ -256,6 +267,7 @@ case "$mode" in
     stream)     run_stream ;;
     ml)         run_ml ;;
     bench)      run_bench ;;
+    handoff)    shift; run_handoff "$@" ;;
     all)        run_lint; run_tests; run_inventory; run_reach; run_stress; run_obs; run_backend; run_dataplane; run_service; run_stream; run_ml; run_bench ;;
-    *)          echo "usage: scripts/check.sh [lint|test|inventory|reach|stress|obs|backend|dataplane|service|stream|ml|bench]" >&2; exit 2 ;;
+    *)          echo "usage: scripts/check.sh [lint|test|inventory|reach|stress|obs|backend|dataplane|service|stream|ml|bench|handoff]" >&2; exit 2 ;;
 esac

@@ -22,10 +22,12 @@ attempt completes; everything else submitted counts at top level
 (``_unfinished_top``), which is what the application's ``barrier()``
 waits for.
 
-The scheduler is **event-driven**: idle threads park on a condition
-variable with *no timeout* and are woken only by events — a task
-enqueue (targeted ``notify``), a completion/cancellation (broadcast),
-a kill, an abort, or shutdown.  Every state change a parked thread's
+The scheduler is **event-driven**: idle threads park with *no
+timeout* — idle workers on ``_cond``, blocked waiters on
+``_waiter_cond``, one lock under both — and are woken only by events:
+a task enqueue (targeted ``notify`` of workers and of one waiter), a
+completion/cancellation (broadcast to the waiters), a kill, an abort,
+or shutdown.  Every state change a parked thread's
 predicate can depend on is followed by a notification issued *after*
 the change is visible, and parked threads re-check their predicate
 under the condition's lock before waiting, so no wakeup can be lost
@@ -42,6 +44,15 @@ with no heap push and no wakeup; every other released child queues
 and is notified, so fan-out stays parallel.  The kept child needs no
 wakeup because the thread holding it runs it; a ``_help_until`` wait
 that ends first (its predicate holds, or it raises) queues it instead.
+
+A task too small to hand off runs on the thread that submits it:
+when a task is ready at submission under the threads executor with no
+process backend, has no ``time_out``, is outranked by nothing queued,
+and its spec's running body-time estimate (``TaskSpec.body_estimate``,
+written by every in-process attempt that completes) is below
+``INLINE_BELOW_S``, ``submit``/``submit_many`` mark it READY and run it
+there instead of pushing it and waking a worker.  Every other task —
+each spec's first calls included — queues.
 
 The submission path is split across locks so concurrent submitters do
 not serialise on one global lock: dependency detection runs under a
@@ -97,11 +108,11 @@ from repro.runtime.config import RuntimeConfig
 from repro.runtime.dag import TaskGraph
 from repro.runtime.directions import Direction
 from repro.runtime.exceptions import (
+    CancelledTaskError,
     RuntimeStateError,
     TaskExecutionError,
     TaskTimeoutError,
     WorkflowAbortedError,
-    WorkflowKilledError,
 )
 from repro.runtime.failures import (
     FAIL,
@@ -149,6 +160,16 @@ _ckpt_logger = logging.getLogger("repro.runtime.checkpoint")
 #: transition but the claim (see ``_execute``), so the check is one set
 #: test.
 _ALLOWED = {state: nxt | {state} for state, nxt in VALID_TRANSITIONS.items()}
+
+#: A task whose spec's ``body_estimate`` is below this many seconds runs
+#: on the thread that submits it (``Runtime._start``).  Read off
+#: ``scripts/handoff.py`` (DESIGN.md §27): a hand-off costs a no-op
+#: 3-4 µs on one CPU and 6-8 µs across two, bodies up to 20 µs run
+#: faster in place on either, and only a ~50 µs body was once seen to
+#: gain from the second CPU.  The estimates of a no-op (~0.9 µs) and of
+#: a two-argument ``add`` (2-3 µs) sit a third of it or less, so a host
+#: twice as slow keeps the decision.
+INLINE_BELOW_S = 10e-6
 
 
 class Runtime:
@@ -268,11 +289,15 @@ class Runtime:
         #: third slot never compares).  Guarded by ``_cond``.
         self._ready: list[tuple[int, int, TaskInstance]] = []
         self._ready_seq = 0
-        #: The scheduler condition: workers and waiters park here with
-        #: no timeout; every producer of work or progress notifies it.
-        self._cond = threading.Condition()
-        #: Threads parked in ``_help_until`` (written under ``_cond``):
-        #: the only parked threads a completion can have news for.
+        #: The scheduler condition: idle workers park here with no
+        #: timeout; every producer of work notifies it.
+        lock = threading.RLock()
+        self._cond = threading.Condition(lock)
+        #: Where ``_help_until`` waiters park, on ``_cond``'s lock: a
+        #: completion has news only for them (``_broadcast``), and a
+        #: push wakes one of them besides the workers, since they help.
+        self._waiter_cond = threading.Condition(lock)
+        #: Threads parked in ``_help_until`` (written under ``_cond``).
         self._waiting = 0
         self._shutdown = False
         self._threads: list[threading.Thread] = []
@@ -371,6 +396,7 @@ class Runtime:
             self._shutdown = True
             self._counters.broadcasts += 1
             self._cond.notify_all()
+            self._waiter_cond.notify_all()
         # After the flag flip: wake externally-parked threads (stream
         # put/get waiters) so they observe the shutdown instead of
         # sleeping on a condition no worker will ever notify again.
@@ -511,7 +537,7 @@ class Runtime:
 
         # -- phases 3-4: signature, registration ------------------------
         if self._admit(inst, self._register(inst)):
-            self._enqueue(inst)
+            self._start(inst)
         return self._returns_of(inst)
 
     def submit_many(self, calls: Iterable[Any]) -> list[Any]:
@@ -585,16 +611,28 @@ class Runtime:
                 self._admit(inst, self._register(inst))
         else:
             # -- phases 3-4: one batched registration pass, then dispatch
-            # in call order and one grouped enqueue.
+            # in call order: one grouped enqueue, then the small tasks
+            # run here.
             lookups = [self._checkpoint_lookup(inst) for inst in insts]
             with self._state_lock:
                 registered = [
                     self._register_locked(inst, restored)
                     for inst, restored in zip(insts, lookups)
                 ]
-            self._enqueue(
-                *[inst for inst, reg in zip(insts, registered) if self._admit(inst, reg)]
-            )
+            queued: list[TaskInstance] = []
+            small: list[TaskInstance] = []
+            for inst, reg in zip(insts, registered):
+                if self._admit(inst, reg):
+                    (small if self._small(inst) else queued).append(inst)
+            self._enqueue(*queued)
+            for k, inst in enumerate(small):
+                try:
+                    self._start(inst)
+                except BaseException:
+                    # A kill out of one body: the rest still run, on
+                    # the pool.
+                    self._enqueue(*small[k + 1 :])
+                    raise
         return [self._returns_of(inst) for inst in insts]
 
     # -- submission helpers (shared by submit / submit_many) ------------
@@ -618,7 +656,7 @@ class Runtime:
         store (its futures resolve to the persisted outputs), cancel it
         under a failed upstream, or run it inline on the sequential
         executor (submission order is topological, so its deps are
-        done).  True when it is ready to queue instead."""
+        done).  True when it is ready for ``_start`` instead."""
         restored_values, unresolved, upstream_failed = registered
         if restored_values is not None:
             self._restore(inst, restored_values)
@@ -629,6 +667,30 @@ class Runtime:
         else:
             return unresolved == 0
         return False
+
+    def _small(self, inst: TaskInstance) -> bool:
+        """True when *inst* may run on the thread that submits it: its
+        spec's body estimate is known and below ``INLINE_BELOW_S``, the
+        body would run in this process, and no ``time_out`` needs the
+        watchdog's thread."""
+        est = inst.spec.body_estimate
+        return (
+            est is not None
+            and est < INLINE_BELOW_S
+            and self._backend is None
+            and inst.options.time_out is None
+        )
+
+    def _start(self, inst: TaskInstance) -> None:
+        """Start a task that is ready at submission (threads executor):
+        a small one nothing queued outranks is marked READY and run on
+        this thread — same ready row and stamp as a queued one, no push
+        and no wakeup; any other is queued."""
+        if self._small(inst) and not self._outranked(inst):
+            if self._mark_ready(inst):
+                self._execute(inst)
+        else:
+            self._enqueue(inst)
 
     def _submitting_attempt(self) -> tuple[TaskInstance | None, Any]:
         """Read the calling thread's binding once: the parent attempt of
@@ -954,33 +1016,46 @@ class Runtime:
                     heapq.heappush(self._ready, (-_priority(inst), self._ready_seq, inst))
                     self._ready_seq += 1
             self._counters.notifies += len(marked)
-            self._cond.notify(len(marked))
+            self._wake(len(marked))
+
+    def _wake(self, n: int) -> None:
+        """Wake up to *n* parked workers and one parked waiter, which
+        helps (callers hold ``_cond``)."""
+        self._cond.notify(n)
+        if self._waiting:
+            self._waiter_cond.notify()
+
+    def _outranked(self, inst: TaskInstance) -> bool:
+        """True when a queued task outranks *inst*'s priority.  An empty
+        heap outranks nothing, so the common test takes no lock."""
+        if not self._ready:
+            return False
+        with self._cond:
+            return bool(self._ready) and self._ready[0][0] < -_priority(inst)
 
     def _keep_one(self, released: list[TaskInstance]) -> TaskInstance | None:
         """Take out of *released* the child the completing thread runs
         next — the first of the highest priority — and mark it READY.
         None when a queued task outranks it: then every child queues."""
         kept = max(released, key=_priority)
-        if self._ready:  # an empty heap outranks nothing; no lock needed
-            with self._cond:
-                if self._ready and self._ready[0][0] < -_priority(kept):
-                    return None
+        if self._outranked(kept):
+            return None
         released.remove(kept)
         return kept if self._mark_ready(kept) else None
 
     def _broadcast(self) -> None:
-        """Wake every parked thread once a ``_help_until`` waiter is
-        among them (parked workers wait for work or shutdown, which
-        notify on their own).  Issued after any state change a waiter
-        predicate can depend on (completion, cancellation, kill, abort).
-        The count is read unlocked: a waiter counts itself before its
-        locked re-check and statements run in one interpreter-lock
-        order, so a 0 here means that re-check sees this change; a
-        counted waiter holds the lock until it waits."""
+        """Wake every parked ``_help_until`` waiter (parked workers wait
+        for work or shutdown, which notify them on their own).  Issued
+        after any state change a waiter predicate can depend on
+        (completion, cancellation, kill, abort).  The count is read
+        unlocked: a waiter counts itself before its locked re-check and
+        statements run in one interpreter-lock order, so a 0 here means
+        that re-check sees this change; a counted waiter holds the lock
+        until it waits."""
         if self._waiting:
             with self._cond:
                 self._counters.broadcasts += 1
-                self._cond.notify_all()
+                self._waiter_cond.notify_all()
 
     def _worker_loop(self) -> None:
         name = threading.current_thread().name
@@ -1161,10 +1236,12 @@ class Runtime:
         predicate is still false raises :class:`RuntimeStateError`
         carrying the violations instead of parking.
 
-        A parked waiter may absorb a targeted enqueue ``notify`` and
-        then exit because its own predicate turned true; the ``finally``
-        clause re-notifies if work is still queued (the baton hand-off)
-        so that wakeup is never lost to the other parked threads.
+        Waiters park on ``_waiter_cond`` (``_cond``'s lock), so the
+        broadcast of a completion wakes no idle worker.  A parked waiter
+        may absorb a push's ``notify`` and then exit because its own
+        predicate turned true; the ``finally`` clause re-notifies if
+        work is still queued (the baton hand-off) so that wakeup is
+        never lost to the other parked threads.
 
         A child kept by a completion this waiter ran (``_complete``)
         runs next, once the predicate, kill and violation checks at the
@@ -1210,7 +1287,7 @@ class Runtime:
                                         )
                                     parked = True
                                     self._counters.idle_wakeups += 1
-                                    self._cond.wait()
+                                    self._waiter_cond.wait()
                             finally:
                                 self._waiting -= 1
                 if inst is not None:
@@ -1224,7 +1301,7 @@ class Runtime:
                 with self._cond:
                     if self._ready:
                         self._counters.notifies += 1
-                        self._cond.notify()
+                        self._wake(1)
 
     # ------------------------------------------------------------------
     # execution
@@ -1336,24 +1413,20 @@ class Runtime:
                     elapsed = self._now() - t_start
                     if elapsed > time_out:
                         raise TaskTimeoutError(inst.name, inst.task_id, time_out)
-        except WorkflowKilledError as exc:
-            # A body-declared process death: tears through the failure
-            # policies, but every parked thread must still learn about
-            # it — no silently-dead worker, no hung waiter.
-            self._kill(exc)
-            raise
         except Exception as exc:  # noqa: BLE001 - routed to failure policies
             t_end = self._now()
             self._fail(inst, exc, t_start, t_end)
             return None
         except BaseException as exc:  # noqa: BLE001
+            # A body-declared process death (``WorkflowKilledError``),
             # KeyboardInterrupt & friends escaping a task body: fail
             # the task terminally (retrying an interrupt would be
-            # wrong) and kill the workflow so every waiter re-raises
-            # instead of hanging on a dead worker thread.  The task's
-            # own futures fail first, so a waiter woken by the kill can
-            # tell the body that raised from the tasks it stranded.
-            t_end = time.perf_counter() - self._epoch
+            # wrong), cancel its dependents, and kill the workflow so
+            # every waiter re-raises instead of hanging on a dead worker
+            # thread.  The task's own futures fail first, so a waiter
+            # woken by the kill can tell the body that raised from the
+            # tasks it stranded.
+            t_end = self._now()
             error = TaskExecutionError(inst.name, inst.task_id, exc)
             inst.error = error
             inst.t_end = t_end
@@ -1365,6 +1438,8 @@ class Runtime:
             raise
         t_end = self._now()
         inst.t_end = t_end
+        if self._backend is None:
+            inst.spec.observe_body(t_end - inst.t_body_start)
 
         # Recorded before it is published, as on every failure path: a
         # caller woken by these futures finds the attempt in ``trace()``.
@@ -1702,7 +1777,17 @@ class Runtime:
         futures = scan_futures(obj)
         if futures:
             self._help_until(_all_done(futures))
-        out = resolve_futures(obj)
+        killed = None
+        try:
+            out = resolve_futures(obj)
+        except (TaskExecutionError, CancelledTaskError):
+            # What a kill failed or cancelled raises the kill, as a
+            # barrier does, whichever a woken waiter saw first.
+            killed = self._killed
+            if killed is None:
+                raise
+        if killed is not None:
+            raise killed
         if self._store is not None and scan_refs(out):
             out = self._store.deref(out, copy=copy)
         return out

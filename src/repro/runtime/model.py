@@ -86,6 +86,24 @@ class TaskSpec:
     #: ``time_out``, ...); call sites override them via ``.opts(...)``.
     options: TaskOptions = NO_OPTIONS
 
+    #: Running estimate of one body's seconds over the attempts that
+    #: completed in this process, None until the first one did.  Not a
+    #: field: it lives in the instance ``__dict__`` (``observe_body``),
+    #: so every runtime of the process reads what any of them measured.
+    body_estimate = None
+
+    def observe_body(self, seconds: float) -> None:
+        """Fold one completed body's *seconds* into ``body_estimate``.
+        A sample is never shorter than the body but can be far longer —
+        preempted, or waiting for the interpreter lock — so a shorter
+        sample is taken as it is and a longer one at most doubles the
+        estimate: one outlier does not move a tiny body past the inline
+        threshold, and a body whose cost really grew crosses it within
+        a few calls.  Racing writers may lose an update; an estimate can
+        afford it."""
+        est = self.body_estimate
+        self.__dict__["body_estimate"] = seconds if est is None else min(seconds, 2.0 * est)
+
     @functools.cached_property
     def has_writes(self) -> bool:
         # Per-spec constant, but on the submit hot path (the argument

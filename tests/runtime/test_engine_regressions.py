@@ -4,11 +4,14 @@ barrier on a killed or aborted runtime, no READY after an abort's
 cancel, payload release at retirement, ``submit_many`` intake copying
 the caller's containers, and futures that are only polled or
 ``result()``-waited on a pool, the released child a completing thread
-runs next, and a kill raised by ``shutdown`` only after its teardown."""
+runs next, a kill raised by ``shutdown`` only after its teardown, a
+killed body's attempt and dependents retired, and a task too small to
+hand off run by the thread that submits it."""
 
 from __future__ import annotations
 
 import gc
+import os
 import sys
 import threading
 import time
@@ -18,10 +21,16 @@ import numpy as np
 import pytest
 
 from repro.runtime import Runtime, task, wait_on
-from repro.runtime import engine
+from repro.runtime import active, engine
+from repro.runtime import observability as obs
 from repro.runtime.backends import current_attempt
 from repro.runtime.config import RuntimeConfig
-from repro.runtime.exceptions import WorkflowKilledError
+from repro.runtime.exceptions import (
+    CancelledTaskError,
+    TaskExecutionError,
+    WorkflowKilledError,
+)
+from tests.support.inline import warm
 
 
 def test_shutdown_waits_for_all_live_scopes():
@@ -549,7 +558,9 @@ def _queued_behind_a_parked_worker(rt, gate: threading.Event):
 
     hold()
     assert started.wait(10)
-    inst = rt._by_root[_inc(1).task_id]
+    # A spec no call has completed yet, so no body estimate lets it run
+    # on this thread instead of queueing.
+    inst = rt._by_root[_tiny()(1).task_id]
     assert inst.state == "ready"
     return inst
 
@@ -822,10 +833,10 @@ def _holding(gate: threading.Event):
     return hold, started
 
 
-def _chain(head, links: int):
+def _chain(head, links: int, inc=_inc):
     futures = [head]
     for _ in range(links):
-        futures.append(_inc(futures[-1]))
+        futures.append(inc(futures[-1]))
     return futures
 
 
@@ -891,10 +902,15 @@ def test_wait_on_mid_chain_returns_before_the_chain_tail_runs(backend):
     is free."""
     gate = threading.Event()
     hold, started = _holding(gate)
+
+    @task(returns=1)
+    def inc(x):  # no call has completed: the head queues, not runs here
+        return x + 1
+
     with _pool(backend=backend, max_workers=1) as rt:
         hold()
         assert started.wait(10)
-        links = _chain(_inc(0), 9)
+        links = _chain(inc(0), 9, inc)
         assert wait_on(links[4]) == 5
         nxt = rt._by_root[links[5].task_id]
         assert nxt.state == "ready"
@@ -957,20 +973,284 @@ def test_a_long_released_chain_runs_in_a_loop_not_by_recursion(backend):
 
 def test_shutdown_tears_down_before_it_raises_a_kill():
     """A kill that cut the drain short is raised after the teardown:
-    threads joined, the store shut down, the runtime marked shut down."""
+    threads joined, the store shut down, the runtime marked shut down.
+    The drain is cut short by a task still running when the kill lands
+    (the killed task itself retires failed)."""
 
     @task(returns=1)
     def die():
         raise WorkflowKilledError("killed mid-run")
 
+    gate = threading.Event()
+    hold, started = _holding(gate)
     rt = Runtime(executor="threads", max_workers=2)
     rt.put(np.arange(4.0))
+    rt.submit(hold.spec, (), {})
+    assert started.wait(10)
     rt.submit(die.spec, (), {})
     deadline = time.monotonic() + 10
     while rt._killed is None and time.monotonic() < deadline:
         time.sleep(0.001)
+    threading.Timer(0.2, gate.set).start()
     with pytest.raises(WorkflowKilledError):
         rt.shutdown(wait=True)
     assert rt._shutdown
     assert not any(t.is_alive() for t in rt._threads)
     assert rt.store.closed
+
+
+@pytest.mark.parametrize("executor", ["threads", "sequential"])
+def test_a_killed_body_retires_its_attempt_and_cancels_its_dependents(executor):
+    """A body raising ``WorkflowKilledError`` fails its own attempt and
+    cancels its dependents, with the kill at the root of their errors:
+    nothing is left running or pending for ``result()`` to block on, a
+    wait on them raises the kill, and ``shutdown()`` leaves a clean
+    quiesced audit."""
+
+    @task(returns=1)
+    def die():
+        raise WorkflowKilledError("killed mid-run")
+
+    rt = Runtime(config=RuntimeConfig(executor=executor, max_workers=2))
+    engine.push_runtime(rt)
+    try:
+        with pytest.raises(WorkflowKilledError):
+            wait_on(die())  # sequential: raised by the submission itself
+        (attempt,) = rt._tasks.values()
+        with pytest.raises(TaskExecutionError) as failed:
+            attempt.futures[0].result(timeout=5)
+        assert isinstance(failed.value.__cause__, WorkflowKilledError)
+        dependent = _inc(attempt.futures[0])
+        with pytest.raises(WorkflowKilledError):
+            wait_on(dependent)
+        with pytest.raises(CancelledTaskError) as cancelled:
+            dependent.result(timeout=5)
+        assert cancelled.value.__cause__ is failed.value
+    finally:
+        engine.pop_runtime(rt)
+    rt.shutdown()
+    assert attempt.state == "failed"
+    assert rt.unfinished == 0
+    assert rt.check_invariants(quiesced=True) == []
+
+
+# ----------------------------------------------------------------------
+# a task too small to hand off runs on the thread that submits it
+# ----------------------------------------------------------------------
+def _tiny():
+    """A fresh no-op task: a spec no call has completed yet."""
+
+    @task(returns=1)
+    def tiny(x):
+        return x
+
+    return tiny
+
+
+@task(returns=1)
+def _tiny_module_level(x):
+    """A no-op pool workers can import, so ``processes`` really ships it."""
+    return x
+
+
+def _notifies(rt) -> int:
+    return rt.stats()["scheduler"]["notifies"]
+
+
+def _record(rt, fut):
+    return next(r for r in rt.trace() if r.task_id == fut.task_id)
+
+
+def _ready_rows(rt, fut) -> int:
+    return sum(
+        1
+        for row in obs.lifecycle_events(rt._attempts())
+        if row["kind"] == "ready" and row["task_id"] == fut.task_id
+    )
+
+
+@BACKENDS
+def test_a_warm_tiny_spec_runs_on_the_submitting_thread(backend):
+    """With its estimate below the threshold, a task ready at submission
+    runs inside ``submit`` under threads: done when the call returns, on
+    this thread, with its one READY row and no notify.  Under processes
+    it is queued and notified."""
+    tiny = _tiny()
+    warm(tiny, 0)
+    with _pool(backend=backend, max_workers=2) as rt:
+        before = _notifies(rt)
+        f = tiny(7)
+        done_at_return, notifies = f.done, _notifies(rt) - before
+        assert wait_on(f) == 7
+        rt.barrier()
+        record, ready_rows = _record(rt, f), _ready_rows(rt, f)
+        assert rt.check_invariants(quiesced=True) == []
+    assert ready_rows == 1
+    assert record.t_ready is not None and record.t_ready <= record.t_dispatch
+    if backend == "threads":
+        assert done_at_return and notifies == 0
+        assert record.worker == threading.current_thread().name
+    else:
+        assert notifies == 1
+
+
+@BACKENDS
+def test_a_specs_first_call_is_dispatched(backend):
+    """A spec no call has completed has no estimate: its first call is
+    queued and notified.  Once warm, the next call runs here under
+    threads; under processes it is queued still."""
+    tiny = _tiny()
+    assert tiny.spec.body_estimate is None
+    with _pool(backend=backend, max_workers=2) as rt:
+        before = _notifies(rt)
+        first = tiny(1)
+        first_notifies = _notifies(rt) - before
+        assert wait_on(first) == 1
+        warm(tiny, 0)
+        before = _notifies(rt)
+        second = tiny(2)
+        second_done, second_notifies = second.done, _notifies(rt) - before
+        assert wait_on(second) == 2
+    assert first_notifies == 1
+    if backend == "threads":
+        assert second_done and second_notifies == 0
+    else:
+        assert second_notifies == 1
+
+
+@BACKENDS
+def test_what_the_rule_excludes_is_dispatched(backend):
+    """Queued despite a warm spec: a body estimated above the threshold,
+    a call with a ``time_out`` (its body needs the watchdog's thread),
+    and a call a queued task outranks.  A call that outranks the queue
+    still runs here under threads."""
+    tiny, urgent = _tiny(), _tiny()
+    gate = threading.Event()
+    hold, started = _holding(gate)
+
+    @task(returns=1)
+    def slow(x):
+        time.sleep(0.001)
+        return x
+
+    warm(tiny, 0)
+    with Runtime(executor="sequential"):
+        slow(0)
+    assert slow.spec.body_estimate > engine.INLINE_BELOW_S
+    with _pool(backend=backend, max_workers=1) as rt:
+        pushed = []
+        push = rt._push
+        rt._push = lambda marked: (pushed.extend(marked), push(marked))
+        held = hold()
+        assert started.wait(10)
+        excluded = [
+            slow(1),
+            tiny.opts(time_out=5)(2),
+            urgent.opts(priority=5)(3),  # cold: queued, and outranks tiny
+            tiny(4),
+        ]
+        control = tiny.opts(priority=9)(5)
+        control_done = control.done
+        gate.set()
+        assert wait_on([*excluded, control]) == [1, 2, 3, 4, 5]
+    queued = [inst.task_id for inst in pushed if inst.task_id != held.task_id]
+    assert [f.task_id for f in excluded] == [i for i in queued if i != control.task_id]
+    if backend == "threads":
+        assert control_done and control.task_id not in queued
+    else:
+        assert control.task_id in queued
+
+
+@BACKENDS
+def test_nothing_runs_inline_under_processes(backend):
+    """A warm tiny task a worker can import: under processes it is
+    queued, notified and shipped to a worker process; under threads it
+    runs inside ``submit``, in this process."""
+    warm(_tiny_module_level, 0)
+    with _pool(backend=backend, max_workers=2, collect_trace=True) as rt:
+        before = _notifies(rt)
+        f = _tiny_module_level(3)
+        notifies = _notifies(rt) - before
+        assert wait_on(f) == 3
+        rt.barrier()
+        record = _record(rt, f)
+    if backend == "threads":
+        assert notifies == 0 and record.pid == os.getpid()
+        assert record.worker == threading.current_thread().name
+    else:
+        assert notifies == 1 and record.pid != os.getpid()
+
+
+@BACKENDS
+def test_a_tiny_body_that_submits_tiny_children_drains_its_pending(backend):
+    """Tiny children submitted by a body run on the body's thread under
+    threads, inside each ``submit``: the attempt's pending count is back
+    to zero before the body returns, with nothing to wait for.  Under
+    processes the children queue and the body waits for them."""
+    child = _tiny()
+    warm(child, 0)
+
+    @task(returns=1)
+    def parent(n):
+        futures = [child(i) for i in range(n)]
+        return active._tls.bound._pending, all(f.done for f in futures)
+
+    with _pool(backend=backend, max_workers=2) as rt:
+        before = _notifies(rt)
+        f = parent(4)
+        seen = wait_on(f)
+        rt.barrier()
+        notifies = _notifies(rt) - before
+        records = list(rt.trace())
+        assert rt._by_root[f.task_id]._pending == 0
+        assert rt.check_invariants(quiesced=True) == []
+    parent_rec = next(r for r in records if r.task_id == f.task_id)
+    kids = [r for r in records if r.parent_id == f.task_id]
+    assert len(kids) == 4
+    if backend == "threads":
+        assert seen == (0, True) and notifies == 1  # the parent's own push
+        assert {r.worker for r in kids} == {parent_rec.worker}
+    else:
+        assert notifies >= 1 + 4  # each child pushed (a waiter may add its baton)
+
+
+@BACKENDS
+def test_an_abort_racing_an_inline_run_leaves_the_audit_clean(backend):
+    """The abort lands between a small task being marked READY and this
+    thread running it: the run finds it cancelled, its body never runs,
+    its future raises, and the queue and the quiesced audit stay
+    clean."""
+    ran: list[int] = []
+
+    @task(returns=1)
+    def noted(x):
+        ran.append(x)
+        return x
+
+    warm(noted, 0)
+    ran.clear()
+    callers: list[str] = []
+    with pytest.raises(engine.WorkflowAbortedError):
+        with _pool(backend=backend, max_workers=2) as rt:
+            execute = rt._execute
+
+            def spy(inst, *args, **kwargs):
+                callers.append(threading.current_thread().name)
+                return execute(inst, *args, **kwargs)
+
+            def mark_then_abort(inst):
+                marked = Runtime._mark_ready(rt, inst)
+                rt._abort(_aborting_error())
+                return marked
+
+            rt._execute, rt._mark_ready = spy, mark_then_abort
+            f = noted(1)
+            del rt._mark_ready
+            with pytest.raises(CancelledTaskError):
+                f.result(timeout=5)
+            assert rt.stats()["ready_queue"] == 0
+            rt.barrier()
+    assert ran == []
+    assert rt.check_invariants(quiesced=True) == []
+    main = threading.current_thread().name
+    assert callers == ([main] if backend == "threads" else [])

@@ -3,7 +3,8 @@
 The runtime promises that a task workflow gives the same results
 sequentially, on threads or in worker processes, with nesting, INOUT
 chains, retries, IGNOREd failures, priorities, batches, shared-memory
-store traffic, barging waiters, aborts and kills.  :class:`RuntimeMachine`
+store traffic, barging waiters, small tasks run by the thread that
+submits them, aborts and kills.  :class:`RuntimeMachine`
 checks that promise by drawing one configuration per example (executor
 and backend, store mode, observability, trace collection) and
 then applying random operations both to the runtime and to a plain-Python
@@ -61,6 +62,7 @@ from repro.runtime.exceptions import (
     WorkflowKilledError,
 )
 from repro.runtime.task import task
+from tests.support.inline import warm
 from tests.support.oracles import reconcile_store, run_under_watchdog
 
 #: Every machine here stores 8 KiB blocks by reference: the store's
@@ -94,6 +96,13 @@ _NAMES = itertools.count()
 # ----------------------------------------------------------------------
 @task(returns=1)
 def _add(a, b):
+    return a + b
+
+
+@task(returns=1)
+def _tiny_add(a, b):
+    """``_add`` under another spec, warmed before each submission so its
+    body estimate lets a ready call run on the submitting thread."""
     return a + b
 
 
@@ -258,6 +267,15 @@ class RuntimeMachine(RuleBasedStateMachine):
     def add(self, a, b, priority):
         fn = _add if priority is None else _add.opts(priority=priority)
         return self._track(self._guard(lambda: fn(a[0], b[0]), "add"), a[1] + b[1])
+
+    @precondition(live)
+    @rule(target=values, a=_ints | values, b=_ints | values)
+    def warm_add(self, a, b):
+        """A warm tiny spec: under threads, a call ready at submission
+        runs inside ``submit`` on this thread (its estimate may have
+        drifted up meanwhile; then it queues like any other)."""
+        warm(_tiny_add, 0, 0)
+        return self._track(self._guard(lambda: _tiny_add(a[0], b[0]), "warm_add"), a[1] + b[1])
 
     @precondition(live)
     @rule(target=values, a=_ints | values, b=_ints | values, failures=st.integers(1, 2))
